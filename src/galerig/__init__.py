@@ -8,7 +8,6 @@ from .gale import (
     FacetLabeling,
     FaceStructure,
     canonical_weights,
-    face_counts,
     face_structure,
     facet_labeling,
     is_face,
@@ -26,7 +25,7 @@ from .betti import (
     window_sums,
 )
 from .petersen import five_cycles, petersen_labels, tor_class
-from .charmat import CharMatrixZ2, enumerate_charmats, is_characteristic
+from .charmat import enumerate_charmats, is_characteristic
 from .cohomology import (
     GradedQuotient,
     InvariantProfile,
@@ -44,7 +43,6 @@ __all__ = [
     "FacetLabeling",
     "FaceStructure",
     "canonical_weights",
-    "face_counts",
     "face_structure",
     "facet_labeling",
     "is_face",
@@ -61,7 +59,6 @@ __all__ = [
     "five_cycles",
     "petersen_labels",
     "tor_class",
-    "CharMatrixZ2",
     "enumerate_charmats",
     "is_characteristic",
     "GradedQuotient",

@@ -1,153 +1,112 @@
-"""Mod-2 characteristic matrices over a face structure.
+"""Mod-2 characteristic matrices over a face structure, on the Gale dual.
 
-A valid matrix assigns a nonzero vector in GF(2)^n to each facet so that the
-columns over every vertex of the polytope are linearly independent; the first
-n columns are normalized to the identity.  Columns are stored as ints with
-bit r-1 carrying row r, so the candidate order "increasing as binary numbers
-with the low index in the top row" is plain integer order.
+A characteristic matrix is [I_n | B] with n x 3 block B; its kernel is
+spanned by the rows of [B; I_3], so the matrix is the same thing as one
+nonzero linear form in x, y, z per facet: row i of B for a leading facet
+i <= n, and x, y, z for facets n+1, n+2, n+3.  A matrix is held as the
+n-tuple of leading forms, entry i-1 being facet i's form with bit j standing
+for variable j of (x, y, z).  It is characteristic iff, for every vertex,
+the forms of the three facets off that vertex form a basis of GF(2)^3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .gale import FaceStructure
+from .gf2 import rank
+
+VARIABLES = (0b001, 0b010, 0b100)  # forms of facets n+1, n+2, n+3
+
+# _COMPLETIONS[a][b] has bit c set iff the forms a, b, c are a basis.
+_COMPLETIONS = tuple(
+    tuple(sum(1 << c for c in range(1, 8) if rank((a, b, c)) == 3) for b in range(8))
+    for a in range(8)
+)
 
 
-def _independent(vectors: Iterable[int]) -> bool:
-    """Linear independence of bit-packed GF(2) vectors (greedy reduction)."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v == 0:
-            return False
-        basis.append(v)
-    return True
+def row_strings(forms: Sequence[int]) -> list[str]:
+    """Rows of the completion block, i.e. the forms spelled as x, y, z bits."""
+    return ["".join(str((f >> j) & 1) for j in range(3)) for f in forms]
 
 
-@dataclass(frozen=True)
-class CharMatrixZ2:
-    """n x m GF(2) matrix with identity prefix, stored column-wise."""
-
-    n: int
-    m: int
-    columns: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.columns) != self.m:
-            raise ValueError("column count does not match m")
-        if any(c <= 0 or c >> self.n for c in self.columns):
-            raise ValueError("columns must be nonzero vectors in GF(2)^n")
-        if any(self.columns[i] != 1 << i for i in range(self.n)):
-            raise ValueError("the first n columns must form the identity")
-
-    @classmethod
-    def from_block(cls, n: int, block: Sequence[int]) -> "CharMatrixZ2":
-        columns = tuple(1 << i for i in range(n)) + tuple(block)
-        return cls(n=n, m=n + len(block), columns=columns)
-
-    @property
-    def block(self) -> tuple[int, ...]:
-        return self.columns[self.n:]
-
-    def row_strings(self) -> list[str]:
-        return ["".join(str((c >> r) & 1) for c in self.columns)
-                for r in range(self.n)]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "rows": self.row_strings()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CharMatrixZ2":
-        rows = data["rows"]
-        n, m = len(rows), len(rows[0])
-        columns = tuple(sum(int(rows[r][c]) << r for r in range(n)) for c in range(m))
-        mat = cls(n=n, m=m, columns=columns)
-        if mat.n != data["n"] or mat.m != data["m"]:
-            raise ValueError("stored shape does not match the rows")
-        return mat
+def forms_from_rows(rows: Sequence[str]) -> tuple[int, ...]:
+    """Inverse of row_strings."""
+    if any(len(r) != 3 or set(r) - {"0", "1"} for r in rows):
+        raise ValueError(f"block rows must be three binary digits, got {list(rows)}")
+    return tuple(sum(int(ch) << j for j, ch in enumerate(r)) for r in rows)
 
 
-def block_row_strings(block: Sequence[int], n: int) -> list[str]:
-    """Rows of a completion block as bit strings, leftmost = column n+1."""
-    return ["".join(str((c >> r) & 1) for c in block) for r in range(n)]
+def _complement_triples(fs: FaceStructure) -> list[tuple[int, ...]]:
+    """Facets off each vertex, as sorted 0-based index triples."""
+    everything = frozenset(range(1, fs.m + 1))
+    return [tuple(sorted(i - 1 for i in everything - face)) for face in fs.maximal_faces]
 
 
-def block_from_row_strings(rows: Sequence[str]) -> tuple[int, ...]:
-    n, width = len(rows), len(rows[0])
-    return tuple(sum(int(rows[r][c]) << r for r in range(n)) for c in range(width))
+def _column_key(forms: Sequence[int]) -> tuple[int, ...]:
+    """The block's columns as ints with row i at bit i-1: the order in which
+    the reference lists and every report print matrices."""
+    return tuple(sum(((f >> j) & 1) << i for i, f in enumerate(forms)) for j in range(3))
 
 
-def is_characteristic(matrix: CharMatrixZ2, fs: FaceStructure) -> bool:
-    """Whether every vertex of the polytope has independent facet columns.
-
-    Subsets of independent sets stay independent, so checking the maximal
-    faces suffices.
-    """
-    if matrix.n != fs.n or matrix.m != fs.m:
+def is_characteristic(forms: Sequence[int], fs: FaceStructure) -> bool:
+    """Whether the forms off every vertex of the polytope are a basis."""
+    if fs.m - fs.n != 3 or len(forms) != fs.n:
         raise ValueError("matrix shape does not match the face structure")
-    cols = matrix.columns
-    return all(_independent([cols[i - 1] for i in face]) for face in fs.maximal_faces)
+    if any(not isinstance(f, int) or not 1 <= f <= 7 for f in forms):
+        raise ValueError("forms must be nonzero vectors in GF(2)^3")
+    full = tuple(forms) + VARIABLES
+    return all((_COMPLETIONS[full[a]][full[b]] >> full[c]) & 1
+               for a, b, c in _complement_triples(fs))
+
+
+def _search_plan(n: int, triples: list[tuple[int, ...]]):
+    """Order of the leading facets for the backtrack, each with the pairs
+    that complete a triple at that facet.
+
+    Greedy: next comes the facet that closes the most triples given the
+    facets already placed (ties to the lowest index), so that every facet
+    meets its constraints as soon as possible.
+    """
+    placed = set(range(n, n + 3))
+    plan = []
+    while len(placed) < n + 3:
+        closing = {f: [tuple(t for t in triple if t != f) for triple in triples
+                       if f in triple and all(t in placed for t in triple if t != f)]
+                   for f in range(n) if f not in placed}
+        facet = max(closing, key=lambda f: len(closing[f]))  # first maximum wins
+        plan.append((facet, closing[facet]))
+        placed.add(facet)
+    return plan
 
 
 def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
-    """All completion blocks (columns n+1..m) of identity-prefix
-    characteristic matrices over the face structure.
+    """All characteristic matrices over the face structure, as form tuples.
 
-    Backtracks column by column over GF(2)^n \\ {0}, pruning as soon as a
-    vertex fully contained in the assigned prefix has dependent columns.
-    Output is sorted by the block's bit pattern (ascending column tuples).
+    Backtracks over the 7 nonzero forms per leading facet; each
+    vertex-complement triple is tested as soon as its last facet is set, by
+    intersecting the forms that complete each closed pair to a basis.
+    Output is in column order (see _column_key).
     """
-    n, m = fs.n, fs.m
+    n = fs.n
     if frozenset(range(1, n + 1)) not in set(fs.maximal_faces):
         raise ValueError("facet order is not normalized: leading facets must form a vertex")
-    faces_by_top: dict[int, list[list[int]]] = {c: [] for c in range(n + 1, m + 1)}
-    for face in fs.maximal_faces:
-        top = max(face)
-        if top > n:
-            faces_by_top[top].append(sorted(face))
+    plan = _search_plan(n, _complement_triples(fs))
+    forms = [0] * n + list(VARIABLES)
+    found: list[tuple[int, ...]] = []
 
-    blocks: list[tuple[int, ...]] = []
-    cols: dict[int, int] = {i: 1 << (i - 1) for i in range(1, n + 1)}
-
-    def assign(c: int):
-        if c > m:
-            blocks.append(tuple(cols[i] for i in range(n + 1, m + 1)))
+    def assign(step: int):
+        if step == n:
+            found.append(tuple(forms[:n]))
             return
-        for v in range(1, 1 << n):
-            cols[c] = v
-            if all(_independent([cols[i] for i in face]) for face in faces_by_top[c]):
-                assign(c + 1)
-        del cols[c]
+        facet, pairs = plan[step]
+        allowed = 0b11111110
+        for a, b in pairs:
+            allowed &= _COMPLETIONS[forms[a]][forms[b]]
+        for f in range(1, 8):
+            if (allowed >> f) & 1:
+                forms[facet] = f
+                assign(step + 1)
 
-    assign(n + 1)
-    return blocks
-
-
-def apply_automorphism(fs: FaceStructure, block: Sequence[int],
-                       perm: Sequence[int]) -> tuple[int, ...]:
-    """Relabel the facets of a characteristic matrix by a face-structure
-    automorphism and restore the identity prefix.
-
-    perm[i-1] is the image of facet i; the new column j is the old column
-    perm[j-1].  The leading n new columns come from a vertex, hence are
-    invertible, and left multiplication by their inverse restores the
-    identity prefix.  Returns the resulting block.
-    """
-    n, m = fs.n, fs.m
-    old = tuple(1 << i for i in range(n)) + tuple(block)
-    cols = [old[perm[j] - 1] for j in range(m)]
-    # Gauss-Jordan on rows (ints over m columns) to make columns 0..n-1 identity.
-    rows = [sum(((cols[j] >> r) & 1) << j for j in range(m)) for r in range(n)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if (rows[r] >> c) & 1), None)
-        if pivot is None:
-            raise ValueError("permutation does not map the leading facets to a vertex")
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        for r in range(n):
-            if r != c and (rows[r] >> c) & 1:
-                rows[r] ^= rows[c]
-    return tuple(sum(((rows[r] >> j) & 1) << r for r in range(n))
-                 for j in range(n, m))
+    assign(0)
+    return sorted(found, key=_column_key)

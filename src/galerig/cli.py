@@ -13,8 +13,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
-from .charmat import CharMatrixZ2, block_from_row_strings, block_row_strings, \
-    enumerate_charmats, is_characteristic
+from .charmat import enumerate_charmats, forms_from_rows, is_characteristic, row_strings
 from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
@@ -27,12 +26,33 @@ from .gf2 import format_poly
 from .petersen import tor_class
 
 
+# Largest facet count accepted by the commands that enumerate characteristic
+# matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
+# 2^(a+1)+1) and each gets a quotient.  On a 2-core x86 VM under Python 3.11,
+# (10,1,1,1,1) at m = 14 enumerates its 2049 matrices in 0.03 s and builds
+# their quotients in about 28 s; at m = 15 the quotients take about 76 s.
+# Larger diagrams are refused with exit 2.
+MAX_FACETS = 14
+
+
 def _parse_weights(text: str) -> GaleDiagram:
     try:
         weights = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"weights must be comma-separated integers, got {text!r}")
     return GaleDiagram(weights)
+
+
+def _enumerable(diagram: GaleDiagram) -> GaleDiagram:
+    if diagram.m > MAX_FACETS:
+        raise ValueError(f"{diagram.m} facets exceed MAX_FACETS = {MAX_FACETS}, the largest "
+                         "diagram whose characteristic matrices are enumerated")
+    return diagram
+
+
+def _check_jobs(jobs: int):
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
 def _emit(data, as_json: bool, text: str):
@@ -50,39 +70,37 @@ def _cache_key(weights) -> str:
     return "-".join(str(w) for w in weights)
 
 
-def _load_cached_charmats(path: Path, fs, weights) -> list[tuple[int, ...]] | None:
+def _load_cache(path: Path, weights, parse):
+    """parse(data) of a cache file written for these weights, or None after a
+    warning when the file is corrupt, foreign or stale."""
     try:
         data = json.loads(path.read_text())
         if tuple(data["weights"]) != tuple(weights):
             raise ValueError("cached weights do not match")
-        blocks = [block_from_row_strings(rows) for rows in data["blocks"]]
-        for block in blocks:
-            mat = CharMatrixZ2.from_block(fs.n, block)
-            if not is_characteristic(mat, fs):
-                raise ValueError("cached block is not characteristic")
-        return blocks
-    except Exception as err:  # corrupt cache: recompute with a warning
+        return parse(data)
+    except Exception as err:  # recompute with a warning
         print(f"warning: ignoring cache {path}: {err}", file=sys.stderr)
         return None
 
 
-def _load_cached_quotients(path: Path, blocks) -> list[GradedQuotient] | None:
-    try:
-        data = json.loads(path.read_text())
-        quotients = [GradedQuotient.from_json(q) for q in data["quotients"]]
-        if len(quotients) != len(blocks):
-            raise ValueError("cached quotient count does not match the matrix list")
-        return quotients
-    except Exception as err:
-        print(f"warning: ignoring cache {path}: {err}", file=sys.stderr)
-        return None
+def _cached_charmats(data, fs) -> list[tuple[int, ...]]:
+    blocks = [forms_from_rows(rows) for rows in data["blocks"]]
+    if not all(is_characteristic(b, fs) for b in blocks):
+        raise ValueError("cached block is not characteristic")
+    return blocks
+
+
+def _cached_quotients(data, blocks) -> list[GradedQuotient]:
+    entries = data["quotients"]
+    if [e["block"] for e in entries] != [row_strings(b) for b in blocks]:
+        raise ValueError("cached quotients were built from other matrices")
+    return [GradedQuotient.from_json(e) for e in entries]
 
 
 def _member_data(weights, cache_dir: Path | None):
-    """Face structure, charmat blocks, and quotients for one class member,
+    """Characteristic matrices and quotients of one class member,
     cached as JSON keyed by the canonical weights when a directory is given."""
-    diagram = GaleDiagram(weights)
-    fs = face_structure(diagram)
+    fs = face_structure(GaleDiagram(weights))
     blocks = None
     quotients = None
     key = _cache_key(weights)
@@ -92,24 +110,26 @@ def _member_data(weights, cache_dir: Path | None):
         charmat_path = cache_dir / f"{key}.charmats.json"
         quotient_path = cache_dir / f"{key}.quotients.json"
         if charmat_path.exists():
-            blocks = _load_cached_charmats(charmat_path, fs, weights)
+            blocks = _load_cache(charmat_path, weights, lambda data: _cached_charmats(data, fs))
         if blocks is not None and quotient_path.exists():
-            quotients = _load_cached_quotients(quotient_path, blocks)
+            quotients = _load_cache(quotient_path, weights,
+                                    lambda data: _cached_quotients(data, blocks))
     if blocks is None:
         blocks = enumerate_charmats(fs)
         if charmat_path is not None:
             charmat_path.write_text(json.dumps({
                 "weights": list(weights),
-                "blocks": [block_row_strings(b, fs.n) for b in blocks],
+                "blocks": [row_strings(b) for b in blocks],
             }, indent=2, sort_keys=True))
     if quotients is None:
         quotients = [quotient_presentation(fs, b) for b in blocks]
         if quotient_path is not None:
             quotient_path.write_text(json.dumps({
                 "weights": list(weights),
-                "quotients": [q.to_json() for q in quotients],
+                "quotients": [{"block": row_strings(b), **q.to_json()}
+                              for b, q in zip(blocks, quotients)],
             }, indent=2, sort_keys=True))
-    return fs, blocks, quotients
+    return blocks, quotients
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +155,9 @@ def cmd_torclass(args) -> int:
 
 
 def cmd_charmats(args) -> int:
-    diagram = _parse_weights(args.weights)
-    fs = face_structure(diagram)
-    blocks = enumerate_charmats(fs)
-    rows = [block_row_strings(b, fs.n) for b in blocks]
+    diagram = _enumerable(_parse_weights(args.weights))
+    blocks = enumerate_charmats(face_structure(diagram))
+    rows = [row_strings(b) for b in blocks]
     text = [f"{len(blocks)} characteristic matrices (identity prefix omitted):"]
     text += [f"  {i + 1:3d}: " + " ".join(r) for i, r in enumerate(rows)]
     _emit({"weights": list(diagram.weights), "count": len(blocks), "blocks": rows},
@@ -153,20 +172,20 @@ def _selected_quotients(diagram, index: int | None):
         if not 1 <= index <= len(blocks):
             raise ValueError(f"--matrix must be in 1..{len(blocks)}")
         blocks = [blocks[index - 1]]
-    return fs, blocks, [quotient_presentation(fs, b) for b in blocks]
+    return blocks, [quotient_presentation(fs, b) for b in blocks]
 
 
 def cmd_cohomology(args) -> int:
-    diagram = _parse_weights(args.weights)
-    fs, blocks, quotients = _selected_quotients(diagram, args.matrix)
+    diagram = _enumerable(_parse_weights(args.weights))
+    blocks, quotients = _selected_quotients(diagram, args.matrix)
     payload, text = [], []
     for block, q in zip(blocks, quotients):
         payload.append({
-            "block": block_row_strings(block, fs.n),
+            "block": row_strings(block),
             **q.to_json(),
             "generators": [format_poly(g) for g in q.generators],
         })
-        text.append(" ".join(block_row_strings(block, fs.n)))
+        text.append(" ".join(row_strings(block)))
         text.append(f"  hilbert: {list(q.hilbert)}")
         text.append("  generators: " + ", ".join(format_poly(g) for g in q.generators))
     _emit(payload, args.json, "\n".join(text))
@@ -174,8 +193,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    diagram = _parse_weights(args.weights)
-    fs, blocks, quotients = _selected_quotients(diagram, args.matrix)
+    diagram = _enumerable(_parse_weights(args.weights))
+    _, quotients = _selected_quotients(diagram, args.matrix)
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []
@@ -191,10 +210,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    d1 = _parse_weights(args.weights)
-    d2 = _parse_weights(args.weights2)
-    _, _, q1 = _selected_quotients(d1, None)
-    _, _, q2 = _selected_quotients(d2, None)
+    _check_jobs(args.jobs)
+    d1 = _enumerable(_parse_weights(args.weights))
+    d2 = _enumerable(_parse_weights(args.weights2))
+    _, q1 = _selected_quotients(d1, None)
+    _, q2 = _selected_quotients(d2, None)
     matrix = pairwise_iso_matrix(q1, q2, jobs=args.jobs)
     found = sum(sum(row) for row in matrix)
     text = [f"{found} graded isomorphisms over {len(q1)}x{len(q2)} pairs"]
@@ -206,6 +226,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_jobs(args.jobs)
     diagram = _parse_weights(args.weights)
     if not supports_quasitoric(diagram.k):
         print(f"refusing: a (2k+1)-gon diagram with k = {diagram.k} supports no "
@@ -230,6 +251,7 @@ def cmd_report(args) -> int:
         _emit(report, args.json, "\n".join(text))
         return 0
 
+    _enumerable(diagram)  # every class member has the same facet count
     if args.verify:
         expected = {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}
         if set(tor_class(diagram.weights)) != expected:
@@ -240,18 +262,17 @@ def cmd_report(args) -> int:
     cache_dir = Path(args.cache) if args.cache else None
     members = sorted(tor_class(diagram.weights))
     member_info = []
-    data = {}
+    quotients = {}
     for weights in members:
-        fs, blocks, quotients = _member_data(weights, cache_dir)
-        data[weights] = (fs, blocks, quotients)
+        blocks, quotients[weights] = _member_data(weights, cache_dir)
         member_info.append({"weights": list(weights), "charmat_count": len(blocks)})
 
     pairs = []
     total_found = 0
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            qa = data[members[i]][2]
-            qb = data[members[j]][2]
+            qa = quotients[members[i]]
+            qb = quotients[members[j]]
             matrix = pairwise_iso_matrix(qa, qb, jobs=args.jobs)
             found = sum(sum(row) for row in matrix)
             total_found += found

@@ -1,12 +1,11 @@
 """GF(2) cohomology quotients of quasitoric manifolds over polytopes with
 n+3 facets, and exhaustive graded-isomorphism testing between them.
 
-Given a characteristic matrix with identity prefix, the linear relations
-eliminate the first n facet variables, the last three become x, y, z, and the
-quotient is GF(2)[x,y,z] modulo the ideal generated by the substituted
-minimal non-face monomials.  The quotient vanishes above degree n, so ideals
-are stored degreewise up to degree n+1, where the component must be the full
-monomial space.
+Given a characteristic matrix as one linear form in x, y, z per facet (see
+galerig.charmat), the quotient is GF(2)[x,y,z] modulo the ideal generated by
+the products of the forms over each minimal non-face.  The quotient vanishes
+above degree n, so ideals are stored degreewise up to degree n+1, where the
+component must be the full monomial space.
 
 Two quotients are compared by running every invertible degree-one
 substitution (the 168 elements of GL(3, GF(2))) and checking whether it maps
@@ -18,12 +17,13 @@ cross-checks; the isomorphism verdict never depends on them.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .charmat import CharMatrixZ2, is_characteristic
+from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
@@ -36,6 +36,7 @@ from .gf2 import (
     poly_shift,
     poly_to_lists,
     poly_to_vec,
+    rank,
     subspace_equal,
     vec_to_poly,
 )
@@ -43,6 +44,7 @@ from .gf2 import (
 X: Poly = frozenset({(1, 0, 0)})
 Y: Poly = frozenset({(0, 1, 0)})
 Z: Poly = frozenset({(0, 0, 1)})
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 LINEAR_FORM_NAMES = ("x", "y", "z", "x+y", "x+z", "y+z", "x+y+z")
 LINEAR_FORMS: tuple[Poly, ...] = (X, Y, Z, X | Y, X | Z, Y | Z, X | Y | Z)
@@ -104,56 +106,38 @@ def _validate_quotient(q: GradedQuotient):
         raise ValueError("stored quotient dimensions disagree with the ideal")
 
 
-def quotient_presentation(fs: FaceStructure,
-                          matrix: CharMatrixZ2 | Sequence[int]) -> GradedQuotient:
+def _form_poly(form: int) -> Poly:
+    """The linear form with bit j standing for variable j of (x, y, z)."""
+    return frozenset(_UNITS[j] for j in range(3) if (form >> j) & 1)
+
+
+def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuotient:
     """Cohomology quotient of the quasitoric manifold given by a
     characteristic matrix over the face structure.
 
     Args:
         fs: face structure with m - n = 3 and normalized facet order.
-        matrix: full identity-prefix matrix or just its completion block.
+        forms: the matrix as the linear forms of facets 1..n.
 
-    The linear relations express facet variable i (i <= n) as the block-row-i
-    combination of the last three variables, which become x, y, z in facet
-    order; each minimal non-face monomial then substitutes to a homogeneous
-    generator, and ideal components are saturated degree by degree.
+    Each generator is the product of the facet forms over a minimal
+    non-face, the last three facets carrying x, y, z; ideal components are
+    saturated degree by degree.
     """
     if fs.m - fs.n != 3:
         raise ValueError("quotient presentation requires m - n = 3")
-    if isinstance(matrix, CharMatrixZ2):
-        mat = matrix
-    else:
-        mat = CharMatrixZ2.from_block(fs.n, tuple(matrix))
-    if not is_characteristic(mat, fs):
+    if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
 
     n = fs.n
-    block = mat.block
-    variables = (X, Y, Z)
-    images: dict[int, Poly] = {}
-    for i in range(1, n + 1):
-        images[i] = frozenset(
-            mono for j, mono in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-            if (block[j] >> (i - 1)) & 1
-        )
-    for j in range(3):
-        images[n + 1 + j] = variables[j]
-
+    polys = [_form_poly(f) for f in tuple(forms) + VARIABLES]
     generators = []
     for nonface in fs.minimal_nonfaces:
         prod: Poly = frozenset({(0, 0, 0)})
         for i in sorted(nonface):
-            prod = poly_multiply(prod, images[i])
+            prod = poly_multiply(prod, polys[i - 1])
         generators.append(prod)
 
-    top = n + 1
-    spans: list[list[Poly]] = [[] for _ in range(top + 1)]
-    for g in generators:
-        dg = homogeneous_degree(g)
-        for d in range(dg, top + 1):
-            for mono in monomials(3, d - dg):
-                spans[d].append(poly_shift(g, mono))
-    ideal = GradedSubspace.from_spans(3, spans)
+    ideal = _saturated_ideal(generators, n + 1)
     hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
     quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
                               generators=tuple(generators))
@@ -161,10 +145,8 @@ def quotient_presentation(fs: FaceStructure,
     return quotient
 
 
-def ideal_equal(generators: Iterable[Poly], quotient: GradedQuotient) -> bool:
-    """Whether the graded ideal spanned by the generators (saturated
-    degreewise up to degree n+1) equals the quotient's ideal."""
-    top = quotient.n + 1
+def _saturated_ideal(generators: Iterable[Poly], top: int) -> GradedSubspace:
+    """Graded ideal spanned by homogeneous generators, degreewise up to top."""
     spans: list[list[Poly]] = [[] for _ in range(top + 1)]
     for g in generators:
         if not g:
@@ -175,8 +157,13 @@ def ideal_equal(generators: Iterable[Poly], quotient: GradedQuotient) -> bool:
         for d in range(dg, top + 1):
             for mono in monomials(3, d - dg):
                 spans[d].append(poly_shift(g, mono))
-    candidate = GradedSubspace.from_spans(3, spans)
-    return subspace_equal(candidate, quotient.ideal)
+    return GradedSubspace.from_spans(3, spans)
+
+
+def ideal_equal(generators: Iterable[Poly], quotient: GradedQuotient) -> bool:
+    """Whether the graded ideal spanned by the generators (saturated
+    degreewise up to degree n+1) equals the quotient's ideal."""
+    return subspace_equal(_saturated_ideal(generators, quotient.n + 1), quotient.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +199,6 @@ def _mult_matrix(q: GradedQuotient, gamma: Poly, degree: int) -> list[int]:
     return rows
 
 
-def _rank(rows: Iterable[int]) -> int:
-    basis: list[int] = []
-    for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
-
-
 def codim(gamma: Poly, q: GradedQuotient) -> int:
     """Least degree d >= 1 at which multiplication by the linear form has a
     nonzero kernel on the quotient, i.e. some class delta != 0 of degree d
@@ -231,7 +208,7 @@ def codim(gamma: Poly, q: GradedQuotient) -> int:
         raise ValueError("the zero form has no codimension")
     for d in range(1, q.n):
         rows = _mult_matrix(q, gamma, d)
-        if _rank(rows) < len(rows):
+        if rank(rows) < len(rows):
             return d
     # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
@@ -249,7 +226,7 @@ def codim_via_annihilator(gamma: Poly, q: GradedQuotient) -> int:
         for mono in monomials(3, d):
             image = poly_multiply(frozenset({mono}), gamma)
             rows.append(q.ideal.reduce(d + 1, poly_to_vec(image, 3, d + 1)))
-        kernel_dim = len(rows) - _rank(rows)
+        kernel_dim = len(rows) - rank(rows)
         if kernel_dim > q.ideal.dimension(d):
             return d
     raise RuntimeError("no annihilated degree found; quotient is malformed")
@@ -310,34 +287,6 @@ def invariant_profile(q: GradedQuotient) -> InvariantProfile:
     )
 
 
-def poincare_nondegenerate(q: GradedQuotient) -> bool:
-    """Non-degeneracy of the multiplication pairing between complementary
-    quotient degrees, valued in the one-dimensional top degree."""
-    n = q.n
-    if q.hilbert[n] != 1:
-        return False
-    top_cols = _coset_columns(q, n)
-    basis_by_degree = {d: monomials(3, d) for d in range(n + 1)}
-    for d in range(n + 1):
-        left = _coset_columns(q, d)
-        right = _coset_columns(q, n - d)
-        if len(left) != len(right):
-            return False
-        rows = []
-        for cl in left:
-            row = 0
-            for pos, cr in enumerate(right):
-                product = tuple(a + b for a, b in
-                                zip(basis_by_degree[d][cl], basis_by_degree[n - d][cr]))
-                reduced = q.ideal.reduce(n, poly_to_vec(frozenset({product}), 3, n))
-                if (reduced >> top_cols[0]) & 1:
-                    row |= 1 << pos
-            rows.append(row)
-        if _rank(rows) < len(rows):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exhaustive degree-one isomorphism search
 
@@ -360,8 +309,7 @@ def gl3() -> tuple[tuple[int, int, int], ...]:
 
 def substitution_images(rows: tuple[int, int, int]) -> tuple[Poly, Poly, Poly]:
     """Linear forms substituted for x, y, z under a GL(3) row triple."""
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return tuple(frozenset(units[j] for j in range(3) if (r >> j) & 1) for r in rows)
+    return tuple(_form_poly(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
@@ -423,17 +371,24 @@ def _iso_row(args) -> list[bool]:
     return [find_graded_iso(qa, qb) is not None for qb in qbs]
 
 
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a row-parallel search: the requested jobs, but no
+    more than the CPUs or the rows."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
                         quotients_b: Sequence[GradedQuotient],
                         jobs: int = 1) -> list[list[bool]]:
     """Boolean matrix of graded-isomorphism verdicts for all pairs.
 
-    Rows follow quotients_a, columns quotients_b; with jobs > 1 the rows are
-    evaluated in a process pool and merged in index order, so the result is
-    schedule independent.
+    Rows follow quotients_a, columns quotients_b; with more than one worker
+    (see pool_size) the rows are evaluated in a process pool and merged in
+    index order, so the result is schedule independent.
     """
     tasks = [(qa, tuple(quotients_b)) for qa in quotients_a]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = pool_size(jobs, len(tasks))
+    if workers <= 1:
         return [_iso_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_iso_row, tasks))

@@ -35,17 +35,9 @@ def profile_tables() -> dict:
 
 
 def label_blocks(family: str) -> dict[str, tuple[int, ...]]:
-    """Map "A1".."A21" (or B) to the completion block in column-int form."""
-    from .charmat import block_from_row_strings
+    """Map "A1".."A21" (or B) to the matrix as its tuple of leading-facet
+    forms (see galerig.charmat)."""
+    from .charmat import forms_from_rows
 
     rows = matrix_lists()[family]
-    return {f"{family}{i + 1}": block_from_row_strings(r) for i, r in enumerate(rows)}
-
-
-def representative_groups() -> dict[str, list[str]]:
-    """Map each profile-table row label to the matrix labels sharing its
-    ideal (derived from the generator-table grouping)."""
-    groups = {}
-    for row in ideal_tables():
-        groups[row["labels"][0]] = list(row["labels"])
-    return groups
+    return {f"{family}{i + 1}": forms_from_rows(r) for i, r in enumerate(rows)}

@@ -11,9 +11,7 @@ vertices labelling the complementary facets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from functools import lru_cache
-from math import comb
+from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -245,43 +243,3 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
     if frozenset(range(1, diagram.n + 1)) not in set(fs.maximal_faces):
         raise ValueError("facet order normalization failed: leading facets are not a vertex")
     return fs
-
-
-def face_counts(diagram: GaleDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """f-vector and h-vector from exhaustive face enumeration.
-
-    f[j] counts faces with j facets (f[0] = 1 for the empty face), so the
-    vertex count is f[n] and sum(h) = f[n].
-    """
-    labeling = facet_labeling(diagram)
-    labels = labeling.labels
-    k, m, n = diagram.k, diagram.m, diagram.n
-    f = [0] * (n + 1)
-    f[0] = 1
-    for size in range(1, n + 1):
-        for subset in combinations(range(1, m + 1), size):
-            chosen = set(subset)
-            rest = {labels[i - 1] for i in range(1, m + 1) if i not in chosen}
-            if origin_in_hull(rest, k):
-                f[size] += 1
-    h = tuple(
-        sum((-1) ** (i - j) * comb(n - j, i - j) * f[j] for j in range(i + 1))
-        for i in range(n + 1)
-    )
-    return tuple(f), h
-
-
-@lru_cache(maxsize=None)
-def face_automorphisms(fs: FaceStructure) -> tuple[tuple[int, ...], ...]:
-    """All facet permutations preserving the set of maximal faces.
-
-    Brute force over all m! permutations with early exit; only intended for
-    the small fixture polytopes (m = 8).  Entry i-1 of a permutation is the
-    image of facet i.
-    """
-    target = set(fs.maximal_faces)
-    found = []
-    for perm in permutations(range(1, fs.m + 1)):
-        if all(frozenset(perm[i - 1] for i in face) in target for face in target):
-            found.append(perm)
-    return tuple(found)

@@ -27,18 +27,19 @@ Poly = frozenset
 # bit-packed row reduction
 
 
-def _rref_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows.
+def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows: the one GF(2)
+    elimination routine of the package.
 
     Returns (pivots, reduced_rows) with pivot columns strictly increasing and
     zero rows dropped.  Every pivot column is cleared in all other rows, so a
-    vector is reduced by a single ascending pass over the pivots.
+    vector is reduced by one pass over the pivots, in any order.
     """
     basis: dict[int, int] = {}
     for row in rows:
-        for p in sorted(basis):
+        for p, b in basis.items():
             if (row >> p) & 1:
-                row ^= basis[p]
+                row ^= b
         if row:
             p = (row & -row).bit_length() - 1
             for q in basis:
@@ -49,56 +50,17 @@ def _rref_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return pivots, [basis[p] for p in pivots]
 
 
+def rank(rows: Iterable[int]) -> int:
+    """Rank of bit-packed rows."""
+    return len(echelon(rows)[1])
+
+
 def reduce_vector(vec: int, pivots: Iterable[int], rows: Iterable[int]) -> int:
     """Reduce a bit vector against an echelon basis (pivots ascending)."""
     for p, r in zip(pivots, rows):
         if (vec >> p) & 1:
             vec ^= r
     return vec
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Dense GF(2) matrix stored as one int per row (bit c = column c)."""
-
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.nrows:
-            raise ValueError("row count does not match storage")
-        if any(r < 0 or r >> self.ncols for r in self.rows):
-            raise ValueError("row has bits outside the declared column range")
-
-    @classmethod
-    def from_dense(cls, entries: Iterable[Iterable[int]]) -> "BitMatrix":
-        packed = []
-        width = 0
-        for row in entries:
-            row = list(row)
-            width = max(width, len(row))
-            packed.append(sum((int(v) & 1) << c for c, v in enumerate(row)))
-        return cls(len(packed), width, tuple(packed))
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> c) & 1 for c in range(self.ncols)] for r in self.rows]
-
-
-def rref(matrix: BitMatrix) -> tuple[int, BitMatrix]:
-    """Reduced row echelon form over GF(2).
-
-    Returns (rank, reduced matrix).  The reduced matrix keeps the input shape
-    (zero rows pad the bottom), so the operation is involutive.
-    """
-    _, reduced = _rref_rows(matrix.rows)
-    rank = len(reduced)
-    padded = tuple(reduced) + (0,) * (matrix.nrows - rank)
-    return rank, BitMatrix(matrix.nrows, matrix.ncols, padded)
-
-
-def rank(matrix: BitMatrix) -> int:
-    return rref(matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +105,6 @@ def poly(monos: Iterable[Monomial]) -> Poly:
     return frozenset(acc)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p ^ q
-
-
 def poly_multiply(p: Poly, q: Poly) -> Poly:
     """Product over GF(2); monomials appearing an even number of times cancel."""
     acc: set = set()
@@ -167,47 +125,6 @@ def homogeneous_degree(p: Poly) -> int:
     if len(degrees) != 1:
         raise ValueError(f"polynomial is not homogeneous: {sorted(degrees)}")
     return degrees.pop()
-
-
-@lru_cache(maxsize=None)
-def _monomial_image(mono: Monomial, images: tuple, nvars_out: int) -> Poly:
-    acc: Poly = frozenset({(0,) * nvars_out})
-    for var, exp in enumerate(mono):
-        for _ in range(exp):
-            acc = poly_multiply(acc, images[var])
-    return acc
-
-
-def substitute_linear(p: Poly, images: Iterable[Poly], nvars_out: int | None = None) -> Poly:
-    """Substitute a linear form for each variable.
-
-    Args:
-        p: polynomial in v variables.
-        images: one linear form per variable, written in the target variables
-            (the zero form is allowed and kills monomials using that variable).
-        nvars_out: arity of the target ring; inferred from the images when
-            any of them is nonzero.
-
-    Returns:
-        The substituted polynomial.  Homogeneous input of degree d maps to a
-        homogeneous polynomial of degree d (or to zero).
-    """
-    images = tuple(frozenset(img) for img in images)
-    for img in images:
-        for m in img:
-            if sum(m) != 1:
-                raise ValueError("every substitution image must be linear")
-    if nvars_out is None:
-        arities = {len(m) for img in images for m in img}
-        if len(arities) != 1:
-            raise ValueError("cannot infer target arity; pass nvars_out")
-        nvars_out = arities.pop()
-    acc: set = set()
-    for mono in p:
-        if len(mono) != len(images):
-            raise ValueError("image list does not cover every variable")
-        acc ^= _monomial_image(mono, images, nvars_out)
-    return frozenset(acc)
 
 
 def poly_to_vec(p: Poly, nvars: int, degree: int) -> int:
@@ -313,7 +230,7 @@ class GradedSubspace:
         comps = []
         for degree, polys in enumerate(spans):
             vecs = [poly_to_vec(p, nvars, degree) for p in polys if p]
-            pivots, rows = _rref_rows(vecs)
+            pivots, rows = echelon(vecs)
             comps.append((tuple(pivots), tuple(rows)))
         return cls(nvars, tuple(comps))
 

@@ -68,18 +68,6 @@ def five_cycles() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cycles))
 
 
-def directed_label_sequences(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Label readings of every 5-cycle in both directions (24 sequences,
-    each taken up to rotation)."""
-    labels = petersen_labels(weights)
-    out = []
-    for cyc in five_cycles():
-        seq = tuple(labels[v] for v in cyc)
-        out.append(seq)
-        out.append(seq[::-1])
-    return tuple(out)
-
-
 def cycle_readings(weights: Sequence[int]):
     """Split cycle readings into usable weight vectors and rejected ones.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .charmat import apply_automorphism, block_row_strings, enumerate_charmats
+from .charmat import enumerate_charmats, row_strings
 from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
@@ -27,7 +27,7 @@ from .cohomology import (
     quotient_presentation,
     LINEAR_FORMS,
 )
-from .gale import GaleDiagram, FaceStructure, face_automorphisms, face_structure
+from .gale import GaleDiagram, FaceStructure, face_structure
 from .gf2 import format_poly, parse_poly
 
 WEIGHTS_A = (3, 1, 2, 1, 1)
@@ -40,13 +40,10 @@ class MatrixComparison:
     matched: int
     missing: list[list[str]] = field(default_factory=list)
     extra: list[list[str]] = field(default_factory=list)
-    reductions: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        if self.missing:
-            return False
-        return all(r.get("target") is not None for r in self.reductions)
+        return not self.missing and not self.extra
 
     def to_json(self) -> dict:
         return {
@@ -54,7 +51,6 @@ class MatrixComparison:
             "matched": self.matched,
             "missing": self.missing,
             "extra": self.extra,
-            "reductions": self.reductions,
             "ok": self.ok,
         }
 
@@ -133,30 +129,15 @@ class VerificationReport:
 
 
 def _compare_matrices(family: str, fs: FaceStructure) -> MatrixComparison:
-    listed = fixtures.label_blocks(family)
-    listed_set = set(listed.values())
-    computed = set(enumerate_charmats(fs))
-    comparison = MatrixComparison(
+    listed = list(fixtures.label_blocks(family).values())
+    computed = enumerate_charmats(fs)
+    listed_set, computed_set = set(listed), set(computed)
+    return MatrixComparison(
         family=family,
-        matched=len(computed & listed_set),
-        missing=[block_row_strings(b, fs.n) for b in sorted(listed_set - computed)],
-        extra=[block_row_strings(b, fs.n) for b in sorted(computed - listed_set)],
+        matched=len(listed_set & computed_set),
+        missing=[row_strings(f) for f in listed if f not in computed_set],
+        extra=[row_strings(f) for f in computed if f not in listed_set],
     )
-    # A strict superset of the listed blocks is acceptable only when each
-    # extra block is carried to a listed one by a face-structure automorphism
-    # followed by identity-prefix restoration; exhibit that reduction.
-    for extra in sorted(computed - listed_set):
-        reduction = {"block": block_row_strings(extra, fs.n), "target": None,
-                     "automorphism": None}
-        for perm in face_automorphisms(fs):
-            image = apply_automorphism(fs, extra, perm)
-            if image in listed_set:
-                target = next(lab for lab, b in listed.items() if b == image)
-                reduction["target"] = target
-                reduction["automorphism"] = list(perm)
-                break
-        comparison.reductions.append(reduction)
-    return comparison
 
 
 def _quotients_by_label() -> tuple[dict[str, GradedQuotient], dict[str, GradedQuotient]]:

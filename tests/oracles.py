@@ -2,8 +2,11 @@
 
 Each oracle decides its question by a different route than the production
 code: exact rational plane geometry for the origin-in-hull test, exhaustive
-subset scans for minimal non-faces, a vectorized full scan over every
-completion block for characteristic matrices, and the 120-permutation linear
+subset scans for minimal non-faces and f/h-vectors, a vectorized full scan
+over every completion block and the column-by-column backtracker for
+characteristic matrices (both on the primal [I_n | B] columns, where the
+package works with the per-facet forms of the Gale dual), monomial-wise
+linear substitution, the Poincare pairing, and the 120-permutation linear
 systems for the pentagon Tor class.
 """
 
@@ -12,12 +15,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import pi, tan
+from math import comb, pi, tan
 
 import numpy as np
 
 from galerig.betti import adjacent_sum_multiset, window_sums
-from galerig.gale import GaleDiagram, canonical_weights, facet_labeling, is_face
+from galerig.gale import (
+    GaleDiagram,
+    canonical_weights,
+    facet_labeling,
+    is_face,
+    origin_in_hull,
+)
+from galerig.gf2 import monomial_count, monomials, poly_multiply, poly_to_vec, rank
+from galerig.petersen import five_cycles, petersen_labels
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +106,82 @@ def brute_force_minimal_nonfaces(diagram: GaleDiagram) -> set[frozenset[int]]:
     return {s for s in nonfaces if not any(t < s for t in nonfaces)}
 
 
+def face_counts(diagram: GaleDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """f-vector and h-vector from exhaustive face enumeration.
+
+    f[j] counts faces with j facets (f[0] = 1 for the empty face), so the
+    vertex count is f[n] and sum(h) = f[n].
+    """
+    labeling = facet_labeling(diagram)
+    labels = labeling.labels
+    k, m, n = diagram.k, diagram.m, diagram.n
+    f = [0] * (n + 1)
+    f[0] = 1
+    for size in range(1, n + 1):
+        for subset in combinations(range(1, m + 1), size):
+            chosen = set(subset)
+            rest = {labels[i - 1] for i in range(1, m + 1) if i not in chosen}
+            if origin_in_hull(rest, k):
+                f[size] += 1
+    h = tuple(
+        sum((-1) ** (i - j) * comb(n - j, i - j) * f[j] for j in range(i + 1))
+        for i in range(n + 1)
+    )
+    return tuple(f), h
+
+
 # ---------------------------------------------------------------------------
-# brute-force characteristic matrices
+# characteristic matrices on the primal columns
+#
+# A completion block is the tuple of columns n+1..m of [I_n | B], each an int
+# with bit r-1 carrying row r; ascending block tuples are the order of the
+# reference lists.
+
+
+def block_row_strings(block, n: int) -> list[str]:
+    """Rows of a completion block as bit strings, leftmost = column n+1."""
+    return ["".join(str((c >> r) & 1) for c in block) for r in range(n)]
+
+
+def _independent(vectors) -> bool:
+    """Linear independence of bit-packed GF(2) vectors (greedy reduction)."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v == 0:
+            return False
+        basis.append(v)
+    return True
+
+
+def column_backtrack_charmats(fs) -> list[tuple[int, ...]]:
+    """Completion blocks by backtracking column by column over
+    GF(2)^n \\ {0}, pruning as soon as a vertex fully inside the assigned
+    prefix has dependent columns; ascending by construction."""
+    n, m = fs.n, fs.m
+    faces_by_top: dict[int, list[list[int]]] = {c: [] for c in range(n + 1, m + 1)}
+    for face in fs.maximal_faces:
+        top = max(face)
+        if top > n:
+            faces_by_top[top].append(sorted(face))
+
+    blocks: list[tuple[int, ...]] = []
+    cols: dict[int, int] = {i: 1 << (i - 1) for i in range(1, n + 1)}
+
+    def assign(c: int):
+        if c > m:
+            blocks.append(tuple(cols[i] for i in range(n + 1, m + 1)))
+            return
+        for v in range(1, 1 << n):
+            cols[c] = v
+            if all(_independent([cols[i] for i in face]) for face in faces_by_top[c]):
+                assign(c + 1)
+        del cols[c]
+
+    assign(n + 1)
+    return blocks
+
 
 
 def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
@@ -139,7 +224,95 @@ def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# polynomial substitution and the Poincare pairing
+
+
+@lru_cache(maxsize=None)
+def _monomial_image(mono, images: tuple, nvars_out: int):
+    acc = frozenset({(0,) * nvars_out})
+    for var, exp in enumerate(mono):
+        for _ in range(exp):
+            acc = poly_multiply(acc, images[var])
+    return acc
+
+
+def substitute_linear(p, images, nvars_out: int | None = None):
+    """Substitute a linear form for each variable, monomial by monomial.
+
+    Args:
+        p: polynomial in v variables.
+        images: one linear form per variable, written in the target variables
+            (the zero form is allowed and kills monomials using that variable).
+        nvars_out: arity of the target ring; inferred from the images when
+            any of them is nonzero.
+
+    Homogeneous input of degree d maps to a homogeneous polynomial of degree
+    d (or to zero).
+    """
+    images = tuple(frozenset(img) for img in images)
+    for img in images:
+        for m in img:
+            if sum(m) != 1:
+                raise ValueError("every substitution image must be linear")
+    if nvars_out is None:
+        arities = {len(m) for img in images for m in img}
+        if len(arities) != 1:
+            raise ValueError("cannot infer target arity; pass nvars_out")
+        nvars_out = arities.pop()
+    acc: set = set()
+    for mono in p:
+        if len(mono) != len(images):
+            raise ValueError("image list does not cover every variable")
+        acc ^= _monomial_image(mono, images, nvars_out)
+    return frozenset(acc)
+
+
+def poincare_nondegenerate(q) -> bool:
+    """Non-degeneracy of the multiplication pairing between complementary
+    quotient degrees, valued in the one-dimensional top degree."""
+    n = q.n
+    if q.hilbert[n] != 1:
+        return False
+
+    def coset_columns(degree):
+        pivots = set(q.ideal.components[degree][0])
+        return [c for c in range(monomial_count(3, degree)) if c not in pivots]
+
+    top_column = coset_columns(n)[0]
+    for d in range(n + 1):
+        left, right = coset_columns(d), coset_columns(n - d)
+        if len(left) != len(right):
+            return False
+        rows = []
+        for cl in left:
+            row = 0
+            for pos, cr in enumerate(right):
+                product = tuple(a + b for a, b in
+                                zip(monomials(3, d)[cl], monomials(3, n - d)[cr]))
+                reduced = q.ideal.reduce(n, poly_to_vec(frozenset({product}), 3, n))
+                if (reduced >> top_column) & 1:
+                    row |= 1 << pos
+            rows.append(row)
+        if rank(rows) < len(rows):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # pentagon Tor class by other routes
+
+
+def directed_label_sequences(weights) -> tuple[tuple[int, ...], ...]:
+    """Label readings of every Petersen 5-cycle in both directions (24
+    sequences, each taken up to rotation)."""
+    labels = petersen_labels(weights)
+    out = []
+    for cyc in five_cycles():
+        seq = tuple(labels[v] for v in cyc)
+        out.append(seq)
+        out.append(seq[::-1])
+    return tuple(out)
+
 
 
 def tor_class_by_linear_systems(weights) -> tuple[tuple[int, ...], ...]:

@@ -6,14 +6,12 @@ import pytest
 
 from galerig import fixtures
 from galerig.charmat import (
-    CharMatrixZ2,
-    apply_automorphism,
-    block_from_row_strings,
-    block_row_strings,
     enumerate_charmats,
+    forms_from_rows,
     is_characteristic,
+    row_strings,
 )
-from galerig.gale import GaleDiagram, face_structure
+from galerig.gale import GaleDiagram, canonical_weights, face_structure
 
 import oracles
 
@@ -23,34 +21,47 @@ FS_P = face_structure(P)
 FS_Q = face_structure(Q)
 
 
+def _canonical_diagrams(max_total: int):
+    """Canonical pentagons and heptagons with total at most max_total."""
+    return sorted({canonical_weights(w) for parts in (5, 7)
+                   for total in range(parts, max_total + 1)
+                   for w in oracles.compositions(total, parts)})
+
+
+def _rows(forms_list):
+    return [row_strings(f) for f in forms_list]
+
+
+def _oracle_rows(fs, blocks):
+    return [oracles.block_row_strings(b, fs.n) for b in blocks]
+
+
 def test_first_listed_block_is_characteristic():
-    block = fixtures.label_blocks("A")["A1"]
-    assert is_characteristic(CharMatrixZ2.from_block(5, block), FS_P)
+    forms = fixtures.label_blocks("A")["A1"]
+    assert is_characteristic(forms, FS_P)
 
 
 def test_equal_columns_on_a_shared_vertex_fail():
-    # facets 1 and 6 lie on a common vertex, so giving facet 6 the first
-    # identity column produces a rank deficit there
+    # facets 1 and 6 lie on a common vertex; the block (00001, 11000, 00111)
+    # gives facet 6 the first identity column, a rank deficit there.  Its
+    # leading forms are x+z, z, z, y, y.
     shared = [f for f in FS_P.maximal_faces if {1, 6} <= f]
     assert shared
-    block = (0b00001, 0b11000, 0b00111)
-    assert not is_characteristic(CharMatrixZ2.from_block(5, block), FS_P)
+    forms = (0b101, 0b100, 0b100, 0b010, 0b010)
+    assert oracles.block_row_strings((0b00001, 0b11000, 0b00111), 5) == row_strings(forms)
+    assert not is_characteristic(forms, FS_P)
 
 
-def test_zero_column_rejected_by_type():
+def test_zero_form_rejected():
     with pytest.raises(ValueError):
-        CharMatrixZ2.from_block(5, (0, 0b11000, 0b00111))
-
-
-def test_identity_prefix_enforced():
+        is_characteristic((0, 0b100, 0b100, 0b010, 0b010), FS_P)
     with pytest.raises(ValueError):
-        CharMatrixZ2(n=2, m=3, columns=(2, 1, 3))
+        is_characteristic((0b1000, 0b100, 0b100, 0b010, 0b010), FS_P)
 
 
 def test_shape_mismatch_rejected():
-    mat = CharMatrixZ2.from_block(2, (3,))
     with pytest.raises(ValueError):
-        is_characteristic(mat, FS_P)
+        is_characteristic((3,), FS_P)
 
 
 def test_enumeration_matches_published_lists():
@@ -62,10 +73,14 @@ def test_enumeration_matches_published_lists():
 
 
 def test_enumeration_sorted_and_valid():
-    blocks = enumerate_charmats(FS_P)
+    forms_list = enumerate_charmats(FS_P)
+    # the completion blocks, column j holding bit j of every form
+    blocks = [tuple(sum(((f >> j) & 1) << i for i, f in enumerate(forms)) for j in range(3))
+              for forms in forms_list]
     assert blocks == sorted(blocks)
-    for block in blocks:
-        assert is_characteristic(CharMatrixZ2.from_block(5, block), FS_P)
+    assert _oracle_rows(FS_P, blocks) == _rows(forms_list)
+    for forms in forms_list:
+        assert is_characteristic(forms, FS_P)
 
 
 def test_pentagon_has_five_matrices():
@@ -93,33 +108,51 @@ def test_unnormalized_order_rejected():
 ])
 def test_enumeration_matches_brute_force(weights):
     fs = face_structure(GaleDiagram(weights))
-    assert enumerate_charmats(fs) == oracles.brute_force_charmats(fs)
+    assert _rows(enumerate_charmats(fs)) == _oracle_rows(fs, oracles.brute_force_charmats(fs))
+
+
+def test_enumeration_matches_brute_force_up_to_total_10():
+    diagrams = list(_canonical_diagrams(10))
+    assert len(diagrams) == 50
+    for w in diagrams:
+        fs = face_structure(GaleDiagram(w))
+        assert _rows(enumerate_charmats(fs)) == \
+            _oracle_rows(fs, oracles.brute_force_charmats(fs)), w
+
+
+def test_enumeration_matches_column_backtracker_up_to_total_9():
+    for w in _canonical_diagrams(9):
+        fs = face_structure(GaleDiagram(w))
+        assert _rows(enumerate_charmats(fs)) == \
+            _oracle_rows(fs, oracles.column_backtrack_charmats(fs)), w
 
 
 def test_closure_under_label_preserving_automorphisms():
     """Permuting facets that share a polygon label is a face-structure
-    automorphism; after prefix restoration it must map the enumerated set
-    onto itself."""
-    blocks = set(enumerate_charmats(FS_P))
+    automorphism; permuting their forms must map the enumerated set onto
+    itself (the trailing facets carry x, y, z and are not moved)."""
+    forms_set = set(enumerate_charmats(FS_P))
     labels = FS_P.labeling.labels
-    ones = [i for i in range(1, FS_P.m + 1) if labels[i - 1] == 1]
+    ones = [i for i in range(FS_P.n) if labels[i] == 1]
     assert len(ones) == 3
     for image in permutations(ones):
-        perm = list(range(1, FS_P.m + 1))
-        for src, dst in zip(ones, image):
-            perm[src - 1] = dst
-        mapped = {apply_automorphism(FS_P, b, tuple(perm)) for b in blocks}
-        assert mapped == blocks
+        def moved(forms):
+            out = list(forms)
+            for src, dst in zip(ones, image):
+                out[dst] = forms[src]
+            return tuple(out)
+        assert {moved(f) for f in forms_set} == forms_set
 
 
 def test_matrix_json_round_trip():
-    mat = CharMatrixZ2.from_block(5, fixtures.label_blocks("A")["A1"])
-    data = mat.to_json()
-    assert data["rows"][0] == "10000101"
-    assert CharMatrixZ2.from_json(data) == mat
+    forms = fixtures.label_blocks("A")["A1"]
+    rows = row_strings(forms)
+    assert rows[0] == "101"  # row 1 of A1 is 10000101
+    assert forms_from_rows(rows) == forms
+    with pytest.raises(ValueError):
+        forms_from_rows(["102", "000", "000", "000", "000"])
 
 
 def test_block_row_strings_match_fixture_encoding():
     rows = fixtures.matrix_lists()["A"][0]
-    block = block_from_row_strings(rows)
-    assert block_row_strings(block, 5) == rows
+    assert row_strings(forms_from_rows(rows)) == rows

@@ -139,6 +139,58 @@ def test_report_cache_corruption_recovers(tmp_path, capsys):
     assert out == good
 
 
+def test_report_cache_swap_rejected(tmp_path, capsys):
+    """A quotient file of another class member must not be trusted, even
+    when its weights are edited to match."""
+    cache = tmp_path / "cache"
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    assert capsys.readouterr().err == ""  # a valid warm cache is silent
+
+    own = cache / "3-1-2-1-1.quotients.json"
+    foreign = (cache / "2-2-2-1-1.quotients.json").read_text()
+    own.write_text(foreign)
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: ignoring cache" in captured.err
+    assert "weights" in captured.err
+    assert json.loads(captured.out)["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+
+    data = json.loads(foreign)
+    data["weights"] = [3, 1, 2, 1, 1]
+    own.write_text(json.dumps(data))
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "built from other matrices" in captured.err
+    assert json.loads(captured.out)["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+
+
+def test_max_facets_refused_before_enumerating(capsys, monkeypatch):
+    from galerig.cli import MAX_FACETS
+
+    def never(fs):
+        raise AssertionError("enumerated a refused diagram")
+
+    assert MAX_FACETS >= 14
+    big = f"{MAX_FACETS - 3},1,1,1,1"
+    with monkeypatch.context() as patch:
+        patch.setattr("galerig.cli.enumerate_charmats", never)
+        for argv in (["charmats", big], ["cohomology", big], ["profile", big],
+                     ["iso", big, "1,1,1,1,1"], ["iso", "1,1,1,1,1", big], ["report", big],
+                     ["charmats", "100,1,1,1,1"]):
+            assert main(argv) == 2, argv
+            assert "MAX_FACETS" in capsys.readouterr().err
+    assert main(["charmats", f"{MAX_FACETS - 4},1,1,1,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2 ** (MAX_FACETS - 3) + 1
+
+
+def test_jobs_below_one_refused(capsys):
+    assert main(["iso", "1,1,1,1,1", "1,1,1,1,1", "--jobs", "0"]) == 2
+    assert main(["report", "1,1,1,1,1", "--jobs", "-3"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_report_jobs_deterministic():
     code1, out1, _ = run_cli("report", "3,1,2,1,1", "--json")
     code2, out2, _ = run_cli("report", "3,1,2,1,1", "--jobs", "2", "--json")

@@ -18,14 +18,16 @@ from galerig.cohomology import (
     order,
     order_via_quotient_maps,
     pairwise_iso_matrix,
-    poincare_nondegenerate,
+    pool_size,
     quotient_presentation,
     substitution_images,
     substitution_maps_ideal,
 )
-from galerig.gale import GaleDiagram, face_counts, face_structure
-from galerig.gf2 import parse_poly, substitute_linear
+from galerig.gale import GaleDiagram, face_structure
+from galerig.gf2 import parse_poly
 from galerig.charmat import enumerate_charmats
+
+from oracles import face_counts, poincare_nondegenerate, substitute_linear
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
@@ -86,8 +88,9 @@ def test_ideal_equal_detects_difference():
 
 
 def test_noncharacteristic_block_rejected():
+    # the block (00111, 11000, 00111): facets n+1 and n+3 share a column
     with pytest.raises(ValueError):
-        quotient_presentation(FS_P, (0b00111, 0b11000, 0b00111))
+        quotient_presentation(FS_P, (0b101, 0b101, 0b101, 0b010, 0b010))
 
 
 def test_pentagon_quotients_have_dimension_five():
@@ -189,6 +192,15 @@ def test_pairwise_matrix_examples():
     diag = pairwise_iso_matrix([QA1], [QA1])
     assert diag == [[True]]
     assert pairwise_iso_matrix([_quotient("A2")], [_quotient("A5")]) == [[True]]
+
+
+def test_pool_size_clamped_to_cpus_and_rows(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert pool_size(8, 21) == 2
+    assert pool_size(8, 1) == 1
+    assert pool_size(1, 21) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool_size(4, 21) == 1
 
 
 def test_pairwise_matrix_self_diagonal():

@@ -17,6 +17,7 @@ def test_matrix_lists_match(report):
         assert comparison.ok
         assert comparison.matched == 21
         assert comparison.missing == [] and comparison.extra == []
+        assert "reductions" not in comparison.to_json()
 
 
 def test_parseable_ideal_rows_match(report):
@@ -57,7 +58,10 @@ def test_report_passes_and_serializes(report):
 
 
 def test_representative_groups_cover_everything():
-    groups = fixtures.representative_groups()
+    # each profile-table row label and the matrix labels sharing its ideal
+    groups = {row["labels"][0]: list(row["labels"]) for row in fixtures.ideal_tables()}
+    assert set(groups) == set(fixtures.profile_tables()["codim_A"]) | set(
+        fixtures.profile_tables()["codim_B"])
     labels = [lab for members in groups.values() for lab in members]
     assert sorted(labels) == sorted(
         [f"A{i}" for i in range(1, 22)] + [f"B{i}" for i in range(1, 22)])
