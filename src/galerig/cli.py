@@ -50,11 +50,6 @@ def _enumerable(diagram: GaleDiagram) -> GaleDiagram:
     return diagram
 
 
-def _check_jobs(jobs: int):
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-
-
 def _emit(data, as_json: bool, text: str):
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -210,12 +205,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    _check_jobs(args.jobs)
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
     _, q1 = _selected_quotients(d1, None)
     _, q2 = _selected_quotients(d2, None)
-    matrix = pairwise_iso_matrix(q1, q2, jobs=args.jobs)
+    matrix = pairwise_iso_matrix(q1, q2)
     found = sum(sum(row) for row in matrix)
     text = [f"{found} graded isomorphisms over {len(q1)}x{len(q2)} pairs"]
     text += ["".join("X" if hit else "." for hit in row) for row in matrix]
@@ -226,12 +220,17 @@ def cmd_iso(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_jobs(args.jobs)
     diagram = _parse_weights(args.weights)
     if not supports_quasitoric(diagram.k):
         print(f"refusing: a (2k+1)-gon diagram with k = {diagram.k} supports no "
               "quasitoric manifold (supported iff k <= 3)", file=sys.stderr)
         return 2
+    if args.verify:
+        expected = {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}
+        if diagram.k != 2 or set(tor_class(diagram.weights)) != expected:
+            print("refusing --verify: reference fixtures cover the class of "
+                  "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
+            return 2
     canonical = canonical_weights(diagram.weights)
     if diagram.k != 2:
         table = betti_table(diagram)
@@ -252,13 +251,6 @@ def cmd_report(args) -> int:
         return 0
 
     _enumerable(diagram)  # every class member has the same facet count
-    if args.verify:
-        expected = {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}
-        if set(tor_class(diagram.weights)) != expected:
-            print("refusing --verify: reference fixtures cover the class of "
-                  "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
-            return 2
-
     cache_dir = Path(args.cache) if args.cache else None
     members = sorted(tor_class(diagram.weights))
     member_info = []
@@ -273,7 +265,7 @@ def cmd_report(args) -> int:
         for j in range(i + 1, len(members)):
             qa = quotients[members[i]]
             qb = quotients[members[j]]
-            matrix = pairwise_iso_matrix(qa, qb, jobs=args.jobs)
+            matrix = pairwise_iso_matrix(qa, qb)
             found = sum(sum(row) for row in matrix)
             total_found += found
             pairs.append({
@@ -303,7 +295,7 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        result = verify_mod.run_verification(jobs=args.jobs)
+        result = verify_mod.run_verification(total_found)
         report["verification"] = result.to_json()
         if not result.passed:
             exit_code = 1
@@ -364,12 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("profile", cmd_profile, "codim/ord tables of the linear forms",
         extra=[("--matrix", {"type": int, "default": None,
                              "help": "1-based matrix index (default: all)"})])
-    p_iso = add("iso", cmd_iso, "pairwise graded-isomorphism matrix between two diagrams",
-                extra=[("--jobs", {"type": int, "default": 1})])
+    p_iso = add("iso", cmd_iso, "pairwise graded-isomorphism matrix between two diagrams")
     p_iso.add_argument("weights2", help="second diagram's weights")
     add("report", cmd_report, "full rigidity report",
         extra=[("--cache", {"default": None, "help": "cache directory"}),
-               ("--jobs", {"type": int, "default": 1}),
                ("--verify", {"action": "store_true",
                              "help": "diff all artifacts against the bundled tables"})])
     return parser

@@ -10,15 +10,14 @@ component must be the full monomial space.
 Two quotients are compared by running every invertible degree-one
 substitution (the 168 elements of GL(3, GF(2))) and checking whether it maps
 one ideal onto the other in every degree; both algebras are generated in
-degree one, so this search is exhaustive.  The codimension and order
-invariants of the seven nonzero linear forms are computed for reporting and
-cross-checks; the isomorphism verdict never depends on them.
+degree one, so this search is exhaustive.  pairwise_iso_matrix runs it once
+for each pair, in one process.  The codimension and order invariants of the
+seven nonzero linear forms are computed for reporting and cross-checks; the
+isomorphism verdict never depends on them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -332,11 +331,8 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
     stored degree."""
     if qa.n != qb.n or qa.hilbert != qb.hilbert:
         return False
+    # Equal Hilbert tuples and a full degree n+1 give equal dimensions: containment is equality.
     for d in range(qa.ideal.max_degree + 1):
-        if qa.ideal.dimension(d) != qb.ideal.dimension(d):
-            return False
-        if qa.ideal.dimension(d) == 0:
-            continue
         table = _subst_matrix(rows, d)
         for row in qa.ideal.rows(d):
             image = 0
@@ -366,29 +362,10 @@ def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
     return None
 
 
-def _iso_row(args) -> list[bool]:
-    qa, qbs = args
-    return [find_graded_iso(qa, qb) is not None for qb in qbs]
-
-
-def pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a row-parallel search: the requested jobs, but no
-    more than the CPUs or the rows."""
-    return min(jobs, os.cpu_count() or 1, tasks)
-
-
 def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
-                        quotients_b: Sequence[GradedQuotient],
-                        jobs: int = 1) -> list[list[bool]]:
-    """Boolean matrix of graded-isomorphism verdicts for all pairs.
-
-    Rows follow quotients_a, columns quotients_b; with more than one worker
-    (see pool_size) the rows are evaluated in a process pool and merged in
-    index order, so the result is schedule independent.
-    """
-    tasks = [(qa, tuple(quotients_b)) for qa in quotients_a]
-    workers = pool_size(jobs, len(tasks))
-    if workers <= 1:
-        return [_iso_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_iso_row, tasks))
+                        quotients_b: Sequence[GradedQuotient]) -> list[list[bool]]:
+    """Boolean matrix of graded-isomorphism verdicts for all pairs, rows
+    following quotients_a and columns quotients_b; each pair is searched
+    once, in order."""
+    return [[find_graded_iso(qa, qb) is not None for qb in quotients_b]
+            for qa in quotients_a]

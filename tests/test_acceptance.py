@@ -156,19 +156,13 @@ def test_criterion_7_exhaustive_iso_search():
     fs_p, fs_q, qa, qb = _fixture_quotients()
     qas, qbs = list(qa.values()), list(qb.values())
 
-    def body_sequential():
-        matrix = pairwise_iso_matrix(qas, qbs, jobs=1)
+    def body():
+        matrix = pairwise_iso_matrix(qas, qbs)
         assert sum(sum(row) for row in matrix) == 0
         assert len(matrix) == 21 and all(len(row) == 21 for row in matrix)
 
-    def body_parallel():
-        matrix = pairwise_iso_matrix(qas, qbs, jobs=8)
-        assert sum(sum(row) for row in matrix) == 0
-
     _criterion(7, "all 441 cross pairs, 168 substitutions each: zero isomorphisms "
-                  "(single-threaded)", 60.0, body_sequential)
-    _criterion(7, "all 441 cross pairs with 8-way parallelism: zero isomorphisms",
-               10.0, body_parallel)
+                  "(single-threaded)", 60.0, body)
 
 
 def test_criterion_8_sanity_floor():

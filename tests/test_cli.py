@@ -111,7 +111,25 @@ def test_report_verify_passes(capsys):
 
 
 def test_report_verify_rejected_off_fixture(capsys):
-    assert main(["report", "1,1,1,1,1", "--verify"]) == 2
+    for weights in ("1,1,1,1,1", "2,2,1,1,1,1,1"):
+        assert main(["report", weights, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "refusing --verify" in captured.err and captured.out == ""
+
+
+def test_report_verify_searches_each_pair_once(monkeypatch):
+    import galerig.cohomology
+
+    calls = []
+    search = galerig.cohomology.find_graded_iso
+
+    def counted(qa, qb):
+        calls.append(1)
+        return search(qa, qb)
+
+    monkeypatch.setattr(galerig.cohomology, "find_graded_iso", counted)
+    assert main(["report", "3,1,2,1,1", "--verify"]) == 0
+    assert len(calls) == 441
 
 
 def test_report_cache_round_trip(tmp_path, capsys):
@@ -183,19 +201,6 @@ def test_max_facets_refused_before_enumerating(capsys, monkeypatch):
             assert "MAX_FACETS" in capsys.readouterr().err
     assert main(["charmats", f"{MAX_FACETS - 4},1,1,1,1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2 ** (MAX_FACETS - 3) + 1
-
-
-def test_jobs_below_one_refused(capsys):
-    assert main(["iso", "1,1,1,1,1", "1,1,1,1,1", "--jobs", "0"]) == 2
-    assert main(["report", "1,1,1,1,1", "--jobs", "-3"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
-def test_report_jobs_deterministic():
-    code1, out1, _ = run_cli("report", "3,1,2,1,1", "--json")
-    code2, out2, _ = run_cli("report", "3,1,2,1,1", "--jobs", "2", "--json")
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_entry_point_help():

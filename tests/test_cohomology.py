@@ -18,7 +18,6 @@ from galerig.cohomology import (
     order,
     order_via_quotient_maps,
     pairwise_iso_matrix,
-    pool_size,
     quotient_presentation,
     substitution_images,
     substitution_maps_ideal,
@@ -192,15 +191,6 @@ def test_pairwise_matrix_examples():
     diag = pairwise_iso_matrix([QA1], [QA1])
     assert diag == [[True]]
     assert pairwise_iso_matrix([_quotient("A2")], [_quotient("A5")]) == [[True]]
-
-
-def test_pool_size_clamped_to_cpus_and_rows(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    assert pool_size(8, 21) == 2
-    assert pool_size(8, 1) == 1
-    assert pool_size(1, 21) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert pool_size(4, 21) == 1
 
 
 def test_pairwise_matrix_self_diagonal():
