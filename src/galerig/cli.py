@@ -1,7 +1,8 @@
 """Command-line interface: per-stage subcommands plus the full rigidity
 report with optional caching and fixture verification.
 
-Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input.
+Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
+or an unusable --cache path.
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ Given a characteristic matrix as one linear form in x, y, z per facet (see
 galerig.charmat), the quotient is GF(2)[x,y,z] modulo the ideal generated by
 the products of the forms over each minimal non-face.  The quotient vanishes
 above degree n, so ideals are stored degreewise up to degree n+1, where the
-component must be the full monomial space.
+component must be the full monomial space.  Polynomials are (degree, vec)
+pairs and linear forms are the ints 1..7 of galerig.gf2 and galerig.charmat;
+every product is gf2.times_form.
 
 Two quotients are compared by running every invertible degree-one
 substitution (the 168 elements of GL(3, GF(2))) and checking whether it maps
@@ -26,27 +28,20 @@ from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
-    Poly,
-    homogeneous_degree,
+    echelon,
+    from_lists,
+    image,
     monomial_count,
     monomials,
-    poly_from_lists,
-    poly_multiply,
-    poly_shift,
-    poly_to_lists,
-    poly_to_vec,
     rank,
-    subspace_equal,
-    vec_to_poly,
+    times_form,
+    to_lists,
 )
 
-X: Poly = frozenset({(1, 0, 0)})
-Y: Poly = frozenset({(0, 1, 0)})
-Z: Poly = frozenset({(0, 0, 1)})
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+X, Y, Z = VARIABLES
 
 LINEAR_FORM_NAMES = ("x", "y", "z", "x+y", "x+z", "y+z", "x+y+z")
-LINEAR_FORMS: tuple[Poly, ...] = (X, Y, Z, X | Y, X | Z, Y | Z, X | Y | Z)
+LINEAR_FORMS = (X, Y, Z, X | Y, X | Z, Y | Z, X | Y | Z)
 
 
 @dataclass
@@ -54,15 +49,15 @@ class GradedQuotient:
     """Quotient of GF(2)[x,y,z] by a graded ideal stored degreewise.
 
     hilbert[d] is the quotient dimension in degree d (0 <= d <= n) and equals
-    the h-vector of the source polytope; the stored generators are the
-    substituted minimal non-face monomials when the quotient was built from a
-    characteristic matrix.
+    the h-vector of the source polytope; the stored generators, as
+    (degree, vec) pairs, are the substituted minimal non-face monomials when
+    the quotient was built from a characteristic matrix.
     """
 
     n: int
     ideal: GradedSubspace
     hilbert: tuple[int, ...]
-    generators: tuple[Poly, ...] | None = None
+    generators: tuple[tuple[int, int], ...] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, GradedQuotient):
@@ -75,22 +70,19 @@ class GradedQuotient:
             "n": self.n,
             "hilbert": list(self.hilbert),
             "ideal": {
-                str(d): [poly_to_lists(vec_poly) for vec_poly in self._basis_polys(d)]
+                str(d): [to_lists(d, row) for row in self.ideal.rows(d)]
                 for d in range(self.ideal.max_degree + 1)
             },
         }
 
-    def _basis_polys(self, degree: int):
-        return [vec_to_poly(row, 3, degree) for row in self.ideal.rows(degree)]
-
     @classmethod
     def from_json(cls, data: dict) -> "GradedQuotient":
         n = data["n"]
-        spans: list[list[Poly]] = [[] for _ in range(n + 2)]
+        spans: list[list[int]] = [[] for _ in range(n + 2)]
         for key, polys in data["ideal"].items():
             d = int(key)
-            spans[d] = [poly_from_lists(rows) for rows in polys]
-        quotient = cls(n=n, ideal=GradedSubspace.from_spans(3, spans),
+            spans[d] = [from_lists(d, rows) for rows in polys]
+        quotient = cls(n=n, ideal=GradedSubspace.from_spans(spans),
                        hilbert=tuple(data["hilbert"]))
         _validate_quotient(quotient)
         return quotient
@@ -103,11 +95,6 @@ def _validate_quotient(q: GradedQuotient):
     expected = tuple(monomial_count(3, d) - q.ideal.dimension(d) for d in range(q.n + 1))
     if q.hilbert != expected:
         raise ValueError("stored quotient dimensions disagree with the ideal")
-
-
-def _form_poly(form: int) -> Poly:
-    """The linear form with bit j standing for variable j of (x, y, z)."""
-    return frozenset(_UNITS[j] for j in range(3) if (form >> j) & 1)
 
 
 def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuotient:
@@ -128,13 +115,13 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         raise ValueError("matrix is not characteristic over this face structure")
 
     n = fs.n
-    polys = [_form_poly(f) for f in tuple(forms) + VARIABLES]
+    full = tuple(forms) + VARIABLES
     generators = []
     for nonface in fs.minimal_nonfaces:
-        prod: Poly = frozenset({(0, 0, 0)})
-        for i in sorted(nonface):
-            prod = poly_multiply(prod, polys[i - 1])
-        generators.append(prod)
+        prod = 1
+        for degree, i in enumerate(sorted(nonface)):
+            prod = times_form(prod, degree, full[i - 1])
+        generators.append((len(nonface), prod))
 
     ideal = _saturated_ideal(generators, n + 1)
     hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
@@ -144,25 +131,25 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     return quotient
 
 
-def _saturated_ideal(generators: Iterable[Poly], top: int) -> GradedSubspace:
-    """Graded ideal spanned by homogeneous generators, degreewise up to top."""
-    spans: list[list[Poly]] = [[] for _ in range(top + 1)]
-    for g in generators:
-        if not g:
-            continue
-        dg = homogeneous_degree(g)  # raises on non-homogeneous input
-        if dg > top:
-            raise ValueError(f"generator degree {dg} above the stored range")
-        for d in range(dg, top + 1):
-            for mono in monomials(3, d - dg):
-                spans[d].append(poly_shift(g, mono))
-    return GradedSubspace.from_spans(3, spans)
+def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedSubspace:
+    """Graded ideal generated by (degree, vec) polynomials, degreewise up to
+    top: I_d is spanned by the degree-d generators and x, y, z times the
+    reduced rows of I_(d-1)."""
+    spans: list[list[int]] = [[] for _ in range(top + 1)]
+    for degree, vec in generators:
+        if degree > top:
+            raise ValueError(f"generator degree {degree} above the stored range")
+        spans[degree].append(vec)
+    for d in range(1, top + 1):
+        spans[d - 1] = echelon(spans[d - 1])[1]
+        spans[d] += [times_form(row, d - 1, v) for row in spans[d - 1] for v in VARIABLES]
+    return GradedSubspace.from_spans(spans)
 
 
-def ideal_equal(generators: Iterable[Poly], quotient: GradedQuotient) -> bool:
-    """Whether the graded ideal spanned by the generators (saturated
-    degreewise up to degree n+1) equals the quotient's ideal."""
-    return subspace_equal(_saturated_ideal(generators, quotient.n + 1), quotient.ideal)
+def ideal_equal(generators: Iterable[tuple[int, int]], quotient: GradedQuotient) -> bool:
+    """Whether the graded ideal generated by the (degree, vec) polynomials
+    (saturated degreewise up to degree n+1) equals the quotient's ideal."""
+    return _saturated_ideal(generators, quotient.n + 1) == quotient.ideal
 
 
 # ---------------------------------------------------------------------------
@@ -186,81 +173,66 @@ def _coset_coords(q: GradedQuotient, degree: int, vec: int) -> int:
     return coords
 
 
-def _mult_matrix(q: GradedQuotient, gamma: Poly, degree: int) -> list[int]:
+def _mult_matrix(q: GradedQuotient, form: int, degree: int) -> list[int]:
     """Multiplication by a linear form as a map from quotient degree d to
     degree d+1, rows indexed by the degree-d coset basis."""
-    basis = monomials(3, degree)
-    rows = []
-    for c in _coset_columns(q, degree):
-        image = poly_shift(gamma, basis[c])
-        vec = poly_to_vec(image, 3, degree + 1)
-        rows.append(_coset_coords(q, degree + 1, vec))
-    return rows
+    return [_coset_coords(q, degree + 1, times_form(1 << c, degree, form))
+            for c in _coset_columns(q, degree)]
 
 
-def codim(gamma: Poly, q: GradedQuotient) -> int:
+def _check_form(form: int):
+    if not isinstance(form, int) or not 1 <= form <= 7:
+        raise ValueError(f"a linear form is an int 1..7, got {form!r}")
+
+
+def codim(form: int, q: GradedQuotient) -> int:
     """Least degree d >= 1 at which multiplication by the linear form has a
     nonzero kernel on the quotient, i.e. some class delta != 0 of degree d
-    satisfies gamma*delta = 0."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise ValueError("the zero form has no codimension")
+    satisfies form*delta = 0."""
+    _check_form(form)
     for d in range(1, q.n):
-        rows = _mult_matrix(q, gamma, d)
+        rows = _mult_matrix(q, form, d)
         if rank(rows) < len(rows):
             return d
     # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
 
 
-def codim_via_annihilator(gamma: Poly, q: GradedQuotient) -> int:
+def codim_via_annihilator(form: int, q: GradedQuotient) -> int:
     """Independent recomputation of codim: the least d such that the space
-    {delta of degree d : gamma*delta in ideal} exceeds the ideal's own
+    {delta of degree d : form*delta in ideal} exceeds the ideal's own
     degree-d component."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise ValueError("the zero form has no codimension")
+    _check_form(form)
     for d in range(1, q.n):
-        rows = []
-        for mono in monomials(3, d):
-            image = poly_multiply(frozenset({mono}), gamma)
-            rows.append(q.ideal.reduce(d + 1, poly_to_vec(image, 3, d + 1)))
+        rows = [q.ideal.reduce(d + 1, times_form(1 << c, d, form))
+                for c in range(monomial_count(3, d))]
         kernel_dim = len(rows) - rank(rows)
         if kernel_dim > q.ideal.dimension(d):
             return d
     raise RuntimeError("no annihilated degree found; quotient is malformed")
 
 
-def order(gamma: Poly, q: GradedQuotient) -> int:
+def order(form: int, q: GradedQuotient) -> int:
     """Least power of the linear form lying in the ideal; at most n+1 since
     every degree-(n+1) polynomial does."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise ValueError("the zero form has no order")
-    power: Poly = gamma
+    _check_form(form)
+    power = form
     for exponent in range(1, q.n + 2):
-        if q.ideal.contains(power):
+        if q.ideal.contains(exponent, power):
             return exponent
-        power = poly_multiply(power, gamma)
+        power = times_form(power, exponent, form)
     raise RuntimeError("top-degree component is not full; quotient is malformed")
 
 
-def order_via_quotient_maps(gamma: Poly, q: GradedQuotient) -> int:
+def order_via_quotient_maps(form: int, q: GradedQuotient) -> int:
     """Independent recomputation of order by iterating the multiplication
     maps on quotient coordinates instead of reducing explicit powers."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise ValueError("the zero form has no order")
-    coords = _coset_coords(q, 1, poly_to_vec(gamma, 3, 1))
+    _check_form(form)
+    coords = _coset_coords(q, 1, form)
     if coords == 0:
         return 1
     for exponent in range(2, q.n + 2):
-        rows = _mult_matrix(q, gamma, exponent - 1)
-        image = 0
-        for pos, row in enumerate(rows):
-            if (coords >> pos) & 1:
-                image ^= row
-        coords = image
+        coords = image(coords, _mult_matrix(q, form, exponent - 1))
         if coords == 0:
             return exponent
     raise RuntimeError("top-degree component is not full; quotient is malformed")
@@ -306,22 +278,21 @@ def gl3() -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def substitution_images(rows: tuple[int, int, int]) -> tuple[Poly, Poly, Poly]:
-    """Linear forms substituted for x, y, z under a GL(3) row triple."""
-    return tuple(_form_poly(r) for r in rows)
-
-
 @lru_cache(maxsize=None)
 def _subst_matrix(rows: tuple[int, int, int], degree: int) -> tuple[int, ...]:
-    """Image vector of each degree-d basis monomial under the substitution."""
-    images = substitution_images(rows)
+    """Image vector of each degree-d basis monomial under the substitution
+    of the forms rows[j] for the variables: a monomial's image is the image
+    of the monomial with its first variable lowered, times that variable's
+    form."""
+    if degree == 0:
+        return (1,)
+    lower = _subst_matrix(rows, degree - 1)
+    index = {m: c for c, m in enumerate(monomials(3, degree - 1))}
     out = []
     for mono in monomials(3, degree):
-        acc: Poly = frozenset({(0, 0, 0)})
-        for var, exp in enumerate(mono):
-            for _ in range(exp):
-                acc = poly_multiply(acc, images[var])
-        out.append(poly_to_vec(acc, 3, degree))
+        j = next(j for j, e in enumerate(mono) if e)
+        rest = tuple(e - (i == j) for i, e in enumerate(mono))
+        out.append(times_form(lower[index[rest]], degree - 1, rows[j]))
     return tuple(out)
 
 
@@ -335,13 +306,7 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
     for d in range(qa.ideal.max_degree + 1):
         table = _subst_matrix(rows, d)
         for row in qa.ideal.rows(d):
-            image = 0
-            rest = row
-            while rest:
-                low = rest & -rest
-                image ^= table[low.bit_length() - 1]
-                rest ^= low
-            if qb.ideal.reduce(d, image):
+            if qb.ideal.reduce(d, image(row, table)):
                 return False
     return True
 

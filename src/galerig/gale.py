@@ -57,16 +57,6 @@ class GaleDiagram:
     def n(self) -> int:
         return self.m - 3
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "weights": list(self.weights)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaleDiagram":
-        diagram = cls(tuple(data["weights"]))
-        if "k" in data and data["k"] != diagram.k:
-            raise ValueError("stored k does not match the weight count")
-        return diagram
-
 
 def origin_in_hull(labels: Iterable[int], k: int) -> bool:
     """Whether the origin lies in the convex hull of the named vertices of a
@@ -208,26 +198,6 @@ class FaceStructure:
     labeling: FacetLabeling
     minimal_nonfaces: tuple[frozenset[int], ...]
     maximal_faces: tuple[frozenset[int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "facets": list(self.labeling.names),
-            "labels": list(self.labeling.labels),
-            "minimal_nonfaces": [sorted(s) for s in self.minimal_nonfaces],
-            "maximal_faces": [sorted(s) for s in self.maximal_faces],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaceStructure":
-        return cls(
-            m=data["m"],
-            n=data["n"],
-            labeling=FacetLabeling(tuple(data["facets"]), tuple(data["labels"])),
-            minimal_nonfaces=tuple(frozenset(s) for s in data["minimal_nonfaces"]),
-            maximal_faces=tuple(frozenset(s) for s in data["maximal_faces"]),
-        )
 
 
 def face_structure(diagram: GaleDiagram) -> FaceStructure:

@@ -1,14 +1,17 @@
-"""Exact linear algebra over GF(2) on bit-packed rows, plus graded monomial
-bookkeeping for polynomials with coefficients in the two-element field.
+"""Exact linear algebra over GF(2) on bit-packed rows, and homogeneous
+polynomials in GF(2)[x,y,z].
 
 Conventions:
     * A row (or coordinate vector) is a Python int used as a bit vector;
       bit ``c`` is column ``c``.
-    * A polynomial is a frozenset of exponent tuples: a monomial belongs to
-      the set iff its coefficient is 1.
-    * Monomials of a fixed degree are ordered graded-lexicographically with
-      the first variable largest (x > y > z); the column index of a monomial
-      is its position in that ordering.
+    * Monomials of a fixed degree are ordered lexicographically with the
+      first variable largest (x > y > z); the column index of a monomial is
+      its position in that ordering (``monomials(3, d)``).
+    * A homogeneous polynomial is the pair (degree, vec): vec has bit c set
+      iff monomial c of that degree has coefficient 1.
+    * A linear form is the int 1..7 with bit j standing for variable j of
+      (x, y, z); it is also its own degree-1 vec.  ``times_form`` multiplies
+      a polynomial by one and is the package's one polynomial product.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from math import comb
 from typing import Iterable
 
 Monomial = tuple[int, ...]
-Poly = frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -94,64 +96,52 @@ def _monomial_index(nvars: int, degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic
+# homogeneous polynomials in x, y, z as (degree, vec)
 
 
-def poly(monos: Iterable[Monomial]) -> Poly:
-    """Build a polynomial from monomials, cancelling pairs (coefficients mod 2)."""
-    acc: set = set()
-    for m in monos:
-        acc ^= {tuple(m)}
-    return frozenset(acc)
+def image(vec: int, columns) -> int:
+    """Image of a vector under the linear map whose column c is columns[c]."""
+    out = 0
+    while vec:
+        low = vec & -vec
+        out ^= columns[low.bit_length() - 1]
+        vec ^= low
+    return out
 
 
-def poly_multiply(p: Poly, q: Poly) -> Poly:
-    """Product over GF(2); monomials appearing an even number of times cancel."""
-    acc: set = set()
-    for a in p:
-        for b in q:
-            acc ^= {tuple(x + y for x, y in zip(a, b))}
-    return frozenset(acc)
+@lru_cache(maxsize=None)
+def _times_columns(degree: int) -> tuple[tuple[int, ...], ...]:
+    """_times_columns(d)[form][c]: the vector of form * (monomial c of degree d)
+    over the degree-(d+1) monomials."""
+    index = _monomial_index(3, degree + 1)
+    shifted = [[1 << index[tuple(e + (i == j) for i, e in enumerate(mono))] for j in range(3)]
+               for mono in monomials(3, degree)]
+    return tuple(tuple(sum(bits[j] for j in range(3) if (form >> j) & 1) for bits in shifted)
+                 for form in range(8))
 
 
-def poly_shift(p: Poly, mono: Monomial) -> Poly:
-    """Multiply by a single monomial."""
-    return frozenset(tuple(x + y for x, y in zip(a, mono)) for a in p)
+def times_form(vec: int, degree: int, form: int) -> int:
+    """Product of a degree-d polynomial with a linear form, as a
+    degree-(d+1) vector."""
+    return image(vec, _times_columns(degree)[form])
 
 
-def homogeneous_degree(p: Poly) -> int:
-    """Degree of a nonzero homogeneous polynomial; error otherwise."""
-    degrees = {sum(m) for m in p}
-    if len(degrees) != 1:
-        raise ValueError(f"polynomial is not homogeneous: {sorted(degrees)}")
-    return degrees.pop()
+def to_lists(degree: int, vec: int) -> list[list[int]]:
+    """Exponent vectors of the monomials of a polynomial, lex descending."""
+    basis = monomials(3, degree)
+    return [list(basis[c]) for c in range(vec.bit_length()) if (vec >> c) & 1]
 
 
-def poly_to_vec(p: Poly, nvars: int, degree: int) -> int:
-    """Coordinate bit vector of a homogeneous polynomial in the degree basis."""
-    index = _monomial_index(nvars, degree)
+def from_lists(degree: int, rows: Iterable[Iterable[int]]) -> int:
+    """Inverse of to_lists; repeated monomials cancel."""
+    index = _monomial_index(3, degree)
     vec = 0
-    for m in p:
-        vec |= 1 << index[m]
+    for row in rows:
+        mono = tuple(int(e) for e in row)
+        if mono not in index:
+            raise ValueError(f"{list(mono)} is not a monomial of degree {degree}")
+        vec ^= 1 << index[mono]
     return vec
-
-
-def vec_to_poly(vec: int, nvars: int, degree: int) -> Poly:
-    basis = monomials(nvars, degree)
-    return frozenset(basis[c] for c in range(vec.bit_length()) if (vec >> c) & 1)
-
-
-def _mono_sort_key(m: Monomial):
-    return (sum(m), m)
-
-
-def poly_to_lists(p: Poly) -> list[list[int]]:
-    """Serialize as exponent vectors, highest degree first, then lex descending."""
-    return [list(m) for m in sorted(p, key=_mono_sort_key, reverse=True)]
-
-
-def poly_from_lists(rows: Iterable[Iterable[int]]) -> Poly:
-    return poly(tuple(int(e) for e in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +150,22 @@ def poly_from_lists(rows: Iterable[Iterable[int]]) -> Poly:
 _FACTOR = re.compile(r"([A-Za-z])(?:\^(\d+|\{\d+\}))?")
 
 
-def parse_poly(text: str, varnames: str = "xyz") -> Poly:
-    """Parse the compact text notation used by the reference tables.
+def parse_poly(text: str) -> tuple[int, int]:
+    """Parse the compact text notation used by the reference tables into
+    (degree, vec).
 
-    Raises ValueError on anything that is not a well-formed sum of monomials,
-    e.g. a non-numeric exponent.
+    Raises ValueError on anything that is not a well-formed homogeneous sum of
+    monomials, e.g. a non-numeric exponent or terms of different degrees.
     """
     s = text.replace(" ", "").replace("$", "")
     if not s:
         raise ValueError("empty polynomial text")
-    index = {v: i for i, v in enumerate(varnames)}
-    acc: set = set()
+    index = {v: i for i, v in enumerate("xyz")}
+    terms = []
     for term in s.split("+"):
         if not term:
             raise ValueError(f"empty term in {text!r}")
-        exps = [0] * len(varnames)
+        exps = [0, 0, 0]
         pos = 0
         while pos < len(term):
             m = _FACTOR.match(term, pos)
@@ -186,26 +177,24 @@ def parse_poly(text: str, varnames: str = "xyz") -> Poly:
             raw = m.group(2)
             exps[index[var]] += int(raw.strip("{}")) if raw else 1
             pos = m.end()
-        acc ^= {tuple(exps)}
-    return frozenset(acc)
+        terms.append(exps)
+    degrees = sorted({sum(exps) for exps in terms})
+    if len(degrees) != 1:
+        raise ValueError(f"polynomial {text!r} is not homogeneous: degrees {degrees}")
+    return degrees[0], from_lists(degrees[0], terms)
 
 
-def format_poly(p: Poly, varnames: str = "xyz") -> str:
-    if not p:
-        return "0"
+def format_poly(p: tuple[int, int]) -> str:
     terms = []
-    for m in sorted(p, key=_mono_sort_key, reverse=True):
-        if not any(m):
-            terms.append("1")
-            continue
+    for mono in to_lists(*p):
         parts = []
-        for var, exp in zip(varnames, m):
+        for var, exp in zip("xyz", mono):
             if exp == 1:
                 parts.append(var)
             elif exp > 1:
                 parts.append(f"{var}^{exp}")
-        terms.append("".join(parts))
-    return "+".join(terms)
+        terms.append("".join(parts) or "1")
+    return "+".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +203,23 @@ def format_poly(p: Poly, varnames: str = "xyz") -> str:
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """Per-degree reduced echelon bases of a graded subspace of GF(2)[v_1..v_n].
+    """Per-degree reduced echelon bases of a graded subspace of GF(2)[x,y,z].
 
     ``components[d]`` is a pair (pivots, rows) over the degree-d monomial
     basis; rows are in reduced echelon form, so equal subspaces have equal
     components.
     """
 
-    nvars: int
     components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @classmethod
-    def from_spans(cls, nvars: int, spans: Iterable[Iterable[Poly]]) -> "GradedSubspace":
-        """Build from per-degree spanning polynomials (index = degree)."""
+    def from_spans(cls, spans: Iterable[Iterable[int]]) -> "GradedSubspace":
+        """Build from per-degree spanning vectors (index = degree)."""
         comps = []
-        for degree, polys in enumerate(spans):
-            vecs = [poly_to_vec(p, nvars, degree) for p in polys if p]
+        for vecs in spans:
             pivots, rows = echelon(vecs)
             comps.append((tuple(pivots), tuple(rows)))
-        return cls(nvars, tuple(comps))
+        return cls(tuple(comps))
 
     @property
     def max_degree(self) -> int:
@@ -253,25 +240,5 @@ class GradedSubspace:
         pivots, rows = self._component(degree)
         return reduce_vector(vec, pivots, rows)
 
-    def contains_vec(self, degree: int, vec: int) -> bool:
+    def contains(self, degree: int, vec: int) -> bool:
         return self.reduce(degree, vec) == 0
-
-    def contains(self, p: Poly) -> bool:
-        if not p:
-            return True
-        degree = homogeneous_degree(p)
-        return self.contains_vec(degree, poly_to_vec(p, self.nvars, degree))
-
-
-def subspace_equal(s1: GradedSubspace, s2: GradedSubspace) -> bool:
-    """Equal dimensions and mutual containment in every stored degree."""
-    if s1.nvars != s2.nvars or s1.max_degree != s2.max_degree:
-        return False
-    for d in range(s1.max_degree + 1):
-        if s1.dimension(d) != s2.dimension(d):
-            return False
-        if any(not s2.contains_vec(d, row) for row in s1.rows(d)):
-            return False
-        if any(not s1.contains_vec(d, row) for row in s2.rows(d)):
-            return False
-    return True

@@ -177,13 +177,17 @@ def _check_profiles(qa, qb) -> list[ProfileDiscrepancy]:
     tables = fixtures.profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
+    table_attrs = (("codim_A", "codims"), ("ord_A", "orders"),
+                   ("codim_B", "codims"), ("ord_B", "orders"))
+    quotients = {**qa, **qb}
+    # the codim and ord tables of a family share their rows: one profile each
+    labels = {label for table_name, _ in table_attrs for label in tables[table_name]}
+    profiles = {label: invariant_profile(quotients[label]) for label in sorted(labels)}
     discrepancies = []
-    for table_name, attr in (("codim_A", "codims"), ("ord_A", "orders"),
-                             ("codim_B", "codims"), ("ord_B", "orders")):
-        quotients = qa if table_name.endswith("A") else qb
+    for table_name, attr in table_attrs:
         for row_label, paper_values in tables[table_name].items():
             q = quotients[row_label]
-            computed = list(getattr(invariant_profile(q), attr))
+            computed = list(getattr(profiles[row_label], attr))
             for col, (paper_v, got) in enumerate(zip(paper_values, computed)):
                 if paper_v == got:
                     continue

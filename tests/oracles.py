@@ -27,7 +27,7 @@ from galerig.gale import (
     is_face,
     origin_in_hull,
 )
-from galerig.gf2 import monomial_count, monomials, poly_multiply, poly_to_vec, rank
+from galerig.gf2 import monomial_count, monomials, rank
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -224,7 +224,29 @@ def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial substitution and the Poincare pairing
+# polynomials as frozensets of exponent tuples (a monomial belongs to the set
+# iff its coefficient is 1): products, substitution and the Poincare pairing
+
+
+def poly_multiply(p, q):
+    """Product over GF(2); monomials appearing an even number of times cancel."""
+    acc: set = set()
+    for a in p:
+        for b in q:
+            acc ^= {tuple(x + y for x, y in zip(a, b))}
+    return frozenset(acc)
+
+
+def poly_to_vec(p, degree: int) -> int:
+    """Bit vector of a homogeneous polynomial over monomials(3, degree)."""
+    basis = monomials(3, degree)
+    return sum(1 << basis.index(m) for m in p)
+
+
+def form_poly(form: int):
+    """The linear form with bit j standing for variable j of (x, y, z)."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return frozenset(units[j] for j in range(3) if (form >> j) & 1)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +311,7 @@ def poincare_nondegenerate(q) -> bool:
             for pos, cr in enumerate(right):
                 product = tuple(a + b for a, b in
                                 zip(monomials(3, d)[cl], monomials(3, n - d)[cr]))
-                reduced = q.ideal.reduce(n, poly_to_vec(frozenset({product}), 3, n))
+                reduced = q.ideal.reduce(n, poly_to_vec({product}, n))
                 if (reduced >> top_column) & 1:
                     row |= 1 << pos
             rows.append(row)

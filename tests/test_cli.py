@@ -132,6 +132,32 @@ def test_report_verify_searches_each_pair_once(monkeypatch):
     assert len(calls) == 441
 
 
+def test_report_verify_profiles_each_row_once(monkeypatch):
+    """The codim and ord tables of a family share their 11 rows, so 22
+    reference quotients need 22 profiles."""
+    import galerig.verify
+
+    calls = []
+    profile = galerig.verify.invariant_profile
+
+    def counted(q):
+        calls.append(1)
+        return profile(q)
+
+    monkeypatch.setattr(galerig.verify, "invariant_profile", counted)
+    assert main(["report", "3,1,2,1,1", "--verify"]) == 0
+    assert len(calls) == 22
+
+
+def test_report_cache_path_is_a_file(tmp_path, capsys):
+    target = tmp_path / "not-a-directory"
+    target.write_text("")
+    assert main(["report", "1,1,1,1,1", "--cache", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_report_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0

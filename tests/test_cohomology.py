@@ -19,14 +19,14 @@ from galerig.cohomology import (
     order_via_quotient_maps,
     pairwise_iso_matrix,
     quotient_presentation,
-    substitution_images,
     substitution_maps_ideal,
+    _subst_matrix,
 )
 from galerig.gale import GaleDiagram, face_structure
-from galerig.gf2 import parse_poly
+from galerig.gf2 import monomials, parse_poly
 from galerig.charmat import enumerate_charmats
 
-from oracles import face_counts, poincare_nondegenerate, substitute_linear
+from oracles import face_counts, form_poly, poincare_nondegenerate, poly_to_vec, substitute_linear
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
@@ -76,8 +76,11 @@ def test_ideal_equal_permutation_invariant():
 
 
 def test_ideal_equal_rejects_inhomogeneous():
+    # an inhomogeneous generator cannot be written as (degree, vec)
     with pytest.raises(ValueError):
-        ideal_equal([frozenset({(1, 0, 0), (2, 0, 0)})], QA1)
+        parse_poly("x+x^2")
+    with pytest.raises(ValueError):
+        ideal_equal([(QA1.n + 2, 1)], QA1)  # above the stored range
 
 
 def test_ideal_equal_detects_difference():
@@ -128,10 +131,11 @@ def test_order_examples():
 
 
 def test_zero_form_rejected():
-    with pytest.raises(ValueError):
-        codim(frozenset(), QA1)
-    with pytest.raises(ValueError):
-        order(frozenset(), QA1)
+    for form in (0, 8):
+        with pytest.raises(ValueError):
+            codim(form, QA1)
+        with pytest.raises(ValueError):
+            order(form, QA1)
 
 
 def test_profile_examples():
@@ -204,11 +208,20 @@ def test_pairwise_matrix_self_diagonal():
 def test_found_substitution_transports_profiles():
     qa2, qa5 = _quotient("A2"), _quotient("A5")
     rows = find_graded_iso(qa2, qa5)
-    images = substitution_images(rows)
+    images = tuple(form_poly(r) for r in rows)
     for gamma in LINEAR_FORMS:
-        image = substitute_linear(gamma, images)
+        image = poly_to_vec(substitute_linear(form_poly(gamma), images), 1)
         assert codim(gamma, qa2) == codim(image, qa5)
         assert order(gamma, qa2) == order(image, qa5)
+
+
+def test_subst_matrix_matches_oracle_substitution():
+    for rows in gl3():
+        images = tuple(form_poly(r) for r in rows)
+        for degree in range(8):
+            expected = tuple(poly_to_vec(substitute_linear({mono}, images), degree)
+                             for mono in monomials(3, degree))
+            assert _subst_matrix(rows, degree) == expected
 
 
 # ---------------------------------------------------------------------------

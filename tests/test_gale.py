@@ -185,20 +185,3 @@ def test_general_labeling_leads_with_a_vertex(weights):
     # one facet per weight unit, labels with the right multiplicity
     for v, count in enumerate(diagram.weights, start=1):
         assert fs.labeling.labels.count(v) == count
-
-
-def test_face_structure_json_round_trip():
-    from galerig.gale import FaceStructure
-
-    fs = face_structure(P)
-    data = fs.to_json()
-    assert data["minimal_nonfaces"] == [sorted(s) for s in fs.minimal_nonfaces]
-    assert FaceStructure.from_json(data) == fs
-
-
-def test_diagram_json_round_trip():
-    data = P.to_json()
-    assert data == {"k": 2, "weights": [3, 1, 2, 1, 1]}
-    assert GaleDiagram.from_json(data) == P
-    with pytest.raises(ValueError):
-        GaleDiagram.from_json({"k": 3, "weights": [3, 1, 2, 1, 1]})

@@ -1,4 +1,4 @@
-"""GF(2) linear algebra and polynomial bookkeeping."""
+"""GF(2) linear algebra and (degree, vec) polynomials."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,25 +7,18 @@ from galerig.gf2 import (
     GradedSubspace,
     echelon,
     format_poly,
-    homogeneous_degree,
+    from_lists,
     monomial_count,
     monomials,
     parse_poly,
-    poly,
-    poly_from_lists,
-    poly_multiply,
-    poly_to_lists,
-    poly_to_vec,
     rank,
-    subspace_equal,
-    vec_to_poly,
+    times_form,
+    to_lists,
 )
 
-from oracles import substitute_linear
+from oracles import form_poly, poly_multiply, poly_to_vec, substitute_linear
 
-X = frozenset({(1, 0, 0)})
-Y = frozenset({(0, 1, 0)})
-Z = frozenset({(0, 0, 1)})
+X, Y, Z = 0b001, 0b010, 0b100  # linear forms; also their degree-1 vecs
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +80,87 @@ def test_monomials_graded_lex_descending():
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic
+# polynomial arithmetic: times_form
+
+
+def _vec(*monos):
+    """(degree, vec) of a sum of distinct monomials of one degree."""
+    return sum(monos[0]), poly_to_vec(set(monos), sum(monos[0]))
+
+
+def _times(p, *forms):
+    degree, vec = p
+    for form in forms:
+        vec = times_form(vec, degree, form)
+        degree += 1
+    return degree, vec
 
 
 def test_square_in_characteristic_two():
-    yz = Y ^ Z
-    assert poly_multiply(yz, yz) == poly([(0, 2, 0), (0, 0, 2)])
+    assert _times((1, Y | Z), Y | Z) == _vec((0, 2, 0), (0, 0, 2))
 
 
 def test_cube_binomial():
-    xz = X ^ Z
-    cube = poly_multiply(poly_multiply(xz, xz), xz)
-    assert cube == poly([(3, 0, 0), (2, 0, 1), (1, 0, 2), (0, 0, 3)])
+    assert _times((1, X | Z), X | Z, X | Z) == _vec((3, 0, 0), (2, 0, 1), (1, 0, 2), (0, 0, 3))
 
 
 def test_multiply_by_one():
-    one = poly([(0, 0, 0)])
-    p = poly([(1, 1, 0), (0, 0, 2)])
-    assert poly_multiply(p, one) == p
+    for form in range(1, 8):
+        assert _times((0, 1), form) == (1, form)
+
+
+forms = st.integers(1, 7)
+
+
+@st.composite
+def polys(draw, max_degree=4):
+    degree = draw(st.integers(0, max_degree))
+    return degree, draw(st.integers(0, (1 << monomial_count(3, degree)) - 1))
+
+
+@given(polys(), forms, forms)
+def test_multiply_commutative(p, f, g):
+    assert _times(p, f, g) == _times(p, g, f)
+
+
+@given(polys(), st.lists(forms, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=50)
+def test_multiply_associative(p, factors, rng):
+    """A product of forms does not depend on the order of the factors."""
+    shuffled = list(factors)
+    rng.shuffle(shuffled)
+    assert _times(p, *factors) == _times(p, *shuffled)
+
+
+@given(polys(), st.integers(min_value=0), forms, forms)
+@settings(max_examples=50)
+def test_multiply_distributive(p, bits, f, g):
+    degree, vec = p
+    other = bits % (1 << monomial_count(3, degree))
+    assert times_form(vec ^ other, degree, f) == \
+        times_form(vec, degree, f) ^ times_form(other, degree, f)
+    assert times_form(vec, degree, f ^ g) == \
+        times_form(vec, degree, f) ^ times_form(vec, degree, g)
+
+
+@given(polys(max_degree=7), forms)
+@settings(max_examples=300)
+def test_times_form_matches_oracle_product(p, form):
+    degree, vec = p
+    monos = frozenset(m for c, m in enumerate(monomials(3, degree)) if (vec >> c) & 1)
+    product = poly_multiply(monos, form_poly(form))
+    assert times_form(vec, degree, form) == poly_to_vec(product, degree + 1)
+
+
+# ---------------------------------------------------------------------------
+# substitution oracle (frozenset polynomials)
+
+
+def _poly(*monos):
+    return frozenset(monos)
+
+
+X_P, Y_P, Z_P = (form_poly(v) for v in (X, Y, Z))
 
 
 def _random_poly(draw_monos):
@@ -118,40 +174,19 @@ small_polys = st.builds(
 )
 
 
-@given(small_polys, small_polys)
-def test_multiply_commutative(p, q):
-    assert poly_multiply(p, q) == poly_multiply(q, p)
-
-
-@given(small_polys, small_polys, small_polys)
-@settings(max_examples=50)
-def test_multiply_associative(p, q, r):
-    assert poly_multiply(poly_multiply(p, q), r) == poly_multiply(p, poly_multiply(q, r))
-
-
-@given(small_polys, small_polys, small_polys)
-@settings(max_examples=50)
-def test_multiply_distributive(p, q, r):
-    assert poly_multiply(p, q ^ r) == poly_multiply(p, q) ^ poly_multiply(p, r)
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
 def test_substitute_example():
     # x -> x+z applied to xz
-    images = (X | Z, Y, Z)
-    assert substitute_linear(poly([(1, 0, 1)]), images) == poly([(1, 0, 1), (0, 0, 2)])
+    images = (X_P | Z_P, Y_P, Z_P)
+    assert substitute_linear(_poly((1, 0, 1)), images) == _poly((1, 0, 1), (0, 0, 2))
 
 
 def test_substitute_identity():
-    p = poly([(2, 1, 0), (0, 1, 3)])
-    assert substitute_linear(p, (X, Y, Z)) == p
+    p = _poly((2, 1, 0), (0, 1, 3))
+    assert substitute_linear(p, (X_P, Y_P, Z_P)) == p
 
 
 def test_substitute_swap_symmetric_monomial():
-    assert substitute_linear(poly([(1, 1, 0)]), (Y, X, Z)) == poly([(1, 1, 0)])
+    assert substitute_linear(_poly((1, 1, 0)), (Y_P, X_P, Z_P)) == _poly((1, 1, 0))
 
 
 def _gl3_elements():
@@ -167,8 +202,7 @@ def _gl3_elements():
 
 
 def _images_from_rows(rows):
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return tuple(frozenset(units[j] for j in range(3) if (r >> j) & 1) for r in rows)
+    return tuple(form_poly(r) for r in rows)
 
 
 @given(st.sampled_from(_gl3_elements()), st.sampled_from(_gl3_elements()), small_polys)
@@ -183,44 +217,45 @@ def test_substitution_composes(g, h, p):
 
 def test_substitute_rejects_nonlinear_image():
     with pytest.raises(ValueError):
-        substitute_linear(X, (poly([(2, 0, 0)]), Y, Z))
+        substitute_linear(X_P, (_poly((2, 0, 0)), Y_P, Z_P))
 
 
 # ---------------------------------------------------------------------------
 # graded subspaces
 
 
-def _space(*polys_by_degree):
-    return GradedSubspace.from_spans(3, polys_by_degree)
+def _space(*vecs_by_degree):
+    return GradedSubspace.from_spans(vecs_by_degree)
 
 
 def test_subspace_membership():
-    space = _space([], [], [poly([(1, 0, 1)])])
-    assert space.contains(poly([(1, 0, 1)]))
-    assert not space.contains(poly([(2, 0, 0)]))
+    space = _space([], [], [parse_poly("xz")[1]])
+    assert space.contains(*parse_poly("xz"))
+    assert not space.contains(*parse_poly("x^2"))
 
 
 def test_subspace_contains_zero_and_range_check():
     space = _space([], [X])
-    assert space.contains(frozenset())
+    assert space.contains(1, 0)
     with pytest.raises(ValueError):
-        space.contains(poly([(1, 1, 0)]))  # degree 2 above stored range
+        space.contains(*parse_poly("xy"))  # degree 2 above stored range
 
 
 def test_subspace_equality_is_equivalence():
+    """Components are reduced echelon forms, so == is subspace equality."""
     s1 = _space([], [X, Y])
     s2 = _space([], [X ^ Y, Y])
     s3 = _space([], [X, X ^ Y])
-    assert subspace_equal(s1, s1)
-    assert subspace_equal(s1, s2) and subspace_equal(s2, s1)
-    assert subspace_equal(s1, s2) and subspace_equal(s2, s3) and subspace_equal(s1, s3)
-    assert s1 == s2 == s3  # canonical echelon components
-    assert not subspace_equal(s1, _space([], [X]))
+    assert s1 == s1
+    assert s1 == s2 and s2 == s1
+    assert s2 == s3 and s1 == s3
+    assert s1 != _space([], [X])
+    assert s1 != _space([], [X, Y], [])
 
 
 def test_homogeneous_degree_rejects_mixed():
     with pytest.raises(ValueError):
-        homogeneous_degree(poly([(1, 0, 0), (1, 1, 0)]))
+        parse_poly("x+xy")
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +263,10 @@ def test_homogeneous_degree_rejects_mixed():
 
 
 def test_parse_reference_table_notation():
-    assert parse_poly("x^3y+yz^3") == poly([(3, 1, 0), (0, 1, 3)])
-    assert parse_poly("x^{2}y^{2}+y^{2}z^{2}") == poly([(2, 2, 0), (0, 2, 2)])
-    assert parse_poly("xz") == poly([(1, 0, 1)])
+    assert parse_poly("x^3y+yz^3") == _vec((3, 1, 0), (0, 1, 3))
+    assert parse_poly("x^{2}y^{2}+y^{2}z^{2}") == _vec((2, 2, 0), (0, 2, 2))
+    assert parse_poly("xz") == _vec((1, 0, 1))
+    assert parse_poly("x+x") == (1, 0)
 
 
 def test_parse_rejects_bad_exponent():
@@ -244,16 +280,25 @@ def test_parse_rejects_unknown_variable():
 
 
 def test_serialization_order():
-    p = poly([(0, 1, 3), (3, 1, 0)])
-    assert poly_to_lists(p) == [[3, 1, 0], [0, 1, 3]]
-    assert poly_from_lists(poly_to_lists(p)) == p
+    degree, vec = _vec((0, 1, 3), (3, 1, 0))
+    assert to_lists(degree, vec) == [[3, 1, 0], [0, 1, 3]]
+    assert from_lists(degree, to_lists(degree, vec)) == vec
+    with pytest.raises(ValueError):
+        from_lists(degree, [[1, 1, 0]])  # a monomial of another degree
 
 
 def test_format_round_trip():
     p = parse_poly("x^3y+yz^3")
+    assert format_poly(p) == "x^3y+yz^3"
     assert parse_poly(format_poly(p)) == p
+    assert format_poly((0, 1)) == "1" and format_poly((2, 0)) == "0"
 
 
 def test_vec_round_trip():
-    p = poly([(2, 0, 0), (0, 1, 1)])
-    assert vec_to_poly(poly_to_vec(p, 3, 2), 3, 2) == p
+    """Every vector of a degree survives to_lists/from_lists and
+    format_poly/parse_poly."""
+    for degree in range(3):
+        for vec in range(1, 1 << monomial_count(3, degree)):
+            assert from_lists(degree, to_lists(degree, vec)) == vec
+            if degree:
+                assert parse_poly(format_poly((degree, vec))) == (degree, vec)
