@@ -33,6 +33,7 @@ from .cohomology import (
     find_graded_iso,
     ideal_equal,
     invariant_profile,
+    iso_key,
     order,
     pairwise_iso_matrix,
     quotient_presentation,
@@ -67,6 +68,7 @@ __all__ = [
     "find_graded_iso",
     "ideal_equal",
     "invariant_profile",
+    "iso_key",
     "order",
     "pairwise_iso_matrix",
     "quotient_presentation",

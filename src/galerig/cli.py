@@ -1,8 +1,8 @@
 """Command-line interface: per-stage subcommands plus the full rigidity
 report with optional caching and fixture verification.
 
-Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
-or an unusable --cache path.
+Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input,
+an unusable --cache path or a cached quotient that breaks Poincare duality.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -19,6 +20,7 @@ from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
     invariant_profile,
+    iso_key,
     pairwise_iso_matrix,
     quotient_presentation,
 )
@@ -259,20 +261,20 @@ def cmd_report(args) -> int:
     for weights in members:
         blocks, quotients[weights] = _member_data(weights, cache_dir)
         member_info.append({"weights": list(weights), "charmat_count": len(blocks)})
+    # per member, how many of its quotients have each key; a singleton class
+    # has no pair to compare
+    keys = [Counter(map(iso_key, quotients[w])) for w in members] if len(members) > 1 else []
 
     pairs = []
     total_found = 0
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            qa = quotients[members[i]]
-            qb = quotients[members[j]]
-            matrix = pairwise_iso_matrix(qa, qb)
-            found = sum(sum(row) for row in matrix)
+            found = sum(count * keys[j][key] for key, count in keys[i].items())
             total_found += found
             pairs.append({
                 "left": list(members[i]),
                 "right": list(members[j]),
-                "checked": len(qa) * len(qb),
+                "checked": len(quotients[members[i]]) * len(quotients[members[j]]),
                 "isomorphisms_found": found,
             })
 

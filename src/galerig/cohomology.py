@@ -1,5 +1,5 @@
 """GF(2) cohomology quotients of quasitoric manifolds over polytopes with
-n+3 facets, and exhaustive graded-isomorphism testing between them.
+n+3 facets, and graded-isomorphism testing between them.
 
 Given a characteristic matrix as one linear form in x, y, z per facet (see
 galerig.charmat), the quotient is GF(2)[x,y,z] modulo the ideal generated by
@@ -9,13 +9,21 @@ component must be the full monomial space.  Polynomials are (degree, vec)
 pairs and linear forms are the ints 1..7 of galerig.gf2 and galerig.charmat;
 every product is gf2.times_form.
 
-Two quotients are compared by running every invertible degree-one
-substitution (the 168 elements of GL(3, GF(2))) and checking whether it maps
-one ideal onto the other in every degree; both algebras are generated in
-degree one, so this search is exhaustive.  pairwise_iso_matrix runs it once
-for each pair, in one process.  The codimension and order invariants of the
-seven nonzero linear forms are computed for reporting and cross-checks; the
-isomorphism verdict never depends on them.
+Isomorphism is decided by keys.  The quotient is the mod-2 cohomology of a
+closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
+degree n: I_n is a hyperplane of S_n = GF(2)[x,y,z]_n, and its annihilator,
+the socle functional phi, determines every component, I_d = {f in S_d :
+phi(f * S_(n-d)) = 0} (Macaulay's inverse system; socle_functional checks
+it and refuses a quotient that breaks it).  A degree-one
+substitution g therefore maps one ideal onto another iff phi_b o g = phi_a,
+and both algebras are generated in degree one, so every graded isomorphism
+is such a g in GL(3, GF(2)).  iso_key, the least phi o g over the 168
+elements of GL(3, GF(2)) together with n and the Hilbert function, is thus
+equal for two quotients iff they are isomorphic; pairwise_iso_matrix
+compares keys, and find_graded_iso certifies the witness it finds against
+the full ideals.  The codimension and order invariants of the seven nonzero
+linear forms are computed for reporting and cross-checks; the isomorphism
+verdict never depends on them.
 """
 
 from __future__ import annotations
@@ -95,6 +103,11 @@ def _validate_quotient(q: GradedQuotient):
     expected = tuple(monomial_count(3, d) - q.ideal.dimension(d) for d in range(q.n + 1))
     if q.hilbert != expected:
         raise ValueError("stored quotient dimensions disagree with the ideal")
+    # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
+    # socle functional of iso_key needs.
+    if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
+        raise ValueError("quotient dimensions are not palindromic with a "
+                         "one-dimensional top degree")
 
 
 def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuotient:
@@ -259,7 +272,7 @@ def invariant_profile(q: GradedQuotient) -> InvariantProfile:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive degree-one isomorphism search
+# degree-one substitutions and isomorphism keys
 
 
 @lru_cache(maxsize=None)
@@ -311,26 +324,84 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
     return True
 
 
-def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
-    """First invertible degree-one substitution mapping one ideal onto the
-    other, or None.
+@lru_cache(maxsize=None)
+def _product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """_product_columns(n, d)[i][j]: the degree-n column of monomial i of
+    degree d times monomial j of degree n - d."""
+    top = {m: c for c, m in enumerate(monomials(3, n))}
+    return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
+                       for high in monomials(3, n - degree))
+                 for low in monomials(3, degree))
 
-    Both algebras are generated in degree one, so every graded isomorphism
-    restricts to an invertible map on the three-dimensional linear part and
-    the 168-element search is exhaustive.
+
+def socle_functional(q: GradedQuotient) -> int:
+    """The linear functional phi on S_n whose kernel is I_n, as a bit vector
+    over monomials(3, n).
+
+    I_n is a hyperplane, so its reduced echelon basis leaves one column c0
+    without a pivot, and phi(c0) = 1.  The row with pivot p lies in I_n and
+    has no other bit outside c0, so phi(p) is that row's bit c0.
+
+    Raises ValueError unless every I_d (d < n) is {f in S_d : phi(f *
+    S_(n-d)) = 0}, the Gorenstein duality that makes iso_key complete: a
+    stored quotient that breaks it (an edited cache file, say) is refused
+    rather than keyed.
+    """
+    pivots, rows = q.ideal.components[q.n]
+    (c0,) = _coset_columns(q, q.n)
+    phi = 1 << c0
+    for p, row in zip(pivots, rows):
+        if (row >> c0) & 1:
+            phi |= 1 << p
+    for d in range(q.n):
+        # pairing[i] bit j = phi(monomial i * monomial j): f pairs to zero iff image(f) == 0
+        pairing = [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
+                   for columns in _product_columns(q.n, d)]
+        if (len(pairing) - rank(pairing) != q.ideal.dimension(d)
+                or any(image(row, pairing) for row in q.ideal.rows(d))):
+            raise ValueError(f"ideal is not the inverse system of its top degree "
+                             f"(Poincare duality fails in degree {d})")
+    return phi
+
+
+def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
+    """phi o g for the substitution g = rows on degree n: bit c is phi of
+    the image of monomial c."""
+    return sum(((phi & col).bit_count() & 1) << c
+               for c, col in enumerate(_subst_matrix(rows, n)))
+
+
+def iso_key(q: GradedQuotient) -> tuple:
+    """(n, hilbert, least phi o g over GL(3, GF(2))): equal for two
+    quotients iff they are isomorphic as graded algebras (module
+    docstring)."""
+    phi = socle_functional(q)
+    return q.n, q.hilbert, min(_compose(phi, rows, q.n) for rows in gl3())
+
+
+def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
+    """First substitution in gl3() order mapping the first ideal onto the
+    second, or None.
+
+    The witness is the first g with phi_b o g = phi_a, which by Gorenstein
+    duality is the first g mapping I_a into I_b in every degree; it is
+    certified against the full ideals with substitution_maps_ideal, and a
+    disagreement raises RuntimeError.
     """
     if qa.n != qb.n or qa.hilbert != qb.hilbert:
         return None
-    for rows in gl3():
-        if substitution_maps_ideal(rows, qa, qb):
-            return rows
-    return None
+    phi_a, phi_b = socle_functional(qa), socle_functional(qb)
+    rows = next((g for g in gl3() if _compose(phi_b, g, qb.n) == phi_a), None)
+    if rows is not None and not substitution_maps_ideal(rows, qa, qb):
+        raise RuntimeError(f"substitution {rows} matches the socle functionals "
+                           "but does not map one ideal onto the other")
+    return rows
 
 
 def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
                         quotients_b: Sequence[GradedQuotient]) -> list[list[bool]]:
     """Boolean matrix of graded-isomorphism verdicts for all pairs, rows
-    following quotients_a and columns quotients_b; each pair is searched
-    once, in order."""
-    return [[find_graded_iso(qa, qb) is not None for qb in quotients_b]
-            for qa in quotients_a]
+    following quotients_a and columns quotients_b: one iso_key per quotient,
+    and a pair is isomorphic iff its keys are equal."""
+    keys_b = [iso_key(q) for q in quotients_b]
+    return [[key == other for other in keys_b] for key in map(iso_key, quotients_a)]

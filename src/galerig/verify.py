@@ -4,8 +4,9 @@ tables, with a typed discrepancy report.
 The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
 reference tables provided two independent computation paths agree with each
-other (printed tables can carry typos; the exhaustive isomorphism search is
-the ground truth for the final verdict and never consults these profiles).
+other (printed tables can carry typos).  The final verdict rests on the
+isomorphism keys of galerig.cohomology, which Gorenstein duality makes a
+complete invariant, and never consults these profiles.
 """
 
 from __future__ import annotations
@@ -209,10 +210,10 @@ def run_verification(iso_found: int) -> VerificationReport:
     """Recompute everything for the two reference polytopes and diff it
     against the bundled tables.
 
-    iso_found is the number of graded isomorphisms the caller's exhaustive
-    search found between the enumerated matrices of the two polytopes.  It
-    stands for the search over the published matrices because the
-    verification passes only if the enumerated and published lists are equal.
+    iso_found is the number of cross pairs with equal isomorphism keys that
+    the caller counted between the enumerated matrices of the two polytopes.
+    It stands for the published matrices because the verification passes
+    only if the enumerated and published lists are equal.
     """
     fs_a = face_structure(GaleDiagram(WEIGHTS_A))
     fs_b = face_structure(GaleDiagram(WEIGHTS_B))

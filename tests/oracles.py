@@ -6,8 +6,10 @@ subset scans for minimal non-faces and f/h-vectors, a vectorized full scan
 over every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), monomial-wise
-linear substitution, the Poincare pairing, and the 120-permutation linear
-systems for the pentagon Tor class.
+linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
+substitution search for graded isomorphism (the package compares one key
+per quotient), the inverse system of a socle functional, and the
+120-permutation linear systems for the pentagon Tor class.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import comb, pi, tan
 import numpy as np
 
 from galerig.betti import adjacent_sum_multiset, window_sums
+from galerig.cohomology import gl3, substitution_maps_ideal
 from galerig.gale import (
     GaleDiagram,
     canonical_weights,
@@ -27,7 +30,7 @@ from galerig.gale import (
     is_face,
     origin_in_hull,
 )
-from galerig.gf2 import monomial_count, monomials, rank
+from galerig.gf2 import echelon, monomial_count, monomials, rank
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -321,6 +324,44 @@ def poincare_nondegenerate(q) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# graded isomorphism pair by pair, and the inverse system
+
+
+def search_graded_iso(qa, qb):
+    """First substitution in gl3() order that maps the first ideal onto the
+    second in every stored degree, or None: all 168 tried on the full
+    ideals."""
+    return next((g for g in gl3() if substitution_maps_ideal(g, qa, qb)), None)
+
+
+def search_iso_witnesses(quotients_a, quotients_b):
+    """search_graded_iso for every pair, rows following quotients_a."""
+    return [[search_graded_iso(qa, qb) for qb in quotients_b] for qa in quotients_a]
+
+
+def annihilator(phi: int, n: int, degree: int) -> list[int]:
+    """Reduced echelon basis of {f in S_d : phi(f * S_(n-d)) = 0} for a
+    functional phi on S_n given as a bit vector over monomials(3, n).
+
+    Row c of the pairing matrix holds phi(monomial c * monomial j) in bit j
+    (exponents added), with an identity block above it; the rows left with
+    an empty pairing part after elimination span the kernel.
+    """
+    top = {mono: c for c, mono in enumerate(monomials(3, n))}
+    low, high = monomials(3, degree), monomials(3, n - degree)
+    width = len(high)
+    rows = []
+    for c, a in enumerate(low):
+        pairing = 0
+        for j, b in enumerate(high):
+            if (phi >> top[tuple(x + y for x, y in zip(a, b))]) & 1:
+                pairing |= 1 << j
+        rows.append(pairing | 1 << (width + c))
+    kernel = [row >> width for row in echelon(rows)[1] if not row & ((1 << width) - 1)]
+    return echelon(kernel)[1]
+
+
+# ---------------------------------------------------------------------------
 # pentagon Tor class by other routes
 
 
@@ -384,3 +425,10 @@ def pentagon_diagrams(max_total: int):
     """Every positive pentagon weight vector with total at most max_total."""
     for total in range(5, max_total + 1):
         yield from compositions(total, 5)
+
+
+def canonical_diagrams(parts: int, max_total: int) -> list[tuple[int, ...]]:
+    """Canonical weight vectors of the given length with total at most
+    max_total, sorted."""
+    return sorted({canonical_weights(w) for total in range(parts, max_total + 1)
+                   for w in compositions(total, parts)})

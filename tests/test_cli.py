@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from galerig.cli import main
+from galerig.gf2 import monomials
 
 
 def run_cli(*argv):
@@ -117,19 +118,26 @@ def test_report_verify_rejected_off_fixture(capsys):
         assert "refusing --verify" in captured.err and captured.out == ""
 
 
-def test_report_verify_searches_each_pair_once(monkeypatch):
+def test_report_verify_keys_each_quotient_once(monkeypatch):
+    """21 + 21 quotients need 42 keys; the cross pairs are counted from
+    them."""
+    import galerig.cli
     import galerig.cohomology
 
     calls = []
-    search = galerig.cohomology.find_graded_iso
+    key = galerig.cohomology.iso_key
 
-    def counted(qa, qb):
+    def counted(q):
         calls.append(1)
-        return search(qa, qb)
+        return key(q)
 
-    monkeypatch.setattr(galerig.cohomology, "find_graded_iso", counted)
+    for module in (galerig.cli, galerig.cohomology):
+        monkeypatch.setattr(module, "iso_key", counted)
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert len(calls) == 441
+    assert len(calls) == 42
+    calls.clear()
+    assert main(["report", "1,1,1,1,1"]) == 0
+    assert calls == []  # a singleton class has no pair to compare
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):
@@ -208,6 +216,38 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "built from other matrices" in captured.err
     assert json.loads(captured.out)["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+
+
+def test_report_cache_edited_top_degree_rejected(tmp_path, capsys):
+    """A cached quotient whose degree-n component was edited is not trusted:
+    made full, with a matching Hilbert tuple, it is not the cohomology of a
+    manifold and is recomputed; copied from another matrix, it breaks the
+    duality the isomorphism keys rest on and the report is refused."""
+    cache = tmp_path / "cache"
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
+    good = capsys.readouterr().out
+
+    path = cache / "3-1-2-1-1.quotients.json"
+    clean = path.read_text()
+    data = json.loads(clean)
+    entry = data["quotients"][0]
+    n = entry["n"]
+    entry["ideal"][str(n)] = [[list(mono)] for mono in monomials(3, n)]
+    entry["hilbert"][n] = 0
+    path.write_text(json.dumps(data))
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: ignoring cache" in captured.err and "palindromic" in captured.err
+    assert captured.out == good
+
+    data = json.loads(clean)
+    foreign = json.loads((cache / "2-2-2-1-1.quotients.json").read_text())
+    data["quotients"][0]["ideal"][str(n)] = foreign["quotients"][0]["ideal"][str(n)]
+    path.write_text(json.dumps(data))
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Poincare duality" in captured.err
+    assert captured.out == ""
 
 
 def test_max_facets_refused_before_enumerating(capsys, monkeypatch):

@@ -1,4 +1,6 @@
-"""Cohomology quotients, codim/ord invariants, and the isomorphism search."""
+"""Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
+
+from itertools import chain, combinations
 
 import pytest
 
@@ -15,17 +17,21 @@ from galerig.cohomology import (
     gl3,
     ideal_equal,
     invariant_profile,
+    iso_key,
     order,
     order_via_quotient_maps,
     pairwise_iso_matrix,
     quotient_presentation,
+    socle_functional,
     substitution_maps_ideal,
     _subst_matrix,
 )
 from galerig.gale import GaleDiagram, face_structure
-from galerig.gf2 import monomials, parse_poly
+from galerig.gf2 import GradedSubspace, monomials, parse_poly
 from galerig.charmat import enumerate_charmats
+from galerig.petersen import tor_class
 
+import oracles
 from oracles import face_counts, form_poly, poincare_nondegenerate, poly_to_vec, substitute_linear
 
 P = GaleDiagram((3, 1, 2, 1, 1))
@@ -162,7 +168,7 @@ def test_profile_bounds():
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
+# isomorphism keys and witnesses
 
 
 def test_gl3_has_168_elements():
@@ -222,6 +228,79 @@ def test_subst_matrix_matches_oracle_substitution():
             expected = tuple(poly_to_vec(substitute_linear({mono}, images), degree)
                              for mono in monomials(3, degree))
             assert _subst_matrix(rows, degree) == expected
+
+
+def _all_quotients(weights):
+    fs = face_structure(GaleDiagram(weights))
+    return [quotient_presentation(fs, b) for b in enumerate_charmats(fs)]
+
+
+@pytest.fixture(scope="module")
+def key_range():
+    """(left, right) quotient lists: self-comparisons of every canonical
+    pentagon of total <= 8 (10 diagrams) and heptagon of total <= 11 (34
+    diagrams), and the cross pairs of every multi-member pentagon Tor class
+    of total <= 9 (3 classes)."""
+    comparisons = [(w, w) for w in oracles.canonical_diagrams(5, 8)
+                   + oracles.canonical_diagrams(7, 11)]
+    for members in {tuple(sorted(tor_class(w))) for w in oracles.canonical_diagrams(5, 9)}:
+        comparisons += combinations(members, 2)
+    quotients = {w: _all_quotients(w) for w in set(chain(*comparisons))}
+    return [(quotients[a], quotients[b]) for a, b in comparisons]
+
+
+def test_iso_keys_agree_with_substitution_search(key_range):
+    pairs = 0
+    for left, right in key_range:
+        expected = [[w is not None for w in row]
+                    for row in oracles.search_iso_witnesses(left, right)]
+        assert pairwise_iso_matrix(left, right) == expected
+        pairs += len(left) * len(right)
+    assert pairs == 3850 + 136 + 2539
+
+
+def test_socle_functional_inverse_system_is_the_ideal(key_range):
+    """Gorenstein duality, which makes the keys complete: I_d = {f in S_d :
+    phi(f * S_(n-d)) = 0} in every degree d = 0..n."""
+    quotients = {id(q): q for left, right in key_range for q in left + right}
+    for q in quotients.values():
+        phi = socle_functional(q)
+        for d in range(q.n + 1):
+            assert oracles.annihilator(phi, q.n, d) == list(q.ideal.rows(d))
+
+
+def test_find_graded_iso_returns_the_search_witness():
+    quotients = _all_quotients((3, 1, 2, 1, 1))
+    witnesses = oracles.search_iso_witnesses(quotients, quotients)
+    assert sum(w is not None for row in witnesses for w in row) == 59
+    for qa, row in zip(quotients, witnesses):
+        for qb, witness in zip(quotients, row):
+            assert find_graded_iso(qa, qb) == witness
+
+
+def test_socle_functional_refuses_a_broken_duality():
+    # one degree-2 row moved off the ideal: same I_n, dimensions and
+    # socle functional, but I_2 is no longer the inverse system of I_n
+    spans = [list(QA1.ideal.rows(d)) for d in range(QA1.n + 2)]
+    free = next(c for c in range(6) if c not in QA1.ideal.components[2][0])
+    spans[2][0] ^= 1 << free
+    broken = GradedQuotient(n=QA1.n, ideal=GradedSubspace.from_spans(spans),
+                            hilbert=QA1.hilbert)
+    assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
+    with pytest.raises(ValueError, match="degree 2"):
+        iso_key(broken)
+    with pytest.raises(ValueError, match="degree 2"):
+        find_graded_iso(QA1, broken)
+
+
+def test_find_graded_iso_certifies_its_witness(monkeypatch):
+    # a socle-functional match that the full ideals reject is not returned
+    import galerig.cohomology
+
+    phi = socle_functional(QA1)
+    monkeypatch.setattr(galerig.cohomology, "_compose", lambda *args: phi)
+    with pytest.raises(RuntimeError):
+        find_graded_iso(QA1, QB1)
 
 
 # ---------------------------------------------------------------------------
