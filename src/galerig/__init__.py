@@ -16,12 +16,9 @@ from .gale import (
 )
 from .betti import (
     BettiTable,
-    adjacent_sum_multiset,
     beta_first_row,
     betti_table,
-    sphere_product_decomposition,
     supports_quasitoric,
-    tor_equivalent,
     window_sums,
 )
 from .petersen import five_cycles, petersen_labels, tor_class
@@ -50,12 +47,9 @@ __all__ = [
     "minimal_nonfaces",
     "origin_in_hull",
     "BettiTable",
-    "adjacent_sum_multiset",
     "beta_first_row",
     "betti_table",
-    "sphere_product_decomposition",
     "supports_quasitoric",
-    "tor_equivalent",
     "window_sums",
     "five_cycles",
     "petersen_labels",

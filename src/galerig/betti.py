@@ -1,5 +1,5 @@
-"""Bigraded Betti numbers of odd-gon Gale diagrams, Tor-algebra comparison,
-and the sphere-product decomposition of the associated moment-angle manifold.
+"""Bigraded Betti numbers of odd-gon Gale diagrams and the quasitoric
+support test.
 
 For an n-polytope with m = n+3 facets the whole table is determined by its
 first row: beta^{-1,2j} counts length-k windows of the weight vector summing
@@ -24,11 +24,6 @@ def window_sums(weights: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(w[(i + t) % nv] for t in range(k)) for i in range(nv))
 
 
-def adjacent_sum_multiset(weights: Sequence[int]) -> tuple[int, ...]:
-    """The window sums as a sorted multiset."""
-    return tuple(sorted(window_sums(weights)))
-
-
 @dataclass
 class BettiTable:
     """Sparse table of bigraded Betti numbers beta^{-i,2j}, keyed (i, 2j)."""
@@ -42,9 +37,6 @@ class BettiTable:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def row_sum(self, i: int) -> int:
-        return sum(b for (ii, _), b in self.entries.items() if ii == i)
 
     def to_json(self) -> dict:
         return {"entries": [{"i": i, "2j": twoj, "beta": b}
@@ -66,53 +58,6 @@ def betti_table(diagram: GaleDiagram) -> BettiTable:
     for j, b in first.items():
         entries[(2, 2 * (m - j))] = b
     return BettiTable(m=m, n=n, entries=entries)
-
-
-def tor_equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:
-    """Whether two pentagon weight vectors have isomorphic Tor-algebras,
-    decided by comparing adjacent-sum multisets."""
-    a, b = tuple(w1), tuple(w2)
-    if len(a) != 5 or len(b) != 5:
-        raise ValueError("Tor comparison is defined for pentagon weight vectors only")
-    return adjacent_sum_multiset(a) == adjacent_sum_multiset(b)
-
-
-def _homology_ranks(table: BettiTable) -> Counter:
-    """Additive ranks of the moment-angle manifold by total degree 2j - i."""
-    ranks: Counter = Counter()
-    for (i, twoj), b in table.entries.items():
-        ranks[twoj - i] += b
-    return ranks
-
-
-def sphere_product_decomposition(diagram: GaleDiagram) -> tuple[tuple[int, int], ...]:
-    """Sphere dimension pairs of the connected-sum summands of the
-    moment-angle manifold, one per minimal non-face.
-
-    A non-face of size s contributes the pair (2s-1, m+n-2s+1), normalized so
-    p <= q.  The multiset is validated against the additive ranks of the
-    Betti table before being returned.
-    """
-    m, n = diagram.m, diagram.n
-    total = m + n
-    pairs = []
-    for s in window_sums(diagram.weights):
-        p = 2 * s - 1
-        q = total - p
-        pairs.append((min(p, q), max(p, q)))
-    pairs.sort()
-
-    expected = Counter({0: 1, total: 1})
-    for p, q in pairs:
-        expected[p] += 1
-        expected[q] += 1
-    actual = _homology_ranks(betti_table(diagram))
-    if expected != actual:
-        raise RuntimeError(
-            "sphere-product decomposition disagrees with the additive Betti ranks: "
-            f"{dict(expected)} vs {dict(actual)}"
-        )
-    return tuple(pairs)
 
 
 def supports_quasitoric(k: int) -> bool:

@@ -1,8 +1,8 @@
 """Command-line interface: per-stage subcommands plus the full rigidity
 report with optional caching and fixture verification.
 
-Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input,
-an unusable --cache path or a cached quotient that breaks Poincare duality.
+Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
+or an unusable --cache path.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
 from .charmat import enumerate_charmats, forms_from_rows, is_characteristic, row_strings
-from .cohomology import (
-    GradedQuotient,
-    LINEAR_FORM_NAMES,
-    invariant_profile,
-    iso_key,
-    pairwise_iso_matrix,
-    quotient_presentation,
-)
+from .cohomology import LINEAR_FORM_NAMES, invariant_profile, iso_key, quotient_presentation
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly
 from .petersen import tor_class
@@ -31,9 +24,10 @@ from .petersen import tor_class
 
 # Largest facet count accepted by the commands that enumerate characteristic
 # matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
-# 2^(a+1)+1) and each gets a quotient.  On a 2-core x86 VM under Python 3.11,
-# (10,1,1,1,1) at m = 14 enumerates its 2049 matrices in 0.03 s and builds
-# their quotients in about 28 s; at m = 15 the quotients take about 76 s.
+# 2^(a+1)+1), and all but `charmats` and a singleton-class `report` build a
+# quotient for each.  On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at
+# m = 14 enumerates its 2049 matrices in 0.03 s and builds their quotients
+# in about 28 s; at m = 15 the quotients take about 76 s.
 # Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
@@ -88,46 +82,26 @@ def _cached_charmats(data, fs) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _cached_quotients(data, blocks) -> list[GradedQuotient]:
-    entries = data["quotients"]
-    if [e["block"] for e in entries] != [row_strings(b) for b in blocks]:
-        raise ValueError("cached quotients were built from other matrices")
-    return [GradedQuotient.from_json(e) for e in entries]
-
-
-def _member_data(weights, cache_dir: Path | None):
-    """Characteristic matrices and quotients of one class member,
-    cached as JSON keyed by the canonical weights when a directory is given."""
+def _member_matrices(weights, cache_dir: Path | None):
+    """Face structure and characteristic matrices of one class member, the
+    matrices cached as JSON keyed by the canonical weights when a directory
+    is given."""
     fs = face_structure(GaleDiagram(weights))
     blocks = None
-    quotients = None
-    key = _cache_key(weights)
-    charmat_path = quotient_path = None
+    path = None
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        charmat_path = cache_dir / f"{key}.charmats.json"
-        quotient_path = cache_dir / f"{key}.quotients.json"
-        if charmat_path.exists():
-            blocks = _load_cache(charmat_path, weights, lambda data: _cached_charmats(data, fs))
-        if blocks is not None and quotient_path.exists():
-            quotients = _load_cache(quotient_path, weights,
-                                    lambda data: _cached_quotients(data, blocks))
+        path = cache_dir / f"{_cache_key(weights)}.charmats.json"
+        if path.exists():
+            blocks = _load_cache(path, weights, lambda data: _cached_charmats(data, fs))
     if blocks is None:
         blocks = enumerate_charmats(fs)
-        if charmat_path is not None:
-            charmat_path.write_text(json.dumps({
+        if path is not None:
+            path.write_text(json.dumps({
                 "weights": list(weights),
                 "blocks": [row_strings(b) for b in blocks],
             }, indent=2, sort_keys=True))
-    if quotients is None:
-        quotients = [quotient_presentation(fs, b) for b in blocks]
-        if quotient_path is not None:
-            quotient_path.write_text(json.dumps({
-                "weights": list(weights),
-                "quotients": [{"block": row_strings(b), **q.to_json()}
-                              for b, q in zip(blocks, quotients)],
-            }, indent=2, sort_keys=True))
-    return blocks, quotients
+    return fs, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +184,16 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    _, q1 = _selected_quotients(d1, None)
-    _, q2 = _selected_quotients(d2, None)
-    matrix = pairwise_iso_matrix(q1, q2)
+    k1 = [iso_key(q) for q in _selected_quotients(d1, None)[1]]
+    if d2.weights == d1.weights:  # a diagram compared with itself is built and keyed once
+        k2 = k1
+    else:
+        k2 = [iso_key(q) for q in _selected_quotients(d2, None)[1]]
+    matrix = [[a == b for b in k2] for a in k1]
     found = sum(sum(row) for row in matrix)
-    text = [f"{found} graded isomorphisms over {len(q1)}x{len(q2)} pairs"]
+    text = [f"{found} graded isomorphisms over {len(k1)}x{len(k2)} pairs"]
     text += ["".join("X" if hit else "." for hit in row) for row in matrix]
-    _emit({"found": found, "pairs": len(q1) * len(q2),
+    _emit({"found": found, "pairs": len(k1) * len(k2),
            "matrix": [[int(v) for v in row] for row in matrix]},
           args.json, "\n".join(text))
     return 0
@@ -256,14 +233,19 @@ def cmd_report(args) -> int:
     _enumerable(diagram)  # every class member has the same facet count
     cache_dir = Path(args.cache) if args.cache else None
     members = sorted(tor_class(diagram.weights))
-    member_info = []
+    matrices = {w: _member_matrices(w, cache_dir) for w in members}
+    member_info = [{"weights": list(w), "charmat_count": len(matrices[w][1])} for w in members]
+
+    # A singleton class is B-rigid by its matrix count alone, so quotients are
+    # built, and keyed, only when there is a pair to compare: per member, the
+    # quotient of each matrix and how many of them have each key.
     quotients = {}
-    for weights in members:
-        blocks, quotients[weights] = _member_data(weights, cache_dir)
-        member_info.append({"weights": list(weights), "charmat_count": len(blocks)})
-    # per member, how many of its quotients have each key; a singleton class
-    # has no pair to compare
-    keys = [Counter(map(iso_key, quotients[w])) for w in members] if len(members) > 1 else []
+    keys = []
+    if len(members) > 1:
+        for w in members:
+            fs, blocks = matrices[w]
+            quotients[w] = {b: quotient_presentation(fs, b) for b in blocks}
+            keys.append(Counter(map(iso_key, quotients[w].values())))
 
     pairs = []
     total_found = 0
@@ -298,7 +280,7 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        result = verify_mod.run_verification(total_found)
+        result = verify_mod.run_verification(total_found, quotients)
         report["verification"] = result.to_json()
         if not result.passed:
             exit_code = 1

@@ -37,7 +37,6 @@ from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
     echelon,
-    from_lists,
     image,
     monomial_count,
     monomials,
@@ -83,26 +82,11 @@ class GradedQuotient:
             },
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GradedQuotient":
-        n = data["n"]
-        spans: list[list[int]] = [[] for _ in range(n + 2)]
-        for key, polys in data["ideal"].items():
-            d = int(key)
-            spans[d] = [from_lists(d, rows) for rows in polys]
-        quotient = cls(n=n, ideal=GradedSubspace.from_spans(spans),
-                       hilbert=tuple(data["hilbert"]))
-        _validate_quotient(quotient)
-        return quotient
-
 
 def _validate_quotient(q: GradedQuotient):
     top = q.n + 1
     if q.ideal.dimension(top) != monomial_count(3, top):
         raise ValueError(f"ideal is not full in degree {top}")
-    expected = tuple(monomial_count(3, d) - q.ideal.dimension(d) for d in range(q.n + 1))
-    if q.hilbert != expected:
-        raise ValueError("stored quotient dimensions disagree with the ideal")
     # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
     # socle functional of iso_key needs.
     if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
@@ -344,8 +328,7 @@ def socle_functional(q: GradedQuotient) -> int:
 
     Raises ValueError unless every I_d (d < n) is {f in S_d : phi(f *
     S_(n-d)) = 0}, the Gorenstein duality that makes iso_key complete: a
-    stored quotient that breaks it (an edited cache file, say) is refused
-    rather than keyed.
+    quotient that breaks it is refused rather than keyed.
     """
     pivots, rows = q.ideal.components[q.n]
     (c0,) = _coset_columns(q, q.n)

@@ -140,14 +140,14 @@ def _compare_matrices(family: str, fs: FaceStructure) -> MatrixComparison:
     )
 
 
-def _quotients_by_label() -> tuple[dict[str, GradedQuotient], dict[str, GradedQuotient]]:
-    fs_a = face_structure(GaleDiagram(WEIGHTS_A))
-    fs_b = face_structure(GaleDiagram(WEIGHTS_B))
-    qa = {lab: quotient_presentation(fs_a, blk)
-          for lab, blk in fixtures.label_blocks("A").items()}
-    qb = {lab: quotient_presentation(fs_b, blk)
-          for lab, blk in fixtures.label_blocks("B").items()}
-    return qa, qb
+def _quotients_by_label(family: str, fs: FaceStructure,
+                        built: dict[tuple[int, ...], GradedQuotient]) -> dict[str, GradedQuotient]:
+    """The quotient of each published block of a family, labelled.  It is
+    looked up in built, the report's quotients by matrix, and built only for
+    a published block that the enumeration did not produce, which already
+    fails the matrix comparison."""
+    return {label: built[block] if block in built else quotient_presentation(fs, block)
+            for label, block in fixtures.label_blocks(family).items()}
 
 
 def _check_ideal_tables(qa, qb) -> list[IdealRowResult]:
@@ -206,19 +206,22 @@ def _check_profiles(qa, qb) -> list[ProfileDiscrepancy]:
     return discrepancies
 
 
-def run_verification(iso_found: int) -> VerificationReport:
-    """Recompute everything for the two reference polytopes and diff it
-    against the bundled tables.
+def run_verification(iso_found: int, quotients: dict) -> VerificationReport:
+    """Recompute the matrix lists of the two reference polytopes and diff
+    them, with the report's quotients, against the bundled tables.
 
-    iso_found is the number of cross pairs with equal isomorphism keys that
-    the caller counted between the enumerated matrices of the two polytopes.
-    It stands for the published matrices because the verification passes
-    only if the enumerated and published lists are equal.
+    quotients[weights][forms] is the quotient the report built for each
+    enumerated matrix of the two polytopes; the published blocks are looked
+    up there.  iso_found is the number of cross pairs with equal isomorphism
+    keys that the caller counted among them.  It stands for the published
+    matrices because the verification passes only if the enumerated and
+    published lists are equal.
     """
     fs_a = face_structure(GaleDiagram(WEIGHTS_A))
     fs_b = face_structure(GaleDiagram(WEIGHTS_B))
     matrices = {"A": _compare_matrices("A", fs_a), "B": _compare_matrices("B", fs_b)}
-    qa, qb = _quotients_by_label()
+    qa = _quotients_by_label("A", fs_a, quotients[WEIGHTS_A])
+    qb = _quotients_by_label("B", fs_b, quotients[WEIGHTS_B])
     ideal_rows = _check_ideal_tables(qa, qb)
     discrepancies = _check_profiles(qa, qb)
     return VerificationReport(

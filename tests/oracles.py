@@ -8,20 +8,25 @@ characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), monomial-wise
 linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
-per quotient), the inverse system of a socle functional, and the
-120-permutation linear systems for the pentagon Tor class.
+per quotient), the inverse system of a socle functional, adjacent-sum
+multisets and the 120-permutation linear systems for the pentagon Tor class
+(the package reads Petersen 5-cycles), and the sphere-product decomposition
+of the moment-angle manifold, checked against the Betti table's additive
+ranks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, pi, tan
+from typing import Sequence
 
 import numpy as np
 
-from galerig.betti import adjacent_sum_multiset, window_sums
+from galerig.betti import BettiTable, betti_table, window_sums
 from galerig.cohomology import gl3, substitution_maps_ideal
 from galerig.gale import (
     GaleDiagram,
@@ -365,6 +370,20 @@ def annihilator(phi: int, n: int, degree: int) -> list[int]:
 # pentagon Tor class by other routes
 
 
+def adjacent_sum_multiset(weights: Sequence[int]) -> tuple[int, ...]:
+    """The window sums as a sorted multiset."""
+    return tuple(sorted(window_sums(weights)))
+
+
+def tor_equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:
+    """Whether two pentagon weight vectors have isomorphic Tor-algebras,
+    decided by comparing adjacent-sum multisets."""
+    a, b = tuple(w1), tuple(w2)
+    if len(a) != 5 or len(b) != 5:
+        raise ValueError("Tor comparison is defined for pentagon weight vectors only")
+    return adjacent_sum_multiset(a) == adjacent_sum_multiset(b)
+
+
 def directed_label_sequences(weights) -> tuple[tuple[int, ...], ...]:
     """Label readings of every Petersen 5-cycle in both directions (24
     sequences, each taken up to rotation)."""
@@ -432,3 +451,45 @@ def canonical_diagrams(parts: int, max_total: int) -> list[tuple[int, ...]]:
     max_total, sorted."""
     return sorted({canonical_weights(w) for total in range(parts, max_total + 1)
                    for w in compositions(total, parts)})
+
+
+# ---------------------------------------------------------------------------
+# sphere-product decomposition against the Betti table
+
+
+def _homology_ranks(table: BettiTable) -> Counter:
+    """Additive ranks of the moment-angle manifold by total degree 2j - i."""
+    ranks: Counter = Counter()
+    for (i, twoj), b in table.entries.items():
+        ranks[twoj - i] += b
+    return ranks
+
+
+def sphere_product_decomposition(diagram: GaleDiagram) -> tuple[tuple[int, int], ...]:
+    """Sphere dimension pairs of the connected-sum summands of the
+    moment-angle manifold, one per minimal non-face.
+
+    A non-face of size s contributes the pair (2s-1, m+n-2s+1), normalized so
+    p <= q.  The multiset is validated against the additive ranks of the
+    Betti table before being returned.
+    """
+    m, n = diagram.m, diagram.n
+    total = m + n
+    pairs = []
+    for s in window_sums(diagram.weights):
+        p = 2 * s - 1
+        q = total - p
+        pairs.append((min(p, q), max(p, q)))
+    pairs.sort()
+
+    expected = Counter({0: 1, total: 1})
+    for p, q in pairs:
+        expected[p] += 1
+        expected[q] += 1
+    actual = _homology_ranks(betti_table(diagram))
+    if expected != actual:
+        raise RuntimeError(
+            "sphere-product decomposition disagrees with the additive Betti ranks: "
+            f"{dict(expected)} vs {dict(actual)}"
+        )
+    return tuple(pairs)

@@ -3,16 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galerig.betti import (
-    adjacent_sum_multiset,
-    beta_first_row,
-    betti_table,
-    sphere_product_decomposition,
-    supports_quasitoric,
-    tor_equivalent,
-    window_sums,
-)
+from galerig.betti import beta_first_row, betti_table, supports_quasitoric, window_sums
 from galerig.gale import GaleDiagram
+
+from oracles import adjacent_sum_multiset, sphere_product_decomposition, tor_equivalent
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
@@ -54,7 +48,8 @@ def test_betti_duality_and_row_sums(w):
     m = diagram.m
     for (i, twoj), b in table.entries.items():
         assert table.get(3 - i, 2 * m - twoj) == b
-    assert [table.row_sum(i) for i in range(4)] == [1, 5, 5, 1]
+    assert [sum(b for (row, _), b in table.entries.items() if row == i)
+            for i in range(4)] == [1, 5, 5, 1]
     total = sum(table.entries.values())
     assert total == 2 + 2 * 5
 
@@ -68,7 +63,8 @@ def test_betti_json_sorted():
 def test_heptagon_table_and_spheres():
     heptagon = GaleDiagram((1, 1, 1, 1, 1, 1, 1))
     table = betti_table(heptagon)
-    assert [table.row_sum(i) for i in range(4)] == [1, 7, 7, 1]
+    assert [sum(b for (row, _), b in table.entries.items() if row == i)
+            for i in range(4)] == [1, 7, 7, 1]
     assert sum(table.entries.values()) == 2 + 2 * 7
     for (i, twoj), b in table.entries.items():
         assert table.get(3 - i, 2 * heptagon.m - twoj) == b

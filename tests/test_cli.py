@@ -5,7 +5,6 @@ import subprocess
 import sys
 
 from galerig.cli import main
-from galerig.gf2 import monomials
 
 
 def run_cli(*argv):
@@ -171,10 +170,7 @@ def test_report_cache_round_trip(tmp_path, capsys):
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     first = capsys.readouterr().out
     files = sorted(p.name for p in cache.iterdir())
-    assert files == [
-        "2-2-2-1-1.charmats.json", "2-2-2-1-1.quotients.json",
-        "3-1-2-1-1.charmats.json", "3-1-2-1-1.quotients.json",
-    ]
+    assert files == ["2-2-2-1-1.charmats.json", "3-1-2-1-1.charmats.json"]
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
@@ -192,62 +188,44 @@ def test_report_cache_corruption_recovers(tmp_path, capsys):
 
 
 def test_report_cache_swap_rejected(tmp_path, capsys):
-    """A quotient file of another class member must not be trusted, even
-    when its weights are edited to match."""
+    """A matrix file of another class member must not be trusted."""
     cache = tmp_path / "cache"
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
+    good = capsys.readouterr().out
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     assert capsys.readouterr().err == ""  # a valid warm cache is silent
 
-    own = cache / "3-1-2-1-1.quotients.json"
-    foreign = (cache / "2-2-2-1-1.quotients.json").read_text()
-    own.write_text(foreign)
+    own = cache / "3-1-2-1-1.charmats.json"
+    own.write_text((cache / "2-2-2-1-1.charmats.json").read_text())
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     captured = capsys.readouterr()
     assert "warning: ignoring cache" in captured.err
     assert "weights" in captured.err
-    assert json.loads(captured.out)["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
-
-    data = json.loads(foreign)
-    data["weights"] = [3, 1, 2, 1, 1]
-    own.write_text(json.dumps(data))
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
-    captured = capsys.readouterr()
-    assert "built from other matrices" in captured.err
-    assert json.loads(captured.out)["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
-
-
-def test_report_cache_edited_top_degree_rejected(tmp_path, capsys):
-    """A cached quotient whose degree-n component was edited is not trusted:
-    made full, with a matching Hilbert tuple, it is not the cohomology of a
-    manifold and is recomputed; copied from another matrix, it breaks the
-    duality the isomorphism keys rest on and the report is refused."""
-    cache = tmp_path / "cache"
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
-    good = capsys.readouterr().out
-
-    path = cache / "3-1-2-1-1.quotients.json"
-    clean = path.read_text()
-    data = json.loads(clean)
-    entry = data["quotients"][0]
-    n = entry["n"]
-    entry["ideal"][str(n)] = [[list(mono)] for mono in monomials(3, n)]
-    entry["hilbert"][n] = 0
-    path.write_text(json.dumps(data))
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
-    captured = capsys.readouterr()
-    assert "warning: ignoring cache" in captured.err and "palindromic" in captured.err
     assert captured.out == good
 
-    data = json.loads(clean)
-    foreign = json.loads((cache / "2-2-2-1-1.quotients.json").read_text())
-    data["quotients"][0]["ideal"][str(n)] = foreign["quotients"][0]["ideal"][str(n)]
-    path.write_text(json.dumps(data))
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "Poincare duality" in captured.err
-    assert captured.out == ""
+
+def test_quotients_built_only_where_compared(monkeypatch):
+    """A report builds each member's quotients once and --verify reuses
+    them; a singleton class is B-rigid by its matrix count and needs none;
+    a diagram compared with itself is built once."""
+    import galerig.cli
+    import galerig.verify
+
+    calls = []
+    build = galerig.cli.quotient_presentation
+
+    def counted(fs, forms):
+        calls.append(1)
+        return build(fs, forms)
+
+    for module in (galerig.cli, galerig.verify):
+        monkeypatch.setattr(module, "quotient_presentation", counted)
+    for argv, built in ((["report", "3,1,2,1,1", "--verify"], 42),
+                        (["report", "7,1,1,1,1"], 0),
+                        (["iso", "4,1,1,1,1", "4,1,1,1,1"], 33)):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == built, argv
 
 
 def test_max_facets_refused_before_enumerating(capsys, monkeypatch):

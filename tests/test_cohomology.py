@@ -111,13 +111,6 @@ def test_pentagon_quotients_have_dimension_five():
         assert sum(q.hilbert) == 5
 
 
-def test_quotient_json_round_trip():
-    data = QA1.to_json()
-    restored = GradedQuotient.from_json(data)
-    assert restored == QA1
-    assert restored.hilbert == QA1.hilbert
-
-
 # ---------------------------------------------------------------------------
 # codim and order
 

@@ -3,15 +3,27 @@
 import pytest
 
 from galerig import fixtures
-from galerig.cohomology import pairwise_iso_matrix
-from galerig.verify import _quotients_by_label, run_verification
+from galerig.charmat import enumerate_charmats
+from galerig.cohomology import pairwise_iso_matrix, quotient_presentation
+from galerig.gale import GaleDiagram, face_structure
+from galerig.verify import WEIGHTS_A, WEIGHTS_B, run_verification
 
 
 @pytest.fixture(scope="module")
-def report():
-    qa, qb = _quotients_by_label()
-    matrix = pairwise_iso_matrix(list(qa.values()), list(qb.values()))
-    return run_verification(sum(sum(row) for row in matrix))
+def quotients():
+    """The report's quotients of the two reference polytopes, by weights and
+    then by matrix."""
+    out = {}
+    for weights in (WEIGHTS_A, WEIGHTS_B):
+        fs = face_structure(GaleDiagram(weights))
+        out[weights] = {b: quotient_presentation(fs, b) for b in enumerate_charmats(fs)}
+    return out
+
+
+@pytest.fixture(scope="module")
+def report(quotients):
+    matrix = pairwise_iso_matrix(*(list(q.values()) for q in quotients.values()))
+    return run_verification(sum(sum(row) for row in matrix), quotients)
 
 
 def test_matrix_lists_match(report):
@@ -58,6 +70,16 @@ def test_report_passes_and_serializes(report):
     assert data["passed"] is True
     assert {d["table"] for d in data["profile_discrepancies"]} <= {
         "codim_A", "ord_A", "codim_B", "ord_B"}
+
+
+def test_published_block_missing_from_the_report_is_built(quotients, report):
+    """A published block with no quotient from the report gets one built,
+    so the tables are still diffed in full."""
+    first = fixtures.label_blocks("A")["A1"]
+    partial = {**quotients, WEIGHTS_A: {b: q for b, q in quotients[WEIGHTS_A].items()
+                                        if b != first}}
+    again = run_verification(report.iso_found, partial)
+    assert again.to_json() == report.to_json()
 
 
 def test_representative_groups_cover_everything():
