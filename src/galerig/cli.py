@@ -16,7 +16,8 @@ from pathlib import Path
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
 from .charmat import enumerate_charmats, forms_from_rows, is_characteristic, row_strings
-from .cohomology import LINEAR_FORM_NAMES, invariant_profile, iso_key, quotient_presentation
+from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_key, pairwise_iso_matrix,
+                         quotient_presentation)
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly
 from .petersen import tor_class
@@ -184,16 +185,14 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    k1 = [iso_key(q) for q in _selected_quotients(d1, None)[1]]
-    if d2.weights == d1.weights:  # a diagram compared with itself is built and keyed once
-        k2 = k1
-    else:
-        k2 = [iso_key(q) for q in _selected_quotients(d2, None)[1]]
-    matrix = [[a == b for b in k2] for a in k1]
+    q1 = _selected_quotients(d1, None)[1]
+    # a diagram compared with itself is built, and keyed, once
+    q2 = q1 if d2.weights == d1.weights else _selected_quotients(d2, None)[1]
+    matrix = pairwise_iso_matrix(q1, q2)
     found = sum(sum(row) for row in matrix)
-    text = [f"{found} graded isomorphisms over {len(k1)}x{len(k2)} pairs"]
+    text = [f"{found} graded isomorphisms over {len(q1)}x{len(q2)} pairs"]
     text += ["".join("X" if hit else "." for hit in row) for row in matrix]
-    _emit({"found": found, "pairs": len(k1) * len(k2),
+    _emit({"found": found, "pairs": len(q1) * len(q2),
            "matrix": [[int(v) for v in row] for row in matrix]},
           args.json, "\n".join(text))
     return 0
@@ -280,7 +279,7 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        result = verify_mod.run_verification(total_found, quotients)
+        result = verify_mod.run_verification(total_found, matrices, quotients)
         report["verification"] = result.to_json()
         if not result.passed:
             exit_code = 1

@@ -385,6 +385,8 @@ def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
                         quotients_b: Sequence[GradedQuotient]) -> list[list[bool]]:
     """Boolean matrix of graded-isomorphism verdicts for all pairs, rows
     following quotients_a and columns quotients_b: one iso_key per quotient,
-    and a pair is isomorphic iff its keys are equal."""
-    keys_b = [iso_key(q) for q in quotients_b]
-    return [[key == other for other in keys_b] for key in map(iso_key, quotients_a)]
+    a list passed as both sides keyed once, and a pair is isomorphic iff its
+    keys are equal."""
+    keys_a = [iso_key(q) for q in quotients_a]
+    keys_b = keys_a if quotients_b is quotients_a else [iso_key(q) for q in quotients_b]
+    return [[key == other for other in keys_b] for key in keys_a]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 from galerig.cli import main
 
@@ -137,6 +138,8 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == []  # a singleton class has no pair to compare
+    assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
+    assert len(calls) == 33  # a diagram compared with itself is keyed once
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):
@@ -176,6 +179,25 @@ def test_report_cache_round_trip(tmp_path, capsys):
     assert first == second
 
 
+def test_report_verify_diffs_the_reports_matrices(tmp_path, capsys):
+    """--verify diffs the matrix list the report compared, so a cached list
+    cut short fails it, and iso_pairs counts the pairs actually compared."""
+    cache = tmp_path / "cache"
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    path = cache / "3-1-2-1-1.charmats.json"
+    data = json.loads(path.read_text())
+    data["blocks"] = data["blocks"][:3]
+    path.write_text(json.dumps(data))
+    assert main(["report", "3,1,2,1,1", "--verify", "--cache", str(cache), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    v = report["verification"]
+    assert v["passed"] is False
+    assert v["matrices"]["A"]["ok"] is False and len(v["matrices"]["A"]["missing"]) == 18
+    assert v["matrices"]["B"]["ok"] is True
+    assert v["iso_pairs"] == 63 == report["pairs"][0]["checked"]
+
+
 def test_report_cache_corruption_recovers(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["report", "1,1,1,1,1", "--cache", str(cache), "--json"]) == 0
@@ -205,27 +227,34 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 
 def test_quotients_built_only_where_compared(monkeypatch):
-    """A report builds each member's quotients once and --verify reuses
-    them; a singleton class is B-rigid by its matrix count and needs none;
-    a diagram compared with itself is built once."""
+    """A report builds each member's face structure, matrix list and
+    quotients once and --verify reuses them all; a singleton class is
+    B-rigid by its matrix count and needs no quotient; a diagram compared
+    with itself is built once."""
     import galerig.cli
     import galerig.verify
 
-    calls = []
-    build = galerig.cli.quotient_presentation
+    names = ("face_structure", "enumerate_charmats", "quotient_presentation")
+    calls = Counter()
 
-    def counted(fs, forms):
-        calls.append(1)
-        return build(fs, forms)
+    def counted(name):
+        fn = getattr(galerig.cli, name)
 
-    for module in (galerig.cli, galerig.verify):
-        monkeypatch.setattr(module, "quotient_presentation", counted)
-    for argv, built in ((["report", "3,1,2,1,1", "--verify"], 42),
-                        (["report", "7,1,1,1,1"], 0),
-                        (["iso", "4,1,1,1,1", "4,1,1,1,1"], 33)):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        wrapper = counted(name)
+        for module in (galerig.cli, galerig.verify):
+            monkeypatch.setattr(module, name, wrapper)
+    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42)),
+                           (["report", "7,1,1,1,1"], (1, 1, 0)),
+                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 33))):
         calls.clear()
         assert main(argv) == 0
-        assert len(calls) == built, argv
+        assert tuple(calls[name] for name in names) == expected, argv
 
 
 def test_max_facets_refused_before_enumerating(capsys, monkeypatch):

@@ -10,20 +10,28 @@ from galerig.verify import WEIGHTS_A, WEIGHTS_B, run_verification
 
 
 @pytest.fixture(scope="module")
-def quotients():
-    """The report's quotients of the two reference polytopes, by weights and
-    then by matrix."""
+def matrices():
+    """The report's face structure and matrix list of each reference
+    polytope, by weights."""
     out = {}
     for weights in (WEIGHTS_A, WEIGHTS_B):
         fs = face_structure(GaleDiagram(weights))
-        out[weights] = {b: quotient_presentation(fs, b) for b in enumerate_charmats(fs)}
+        out[weights] = (fs, enumerate_charmats(fs))
     return out
 
 
 @pytest.fixture(scope="module")
-def report(quotients):
+def quotients(matrices):
+    """The report's quotients of the two reference polytopes, by weights and
+    then by matrix."""
+    return {weights: {b: quotient_presentation(fs, b) for b in blocks}
+            for weights, (fs, blocks) in matrices.items()}
+
+
+@pytest.fixture(scope="module")
+def report(matrices, quotients):
     matrix = pairwise_iso_matrix(*(list(q.values()) for q in quotients.values()))
-    return run_verification(sum(sum(row) for row in matrix), quotients)
+    return run_verification(sum(sum(row) for row in matrix), matrices, quotients)
 
 
 def test_matrix_lists_match(report):
@@ -54,6 +62,22 @@ def test_profile_discrepancies_all_certified(report):
     assert all(d.certified for d in report.discrepancies)
 
 
+def test_discrepancy_certified_by_the_independent_path_alone(matrices, quotients, report,
+                                                             monkeypatch):
+    """A published cell that differs from the profile is certified only when
+    the second computation path agrees with the profile's value."""
+    import galerig.verify
+
+    monkeypatch.setattr(galerig.verify, "codim_via_annihilator", lambda gamma, q: -1)
+    monkeypatch.setattr(galerig.verify, "order_via_quotient_maps", lambda gamma, q: -1)
+    again = run_verification(report.iso_found, matrices, quotients)
+    cells = [(d.table, d.row, d.column) for d in again.discrepancies]
+    assert cells == [(d.table, d.row, d.column) for d in report.discrepancies]
+    assert {table[:3] for table, _, _ in cells} == {"cod", "ord"}
+    assert not any(d.certified for d in again.discrepancies)
+    assert not again.passed
+
+
 def test_expected_discrepancy_present(report):
     keys = {(d.table, d.row, d.column) for d in report.discrepancies}
     assert ("ord_A", "A1", "x") in keys
@@ -72,13 +96,13 @@ def test_report_passes_and_serializes(report):
         "codim_A", "ord_A", "codim_B", "ord_B"}
 
 
-def test_published_block_missing_from_the_report_is_built(quotients, report):
-    """A published block with no quotient from the report gets one built,
-    so the tables are still diffed in full."""
+def test_published_block_missing_from_the_report_is_built(matrices, quotients, report):
+    """A published block with no quotient from the report gets one built on
+    the report's face structure, so the tables are still diffed in full."""
     first = fixtures.label_blocks("A")["A1"]
     partial = {**quotients, WEIGHTS_A: {b: q for b, q in quotients[WEIGHTS_A].items()
                                         if b != first}}
-    again = run_verification(report.iso_found, partial)
+    again = run_verification(report.iso_found, matrices, partial)
     assert again.to_json() == report.to_json()
 
 
