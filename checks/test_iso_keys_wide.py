@@ -1,7 +1,8 @@
 """Wide agreement check of the isomorphism keys: for the self-comparison of
 every canonical pentagon of total <= 9 (20 diagrams, 19,972 quotient pairs),
-the key matrix equals the 168-substitution search of tests/oracles.py, and
-each quotient's ideal is the inverse system of its socle functional.  Too
+the key matrix equals the 168-substitution search of tests/oracles.py, the
+keys equal the 168-substitution scan of oracles.scan_iso_key, and each
+quotient's ideal is the inverse system of its socle functional.  Too
 slow for tier-1 (the search takes seconds per diagram at total 9), so it
 sits outside tier-1's testpaths.
 
@@ -18,7 +19,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
 from galerig.charmat import enumerate_charmats  # noqa: E402
-from galerig.cohomology import pairwise_iso_matrix, quotient_presentation, socle_functional  # noqa: E402
+from galerig.cohomology import (iso_keys, pairwise_iso_matrix, quotient_presentation,  # noqa: E402
+                                socle_functional)
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
 
 DIAGRAMS = oracles.canonical_diagrams(5, 9)
@@ -35,6 +37,7 @@ def test_keys_agree_with_search(weights):
     expected = [[w is not None for w in row]
                 for row in oracles.search_iso_witnesses(quotients, quotients)]
     assert pairwise_iso_matrix(quotients, quotients) == expected
+    assert iso_keys(quotients) == [oracles.scan_iso_key(q) for q in quotients]
     for q in quotients:
         phi = socle_functional(q)
         for d in range(q.n + 1):

@@ -30,7 +30,7 @@ from .cohomology import (
     find_graded_iso,
     ideal_equal,
     invariant_profile,
-    iso_key,
+    iso_keys,
     order,
     pairwise_iso_matrix,
     quotient_presentation,
@@ -62,7 +62,7 @@ __all__ = [
     "find_graded_iso",
     "ideal_equal",
     "invariant_profile",
-    "iso_key",
+    "iso_keys",
     "order",
     "pairwise_iso_matrix",
     "quotient_presentation",

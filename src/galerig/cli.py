@@ -15,8 +15,9 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
-from .charmat import enumerate_charmats, forms_from_rows, is_characteristic, row_strings
-from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_key, pairwise_iso_matrix,
+from .charmat import enumerate_charmats, forms_from_rows, row_strings
+from .charmat import is_characteristic  # noqa: F401 (tracer)
+from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_keys, pairwise_iso_matrix,
                          quotient_presentation)
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly
@@ -77,9 +78,10 @@ def _load_cache(path: Path, weights, parse):
 
 
 def _cached_charmats(data, fs) -> list[tuple[int, ...]]:
+    # a cut, extended or reordered list would change the pairs compared
     blocks = [forms_from_rows(rows) for rows in data["blocks"]]
-    if not all(is_characteristic(b, fs) for b in blocks):
-        raise ValueError("cached block is not characteristic")
+    if blocks != enumerate_charmats(fs):
+        raise ValueError("cached matrix list differs from the enumeration")
     return blocks
 
 
@@ -244,7 +246,7 @@ def cmd_report(args) -> int:
         for w in members:
             fs, blocks = matrices[w]
             quotients[w] = {b: quotient_presentation(fs, b) for b in blocks}
-            keys.append(Counter(map(iso_key, quotients[w].values())))
+            keys.append(Counter(iso_keys(quotients[w].values())))
 
     pairs = []
     total_found = 0

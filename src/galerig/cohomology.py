@@ -14,16 +14,23 @@ closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
 degree n: I_n is a hyperplane of S_n = GF(2)[x,y,z]_n, and its annihilator,
 the socle functional phi, determines every component, I_d = {f in S_d :
 phi(f * S_(n-d)) = 0} (Macaulay's inverse system; socle_functional checks
-it and refuses a quotient that breaks it).  A degree-one
-substitution g therefore maps one ideal onto another iff phi_b o g = phi_a,
-and both algebras are generated in degree one, so every graded isomorphism
-is such a g in GL(3, GF(2)).  iso_key, the least phi o g over the 168
-elements of GL(3, GF(2)) together with n and the Hilbert function, is thus
-equal for two quotients iff they are isomorphic; pairwise_iso_matrix
-compares keys, and find_graded_iso certifies the witness it finds against
-the full ideals.  The codimension and order invariants of the seven nonzero
-linear forms are computed for reporting and cross-checks; the isomorphism
-verdict never depends on them.
+it and refuses a quotient that breaks it).  A degree-one substitution g
+therefore maps one ideal onto another iff phi_b o g = phi_a, and both
+algebras are generated in degree one, so every graded isomorphism is such
+a g in GL(3, GF(2)).  The key of a quotient is (n, hilbert, least element
+of the orbit {phi o g : g in GL(3, GF(2))}), equal for two quotients iff
+they are isomorphic.  iso_keys closes the orbit from phi under s = (x+y,
+y, z) and t = (y, z, x), one substitution table each per degree.  These two
+generate GL(3, GF(2)): s and its conjugates by t are the transvections
+x -> x+y, y -> y+z, z -> z+x, their commutators are the other three, and
+the six elementary transvections generate the group.  So the closure is the whole
+orbit and the key is the least phi o g over all 168 substitutions, the
+same value as a scan over gl3(), found once per key class of the list
+rather than once per quotient.  pairwise_iso_matrix compares keys, and
+find_graded_iso certifies the witness it finds against the full ideals.
+The codimension and order invariants of the seven nonzero linear forms are
+computed for reporting and cross-checks; the isomorphism verdict never
+depends on them.
 """
 
 from __future__ import annotations
@@ -88,7 +95,7 @@ def _validate_quotient(q: GradedQuotient):
     if q.ideal.dimension(top) != monomial_count(3, top):
         raise ValueError(f"ideal is not full in degree {top}")
     # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
-    # socle functional of iso_key needs.
+    # socle functional of iso_keys needs.
     if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
         raise ValueError("quotient dimensions are not palindromic with a "
                          "one-dimensional top degree")
@@ -327,7 +334,7 @@ def socle_functional(q: GradedQuotient) -> int:
     has no other bit outside c0, so phi(p) is that row's bit c0.
 
     Raises ValueError unless every I_d (d < n) is {f in S_d : phi(f *
-    S_(n-d)) = 0}, the Gorenstein duality that makes iso_key complete: a
+    S_(n-d)) = 0}, the Gorenstein duality that makes iso_keys complete: a
     quotient that breaks it is refused rather than keyed.
     """
     pivots, rows = q.ideal.components[q.n]
@@ -354,12 +361,48 @@ def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
                for c, col in enumerate(_subst_matrix(rows, n)))
 
 
-def iso_key(q: GradedQuotient) -> tuple:
-    """(n, hilbert, least phi o g over GL(3, GF(2))): equal for two
-    quotients iff they are isomorphic as graded algebras (module
-    docstring)."""
-    phi = socle_functional(q)
-    return q.n, q.hilbert, min(_compose(phi, rows, q.n) for rows in gl3())
+# s = (x+y, y, z) and t = (y, z, x) generate GL(3, GF(2)).
+_GENERATORS = ((0b011, 0b010, 0b100), (0b010, 0b100, 0b001))
+
+
+@lru_cache(maxsize=None)
+def _generator_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per generator g, the transpose of its degree-n substitution table, so
+    that phi o g = image(phi, table)."""
+    return tuple(tuple(sum(((col >> r) & 1) << c for c, col in enumerate(_subst_matrix(g, n)))
+                       for r in range(monomial_count(3, n)))
+                 for g in _GENERATORS)
+
+
+def _orbit(phi: int, n: int) -> set[int]:
+    """{phi o g : g in GL(3, GF(2))}, closed from phi under the generators."""
+    tables = _generator_tables(n)
+    orbit, frontier = {phi}, [phi]
+    while frontier:
+        psi = frontier.pop()
+        for table in tables:
+            image_psi = image(psi, table)
+            if image_psi not in orbit:
+                orbit.add(image_psi)
+                frontier.append(image_psi)
+    return orbit
+
+
+def iso_keys(quotients: Iterable[GradedQuotient]) -> list[tuple]:
+    """(n, hilbert, least phi o g over GL(3, GF(2))) per quotient, in order:
+    equal iff isomorphic (module docstring).  Every phi is computed, and
+    checked; the orbit is closed once per key class of the list."""
+    known: dict[tuple, tuple] = {}
+    keys = []
+    for q in quotients:
+        phi = socle_functional(q)
+        key = known.get((q.n, q.hilbert, phi))
+        if key is None:
+            orbit = _orbit(phi, q.n)
+            key = (q.n, q.hilbert, min(orbit))
+            known.update(((q.n, q.hilbert, psi), key) for psi in orbit)
+        keys.append(key)
+    return keys
 
 
 def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
@@ -384,9 +427,9 @@ def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
 def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
                         quotients_b: Sequence[GradedQuotient]) -> list[list[bool]]:
     """Boolean matrix of graded-isomorphism verdicts for all pairs, rows
-    following quotients_a and columns quotients_b: one iso_key per quotient,
-    a list passed as both sides keyed once, and a pair is isomorphic iff its
-    keys are equal."""
-    keys_a = [iso_key(q) for q in quotients_a]
-    keys_b = keys_a if quotients_b is quotients_a else [iso_key(q) for q in quotients_b]
+    following quotients_a and columns quotients_b: one iso_keys call per
+    side, a list passed as both sides keyed once, and a pair is isomorphic
+    iff its keys are equal."""
+    keys_a = iso_keys(quotients_a)
+    keys_b = keys_a if quotients_b is quotients_a else iso_keys(quotients_b)
     return [[key == other for other in keys_b] for key in keys_a]

@@ -8,11 +8,12 @@ characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), monomial-wise
 linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
-per quotient), the inverse system of a socle functional, adjacent-sum
-multisets and the 120-permutation linear systems for the pentagon Tor class
-(the package reads Petersen 5-cycles), and the sphere-product decomposition
-of the moment-angle manifold, checked against the Betti table's additive
-ranks.
+per quotient), the isomorphism key by a scan of all 168 substitutions (the
+package closes one orbit per key class from two generators), the inverse
+system of a socle functional, adjacent-sum multisets and the
+120-permutation linear systems for the pentagon Tor class (the package
+reads Petersen 5-cycles), and the sphere-product decomposition of the
+moment-angle manifold, checked against the Betti table's additive ranks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from galerig.betti import BettiTable, betti_table, window_sums
-from galerig.cohomology import gl3, substitution_maps_ideal
+from galerig.cohomology import _compose, gl3, socle_functional, substitution_maps_ideal
 from galerig.gale import (
     GaleDiagram,
     canonical_weights,
@@ -342,6 +343,13 @@ def search_graded_iso(qa, qb):
 def search_iso_witnesses(quotients_a, quotients_b):
     """search_graded_iso for every pair, rows following quotients_a."""
     return [[search_graded_iso(qa, qb) for qb in quotients_b] for qa in quotients_a]
+
+
+def scan_iso_key(q):
+    """(n, hilbert, least phi o g over gl3()): the isomorphism key by a scan
+    of all 168 substitutions."""
+    phi = socle_functional(q)
+    return q.n, q.hilbert, min(_compose(phi, rows, q.n) for rows in gl3())
 
 
 def annihilator(phi: int, n: int, degree: int) -> list[int]:

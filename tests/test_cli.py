@@ -119,27 +119,30 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
-    """21 + 21 quotients need 42 keys; the cross pairs are counted from
-    them."""
-    import galerig.cli
+    """21 + 21 quotients need 42 socle functionals, each checked, and one
+    orbit closure per key class of each member: 9 + 5."""
     import galerig.cohomology
 
-    calls = []
-    key = galerig.cohomology.iso_key
+    calls = Counter()
 
-    def counted(q):
-        calls.append(1)
-        return key(q)
+    def counted(name):
+        fn = getattr(galerig.cohomology, name)
 
-    for module in (galerig.cli, galerig.cohomology):
-        monkeypatch.setattr(module, "iso_key", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("socle_functional", "_orbit"):
+        monkeypatch.setattr(galerig.cohomology, name, counted(name))
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert len(calls) == 42
+    assert calls == {"socle_functional": 42, "_orbit": 14}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
-    assert calls == []  # a singleton class has no pair to compare
+    assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
-    assert len(calls) == 33  # a diagram compared with itself is keyed once
+    # a diagram compared with itself is keyed once
+    assert calls == {"socle_functional": 33, "_orbit": 2}
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):
@@ -179,23 +182,45 @@ def test_report_cache_round_trip(tmp_path, capsys):
     assert first == second
 
 
-def test_report_verify_diffs_the_reports_matrices(tmp_path, capsys):
-    """--verify diffs the matrix list the report compared, so a cached list
-    cut short fails it, and iso_pairs counts the pairs actually compared."""
-    cache = tmp_path / "cache"
-    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    path = cache / "3-1-2-1-1.charmats.json"
-    data = json.loads(path.read_text())
-    data["blocks"] = data["blocks"][:3]
-    path.write_text(json.dumps(data))
-    assert main(["report", "3,1,2,1,1", "--verify", "--cache", str(cache), "--json"]) == 1
+def test_report_verify_diffs_the_reports_matrices(monkeypatch, capsys):
+    """--verify diffs the matrix list the report compared, so a list cut
+    short fails it, and iso_pairs counts the pairs actually compared."""
+    import galerig.cli
+    from galerig.gale import GaleDiagram, face_structure
+
+    enumerate_charmats = galerig.cli.enumerate_charmats
+    fs_a = face_structure(GaleDiagram((3, 1, 2, 1, 1)))
+
+    def cut(fs):
+        blocks = enumerate_charmats(fs)
+        return blocks[:3] if fs == fs_a else blocks
+
+    monkeypatch.setattr(galerig.cli, "enumerate_charmats", cut)
+    assert main(["report", "3,1,2,1,1", "--verify", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     v = report["verification"]
     assert v["passed"] is False
     assert v["matrices"]["A"]["ok"] is False and len(v["matrices"]["A"]["missing"]) == 18
     assert v["matrices"]["B"]["ok"] is True
     assert v["iso_pairs"] == 63 == report["pairs"][0]["checked"]
+
+
+def test_report_cache_cut_list_rejected(tmp_path, capsys):
+    """A cached matrix list is accepted only if it is the enumeration, so a
+    list cut short is ignored with a warning and recomputed."""
+    code, clean, err = run_cli("report", "3,1,2,1,1")
+    assert code == 0 and err == ""
+    cache = tmp_path / "cache"
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == clean
+    path = cache / "3-1-2-1-1.charmats.json"
+    data = json.loads(path.read_text())
+    data["blocks"] = data["blocks"][:3]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("report", "3,1,2,1,1", "--cache", str(cache))
+    assert code == 0
+    assert "warning: ignoring cache" in err and "differs from the enumeration" in err
+    assert out == clean
 
 
 def test_report_cache_corruption_recovers(tmp_path, capsys):

@@ -17,17 +17,18 @@ from galerig.cohomology import (
     gl3,
     ideal_equal,
     invariant_profile,
-    iso_key,
+    iso_keys,
     order,
     order_via_quotient_maps,
     pairwise_iso_matrix,
     quotient_presentation,
     socle_functional,
     substitution_maps_ideal,
+    _GENERATORS,
     _subst_matrix,
 )
 from galerig.gale import GaleDiagram, face_structure
-from galerig.gf2 import GradedSubspace, monomials, parse_poly
+from galerig.gf2 import GradedSubspace, image, monomials, parse_poly
 from galerig.charmat import enumerate_charmats
 from galerig.petersen import tor_class
 
@@ -252,6 +253,33 @@ def test_iso_keys_agree_with_substitution_search(key_range):
     assert pairs == 3850 + 136 + 2539
 
 
+def test_iso_keys_equal_the_168_substitution_scan(key_range):
+    for quotients in {id(side): side for pair in key_range for side in pair}.values():
+        assert iso_keys(quotients) == [oracles.scan_iso_key(q) for q in quotients]
+
+
+def test_two_generators_close_to_gl3():
+    # g followed by h sends variable j to the sum of h's forms over the
+    # variables in g's form j, which is image(form, h)
+    closure, frontier = set(_GENERATORS), list(_GENERATORS)
+    while frontier:
+        g = frontier.pop()
+        for h in _GENERATORS:
+            gh = tuple(image(form, h) for form in g)
+            if gh not in closure:
+                closure.add(gh)
+                frontier.append(gh)
+    assert closure == set(gl3())
+
+
+def test_iso_keys_one_key_per_entry_in_order():
+    qa2, qa5 = _quotient("A2"), _quotient("A5")
+    keys = iso_keys([QA1, QB1, QA1, qa2, QB1, qa5, QA1])
+    a1, b1, a2 = oracles.scan_iso_key(QA1), oracles.scan_iso_key(QB1), oracles.scan_iso_key(qa2)
+    assert a2 == oracles.scan_iso_key(qa5) != a1 != b1
+    assert keys == [a1, b1, a1, a2, b1, a2, a1]
+
+
 def test_socle_functional_inverse_system_is_the_ideal(key_range):
     """Gorenstein duality, which makes the keys complete: I_d = {f in S_d :
     phi(f * S_(n-d)) = 0} in every degree d = 0..n."""
@@ -281,7 +309,7 @@ def test_socle_functional_refuses_a_broken_duality():
                             hilbert=QA1.hilbert)
     assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
     with pytest.raises(ValueError, match="degree 2"):
-        iso_key(broken)
+        iso_keys([broken])
     with pytest.raises(ValueError, match="degree 2"):
         find_graded_iso(QA1, broken)
 
