@@ -10,7 +10,6 @@ from .gale import (
     canonical_weights,
     face_structure,
     facet_labeling,
-    is_face,
     minimal_nonfaces,
     origin_in_hull,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "canonical_weights",
     "face_structure",
     "facet_labeling",
-    "is_face",
     "minimal_nonfaces",
     "origin_in_hull",
     "BettiTable",

@@ -1,6 +1,10 @@
 """Command-line interface: per-stage subcommands plus the full rigidity
 report with optional caching and fixture verification.
 
+Every command that needs characteristic matrices gets them from _matrices,
+which always enumerates; report --cache only records each member's list
+there, so a cache file can never shrink or replace the enumeration.
+
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path.
 """
@@ -15,7 +19,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
-from .charmat import enumerate_charmats, forms_from_rows, row_strings
+from .charmat import enumerate_charmats, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
 from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_keys, pairwise_iso_matrix,
                          quotient_presentation)
@@ -57,53 +61,35 @@ def _emit(data, as_json: bool, text: str):
 
 
 # ---------------------------------------------------------------------------
-# caching
+# characteristic matrices
 
 
-def _cache_key(weights) -> str:
-    return "-".join(str(w) for w in weights)
-
-
-def _load_cache(path: Path, weights, parse):
-    """parse(data) of a cache file written for these weights, or None after a
-    warning when the file is corrupt, foreign or stale."""
-    try:
-        data = json.loads(path.read_text())
-        if tuple(data["weights"]) != tuple(weights):
-            raise ValueError("cached weights do not match")
-        return parse(data)
-    except Exception as err:  # recompute with a warning
-        print(f"warning: ignoring cache {path}: {err}", file=sys.stderr)
-        return None
-
-
-def _cached_charmats(data, fs) -> list[tuple[int, ...]]:
-    # a cut, extended or reordered list would change the pairs compared
-    blocks = [forms_from_rows(rows) for rows in data["blocks"]]
-    if blocks != enumerate_charmats(fs):
-        raise ValueError("cached matrix list differs from the enumeration")
-    return blocks
-
-
-def _member_matrices(weights, cache_dir: Path | None):
-    """Face structure and characteristic matrices of one class member, the
-    matrices cached as JSON keyed by the canonical weights when a directory
-    is given."""
-    fs = face_structure(GaleDiagram(weights))
-    blocks = None
-    path = None
+def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
+    """Face structure and characteristic matrices of a diagram, always
+    enumerated.  With a cache directory, the list is also recorded as JSON
+    in <weights>.charmats.json; a file that does not hold exactly this
+    record (foreign weights, a cut, extended or reordered list, or bad
+    JSON) is rewritten after a warning, and a matching one is left as is."""
+    fs = face_structure(diagram)
+    blocks = enumerate_charmats(fs)
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"{_cache_key(weights)}.charmats.json"
+        weights = list(diagram.weights)
+        record = {"weights": weights, "blocks": [row_strings(b) for b in blocks]}
+        path = cache_dir / f"{'-'.join(map(str, weights))}.charmats.json"
         if path.exists():
-            blocks = _load_cache(path, weights, lambda data: _cached_charmats(data, fs))
-    if blocks is None:
-        blocks = enumerate_charmats(fs)
-        if path is not None:
-            path.write_text(json.dumps({
-                "weights": list(weights),
-                "blocks": [row_strings(b) for b in blocks],
-            }, indent=2, sort_keys=True))
+            try:
+                data = json.loads(path.read_text())
+            except (OSError, ValueError) as err:
+                problem = str(err)
+            else:
+                if data == record:
+                    return fs, blocks
+                problem = ("cached weights do not match"
+                           if not isinstance(data, dict) or data.get("weights") != weights
+                           else "cached matrix list differs from the enumeration")
+            print(f"warning: ignoring cache {path}: {problem}", file=sys.stderr)
+        path.write_text(json.dumps(record, indent=2, sort_keys=True))
     return fs, blocks
 
 
@@ -131,7 +117,7 @@ def cmd_torclass(args) -> int:
 
 def cmd_charmats(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
-    blocks = enumerate_charmats(face_structure(diagram))
+    _, blocks = _matrices(diagram)
     rows = [row_strings(b) for b in blocks]
     text = [f"{len(blocks)} characteristic matrices (identity prefix omitted):"]
     text += [f"  {i + 1:3d}: " + " ".join(r) for i, r in enumerate(rows)]
@@ -141,8 +127,7 @@ def cmd_charmats(args) -> int:
 
 
 def _selected_quotients(diagram, index: int | None):
-    fs = face_structure(diagram)
-    blocks = enumerate_charmats(fs)
+    fs, blocks = _matrices(diagram)
     if index is not None:
         if not 1 <= index <= len(blocks):
             raise ValueError(f"--matrix must be in 1..{len(blocks)}")
@@ -206,12 +191,11 @@ def cmd_report(args) -> int:
         print(f"refusing: a (2k+1)-gon diagram with k = {diagram.k} supports no "
               "quasitoric manifold (supported iff k <= 3)", file=sys.stderr)
         return 2
-    if args.verify:
-        expected = {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}
-        if diagram.k != 2 or set(tor_class(diagram.weights)) != expected:
-            print("refusing --verify: reference fixtures cover the class of "
-                  "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
-            return 2
+    members = sorted(tor_class(diagram.weights)) if diagram.k == 2 else []
+    if args.verify and set(members) != {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}:
+        print("refusing --verify: reference fixtures cover the class of "
+              "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
+        return 2
     canonical = canonical_weights(diagram.weights)
     if diagram.k != 2:
         table = betti_table(diagram)
@@ -233,8 +217,7 @@ def cmd_report(args) -> int:
 
     _enumerable(diagram)  # every class member has the same facet count
     cache_dir = Path(args.cache) if args.cache else None
-    members = sorted(tor_class(diagram.weights))
-    matrices = {w: _member_matrices(w, cache_dir) for w in members}
+    matrices = {w: _matrices(GaleDiagram(w), cache_dir) for w in members}
     member_info = [{"weights": list(w), "charmat_count": len(matrices[w][1])} for w in members]
 
     # A singleton class is B-rigid by its matrix count alone, so quotients are

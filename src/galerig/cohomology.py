@@ -354,29 +354,27 @@ def socle_functional(q: GradedQuotient) -> int:
     return phi
 
 
+@lru_cache(maxsize=None)
+def _pullback(rows: tuple[int, int, int], n: int) -> tuple[int, ...]:
+    """The transpose of the degree-n substitution table of g = rows, so that
+    phi o g = image(phi, _pullback(rows, n)) for a functional phi on S_n:
+    bit c of phi o g is phi of the image of monomial c."""
+    return tuple(sum(((col >> r) & 1) << c for c, col in enumerate(_subst_matrix(rows, n)))
+                 for r in range(monomial_count(3, n)))
+
+
 def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
-    """phi o g for the substitution g = rows on degree n: bit c is phi of
-    the image of monomial c."""
-    return sum(((phi & col).bit_count() & 1) << c
-               for c, col in enumerate(_subst_matrix(rows, n)))
+    """phi o g for the substitution g = rows on degree n."""
+    return image(phi, _pullback(rows, n))
 
 
 # s = (x+y, y, z) and t = (y, z, x) generate GL(3, GF(2)).
 _GENERATORS = ((0b011, 0b010, 0b100), (0b010, 0b100, 0b001))
 
 
-@lru_cache(maxsize=None)
-def _generator_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per generator g, the transpose of its degree-n substitution table, so
-    that phi o g = image(phi, table)."""
-    return tuple(tuple(sum(((col >> r) & 1) << c for c, col in enumerate(_subst_matrix(g, n)))
-                       for r in range(monomial_count(3, n)))
-                 for g in _GENERATORS)
-
-
 def _orbit(phi: int, n: int) -> set[int]:
     """{phi o g : g in GL(3, GF(2))}, closed from phi under the generators."""
-    tables = _generator_tables(n)
+    tables = [_pullback(g, n) for g in _GENERATORS]
     orbit, frontier = {phi}, [phi]
     while frontier:
         psi = frontier.pop()

@@ -157,21 +157,6 @@ def facet_labeling(diagram: GaleDiagram) -> FacetLabeling:
     )
 
 
-def is_face(indices: Iterable[int], diagram: GaleDiagram,
-            labeling: FacetLabeling | None = None) -> bool:
-    """Face criterion: the complement's labels must contain the origin."""
-    if labeling is None:
-        labeling = facet_labeling(diagram)
-    m = diagram.m
-    chosen = set()
-    for i in indices:
-        if not 1 <= i <= m:
-            raise ValueError(f"facet index {i} outside 1..{m}")
-        chosen.add(i)
-    rest = {labeling.labels[i - 1] for i in range(1, m + 1) if i not in chosen}
-    return origin_in_hull(rest, diagram.k)
-
-
 def minimal_nonfaces(diagram: GaleDiagram,
                      labeling: FacetLabeling | None = None) -> tuple[frozenset[int], ...]:
     """The 2k+1 minimal non-faces: facets labelled in an arc of k consecutive

@@ -147,7 +147,10 @@ def _check_ideal_tables(qa, qb) -> list[IdealRowResult]:
                 computed_generators=[format_poly(g) for g in rep.generators],
             ))
             continue
-        matches = all(ideal_equal(gens, quotients[lab]) for lab in row["labels"])
+        # a row's labels share one ideal: saturate the row once
+        first, *rest = (quotients[lab] for lab in row["labels"])
+        matches = (ideal_equal(gens, first)
+                   and all(q.ideal == first.ideal for q in rest))
         results.append(IdealRowResult(
             table=row["table"], labels=list(row["labels"]),
             unparseable=False, matches=matches,

@@ -23,17 +23,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, pi, tan
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from galerig.betti import BettiTable, betti_table, window_sums
 from galerig.cohomology import _compose, gl3, socle_functional, substitution_maps_ideal
 from galerig.gale import (
+    FacetLabeling,
     GaleDiagram,
     canonical_weights,
     facet_labeling,
-    is_face,
     origin_in_hull,
 )
 from galerig.gf2 import echelon, monomial_count, monomials, rank
@@ -101,6 +101,21 @@ def origin_in_hull_exact(labels, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force face structure
+
+
+def is_face(indices: Iterable[int], diagram: GaleDiagram,
+            labeling: FacetLabeling | None = None) -> bool:
+    """Face criterion: the complement's labels must contain the origin."""
+    if labeling is None:
+        labeling = facet_labeling(diagram)
+    m = diagram.m
+    chosen = set()
+    for i in indices:
+        if not 1 <= i <= m:
+            raise ValueError(f"facet index {i} outside 1..{m}")
+        chosen.add(i)
+    rest = {labeling.labels[i - 1] for i in range(1, m + 1) if i not in chosen}
+    return origin_in_hull(rest, diagram.k)
 
 
 def brute_force_minimal_nonfaces(diagram: GaleDiagram) -> set[frozenset[int]]:

@@ -251,11 +251,11 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
     assert captured.out == good
 
 
-def test_quotients_built_only_where_compared(monkeypatch):
+def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     """A report builds each member's face structure, matrix list and
-    quotients once and --verify reuses them all; a singleton class is
-    B-rigid by its matrix count and needs no quotient; a diagram compared
-    with itself is built once."""
+    quotients once and --verify reuses them all, a warm cache too, which it
+    leaves as it is; a singleton class is B-rigid by its matrix count and
+    needs no quotient; a diagram compared with itself is built once."""
     import galerig.cli
     import galerig.verify
 
@@ -274,12 +274,39 @@ def test_quotients_built_only_where_compared(monkeypatch):
         wrapper = counted(name)
         for module in (galerig.cli, galerig.verify):
             monkeypatch.setattr(module, name, wrapper)
+    cache = tmp_path / "cache"
+    assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
+    written = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
     for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42)),
+                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 42)),
                            (["report", "7,1,1,1,1"], (1, 1, 0)),
                            (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 33))):
         calls.clear()
         assert main(argv) == 0
         assert tuple(calls[name] for name in names) == expected, argv
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} == written
+
+
+def test_report_verify_reads_class_and_ideal_rows_once(monkeypatch):
+    """report --verify reads the Tor class once, and saturates each of the
+    21 published ideal rows once: a row's labels share one ideal."""
+    import galerig.cli
+    import galerig.verify
+
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(galerig.cli, "tor_class")
+    counted(galerig.verify, "ideal_equal")
+    assert main(["report", "3,1,2,1,1", "--verify"]) == 0
+    assert calls == {"tor_class": 1, "ideal_equal": 21}
 
 
 def test_max_facets_refused_before_enumerating(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from galerig.gale import (
     canonical_weights,
     face_structure,
     facet_labeling,
-    is_face,
     minimal_nonfaces,
     origin_in_hull,
 )
@@ -82,15 +81,15 @@ def test_origin_in_hull_rejects_bad_label():
 
 def test_is_face_examples():
     # the five facets over pentagon vertices 1 and 3 meet in a vertex
-    assert is_face({1, 2, 3, 4, 5}, P) is True
-    assert is_face(set(), P) is True
+    assert oracles.is_face({1, 2, 3, 4, 5}, P) is True
+    assert oracles.is_face(set(), P) is True
     # the facets named F4 and F5 sit at positions 8 and 6 of the pinned order
-    assert is_face({8, 6}, P) is False
+    assert oracles.is_face({8, 6}, P) is False
 
 
 def test_is_face_rejects_bad_index():
     with pytest.raises(ValueError):
-        is_face({9}, P)
+        oracles.is_face({9}, P)
 
 
 def test_is_face_monotone():
@@ -99,7 +98,7 @@ def test_is_face_monotone():
     for face in fs.maximal_faces:
         for size in range(len(face)):
             for subset in combinations(sorted(face), size):
-                assert is_face(subset, P, labeling)
+                assert oracles.is_face(subset, P, labeling)
 
 
 def test_minimal_nonfaces_examples():
