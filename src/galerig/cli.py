@@ -6,13 +6,14 @@ which always enumerates; report --cache only records each member's list
 there, so a cache file can never shrink or replace the enumeration.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
-or an unusable --cache path.
+or an unusable --cache path, 141 when the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -264,9 +265,8 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        result = verify_mod.run_verification(total_found, matrices, quotients)
-        report["verification"] = result.to_json()
-        if not result.passed:
+        report["verification"] = verify_mod.run_verification(total_found, matrices, quotients)
+        if not report["verification"]["passed"]:
             exit_code = 1
 
     text = [
@@ -338,6 +338,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head -1`): that is no input
+        # error.  Point stdout at devnull so the flush at exit stays quiet,
+        # and exit with the status of a process ended by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

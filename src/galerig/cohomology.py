@@ -35,7 +35,7 @@ depends on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -43,6 +43,7 @@ from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
+    _monomial_index,
     echelon,
     image,
     monomial_count,
@@ -65,19 +66,14 @@ class GradedQuotient:
     hilbert[d] is the quotient dimension in degree d (0 <= d <= n) and equals
     the h-vector of the source polytope; the stored generators, as
     (degree, vec) pairs, are the substituted minimal non-face monomials when
-    the quotient was built from a characteristic matrix.
+    the quotient was built from a characteristic matrix.  Equality ignores
+    them: two quotients are equal when n, ideal and hilbert are.
     """
 
     n: int
     ideal: GradedSubspace
     hilbert: tuple[int, ...]
-    generators: tuple[tuple[int, int], ...] | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedQuotient):
-            return NotImplemented
-        return (self.n == other.n and self.hilbert == other.hilbert
-                and self.ideal == other.ideal)
+    generators: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -291,7 +287,7 @@ def _subst_matrix(rows: tuple[int, int, int], degree: int) -> tuple[int, ...]:
     if degree == 0:
         return (1,)
     lower = _subst_matrix(rows, degree - 1)
-    index = {m: c for c, m in enumerate(monomials(3, degree - 1))}
+    index = _monomial_index(3, degree - 1)
     out = []
     for mono in monomials(3, degree):
         j = next(j for j, e in enumerate(mono) if e)
@@ -319,7 +315,7 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
 def _product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """_product_columns(n, d)[i][j]: the degree-n column of monomial i of
     degree d times monomial j of degree n - d."""
-    top = {m: c for c, m in enumerate(monomials(3, n))}
+    top = _monomial_index(3, n)
     return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
                        for high in monomials(3, n - degree))
                  for low in monomials(3, degree))

@@ -1,6 +1,7 @@
 """Comparison of the artifacts a report computed against the bundled
-reference tables, with a typed discrepancy report.  It diffs the report's own
-matrix lists and quotients and recomputes nothing the report holds.
+reference tables.  It diffs the report's own matrix lists and quotients,
+recomputes nothing the report holds, and returns its findings as the plain
+JSON record that report --verify prints.
 
 The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
@@ -11,8 +12,6 @@ complete invariant, and never consults these profiles.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass, field
 
 from . import fixtures
 # Nothing here calls enumerate_charmats or face_structure: the report's lists
@@ -36,89 +35,14 @@ WEIGHTS_A = (3, 1, 2, 1, 1)
 WEIGHTS_B = (2, 2, 2, 1, 1)
 
 
-@dataclass
-class MatrixComparison:
-    family: str
-    matched: int
-    missing: list[list[str]] = field(default_factory=list)
-    extra: list[list[str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.extra
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
-
-
-@dataclass
-class IdealRowResult:
-    table: str
-    labels: list[str]
-    unparseable: bool
-    bad_token: str | None = None
-    matches: bool | None = None
-    computed_generators: list[str] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.unparseable or bool(self.matches)
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
-
-
-@dataclass
-class ProfileDiscrepancy:
-    table: str
-    row: str
-    column: str
-    paper_value: int
-    computed_value: int
-    certified: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class VerificationReport:
-    matrices: dict[str, MatrixComparison]
-    ideal_rows: list[IdealRowResult]
-    discrepancies: list[ProfileDiscrepancy]
-    iso_found: int
-    iso_pairs: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(c.ok for c in self.matrices.values())
-            and all(r.ok for r in self.ideal_rows)
-            and all(d.certified for d in self.discrepancies)
-            and self.iso_found == 0
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "matrices": {fam: c.to_json() for fam, c in sorted(self.matrices.items())},
-            "ideal_rows": [r.to_json() for r in self.ideal_rows],
-            "profile_discrepancies": [d.to_json() for d in self.discrepancies],
-            "iso_found": self.iso_found,
-            "iso_pairs": self.iso_pairs,
-            "passed": self.passed,
-        }
-
-
-def _compare_matrices(family: str, computed: list[tuple[int, ...]]) -> MatrixComparison:
+def _compare_matrices(family: str, computed: list[tuple[int, ...]]) -> dict:
     """Diff the report's matrix list of a family against the published one."""
     listed = list(fixtures.label_blocks(family).values())
     listed_set, computed_set = set(listed), set(computed)
-    return MatrixComparison(
-        family=family,
-        matched=len(listed_set & computed_set),
-        missing=[row_strings(f) for f in listed if f not in computed_set],
-        extra=[row_strings(f) for f in computed if f not in listed_set],
-    )
+    missing = [row_strings(f) for f in listed if f not in computed_set]
+    extra = [row_strings(f) for f in computed if f not in listed_set]
+    return {"family": family, "matched": len(listed_set & computed_set),
+            "missing": missing, "extra": extra, "ok": not missing and not extra}
 
 
 def _quotients_by_label(family: str, fs: FaceStructure,
@@ -131,34 +55,25 @@ def _quotients_by_label(family: str, fs: FaceStructure,
             for label, block in fixtures.label_blocks(family).items()}
 
 
-def _check_ideal_tables(qa, qb) -> list[IdealRowResult]:
-    results = []
-    for row in fixtures.ideal_tables():
-        quotients = qa if row["table"] == "A" else qb
-        try:
-            gens = [parse_poly(text) for text in row["generators"]]
-        except ValueError as err:
-            rep = quotients[row["labels"][0]]
-            results.append(IdealRowResult(
-                table=row["table"],
-                labels=list(row["labels"]),
-                unparseable=True,
-                bad_token=str(err),
-                computed_generators=[format_poly(g) for g in rep.generators],
-            ))
-            continue
-        # a row's labels share one ideal: saturate the row once
-        first, *rest = (quotients[lab] for lab in row["labels"])
-        matches = (ideal_equal(gens, first)
-                   and all(q.ideal == first.ideal for q in rest))
-        results.append(IdealRowResult(
-            table=row["table"], labels=list(row["labels"]),
-            unparseable=False, matches=matches,
-        ))
-    return results
+def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient]) -> dict:
+    """Compare one published ideal row with the quotients of its labels.  A
+    row that does not parse cannot fail; it records the parse error and the
+    computed generators in its place."""
+    record = {"table": row["table"], "labels": list(row["labels"]), "unparseable": False,
+              "bad_token": None, "matches": None, "computed_generators": None}
+    try:
+        gens = [parse_poly(text) for text in row["generators"]]
+    except ValueError as err:
+        rep = quotients[row["labels"][0]]
+        return {**record, "unparseable": True, "bad_token": str(err),
+                "computed_generators": [format_poly(g) for g in rep.generators], "ok": True}
+    # a row's labels share one ideal: saturate the row once
+    first, *rest = (quotients[lab] for lab in row["labels"])
+    matches = ideal_equal(gens, first) and all(q.ideal == first.ideal for q in rest)
+    return {**record, "matches": matches, "ok": matches}
 
 
-def _check_profiles(qa, qb) -> list[ProfileDiscrepancy]:
+def _check_profiles(qa, qb) -> list[dict]:
     tables = fixtures.profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
@@ -183,34 +98,46 @@ def _check_profiles(qa, qb) -> list[ProfileDiscrepancy]:
                     certified = order_via_quotient_maps(gamma, q) == got
                 else:
                     certified = codim_via_annihilator(gamma, q) == got
-                discrepancies.append(ProfileDiscrepancy(
-                    table=table_name, row=row_label, column=forms[col],
-                    paper_value=paper_v, computed_value=got, certified=certified,
-                ))
+                discrepancies.append({
+                    "table": table_name, "row": row_label, "column": forms[col],
+                    "paper_value": paper_v, "computed_value": got, "certified": certified,
+                })
     return discrepancies
 
 
-def run_verification(iso_found: int, matrices: dict, quotients: dict) -> VerificationReport:
+def run_verification(iso_found: int, matrices: dict, quotients: dict) -> dict:
     """Diff the report's matrix lists and quotients of the two reference
-    polytopes against the bundled tables.
+    polytopes against the bundled tables, and return the record that a
+    report prints as its "verification" object.
 
     matrices[weights] = (fs, blocks) is the face structure and matrix list
     the report compared, and quotients[weights][forms] the quotient it built
     for each of those matrices; the published blocks are looked up there.
     iso_found is the number of cross pairs with equal isomorphism keys that
-    the report counted among them, and iso_pairs the number of pairs it
-    compared, len(blocks_a) * len(blocks_b).
+    the report counted among them.
+
+    The record holds "matrices", the diff of each family's list ("A", "B");
+    "ideal_rows", one entry per published ideal row; "profile_discrepancies",
+    one entry per published codim/ord cell that differs from the computed
+    profile, with whether the independent path certifies the computed value;
+    iso_found, "iso_pairs" (len(blocks_a) * len(blocks_b)); and "passed",
+    true when every list and row is ok, every discrepancy certified and no
+    cross pair isomorphic.
     """
     (fs_a, blocks_a), (fs_b, blocks_b) = matrices[WEIGHTS_A], matrices[WEIGHTS_B]
     comparisons = {"A": _compare_matrices("A", blocks_a), "B": _compare_matrices("B", blocks_b)}
-    qa = _quotients_by_label("A", fs_a, quotients[WEIGHTS_A])
-    qb = _quotients_by_label("B", fs_b, quotients[WEIGHTS_B])
-    ideal_rows = _check_ideal_tables(qa, qb)
-    discrepancies = _check_profiles(qa, qb)
-    return VerificationReport(
-        matrices=comparisons,
-        ideal_rows=ideal_rows,
-        discrepancies=discrepancies,
-        iso_found=iso_found,
-        iso_pairs=len(blocks_a) * len(blocks_b),
-    )
+    labelled = {"A": _quotients_by_label("A", fs_a, quotients[WEIGHTS_A]),
+                "B": _quotients_by_label("B", fs_b, quotients[WEIGHTS_B])}
+    ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
+    discrepancies = _check_profiles(labelled["A"], labelled["B"])
+    return {
+        "matrices": comparisons,
+        "ideal_rows": ideal_rows,
+        "profile_discrepancies": discrepancies,
+        "iso_found": iso_found,
+        "iso_pairs": len(blocks_a) * len(blocks_b),
+        "passed": (all(c["ok"] for c in comparisons.values())
+                   and all(r["ok"] for r in ideal_rows)
+                   and all(d["certified"] for d in discrepancies)
+                   and iso_found == 0),
+    }

@@ -102,11 +102,32 @@ def test_report_k4_refused(capsys):
     assert "k <= 3" in capsys.readouterr().err
 
 
-def test_report_verify_passes(capsys):
+def test_report_verify_passes(capsys, monkeypatch):
+    """The printed verification object is the record run_verification
+    returns, passed and with every key of each entry."""
+    import galerig.verify
+
+    records = []
+    run = galerig.verify.run_verification
+
+    def recorded(*args):
+        records.append(run(*args))
+        return records[-1]
+
+    monkeypatch.setattr(galerig.verify, "run_verification", recorded)
     assert main(["report", "3,1,2,1,1", "--verify", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     v = data["verification"]
     assert v["passed"] is True
+    assert len(records) == 1 and v == records[0]
+    assert set(v) == {"matrices", "ideal_rows", "profile_discrepancies",
+                      "iso_found", "iso_pairs", "passed"}
+    assert all(set(c) == {"family", "matched", "missing", "extra", "ok"}
+               for c in v["matrices"].values())
+    assert all(set(r) == {"table", "labels", "unparseable", "bad_token", "matches",
+                          "computed_generators", "ok"} for r in v["ideal_rows"])
+    assert all(set(d) == {"table", "row", "column", "paper_value", "computed_value",
+                          "certified"} for d in v["profile_discrepancies"])
     keys = {(d["table"], d["row"], d["column"]) for d in v["profile_discrepancies"]}
     assert ("ord_A", "A1", "x") in keys
 
@@ -333,3 +354,16 @@ def test_entry_point_help():
     assert code == 0
     for sub in ("betti", "torclass", "charmats", "cohomology", "profile", "iso", "report"):
         assert sub in out
+
+
+def test_closed_stdout_is_no_input_error():
+    """A reader that stops early (`charmats 10,1,1,1,1 | head -1`, 105,605
+    bytes) leaves stderr empty and the SIGPIPE status 141, not exit 2."""
+    proc = subprocess.Popen([sys.executable, "-m", "galerig.cli", "charmats", "10,1,1,1,1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "2049 characteristic matrices (identity prefix omitted):\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == ""

@@ -1,5 +1,6 @@
 """Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
 
+import dataclasses
 from itertools import chain, combinations
 
 import pytest
@@ -68,6 +69,13 @@ def test_b1_ideal_matches_published_row():
     gens = [parse_poly(s) for s in
             ("x^2y^2+y^2z^2", "y^4+y^2z^2", "y^2z+z^3", "xz", "x^3")]
     assert ideal_equal(gens, QB1)
+
+
+def test_quotient_equality_ignores_the_generators():
+    reordered = dataclasses.replace(QA1, generators=QA1.generators[::-1])
+    assert reordered.generators != QA1.generators
+    assert reordered == QA1
+    assert QB1 != QA1
 
 
 def test_hilbert_is_h_vector():
