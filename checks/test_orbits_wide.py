@@ -1,0 +1,64 @@
+"""Wide check of the facet-symmetry orbits that report and iso key one
+quotient per.  For every canonical pentagon and heptagon of total <= 12
+(100 + 72 diagrams), charmat.orbits partitions the enumeration into the
+orbits closed under every same-label transposition (tests/oracles.py):
+their sizes sum to the matrix count, each representative is its orbit's
+first member in column order, every quotient of an orbit has one
+isomorphism key, and keying the representatives alone, each key counted
+with its orbit's size, gives the per-matrix key counts.  Full per-matrix
+keys are the oracle, so every quotient is built: too slow for tier-1, so
+it sits outside tier-1's testpaths.
+
+Runtime: about 55 s on a 2-core x86 VM under Python 3.11, most of it in
+building every quotient; (8,1,1,1,1), with 513 matrices in 19 orbits, is
+the slowest diagram at about 3 s.
+
+Run from the repository root:  python3 -m pytest checks/test_orbits_wide.py
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import oracles  # noqa: E402
+from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
+from galerig.cohomology import iso_keys, quotient_presentation  # noqa: E402
+from galerig.gale import GaleDiagram, face_structure  # noqa: E402
+
+DIAGRAMS = oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 12)
+
+
+def test_range():
+    assert len(DIAGRAMS) == 172
+
+
+@pytest.mark.parametrize("weights", DIAGRAMS, ids=lambda w: ",".join(map(str, w)))
+def test_orbit_keys_agree_with_per_matrix_keys(weights):
+    fs = face_structure(GaleDiagram(weights))
+    blocks = enumerate_charmats(fs)
+    representatives = orbits(fs, blocks)
+    sizes = Counter(representatives)
+    assert sum(sizes.values()) == len(blocks)
+
+    parts: dict[int, set[int]] = {}
+    for i, r in enumerate(representatives):
+        parts.setdefault(r, set()).add(i)
+    assert all(r == min(part) for r, part in parts.items())
+    index = {forms: i for i, forms in enumerate(blocks)}
+    for i, forms in enumerate(blocks):
+        for image in oracles.same_label_images(fs, forms):
+            assert representatives[index[image]] == representatives[i]
+    assert set(map(frozenset, parts.values())) == oracles.facet_symmetry_orbits(fs, blocks)
+
+    quotients = [quotient_presentation(fs, b) for b in blocks]
+    keys = iso_keys(quotients)
+    assert all(keys[i] == keys[r] for i, r in enumerate(representatives))
+    weighted = Counter()
+    for key, size in zip(iso_keys([quotients[r] for r in sizes]), sizes.values()):
+        weighted[key] += size
+    assert weighted == Counter(keys)

@@ -110,3 +110,55 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
 
     assign(0)
     return sorted(found, key=_column_key)
+
+
+def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
+    """Orbit representative of each matrix under the permutations of facets
+    that carry the same polygon label: entry i is the index in blocks of the
+    first member, in list order, of the orbit of blocks[i].
+
+    Such a permutation pi fixes every minimal non-face (the facets labelled
+    in an arc) and maps vertices to vertices, so the forms of lambda o pi
+    have the ideal of lambda, and renormalising them so that facets n+1..n+3
+    carry x, y, z is a degree-one substitution: every member of an orbit
+    has the same quotient up to isomorphism.
+
+    A union-find over blocks links each matrix to its image under the
+    adjacent transpositions of each label class, which generate the class's
+    symmetric group.  An image missing from blocks links nothing, so each
+    part lies inside one orbit whatever the list; on the enumeration, which
+    the group maps onto itself, the parts are the orbits.  The trailing
+    facets are off a vertex, so their labels differ and a transposition
+    moves at most one of them: swapping trailing facet n+1+j with a leading
+    facet of form f puts f in variable j's place, and the transvection
+    v -> v + v_j (f + e_j), its own inverse, renormalises every form.
+    """
+    n = fs.n
+    by_label: dict[int, list[int]] = {}
+    for facet, label in enumerate(fs.labeling.labels):
+        by_label.setdefault(label, []).append(facet)
+    swaps = [pair for facets in by_label.values() for pair in zip(facets, facets[1:])]
+    index = {forms: i for i, forms in enumerate(blocks)}
+    parent = list(range(len(blocks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, forms in enumerate(blocks):
+        for a, b in swaps:  # a < b, and only b can be a trailing facet
+            if b < n:
+                moved = list(forms)
+                moved[a], moved[b] = forms[b], forms[a]
+            else:
+                e, f = VARIABLES[b - n], forms[a]
+                shift = e ^ f
+                moved = [v ^ shift if v & e else v for v in forms]
+                moved[a] = f
+            j = index.get(tuple(moved))
+            if j is not None:
+                ri, rj = root(i), root(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    return [root(i) for i in range(len(blocks))]

@@ -3,7 +3,11 @@ report with optional caching and fixture verification.
 
 Every command that needs characteristic matrices gets them from _matrices,
 which always enumerates; report --cache only records each member's list
-there, so a cache file can never shrink or replace the enumeration.
+there, so a cache file can never shrink or replace the enumeration.  iso
+and report build, and key, one quotient per orbit of matrices under the
+permutations of same-label facets (charmat.orbits), whose members all have
+one key; every matrix takes its orbit's key, so each printed count stays
+exact.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -20,7 +24,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
-from .charmat import enumerate_charmats, row_strings
+from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
 from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_keys, pairwise_iso_matrix,
                          quotient_presentation)
@@ -31,11 +35,15 @@ from .petersen import tor_class
 
 # Largest facet count accepted by the commands that enumerate characteristic
 # matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
-# 2^(a+1)+1), and all but `charmats` and a singleton-class `report` build a
-# quotient for each.  On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at
-# m = 14 enumerates its 2049 matrices in 0.03 s and builds their quotients
-# in about 28 s; at m = 15 the quotients take about 76 s.
-# Larger diagrams are refused with exit 2.
+# 2^(a+1)+1).  `iso` and a multi-member `report` build one quotient per
+# facet-symmetry orbit; `cohomology` and `profile` build one per matrix.  On
+# a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates its
+# 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and builds
+# those 23 quotients in 0.2 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes
+# about 0.6 s; `cohomology`, which prints all 2049 quotients, takes about
+# 27 s.  No pentagon at m = 14 has more than 34 orbits.  At m = 15,
+# (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger diagrams are refused
+# with exit 2.
 MAX_FACETS = 14
 
 
@@ -136,6 +144,18 @@ def _selected_quotients(diagram, index: int | None):
     return blocks, [quotient_presentation(fs, b) for b in blocks]
 
 
+def _orbit_quotients(fs, blocks):
+    """Each matrix's orbit (charmat.orbits) as a number, orbits numbered in
+    list order, and the quotient of each orbit's representative, keyed by
+    its matrix, in orbit order: the one quotient built per orbit."""
+    representatives = orbits(fs, blocks)
+    position: dict[int, int] = {}
+    for r in representatives:
+        position.setdefault(r, len(position))
+    return ([position[r] for r in representatives],
+            {blocks[r]: quotient_presentation(fs, blocks[r]) for r in position})
+
+
 def cmd_cohomology(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     blocks, quotients = _selected_quotients(diagram, args.matrix)
@@ -173,15 +193,20 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    q1 = _selected_quotients(d1, None)[1]
+    orbit_1, built_1 = _orbit_quotients(*_matrices(d1))
     # a diagram compared with itself is built, and keyed, once
-    q2 = q1 if d2.weights == d1.weights else _selected_quotients(d2, None)[1]
-    matrix = pairwise_iso_matrix(q1, q2)
+    orbit_2, built_2 = ((orbit_1, built_1) if d2.weights == d1.weights
+                        else _orbit_quotients(*_matrices(d2)))
+    q1 = list(built_1.values())
+    q2 = q1 if built_2 is built_1 else list(built_2.values())
+    # every matrix takes the verdicts of its orbit's representative
+    rows = [[int(hits[col]) for col in orbit_2] for hits in pairwise_iso_matrix(q1, q2)]
+    matrix = [rows[row] for row in orbit_1]
     found = sum(sum(row) for row in matrix)
-    text = [f"{found} graded isomorphisms over {len(q1)}x{len(q2)} pairs"]
-    text += ["".join("X" if hit else "." for hit in row) for row in matrix]
-    _emit({"found": found, "pairs": len(q1) * len(q2),
-           "matrix": [[int(v) for v in row] for row in matrix]},
+    text = [f"{found} graded isomorphisms over {len(orbit_1)}x{len(orbit_2)} pairs"]
+    lines = ["".join("X" if hit else "." for hit in row) for row in rows]
+    text += [lines[row] for row in orbit_1]
+    _emit({"found": found, "pairs": len(orbit_1) * len(orbit_2), "matrix": matrix},
           args.json, "\n".join(text))
     return 0
 
@@ -223,14 +248,18 @@ def cmd_report(args) -> int:
 
     # A singleton class is B-rigid by its matrix count alone, so quotients are
     # built, and keyed, only when there is a pair to compare: per member, the
-    # quotient of each matrix and how many of them have each key.
+    # quotient of each orbit's representative and how many matrices have each
+    # key, every key counted with its orbit's size.
     quotients = {}
     keys = []
     if len(members) > 1:
         for w in members:
-            fs, blocks = matrices[w]
-            quotients[w] = {b: quotient_presentation(fs, b) for b in blocks}
-            keys.append(Counter(iso_keys(quotients[w].values())))
+            orbit, quotients[w] = _orbit_quotients(*matrices[w])
+            sizes = Counter(orbit)
+            keyed = Counter()
+            for position, key in enumerate(iso_keys(quotients[w].values())):
+                keyed[key] += sizes[position]
+            keys.append(keyed)
 
     pairs = []
     total_found = 0
@@ -241,7 +270,7 @@ def cmd_report(args) -> int:
             pairs.append({
                 "left": list(members[i]),
                 "right": list(members[j]),
-                "checked": len(quotients[members[i]]) * len(quotients[members[j]]),
+                "checked": member_info[i]["charmat_count"] * member_info[j]["charmat_count"],
                 "isomorphisms_found": found,
             })
 

@@ -28,6 +28,11 @@ orbit and the key is the least phi o g over all 168 substitutions, the
 same value as a scan over gl3(), found once per key class of the list
 rather than once per quotient.  pairwise_iso_matrix compares keys, and
 find_graded_iso certifies the witness it finds against the full ideals.
+Nor need every matrix be built: permuting facets that carry one Gale
+label fixes every minimal non-face, so the matrices of one orbit under
+those permutations (galerig.charmat.orbits) have one ideal up to a
+degree-one substitution, hence one key, and the iso and report commands
+build and key one quotient per orbit.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.

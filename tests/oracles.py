@@ -5,7 +5,9 @@ code: exact rational plane geometry for the origin-in-hull test, exhaustive
 subset scans for minimal non-faces and f/h-vectors, a vectorized full scan
 over every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
-package works with the per-facet forms of the Gale dual), monomial-wise
+package works with the per-facet forms of the Gale dual), their orbits
+under same-label facet permutations closed breadth-first under every
+transposition (the package runs a union-find over adjacent ones), monomial-wise
 linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
 per quotient), the isomorphism key by a scan of all 168 substitutions (the
@@ -245,6 +247,53 @@ def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
                     & ((a ^ b) != c))
         ok &= cond
     return sorted((int(i) + 1, int(j) + 1, int(l) + 1) for i, j, l in np.argwhere(ok))
+
+
+def same_label_images(fs, forms) -> list[tuple[int, ...]]:
+    """The matrix forms (leading facets, package encoding) moved by every
+    transposition of two facets with one polygon label, each renormalised
+    so that facets n+1..n+3 carry x, y, z again: every form is rewritten in
+    the coordinates of the moved trailing forms, found by trying all eight
+    coefficient vectors."""
+    n, labels = fs.n, fs.labeling.labels
+    images = []
+    for a, b in combinations(range(fs.m), 2):
+        if labels[a] != labels[b]:
+            continue
+        full = list(forms) + [1, 2, 4]
+        full[a], full[b] = full[b], full[a]
+        basis = full[n:]
+        span = {}
+        for c in range(8):
+            v = 0
+            for j in range(3):
+                if (c >> j) & 1:
+                    v ^= basis[j]
+            span[v] = c
+        images.append(tuple(span[v] for v in full[:n]))
+    return images
+
+
+def facet_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
+    """Orbits, as sets of list indices, of the matrices under the group of
+    same-label facet permutations: each closed breadth-first under every
+    transposition (same_label_images)."""
+    index = {forms: i for i, forms in enumerate(forms_list)}
+    seen: set[int] = set()
+    out = set()
+    for start in range(len(forms_list)):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            for image in same_label_images(fs, forms_list[frontier.pop()]):
+                j = index[image]
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(j)
+        seen |= orbit
+        out.add(frozenset(orbit))
+    return out
 
 
 # ---------------------------------------------------------------------------

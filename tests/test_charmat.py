@@ -1,5 +1,6 @@
 """Characteristic-matrix validity and enumeration."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,7 @@ from galerig.charmat import (
     enumerate_charmats,
     forms_from_rows,
     is_characteristic,
+    orbits,
     row_strings,
 )
 from galerig.gale import GaleDiagram, canonical_weights, face_structure
@@ -142,6 +144,62 @@ def test_closure_under_label_preserving_automorphisms():
                 out[dst] = forms[src]
             return tuple(out)
         assert {moved(f) for f in forms_set} == forms_set
+
+
+def _parts(representatives) -> set[frozenset[int]]:
+    parts: dict[int, set[int]] = {}
+    for i, r in enumerate(representatives):
+        parts.setdefault(r, set()).add(i)
+    return {frozenset(p) for p in parts.values()}
+
+
+def test_orbits_match_the_transposition_closure_up_to_total_10():
+    """On every canonical pentagon and heptagon of total <= 10, the orbits
+    are those closed under every same-label transposition: their sizes sum
+    to the matrix count, every transposition maps each orbit into itself,
+    and each representative is its orbit's first member in column order."""
+    diagrams = _canonical_diagrams(10)
+    assert len(diagrams) == 50
+    for w in diagrams:
+        fs = face_structure(GaleDiagram(w))
+        blocks = enumerate_charmats(fs)
+        representatives = orbits(fs, blocks)
+        sizes = Counter(representatives)
+        assert sum(sizes.values()) == len(blocks), w
+        index = {forms: i for i, forms in enumerate(blocks)}
+        for i, forms in enumerate(blocks):
+            for image in oracles.same_label_images(fs, forms):
+                assert representatives[index[image]] == representatives[i], (w, i)
+        parts = _parts(representatives)
+        assert all(representatives[i] == min(p) for p in parts for i in p), w
+        assert parts == oracles.facet_symmetry_orbits(fs, blocks), w
+
+
+@pytest.mark.parametrize("weights, count, orbit_count", [
+    ((3, 1, 2, 1, 1), 21, 11), ((2, 2, 2, 1, 1), 21, 13), ((2, 2, 2, 2, 1), 27, 16),
+    ((3, 1, 2, 2, 1), 27, 14), ((3, 2, 1, 1, 2), 37, 15), ((4, 1, 2, 1, 1), 37, 13),
+    ((4, 1, 1, 1, 1), 33, 11), ((10, 1, 1, 1, 1), 2049, 23),
+])
+def test_orbit_counts(weights, count, orbit_count):
+    fs = face_structure(GaleDiagram(weights))
+    blocks = enumerate_charmats(fs)
+    assert len(blocks) == count
+    assert len(set(orbits(fs, blocks))) == orbit_count
+
+
+def test_orbits_of_a_partial_list_stay_inside_true_orbits():
+    """A list the group does not map onto itself, cut or reordered, is still
+    split into parts that each lie inside one orbit, each represented by its
+    first member in list order."""
+    blocks = enumerate_charmats(FS_Q)
+    true_orbits = oracles.facet_symmetry_orbits(FS_Q, blocks)
+    for listed in (blocks[::-1], blocks[:9], blocks[::2]):
+        representatives = orbits(FS_Q, listed)
+        for part in _parts(representatives):
+            assert representatives[min(part)] == min(part)
+            members = {blocks.index(listed[i]) for i in part}
+            assert any(members <= orbit for orbit in true_orbits)
+    assert len(set(orbits(FS_Q, blocks[::-1]))) == 13
 
 
 def test_matrix_json_round_trip():

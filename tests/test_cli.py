@@ -140,8 +140,9 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
-    """21 + 21 quotients need 42 socle functionals, each checked, and one
-    orbit closure per key class of each member: 9 + 5."""
+    """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
+    need 24 socle functionals, each checked, and one orbit closure per key
+    class of each member: 9 + 5."""
     import galerig.cohomology
 
     calls = Counter()
@@ -157,13 +158,13 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     for name in ("socle_functional", "_orbit"):
         monkeypatch.setattr(galerig.cohomology, name, counted(name))
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"socle_functional": 42, "_orbit": 14}
+    assert calls == {"socle_functional": 24, "_orbit": 14}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
-    # a diagram compared with itself is keyed once
-    assert calls == {"socle_functional": 33, "_orbit": 2}
+    # a diagram compared with itself is keyed once, one quotient per orbit
+    assert calls == {"socle_functional": 11, "_orbit": 2}
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):
@@ -273,14 +274,16 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
-    """A report builds each member's face structure, matrix list and
-    quotients once and --verify reuses them all, a warm cache too, which it
-    leaves as it is; a singleton class is B-rigid by its matrix count and
-    needs no quotient; a diagram compared with itself is built once."""
+    """A report builds each member's face structure and matrix list once,
+    and one quotient per facet-symmetry orbit (11 + 13), a warm cache too,
+    which it leaves as it is; --verify reuses them and builds the other 18
+    published blocks.  A singleton class is B-rigid by its matrix count and
+    needs no quotient and no orbit pass; a diagram compared with itself is
+    built once, 11 orbits of 33 matrices."""
     import galerig.cli
     import galerig.verify
 
-    names = ("face_structure", "enumerate_charmats", "quotient_presentation")
+    names = ("face_structure", "enumerate_charmats", "quotient_presentation", "orbits")
     calls = Counter()
 
     def counted(name):
@@ -293,15 +296,16 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
 
     for name in names:
         wrapper = counted(name)
-        for module in (galerig.cli, galerig.verify):
+        # verify builds quotients but never groups matrices into orbits
+        for module in (galerig.cli,) if name == "orbits" else (galerig.cli, galerig.verify):
             monkeypatch.setattr(module, name, wrapper)
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
     written = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
-    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42)),
-                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 42)),
-                           (["report", "7,1,1,1,1"], (1, 1, 0)),
-                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 33))):
+    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42, 2)),
+                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 24, 2)),
+                           (["report", "7,1,1,1,1"], (1, 1, 0, 0)),
+                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 11, 1))):
         calls.clear()
         assert main(argv) == 0
         assert tuple(calls[name] for name in names) == expected, argv

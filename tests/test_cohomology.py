@@ -1,6 +1,7 @@
 """Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
 
 import dataclasses
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -30,7 +31,7 @@ from galerig.cohomology import (
 )
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import GradedSubspace, image, monomials, parse_poly
-from galerig.charmat import enumerate_charmats
+from galerig.charmat import enumerate_charmats, orbits
 from galerig.petersen import tor_class
 
 import oracles
@@ -238,8 +239,8 @@ def _all_quotients(weights):
 
 
 @pytest.fixture(scope="module")
-def key_range():
-    """(left, right) quotient lists: self-comparisons of every canonical
+def key_comparisons():
+    """(left, right) weight pairs: self-comparisons of every canonical
     pentagon of total <= 8 (10 diagrams) and heptagon of total <= 11 (34
     diagrams), and the cross pairs of every multi-member pentagon Tor class
     of total <= 9 (3 classes)."""
@@ -247,8 +248,19 @@ def key_range():
                    + oracles.canonical_diagrams(7, 11)]
     for members in {tuple(sorted(tor_class(w))) for w in oracles.canonical_diagrams(5, 9)}:
         comparisons += combinations(members, 2)
-    quotients = {w: _all_quotients(w) for w in set(chain(*comparisons))}
-    return [(quotients[a], quotients[b]) for a, b in comparisons]
+    return comparisons
+
+
+@pytest.fixture(scope="module")
+def key_quotients(key_comparisons):
+    """Every quotient, in enumeration order, of each diagram compared."""
+    return {w: _all_quotients(w) for w in set(chain(*key_comparisons))}
+
+
+@pytest.fixture(scope="module")
+def key_range(key_comparisons, key_quotients):
+    """(left, right) quotient lists of key_comparisons."""
+    return [(key_quotients[a], key_quotients[b]) for a, b in key_comparisons]
 
 
 def test_iso_keys_agree_with_substitution_search(key_range):
@@ -264,6 +276,22 @@ def test_iso_keys_agree_with_substitution_search(key_range):
 def test_iso_keys_equal_the_168_substitution_scan(key_range):
     for quotients in {id(side): side for pair in key_range for side in pair}.values():
         assert iso_keys(quotients) == [oracles.scan_iso_key(q) for q in quotients]
+
+
+def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
+    """Keying one quotient per facet-symmetry orbit, each key counted with
+    its orbit's size, gives the per-matrix key counts on every key_range
+    list, and every orbit lies in one key class."""
+    for w, quotients in key_quotients.items():
+        fs = face_structure(GaleDiagram(w))
+        representatives = orbits(fs, enumerate_charmats(fs))
+        keys = iso_keys(quotients)
+        assert all(keys[i] == keys[r] for i, r in enumerate(representatives)), w
+        sizes = Counter(representatives)
+        weighted = Counter()
+        for key, size in zip(iso_keys([quotients[r] for r in sizes]), sizes.values()):
+            weighted[key] += size
+        assert weighted == Counter(keys), w
 
 
 def test_two_generators_close_to_gl3():
