@@ -31,7 +31,6 @@ from .cohomology import (
     invariant_profile,
     iso_keys,
     order,
-    pairwise_iso_matrix,
     quotient_presentation,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "invariant_profile",
     "iso_keys",
     "order",
-    "pairwise_iso_matrix",
     "quotient_presentation",
 ]
 

@@ -2,12 +2,13 @@
 report with optional caching and fixture verification.
 
 Every command that needs characteristic matrices gets them from _matrices,
-which always enumerates; report --cache only records each member's list
-there, so a cache file can never shrink or replace the enumeration.  iso
-and report build, and key, one quotient per orbit of matrices under the
-permutations of same-label facets (charmat.orbits), whose members all have
-one key; every matrix takes its orbit's key, so each printed count stays
-exact.
+which always enumerates; report --cache only writes each member's list
+there and never reads a file back, so a cache file can never shrink or
+replace the enumeration.  iso and report compare one isomorphism key per
+matrix (_matrix_keys): one quotient is built, and keyed, per orbit of
+matrices under the permutations of same-label facets (charmat.orbits),
+whose members all have one key, and every matrix takes its orbit's key, so
+each printed count stays exact.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -26,8 +27,7 @@ from . import verify as verify_mod
 from .betti import betti_table, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
-from .cohomology import (LINEAR_FORM_NAMES, invariant_profile, iso_keys, pairwise_iso_matrix,
-                         quotient_presentation)
+from .cohomology import LINEAR_FORM_NAMES, invariant_profile, iso_keys, quotient_presentation
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly
 from .petersen import tor_class
@@ -75,10 +75,9 @@ def _emit(data, as_json: bool, text: str):
 
 def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
     """Face structure and characteristic matrices of a diagram, always
-    enumerated.  With a cache directory, the list is also recorded as JSON
-    in <weights>.charmats.json; a file that does not hold exactly this
-    record (foreign weights, a cut, extended or reordered list, or bad
-    JSON) is rewritten after a warning, and a matching one is left as is."""
+    enumerated.  With a cache directory, the list is also written as JSON
+    to <weights>.charmats.json, replacing whatever the file held; the file
+    is never read."""
     fs = face_structure(diagram)
     blocks = enumerate_charmats(fs)
     if cache_dir is not None:
@@ -86,18 +85,6 @@ def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
         weights = list(diagram.weights)
         record = {"weights": weights, "blocks": [row_strings(b) for b in blocks]}
         path = cache_dir / f"{'-'.join(map(str, weights))}.charmats.json"
-        if path.exists():
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError) as err:
-                problem = str(err)
-            else:
-                if data == record:
-                    return fs, blocks
-                problem = ("cached weights do not match"
-                           if not isinstance(data, dict) or data.get("weights") != weights
-                           else "cached matrix list differs from the enumeration")
-            print(f"warning: ignoring cache {path}: {problem}", file=sys.stderr)
         path.write_text(json.dumps(record, indent=2, sort_keys=True))
     return fs, blocks
 
@@ -144,16 +131,15 @@ def _selected_quotients(diagram, index: int | None):
     return blocks, [quotient_presentation(fs, b) for b in blocks]
 
 
-def _orbit_quotients(fs, blocks):
-    """Each matrix's orbit (charmat.orbits) as a number, orbits numbered in
-    list order, and the quotient of each orbit's representative, keyed by
-    its matrix, in orbit order: the one quotient built per orbit."""
+def _matrix_keys(fs, blocks):
+    """The isomorphism key of each matrix, in list order, and the quotients
+    built for them by matrix.  One quotient is built, and keyed, per orbit
+    (charmat.orbits), for its representative, whose key every member takes."""
     representatives = orbits(fs, blocks)
-    position: dict[int, int] = {}
-    for r in representatives:
-        position.setdefault(r, len(position))
-    return ([position[r] for r in representatives],
-            {blocks[r]: quotient_presentation(fs, blocks[r]) for r in position})
+    built = {blocks[r]: quotient_presentation(fs, blocks[r])
+             for r in dict.fromkeys(representatives)}
+    key = dict(zip(built, iso_keys(built.values())))
+    return [key[blocks[r]] for r in representatives], built
 
 
 def cmd_cohomology(args) -> int:
@@ -193,20 +179,17 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    orbit_1, built_1 = _orbit_quotients(*_matrices(d1))
+    keys_1 = _matrix_keys(*_matrices(d1))[0]
     # a diagram compared with itself is built, and keyed, once
-    orbit_2, built_2 = ((orbit_1, built_1) if d2.weights == d1.weights
-                        else _orbit_quotients(*_matrices(d2)))
-    q1 = list(built_1.values())
-    q2 = q1 if built_2 is built_1 else list(built_2.values())
-    # every matrix takes the verdicts of its orbit's representative
-    rows = [[int(hits[col]) for col in orbit_2] for hits in pairwise_iso_matrix(q1, q2)]
-    matrix = [rows[row] for row in orbit_1]
+    keys_2 = keys_1 if d2.weights == d1.weights else _matrix_keys(*_matrices(d2))[0]
+    # a pair is isomorphic iff its keys are equal: one row per distinct key
+    rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
+    matrix = [rows[key] for key in keys_1]
     found = sum(sum(row) for row in matrix)
-    text = [f"{found} graded isomorphisms over {len(orbit_1)}x{len(orbit_2)} pairs"]
-    lines = ["".join("X" if hit else "." for hit in row) for row in rows]
-    text += [lines[row] for row in orbit_1]
-    _emit({"found": found, "pairs": len(orbit_1) * len(orbit_2), "matrix": matrix},
+    text = [f"{found} graded isomorphisms over {len(keys_1)}x{len(keys_2)} pairs"]
+    lines = {key: "".join("X" if hit else "." for hit in row) for key, row in rows.items()}
+    text += [lines[key] for key in keys_1]
+    _emit({"found": found, "pairs": len(keys_1) * len(keys_2), "matrix": matrix},
           args.json, "\n".join(text))
     return 0
 
@@ -248,18 +231,13 @@ def cmd_report(args) -> int:
 
     # A singleton class is B-rigid by its matrix count alone, so quotients are
     # built, and keyed, only when there is a pair to compare: per member, the
-    # quotient of each orbit's representative and how many matrices have each
-    # key, every key counted with its orbit's size.
+    # quotients built and how many matrices have each key.
     quotients = {}
     keys = []
     if len(members) > 1:
         for w in members:
-            orbit, quotients[w] = _orbit_quotients(*matrices[w])
-            sizes = Counter(orbit)
-            keyed = Counter()
-            for position, key in enumerate(iso_keys(quotients[w].values())):
-                keyed[key] += sizes[position]
-            keys.append(keyed)
+            member_keys, quotients[w] = _matrix_keys(*matrices[w])
+            keys.append(Counter(member_keys))
 
     pairs = []
     total_found = 0

@@ -26,13 +26,13 @@ x -> x+y, y -> y+z, z -> z+x, their commutators are the other three, and
 the six elementary transvections generate the group.  So the closure is the whole
 orbit and the key is the least phi o g over all 168 substitutions, the
 same value as a scan over gl3(), found once per key class of the list
-rather than once per quotient.  pairwise_iso_matrix compares keys, and
-find_graded_iso certifies the witness it finds against the full ideals.
+rather than once per quotient.  Two quotients are compared by their keys,
+and find_graded_iso certifies the witness it finds against the full ideals.
 Nor need every matrix be built: permuting facets that carry one Gale
 label fixes every minimal non-face, so the matrices of one orbit under
 those permutations (galerig.charmat.orbits) have one ideal up to a
 degree-one substitution, hence one key, and the iso and report commands
-build and key one quotient per orbit.
+build and key one quotient per orbit, whose key every member takes.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.
@@ -422,13 +422,3 @@ def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
                            "but does not map one ideal onto the other")
     return rows
 
-
-def pairwise_iso_matrix(quotients_a: Sequence[GradedQuotient],
-                        quotients_b: Sequence[GradedQuotient]) -> list[list[bool]]:
-    """Boolean matrix of graded-isomorphism verdicts for all pairs, rows
-    following quotients_a and columns quotients_b: one iso_keys call per
-    side, a list passed as both sides keyed once, and a pair is isomorphic
-    iff its keys are equal."""
-    keys_a = iso_keys(quotients_a)
-    keys_b = keys_a if quotients_b is quotients_a else iso_keys(quotients_b)
-    return [[key == other for other in keys_b] for key in keys_a]

@@ -117,8 +117,8 @@ def run_verification(iso_found: int, matrices: dict, quotients: dict) -> dict:
     for each orbit representative among them; a published block is looked
     up there and built only if it is not a representative (11 + 13 of the
     42 flagship quotients come from the report, 18 are built here).
-    iso_found is the number of cross pairs with equal isomorphism keys that
-    the report counted among them, every orbit weighted by its size.
+    iso_found is the number of cross pairs of matrices with equal
+    isomorphism keys that the report counted among them.
 
     The record holds "matrices", the diff of each family's list ("A", "B");
     "ideal_rows", one entry per published ideal row; "profile_discrepancies",

@@ -227,9 +227,18 @@ def test_report_verify_diffs_the_reports_matrices(monkeypatch, capsys):
     assert v["iso_pairs"] == 63 == report["pairs"][0]["checked"]
 
 
+def _cache_record(weights, capsys):
+    """The record --cache writes for a diagram: charmats --json's weights
+    and blocks."""
+    assert main(["charmats", weights, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    return {"weights": data["weights"], "blocks": data["blocks"]}
+
+
 def test_report_cache_cut_list_rejected(tmp_path, capsys):
-    """A cached matrix list is accepted only if it is the enumeration, so a
-    list cut short is ignored with a warning and recomputed."""
+    """A cache file is never read, so a matrix list cut short changes
+    nothing: the report is the uncached one, nothing is printed on stderr,
+    and the file is overwritten with the enumeration."""
     code, clean, err = run_cli("report", "3,1,2,1,1")
     assert code == 0 and err == ""
     cache = tmp_path / "cache"
@@ -240,24 +249,26 @@ def test_report_cache_cut_list_rejected(tmp_path, capsys):
     data["blocks"] = data["blocks"][:3]
     path.write_text(json.dumps(data))
     code, out, err = run_cli("report", "3,1,2,1,1", "--cache", str(cache))
-    assert code == 0
-    assert "warning: ignoring cache" in err and "differs from the enumeration" in err
+    assert code == 0 and err == ""
     assert out == clean
+    assert json.loads(path.read_text()) == _cache_record("3,1,2,1,1", capsys)
 
 
 def test_report_cache_corruption_recovers(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["report", "1,1,1,1,1", "--cache", str(cache), "--json"]) == 0
     good = capsys.readouterr().out
-    (cache / "1-1-1-1-1.charmats.json").write_text("{ not json")
+    path = cache / "1-1-1-1-1.charmats.json"
+    path.write_text("{ not json")
     code, out, err = run_cli("report", "1,1,1,1,1", "--cache", str(cache), "--json")
-    assert code == 0
-    assert "warning: ignoring cache" in err
+    assert code == 0 and err == ""
     assert out == good
+    assert json.loads(path.read_text()) == _cache_record("1,1,1,1,1", capsys)
 
 
 def test_report_cache_swap_rejected(tmp_path, capsys):
-    """A matrix file of another class member must not be trusted."""
+    """A matrix file of another class member is never read, and is
+    overwritten with the report's own list."""
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     good = capsys.readouterr().out
@@ -268,18 +279,18 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
     own.write_text((cache / "2-2-2-1-1.charmats.json").read_text())
     assert main(["report", "3,1,2,1,1", "--cache", str(cache), "--json"]) == 0
     captured = capsys.readouterr()
-    assert "warning: ignoring cache" in captured.err
-    assert "weights" in captured.err
+    assert captured.err == ""
     assert captured.out == good
+    assert json.loads(own.read_text()) == _cache_record("3,1,2,1,1", capsys)
 
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     """A report builds each member's face structure and matrix list once,
     and one quotient per facet-symmetry orbit (11 + 13), a warm cache too,
-    which it leaves as it is; --verify reuses them and builds the other 18
-    published blocks.  A singleton class is B-rigid by its matrix count and
-    needs no quotient and no orbit pass; a diagram compared with itself is
-    built once, 11 orbits of 33 matrices."""
+    whose files it rewrites with the same bytes; --verify reuses them and
+    builds the other 18 published blocks.  A singleton class is B-rigid by
+    its matrix count and needs no quotient and no orbit pass; a diagram
+    compared with itself is built once, 11 orbits of 33 matrices."""
     import galerig.cli
     import galerig.verify
 
@@ -301,7 +312,7 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
             monkeypatch.setattr(module, name, wrapper)
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
-    written = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()}
+    written = {p: p.read_bytes() for p in cache.iterdir()}
     for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42, 2)),
                            (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 24, 2)),
                            (["report", "7,1,1,1,1"], (1, 1, 0, 0)),
@@ -309,7 +320,7 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
         calls.clear()
         assert main(argv) == 0
         assert tuple(calls[name] for name in names) == expected, argv
-    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in cache.iterdir()} == written
+    assert {p: p.read_bytes() for p in cache.iterdir()} == written
 
 
 def test_report_verify_reads_class_and_ideal_rows_once(monkeypatch):

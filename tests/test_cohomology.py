@@ -1,7 +1,6 @@
 """Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
 
 import dataclasses
-from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -22,13 +21,13 @@ from galerig.cohomology import (
     iso_keys,
     order,
     order_via_quotient_maps,
-    pairwise_iso_matrix,
     quotient_presentation,
     socle_functional,
     substitution_maps_ideal,
     _GENERATORS,
     _subst_matrix,
 )
+from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import GradedSubspace, image, monomials, parse_poly
 from galerig.charmat import enumerate_charmats, orbits
@@ -201,14 +200,16 @@ def test_iso_hilbert_gate():
 
 
 def test_pairwise_matrix_examples():
-    diag = pairwise_iso_matrix([QA1], [QA1])
-    assert diag == [[True]]
-    assert pairwise_iso_matrix([_quotient("A2")], [_quotient("A5")]) == [[True]]
+    assert iso_keys([QA1]) == iso_keys([QA1])
+    assert iso_keys([_quotient("A2")]) == iso_keys([_quotient("A5")])
 
 
 def test_pairwise_matrix_self_diagonal():
     qas = [_quotient(f"A{i}") for i in range(1, 22)]
-    matrix = pairwise_iso_matrix(qas, qas)
+    keys = iso_keys(qas)
+    # a key does not depend on the list it is computed in
+    assert keys == [iso_keys([q])[0] for q in qas] == iso_keys(qas[::-1])[::-1]
+    matrix = [[a == b for b in keys] for a in keys]
     assert all(matrix[i][i] for i in range(21))
     # symmetric relation: an iso one way has an inverse the other way
     assert all(matrix[i][j] == matrix[j][i] for i in range(21) for j in range(21))
@@ -268,7 +269,8 @@ def test_iso_keys_agree_with_substitution_search(key_range):
     for left, right in key_range:
         expected = [[w is not None for w in row]
                     for row in oracles.search_iso_witnesses(left, right)]
-        assert pairwise_iso_matrix(left, right) == expected
+        keys_left, keys_right = iso_keys(left), iso_keys(right)
+        assert [[a == b for b in keys_right] for a in keys_left] == expected
         pairs += len(left) * len(right)
     assert pairs == 3850 + 136 + 2539
 
@@ -279,19 +281,19 @@ def test_iso_keys_equal_the_168_substitution_scan(key_range):
 
 
 def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
-    """Keying one quotient per facet-symmetry orbit, each key counted with
-    its orbit's size, gives the per-matrix key counts on every key_range
-    list, and every orbit lies in one key class."""
+    """The keys iso and report compare, one quotient built and keyed per
+    facet-symmetry orbit (cli._matrix_keys), are the keys of every matrix's
+    own quotient on every key_range list, so every orbit lies in one key
+    class and each key is counted with its orbit's size."""
     for w, quotients in key_quotients.items():
         fs = face_structure(GaleDiagram(w))
-        representatives = orbits(fs, enumerate_charmats(fs))
+        blocks = enumerate_charmats(fs)
+        representatives = orbits(fs, blocks)
         keys = iso_keys(quotients)
         assert all(keys[i] == keys[r] for i, r in enumerate(representatives)), w
-        sizes = Counter(representatives)
-        weighted = Counter()
-        for key, size in zip(iso_keys([quotients[r] for r in sizes]), sizes.values()):
-            weighted[key] += size
-        assert weighted == Counter(keys), w
+        matrix_keys, built = _matrix_keys(fs, blocks)
+        assert matrix_keys == keys, w
+        assert built == {blocks[r]: quotients[r] for r in sorted(set(representatives))}, w
 
 
 def test_two_generators_close_to_gl3():
