@@ -5,12 +5,10 @@ testing of the resulting GF(2) cohomology quotients."""
 
 from .gale import (
     GaleDiagram,
-    FacetLabeling,
     FaceStructure,
     canonical_weights,
     face_structure,
-    facet_labeling,
-    minimal_nonfaces,
+    facet_labels,
     origin_in_hull,
 )
 from .betti import (
@@ -36,12 +34,10 @@ from .cohomology import (
 
 __all__ = [
     "GaleDiagram",
-    "FacetLabeling",
     "FaceStructure",
     "canonical_weights",
     "face_structure",
-    "facet_labeling",
-    "minimal_nonfaces",
+    "facet_labels",
     "origin_in_hull",
     "BettiTable",
     "beta_first_row",

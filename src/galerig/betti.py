@@ -28,8 +28,6 @@ def window_sums(weights: Sequence[int]) -> tuple[int, ...]:
 class BettiTable:
     """Sparse table of bigraded Betti numbers beta^{-i,2j}, keyed (i, 2j)."""
 
-    m: int
-    n: int
     entries: dict = field(default_factory=dict)
 
     def get(self, i: int, twoj: int) -> int:
@@ -57,7 +55,7 @@ def betti_table(diagram: GaleDiagram) -> BettiTable:
         entries[(1, 2 * j)] = b
     for j, b in first.items():
         entries[(2, 2 * (m - j))] = b
-    return BettiTable(m=m, n=n, entries=entries)
+    return BettiTable(entries)
 
 
 def supports_quasitoric(k: int) -> bool:

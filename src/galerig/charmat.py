@@ -1,12 +1,14 @@
 """Mod-2 characteristic matrices over a face structure, on the Gale dual.
 
-A characteristic matrix is [I_n | B] with n x 3 block B; its kernel is
+Facets are the 0-based positions of galerig.gale.facet_labels.  A
+characteristic matrix is [I_n | B] with n x 3 block B; its kernel is
 spanned by the rows of [B; I_3], so the matrix is the same thing as one
 nonzero linear form in x, y, z per facet: row i of B for a leading facet
-i <= n, and x, y, z for facets n+1, n+2, n+3.  A matrix is held as the
-n-tuple of leading forms, entry i-1 being facet i's form with bit j standing
+i < n, and x, y, z for facets n, n+1, n+2.  A matrix is held as the
+n-tuple of leading forms, entry i being facet i's form with bit j standing
 for variable j of (x, y, z).  It is characteristic iff, for every vertex,
-the forms of the three facets off that vertex form a basis of GF(2)^3.
+the forms of the three facets off that vertex form a basis of GF(2)^3;
+FaceStructure.vertex_complements lists those triples.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 from .gale import FaceStructure
 from .gf2 import rank
 
-VARIABLES = (0b001, 0b010, 0b100)  # forms of facets n+1, n+2, n+3
+VARIABLES = (0b001, 0b010, 0b100)  # forms of facets n, n+1, n+2
 
 # _COMPLETIONS[a][b] has bit c set iff the forms a, b, c are a basis.
 _COMPLETIONS = tuple(
@@ -37,30 +39,24 @@ def forms_from_rows(rows: Sequence[str]) -> tuple[int, ...]:
     return tuple(sum(int(ch) << j for j, ch in enumerate(r)) for r in rows)
 
 
-def _complement_triples(fs: FaceStructure) -> list[tuple[int, ...]]:
-    """Facets off each vertex, as sorted 0-based index triples."""
-    everything = frozenset(range(1, fs.m + 1))
-    return [tuple(sorted(i - 1 for i in everything - face)) for face in fs.maximal_faces]
-
-
 def _column_key(forms: Sequence[int]) -> tuple[int, ...]:
-    """The block's columns as ints with row i at bit i-1: the order in which
-    the reference lists and every report print matrices."""
+    """The block's columns as ints with facet i's row at bit i: the order
+    in which the reference lists and every report print matrices."""
     return tuple(sum(((f >> j) & 1) << i for i, f in enumerate(forms)) for j in range(3))
 
 
 def is_characteristic(forms: Sequence[int], fs: FaceStructure) -> bool:
     """Whether the forms off every vertex of the polytope are a basis."""
-    if fs.m - fs.n != 3 or len(forms) != fs.n:
+    if len(forms) != fs.n:
         raise ValueError("matrix shape does not match the face structure")
     if any(not isinstance(f, int) or not 1 <= f <= 7 for f in forms):
         raise ValueError("forms must be nonzero vectors in GF(2)^3")
     full = tuple(forms) + VARIABLES
     return all((_COMPLETIONS[full[a]][full[b]] >> full[c]) & 1
-               for a, b, c in _complement_triples(fs))
+               for a, b, c in fs.vertex_complements)
 
 
-def _search_plan(n: int, triples: list[tuple[int, ...]]):
+def _search_plan(fs: FaceStructure):
     """Order of the leading facets for the backtrack, each with the pairs
     that complete a triple at that facet.
 
@@ -68,6 +64,7 @@ def _search_plan(n: int, triples: list[tuple[int, ...]]):
     facets already placed (ties to the lowest index), so that every facet
     meets its constraints as soon as possible.
     """
+    n, triples = fs.n, fs.vertex_complements
     placed = set(range(n, n + 3))
     plan = []
     while len(placed) < n + 3:
@@ -89,9 +86,9 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
     Output is in column order (see _column_key).
     """
     n = fs.n
-    if frozenset(range(1, n + 1)) not in set(fs.maximal_faces):
+    if (n, n + 1, n + 2) not in fs.vertex_complements:
         raise ValueError("facet order is not normalized: leading facets must form a vertex")
-    plan = _search_plan(n, _complement_triples(fs))
+    plan = _search_plan(fs)
     forms = [0] * n + list(VARIABLES)
     found: list[tuple[int, ...]] = []
 
@@ -119,7 +116,7 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
 
     Such a permutation pi fixes every minimal non-face (the facets labelled
     in an arc) and maps vertices to vertices, so the forms of lambda o pi
-    have the ideal of lambda, and renormalising them so that facets n+1..n+3
+    have the ideal of lambda, and renormalising them so that facets n..n+2
     carry x, y, z is a degree-one substitution: every member of an orbit
     has the same quotient up to isomorphism.
 
@@ -129,13 +126,13 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
     part lies inside one orbit whatever the list; on the enumeration, which
     the group maps onto itself, the parts are the orbits.  The trailing
     facets are off a vertex, so their labels differ and a transposition
-    moves at most one of them: swapping trailing facet n+1+j with a leading
+    moves at most one of them: swapping trailing facet n+j with a leading
     facet of form f puts f in variable j's place, and the transvection
     v -> v + v_j (f + e_j), its own inverse, renormalises every form.
     """
     n = fs.n
     by_label: dict[int, list[int]] = {}
-    for facet, label in enumerate(fs.labeling.labels):
+    for facet, label in enumerate(fs.labels):
         by_label.setdefault(label, []).append(facet)
     swaps = [pair for facets in by_label.values() for pair in zip(facets, facets[1:])]
     index = {forms: i for i, forms in enumerate(blocks)}

@@ -179,9 +179,9 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    keys_1 = _matrix_keys(*_matrices(d1))[0]
-    # a diagram compared with itself is built, and keyed, once
-    keys_2 = keys_1 if d2.weights == d1.weights else _matrix_keys(*_matrices(d2))[0]
+    keys = {w: _matrix_keys(*_matrices(GaleDiagram(w)))[0]
+            for w in dict.fromkeys((d1.weights, d2.weights))}
+    keys_1, keys_2 = keys[d1.weights], keys[d2.weights]
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
     matrix = [rows[key] for key in keys_1]

@@ -2,8 +2,10 @@
 n+3 facets, and graded-isomorphism testing between them.
 
 Given a characteristic matrix as one linear form in x, y, z per facet (see
-galerig.charmat), the quotient is GF(2)[x,y,z] modulo the ideal generated by
-the products of the forms over each minimal non-face.  The quotient vanishes
+galerig.charmat), the matrix's forms on facets 0..n-1 and x, y, z on facets
+n, n+1, n+2, the quotient is GF(2)[x,y,z] modulo the ideal generated by the
+products of the forms over each minimal non-face, one generator per entry
+of FaceStructure.minimal_nonfaces in its order.  The quotient vanishes
 above degree n, so ideals are stored degreewise up to degree n+1, where the
 component must be the full monomial space.  Polynomials are (degree, vec)
 pairs and linear forms are the ints 1..7 of galerig.gf2 and galerig.charmat;
@@ -107,15 +109,13 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     characteristic matrix over the face structure.
 
     Args:
-        fs: face structure with m - n = 3 and normalized facet order.
-        forms: the matrix as the linear forms of facets 1..n.
+        fs: face structure in normalized facet order.
+        forms: the matrix as the linear forms of facets 0..n-1.
 
     Each generator is the product of the facet forms over a minimal
-    non-face, the last three facets carrying x, y, z; ideal components are
+    non-face, facets n, n+1, n+2 carrying x, y, z; ideal components are
     saturated degree by degree.
     """
-    if fs.m - fs.n != 3:
-        raise ValueError("quotient presentation requires m - n = 3")
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
 
@@ -124,8 +124,8 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     generators = []
     for nonface in fs.minimal_nonfaces:
         prod = 1
-        for degree, i in enumerate(sorted(nonface)):
-            prod = times_form(prod, degree, full[i - 1])
+        for degree, i in enumerate(nonface):
+            prod = times_form(prod, degree, full[i])
         generators.append((len(nonface), prod))
 
     ideal = _saturated_ideal(generators, n + 1)

@@ -6,6 +6,14 @@ regular (2k+1)-gon centred at the origin; the resulting simple polytope has
 m = sum(a_i) facets and dimension n = m - 3.  A facet subset is a face of the
 boundary complex iff the origin lies in the convex hull of the polygon
 vertices labelling the complementary facets.
+
+Facets are the positions 0..m-1 of the facet_labels order, whose facets
+0..n-1 form a vertex, so facets n, n+1, n+2 are the three off it; polygon
+vertices keep their labels 1..2k+1.  FaceStructure holds, in those
+positions, the three facts that the later stages read: the label of each
+facet, the minimal non-faces (whose products generate the Stanley-Reisner
+ideal), and the three facets off each vertex (where a characteristic
+matrix must be non-singular).
 """
 
 from __future__ import annotations
@@ -81,60 +89,33 @@ def origin_in_hull(labels: Iterable[int], k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FacetLabeling:
-    """Ordered facets, each carrying its polygon-vertex label."""
-
-    names: tuple[str, ...]
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.labels):
-            raise ValueError("names and labels must have equal length")
-
-
 # Facet orders for the two polytopes whose characteristic-matrix and ideal
-# tables are shipped as fixtures; the leading five facets form a vertex and
-# the trailing three map to the quotient variables x, y, z in that order.
+# tables are shipped as fixtures, as the label of each facet position; the
+# leading five facets form a vertex and the trailing three map to the
+# quotient variables x, y, z in that order.  The published facet names are
+# F1_1 F1_2 F1_3 F3_1 F3_2 F5 F2 F4 for (3,1,2,1,1) and
+# F1_1 F1_2 F2_1 F3_1 F3_2 F5 F2_2 F4 for (2,2,2,1,1).
 _PINNED_ORDERS = {
-    (3, 1, 2, 1, 1): (
-        ("F1_1", "F1_2", "F1_3", "F3_1", "F3_2", "F5", "F2", "F4"),
-        (1, 1, 1, 3, 3, 5, 2, 4),
-    ),
-    (2, 2, 2, 1, 1): (
-        ("F1_1", "F1_2", "F2_1", "F3_1", "F3_2", "F5", "F2_2", "F4"),
-        (1, 1, 2, 3, 3, 5, 2, 4),
-    ),
+    (3, 1, 2, 1, 1): (1, 1, 1, 3, 3, 5, 2, 4),
+    (2, 2, 2, 1, 1): (1, 1, 2, 3, 3, 5, 2, 4),
 }
 
 
-def _facet_names(weights: Sequence[int]) -> list[tuple[str, int]]:
-    named = []
-    for v, count in enumerate(weights, start=1):
-        if count == 1:
-            named.append((f"F{v}", v))
-        else:
-            named.extend((f"F{v}_{j}", v) for j in range(1, count + 1))
-    return named
-
-
-def _vertex_complements(labels: Sequence[int], k: int) -> list[tuple[int, ...]]:
-    """3-subsets of facet indices whose labels contain the origin in their hull.
+def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, int], ...]:
+    """Sorted 0-based facet triples whose labels contain the origin in their
+    hull, in lexicographic order.
 
     The complement of each such triple is a vertex of the polytope (a maximal
     face of the boundary complex): every face has at most n = m-3 facets, so
     the n-element faces are exactly these complements.
     """
-    m = len(labels)
-    out = []
-    for triple in combinations(range(1, m + 1), 3):
-        if origin_in_hull({labels[i - 1] for i in triple}, k):
-            out.append(triple)
-    return out
+    return tuple(triple for triple in combinations(range(len(labels)), 3)
+                 if origin_in_hull({labels[i] for i in triple}, k))
 
 
-def facet_labeling(diagram: GaleDiagram) -> FacetLabeling:
-    """Deterministic facet order whose first n facets form a vertex.
+def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
+    """Polygon label of each facet in a deterministic order whose first n
+    facets form a vertex.
 
     The two fixture polytopes use their published orders.  Any other diagram
     is ordered by polygon label, then the lexicographically least vertex is
@@ -142,59 +123,40 @@ def facet_labeling(diagram: GaleDiagram) -> FacetLabeling:
     vertex, e.g. for [1,1,1,1,1]).
     """
     if diagram.weights in _PINNED_ORDERS:
-        return FacetLabeling(*_PINNED_ORDERS[diagram.weights])
-    named = _facet_names(diagram.weights)
-    labels = [lab for _, lab in named]
-    triples = _vertex_complements(labels, diagram.k)
-    if not triples:
-        raise ValueError("diagram admits no vertex; cannot normalize the facet order")
-    m = diagram.m
-    best = min(tuple(sorted(set(range(1, m + 1)) - set(t))) for t in triples)
-    order = list(best) + [i for i in range(1, m + 1) if i not in set(best)]
-    return FacetLabeling(
-        tuple(named[i - 1][0] for i in order),
-        tuple(named[i - 1][1] for i in order),
-    )
-
-
-def minimal_nonfaces(diagram: GaleDiagram,
-                     labeling: FacetLabeling | None = None) -> tuple[frozenset[int], ...]:
-    """The 2k+1 minimal non-faces: facets labelled in an arc of k consecutive
-    polygon vertices.  Entry i-1 collects labels {i, ..., i+k-1} (mod 2k+1),
-    so its size is the weight window sum a_i + ... + a_{i+k-1}."""
-    if labeling is None:
-        labeling = facet_labeling(diagram)
-    k, nv = diagram.k, 2 * diagram.k + 1
-    out = []
-    for i in range(1, nv + 1):
-        arc = {(i - 1 + t) % nv + 1 for t in range(k)}
-        out.append(frozenset(j for j, lab in enumerate(labeling.labels, start=1)
-                             if lab in arc))
-    return tuple(out)
+        return _PINNED_ORDERS[diagram.weights]
+    labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
+    vertex, off = min((tuple(i for i in range(diagram.m) if i not in t), t)
+                      for t in _vertex_complements(labels, diagram.k))
+    return tuple(labels[i] for i in vertex + off)
 
 
 @dataclass(frozen=True)
 class FaceStructure:
-    """Facet-level combinatorics of the polytope: labelled facet order,
-    minimal non-faces, and vertices (maximal faces)."""
+    """What every later stage reads of the polytope, in 0-based positions
+    of the facet_labels order: the label of each facet, the minimal
+    non-faces, and the three facets off each vertex."""
 
-    m: int
-    n: int
-    labeling: FacetLabeling
-    minimal_nonfaces: tuple[frozenset[int], ...]
-    maximal_faces: tuple[frozenset[int], ...]
+    labels: tuple[int, ...]
+    minimal_nonfaces: tuple[tuple[int, ...], ...]
+    vertex_complements: tuple[tuple[int, int, int], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.labels)
+
+    @property
+    def n(self) -> int:
+        return self.m - 3
 
 
 def face_structure(diagram: GaleDiagram) -> FaceStructure:
-    labeling = facet_labeling(diagram)
-    mnf = minimal_nonfaces(diagram, labeling)
-    triples = _vertex_complements(labeling.labels, diagram.k)
-    m = diagram.m
-    everything = set(range(1, m + 1))
-    maximal = sorted((frozenset(everything - set(t)) for t in triples),
-                     key=lambda f: tuple(sorted(f)))
-    fs = FaceStructure(m=m, n=diagram.n, labeling=labeling,
-                       minimal_nonfaces=mnf, maximal_faces=tuple(maximal))
-    if frozenset(range(1, diagram.n + 1)) not in set(fs.maximal_faces):
-        raise ValueError("facet order normalization failed: leading facets are not a vertex")
-    return fs
+    """The face structure in the facet_labels order.  The 2k+1 minimal
+    non-faces are the facets labelled in an arc of k consecutive polygon
+    vertices: entry i holds the sorted facets with labels i+1, ..., i+k
+    (mod 2k+1), so its size is the weight window sum a_(i+1) + ... + a_(i+k)."""
+    labels = facet_labels(diagram)
+    k, nv = diagram.k, 2 * diagram.k + 1
+    arcs = [{(i + t) % nv + 1 for t in range(k)} for i in range(nv)]
+    nonfaces = tuple(tuple(f for f, label in enumerate(labels) if label in arc)
+                     for arc in arcs)
+    return FaceStructure(labels, nonfaces, _vertex_complements(labels, k))

@@ -31,13 +31,7 @@ import numpy as np
 
 from galerig.betti import BettiTable, betti_table, window_sums
 from galerig.cohomology import _compose, gl3, socle_functional, substitution_maps_ideal
-from galerig.gale import (
-    FacetLabeling,
-    GaleDiagram,
-    canonical_weights,
-    facet_labeling,
-    origin_in_hull,
-)
+from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
 from galerig.gf2 import echelon, monomial_count, monomials, rank
 from galerig.petersen import five_cycles, petersen_labels
 
@@ -105,31 +99,55 @@ def origin_in_hull_exact(labels, k: int) -> bool:
 # brute-force face structure
 
 
+# Faces here are sets of 1-based facets: facet i is position i-1 of the
+# package's 0-based facet_labels order.
+
+
 def is_face(indices: Iterable[int], diagram: GaleDiagram,
-            labeling: FacetLabeling | None = None) -> bool:
+            labels: Sequence[int] | None = None) -> bool:
     """Face criterion: the complement's labels must contain the origin."""
-    if labeling is None:
-        labeling = facet_labeling(diagram)
+    if labels is None:
+        labels = facet_labels(diagram)
     m = diagram.m
     chosen = set()
     for i in indices:
         if not 1 <= i <= m:
             raise ValueError(f"facet index {i} outside 1..{m}")
         chosen.add(i)
-    rest = {labeling.labels[i - 1] for i in range(1, m + 1) if i not in chosen}
+    rest = {labels[i - 1] for i in range(1, m + 1) if i not in chosen}
     return origin_in_hull(rest, diagram.k)
+
+
+def one_based(facets: Iterable[int]) -> frozenset[int]:
+    """A set of the package's 0-based facets as 1-based oracle facets."""
+    return frozenset(i + 1 for i in facets)
+
+
+def maximal_faces(fs) -> list[frozenset[int]]:
+    """The vertices of a face structure as 1-based facet sets: the
+    complements of its vertex_complements triples."""
+    return [one_based(set(range(fs.m)) - set(t)) for t in fs.vertex_complements]
 
 
 def brute_force_minimal_nonfaces(diagram: GaleDiagram) -> set[frozenset[int]]:
     """Inclusion-minimal non-faces by scanning all facet subsets."""
-    labeling = facet_labeling(diagram)
+    labels = facet_labels(diagram)
     m = diagram.m
     nonfaces = []
     for size in range(m + 1):
         for subset in combinations(range(1, m + 1), size):
-            if not is_face(subset, diagram, labeling):
+            if not is_face(subset, diagram, labels):
                 nonfaces.append(frozenset(subset))
     return {s for s in nonfaces if not any(t < s for t in nonfaces)}
+
+
+def brute_force_vertex_complements(diagram: GaleDiagram) -> tuple[tuple[int, ...], ...]:
+    """The 0-based facet triples, in lexicographic order, whose complement
+    is_face accepts."""
+    labels = facet_labels(diagram)
+    everything = set(range(1, diagram.m + 1))
+    return tuple(t for t in combinations(range(diagram.m), 3)
+                 if is_face(everything - one_based(t), diagram, labels))
 
 
 def face_counts(diagram: GaleDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -138,8 +156,7 @@ def face_counts(diagram: GaleDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]
     f[j] counts faces with j facets (f[0] = 1 for the empty face), so the
     vertex count is f[n] and sum(h) = f[n].
     """
-    labeling = facet_labeling(diagram)
-    labels = labeling.labels
+    labels = facet_labels(diagram)
     k, m, n = diagram.k, diagram.m, diagram.n
     f = [0] * (n + 1)
     f[0] = 1
@@ -187,7 +204,7 @@ def column_backtrack_charmats(fs) -> list[tuple[int, ...]]:
     prefix has dependent columns; ascending by construction."""
     n, m = fs.n, fs.m
     faces_by_top: dict[int, list[list[int]]] = {c: [] for c in range(n + 1, m + 1)}
-    for face in fs.maximal_faces:
+    for face in maximal_faces(fs):
         top = max(face)
         if top > n:
             faces_by_top[top].append(sorted(face))
@@ -223,7 +240,7 @@ def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
     grids = (span[:, None, None], span[None, :, None], span[None, None, :])
     ok = np.ones((len(span),) * 3, dtype=bool)
     full = (1 << n) - 1
-    for face in fs.maximal_faces:
+    for face in maximal_faces(fs):
         prefix_mask = 0
         tail = []
         for i in sorted(face):
@@ -252,10 +269,10 @@ def brute_force_charmats(fs) -> list[tuple[int, int, int]]:
 def same_label_images(fs, forms) -> list[tuple[int, ...]]:
     """The matrix forms (leading facets, package encoding) moved by every
     transposition of two facets with one polygon label, each renormalised
-    so that facets n+1..n+3 carry x, y, z again: every form is rewritten in
+    so that facets n..n+2 carry x, y, z again: every form is rewritten in
     the coordinates of the moved trailing forms, found by trying all eight
     coefficient vectors."""
-    n, labels = fs.n, fs.labeling.labels
+    n, labels = fs.n, fs.labels
     images = []
     for a, b in combinations(range(fs.m), 2):
         if labels[a] != labels[b]:

@@ -47,7 +47,7 @@ def test_equal_columns_on_a_shared_vertex_fail():
     # facets 1 and 6 lie on a common vertex; the block (00001, 11000, 00111)
     # gives facet 6 the first identity column, a rank deficit there.  Its
     # leading forms are x+z, z, z, y, y.
-    shared = [f for f in FS_P.maximal_faces if {1, 6} <= f]
+    shared = [f for f in oracles.maximal_faces(FS_P) if {1, 6} <= f]
     assert shared
     forms = (0b101, 0b100, 0b100, 0b010, 0b010)
     assert oracles.block_row_strings((0b00001, 0b11000, 0b00111), 5) == row_strings(forms)
@@ -94,12 +94,12 @@ def test_unnormalized_order_rejected():
     from galerig.gale import FaceStructure
 
     fs = face_structure(GaleDiagram((1, 1, 1, 1, 1)))
-    # rotate the maximal faces away from the leading positions
+    # drop the vertex formed by the leading facets 0 and 1
     broken = FaceStructure(
-        m=fs.m, n=fs.n, labeling=fs.labeling,
+        labels=fs.labels,
         minimal_nonfaces=fs.minimal_nonfaces,
-        maximal_faces=tuple(f for f in fs.maximal_faces
-                            if f != frozenset({1, 2})),
+        vertex_complements=tuple(t for t in fs.vertex_complements
+                                 if t != (2, 3, 4)),
     )
     with pytest.raises(ValueError):
         enumerate_charmats(broken)
@@ -134,7 +134,7 @@ def test_closure_under_label_preserving_automorphisms():
     automorphism; permuting their forms must map the enumerated set onto
     itself (the trailing facets carry x, y, z and are not moved)."""
     forms_set = set(enumerate_charmats(FS_P))
-    labels = FS_P.labeling.labels
+    labels = FS_P.labels
     ones = [i for i in range(FS_P.n) if labels[i] == 1]
     assert len(ones) == 3
     for image in permutations(ones):

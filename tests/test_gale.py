@@ -9,8 +9,7 @@ from galerig.gale import (
     GaleDiagram,
     canonical_weights,
     face_structure,
-    facet_labeling,
-    minimal_nonfaces,
+    facet_labels,
     origin_in_hull,
 )
 
@@ -93,44 +92,44 @@ def test_is_face_rejects_bad_index():
 
 
 def test_is_face_monotone():
-    labeling = facet_labeling(P)
-    fs = face_structure(P)
-    for face in fs.maximal_faces:
+    labels = facet_labels(P)
+    for face in oracles.maximal_faces(face_structure(P)):
         for size in range(len(face)):
             for subset in combinations(sorted(face), size):
-                assert oracles.is_face(subset, P, labeling)
+                assert oracles.is_face(subset, P, labels)
 
 
 def test_minimal_nonfaces_examples():
     fs = face_structure(P)
     assert [len(s) for s in fs.minimal_nonfaces] == [4, 3, 3, 2, 4]
-    assert fs.minimal_nonfaces[3] == frozenset({6, 8})  # facets F4 and F5
+    assert fs.minimal_nonfaces[3] == (5, 7)  # facets F5 and F4
 
-    assert [len(s) for s in minimal_nonfaces(Q)] == [4, 4, 3, 2, 3]
+    assert [len(s) for s in face_structure(Q).minimal_nonfaces] == [4, 4, 3, 2, 3]
 
-    pent = minimal_nonfaces(PENTAGON)
-    labels = facet_labeling(PENTAGON).labels
-    for i, nonface in enumerate(pent, start=1):
+    pent = face_structure(PENTAGON)
+    for i, nonface in enumerate(pent.minimal_nonfaces, start=1):
         expected_labels = {i, i % 5 + 1}
-        assert {labels[j - 1] for j in nonface} == expected_labels
+        assert {pent.labels[j] for j in nonface} == expected_labels
 
 
 def test_minimal_nonfaces_pairwise_incomparable():
     for diagram in (P, Q, PENTAGON, GaleDiagram((2, 1, 3, 1, 2)),
                     GaleDiagram((1, 1, 1, 1, 1, 1, 1))):
-        sets = minimal_nonfaces(diagram)
+        sets = [set(s) for s in face_structure(diagram).minimal_nonfaces]
         for a in sets:
             for b in sets:
                 assert a == b or not a <= b
 
 
-@pytest.mark.parametrize("weights", [
-    (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 1, 2, 1, 1), (2, 2, 2, 1, 1),
-    (1, 2, 1, 2, 1), (1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1),
-])
+@pytest.mark.parametrize("weights", oracles.canonical_diagrams(5, 9)
+                         + oracles.canonical_diagrams(7, 9))
 def test_minimal_nonfaces_match_brute_force(weights):
     diagram = GaleDiagram(weights)
-    assert set(minimal_nonfaces(diagram)) == oracles.brute_force_minimal_nonfaces(diagram)
+    fs = face_structure(diagram)
+    assert {oracles.one_based(s) for s in fs.minimal_nonfaces} == \
+        oracles.brute_force_minimal_nonfaces(diagram)
+    assert all(list(s) == sorted(s) for s in fs.minimal_nonfaces)
+    assert fs.vertex_complements == oracles.brute_force_vertex_complements(diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def test_h_vector_symmetry_and_vertex_count(weights):
     f, h = oracles.face_counts(diagram)
     assert h == h[::-1]  # Dehn-Sommerville
     assert sum(h) == f[diagram.n]
-    assert sum(h) == len(face_structure(diagram).maximal_faces)
+    assert sum(h) == len(face_structure(diagram).vertex_complements)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +164,20 @@ def test_h_vector_symmetry_and_vertex_count(weights):
 
 
 def test_pinned_orderings():
-    lp = facet_labeling(P)
-    assert lp.names == ("F1_1", "F1_2", "F1_3", "F3_1", "F3_2", "F5", "F2", "F4")
-    assert lp.labels == (1, 1, 1, 3, 3, 5, 2, 4)
-    lq = facet_labeling(Q)
-    assert lq.names == ("F1_1", "F1_2", "F2_1", "F3_1", "F3_2", "F5", "F2_2", "F4")
-    assert lq.labels == (1, 1, 2, 3, 3, 5, 2, 4)
+    assert facet_labels(P) == (1, 1, 1, 3, 3, 5, 2, 4)
+    assert facet_labels(Q) == (1, 1, 2, 3, 3, 5, 2, 4)
 
 
 @pytest.mark.parametrize("weights", [
     (1, 1, 1, 1, 1), (4, 1, 1, 1, 1), (1, 2, 1, 1, 3), (2, 2, 1, 2, 2),
-    (1, 1, 1, 1, 1, 1, 1), (3, 1, 1, 2, 1, 1, 1),
+    (1, 1, 1, 1, 1, 1, 1), (3, 1, 1, 2, 1, 1, 1), P.weights, Q.weights,
 ])
 def test_general_labeling_leads_with_a_vertex(weights):
     diagram = GaleDiagram(weights)
     fs = face_structure(diagram)
-    assert frozenset(range(1, diagram.n + 1)) in set(fs.maximal_faces)
+    n = diagram.n
+    assert (n, n + 1, n + 2) in fs.vertex_complements
+    assert frozenset(range(1, n + 1)) in oracles.maximal_faces(fs)
     # one facet per weight unit, labels with the right multiplicity
     for v, count in enumerate(diagram.weights, start=1):
-        assert fs.labeling.labels.count(v) == count
+        assert fs.labels.count(v) == count
