@@ -12,7 +12,6 @@ from .gale import (
     origin_in_hull,
 )
 from .betti import (
-    BettiTable,
     beta_first_row,
     betti_table,
     supports_quasitoric,
@@ -22,7 +21,6 @@ from .petersen import five_cycles, petersen_labels, tor_class
 from .charmat import enumerate_charmats, is_characteristic
 from .cohomology import (
     GradedQuotient,
-    InvariantProfile,
     codim,
     find_graded_iso,
     ideal_equal,
@@ -39,7 +37,6 @@ __all__ = [
     "face_structure",
     "facet_labels",
     "origin_in_hull",
-    "BettiTable",
     "beta_first_row",
     "betti_table",
     "supports_quasitoric",
@@ -50,7 +47,6 @@ __all__ = [
     "enumerate_charmats",
     "is_characteristic",
     "GradedQuotient",
-    "InvariantProfile",
     "codim",
     "find_graded_iso",
     "ideal_equal",

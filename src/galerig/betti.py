@@ -4,13 +4,13 @@ support test.
 For an n-polytope with m = n+3 facets the whole table is determined by its
 first row: beta^{-1,2j} counts length-k windows of the weight vector summing
 to j, the extreme corners are 1, and the remaining row follows by the duality
-beta^{-i,2j} = beta^{-(m-n)+i,2(m-j)}.
+beta^{-i,2j} = beta^{-(m-n)+i,2(m-j)}.  betti_table returns the table as a
+plain dict {(i, 2j): beta} of its nonzero entries, in sorted key order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gale import GaleDiagram, _validated_weights
@@ -24,30 +24,13 @@ def window_sums(weights: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(w[(i + t) % nv] for t in range(k)) for i in range(nv))
 
 
-@dataclass
-class BettiTable:
-    """Sparse table of bigraded Betti numbers beta^{-i,2j}, keyed (i, 2j)."""
-
-    entries: dict = field(default_factory=dict)
-
-    def get(self, i: int, twoj: int) -> int:
-        return self.entries.get((i, twoj), 0)
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def to_json(self) -> dict:
-        return {"entries": [{"i": i, "2j": twoj, "beta": b}
-                            for (i, twoj), b in self.items()]}
-
-
 def beta_first_row(diagram: GaleDiagram) -> dict[int, int]:
     """beta^{-1,2j} as a map j -> count of length-k windows summing to j."""
     counts = Counter(window_sums(diagram.weights))
     return dict(sorted(counts.items()))
 
 
-def betti_table(diagram: GaleDiagram) -> BettiTable:
+def betti_table(diagram: GaleDiagram) -> dict[tuple[int, int], int]:
     m, n = diagram.m, diagram.n
     entries = {(0, 0): 1, (m - n, 2 * m): 1}
     first = beta_first_row(diagram)
@@ -55,7 +38,7 @@ def betti_table(diagram: GaleDiagram) -> BettiTable:
         entries[(1, 2 * j)] = b
     for j, b in first.items():
         entries[(2, 2 * (m - j))] = b
-    return BettiTable(entries)
+    return dict(sorted(entries.items()))
 
 
 def supports_quasitoric(k: int) -> bool:

@@ -1,5 +1,7 @@
 """Command-line interface: per-stage subcommands plus the full rigidity
-report with optional caching and fixture verification.
+report with optional caching and fixture verification.  The library returns
+plain data (Betti tables, profiles, quotients); every printed shape, text
+or JSON, is written here.
 
 Every command that needs characteristic matrices gets them from _matrices,
 which always enumerates; report --cache only writes each member's list
@@ -29,7 +31,7 @@ from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
 from .cohomology import LINEAR_FORM_NAMES, invariant_profile, iso_keys, quotient_presentation
 from .gale import GaleDiagram, canonical_weights, face_structure
-from .gf2 import format_poly
+from .gf2 import format_poly, to_lists
 from .petersen import tor_class
 
 
@@ -93,11 +95,14 @@ def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
 # subcommands
 
 
+def _betti_json(table: dict) -> dict:
+    return {"entries": [{"i": i, "2j": twoj, "beta": b} for (i, twoj), b in table.items()]}
+
+
 def cmd_betti(args) -> int:
-    diagram = _parse_weights(args.weights)
-    table = betti_table(diagram)
+    table = betti_table(_parse_weights(args.weights))
     lines = [f"beta^({-i},{twoj}) = {b}" for (i, twoj), b in table.items()]
-    _emit(table.to_json(), args.json, "\n".join(lines))
+    _emit(_betti_json(table), args.json, "\n".join(lines))
     return 0
 
 
@@ -149,7 +154,10 @@ def cmd_cohomology(args) -> int:
     for block, q in zip(blocks, quotients):
         payload.append({
             "block": row_strings(block),
-            **q.to_json(),
+            "n": q.n,
+            "hilbert": list(q.hilbert),
+            "ideal": {str(d): [to_lists(d, row) for row in q.ideal.rows(d)]
+                      for d in range(q.ideal.max_degree + 1)},
             "generators": [format_poly(g) for g in q.generators],
         })
         text.append(" ".join(row_strings(block)))
@@ -167,11 +175,11 @@ def cmd_profile(args) -> int:
     payload = []
     profiles = [invariant_profile(q) for q in quotients]
     for i, prof in enumerate(profiles, start=1):
-        lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof.codims))
-        payload.append({"matrix": i, **prof.to_json()})
+        lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof["codim"]))
+        payload.append({"matrix": i, **prof})
     lines += ["ord", header]
     for i, prof in enumerate(profiles, start=1):
-        lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof.orders))
+        lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof["ord"]))
     _emit(payload, args.json, "\n".join(lines))
     return 0
 
@@ -205,22 +213,18 @@ def cmd_report(args) -> int:
         print("refusing --verify: reference fixtures cover the class of "
               "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
         return 2
-    canonical = canonical_weights(diagram.weights)
+    report = {
+        "input_weights": list(diagram.weights),
+        "canonical_weights": list(canonical_weights(diagram.weights)),
+        "k": diagram.k,
+        "supports_quasitoric": True,
+    }
     if diagram.k != 2:
         table = betti_table(diagram)
-        report = {
-            "input_weights": list(diagram.weights),
-            "canonical_weights": list(canonical),
-            "k": diagram.k,
-            "supports_quasitoric": True,
-            "notice": "Tor-class search is implemented for pentagon diagrams "
-                      "only; emitting Betti data.",
-            "betti": table.to_json(),
-            "verdict": "UNDETERMINED",
-        }
-        text = [report["notice"]] + \
-               [f"beta^({-i},{twoj}) = {b}" for (i, twoj), b in table.items()] + \
-               [f"verdict: {report['verdict']}"]
+        notice = "Tor-class search is implemented for pentagon diagrams only; emitting Betti data."
+        report.update(notice=notice, betti=_betti_json(table), verdict="UNDETERMINED")
+        text = [notice] + [f"beta^({-i},{twoj}) = {b}" for (i, twoj), b in table.items()] + \
+               ["verdict: UNDETERMINED"]
         _emit(report, args.json, "\n".join(text))
         return 0
 
@@ -259,16 +263,8 @@ def cmd_report(args) -> int:
     else:
         verdict = "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
 
-    report = {
-        "input_weights": list(diagram.weights),
-        "canonical_weights": list(canonical),
-        "k": diagram.k,
-        "supports_quasitoric": True,
-        "tor_class": [list(w) for w in members],
-        "members": member_info,
-        "pairs": pairs,
-        "verdict": verdict,
-    }
+    report.update(tor_class=[list(w) for w in members], members=member_info,
+                  pairs=pairs, verdict=verdict)
 
     exit_code = 0
     if args.verify:
@@ -277,8 +273,8 @@ def cmd_report(args) -> int:
             exit_code = 1
 
     text = [
-        f"input weights:     {list(diagram.weights)}",
-        f"canonical form:    {list(canonical)}",
+        f"input weights:     {report['input_weights']}",
+        f"canonical form:    {report['canonical_weights']}",
         f"polygon:           2k+1 = {2 * diagram.k + 1} (k = {diagram.k}); "
         "supports quasitoric manifolds",
         f"Tor-class members: {len(members)}",

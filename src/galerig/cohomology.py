@@ -57,7 +57,6 @@ from .gf2 import (
     monomials,
     rank,
     times_form,
-    to_lists,
 )
 
 X, Y, Z = VARIABLES
@@ -71,26 +70,16 @@ class GradedQuotient:
     """Quotient of GF(2)[x,y,z] by a graded ideal stored degreewise.
 
     hilbert[d] is the quotient dimension in degree d (0 <= d <= n) and equals
-    the h-vector of the source polytope; the stored generators, as
-    (degree, vec) pairs, are the substituted minimal non-face monomials when
-    the quotient was built from a characteristic matrix.  Equality ignores
-    them: two quotients are equal when n, ideal and hilbert are.
+    the h-vector of the source polytope; generators are the (degree, vec)
+    products of the facet forms over the minimal non-faces, which generate
+    the ideal.  Equality ignores them: two quotients are equal when n, ideal
+    and hilbert are.
     """
 
     n: int
     ideal: GradedSubspace
     hilbert: tuple[int, ...]
-    generators: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "hilbert": list(self.hilbert),
-            "ideal": {
-                str(d): [to_lists(d, row) for row in self.ideal.rows(d)]
-                for d in range(self.ideal.max_degree + 1)
-            },
-        }
+    generators: tuple[tuple[int, int], ...] = field(compare=False)
 
 
 def _validate_quotient(q: GradedQuotient):
@@ -243,24 +232,13 @@ def order_via_quotient_maps(form: int, q: GradedQuotient) -> int:
     raise RuntimeError("top-degree component is not full; quotient is malformed")
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    """codim and order of the seven nonzero linear forms, in the fixed
-    column order x, y, z, x+y, x+z, y+z, x+y+z."""
-
-    codims: tuple[int, ...]
-    orders: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"forms": list(LINEAR_FORM_NAMES),
-                "codim": list(self.codims), "ord": list(self.orders)}
-
-
-def invariant_profile(q: GradedQuotient) -> InvariantProfile:
-    return InvariantProfile(
-        codims=tuple(codim(g, q) for g in LINEAR_FORMS),
-        orders=tuple(order(g, q) for g in LINEAR_FORMS),
-    )
+def invariant_profile(q: GradedQuotient) -> dict:
+    """codim and order of the seven nonzero linear forms, as the record
+    {"forms": [...], "codim": [...], "ord": [...]} in the fixed column order
+    x, y, z, x+y, x+z, y+z, x+y+z."""
+    return {"forms": list(LINEAR_FORM_NAMES),
+            "codim": [codim(g, q) for g in LINEAR_FORMS],
+            "ord": [order(g, q) for g in LINEAR_FORMS]}
 
 
 # ---------------------------------------------------------------------------

@@ -79,24 +79,23 @@ def _check_profiles(qa, qb) -> list[dict]:
     tables = fixtures.profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
-    table_attrs = (("codim_A", "codims"), ("ord_A", "orders"),
-                   ("codim_B", "codims"), ("ord_B", "orders"))
+    table_names = ("codim_A", "ord_A", "codim_B", "ord_B")
     quotients = {**qa, **qb}
     # the codim and ord tables of a family share their rows: one profile each
-    labels = {label for table_name, _ in table_attrs for label in tables[table_name]}
+    labels = {label for table_name in table_names for label in tables[table_name]}
     profiles = {label: invariant_profile(quotients[label]) for label in sorted(labels)}
     discrepancies = []
-    for table_name, attr in table_attrs:
+    for table_name in table_names:
+        kind = table_name.split("_")[0]  # "codim" or "ord", a profile field
         for row_label, paper_values in tables[table_name].items():
             q = quotients[row_label]
-            computed = list(getattr(profiles[row_label], attr))
-            for col, (paper_v, got) in enumerate(zip(paper_values, computed)):
+            for col, (paper_v, got) in enumerate(zip(paper_values, profiles[row_label][kind])):
                 if paper_v == got:
                     continue
                 # got comes from invariant_profile (order and codim); the
                 # other path certifies it independently
                 gamma = LINEAR_FORMS[col]
-                if attr == "orders":
+                if kind == "ord":
                     certified = order_via_quotient_maps(gamma, q) == got
                 else:
                     certified = codim_via_annihilator(gamma, q) == got

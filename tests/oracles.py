@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from galerig.betti import BettiTable, betti_table, window_sums
+from galerig.betti import betti_table, window_sums
 from galerig.cohomology import _compose, gl3, socle_functional, substitution_maps_ideal
 from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
 from galerig.gf2 import echelon, monomial_count, monomials, rank
@@ -546,10 +546,10 @@ def canonical_diagrams(parts: int, max_total: int) -> list[tuple[int, ...]]:
 # sphere-product decomposition against the Betti table
 
 
-def _homology_ranks(table: BettiTable) -> Counter:
+def _homology_ranks(table: dict[tuple[int, int], int]) -> Counter:
     """Additive ranks of the moment-angle manifold by total degree 2j - i."""
     ranks: Counter = Counter()
-    for (i, twoj), b in table.entries.items():
+    for (i, twoj), b in table.items():
         ranks[twoj - i] += b
     return ranks
 

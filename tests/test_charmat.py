@@ -13,7 +13,7 @@ from galerig.charmat import (
     orbits,
     row_strings,
 )
-from galerig.gale import GaleDiagram, canonical_weights, face_structure
+from galerig.gale import GaleDiagram, face_structure
 
 import oracles
 
@@ -21,13 +21,6 @@ P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
 FS_P = face_structure(P)
 FS_Q = face_structure(Q)
-
-
-def _canonical_diagrams(max_total: int):
-    """Canonical pentagons and heptagons with total at most max_total."""
-    return sorted({canonical_weights(w) for parts in (5, 7)
-                   for total in range(parts, max_total + 1)
-                   for w in oracles.compositions(total, parts)})
 
 
 def _rows(forms_list):
@@ -114,7 +107,7 @@ def test_enumeration_matches_brute_force(weights):
 
 
 def test_enumeration_matches_brute_force_up_to_total_10():
-    diagrams = list(_canonical_diagrams(10))
+    diagrams = oracles.canonical_diagrams(5, 10) + oracles.canonical_diagrams(7, 10)
     assert len(diagrams) == 50
     for w in diagrams:
         fs = face_structure(GaleDiagram(w))
@@ -123,7 +116,7 @@ def test_enumeration_matches_brute_force_up_to_total_10():
 
 
 def test_enumeration_matches_column_backtracker_up_to_total_9():
-    for w in _canonical_diagrams(9):
+    for w in oracles.canonical_diagrams(5, 9) + oracles.canonical_diagrams(7, 9):
         fs = face_structure(GaleDiagram(w))
         assert _rows(enumerate_charmats(fs)) == \
             _oracle_rows(fs, oracles.column_backtrack_charmats(fs)), w
@@ -158,7 +151,7 @@ def test_orbits_match_the_transposition_closure_up_to_total_10():
     are those closed under every same-label transposition: their sizes sum
     to the matrix count, every transposition maps each orbit into itself,
     and each representative is its orbit's first member in column order."""
-    diagrams = _canonical_diagrams(10)
+    diagrams = oracles.canonical_diagrams(5, 10) + oracles.canonical_diagrams(7, 10)
     assert len(diagrams) == 50
     for w in diagrams:
         fs = face_structure(GaleDiagram(w))

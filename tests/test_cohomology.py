@@ -148,10 +148,10 @@ def test_zero_form_rejected():
 
 def test_profile_examples():
     prof_a1 = invariant_profile(QA1)
-    assert prof_a1.codims == (1, 2, 1, 3, 3, 2, 2)
-    assert prof_a1.orders[6] == 4  # ord(x+y+z)
+    assert prof_a1["codim"] == [1, 2, 1, 3, 3, 2, 2]
+    assert prof_a1["ord"][6] == 4  # ord(x+y+z)
     prof_b1 = invariant_profile(QB1)
-    assert prof_b1.codims == (1, 3, 1, 3, 2, 2, 2)
+    assert prof_b1["codim"] == [1, 3, 1, 3, 2, 2, 2]
 
 
 def test_dual_path_oracles_agree_everywhere():
@@ -165,8 +165,8 @@ def test_dual_path_oracles_agree_everywhere():
 
 def test_profile_bounds():
     prof = invariant_profile(QA1)
-    assert all(1 <= c <= QA1.n - 1 for c in prof.codims)
-    assert all(2 <= o <= QA1.n + 1 for o in prof.orders)
+    assert all(1 <= c <= QA1.n - 1 for c in prof["codim"])
+    assert all(2 <= o <= QA1.n + 1 for o in prof["ord"])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_socle_functional_refuses_a_broken_duality():
     free = next(c for c in range(6) if c not in QA1.ideal.components[2][0])
     spans[2][0] ^= 1 << free
     broken = GradedQuotient(n=QA1.n, ideal=GradedSubspace.from_spans(spans),
-                            hilbert=QA1.hilbert)
+                            hilbert=QA1.hilbert, generators=QA1.generators)
     assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
     with pytest.raises(ValueError, match="degree 2"):
         iso_keys([broken])

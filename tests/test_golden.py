@@ -2,9 +2,12 @@
 
 Each file in tests/golden/ is the stdout of one command, named after its
 arguments ("report_3-1-2-1-1_verify_json.txt" is
-``galerig report 3,1,2,1,1 --verify --json``).  The files were recorded
-before characteristic matrices moved to per-facet forms; the only edit since
-is the dropped, always-empty ``reductions`` list of ``report --verify --json``.
+``galerig report 3,1,2,1,1 --verify --json``).  A file is recorded once and
+never edited to follow a change of the code: the ``charmats``, ``cohomology``,
+``profile``, ``iso`` and pentagon ``report`` files predate per-facet forms
+(the only edit since is the dropped, always-empty ``reductions`` list of
+``report --verify --json``), and the ``betti`` and heptagon ``report`` files
+predate the plain-dict Betti tables and codim/ord profiles.
 """
 
 from pathlib import Path
