@@ -7,7 +7,12 @@ never edited to follow a change of the code: the ``charmats``, ``cohomology``,
 ``profile``, ``iso`` and pentagon ``report`` files predate per-facet forms
 (the only edit since is the dropped, always-empty ``reductions`` list of
 ``report --verify --json``), and the ``betti`` and heptagon ``report`` files
-predate the plain-dict Betti tables and codim/ord profiles.
+predate the plain-dict Betti tables and codim/ord profiles.  The
+``report_2-2-2-2-1_json``, ``report_3-2-1-1-2_json`` and
+``iso_4-1-1-1-1_4-1-1-1-1`` files were recorded while every isomorphism
+key still came from a saturated quotient per facet-symmetry orbit, to pin
+the keyed verdict path on two more Tor classes and on a grid with 1025
+isomorphisms before the keys were taken from the top degree alone.
 """
 
 from pathlib import Path
