@@ -35,7 +35,7 @@ def test_keys_agree_with_search(weights):
     quotients = [quotient_presentation(fs, b) for b in enumerate_charmats(fs)]
     expected = [[w is not None for w in row]
                 for row in oracles.search_iso_witnesses(quotients, quotients)]
-    keys = iso_keys(quotients)
+    keys = iso_keys(fs.n, quotients[0].hilbert, [socle_functional(q) for q in quotients])
     assert [[a == b for b in keys] for a in keys] == expected
     assert keys == [oracles.scan_iso_key(q) for q in quotients]
     for q in quotients:

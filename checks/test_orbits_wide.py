@@ -4,9 +4,9 @@ quotient per.  For every canonical pentagon and heptagon of total <= 12
 orbits closed under every same-label transposition (tests/oracles.py):
 their sizes sum to the matrix count, each representative is its orbit's
 first member in column order, every quotient of an orbit has one
-isomorphism key, and the keys that iso and report compare, one quotient
-built and keyed per orbit (galerig.cli._matrix_keys), are the per-matrix
-keys.  Full per-matrix keys are the oracle, so every quotient is built:
+isomorphism key, and the keys that iso and report compare, one top
+functional per orbit and no quotient (galerig.cli._matrix_keys), are the
+per-matrix keys.  Full per-matrix keys are the oracle, so every quotient is built:
 too slow for tier-1, so it sits outside tier-1's testpaths.
 
 Runtime: about 55 s on a 2-core x86 VM under Python 3.11, most of it in
@@ -28,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import oracles  # noqa: E402
 from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
 from galerig.cli import _matrix_keys  # noqa: E402
-from galerig.cohomology import iso_keys, quotient_presentation  # noqa: E402
+from galerig.cohomology import quotient_presentation  # noqa: E402
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
 
 DIAGRAMS = oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 12)
@@ -57,6 +57,6 @@ def test_orbit_keys_agree_with_per_matrix_keys(weights):
     assert set(map(frozenset, parts.values())) == oracles.facet_symmetry_orbits(fs, blocks)
 
     quotients = [quotient_presentation(fs, b) for b in blocks]
-    keys = iso_keys(quotients)
+    keys = oracles.quotient_keys(quotients)
     assert all(keys[i] == keys[r] for i, r in enumerate(representatives))
-    assert _matrix_keys(fs, blocks)[0] == keys
+    assert _matrix_keys(GaleDiagram(weights), fs, blocks) == keys

@@ -14,6 +14,7 @@ from .gale import (
 from .betti import (
     beta_first_row,
     betti_table,
+    h_vector,
     supports_quasitoric,
     window_sums,
 )
@@ -28,6 +29,7 @@ from .cohomology import (
     iso_keys,
     order,
     quotient_presentation,
+    top_functional,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "origin_in_hull",
     "beta_first_row",
     "betti_table",
+    "h_vector",
     "supports_quasitoric",
     "window_sums",
     "five_cycles",
@@ -54,6 +57,7 @@ __all__ = [
     "iso_keys",
     "order",
     "quotient_presentation",
+    "top_functional",
 ]
 
 __version__ = "0.1.0"

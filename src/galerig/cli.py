@@ -7,10 +7,12 @@ Every command that needs characteristic matrices gets them from _matrices,
 which always enumerates; report --cache only writes each member's list
 there and never reads a file back, so a cache file can never shrink or
 replace the enumeration.  iso and report compare one isomorphism key per
-matrix (_matrix_keys): one quotient is built, and keyed, per orbit of
-matrices under the permutations of same-label facets (charmat.orbits),
-whose members all have one key, and every matrix takes its orbit's key, so
-each printed count stays exact.
+matrix (_matrix_keys): one socle functional is read off the top degree of
+the ideal, and keyed, per orbit of matrices under the permutations of
+same-label facets (charmat.orbits), whose members all have one key, and
+every matrix takes its orbit's key, so each printed count stays exact.
+Neither command builds a quotient; cohomology, profile and report --verify
+do.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -26,10 +28,16 @@ from collections import Counter
 from pathlib import Path
 
 from . import verify as verify_mod
-from .betti import betti_table, supports_quasitoric
+from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
-from .cohomology import LINEAR_FORM_NAMES, invariant_profile, iso_keys, quotient_presentation
+from .cohomology import (
+    LINEAR_FORM_NAMES,
+    invariant_profile,
+    iso_keys,
+    quotient_presentation,
+    top_functional,
+)
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly, to_lists
 from .petersen import tor_class
@@ -37,15 +45,15 @@ from .petersen import tor_class
 
 # Largest facet count accepted by the commands that enumerate characteristic
 # matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
-# 2^(a+1)+1).  `iso` and a multi-member `report` build one quotient per
-# facet-symmetry orbit; `cohomology` and `profile` build one per matrix.  On
-# a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates its
-# 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and builds
-# those 23 quotients in 0.2 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes
-# about 0.6 s; `cohomology`, which prints all 2049 quotients, takes about
-# 27 s.  No pentagon at m = 14 has more than 34 orbits.  At m = 15,
-# (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger diagrams are refused
-# with exit 2.
+# 2^(a+1)+1).  `iso` and a multi-member `report` compute one top functional
+# per facet-symmetry orbit and build no quotient; `cohomology` and `profile`
+# build one quotient per matrix.  On a 2-core x86 VM under Python 3.11,
+# (10,1,1,1,1) at m = 14 enumerates its 2049 matrices in 0.03 s, groups them
+# into 23 orbits in 0.03 s and keys those 23 in 0.06 s, and a fresh
+# `iso 10,1,1,1,1 10,1,1,1,1` takes about 0.3 s; `cohomology`, which prints
+# all 2049 quotients, takes about 27 s.  No pentagon at m = 14 has more
+# than 34 orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.
+# Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -136,15 +144,17 @@ def _selected_quotients(diagram, index: int | None):
     return blocks, [quotient_presentation(fs, b) for b in blocks]
 
 
-def _matrix_keys(fs, blocks):
-    """The isomorphism key of each matrix, in list order, and the quotients
-    built for them by matrix.  One quotient is built, and keyed, per orbit
-    (charmat.orbits), for its representative, whose key every member takes."""
+def _matrix_keys(diagram: GaleDiagram, fs, blocks) -> list[tuple]:
+    """The isomorphism key of each matrix, in list order.  One socle
+    functional is computed, from the top degree alone and checked against
+    the diagram's h-vector, per orbit (charmat.orbits), for its
+    representative, whose key every member takes; no quotient is built."""
     representatives = orbits(fs, blocks)
-    built = {blocks[r]: quotient_presentation(fs, blocks[r])
-             for r in dict.fromkeys(representatives)}
-    key = dict(zip(built, iso_keys(built.values())))
-    return [key[blocks[r]] for r in representatives], built
+    h = h_vector(diagram)
+    distinct = list(dict.fromkeys(representatives))
+    functionals = [top_functional(fs, blocks[r], h) for r in distinct]
+    key = dict(zip(distinct, iso_keys(fs.n, h, functionals)))
+    return [key[r] for r in representatives]
 
 
 def cmd_cohomology(args) -> int:
@@ -187,9 +197,8 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    keys = {w: _matrix_keys(*_matrices(GaleDiagram(w)))[0]
-            for w in dict.fromkeys((d1.weights, d2.weights))}
-    keys_1, keys_2 = keys[d1.weights], keys[d2.weights]
+    keys = {d: _matrix_keys(d, *_matrices(d)) for d in dict.fromkeys((d1, d2))}
+    keys_1, keys_2 = keys[d1], keys[d2]
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
     matrix = [rows[key] for key in keys_1]
@@ -233,15 +242,11 @@ def cmd_report(args) -> int:
     matrices = {w: _matrices(GaleDiagram(w), cache_dir) for w in members}
     member_info = [{"weights": list(w), "charmat_count": len(matrices[w][1])} for w in members]
 
-    # A singleton class is B-rigid by its matrix count alone, so quotients are
-    # built, and keyed, only when there is a pair to compare: per member, the
-    # quotients built and how many matrices have each key.
-    quotients = {}
-    keys = []
-    if len(members) > 1:
-        for w in members:
-            member_keys, quotients[w] = _matrix_keys(*matrices[w])
-            keys.append(Counter(member_keys))
+    # A singleton class is B-rigid by its matrix count alone, so matrices are
+    # keyed only when there is a pair to compare: per member, how many
+    # matrices have each key.
+    keys = ([Counter(_matrix_keys(GaleDiagram(w), *matrices[w])) for w in members]
+            if len(members) > 1 else [])
 
     pairs = []
     total_found = 0
@@ -268,7 +273,7 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        report["verification"] = verify_mod.run_verification(total_found, matrices, quotients)
+        report["verification"] = verify_mod.run_verification(total_found, matrices)
         if not report["verification"]["passed"]:
             exit_code = 1
 

@@ -16,13 +16,18 @@ closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
 degree n: I_n is a hyperplane of S_n = GF(2)[x,y,z]_n, and its annihilator,
 the socle functional phi, determines every component, I_d = {f in S_d :
 phi(f * S_(n-d)) = 0} (Macaulay's inverse system; socle_functional checks
-it and refuses a quotient that breaks it).  A degree-one substitution g
-therefore maps one ideal onto another iff phi_b o g = phi_a, and both
-algebras are generated in degree one, so every graded isomorphism is such
-a g in GL(3, GF(2)).  The key of a quotient is (n, hilbert, least element
-of the orbit {phi o g : g in GL(3, GF(2))}), equal for two quotients iff
-they are isomorphic.  iso_keys closes the orbit from phi under s = (x+y,
-y, z) and t = (y, z, x), one substitution table each per degree.  These two
+it on a saturated quotient and refuses one that breaks it).  A degree-one
+substitution g therefore maps one ideal onto another iff phi_b o g =
+phi_a, and both algebras are generated in degree one, so every graded
+isomorphism is such a g in GL(3, GF(2)).  The key of a quotient is (n, h,
+least element of the orbit {phi o g : g in GL(3, GF(2))}), h its Hilbert
+function, equal for two quotients iff they are isomorphic.  The key needs
+no quotient: top_functional reads phi off I_n alone, which the products
+of each generator with the monomials of the complementary degree span,
+and checks the duality by ranks, the catalecticant of phi against the
+h-vector of the Betti table (galerig.betti.h_vector).  iso_keys closes the
+orbit from phi under s = (x+y, y, z) and t = (y, z, x), one substitution
+table each per degree.  These two
 generate GL(3, GF(2)): s and its conjugates by t are the transvections
 x -> x+y, y -> y+z, z -> z+x, their commutators are the other three, and
 the six elementary transvections generate the group.  So the closure is the whole
@@ -30,11 +35,12 @@ orbit and the key is the least phi o g over all 168 substitutions, the
 same value as a scan over gl3(), found once per key class of the list
 rather than once per quotient.  Two quotients are compared by their keys,
 and find_graded_iso certifies the witness it finds against the full ideals.
-Nor need every matrix be built: permuting facets that carry one Gale
+Nor need every matrix be keyed: permuting facets that carry one Gale
 label fixes every minimal non-face, so the matrices of one orbit under
 those permutations (galerig.charmat.orbits) have one ideal up to a
 degree-one substitution, hence one key, and the iso and report commands
-build and key one quotient per orbit, whose key every member takes.
+compute one top functional per orbit, build no quotient, and give every
+member the orbit's key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.
@@ -86,8 +92,8 @@ def _validate_quotient(q: GradedQuotient):
     top = q.n + 1
     if q.ideal.dimension(top) != monomial_count(3, top):
         raise ValueError(f"ideal is not full in degree {top}")
-    # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
-    # socle functional of iso_keys needs.
+    # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as a
+    # socle functional (socle_functional, and so a key) needs.
     if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
         raise ValueError("quotient dimensions are not palindromic with a "
                          "one-dimensional top degree")
@@ -109,6 +115,18 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         raise ValueError("matrix is not characteristic over this face structure")
 
     n = fs.n
+    generators = _generators(fs, forms)
+    ideal = _saturated_ideal(generators, n + 1)
+    hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
+    quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
+                              generators=tuple(generators))
+    _validate_quotient(quotient)
+    return quotient
+
+
+def _generators(fs: FaceStructure, forms: Sequence[int]) -> list[tuple[int, int]]:
+    """The (degree, vec) product of the facet forms over each minimal
+    non-face, in the order of fs.minimal_nonfaces."""
     full = tuple(forms) + VARIABLES
     generators = []
     for nonface in fs.minimal_nonfaces:
@@ -116,13 +134,7 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         for degree, i in enumerate(nonface):
             prod = times_form(prod, degree, full[i])
         generators.append((len(nonface), prod))
-
-    ideal = _saturated_ideal(generators, n + 1)
-    hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
-    quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
-                              generators=tuple(generators))
-    _validate_quotient(quotient)
-    return quotient
+    return generators
 
 
 def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedSubspace:
@@ -304,32 +316,94 @@ def _product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
                  for low in monomials(3, degree))
 
 
+@lru_cache(maxsize=None)
+def _spread_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """_spread_columns(n, d)[j][i]: the degree-n bit of monomial i of degree
+    d times monomial j of degree n - d, so that image(vec, columns) is a
+    degree-d polynomial times monomial j."""
+    return tuple(zip(*(tuple(1 << c for c in row) for row in _product_columns(n, degree))))
+
+
+def _hyperplane_functional(n: int, pivots, rows) -> int:
+    """The functional phi on S_n whose kernel is spanned by the reduced
+    echelon rows, as a bit vector over monomials(3, n).
+
+    The rows leave one column c0 without a pivot, and phi(c0) = 1.  The row
+    with pivot p has no other bit outside c0, so phi(p) is that row's bit c0.
+    Raises ValueError unless the rows span a hyperplane.
+    """
+    free = set(range(monomial_count(3, n))).difference(pivots)
+    if len(free) != 1:
+        raise ValueError(f"the ideal in degree {n} has corank {len(free)}, not 1")
+    (c0,) = free
+    phi = 1 << c0
+    for p, row in zip(pivots, rows):
+        if (row >> c0) & 1:
+            phi |= 1 << p
+    return phi
+
+
+def _catalecticant(phi: int, n: int, degree: int) -> list[int]:
+    """The pairing of phi in one degree d: row i has bit j = phi(monomial i
+    of degree d * monomial j of degree n - d), so f pairs to zero against
+    S_(n-d) iff image(f, rows) == 0, and the kernel is Ann(phi)_d."""
+    return [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
+            for columns in _product_columns(n, degree)]
+
+
 def socle_functional(q: GradedQuotient) -> int:
     """The linear functional phi on S_n whose kernel is I_n, as a bit vector
     over monomials(3, n).
-
-    I_n is a hyperplane, so its reduced echelon basis leaves one column c0
-    without a pivot, and phi(c0) = 1.  The row with pivot p lies in I_n and
-    has no other bit outside c0, so phi(p) is that row's bit c0.
 
     Raises ValueError unless every I_d (d < n) is {f in S_d : phi(f *
     S_(n-d)) = 0}, the Gorenstein duality that makes iso_keys complete: a
     quotient that breaks it is refused rather than keyed.
     """
-    pivots, rows = q.ideal.components[q.n]
-    (c0,) = _coset_columns(q, q.n)
-    phi = 1 << c0
-    for p, row in zip(pivots, rows):
-        if (row >> c0) & 1:
-            phi |= 1 << p
+    phi = _hyperplane_functional(q.n, *q.ideal.components[q.n])
     for d in range(q.n):
-        # pairing[i] bit j = phi(monomial i * monomial j): f pairs to zero iff image(f) == 0
-        pairing = [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
-                   for columns in _product_columns(q.n, d)]
+        pairing = _catalecticant(phi, q.n, d)
         if (len(pairing) - rank(pairing) != q.ideal.dimension(d)
                 or any(image(row, pairing) for row in q.ideal.rows(d))):
             raise ValueError(f"ideal is not the inverse system of its top degree "
                              f"(Poincare duality fails in degree {d})")
+    return phi
+
+
+def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
+    """The socle functional of a characteristic matrix's quotient, the value
+    socle_functional gives, from the degree-n component of its ideal alone.
+
+    Args:
+        fs: face structure in normalized facet order.
+        forms: the matrix as the linear forms of facets 0..n-1.
+        h: the h-vector h_0..h_n of the polytope (galerig.betti.h_vector).
+
+    I_n is spanned by each generator of degree e times the monomials of
+    degree n - e, so one echelon over those products gives it, and phi is
+    read off as in socle_functional.  No lower degree is saturated.
+
+    Raises ValueError unless I_n has corank 1 and, in every degree d, phi's
+    catalecticant has rank h_d.  I_d lies in Ann(phi)_d, whose codimension
+    is that rank, and dim (S/I)_d = h_d because a characteristic matrix is a
+    linear system of parameters (Davis-Januszkiewicz), so equal ranks make
+    I = Ann(phi), the Gorenstein duality that makes iso_keys complete.  The
+    rank in degree n - d is the rank in degree d (the transpose), so ranks
+    are computed for d <= n/2 only.
+    """
+    if not is_characteristic(forms, fs):
+        raise ValueError("matrix is not characteristic over this face structure")
+    n = fs.n
+    if len(h) != n + 1:
+        raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
+    products = [image(vec, columns) for degree, vec in _generators(fs, forms)
+                for columns in _spread_columns(n, degree)]
+    phi = _hyperplane_functional(n, *echelon(products))
+    ranks = [rank(_catalecticant(phi, n, d)) for d in range(n // 2 + 1)]
+    ranks += ranks[:(n + 1) // 2][::-1]
+    for d, (r, h_d) in enumerate(zip(ranks, h)):
+        if r != h_d:
+            raise ValueError(f"ideal is not the inverse system of its top degree: "
+                             f"rank {r} against h_{d} = {h_d} in degree {d}")
     return phi
 
 
@@ -365,19 +439,19 @@ def _orbit(phi: int, n: int) -> set[int]:
     return orbit
 
 
-def iso_keys(quotients: Iterable[GradedQuotient]) -> list[tuple]:
-    """(n, hilbert, least phi o g over GL(3, GF(2))) per quotient, in order:
-    equal iff isomorphic (module docstring).  Every phi is computed, and
-    checked; the orbit is closed once per key class of the list."""
-    known: dict[tuple, tuple] = {}
+def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int]) -> list[tuple]:
+    """(n, h, least phi o g over GL(3, GF(2))) per socle functional phi on
+    S_n, in order: equal iff the quotients are isomorphic (module
+    docstring), given one h-vector h for the list.  The orbit is closed once
+    per key class of the list."""
+    known: dict[int, tuple] = {}
     keys = []
-    for q in quotients:
-        phi = socle_functional(q)
-        key = known.get((q.n, q.hilbert, phi))
+    for phi in functionals:
+        key = known.get(phi)
         if key is None:
-            orbit = _orbit(phi, q.n)
-            key = (q.n, q.hilbert, min(orbit))
-            known.update(((q.n, q.hilbert, psi), key) for psi in orbit)
+            orbit = _orbit(phi, n)
+            key = (n, h, min(orbit))
+            known.update(dict.fromkeys(orbit, key))
         keys.append(key)
     return keys
 

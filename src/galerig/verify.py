@@ -1,7 +1,8 @@
 """Comparison of the artifacts a report computed against the bundled
-reference tables.  It diffs the report's own matrix lists and quotients,
-recomputes nothing the report holds, and returns its findings as the plain
-JSON record that report --verify prints.
+reference tables.  It diffs the report's own matrix lists, re-enumerates
+nothing, builds the quotient of each published block on the report's face
+structures (the report itself keys matrices without quotients), and
+returns its findings as the plain JSON record that report --verify prints.
 
 The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
@@ -45,15 +46,12 @@ def _compare_matrices(family: str, computed: list[tuple[int, ...]]) -> dict:
             "missing": missing, "extra": extra, "ok": not missing and not extra}
 
 
-def _quotients_by_label(family: str, fs: FaceStructure,
-                        built: dict[tuple[int, ...], GradedQuotient]) -> dict[str, GradedQuotient]:
-    """The quotient of each published block of a family, labelled.  It is
-    looked up in built, the report's quotients by matrix, which hold one
-    representative per facet-symmetry orbit (charmat.orbits), and built on
-    fs for every other published block: the rest of each orbit, and any
-    block missing from the report's list, which already fails the matrix
-    comparison."""
-    return {label: built[block] if block in built else quotient_presentation(fs, block)
+def _quotients_by_label(family: str, fs: FaceStructure) -> dict[str, GradedQuotient]:
+    """The quotient of each published block of a family, labelled, built on
+    the report's face structure.  The report keys its matrices without
+    building quotients, so every published block is built here, one absent
+    from the report's list too, which already fails the matrix comparison."""
+    return {label: quotient_presentation(fs, block)
             for label, block in fixtures.label_blocks(family).items()}
 
 
@@ -106,18 +104,15 @@ def _check_profiles(qa, qb) -> list[dict]:
     return discrepancies
 
 
-def run_verification(iso_found: int, matrices: dict, quotients: dict) -> dict:
-    """Diff the report's matrix lists and quotients of the two reference
-    polytopes against the bundled tables, and return the record that a
-    report prints as its "verification" object.
+def run_verification(iso_found: int, matrices: dict) -> dict:
+    """Diff the report's matrix lists of the two reference polytopes, and
+    the quotients of the published blocks, against the bundled tables, and
+    return the record that a report prints as its "verification" object.
 
     matrices[weights] = (fs, blocks) is the face structure and matrix list
-    the report compared, and quotients[weights][forms] the quotient it built
-    for each orbit representative among them; a published block is looked
-    up there and built only if it is not a representative (11 + 13 of the
-    42 flagship quotients come from the report, 18 are built here).
-    iso_found is the number of cross pairs of matrices with equal
-    isomorphism keys that the report counted among them.
+    the report compared; the 21 + 21 published blocks' quotients are built
+    on those face structures.  iso_found is the number of cross pairs of
+    matrices with equal isomorphism keys that the report counted among them.
 
     The record holds "matrices", the diff of each family's list ("A", "B");
     "ideal_rows", one entry per published ideal row; "profile_discrepancies",
@@ -129,8 +124,7 @@ def run_verification(iso_found: int, matrices: dict, quotients: dict) -> dict:
     """
     (fs_a, blocks_a), (fs_b, blocks_b) = matrices[WEIGHTS_A], matrices[WEIGHTS_B]
     comparisons = {"A": _compare_matrices("A", blocks_a), "B": _compare_matrices("B", blocks_b)}
-    labelled = {"A": _quotients_by_label("A", fs_a, quotients[WEIGHTS_A]),
-                "B": _quotients_by_label("B", fs_b, quotients[WEIGHTS_B])}
+    labelled = {"A": _quotients_by_label("A", fs_a), "B": _quotients_by_label("B", fs_b)}
     ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
     discrepancies = _check_profiles(labelled["A"], labelled["B"])
     return {

@@ -10,7 +10,7 @@ under same-label facet permutations closed breadth-first under every
 transposition (the package runs a union-find over adjacent ones), monomial-wise
 linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
-per quotient), the isomorphism key by a scan of all 168 substitutions (the
+per matrix), the isomorphism key by a scan of all 168 substitutions (the
 package closes one orbit per key class from two generators), the inverse
 system of a socle functional, adjacent-sum multisets and the
 120-permutation linear systems for the pentagon Tor class (the package
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from galerig.betti import betti_table, window_sums
-from galerig.cohomology import _compose, gl3, socle_functional, substitution_maps_ideal
+from galerig.cohomology import _compose, gl3, iso_keys, socle_functional, substitution_maps_ideal
 from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
 from galerig.gf2 import echelon, monomial_count, monomials, rank
 from galerig.petersen import five_cycles, petersen_labels
@@ -431,6 +431,12 @@ def scan_iso_key(q):
     of all 168 substitutions."""
     phi = socle_functional(q)
     return q.n, q.hilbert, min(_compose(phi, rows, q.n) for rows in gl3())
+
+
+def quotient_keys(quotients):
+    """cohomology.iso_keys of saturated quotients, each keyed on its own n,
+    hilbert and checked socle functional."""
+    return [iso_keys(q.n, q.hilbert, [socle_functional(q)])[0] for q in quotients]
 
 
 def annihilator(phi: int, n: int, degree: int) -> list[int]:

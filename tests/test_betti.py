@@ -3,9 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galerig.betti import beta_first_row, betti_table, supports_quasitoric, window_sums
-from galerig.gale import GaleDiagram
+import galerig.betti
+from galerig.betti import beta_first_row, betti_table, h_vector, supports_quasitoric, window_sums
+from galerig.charmat import enumerate_charmats
+from galerig.cohomology import quotient_presentation
+from galerig.gale import GaleDiagram, face_structure
 
+import oracles
 from oracles import adjacent_sum_multiset, sphere_product_decomposition, tor_equivalent
 
 P = GaleDiagram((3, 1, 2, 1, 1))
@@ -57,6 +61,30 @@ def test_betti_duality_and_row_sums(w):
 def test_betti_json_sorted():
     table = betti_table(P)
     assert list(table) == sorted(table)
+
+
+def test_h_vector_is_the_hilbert_function_of_every_quotient():
+    """h_vector, read off the Betti table, is the Hilbert function of a
+    saturated quotient and the h-vector of exhaustive face counting, and is
+    palindromic with h_0 = h_n = 1, on every canonical pentagon of total
+    <= 9 and heptagon of total <= 11, which covers every diagram whose keys
+    test_cohomology compares."""
+    diagrams = oracles.canonical_diagrams(5, 9) + oracles.canonical_diagrams(7, 11)
+    assert len(diagrams) == 20 + 34
+    for weights in diagrams:
+        diagram = GaleDiagram(weights)
+        fs = face_structure(diagram)
+        h = h_vector(diagram)
+        assert len(h) == diagram.n + 1 and h[0] == h[-1] == 1 and h == h[::-1], weights
+        assert h == oracles.face_counts(diagram)[1], weights
+        assert all(quotient_presentation(fs, b).hilbert == h for b in enumerate_charmats(fs))
+
+
+def test_h_vector_refuses_an_inexact_division(monkeypatch):
+    table = betti_table(P)
+    monkeypatch.setattr(galerig.betti, "betti_table", lambda d: {**table, (1, 4): 2})
+    with pytest.raises(ValueError, match="above degree 5"):
+        h_vector(P)
 
 
 def test_heptagon_table_and_spheres():

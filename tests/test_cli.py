@@ -141,30 +141,41 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
     """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
-    need 24 socle functionals, each checked, and one orbit closure per key
-    class of each member: 9 + 5."""
+    need 24 top functionals, each checked, and one orbit closure per key
+    class of each member: 9 + 5.  Keys build no quotient: the 42 of
+    --verify are the published blocks, all built by verify, and no
+    saturated quotient's socle functional is read."""
+    import galerig.cli
     import galerig.cohomology
+    import galerig.verify
 
     calls = Counter()
 
-    def counted(name):
-        fn = getattr(galerig.cohomology, name)
+    def count(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[f"{module.__name__.split('.')[-1]}.{name}"] += 1
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
+    count(galerig.cli, "top_functional")
+    count(galerig.cli, "quotient_presentation")
+    count(galerig.verify, "quotient_presentation")
     for name in ("socle_functional", "_orbit"):
-        monkeypatch.setattr(galerig.cohomology, name, counted(name))
+        count(galerig.cohomology, name)
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"socle_functional": 24, "_orbit": 14}
+    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14,
+                     "verify.quotient_presentation": 42}
+    calls.clear()
+    assert main(["report", "3,1,2,1,1"]) == 0
+    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
-    # a diagram compared with itself is keyed once, one quotient per orbit
-    assert calls == {"socle_functional": 11, "_orbit": 2}
+    # a diagram compared with itself is keyed once, one functional per orbit
+    assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):
@@ -286,11 +297,11 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     """A report builds each member's face structure and matrix list once,
-    and one quotient per facet-symmetry orbit (11 + 13), a warm cache too,
-    whose files it rewrites with the same bytes; --verify reuses them and
-    builds the other 18 published blocks.  A singleton class is B-rigid by
-    its matrix count and needs no quotient and no orbit pass; a diagram
-    compared with itself is built once, 11 orbits of 33 matrices."""
+    and groups it into facet-symmetry orbits once, a warm cache too, whose
+    files it rewrites with the same bytes; its keys need no quotient, so
+    only --verify builds any: the 42 published blocks.  A singleton class
+    is B-rigid by its matrix count and needs no orbit pass; a diagram
+    compared with itself is enumerated and grouped once."""
     import galerig.cli
     import galerig.verify
 
@@ -314,9 +325,9 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
     written = {p: p.read_bytes() for p in cache.iterdir()}
     for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42, 2)),
-                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 24, 2)),
+                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 0, 2)),
                            (["report", "7,1,1,1,1"], (1, 1, 0, 0)),
-                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 11, 1))):
+                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 0, 1))):
         calls.clear()
         assert main(argv) == 0
         assert tuple(calls[name] for name in names) == expected, argv

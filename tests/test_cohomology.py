@@ -24,9 +24,11 @@ from galerig.cohomology import (
     quotient_presentation,
     socle_functional,
     substitution_maps_ideal,
+    top_functional,
     _GENERATORS,
     _subst_matrix,
 )
+from galerig.betti import h_vector
 from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import GradedSubspace, image, monomials, parse_poly
@@ -200,15 +202,16 @@ def test_iso_hilbert_gate():
 
 
 def test_pairwise_matrix_examples():
-    assert iso_keys([QA1]) == iso_keys([QA1])
-    assert iso_keys([_quotient("A2")]) == iso_keys([_quotient("A5")])
+    assert oracles.quotient_keys([QA1]) == oracles.quotient_keys([QA1])
+    assert oracles.quotient_keys([_quotient("A2")]) == oracles.quotient_keys([_quotient("A5")])
 
 
 def test_pairwise_matrix_self_diagonal():
-    qas = [_quotient(f"A{i}") for i in range(1, 22)]
-    keys = iso_keys(qas)
+    phis = [socle_functional(_quotient(f"A{i}")) for i in range(1, 22)]
+    n, h = QA1.n, QA1.hilbert
+    keys = iso_keys(n, h, phis)
     # a key does not depend on the list it is computed in
-    assert keys == [iso_keys([q])[0] for q in qas] == iso_keys(qas[::-1])[::-1]
+    assert keys == [iso_keys(n, h, [phi])[0] for phi in phis] == iso_keys(n, h, phis[::-1])[::-1]
     matrix = [[a == b for b in keys] for a in keys]
     assert all(matrix[i][i] for i in range(21))
     # symmetric relation: an iso one way has an inverse the other way
@@ -269,31 +272,63 @@ def test_iso_keys_agree_with_substitution_search(key_range):
     for left, right in key_range:
         expected = [[w is not None for w in row]
                     for row in oracles.search_iso_witnesses(left, right)]
-        keys_left, keys_right = iso_keys(left), iso_keys(right)
+        keys_left, keys_right = oracles.quotient_keys(left), oracles.quotient_keys(right)
         assert [[a == b for b in keys_right] for a in keys_left] == expected
         pairs += len(left) * len(right)
     assert pairs == 3850 + 136 + 2539
 
 
 def test_iso_keys_equal_the_168_substitution_scan(key_range):
+    # one diagram's quotients share n and hilbert: one iso_keys call per list
     for quotients in {id(side): side for pair in key_range for side in pair}.values():
-        assert iso_keys(quotients) == [oracles.scan_iso_key(q) for q in quotients]
+        n, h = quotients[0].n, quotients[0].hilbert
+        phis = [socle_functional(q) for q in quotients]
+        assert iso_keys(n, h, phis) == [oracles.scan_iso_key(q) for q in quotients]
 
 
 def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
-    """The keys iso and report compare, one quotient built and keyed per
+    """The keys iso and report compare, one top functional per
     facet-symmetry orbit (cli._matrix_keys), are the keys of every matrix's
-    own quotient on every key_range list, so every orbit lies in one key
-    class and each key is counted with its orbit's size."""
+    own saturated quotient on every key_range list, so every orbit lies in
+    one key class and each key is counted with its orbit's size."""
     for w, quotients in key_quotients.items():
         fs = face_structure(GaleDiagram(w))
         blocks = enumerate_charmats(fs)
         representatives = orbits(fs, blocks)
-        keys = iso_keys(quotients)
+        keys = oracles.quotient_keys(quotients)
         assert all(keys[i] == keys[r] for i, r in enumerate(representatives)), w
-        matrix_keys, built = _matrix_keys(fs, blocks)
-        assert matrix_keys == keys, w
-        assert built == {blocks[r]: quotients[r] for r in sorted(set(representatives))}, w
+        assert _matrix_keys(GaleDiagram(w), fs, blocks) == keys, w
+
+
+def test_top_functional_is_the_socle_functional(key_quotients):
+    """The functional read off I_n alone, checked against the h-vector, is
+    the socle functional of the saturated quotient, on every matrix of every
+    key_range diagram, and the h-vector is the quotients' Hilbert function."""
+    for w, quotients in key_quotients.items():
+        diagram = GaleDiagram(w)
+        fs, h = face_structure(diagram), h_vector(diagram)
+        assert h == quotients[0].hilbert and h == h[::-1] and h[0] == h[-1] == 1, w
+        assert all(q.hilbert == h for q in quotients), w
+        assert ([top_functional(fs, b, h) for b in enumerate_charmats(fs)]
+                == [socle_functional(q) for q in quotients]), w
+
+
+def test_top_functional_refuses_a_wrong_h_vector():
+    # the catalecticant ranks of A1 are its Hilbert function, so a change in
+    # any one degree, on either side of n/2, is refused and named
+    h = list(QA1.hilbert)
+    assert top_functional(FS_P, BLOCKS_A["A1"], h) == socle_functional(QA1)
+    for d in range(QA1.n + 1):
+        wrong = h[:d] + [h[d] + 1] + h[d + 1:]
+        with pytest.raises(ValueError, match=f"in degree {d}$"):
+            top_functional(FS_P, BLOCKS_A["A1"], wrong)
+    with pytest.raises(ValueError, match="entries"):
+        top_functional(FS_P, BLOCKS_A["A1"], h[:-1])
+
+
+def test_top_functional_refuses_a_non_characteristic_matrix():
+    with pytest.raises(ValueError, match="not characteristic"):
+        top_functional(FS_P, (0b101, 0b101, 0b101, 0b010, 0b010), QA1.hilbert)
 
 
 def test_two_generators_close_to_gl3():
@@ -312,7 +347,9 @@ def test_two_generators_close_to_gl3():
 
 def test_iso_keys_one_key_per_entry_in_order():
     qa2, qa5 = _quotient("A2"), _quotient("A5")
-    keys = iso_keys([QA1, QB1, QA1, qa2, QB1, qa5, QA1])
+    assert QA1.n == QB1.n and QA1.hilbert == QB1.hilbert
+    phis = [socle_functional(q) for q in (QA1, QB1, QA1, qa2, QB1, qa5, QA1)]
+    keys = iso_keys(QA1.n, QA1.hilbert, phis)
     a1, b1, a2 = oracles.scan_iso_key(QA1), oracles.scan_iso_key(QB1), oracles.scan_iso_key(qa2)
     assert a2 == oracles.scan_iso_key(qa5) != a1 != b1
     assert keys == [a1, b1, a1, a2, b1, a2, a1]
@@ -347,7 +384,7 @@ def test_socle_functional_refuses_a_broken_duality():
                             hilbert=QA1.hilbert, generators=QA1.generators)
     assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
     with pytest.raises(ValueError, match="degree 2"):
-        iso_keys([broken])
+        socle_functional(broken)
     with pytest.raises(ValueError, match="degree 2"):
         find_graded_iso(QA1, broken)
 

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from galerig import fixtures
-from galerig.charmat import enumerate_charmats
-from galerig.cohomology import iso_keys, quotient_presentation
+from galerig.charmat import enumerate_charmats, row_strings
+from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
 from galerig.verify import WEIGHTS_A, WEIGHTS_B, run_verification
 
@@ -23,18 +23,11 @@ def matrices():
 
 
 @pytest.fixture(scope="module")
-def quotients(matrices):
-    """The report's quotients of the two reference polytopes, by weights and
-    then by matrix."""
-    return {weights: {b: quotient_presentation(fs, b) for b in blocks}
-            for weights, (fs, blocks) in matrices.items()}
-
-
-@pytest.fixture(scope="module")
-def report(matrices, quotients):
-    keys_a, keys_b = (iso_keys(q.values()) for q in quotients.values())
+def report(matrices):
+    keys_a, keys_b = (_matrix_keys(GaleDiagram(w), fs, blocks)
+                      for w, (fs, blocks) in matrices.items())
     found = sum(key == other for key in keys_a for other in keys_b)
-    return run_verification(found, matrices, quotients)
+    return run_verification(found, matrices)
 
 
 def test_matrix_lists_match(report):
@@ -67,15 +60,14 @@ def test_profile_discrepancies_all_certified(report):
     assert all(d["certified"] for d in report["profile_discrepancies"])
 
 
-def test_discrepancy_certified_by_the_independent_path_alone(matrices, quotients, report,
-                                                             monkeypatch):
+def test_discrepancy_certified_by_the_independent_path_alone(matrices, report, monkeypatch):
     """A published cell that differs from the profile is certified only when
     the second computation path agrees with the profile's value."""
     import galerig.verify
 
     monkeypatch.setattr(galerig.verify, "codim_via_annihilator", lambda gamma, q: -1)
     monkeypatch.setattr(galerig.verify, "order_via_quotient_maps", lambda gamma, q: -1)
-    again = run_verification(report["iso_found"], matrices, quotients)
+    again = run_verification(report["iso_found"], matrices)
     cells = [(d["table"], d["row"], d["column"]) for d in again["profile_discrepancies"]]
     assert cells == [(d["table"], d["row"], d["column"]) for d in report["profile_discrepancies"]]
     assert {table[:3] for table, _, _ in cells} == {"cod", "ord"}
@@ -102,14 +94,18 @@ def test_report_passes_and_serializes(report):
         "codim_A", "ord_A", "codim_B", "ord_B"}
 
 
-def test_published_block_missing_from_the_report_is_built(matrices, quotients, report):
-    """A published block with no quotient from the report gets one built on
-    the report's face structure, so the tables are still diffed in full."""
+def test_published_block_missing_from_the_report_is_built(matrices, report):
+    """A published block absent from the report's matrix list fails the
+    matrix comparison, and its quotient is still built on the report's face
+    structure, so the tables are still diffed in full."""
     first = fixtures.label_blocks("A")["A1"]
-    partial = {**quotients, WEIGHTS_A: {b: q for b, q in quotients[WEIGHTS_A].items()
-                                        if b != first}}
-    again = run_verification(report["iso_found"], matrices, partial)
-    assert again == report
+    fs_a, blocks_a = matrices[WEIGHTS_A]
+    cut = {**matrices, WEIGHTS_A: (fs_a, [b for b in blocks_a if b != first])}
+    again = run_verification(report["iso_found"], cut)
+    assert again["matrices"]["A"]["missing"] == [row_strings(first)]
+    assert again["passed"] is False
+    for field in ("ideal_rows", "profile_discrepancies"):
+        assert again[field] == report[field]
 
 
 def test_representative_groups_cover_everything():
