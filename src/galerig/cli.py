@@ -11,8 +11,9 @@ matrix (_matrix_keys): one socle functional is read off the top degree of
 the ideal, and keyed, per orbit of matrices under the permutations of
 same-label facets (charmat.orbits), whose members all have one key, and
 every matrix takes its orbit's key, so each printed count stays exact.
-Neither command builds a quotient; cohomology, profile and report --verify
-do.
+Neither command builds a quotient, and profile reads each selected
+matrix's codim/ord table off its top functional; only cohomology, which
+prints the ideal, and report --verify build quotients.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -46,14 +47,15 @@ from .petersen import tor_class
 # Largest facet count accepted by the commands that enumerate characteristic
 # matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  `iso` and a multi-member `report` compute one top functional
-# per facet-symmetry orbit and build no quotient; `cohomology` and `profile`
-# build one quotient per matrix.  On a 2-core x86 VM under Python 3.11,
-# (10,1,1,1,1) at m = 14 enumerates its 2049 matrices in 0.03 s, groups them
-# into 23 orbits in 0.03 s and keys those 23 in 0.06 s, and a fresh
-# `iso 10,1,1,1,1 10,1,1,1,1` takes about 0.3 s; `cohomology`, which prints
-# all 2049 quotients, takes about 27 s.  No pentagon at m = 14 has more
-# than 34 orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.
-# Larger diagrams are refused with exit 2.
+# per facet-symmetry orbit and build no quotient; `profile` computes one top
+# functional per matrix, and `cohomology` builds one quotient per matrix.
+# On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates
+# its 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and keys
+# those 23 in 0.06 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
+# 0.3 s; a fresh `profile` takes about 9 s and `cohomology`, which prints
+# all 2049 quotients, about 21 s.  No pentagon at m = 14 has more than 34
+# orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger
+# diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -135,13 +137,15 @@ def cmd_charmats(args) -> int:
     return 0
 
 
-def _selected_quotients(diagram, index: int | None):
+def _selected_matrices(diagram, index: int | None):
+    """Face structure and the (1-based index, matrix) pairs that --matrix
+    selects, every matrix by default."""
     fs, blocks = _matrices(diagram)
-    if index is not None:
-        if not 1 <= index <= len(blocks):
-            raise ValueError(f"--matrix must be in 1..{len(blocks)}")
-        blocks = [blocks[index - 1]]
-    return blocks, [quotient_presentation(fs, b) for b in blocks]
+    if index is None:
+        return fs, list(enumerate(blocks, start=1))
+    if not 1 <= index <= len(blocks):
+        raise ValueError(f"--matrix must be in 1..{len(blocks)}")
+    return fs, [(index, blocks[index - 1])]
 
 
 def _matrix_keys(diagram: GaleDiagram, fs, blocks) -> list[tuple]:
@@ -159,9 +163,10 @@ def _matrix_keys(diagram: GaleDiagram, fs, blocks) -> list[tuple]:
 
 def cmd_cohomology(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
-    blocks, quotients = _selected_quotients(diagram, args.matrix)
+    fs, selected = _selected_matrices(diagram, args.matrix)
     payload, text = [], []
-    for block, q in zip(blocks, quotients):
+    for _, block in selected:
+        q = quotient_presentation(fs, block)
         payload.append({
             "block": row_strings(block),
             "n": q.n,
@@ -179,16 +184,18 @@ def cmd_cohomology(args) -> int:
 
 def cmd_profile(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
-    _, quotients = _selected_quotients(diagram, args.matrix)
+    fs, selected = _selected_matrices(diagram, args.matrix)
+    h = h_vector(diagram)
+    profiles = [(i, invariant_profile(top_functional(fs, block, h), fs.n))
+                for i, block in selected]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []
-    profiles = [invariant_profile(q) for q in quotients]
-    for i, prof in enumerate(profiles, start=1):
+    for i, prof in profiles:
         lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof["codim"]))
         payload.append({"matrix": i, **prof})
     lines += ["ord", header]
-    for i, prof in enumerate(profiles, start=1):
+    for i, prof in profiles:
         lines.append(f"{i:6d} | " + " ".join(f"{v:6d}" for v in prof["ord"]))
     _emit(payload, args.json, "\n".join(lines))
     return 0

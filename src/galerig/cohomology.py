@@ -43,7 +43,11 @@ compute one top functional per orbit, build no quotient, and give every
 member the orbit's key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
-depends on them.
+depends on them.  invariant_profile reads them off phi too, since I_d is
+the kernel of phi's degree-d catalecticant, so the profile command builds
+no quotient either.  codim and order compute the same invariants on a
+saturated quotient, the second path that certifies a profile cell
+disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ def _validate_quotient(q: GradedQuotient):
     top = q.n + 1
     if q.ideal.dimension(top) != monomial_count(3, top):
         raise ValueError(f"ideal is not full in degree {top}")
-    # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as a
-    # socle functional (socle_functional, and so a key) needs.
+    # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
+    # socle functional that socle_functional reads off the quotient needs.
     if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
         raise ValueError("quotient dimensions are not palindromic with a "
                          "one-dimensional top degree")
@@ -159,31 +163,7 @@ def ideal_equal(generators: Iterable[tuple[int, int]], quotient: GradedQuotient)
 
 
 # ---------------------------------------------------------------------------
-# quotient coordinates
-
-
-def _coset_columns(q: GradedQuotient, degree: int) -> tuple[int, ...]:
-    """Monomial columns representing a basis of the quotient in one degree
-    (the non-pivot columns of the ideal's echelon basis)."""
-    pivots = set(q.ideal.components[degree][0])
-    return tuple(c for c in range(monomial_count(3, degree)) if c not in pivots)
-
-
-def _coset_coords(q: GradedQuotient, degree: int, vec: int) -> int:
-    """Coordinates of a reduced vector over the coset basis."""
-    reduced = q.ideal.reduce(degree, vec)
-    coords = 0
-    for pos, c in enumerate(_coset_columns(q, degree)):
-        if (reduced >> c) & 1:
-            coords |= 1 << pos
-    return coords
-
-
-def _mult_matrix(q: GradedQuotient, form: int, degree: int) -> list[int]:
-    """Multiplication by a linear form as a map from quotient degree d to
-    degree d+1, rows indexed by the degree-d coset basis."""
-    return [_coset_coords(q, degree + 1, times_form(1 << c, degree, form))
-            for c in _coset_columns(q, degree)]
+# codim and order
 
 
 def _check_form(form: int):
@@ -193,28 +173,15 @@ def _check_form(form: int):
 
 def codim(form: int, q: GradedQuotient) -> int:
     """Least degree d >= 1 at which multiplication by the linear form has a
-    nonzero kernel on the quotient, i.e. some class delta != 0 of degree d
-    satisfies form*delta = 0."""
-    _check_form(form)
-    for d in range(1, q.n):
-        rows = _mult_matrix(q, form, d)
-        if rank(rows) < len(rows):
-            return d
-    # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
-    raise RuntimeError("no annihilated degree found; quotient is malformed")
-
-
-def codim_via_annihilator(form: int, q: GradedQuotient) -> int:
-    """Independent recomputation of codim: the least d such that the space
-    {delta of degree d : form*delta in ideal} exceeds the ideal's own
-    degree-d component."""
+    nonzero kernel on the quotient: the space {delta of degree d : form*delta
+    in the ideal} exceeds the ideal's own degree-d component."""
     _check_form(form)
     for d in range(1, q.n):
         rows = [q.ideal.reduce(d + 1, times_form(1 << c, d, form))
                 for c in range(monomial_count(3, d))]
-        kernel_dim = len(rows) - rank(rows)
-        if kernel_dim > q.ideal.dimension(d):
+        if len(rows) - rank(rows) > q.ideal.dimension(d):
             return d
+    # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
 
 
@@ -230,27 +197,36 @@ def order(form: int, q: GradedQuotient) -> int:
     raise RuntimeError("top-degree component is not full; quotient is malformed")
 
 
-def order_via_quotient_maps(form: int, q: GradedQuotient) -> int:
-    """Independent recomputation of order by iterating the multiplication
-    maps on quotient coordinates instead of reducing explicit powers."""
-    _check_form(form)
-    coords = _coset_coords(q, 1, form)
-    if coords == 0:
-        return 1
-    for exponent in range(2, q.n + 2):
-        coords = image(coords, _mult_matrix(q, form, exponent - 1))
-        if coords == 0:
-            return exponent
-    raise RuntimeError("top-degree component is not full; quotient is malformed")
+def invariant_profile(phi: int, n: int) -> dict:
+    """codim and order of the seven nonzero linear forms in the quotient
+    whose socle functional on S_n is phi, as the record {"forms": [...],
+    "codim": [...], "ord": [...]} in the fixed column order x, y, z, x+y,
+    x+z, y+z, x+y+z.
 
-
-def invariant_profile(q: GradedQuotient) -> dict:
-    """codim and order of the seven nonzero linear forms, as the record
-    {"forms": [...], "codim": [...], "ord": [...]} in the fixed column order
-    x, y, z, x+y, x+z, y+z, x+y+z."""
-    return {"forms": list(LINEAR_FORM_NAMES),
-            "codim": [codim(g, q) for g in LINEAR_FORMS],
-            "ord": [order(g, q) for g in LINEAR_FORMS]}
+    I_d is the kernel of phi's degree-d catalecticant Cat_d, whose rank h_d
+    is the quotient's dimension in degree d, so no quotient is built:
+    ord(form) is the least e <= n with image(form^e, Cat_e) == 0, or n + 1,
+    and codim(form) the least d in 1..n-1 at which the images under
+    Cat_(d+1) of form times the degree-d monomials have rank below h_d.
+    """
+    pairings = [_catalecticant(phi, n, d) for d in range(n + 1)]
+    h = [rank(pairing) for pairing in pairings]
+    codims, ords = [], []
+    for form in LINEAR_FORMS:
+        for d in range(1, n):
+            images = [image(times_form(1 << c, d, form), pairings[d + 1])
+                      for c in range(monomial_count(3, d))]
+            if rank(images) < h[d]:
+                codims.append(d)
+                break
+        else:
+            raise RuntimeError("no annihilated degree found; functional is malformed")
+        power, exponent = form, 1
+        while exponent <= n and image(power, pairings[exponent]):
+            power = times_form(power, exponent, form)
+            exponent += 1
+        ords.append(exponent)
+    return {"forms": list(LINEAR_FORM_NAMES), "codim": codims, "ord": ords}
 
 
 # ---------------------------------------------------------------------------

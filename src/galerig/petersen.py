@@ -68,26 +68,16 @@ def five_cycles() -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(cycles))
 
 
-def cycle_readings(weights: Sequence[int]):
-    """Split cycle readings into usable weight vectors and rejected ones.
-
-    A reading is rejected when some label is < 1 (a diagram must place at
-    least one facet over every polygon vertex).  Returns (accepted, rejected)
-    as lists of (cycle, label sequence) pairs.
-    """
-    labels = petersen_labels(weights)
-    accepted, rejected = [], []
-    for cyc in five_cycles():
-        seq = tuple(labels[v] for v in cyc)
-        (accepted if min(seq) >= 1 else rejected).append((cyc, seq))
-    return accepted, rejected
-
-
 def tor_class(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All canonical pentagon weight vectors with the same Tor-algebra,
-    sorted lexicographically.  Always contains the canonical input."""
+    sorted lexicographically.  Always contains the canonical input.
+
+    A cycle reading with some label < 1 is skipped: a diagram must place at
+    least one facet over every polygon vertex.
+    """
     w = _pentagon_weights(weights)
     if any(a < 1 for a in w):
         raise ValueError(f"weights must be positive, got {w}")
-    accepted, _ = cycle_readings(w)
-    return tuple(sorted({canonical_weights(seq) for _, seq in accepted}))
+    labels = petersen_labels(w)
+    readings = (tuple(labels[v] for v in cyc) for cyc in five_cycles())
+    return tuple(sorted({canonical_weights(seq) for seq in readings if min(seq) >= 1}))

@@ -7,9 +7,12 @@ returns its findings as the plain JSON record that report --verify prints.
 The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
 reference tables provided an independent computation path agrees with the
-report's value (printed tables can carry typos).  The final verdict rests on
-the isomorphism keys of galerig.cohomology, which Gorenstein duality makes a
-complete invariant, and never consults these profiles.
+report's value (printed tables can carry typos).  The value is read off the
+quotient's socle functional (invariant_profile), and the saturated quotient
+certifies it: codim from the annihilator dimension, order from the least
+power in the ideal.  The final verdict rests on the isomorphism keys of
+galerig.cohomology, which Gorenstein duality makes a complete invariant,
+and never consults these profiles.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from .charmat import enumerate_charmats, row_strings  # noqa: F401 (tracer)
 from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
-    codim_via_annihilator,
+    LINEAR_FORMS,
+    codim,
     ideal_equal,
     invariant_profile,
-    order_via_quotient_maps,
+    order,
     quotient_presentation,
-    LINEAR_FORMS,
+    socle_functional,
 )
 from .gale import FaceStructure, face_structure  # noqa: F401 (tracer)
 from .gf2 import format_poly, parse_poly
@@ -81,7 +85,8 @@ def _check_profiles(qa, qb) -> list[dict]:
     quotients = {**qa, **qb}
     # the codim and ord tables of a family share their rows: one profile each
     labels = {label for table_name in table_names for label in tables[table_name]}
-    profiles = {label: invariant_profile(quotients[label]) for label in sorted(labels)}
+    profiles = {label: invariant_profile(socle_functional(quotients[label]), quotients[label].n)
+                for label in sorted(labels)}
     discrepancies = []
     for table_name in table_names:
         kind = table_name.split("_")[0]  # "codim" or "ord", a profile field
@@ -90,13 +95,10 @@ def _check_profiles(qa, qb) -> list[dict]:
             for col, (paper_v, got) in enumerate(zip(paper_values, profiles[row_label][kind])):
                 if paper_v == got:
                     continue
-                # got comes from invariant_profile (order and codim); the
-                # other path certifies it independently
+                # got is read off the socle functional; the saturated
+                # quotient certifies it independently
                 gamma = LINEAR_FORMS[col]
-                if kind == "ord":
-                    certified = order_via_quotient_maps(gamma, q) == got
-                else:
-                    certified = codim_via_annihilator(gamma, q) == got
+                certified = (order if kind == "ord" else codim)(gamma, q) == got
                 discrepancies.append({
                     "table": table_name, "row": row_label, "column": forms[col],
                     "paper_value": paper_v, "computed_value": got, "certified": certified,

@@ -8,7 +8,9 @@ characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), their orbits
 under same-label facet permutations closed breadth-first under every
 transposition (the package runs a union-find over adjacent ones), monomial-wise
-linear substitution, the Poincare pairing, the pair-by-pair GL(3, GF(2))
+linear substitution, the Poincare pairing, codim and order on coset
+coordinates of the saturated quotient (the package reads them off the
+socle functional), the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
 per matrix), the isomorphism key by a scan of all 168 substitutions (the
 package closes one orbit per key class from two generators), the inverse
@@ -32,7 +34,7 @@ import numpy as np
 from galerig.betti import betti_table, window_sums
 from galerig.cohomology import _compose, gl3, iso_keys, socle_functional, substitution_maps_ideal
 from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
-from galerig.gf2 import echelon, monomial_count, monomials, rank
+from galerig.gf2 import echelon, image, monomial_count, monomials, rank, times_form
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -315,7 +317,7 @@ def facet_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
 
 # ---------------------------------------------------------------------------
 # polynomials as frozensets of exponent tuples (a monomial belongs to the set
-# iff its coefficient is 1): products, substitution and the Poincare pairing
+# iff its coefficient is 1): products and substitution
 
 
 def poly_multiply(p, q):
@@ -379,20 +381,27 @@ def substitute_linear(p, images, nvars_out: int | None = None):
     return frozenset(acc)
 
 
+# ---------------------------------------------------------------------------
+# coordinates over the coset basis of a saturated quotient: the Poincare
+# pairing, codim by multiplication maps and order by iterating them
+
+
+def coset_columns(q, degree: int) -> list[int]:
+    """Monomial columns representing a basis of the quotient in one degree:
+    the non-pivot columns of the ideal's echelon basis."""
+    pivots = set(q.ideal.components[degree][0])
+    return [c for c in range(monomial_count(3, degree)) if c not in pivots]
+
+
 def poincare_nondegenerate(q) -> bool:
     """Non-degeneracy of the multiplication pairing between complementary
     quotient degrees, valued in the one-dimensional top degree."""
     n = q.n
     if q.hilbert[n] != 1:
         return False
-
-    def coset_columns(degree):
-        pivots = set(q.ideal.components[degree][0])
-        return [c for c in range(monomial_count(3, degree)) if c not in pivots]
-
-    top_column = coset_columns(n)[0]
+    top_column = coset_columns(q, n)[0]
     for d in range(n + 1):
-        left, right = coset_columns(d), coset_columns(n - d)
+        left, right = coset_columns(q, d), coset_columns(q, n - d)
         if len(left) != len(right):
             return False
         rows = []
@@ -408,6 +417,42 @@ def poincare_nondegenerate(q) -> bool:
         if rank(rows) < len(rows):
             return False
     return True
+
+
+def _coset_coords(q, degree: int, vec: int) -> int:
+    """Coordinates of a degree-d vector, reduced, over the coset basis."""
+    reduced = q.ideal.reduce(degree, vec)
+    return sum(((reduced >> c) & 1) << pos for pos, c in enumerate(coset_columns(q, degree)))
+
+
+def _mult_matrix(q, form: int, degree: int) -> list[int]:
+    """Multiplication by a linear form from quotient degree d to d+1, rows
+    indexed by the degree-d coset basis."""
+    return [_coset_coords(q, degree + 1, times_form(1 << c, degree, form))
+            for c in coset_columns(q, degree)]
+
+
+def codim_on_cosets(form: int, q) -> int:
+    """Least degree d >= 1 at which multiplication by the form, as a matrix
+    between the coset bases of degrees d and d+1, has a nonzero kernel."""
+    for d in range(1, q.n):
+        rows = _mult_matrix(q, form, d)
+        if rank(rows) < len(rows):
+            return d
+    raise RuntimeError("no annihilated degree found; quotient is malformed")
+
+
+def order_via_quotient_maps(form: int, q) -> int:
+    """Least power of the form that is zero in the quotient, by iterating
+    the multiplication maps on coset coordinates instead of reducing
+    explicit powers."""
+    coords, exponent = _coset_coords(q, 1, form), 1
+    while coords:
+        if exponent > q.n:
+            raise RuntimeError("top-degree component is not full; quotient is malformed")
+        coords = image(coords, _mult_matrix(q, form, exponent))
+        exponent += 1
+    return exponent
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,54 @@ def test_report_verify_profiles_each_row_once(monkeypatch):
     calls = []
     profile = galerig.verify.invariant_profile
 
-    def counted(q):
+    def counted(*args):
         calls.append(1)
-        return profile(q)
+        return profile(*args)
 
     monkeypatch.setattr(galerig.verify, "invariant_profile", counted)
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
     assert len(calls) == 22
+
+
+def test_profile_builds_no_quotient(monkeypatch, capsys):
+    """profile reads each matrix's codim/ord off its top functional, one per
+    matrix, and builds no quotient; report --verify still builds the 42
+    published blocks."""
+    import galerig.cli
+    import galerig.verify
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(galerig.cli, "quotient_presentation")
+    count(galerig.verify, "quotient_presentation")
+    count(galerig.cli, "invariant_profile")
+    assert main(["profile", "3,1,2,1,1"]) == 0
+    assert calls == {"invariant_profile": 21}
+    calls.clear()
+    assert main(["report", "3,1,2,1,1", "--verify"]) == 0
+    assert calls == {"quotient_presentation": 42}
+
+
+def test_profile_matrix_labels_its_row(capsys):
+    """--matrix k prints matrix k's row under its own index, the entry k of
+    the full run."""
+    assert main(["profile", "3,1,2,1,1", "--json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main(["profile", "3,1,2,1,1", "--matrix", "5", "--json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["matrix"] == 5
+    assert entry == full[4]
+    assert main(["profile", "3,1,2,1,1", "--matrix", "5"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "|" in line]
+    assert [row.split("|")[0].strip() for row in rows] == ["matrix", "5", "matrix", "5"]
 
 
 def test_report_cache_path_is_a_file(tmp_path, capsys):

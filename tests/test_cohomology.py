@@ -13,14 +13,12 @@ from galerig.cohomology import (
     Z,
     GradedQuotient,
     codim,
-    codim_via_annihilator,
     find_graded_iso,
     gl3,
     ideal_equal,
     invariant_profile,
     iso_keys,
     order,
-    order_via_quotient_maps,
     quotient_presentation,
     socle_functional,
     substitution_maps_ideal,
@@ -148,25 +146,34 @@ def test_zero_form_rejected():
             order(form, QA1)
 
 
+def _profile(q):
+    return invariant_profile(socle_functional(q), q.n)
+
+
 def test_profile_examples():
-    prof_a1 = invariant_profile(QA1)
+    prof_a1 = _profile(QA1)
     assert prof_a1["codim"] == [1, 2, 1, 3, 3, 2, 2]
     assert prof_a1["ord"][6] == 4  # ord(x+y+z)
-    prof_b1 = invariant_profile(QB1)
+    prof_b1 = _profile(QB1)
     assert prof_b1["codim"] == [1, 3, 1, 3, 2, 2, 2]
 
 
 def test_dual_path_oracles_agree_everywhere():
+    """Three paths per cell of the 42 fixture quotients: the profile read
+    off the socle functional, codim and order on the saturated quotient,
+    and the coset-coordinate oracles."""
     labels = [f"A{i}" for i in range(1, 22)] + [f"B{i}" for i in range(1, 22)]
     for label in labels:
         q = _quotient(label)
-        for gamma in LINEAR_FORMS:
-            assert order(gamma, q) == order_via_quotient_maps(gamma, q)
-            assert codim(gamma, q) == codim_via_annihilator(gamma, q)
+        prof = _profile(q)
+        assert prof["forms"] == ["x", "y", "z", "x+y", "x+z", "y+z", "x+y+z"]
+        for gamma, c, o in zip(LINEAR_FORMS, prof["codim"], prof["ord"]):
+            assert c == codim(gamma, q) == oracles.codim_on_cosets(gamma, q), label
+            assert o == order(gamma, q) == oracles.order_via_quotient_maps(gamma, q), label
 
 
 def test_profile_bounds():
-    prof = invariant_profile(QA1)
+    prof = _profile(QA1)
     assert all(1 <= c <= QA1.n - 1 for c in prof["codim"])
     assert all(2 <= o <= QA1.n + 1 for o in prof["ord"])
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from galerig.gale import canonical_weights
 from galerig.petersen import (
     ADJACENCY,
-    cycle_readings,
     five_cycles,
     petersen_labels,
     tor_class,
@@ -72,10 +71,14 @@ def test_tor_class_rejects_bad_weights():
 
 
 def test_rejected_readings_have_nonpositive_labels():
-    accepted, rejected = cycle_readings((3, 1, 2, 1, 1))
-    assert len(accepted) + len(rejected) == 12
-    assert all(min(seq) < 1 for _, seq in rejected)
-    assert all(min(seq) >= 1 for _, seq in accepted)
+    """Vertex 5 of (3,1,2,1,1) is labelled 0, so tor_class skips the six
+    readings through it and reads the class off the other six."""
+    labels = petersen_labels((3, 1, 2, 1, 1))
+    assert [v for v in range(10) if labels[v] < 1] == [5]
+    kept = [cyc for cyc in five_cycles() if 5 not in cyc]
+    assert len(kept) == 6
+    assert tor_class((3, 1, 2, 1, 1)) == tuple(sorted(
+        {canonical_weights(tuple(labels[v] for v in cyc)) for cyc in kept}))
 
 
 @given(weight_vectors)

@@ -65,8 +65,8 @@ def test_discrepancy_certified_by_the_independent_path_alone(matrices, report, m
     the second computation path agrees with the profile's value."""
     import galerig.verify
 
-    monkeypatch.setattr(galerig.verify, "codim_via_annihilator", lambda gamma, q: -1)
-    monkeypatch.setattr(galerig.verify, "order_via_quotient_maps", lambda gamma, q: -1)
+    monkeypatch.setattr(galerig.verify, "codim", lambda gamma, q: -1)
+    monkeypatch.setattr(galerig.verify, "order", lambda gamma, q: -1)
     again = run_verification(report["iso_found"], matrices)
     cells = [(d["table"], d["row"], d["column"]) for d in again["profile_discrepancies"]]
     assert cells == [(d["table"], d["row"], d["column"]) for d in report["profile_discrepancies"]]
