@@ -25,16 +25,22 @@ function, equal for two quotients iff they are isomorphic.  The key needs
 no quotient: top_functional reads phi off I_n alone, which the products
 of each generator with the monomials of the complementary degree span,
 and checks the duality by ranks, the catalecticant of phi against the
-h-vector of the Betti table (galerig.betti.h_vector).  iso_keys closes the
-orbit from phi under s = (x+y, y, z) and t = (y, z, x), one substitution
-table each per degree.  These two
-generate GL(3, GF(2)): s and its conjugates by t are the transvections
-x -> x+y, y -> y+z, z -> z+x, their commutators are the other three, and
-the six elementary transvections generate the group.  So the closure is the whole
-orbit and the key is the least phi o g over all 168 substitutions, the
-same value as a scan over gl3(), found once per key class of the list
-rather than once per quotient.  Two quotients are compared by their keys,
-and find_graded_iso certifies the witness it finds against the full ideals.
+h-vector of the Betti table (galerig.betti.h_vector); the catalecticants
+are built degree by degree, each row the contraction of a row of the
+degree below by one variable, through per-degree byte tables
+(galerig.gf2.byte_tables).  iso_keys fills the orbit along a fixed word
+tree in s = (x+y, y, z) and t = (y, z, x): a breadth-first spanning tree
+of GL(3, GF(2)) from the identity, built once, in which each of the other
+167 elements is its parent followed by one generator, so each orbit
+element is one table image of its parent's under the byte tables of that
+generator's degree-n pullback.  These two generate GL(3, GF(2)): s and its
+conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x, their
+commutators are the other three, and the six elementary transvections
+generate the group.  So the tree reaches all 168 substitutions and the key
+is the least phi o g over them, the same value as a scan over gl3(), found
+once per key class of the list rather than once per quotient.  Two
+quotients are compared by their keys, and find_graded_iso certifies the
+witness it finds against the full ideals.
 Nor need every matrix be keyed: permuting facets that carry one Gale
 label fixes every minimal non-face, so the matrices of one orbit under
 those permutations (galerig.charmat.orbits) have one ideal up to a
@@ -61,11 +67,13 @@ from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
     _monomial_index,
+    byte_tables,
     echelon,
     image,
     monomial_count,
     monomials,
     rank,
+    table_image,
     times_form,
 )
 
@@ -209,7 +217,7 @@ def invariant_profile(phi: int, n: int) -> dict:
     and codim(form) the least d in 1..n-1 at which the images under
     Cat_(d+1) of form times the degree-d monomials have rank below h_d.
     """
-    pairings = [_catalecticant(phi, n, d) for d in range(n + 1)]
+    pairings = _catalecticants(phi, n, n)
     h = [rank(pairing) for pairing in pairings]
     codims, ords = [], []
     for form in LINEAR_FORMS:
@@ -250,6 +258,18 @@ def gl3() -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _first_variable(degree: int) -> tuple[tuple[int, int], ...]:
+    """(index in degree d - 1 of m / x_k, k) per monomial m of degree d,
+    x_k the first variable of m."""
+    index = _monomial_index(3, degree - 1)
+    out = []
+    for mono in monomials(3, degree):
+        k = next(k for k, e in enumerate(mono) if e)
+        out.append((index[tuple(e - (i == k) for i, e in enumerate(mono))], k))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _subst_matrix(rows: tuple[int, int, int], degree: int) -> tuple[int, ...]:
     """Image vector of each degree-d basis monomial under the substitution
     of the forms rows[j] for the variables: a monomial's image is the image
@@ -258,13 +278,8 @@ def _subst_matrix(rows: tuple[int, int, int], degree: int) -> tuple[int, ...]:
     if degree == 0:
         return (1,)
     lower = _subst_matrix(rows, degree - 1)
-    index = _monomial_index(3, degree - 1)
-    out = []
-    for mono in monomials(3, degree):
-        j = next(j for j, e in enumerate(mono) if e)
-        rest = tuple(e - (i == j) for i, e in enumerate(mono))
-        out.append(times_form(lower[index[rest]], degree - 1, rows[j]))
-    return tuple(out)
+    return tuple(times_form(lower[parent], degree - 1, rows[k])
+                 for parent, k in _first_variable(degree))
 
 
 def substitution_maps_ideal(rows: tuple[int, int, int],
@@ -319,12 +334,32 @@ def _hyperplane_functional(n: int, pivots, rows) -> int:
     return phi
 
 
-def _catalecticant(phi: int, n: int, degree: int) -> list[int]:
-    """The pairing of phi in one degree d: row i has bit j = phi(monomial i
-    of degree d * monomial j of degree n - d), so f pairs to zero against
-    S_(n-d) iff image(f, rows) == 0, and the kernel is Ann(phi)_d."""
-    return [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
-            for columns in _product_columns(n, degree)]
+@lru_cache(maxsize=None)
+def _contraction_tables(degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Byte tables of the contractions S_e* -> S_(e-1)* by x, y and z, for
+    e = degree: psi goes to f -> psi(x_k * f), so bit j of the image is bit
+    (x_k * monomial j) of psi."""
+    index = _monomial_index(3, degree - 1)
+    return tuple(byte_tables([1 << index[tuple(e - (i == k) for i, e in enumerate(mono))]
+                              if mono[k] else 0 for mono in monomials(3, degree)])
+                 for k in range(3))
+
+
+def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
+    """The pairings Cat_0..Cat_top of phi: row i of Cat_d has bit j =
+    phi(monomial i of degree d * monomial j of degree n - d), so f pairs to
+    zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel is
+    Ann(phi)_d.
+
+    Cat_0 = [phi], and the row of x_k * m is the x_k-contraction of the row
+    of m in Cat_(d-1), one table lookup per byte.
+    """
+    pairings = [[phi]]
+    for d in range(1, top + 1):
+        lower, tables = pairings[-1], _contraction_tables(n - d + 1)
+        pairings.append([table_image(lower[parent], tables[k])
+                         for parent, k in _first_variable(d)])
+    return pairings
 
 
 def socle_functional(q: GradedQuotient) -> int:
@@ -336,8 +371,7 @@ def socle_functional(q: GradedQuotient) -> int:
     quotient that breaks it is refused rather than keyed.
     """
     phi = _hyperplane_functional(q.n, *q.ideal.components[q.n])
-    for d in range(q.n):
-        pairing = _catalecticant(phi, q.n, d)
+    for d, pairing in enumerate(_catalecticants(phi, q.n, q.n - 1)):
         if (len(pairing) - rank(pairing) != q.ideal.dimension(d)
                 or any(image(row, pairing) for row in q.ideal.rows(d))):
             raise ValueError(f"ideal is not the inverse system of its top degree "
@@ -374,7 +408,7 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
     products = [image(vec, columns) for degree, vec in _generators(fs, forms)
                 for columns in _spread_columns(n, degree)]
     phi = _hyperplane_functional(n, *echelon(products))
-    ranks = [rank(_catalecticant(phi, n, d)) for d in range(n // 2 + 1)]
+    ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
     ranks += ranks[:(n + 1) // 2][::-1]
     for d, (r, h_d) in enumerate(zip(ranks, h)):
         if r != h_d:
@@ -401,25 +435,49 @@ def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
 _GENERATORS = ((0b011, 0b010, 0b100), (0b010, 0b100, 0b001))
 
 
+@lru_cache(maxsize=None)
+def _word_tree() -> tuple[tuple[int, int], ...]:
+    """A breadth-first spanning tree of GL(3, GF(2)) from the identity under
+    the generators: entry i - 1 is (parent, k) for element i = g o h, where
+    g is element parent and h = _GENERATORS[k], so that phi o (element i) =
+    (phi o g) o h is one pullback of phi o g.  As a substitution, g o h
+    sends variable j to h's form j with g substituted in it."""
+    elements = [(0b001, 0b010, 0b100)]
+    seen = set(elements)
+    tree = []
+    for parent, g in enumerate(elements):  # elements grows while it is walked
+        for k, h in enumerate(_GENERATORS):
+            gh = tuple(image(form, g) for form in h)
+            if gh not in seen:
+                seen.add(gh)
+                elements.append(gh)
+                tree.append((parent, k))
+    assert len(elements) == 168, "s and t do not generate GL(3, GF(2))"
+    return tuple(tree)
+
+
+@lru_cache(maxsize=None)
+def _generator_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Byte tables of the degree-n pullbacks of the generators."""
+    return tuple(byte_tables(_pullback(g, n)) for g in _GENERATORS)
+
+
 def _orbit(phi: int, n: int) -> set[int]:
-    """{phi o g : g in GL(3, GF(2))}, closed from phi under the generators."""
-    tables = [_pullback(g, n) for g in _GENERATORS]
-    orbit, frontier = {phi}, [phi]
-    while frontier:
-        psi = frontier.pop()
-        for table in tables:
-            image_psi = image(psi, table)
-            if image_psi not in orbit:
-                orbit.add(image_psi)
-                frontier.append(image_psi)
-    return orbit
+    """{phi o g : g in GL(3, GF(2))}, filled along the word tree, one table
+    image per group element."""
+    tables = _generator_tables(n)
+    orbit = [phi]
+    for parent, k in _word_tree():
+        orbit.append(table_image(orbit[parent], tables[k]))
+    return set(orbit)
 
 
 def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int]) -> list[tuple]:
     """(n, h, least phi o g over GL(3, GF(2))) per socle functional phi on
     S_n, in order: equal iff the quotients are isomorphic (module
-    docstring), given one h-vector h for the list.  The orbit is closed once
-    per key class of the list."""
+    docstring), given one h-vector h for the list.  The orbit is filled
+    along the fixed word tree in s and t (_word_tree) once per key class of
+    the list, and each of its elements is remembered with the key."""
     known: dict[int, tuple] = {}
     keys = []
     for phi in functionals:

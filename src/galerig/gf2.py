@@ -12,6 +12,17 @@ Conventions:
     * A linear form is the int 1..7 with bit j standing for variable j of
       (x, y, z); it is also its own degree-1 vec.  ``times_form`` multiplies
       a polynomial by one and is the package's one polynomial product.
+
+Two kernels carry the hot loops.  ``echelon``, the package's one
+elimination routine, keeps each row under its lowest set bit: a forward
+pass reduces every incoming row by the row stored under its lowest bit
+until that bit is new or the row is zero, and a back-substitution clears
+the pivot columns through a mask (``rank`` is the forward pass alone).  A
+linear map applied many times is turned into ``byte_tables``, one
+256-entry table of the images of every byte per 8 columns, after the
+"Four Russians" tables of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,
+2010), and ``table_image`` applies it with one lookup per byte of the
+vector instead of one XOR per set bit.
 """
 
 from __future__ import annotations
@@ -29,32 +40,55 @@ Monomial = tuple[int, ...]
 # bit-packed row reduction
 
 
+def _forward(rows: Iterable[int]) -> dict[int, int]:
+    """Forward pass of echelon: {lowest bit: row}, each row reduced by the
+    row stored under its lowest set bit until that bit is new or the row is
+    zero, so the stored rows have distinct lowest bits (the pivots)."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot_row = basis.get(low)
+            if pivot_row is None:
+                basis[low] = row
+                break
+            row ^= pivot_row
+    return basis
+
+
 def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of bit-packed rows: the one GF(2)
     elimination routine of the package.
 
     Returns (pivots, reduced_rows) with pivot columns strictly increasing and
-    zero rows dropped.  Every pivot column is cleared in all other rows, so a
-    vector is reduced by one pass over the pivots, in any order.
+    zero rows dropped.  Each row's pivot is its lowest set bit, and every
+    pivot column is cleared in all other rows, so a vector is reduced by one
+    pass over the pivots, in any order; this form of a row space is unique.
+
+    After the forward pass, back-substitution runs from the highest pivot
+    down: a row can only hold pivot bits above its own, each such bit is
+    cleared by the already reduced row of that pivot, and a reduced row
+    brings in no other pivot bit, so the bits to clear are read off once
+    through the mask of the pivots above.
     """
-    basis: dict[int, int] = {}
-    for row in rows:
-        for p, b in basis.items():
-            if (row >> p) & 1:
-                row ^= b
-        if row:
-            p = (row & -row).bit_length() - 1
-            for q in basis:
-                if (basis[q] >> p) & 1:
-                    basis[q] ^= row
-            basis[p] = row
-    pivots = sorted(basis)
-    return pivots, [basis[p] for p in pivots]
+    basis = _forward(rows)
+    lows = sorted(basis)
+    mask = 0
+    for low in reversed(lows):
+        row = basis[low]
+        hits = row & mask
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
+        basis[low] = row
+        mask |= low
+    return [low.bit_length() - 1 for low in lows], [basis[low] for low in lows]
 
 
 def rank(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows."""
-    return len(echelon(rows)[1])
+    """Rank of bit-packed rows: the forward pass of echelon alone."""
+    return len(_forward(rows))
 
 
 def reduce_vector(vec: int, pivots: Iterable[int], rows: Iterable[int]) -> int:
@@ -106,6 +140,32 @@ def image(vec: int, columns) -> int:
         low = vec & -vec
         out ^= columns[low.bit_length() - 1]
         vec ^= low
+    return out
+
+
+def byte_tables(columns) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables of the linear map whose column c is columns[c], one per
+    8 columns: table k, entry b is image(b << 8k, columns).  Each entry is
+    one XOR off an earlier one: the entries with top bit j are the entries
+    below 2^j plus column 8k + j."""
+    tables = []
+    for start in range(0, len(columns), 8):
+        table = [0]
+        for column in columns[start:start + 8]:
+            table += [entry ^ column for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def table_image(vec: int, tables) -> int:
+    """image(vec, columns) for tables = byte_tables(columns): one lookup per
+    byte of vec."""
+    out = 0
+    for table in tables:
+        out ^= table[vec & 255]
+        vec >>= 8
+    if vec:
+        raise IndexError("vector has bits beyond the columns of the map")
     return out
 
 

@@ -13,11 +13,14 @@ coordinates of the saturated quotient (the package reads them off the
 socle functional), the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
 per matrix), the isomorphism key by a scan of all 168 substitutions (the
-package closes one orbit per key class from two generators), the inverse
-system of a socle functional, adjacent-sum multisets and the
-120-permutation linear systems for the pentagon Tor class (the package
-reads Petersen 5-cycles), and the sphere-product decomposition of the
-moment-angle manifold, checked against the Betti table's additive ranks.
+package fills one orbit per key class along a fixed word tree in two
+generators), the inverse system of a socle functional, the key kernels the
+package replaced with table lookups (elimination scanning every pivot,
+orbit closure from a frontier, catalecticant rows bit by bit), adjacent-sum
+multisets and the 120-permutation linear systems for the pentagon Tor class
+(the package reads Petersen 5-cycles), and the sphere-product decomposition
+of the moment-angle manifold, checked against the Betti table's additive
+ranks.
 """
 
 from __future__ import annotations
@@ -32,9 +35,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from galerig.betti import betti_table, window_sums
-from galerig.cohomology import _compose, gl3, iso_keys, socle_functional, substitution_maps_ideal
+from galerig.cohomology import (
+    _GENERATORS,
+    _compose,
+    _product_columns,
+    _pullback,
+    gl3,
+    iso_keys,
+    socle_functional,
+    substitution_maps_ideal,
+)
 from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
-from galerig.gf2 import echelon, image, monomial_count, monomials, rank, times_form
+from galerig.gf2 import image, monomial_count, monomials, rank, times_form
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -502,8 +514,54 @@ def annihilator(phi: int, n: int, degree: int) -> list[int]:
             if (phi >> top[tuple(x + y for x, y in zip(a, b))]) & 1:
                 pairing |= 1 << j
         rows.append(pairing | 1 << (width + c))
-    kernel = [row >> width for row in echelon(rows)[1] if not row & ((1 << width) - 1)]
-    return echelon(kernel)[1]
+    kernel = [row >> width for row in echelon_by_scan(rows)[1] if not row & ((1 << width) - 1)]
+    return echelon_by_scan(kernel)[1]
+
+
+# ---------------------------------------------------------------------------
+# the key kernels by their first routes: elimination scanning every pivot,
+# orbit closure from a frontier, catalecticant rows bit by bit
+
+
+def echelon_by_scan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form with lowest-bit pivots, as gf2.echelon
+    gives it: each row is reduced against every stored pivot, and its own
+    pivot is then cleared from every stored row."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        for p, b in basis.items():
+            if (row >> p) & 1:
+                row ^= b
+        if row:
+            p = (row & -row).bit_length() - 1
+            for q in basis:
+                if (basis[q] >> p) & 1:
+                    basis[q] ^= row
+            basis[p] = row
+    pivots = sorted(basis)
+    return pivots, [basis[p] for p in pivots]
+
+
+def orbit_by_closure(phi: int, n: int) -> set[int]:
+    """{phi o g : g in GL(3, GF(2))}, closed from phi under the two
+    generators with a frontier."""
+    tables = [_pullback(g, n) for g in _GENERATORS]
+    orbit, frontier = {phi}, [phi]
+    while frontier:
+        psi = frontier.pop()
+        for table in tables:
+            image_psi = image(psi, table)
+            if image_psi not in orbit:
+                orbit.add(image_psi)
+                frontier.append(image_psi)
+    return orbit
+
+
+def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:
+    """phi's pairing in one degree d, each bit read off phi: row i has
+    bit j = phi(monomial i of degree d * monomial j of degree n - d)."""
+    return [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
+            for columns in _product_columns(n, degree)]
 
 
 # ---------------------------------------------------------------------------

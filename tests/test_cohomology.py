@@ -1,6 +1,7 @@
 """Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
 
 import dataclasses
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -24,12 +25,16 @@ from galerig.cohomology import (
     substitution_maps_ideal,
     top_functional,
     _GENERATORS,
+    _catalecticants,
+    _compose,
+    _orbit,
     _subst_matrix,
+    _word_tree,
 )
 from galerig.betti import h_vector
 from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
-from galerig.gf2 import GradedSubspace, image, monomials, parse_poly
+from galerig.gf2 import GradedSubspace, image, monomial_count, monomials, parse_poly
 from galerig.charmat import enumerate_charmats, orbits
 from galerig.petersen import tor_class
 
@@ -350,6 +355,39 @@ def test_two_generators_close_to_gl3():
                 closure.add(gh)
                 frontier.append(gh)
     assert closure == set(gl3())
+
+
+def test_word_tree_covers_gl3():
+    # element i = g o h for g its parent and h its generator, h's forms with
+    # g substituted in them, and phi o (g o h) = (phi o g) o h
+    elements = [(X, Y, Z)]
+    for parent, k in _word_tree():
+        elements.append(tuple(image(form, elements[parent]) for form in _GENERATORS[k]))
+    assert len(elements) == 168 and set(elements) == set(gl3())
+    phi = socle_functional(QA1)
+    for (parent, k), g in zip(_word_tree(), elements[1:]):
+        assert _compose(phi, g, QA1.n) == _compose(_compose(phi, elements[parent], QA1.n),
+                                                   _GENERATORS[k], QA1.n)
+
+
+def test_orbit_is_the_generator_closure():
+    rng = random.Random(0)
+    for n in range(1, 13):
+        width = monomial_count(3, n)
+        for phi in [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(6)]:
+            assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n), (n, phi)
+
+
+def test_catalecticants_are_the_bitwise_pairings():
+    rng = random.Random(1)
+    for n in range(1, 13):
+        width = monomial_count(3, n)
+        for phi in [1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width)
+                                                           for _ in range(4)]:
+            assert _catalecticants(phi, n, n) == [oracles.catalecticant_by_bits(phi, n, d)
+                                                  for d in range(n + 1)], (n, phi)
+    phi = socle_functional(QA1)
+    assert _catalecticants(phi, QA1.n, 2) == _catalecticants(phi, QA1.n, QA1.n)[:3]
 
 
 def test_iso_keys_one_key_per_entry_in_order():

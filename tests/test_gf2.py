@@ -1,22 +1,27 @@
 """GF(2) linear algebra and (degree, vec) polynomials."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galerig.gf2 import (
     GradedSubspace,
+    byte_tables,
     echelon,
     format_poly,
     from_lists,
+    image,
     monomial_count,
     monomials,
     parse_poly,
     rank,
+    table_image,
     times_form,
     to_lists,
 )
 
-from oracles import form_poly, poly_multiply, poly_to_vec, substitute_linear
+from oracles import echelon_by_scan, form_poly, poly_multiply, poly_to_vec, substitute_linear
 
 X, Y, Z = 0b001, 0b010, 0b100  # linear forms; also their degree-1 vecs
 
@@ -61,6 +66,38 @@ def test_rank_invariant_under_row_permutation(dense, rng):
     pivots, reduced = echelon(_packed(dense))
     assert all(((row >> p) & 1) == (i == j)
                for i, p in enumerate(pivots) for j, row in enumerate(reduced))
+
+
+@st.composite
+def row_lists(draw):
+    """Up to 40 rows over at most 90 columns, then up to 10 sums of two of
+    them, so that some rows reduce to zero."""
+    width = draw(st.integers(1, 90))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    sums = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10))
+    return rows + [rows[i] ^ rows[j] for i, j in sums if i < len(rows) and j < len(rows)]
+
+
+@given(row_lists())
+@settings(max_examples=300)
+def test_echelon_and_rank_equal_the_pivot_scan(rows):
+    expected = echelon_by_scan(rows)
+    assert echelon(rows) == expected
+    assert rank(rows) == len(expected[1])
+
+
+def test_table_image_is_the_image():
+    # every width 1..90, so the last table is short for 7 in 8 of them
+    rng = random.Random(0)
+    for width in range(1, 91):
+        columns = [rng.getrandbits(rng.randint(1, 90)) for _ in range(width)]
+        tables = byte_tables(columns)
+        assert len(tables) == -(-width // 8)
+        vecs = [0, (1 << width) - 1, 1 << (width - 1)] + [rng.getrandbits(width)
+                                                         for _ in range(30)]
+        assert [table_image(v, tables) for v in vecs] == [image(v, columns) for v in vecs]
+        with pytest.raises(IndexError):
+            table_image(1 << width, tables)
 
 
 # ---------------------------------------------------------------------------
