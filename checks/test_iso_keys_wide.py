@@ -19,7 +19,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
 from galerig.charmat import enumerate_charmats  # noqa: E402
-from galerig.cohomology import iso_keys, quotient_presentation, socle_functional  # noqa: E402
+from galerig.cohomology import iso_keys, quotient_presentation  # noqa: E402
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
 
 DIAGRAMS = oracles.canonical_diagrams(5, 9)
@@ -35,10 +35,10 @@ def test_keys_agree_with_search(weights):
     quotients = [quotient_presentation(fs, b) for b in enumerate_charmats(fs)]
     expected = [[w is not None for w in row]
                 for row in oracles.search_iso_witnesses(quotients, quotients)]
-    keys = iso_keys(fs.n, quotients[0].hilbert, [socle_functional(q) for q in quotients])
+    keys = iso_keys(fs.n, quotients[0].hilbert, [oracles.socle_functional(q) for q in quotients])
     assert [[a == b for b in keys] for a in keys] == expected
     assert keys == [oracles.scan_iso_key(q) for q in quotients]
     for q in quotients:
-        phi = socle_functional(q)
+        phi = oracles.socle_functional(q)
         for d in range(q.n + 1):
             assert oracles.annihilator(phi, q.n, d) == list(q.ideal.rows(d))

@@ -5,7 +5,7 @@ galerig.cli._matrix_keys, which reads one socle functional per
 facet-symmetry orbit off the top degree of the ideal alone and checks it
 against the h-vector of the Betti table, gives every matrix the key of its
 orbit representative's saturated quotient (galerig.cohomology's
-quotient_presentation and socle_functional, keyed by
+quotient_presentation, keyed on oracles.socle_functional by
 tests/oracles.quotient_keys).  Saturating every representative is too slow
 for tier-1, so this sits outside tier-1's testpaths.
 

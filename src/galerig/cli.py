@@ -50,10 +50,10 @@ from .petersen import tor_class
 # per facet-symmetry orbit and build no quotient; `profile` computes one top
 # functional per matrix, and `cohomology` builds one quotient per matrix.
 # On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates
-# its 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and keys
-# those 23 in 0.04 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
-# 0.25 s; a fresh `profile` takes about 3.3 s and `cohomology`, which prints
-# all 2049 quotients, about 10 s.  No pentagon at m = 14 has more than 34
+# its 2049 matrices in 0.01 s, groups them into 23 orbits in 0.01 s and keys
+# those 23 in 0.01 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
+# 0.11 s; a fresh `profile` takes about 1.0 s and `cohomology`, which prints
+# all 2049 quotients, about 4.3 s.  No pentagon at m = 14 has more than 34
 # orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger
 # diagrams are refused with exit 2.
 MAX_FACETS = 14
@@ -143,6 +143,8 @@ def _selected_matrices(diagram, index: int | None):
     fs, blocks = _matrices(diagram)
     if index is None:
         return fs, list(enumerate(blocks, start=1))
+    if not blocks:
+        raise ValueError("--matrix selects nothing: the diagram has no characteristic matrices")
     if not 1 <= index <= len(blocks):
         raise ValueError(f"--matrix must be in 1..{len(blocks)}")
     return fs, [(index, blocks[index - 1])]

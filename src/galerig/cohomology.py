@@ -15,8 +15,7 @@ Isomorphism is decided by keys.  The quotient is the mod-2 cohomology of a
 closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
 degree n: I_n is a hyperplane of S_n = GF(2)[x,y,z]_n, and its annihilator,
 the socle functional phi, determines every component, I_d = {f in S_d :
-phi(f * S_(n-d)) = 0} (Macaulay's inverse system; socle_functional checks
-it on a saturated quotient and refuses one that breaks it).  A degree-one
+phi(f * S_(n-d)) = 0} (Macaulay's inverse system).  A degree-one
 substitution g therefore maps one ideal onto another iff phi_b o g =
 phi_a, and both algebras are generated in degree one, so every graded
 isomorphism is such a g in GL(3, GF(2)).  The key of a quotient is (n, h,
@@ -25,22 +24,25 @@ function, equal for two quotients iff they are isomorphic.  The key needs
 no quotient: top_functional reads phi off I_n alone, which the products
 of each generator with the monomials of the complementary degree span,
 and checks the duality by ranks, the catalecticant of phi against the
-h-vector of the Betti table (galerig.betti.h_vector); the catalecticants
-are built degree by degree, each row the contraction of a row of the
-degree below by one variable, through per-degree byte tables
-(galerig.gf2.byte_tables).  iso_keys fills the orbit along a fixed word
-tree in s = (x+y, y, z) and t = (y, z, x): a breadth-first spanning tree
-of GL(3, GF(2)) from the identity, built once, in which each of the other
-167 elements is its parent followed by one generator, so each orbit
-element is one table image of its parent's under the byte tables of that
-generator's degree-n pullback.  These two generate GL(3, GF(2)): s and its
+h-vector of the Betti table (galerig.betti.h_vector); keys, profiles and
+report --verify all get phi from it.  The dual side has one operation,
+the contraction psi -> (f -> psi(l * f)) of a functional by a linear form
+l, the transpose of multiplication by l, through cached byte tables
+(galerig.gf2.byte_tables): each row of a catalecticant is the contraction
+of a row of the degree below by one variable.  iso_keys fills the orbit
+along a fixed word tree in s = (x+y, y, z) and t = (y, z, x): a
+breadth-first spanning tree of GL(3, GF(2)) from the identity, built
+once, in which each of the other 167 elements is its parent followed by
+one generator, so each orbit element is one table image of its parent's
+under the byte tables of that generator's degree-n pullback.  These two generate GL(3, GF(2)): s and its
 conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x, their
 commutators are the other three, and the six elementary transvections
 generate the group.  So the tree reaches all 168 substitutions and the key
 is the least phi o g over them, the same value as a scan over gl3(), found
 once per key class of the list rather than once per quotient.  Two
-quotients are compared by their keys, and find_graded_iso certifies the
-witness it finds against the full ideals.
+quotients are compared by their keys, and find_graded_iso, which reads
+phi_a and phi_b off the top degrees of two saturated quotients, certifies
+the witness it finds against the full ideals.
 Nor need every matrix be keyed: permuting facets that carry one Gale
 label fixes every minimal non-face, so the matrices of one orbit under
 those permutations (galerig.charmat.orbits) have one ideal up to a
@@ -50,10 +52,10 @@ member the orbit's key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.  invariant_profile reads them off phi too, since I_d is
-the kernel of phi's degree-d catalecticant, so the profile command builds
-no quotient either.  codim and order compute the same invariants on a
-saturated quotient, the second path that certifies a profile cell
-disagreeing with a published table.
+the kernel of phi's degree-d catalecticant, by contraction alone, so the
+profile command builds no quotient either.  codim and order compute the
+same invariants on a saturated quotient by multiplication, the second
+path that certifies a profile cell disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _validate_quotient(q: GradedQuotient):
     if q.ideal.dimension(top) != monomial_count(3, top):
         raise ValueError(f"ideal is not full in degree {top}")
     # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
-    # socle functional that socle_functional reads off the quotient needs.
+    # socle functional that find_graded_iso reads off I_n needs.
     if q.hilbert != q.hilbert[::-1] or q.hilbert[-1] != 1:
         raise ValueError("quotient dimensions are not palindromic with a "
                          "one-dimensional top degree")
@@ -213,27 +215,27 @@ def invariant_profile(phi: int, n: int) -> dict:
 
     I_d is the kernel of phi's degree-d catalecticant Cat_d, whose rank h_d
     is the quotient's dimension in degree d, so no quotient is built:
-    ord(form) is the least e <= n with image(form^e, Cat_e) == 0, or n + 1,
-    and codim(form) the least d in 1..n-1 at which the images under
-    Cat_(d+1) of form times the degree-d monomials have rank below h_d.
+    ord(form) is the least e <= n at which e contractions of phi by the
+    form give 0, or n + 1, and codim(form) the least d in 1..n-1 at which
+    the rows of Cat_d, each contracted by the form (the rows of form times
+    the degree-d monomials in Cat_(d+1)), have rank below h_d.
     """
-    pairings = _catalecticants(phi, n, n)
+    pairings = _catalecticants(phi, n, n - 1)
     h = [rank(pairing) for pairing in pairings]
     codims, ords = [], []
     for form in LINEAR_FORMS:
         for d in range(1, n):
-            images = [image(times_form(1 << c, d, form), pairings[d + 1])
-                      for c in range(monomial_count(3, d))]
-            if rank(images) < h[d]:
+            tables = _contraction_tables(n - d, form)
+            if rank([table_image(row, tables) for row in pairings[d]]) < h[d]:
                 codims.append(d)
                 break
         else:
             raise RuntimeError("no annihilated degree found; functional is malformed")
-        power, exponent = form, 1
-        while exponent <= n and image(power, pairings[exponent]):
-            power = times_form(power, exponent, form)
+        psi, exponent = phi, 0
+        while psi and exponent < n:
+            psi = table_image(psi, _contraction_tables(n - exponent, form))
             exponent += 1
-        ords.append(exponent)
+        ords.append(n + 1 if psi else exponent)
     return {"forms": list(LINEAR_FORM_NAMES), "codim": codims, "ord": ords}
 
 
@@ -298,21 +300,14 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
 
 
 @lru_cache(maxsize=None)
-def _product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """_product_columns(n, d)[i][j]: the degree-n column of monomial i of
-    degree d times monomial j of degree n - d."""
-    top = _monomial_index(3, n)
-    return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
-                       for high in monomials(3, n - degree))
-                 for low in monomials(3, degree))
-
-
-@lru_cache(maxsize=None)
 def _spread_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """_spread_columns(n, d)[j][i]: the degree-n bit of monomial i of degree
     d times monomial j of degree n - d, so that image(vec, columns) is a
     degree-d polynomial times monomial j."""
-    return tuple(zip(*(tuple(1 << c for c in row) for row in _product_columns(n, degree))))
+    top = _monomial_index(3, n)
+    return tuple(tuple(1 << top[tuple(a + b for a, b in zip(low, high))]
+                       for low in monomials(3, degree))
+                 for high in monomials(3, n - degree))
 
 
 def _hyperplane_functional(n: int, pivots, rows) -> int:
@@ -335,14 +330,14 @@ def _hyperplane_functional(n: int, pivots, rows) -> int:
 
 
 @lru_cache(maxsize=None)
-def _contraction_tables(degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Byte tables of the contractions S_e* -> S_(e-1)* by x, y and z, for
-    e = degree: psi goes to f -> psi(x_k * f), so bit j of the image is bit
-    (x_k * monomial j) of psi."""
+def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the contraction S_e* -> S_(e-1)* by a linear form, for
+    e = degree, psi -> (f -> psi(form * f)): the transpose of
+    gf2._times_columns(e - 1)[form]."""
     index = _monomial_index(3, degree - 1)
-    return tuple(byte_tables([1 << index[tuple(e - (i == k) for i, e in enumerate(mono))]
-                              if mono[k] else 0 for mono in monomials(3, degree)])
-                 for k in range(3))
+    return byte_tables([sum(1 << index[tuple(e - (i == k) for i, e in enumerate(mono))]
+                            for k in range(3) if (form >> k) & 1 and mono[k])
+                        for mono in monomials(3, degree)])
 
 
 def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
@@ -356,32 +351,16 @@ def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
     """
     pairings = [[phi]]
     for d in range(1, top + 1):
-        lower, tables = pairings[-1], _contraction_tables(n - d + 1)
+        lower = pairings[-1]
+        tables = [_contraction_tables(n - d + 1, v) for v in VARIABLES]
         pairings.append([table_image(lower[parent], tables[k])
                          for parent, k in _first_variable(d)])
     return pairings
 
 
-def socle_functional(q: GradedQuotient) -> int:
-    """The linear functional phi on S_n whose kernel is I_n, as a bit vector
-    over monomials(3, n).
-
-    Raises ValueError unless every I_d (d < n) is {f in S_d : phi(f *
-    S_(n-d)) = 0}, the Gorenstein duality that makes iso_keys complete: a
-    quotient that breaks it is refused rather than keyed.
-    """
-    phi = _hyperplane_functional(q.n, *q.ideal.components[q.n])
-    for d, pairing in enumerate(_catalecticants(phi, q.n, q.n - 1)):
-        if (len(pairing) - rank(pairing) != q.ideal.dimension(d)
-                or any(image(row, pairing) for row in q.ideal.rows(d))):
-            raise ValueError(f"ideal is not the inverse system of its top degree "
-                             f"(Poincare duality fails in degree {d})")
-    return phi
-
-
 def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
-    """The socle functional of a characteristic matrix's quotient, the value
-    socle_functional gives, from the degree-n component of its ideal alone.
+    """The socle functional of a characteristic matrix's quotient, whose
+    kernel is I_n, from that component alone.
 
     Args:
         fs: face structure in normalized facet order.
@@ -390,7 +369,7 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
 
     I_n is spanned by each generator of degree e times the monomials of
     degree n - e, so one echelon over those products gives it, and phi is
-    read off as in socle_functional.  No lower degree is saturated.
+    read off it (_hyperplane_functional).  No lower degree is saturated.
 
     Raises ValueError unless I_n has corank 1 and, in every degree d, phi's
     catalecticant has rank h_d.  I_d lies in Ann(phi)_d, whose codimension
@@ -494,14 +473,16 @@ def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
     """First substitution in gl3() order mapping the first ideal onto the
     second, or None.
 
-    The witness is the first g with phi_b o g = phi_a, which by Gorenstein
-    duality is the first g mapping I_a into I_b in every degree; it is
-    certified against the full ideals with substitution_maps_ideal, and a
-    disagreement raises RuntimeError.
+    The witness is the first g with phi_b o g = phi_a, phi read off I_n,
+    which by Gorenstein duality is the first g mapping I_a into I_b in
+    every degree; it is certified against the full ideals with
+    substitution_maps_ideal, and a disagreement, such as a quotient that
+    breaks the duality, raises RuntimeError.
     """
     if qa.n != qb.n or qa.hilbert != qb.hilbert:
         return None
-    phi_a, phi_b = socle_functional(qa), socle_functional(qb)
+    phi_a = _hyperplane_functional(qa.n, *qa.ideal.components[qa.n])
+    phi_b = _hyperplane_functional(qb.n, *qb.ideal.components[qb.n])
     rows = next((g for g in gl3() if _compose(phi_b, g, qb.n) == phi_a), None)
     if rows is not None and not substitution_maps_ideal(rows, qa, qb):
         raise RuntimeError(f"substitution {rows} matches the socle functionals "

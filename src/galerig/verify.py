@@ -7,12 +7,13 @@ returns its findings as the plain JSON record that report --verify prints.
 The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
 reference tables provided an independent computation path agrees with the
-report's value (printed tables can carry typos).  The value is read off the
-quotient's socle functional (invariant_profile), and the saturated quotient
-certifies it: codim from the annihilator dimension, order from the least
-power in the ideal.  The final verdict rests on the isomorphism keys of
-galerig.cohomology, which Gorenstein duality makes a complete invariant,
-and never consults these profiles.
+report's value (printed tables can carry typos).  The value is the one the
+profile command prints, invariant_profile of the block's top_functional,
+checked against the saturated quotient's dimensions, and the saturated
+quotient certifies it: codim from the annihilator dimension, order from
+the least power in the ideal.  The final verdict rests on the isomorphism
+keys of galerig.cohomology, which Gorenstein duality makes a complete
+invariant, and never consults these profiles.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cohomology import (
     invariant_profile,
     order,
     quotient_presentation,
-    socle_functional,
+    top_functional,
 )
 from .gale import FaceStructure, face_structure  # noqa: F401 (tracer)
 from .gf2 import format_poly, parse_poly
@@ -77,16 +78,22 @@ def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient]) -> dict:
     return {**record, "matches": matches, "ok": matches}
 
 
-def _check_profiles(qa, qb) -> list[dict]:
+def _check_profiles(structures: dict[str, FaceStructure],
+                    labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict]:
+    """Published codim/ord cells that differ from their blocks' profiles."""
     tables = fixtures.profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
     table_names = ("codim_A", "ord_A", "codim_B", "ord_B")
-    quotients = {**qa, **qb}
+    quotients = {**labelled["A"], **labelled["B"]}
+    blocks = {**fixtures.label_blocks("A"), **fixtures.label_blocks("B")}
     # the codim and ord tables of a family share their rows: one profile each
     labels = {label for table_name in table_names for label in tables[table_name]}
-    profiles = {label: invariant_profile(socle_functional(quotients[label]), quotients[label].n)
-                for label in sorted(labels)}
+    profiles = {}
+    for label in sorted(labels):
+        fs = structures[label[0]]
+        phi = top_functional(fs, blocks[label], quotients[label].hilbert)
+        profiles[label] = invariant_profile(phi, fs.n)
     discrepancies = []
     for table_name in table_names:
         kind = table_name.split("_")[0]  # "codim" or "ord", a profile field
@@ -95,7 +102,7 @@ def _check_profiles(qa, qb) -> list[dict]:
             for col, (paper_v, got) in enumerate(zip(paper_values, profiles[row_label][kind])):
                 if paper_v == got:
                     continue
-                # got is read off the socle functional; the saturated
+                # got is read off the top functional; the saturated
                 # quotient certifies it independently
                 gamma = LINEAR_FORMS[col]
                 certified = (order if kind == "ord" else codim)(gamma, q) == got
@@ -126,9 +133,10 @@ def run_verification(iso_found: int, matrices: dict) -> dict:
     """
     (fs_a, blocks_a), (fs_b, blocks_b) = matrices[WEIGHTS_A], matrices[WEIGHTS_B]
     comparisons = {"A": _compare_matrices("A", blocks_a), "B": _compare_matrices("B", blocks_b)}
-    labelled = {"A": _quotients_by_label("A", fs_a), "B": _quotients_by_label("B", fs_b)}
+    structures = {"A": fs_a, "B": fs_b}
+    labelled = {family: _quotients_by_label(family, fs) for family, fs in structures.items()}
     ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
-    discrepancies = _check_profiles(labelled["A"], labelled["B"])
+    discrepancies = _check_profiles(structures, labelled)
     return {
         "matrices": comparisons,
         "ideal_rows": ideal_rows,

@@ -14,9 +14,13 @@ socle functional), the pair-by-pair GL(3, GF(2))
 substitution search for graded isomorphism (the package compares one key
 per matrix), the isomorphism key by a scan of all 168 substitutions (the
 package fills one orbit per key class along a fixed word tree in two
-generators), the inverse system of a socle functional, the key kernels the
-package replaced with table lookups (elimination scanning every pivot,
-orbit closure from a frontier, catalecticant rows bit by bit), adjacent-sum
+generators), the socle functional of a saturated quotient with its duality
+checked degree by degree (the package reads phi off the top degree of the
+ideal alone and checks ranks against the h-vector), the inverse system of
+a socle functional, the key kernels the package replaced with table
+lookups (elimination scanning every pivot, orbit closure from a frontier,
+catalecticant rows bit by bit), the codim/ord profile by products with
+the linear forms (the package contracts phi by them), adjacent-sum
 multisets and the 120-permutation linear systems for the pentagon Tor class
 (the package reads Petersen 5-cycles), and the sphere-product decomposition
 of the moment-angle manifold, checked against the Betti table's additive
@@ -36,13 +40,13 @@ import numpy as np
 
 from galerig.betti import betti_table, window_sums
 from galerig.cohomology import (
+    LINEAR_FORM_NAMES,
+    LINEAR_FORMS,
     _GENERATORS,
     _compose,
-    _product_columns,
     _pullback,
     gl3,
     iso_keys,
-    socle_functional,
     substitution_maps_ideal,
 )
 from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
@@ -483,6 +487,34 @@ def search_iso_witnesses(quotients_a, quotients_b):
     return [[search_graded_iso(qa, qb) for qb in quotients_b] for qa in quotients_a]
 
 
+def socle_functional(q) -> int:
+    """The linear functional phi on S_n whose kernel is I_n, as a bit vector
+    over monomials(3, n): the kernel of the transposed echelon rows of I_n,
+    found with an identity block as in annihilator.
+
+    Raises ValueError unless I_n is a hyperplane and every I_d (d < n) is
+    {f in S_d : phi(f * S_(n-d)) = 0}, the Gorenstein duality that makes
+    the isomorphism keys complete, checked on the bitwise catalecticants.
+    """
+    n = q.n
+    rows = q.ideal.rows(n)
+    width = len(rows)
+    transposed = [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) | 1 << (width + c)
+                  for c in range(monomial_count(3, n))]
+    kernel = [row >> width for row in echelon_by_scan(transposed)[1]
+              if not row & ((1 << width) - 1)]
+    if len(kernel) != 1:
+        raise ValueError(f"the ideal in degree {n} has corank {len(kernel)}, not 1")
+    (phi,) = kernel
+    for d in range(n):
+        pairing = catalecticant_by_bits(phi, n, d)
+        if (len(pairing) - len(echelon_by_scan(pairing)[1]) != q.ideal.dimension(d)
+                or any(image(row, pairing) for row in q.ideal.rows(d))):
+            raise ValueError(f"ideal is not the inverse system of its top degree "
+                             f"(Poincare duality fails in degree {d})")
+    return phi
+
+
 def scan_iso_key(q):
     """(n, hilbert, least phi o g over gl3()): the isomorphism key by a scan
     of all 168 substitutions."""
@@ -557,11 +589,47 @@ def orbit_by_closure(phi: int, n: int) -> set[int]:
     return orbit
 
 
+@lru_cache(maxsize=None)
+def product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """product_columns(n, d)[i][j]: the degree-n column of monomial i of
+    degree d times monomial j of degree n - d."""
+    top = {mono: c for c, mono in enumerate(monomials(3, n))}
+    return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
+                       for high in monomials(3, n - degree))
+                 for low in monomials(3, degree))
+
+
 def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:
     """phi's pairing in one degree d, each bit read off phi: row i has
     bit j = phi(monomial i of degree d * monomial j of degree n - d)."""
     return [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
-            for columns in _product_columns(n, degree)]
+            for columns in product_columns(n, degree)]
+
+
+def profile_by_products(phi: int, n: int) -> dict:
+    """invariant_profile's record by multiplication on the bitwise
+    catalecticants: ord(form) is the least e <= n with form^e pairing to
+    zero against S_(n-e), or n + 1, and codim(form) the least d in 1..n-1
+    at which the pairings of form times the degree-d monomials have rank
+    below h_d, the rank of Cat_d."""
+    pairings = [catalecticant_by_bits(phi, n, d) for d in range(n + 1)]
+    h = [rank(pairing) for pairing in pairings]
+    codims, ords = [], []
+    for form in LINEAR_FORMS:
+        for d in range(1, n):
+            images = [image(times_form(1 << c, d, form), pairings[d + 1])
+                      for c in range(monomial_count(3, d))]
+            if rank(images) < h[d]:
+                codims.append(d)
+                break
+        else:
+            raise RuntimeError("no annihilated degree found; functional is malformed")
+        power, exponent = form, 1
+        while exponent <= n and image(power, pairings[exponent]):
+            power = times_form(power, exponent, form)
+            exponent += 1
+        ords.append(exponent)
+    return {"forms": list(LINEAR_FORM_NAMES), "codim": codims, "ord": ords}
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def test_cohomology_bad_index(capsys):
     assert main(["cohomology", "1,1,1,1,1", "--matrix", "9"]) == 2
 
 
+def test_matrix_index_on_an_empty_list(capsys):
+    """A diagram with no characteristic matrices has no index to select:
+    --matrix says so, with exit 2, instead of asking for one in 1..0."""
+    for command in ("profile", "cohomology"):
+        assert main([command, "1,1,1,1,1,1,1,1,1", "--matrix", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no characteristic matrices" in captured.err
+        assert "1..0" not in captured.err
+
+
 def test_profile_output(capsys):
     assert main(["profile", "1,1,1,1,1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -143,8 +154,9 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
     need 24 top functionals, each checked, and one orbit closure per key
     class of each member: 9 + 5.  Keys build no quotient: the 42 of
-    --verify are the published blocks, all built by verify, and no
-    saturated quotient's socle functional is read."""
+    --verify are the published blocks, all built by verify, which reads
+    the 22 profiled rows' functionals with top_functional too, the call
+    the profile command makes."""
     import galerig.cli
     import galerig.cohomology
     import galerig.verify
@@ -162,11 +174,11 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     count(galerig.cli, "top_functional")
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
-    for name in ("socle_functional", "_orbit"):
-        count(galerig.cohomology, name)
+    count(galerig.verify, "top_functional")
+    count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
     assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14,
-                     "verify.quotient_presentation": 42}
+                     "verify.quotient_presentation": 42, "verify.top_functional": 22}
     calls.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
     assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14}

@@ -21,12 +21,12 @@ from galerig.cohomology import (
     iso_keys,
     order,
     quotient_presentation,
-    socle_functional,
     substitution_maps_ideal,
     top_functional,
     _GENERATORS,
     _catalecticants,
     _compose,
+    _contraction_tables,
     _orbit,
     _subst_matrix,
     _word_tree,
@@ -34,12 +34,27 @@ from galerig.cohomology import (
 from galerig.betti import h_vector
 from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
-from galerig.gf2 import GradedSubspace, image, monomial_count, monomials, parse_poly
+from galerig.gf2 import (
+    GradedSubspace,
+    image,
+    monomial_count,
+    monomials,
+    parse_poly,
+    table_image,
+    times_form,
+)
 from galerig.charmat import enumerate_charmats, orbits
 from galerig.petersen import tor_class
 
 import oracles
-from oracles import face_counts, form_poly, poincare_nondegenerate, poly_to_vec, substitute_linear
+from oracles import (
+    face_counts,
+    form_poly,
+    poincare_nondegenerate,
+    poly_to_vec,
+    socle_functional,
+    substitute_linear,
+)
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
@@ -390,6 +405,30 @@ def test_catalecticants_are_the_bitwise_pairings():
     assert _catalecticants(phi, QA1.n, 2) == _catalecticants(phi, QA1.n, QA1.n)[:3]
 
 
+def test_contraction_is_the_transpose_of_multiplication():
+    # bit i of the contraction of the dual basis vector j is bit j of the
+    # product of form with monomial i of degree e - 1
+    for e in range(1, 13):
+        for form in range(8):
+            tables = _contraction_tables(e, form)
+            products = [times_form(1 << i, e - 1, form) for i in range(monomial_count(3, e - 1))]
+            for j in range(monomial_count(3, e)):
+                contracted = table_image(1 << j, tables)
+                assert all(((contracted >> i) & 1) == ((product >> j) & 1)
+                           for i, product in enumerate(products)), (e, form, j)
+
+
+def test_profile_by_contraction_equals_profile_by_products(key_quotients):
+    """invariant_profile contracts phi by each form; the oracle multiplies
+    by it on the bitwise catalecticants.  Every functional of every
+    key_range diagram."""
+    functionals = {(q.n, socle_functional(q)) for quotients in key_quotients.values()
+                   for q in quotients}
+    assert len(functionals) == 210
+    for n, phi in functionals:
+        assert invariant_profile(phi, n) == oracles.profile_by_products(phi, n), (n, phi)
+
+
 def test_iso_keys_one_key_per_entry_in_order():
     qa2, qa5 = _quotient("A2"), _quotient("A5")
     assert QA1.n == QB1.n and QA1.hilbert == QB1.hilbert
@@ -430,7 +469,9 @@ def test_socle_functional_refuses_a_broken_duality():
     assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
     with pytest.raises(ValueError, match="degree 2"):
         socle_functional(broken)
-    with pytest.raises(ValueError, match="degree 2"):
+    # find_graded_iso reads the functionals off I_n alone: the identity
+    # matches them, and the certification against the full ideals refuses it
+    with pytest.raises(RuntimeError):
         find_graded_iso(QA1, broken)
 
 
