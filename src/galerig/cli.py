@@ -15,6 +15,10 @@ Neither command builds a quotient, and profile reads each selected
 matrix's codim/ord table off its top functional; only cohomology, which
 prints the ideal, and report --verify build quotients.
 
+A fresh process imports only what its command uses: galerig.verify, with
+its bundled tables, under report --verify, and json under --json and
+--cache.
+
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
 """
@@ -22,13 +26,11 @@ or an unusable --cache path, 141 when the reader closed stdout early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
 from pathlib import Path
 
-from . import verify as verify_mod
 from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
@@ -50,10 +52,11 @@ from .petersen import tor_class
 # per facet-symmetry orbit and build no quotient; `profile` computes one top
 # functional per matrix, and `cohomology` builds one quotient per matrix.
 # On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates
-# its 2049 matrices in 0.01 s, groups them into 23 orbits in 0.01 s and keys
-# those 23 in 0.01 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
-# 0.11 s; a fresh `profile` takes about 1.0 s and `cohomology`, which prints
-# all 2049 quotients, about 4.3 s.  No pentagon at m = 14 has more than 34
+# its 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and keys
+# those 23 in 0.02 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
+# 0.23 s, of which interpreter start-up and this package's import take
+# 0.10 s; a fresh `profile` takes about 2.1 s and `cohomology`, which prints
+# all 2049 quotients, about 11 s.  No pentagon at m = 14 has more than 34
 # orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger
 # diagrams are refused with exit 2.
 MAX_FACETS = 14
@@ -76,6 +79,8 @@ def _enumerable(diagram: GaleDiagram) -> GaleDiagram:
 
 def _emit(data, as_json: bool, text: str):
     if as_json:
+        import json
+
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(text)
@@ -93,6 +98,8 @@ def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
     fs = face_structure(diagram)
     blocks = enumerate_charmats(fs)
     if cache_dir is not None:
+        import json
+
         cache_dir.mkdir(parents=True, exist_ok=True)
         weights = list(diagram.weights)
         record = {"weights": weights, "blocks": [row_strings(b) for b in blocks]}
@@ -227,10 +234,15 @@ def cmd_report(args) -> int:
               "quasitoric manifold (supported iff k <= 3)", file=sys.stderr)
         return 2
     members = sorted(tor_class(diagram.weights)) if diagram.k == 2 else []
-    if args.verify and set(members) != {verify_mod.WEIGHTS_A, verify_mod.WEIGHTS_B}:
-        print("refusing --verify: reference fixtures cover the class of "
-              "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
-        return 2
+    if args.verify:
+        # loaded only here, with its bundled tables: no other command pays
+        # for the import
+        from . import verify
+
+        if set(members) != {verify.WEIGHTS_A, verify.WEIGHTS_B}:
+            print("refusing --verify: reference fixtures cover the class of "
+                  "[3,1,2,1,1] and [2,2,2,1,1] only", file=sys.stderr)
+            return 2
     report = {
         "input_weights": list(diagram.weights),
         "canonical_weights": list(canonical_weights(diagram.weights)),
@@ -282,7 +294,7 @@ def cmd_report(args) -> int:
 
     exit_code = 0
     if args.verify:
-        report["verification"] = verify_mod.run_verification(total_found, matrices)
+        report["verification"] = verify.run_verification(total_found, matrices)
         if not report["verification"]["passed"]:
             exit_code = 1
 

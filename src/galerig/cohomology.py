@@ -60,7 +60,6 @@ path that certifies a profile cell disagreeing with a published table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -85,7 +84,6 @@ LINEAR_FORM_NAMES = ("x", "y", "z", "x+y", "x+z", "y+z", "x+y+z")
 LINEAR_FORMS = (X, Y, Z, X | Y, X | Z, Y | Z, X | Y | Z)
 
 
-@dataclass
 class GradedQuotient:
     """Quotient of GF(2)[x,y,z] by a graded ideal stored degreewise.
 
@@ -93,13 +91,27 @@ class GradedQuotient:
     the h-vector of the source polytope; generators are the (degree, vec)
     products of the facet forms over the minimal non-faces, which generate
     the ideal.  Equality ignores them: two quotients are equal when n, ideal
-    and hilbert are.
+    and hilbert are.  Quotients are not hashable.
     """
 
-    n: int
-    ideal: GradedSubspace
-    hilbert: tuple[int, ...]
-    generators: tuple[tuple[int, int], ...] = field(compare=False)
+    __slots__ = ("n", "ideal", "hilbert", "generators")
+    __hash__ = None
+
+    def __init__(self, n: int, ideal: GradedSubspace, hilbert: tuple[int, ...],
+                 generators: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.ideal = ideal
+        self.hilbert = hilbert
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.ideal, self.hilbert) == (other.n, other.ideal, other.hilbert)
+
+    def __repr__(self) -> str:
+        return (f"GradedQuotient(n={self.n!r}, ideal={self.ideal!r}, "
+                f"hilbert={self.hilbert!r}, generators={self.generators!r})")
 
 
 def _validate_quotient(q: GradedQuotient):

@@ -18,16 +18,16 @@ matrix must be non-singular).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _validated_weights(weights: Sequence[int]) -> tuple[int, ...]:
     w = tuple(weights)
     if len(w) < 5 or len(w) % 2 == 0:
         raise ValueError(f"weights must have odd length >= 5, got {len(w)}")
-    if any(not isinstance(a, int) or a < 1 for a in w):
+    # bool is an int subclass, but True is no facet count
+    if any(not isinstance(a, int) or isinstance(a, bool) or a < 1 for a in w):
         raise ValueError(f"weights must be positive integers, got {w}")
     return w
 
@@ -44,14 +44,31 @@ def canonical_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return max(candidates)
 
 
-@dataclass(frozen=True)
 class GaleDiagram:
-    """Weighted odd polygon defining a simple n-polytope with n+3 facets."""
+    """Weighted odd polygon defining a simple n-polytope with n+3 facets.
+    Immutable, hashable and equal by weights."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _validated_weights(self.weights))
+    def __init__(self, weights: Sequence[int]):
+        object.__setattr__(self, "weights", _validated_weights(weights))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaleDiagram is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaleDiagram is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash((self.weights,))
+
+    def __repr__(self) -> str:
+        return f"GaleDiagram(weights={self.weights!r})"
 
     @property
     def k(self) -> int:
@@ -130,8 +147,7 @@ def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
     return tuple(labels[i] for i in vertex + off)
 
 
-@dataclass(frozen=True)
-class FaceStructure:
+class FaceStructure(NamedTuple):
     """What every later stage reads of the polytope, in 0-based positions
     of the facet_labels order: the label of each facet, the minimal
     non-faces, and the three facets off each vertex."""

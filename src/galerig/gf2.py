@@ -28,10 +28,9 @@ vector instead of one XOR per set bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Monomial = tuple[int, ...]
 
@@ -261,8 +260,7 @@ def format_poly(p: tuple[int, int]) -> str:
 # graded subspaces
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(NamedTuple):
     """Per-degree reduced echelon bases of a graded subspace of GF(2)[x,y,z].
 
     ``components[d]`` is a pair (pivots, rows) over the degree-d monomial

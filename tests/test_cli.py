@@ -446,3 +446,28 @@ def test_closed_stdout_is_no_input_error():
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == ""
+
+
+def _fresh_modules(code, *argv):
+    """The last stdout line of a fresh interpreter running code, split."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_fresh_import_is_lean():
+    """A fresh process pays only for what every command uses: the record
+    classes need no dataclasses (which pulls in inspect), and verify, its
+    fixtures and json are imported by the commands that use them."""
+    added = set(_fresh_modules("import sys; before = set(sys.modules); import galerig.cli; "
+                               "print(*sorted(set(sys.modules) - before))"))
+    assert "galerig.cli" in added
+    assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures"}
+
+
+def test_report_imports_verify_only_under_verify():
+    code = ("import sys; from galerig.cli import main; main(sys.argv[1:]); "
+            "print(*(m in sys.modules for m in ('galerig.verify', 'json')))")
+    assert _fresh_modules(code, "report", "3,1,2,1,1") == ["False", "False"]
+    assert _fresh_modules(code, "report", "3,1,2,1,1", "--verify") == ["True", "True"]
+    assert _fresh_modules(code, "report", "3,1,2,1,1", "--json") == ["False", "True"]

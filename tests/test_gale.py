@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galerig.gale import (
+    FaceStructure,
     GaleDiagram,
     canonical_weights,
     face_structure,
@@ -39,6 +40,42 @@ def test_canonical_rejects_bad_input():
         canonical_weights([1, 2, 0, 1, 1])  # non-positive entry
     with pytest.raises(ValueError):
         canonical_weights([1, 1, 1])  # too short
+
+
+def test_bool_weights_rejected():
+    with pytest.raises(ValueError, match="positive integers"):
+        canonical_weights((True, 2, 1, 1, 1))
+    with pytest.raises(ValueError, match="positive integers"):
+        GaleDiagram((True,) * 5)
+
+
+# ---------------------------------------------------------------------------
+# the diagram and face-structure records
+
+
+def test_diagram_is_immutable():
+    with pytest.raises(AttributeError):
+        P.weights = (1, 1, 1, 1, 1)
+    with pytest.raises(AttributeError):
+        del P.weights
+    assert P.weights == (3, 1, 2, 1, 1)
+
+
+def test_diagram_is_a_dict_key_equal_by_weights():
+    same = GaleDiagram([3, 1, 2, 1, 1])
+    assert same == P and same is not P and same != Q
+    assert same.weights == (3, 1, 2, 1, 1)
+    assert {P: "P", Q: "Q"}[same] == "P"
+    assert len({P, same, Q}) == 2
+    assert P != (3, 1, 2, 1, 1)
+
+
+def test_face_structure_equality_and_sizes():
+    fs = face_structure(P)
+    assert fs == face_structure(GaleDiagram((3, 1, 2, 1, 1)))
+    assert fs != face_structure(Q)
+    assert (fs.m, fs.n) == (8, 5)
+    assert FaceStructure(fs.labels, fs.minimal_nonfaces, fs.vertex_complements) == fs
 
 
 @given(weight_vectors, st.integers(0, 4), st.booleans())

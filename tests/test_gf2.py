@@ -290,6 +290,15 @@ def test_subspace_equality_is_equivalence():
     assert s1 != _space([], [X, Y], [])
 
 
+def test_subspace_is_hashable_by_its_components():
+    assert len({_space([], [X, Y]), _space([], [X ^ Y, Y])}) == 1
+
+
+def test_from_spans_is_a_classmethod_on_the_class():
+    # the benchmark tracer unwraps and rewraps it through the class __dict__
+    assert isinstance(GradedSubspace.__dict__["from_spans"], classmethod)
+
+
 def test_homogeneous_degree_rejects_mixed():
     with pytest.raises(ValueError):
         parse_poly("x+xy")
