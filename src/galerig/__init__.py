@@ -23,7 +23,6 @@ from .charmat import enumerate_charmats, is_characteristic
 from .cohomology import (
     GradedQuotient,
     codim,
-    find_graded_iso,
     ideal_equal,
     invariant_profile,
     iso_keys,
@@ -51,7 +50,6 @@ __all__ = [
     "is_characteristic",
     "GradedQuotient",
     "codim",
-    "find_graded_iso",
     "ideal_equal",
     "invariant_profile",
     "iso_keys",

@@ -4,16 +4,18 @@ plain data (Betti tables, profiles, quotients); every printed shape, text
 or JSON, is written here.
 
 Every command that needs characteristic matrices gets them from _matrices,
-which always enumerates; report --cache only writes each member's list
-there and never reads a file back, so a cache file can never shrink or
-replace the enumeration.  iso and report compare one isomorphism key per
-matrix (_matrix_keys): one socle functional is read off the top degree of
-the ideal, and keyed, per orbit of matrices under the permutations of
-same-label facets (charmat.orbits), whose members all have one key, and
-every matrix takes its orbit's key, so each printed count stays exact.
+which always enumerates; report --cache then writes each member's list
+(in cmd_report) and never reads a file back, so a cache file can never
+shrink or replace the enumeration.  iso and report compare one isomorphism
+key per matrix (_matrix_keys): one socle functional is read off the top
+degree of the ideal, and keyed, per orbit of matrices under the
+permutations of same-label facets (charmat.orbits), whose members all have
+one key, and every matrix takes its orbit's key, so each printed count
+stays exact.
 Neither command builds a quotient, and profile reads each selected
 matrix's codim/ord table off its top functional; only cohomology, which
-prints the ideal, and report --verify build quotients.
+prints each quotient's generators (and its ideal under --json), and
+report --verify build quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
@@ -29,7 +31,6 @@ import argparse
 import os
 import sys
 from collections import Counter
-from pathlib import Path
 
 from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
@@ -55,10 +56,12 @@ from .petersen import tor_class
 # its 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and keys
 # those 23 in 0.02 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
 # 0.23 s, of which interpreter start-up and this package's import take
-# 0.10 s; a fresh `profile` takes about 2.1 s and `cohomology`, which prints
-# all 2049 quotients, about 11 s.  No pentagon at m = 14 has more than 34
-# orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger
-# diagrams are refused with exit 2.
+# 0.10 s; a fresh `profile` takes about 2.1 s, and `cohomology`, which builds
+# all 2049 quotients, about 3.6 s for text and 16 s under --json, which also
+# prints every ideal's rows (medians of alternating fresh runs, 6 text and 3
+# --json).  No pentagon at m = 14 has more than 34 orbits.  At m = 15,
+# (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger diagrams are refused
+# with exit 2.
 MAX_FACETS = 14
 
 
@@ -90,22 +93,11 @@ def _emit(data, as_json: bool, text: str):
 # characteristic matrices
 
 
-def _matrices(diagram: GaleDiagram, cache_dir: Path | None = None):
+def _matrices(diagram: GaleDiagram):
     """Face structure and characteristic matrices of a diagram, always
-    enumerated.  With a cache directory, the list is also written as JSON
-    to <weights>.charmats.json, replacing whatever the file held; the file
-    is never read."""
+    enumerated."""
     fs = face_structure(diagram)
-    blocks = enumerate_charmats(fs)
-    if cache_dir is not None:
-        import json
-
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        weights = list(diagram.weights)
-        record = {"weights": weights, "blocks": [row_strings(b) for b in blocks]}
-        path = cache_dir / f"{'-'.join(map(str, weights))}.charmats.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True))
-    return fs, blocks
+    return fs, enumerate_charmats(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +165,18 @@ def _matrix_keys(diagram: GaleDiagram, fs, blocks) -> list[tuple]:
 def cmd_cohomology(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
-    payload, text = [], []
+    records = []
     for _, block in selected:
         q = quotient_presentation(fs, block)
-        payload.append({
-            "block": row_strings(block),
-            "n": q.n,
-            "hilbert": list(q.hilbert),
-            "ideal": {str(d): [to_lists(d, row) for row in q.ideal.rows(d)]
-                      for d in range(q.ideal.max_degree + 1)},
-            "generators": [format_poly(g) for g in q.generators],
-        })
-        text.append(" ".join(row_strings(block)))
-        text.append(f"  hilbert: {list(q.hilbert)}")
-        text.append("  generators: " + ", ".join(format_poly(g) for g in q.generators))
-    _emit(payload, args.json, "\n".join(text))
+        record = {"block": row_strings(block), "n": q.n, "hilbert": list(q.hilbert),
+                  "generators": [format_poly(g) for g in q.generators]}
+        if args.json:  # the ideal's rows only --json prints
+            record["ideal"] = {str(d): [to_lists(d, row) for row in q.ideal.rows(d)]
+                               for d in range(q.ideal.max_degree + 1)}
+        records.append(record)
+    text = [f"{' '.join(r['block'])}\n  hilbert: {r['hilbert']}\n"
+            f"  generators: {', '.join(r['generators'])}" for r in records]
+    _emit(records, args.json, "\n".join(text))
     return 0
 
 
@@ -259,8 +248,18 @@ def cmd_report(args) -> int:
         return 0
 
     _enumerable(diagram)  # every class member has the same facet count
-    cache_dir = Path(args.cache) if args.cache else None
-    matrices = {w: _matrices(GaleDiagram(w), cache_dir) for w in members}
+    matrices = {w: _matrices(GaleDiagram(w)) for w in members}
+    if args.cache:
+        # each member's list, as enumerated, replaces whatever its file held;
+        # the file is never read
+        import json
+
+        os.makedirs(args.cache, exist_ok=True)
+        for w, (_, blocks) in matrices.items():
+            record = {"weights": list(w), "blocks": [row_strings(b) for b in blocks]}
+            path = os.path.join(args.cache, f"{'-'.join(map(str, w))}.charmats.json")
+            with open(path, "w") as f:
+                f.write(json.dumps(record, indent=2, sort_keys=True))
     member_info = [{"weights": list(w), "charmat_count": len(matrices[w][1])} for w in members]
 
     # A singleton class is B-rigid by its matrix count alone, so matrices are

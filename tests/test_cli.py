@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 from galerig.cli import main
 
@@ -51,6 +52,36 @@ def test_cohomology_single_matrix(capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data) == 1
     assert data[0]["hilbert"] == [1, 3, 1]
+
+
+def test_cohomology_text_builds_no_ideal_lists(monkeypatch, capsys):
+    """Text cohomology prints block, hilbert and generators only, so it
+    converts no ideal row to lists; --json does, and each text line is the
+    one rendered from the --json record of the same matrix."""
+    import galerig.cli
+
+    calls = Counter()
+    to_lists = galerig.cli.to_lists
+
+    def counted(*args):
+        calls["to_lists"] += 1
+        return to_lists(*args)
+
+    monkeypatch.setattr(galerig.cli, "to_lists", counted)
+    for selection in ([], ["--matrix", "7"]):
+        argv = ["cohomology", "4,1,1,1,1", *selection]
+        calls.clear()
+        assert main(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert calls["to_lists"] == 0
+        assert main(argv + ["--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert calls["to_lists"] > 0
+        assert len(records) == (1 if selection else 33)
+        assert all(record["ideal"] for record in records)
+        assert text == [line for r in records for line in (
+            " ".join(r["block"]), f"  hilbert: {r['hilbert']}",
+            "  generators: " + ", ".join(r["generators"]))]
 
 
 def test_cohomology_bad_index(capsys):
@@ -463,6 +494,21 @@ def test_fresh_import_is_lean():
                                "print(*sorted(set(sys.modules) - before))"))
     assert "galerig.cli" in added
     assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures"}
+
+
+def test_fresh_import_without_site_skips_pathlib(tmp_path):
+    """Without site, which may import pathlib itself, importing galerig.cli
+    loads no pathlib, and report --cache still writes each member's file."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import galerig.cli; "
+            "loaded = 'pathlib' in sys.modules; "
+            "code = galerig.cli.main(['report', '3,1,2,1,1', '--cache', sys.argv[2]]); "
+            "print(loaded, code)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src, str(tmp_path / "cache")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1].split() == ["False", "0"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == \
+        ["2-2-2-1-1.charmats.json", "3-1-2-1-1.charmats.json"]
 
 
 def test_report_imports_verify_only_under_verify():
