@@ -1,12 +1,14 @@
 """Wide check of the three table-driven kernels behind every key.  For every
 facet-symmetry orbit representative of each member of a multi-member
 pentagon Tor class of total <= 13 and of each canonical heptagon of total
-<= 12 (95 + 72 diagrams, 2,270 representatives), the elimination of the
-top-degree products inside cohomology.top_functional equals the
-pivot-scanning elimination of tests/oracles.py on the same rows, the
-catalecticants of phi built by contraction tables equal the bit-by-bit
-ones in every degree 0..n, and the orbit filled along the word tree equals
-the closure from a frontier under the two generators.  Too many diagrams
+<= 12 (95 + 72 diagrams, 2,270 representatives), the forward pass of
+elimination over the top-degree products inside cohomology.top_functional
+keeps one row per lowest bit and spans what the pivot-scanning elimination
+of tests/oracles.py spans on the same rows, phi read off that pass equals
+phi read off the oracle's reduced echelon rows, the catalecticants of
+phi built by contraction tables equal the bit-by-bit ones in every degree
+0..n, and the orbit filled along the word tree equals the closure from a
+frontier under the two generators.  Too many diagrams
 for tier-1, so this sits outside tier-1's testpaths.
 
 Runtime: about 11 s on a 2-core x86 VM under Python 3.11; no diagram takes
@@ -43,16 +45,17 @@ def test_range():
 @pytest.mark.parametrize("weights", DIAGRAMS, ids=lambda w: ",".join(map(str, w)))
 def test_key_kernels_agree_with_oracles(weights, monkeypatch):
     eliminations = []
-    echelon = galerig.cohomology.echelon
+    forward = galerig.cohomology._forward
 
-    def checked_echelon(rows):
+    def checked_forward(rows):
         rows = list(rows)
-        result = echelon(rows)
-        assert result == oracles.echelon_by_scan(rows)
+        basis = forward(rows)
+        assert all(row & -row == low for low, row in basis.items())
+        assert oracles.echelon_by_scan(basis.values()) == oracles.echelon_by_scan(rows)
         eliminations.append(len(rows))
-        return result
+        return basis
 
-    monkeypatch.setattr(galerig.cohomology, "echelon", checked_echelon)
+    monkeypatch.setattr(galerig.cohomology, "_forward", checked_forward)
     diagram = GaleDiagram(weights)
     fs, h = face_structure(diagram), h_vector(diagram)
     blocks = enumerate_charmats(fs)
@@ -60,6 +63,7 @@ def test_key_kernels_agree_with_oracles(weights, monkeypatch):
     n = fs.n
     for r in distinct:
         phi = top_functional(fs, blocks[r], h)
+        assert phi == oracles.top_functional_by_echelon(fs, blocks[r])
         assert _catalecticants(phi, n, n) == [oracles.catalecticant_by_bits(phi, n, d)
                                               for d in range(n + 1)]
         assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n)

@@ -62,14 +62,20 @@ def _search_plan(fs: FaceStructure):
 
     Greedy: next comes the facet that closes the most triples given the
     facets already placed (ties to the lowest index), so that every facet
-    meets its constraints as soon as possible.
+    meets its constraints as soon as possible.  Each facet's pairs come
+    from one index of fs.vertex_complements by facet, built once, in which
+    triple (a, b, c) files (b, c) under a, (a, c) under b and (a, b) under c.
     """
-    n, triples = fs.n, fs.vertex_complements
+    n = fs.n
+    pairs_at: dict[int, list[tuple[int, int]]] = {f: [] for f in range(n + 3)}
+    for a, b, c in fs.vertex_complements:
+        pairs_at[a].append((b, c))
+        pairs_at[b].append((a, c))
+        pairs_at[c].append((a, b))
     placed = set(range(n, n + 3))
     plan = []
     while len(placed) < n + 3:
-        closing = {f: [tuple(t for t in triple if t != f) for triple in triples
-                       if f in triple and all(t in placed for t in triple if t != f)]
+        closing = {f: [(a, b) for a, b in pairs_at[f] if a in placed and b in placed]
                    for f in range(n) if f not in placed}
         facet = max(closing, key=lambda f: len(closing[f]))  # first maximum wins
         plan.append((facet, closing[facet]))

@@ -31,6 +31,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from functools import lru_cache
 
 from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
@@ -52,16 +53,16 @@ from .petersen import tor_class
 # 2^(a+1)+1).  `iso` and a multi-member `report` compute one top functional
 # per facet-symmetry orbit and build no quotient; `profile` computes one top
 # functional per matrix, and `cohomology` builds one quotient per matrix.
-# On a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at m = 14 enumerates
-# its 2049 matrices in 0.03 s, groups them into 23 orbits in 0.03 s and keys
-# those 23 in 0.02 s, and a fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about
-# 0.23 s, of which interpreter start-up and this package's import take
-# 0.10 s; a fresh `profile` takes about 2.1 s, and `cohomology`, which builds
-# all 2049 quotients, about 3.6 s for text and 16 s under --json, which also
-# prints every ideal's rows (medians of alternating fresh runs, 6 text and 3
-# --json).  No pentagon at m = 14 has more than 34 orbits.  At m = 15,
-# (11,1,1,1,1) has 4097 matrices in 25 orbits.  Larger diagrams are refused
-# with exit 2.
+# Measured as one set on a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at
+# m = 14 enumerates its 2049 matrices in 0.02 s, groups them into 23 orbits
+# in 0.02 s and keys those 23 in 0.01 s (medians of 7 in-process runs), and a
+# fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about 0.21 s, of which interpreter
+# start-up and this package's import take 0.10 s; a fresh `profile` takes
+# about 2.0 s, and `cohomology`, which builds all 2049 quotients, about 3.5 s
+# for text and 17 s under --json, which also prints every ideal's rows
+# (medians of alternating fresh runs, 6 text and 3 --json).  No pentagon at
+# m = 14 has more than 34 orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices
+# in 25 orbits.  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -328,7 +329,12 @@ def cmd_report(args) -> int:
     return exit_code
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse_args
+    call fills a fresh namespace, so a caller that runs main many times
+    (a sweep in one interpreter) shares it without one call's flags
+    reaching the next."""
     parser = argparse.ArgumentParser(
         prog="galerig",
         description="Rigidity computations for odd-gon Gale diagrams",

@@ -24,12 +24,15 @@ function, equal for two quotients iff they are isomorphic.  The key needs
 no quotient: top_functional reads phi off I_n alone, which the products
 of each generator with the monomials of the complementary degree span,
 and checks the duality by ranks, the catalecticant of phi against the
-h-vector of the Betti table (galerig.betti.h_vector); keys, profiles and
-report --verify all get phi from it.  The dual side has one operation,
-the contraction psi -> (f -> psi(l * f)) of a functional by a linear form
-l, the transpose of multiplication by l, through cached byte tables
-(galerig.gf2.byte_tables): each row of a catalecticant is the contraction
-of a row of the degree below by one variable.  iso_keys fills the orbit
+h-vector of the Betti table (galerig.betti.h_vector); keys and profiles
+get phi from it, and report --verify, which builds the published
+quotients anyway, reads phi off each one's own I_n (quotient_functional)
+under the same rank check (check_inverse_system); both read phi off an
+echelon basis without back-substitution.  The dual side has one
+operation, the contraction psi -> (f -> psi(l * f)) of a functional by a
+linear form l, the transpose of multiplication by l, through cached byte
+tables (galerig.gf2.byte_tables): each row of a catalecticant is the
+contraction of a row of the degree below by one variable.  iso_keys fills the orbit
 along a fixed word tree in s = (x+y, y, z) and t = (y, z, x): a
 breadth-first spanning tree of GL(3, GF(2)) from the identity, built
 once, in which each of the other 167 elements is its parent followed by
@@ -67,6 +70,7 @@ from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
+    _forward,
     _monomial_index,
     byte_tables,
     echelon,
@@ -312,33 +316,43 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
 
 
 @lru_cache(maxsize=None)
-def _spread_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """_spread_columns(n, d)[j][i]: the degree-n bit of monomial i of degree
-    d times monomial j of degree n - d, so that image(vec, columns) is a
-    degree-d polynomial times monomial j."""
+def _spread_tables(n: int, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """_spread_tables(n, d)[j]: the byte tables of multiplication by monomial
+    j of degree n - d, from S_d to S_n, so that table_image(vec, tables) is
+    a degree-d polynomial times monomial j.  Column i is the degree-n bit of
+    monomial i of degree d times monomial j."""
     top = _monomial_index(3, n)
-    return tuple(tuple(1 << top[tuple(a + b for a, b in zip(low, high))]
-                       for low in monomials(3, degree))
+    return tuple(byte_tables([1 << top[tuple(a + b for a, b in zip(low, high))]
+                              for low in monomials(3, degree)])
                  for high in monomials(3, n - degree))
 
 
-def _hyperplane_functional(n: int, pivots, rows) -> int:
-    """The functional phi on S_n whose kernel is spanned by the reduced
-    echelon rows, as a bit vector over monomials(3, n).
+def _hyperplane_functional(n: int, basis: dict[int, int]) -> int:
+    """The functional phi on S_n, as a bit vector over monomials(3, n),
+    whose kernel is spanned by an echelon basis {lowest bit: row} such as
+    gf2._forward returns.
 
-    The rows leave one column c0 without a pivot, and phi(c0) = 1.  The row
-    with pivot p has no other bit outside c0, so phi(p) is that row's bit c0.
-    Raises ValueError unless the rows span a hyperplane.
+    The rows leave one column c0 without a pivot, and phi(c0) = 1.  Then
+    each pivot p, from the highest down, gets the parity of phi on its row:
+    the row has no bit below p, and every bit above p is c0 or a pivot
+    already read, so phi(row) = 0 fixes phi(p).  No back-substitution runs.
+    The reduced echelon rows of a GradedSubspace component are such a basis
+    too.  Raises ValueError unless the rows span a hyperplane.
     """
-    free = set(range(monomial_count(3, n))).difference(pivots)
-    if len(free) != 1:
-        raise ValueError(f"the ideal in degree {n} has corank {len(free)}, not 1")
-    (c0,) = free
-    phi = 1 << c0
-    for p, row in zip(pivots, rows):
-        if (row >> c0) & 1:
-            phi |= 1 << p
+    width = monomial_count(3, n)
+    if width - len(basis) != 1:
+        raise ValueError(f"the ideal in degree {n} has corank {width - len(basis)}, not 1")
+    phi = ((1 << width) - 1) ^ sum(basis)  # the lowest bits are distinct powers of two
+    for low in sorted(basis, reverse=True):
+        if (phi & basis[low]).bit_count() & 1:
+            phi |= low
     return phi
+
+
+def quotient_functional(q: GradedQuotient) -> int:
+    """The socle functional read off a saturated quotient's own I_n."""
+    pivots, rows = q.ideal.components[q.n]
+    return _hyperplane_functional(q.n, {1 << p: row for p, row in zip(pivots, rows)})
 
 
 @lru_cache(maxsize=None)
@@ -370,6 +384,19 @@ def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
     return pairings
 
 
+def check_inverse_system(phi: int, n: int, h: Sequence[int]):
+    """Raise ValueError unless phi's catalecticant has rank h_d in every
+    degree d = 0..n, i.e. unless an ideal with Hilbert function h inside
+    Ann(phi) is Ann(phi) itself.  The rank in degree n - d is the rank in
+    degree d (the transpose), so ranks are computed for d <= n/2 only."""
+    ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
+    ranks += ranks[:(n + 1) // 2][::-1]
+    for d, (r, h_d) in enumerate(zip(ranks, h)):
+        if r != h_d:
+            raise ValueError(f"ideal is not the inverse system of its top degree: "
+                             f"rank {r} against h_{d} = {h_d} in degree {d}")
+
+
 def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
     """The socle functional of a characteristic matrix's quotient, whose
     kernel is I_n, from that component alone.
@@ -380,31 +407,28 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
         h: the h-vector h_0..h_n of the polytope (galerig.betti.h_vector).
 
     I_n is spanned by each generator of degree e times the monomials of
-    degree n - e, so one echelon over those products gives it, and phi is
-    read off it (_hyperplane_functional).  No lower degree is saturated.
+    degree n - e, each product one table_image through cached byte tables
+    (_spread_tables).  phi is read off the forward pass of elimination over
+    those products (gf2._forward), the one non-pivot column first and then
+    each pivot from the highest down (_hyperplane_functional), so no
+    back-substitution runs and no lower degree is saturated.
 
     Raises ValueError unless I_n has corank 1 and, in every degree d, phi's
-    catalecticant has rank h_d.  I_d lies in Ann(phi)_d, whose codimension
-    is that rank, and dim (S/I)_d = h_d because a characteristic matrix is a
-    linear system of parameters (Davis-Januszkiewicz), so equal ranks make
-    I = Ann(phi), the Gorenstein duality that makes iso_keys complete.  The
-    rank in degree n - d is the rank in degree d (the transpose), so ranks
-    are computed for d <= n/2 only.
+    catalecticant has rank h_d (check_inverse_system).  I_d lies in
+    Ann(phi)_d, whose codimension is that rank, and dim (S/I)_d = h_d
+    because a characteristic matrix is a linear system of parameters
+    (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
+    duality that makes iso_keys complete.
     """
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
     if len(h) != n + 1:
         raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
-    products = [image(vec, columns) for degree, vec in _generators(fs, forms)
-                for columns in _spread_columns(n, degree)]
-    phi = _hyperplane_functional(n, *echelon(products))
-    ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
-    ranks += ranks[:(n + 1) // 2][::-1]
-    for d, (r, h_d) in enumerate(zip(ranks, h)):
-        if r != h_d:
-            raise ValueError(f"ideal is not the inverse system of its top degree: "
-                             f"rank {r} against h_{d} = {h_d} in degree {d}")
+    products = [table_image(vec, tables) for degree, vec in _generators(fs, forms)
+                for tables in _spread_tables(n, degree)]
+    phi = _hyperplane_functional(n, _forward(products))
+    check_inverse_system(phi, n, h)
     return phi
 
 
@@ -493,8 +517,7 @@ def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
     """
     if qa.n != qb.n or qa.hilbert != qb.hilbert:
         return None
-    phi_a = _hyperplane_functional(qa.n, *qa.ideal.components[qa.n])
-    phi_b = _hyperplane_functional(qb.n, *qb.ideal.components[qb.n])
+    phi_a, phi_b = quotient_functional(qa), quotient_functional(qb)
     rows = next((g for g in gl3() if _compose(phi_b, g, qb.n) == phi_a), None)
     if rows is not None and not substitution_maps_ideal(rows, qa, qb):
         raise RuntimeError(f"substitution {rows} matches the socle functionals "

@@ -18,6 +18,7 @@ matrix must be non-singular).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -118,16 +119,29 @@ _PINNED_ORDERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _hull_triples(k: int) -> frozenset[tuple[int, int, int]]:
+    """The ascending label triples a < b < c of the (2k+1)-gon whose hull
+    holds the origin: C(2k+1, 3) candidates, each tested once by
+    origin_in_hull.  One or two distinct labels never hold it (an odd
+    polygon has no antipodal pair), so a facet triple holds the origin iff
+    its sorted labels are in this table."""
+    return frozenset(t for t in combinations(range(1, 2 * k + 2), 3) if origin_in_hull(t, k))
+
+
 def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted 0-based facet triples whose labels contain the origin in their
-    hull, in lexicographic order.
+    hull, in lexicographic order: each triple is one lookup of its sorted
+    labels in the per-k table _hull_triples.
 
     The complement of each such triple is a vertex of the polytope (a maximal
     face of the boundary complex): every face has at most n = m-3 facets, so
     the n-element faces are exactly these complements.
     """
-    return tuple(triple for triple in combinations(range(len(labels)), 3)
-                 if origin_in_hull({labels[i] for i in triple}, k))
+    hull = _hull_triples(k)
+    return tuple(triple for triple, triple_labels in zip(combinations(range(len(labels)), 3),
+                                                         combinations(labels, 3))
+                 if tuple(sorted(triple_labels)) in hull)
 
 
 def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:

@@ -17,7 +17,8 @@ Two kernels carry the hot loops.  ``echelon``, the package's one
 elimination routine, keeps each row under its lowest set bit: a forward
 pass reduces every incoming row by the row stored under its lowest bit
 until that bit is new or the row is zero, and a back-substitution clears
-the pivot columns through a mask (``rank`` is the forward pass alone).  A
+the pivot columns through a mask (``rank``, and the socle functional of
+``cohomology.top_functional``, use the forward pass alone).  A
 linear map applied many times is turned into ``byte_tables``, one
 256-entry table of the images of every byte per 8 columns, after the
 "Four Russians" tables of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,

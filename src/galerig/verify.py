@@ -8,10 +8,12 @@ The verdict policy is deliberately asymmetric: matrix-list or generator-table
 mismatches fail verification, while codim/ord cells may disagree with the
 reference tables provided an independent computation path agrees with the
 report's value (printed tables can carry typos).  The value is the one the
-profile command prints, invariant_profile of the block's top_functional,
-checked against the saturated quotient's dimensions, and the saturated
-quotient certifies it: codim from the annihilator dimension, order from
-the least power in the ideal.  The final verdict rests on the isomorphism
+profile command prints, invariant_profile of the block's socle
+functional; that functional is read off the built quotient's own I_n, not
+eliminated again, and passes the same rank check against the quotient's
+dimensions as top_functional's (check_inverse_system).  The saturated
+quotient certifies the value: codim from the annihilator dimension, order
+from the least power in the ideal.  The final verdict rests on the isomorphism
 keys of galerig.cohomology, which Gorenstein duality makes a complete
 invariant, and never consults these profiles.
 """
@@ -27,12 +29,13 @@ from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
     LINEAR_FORMS,
+    check_inverse_system,
     codim,
     ideal_equal,
     invariant_profile,
     order,
+    quotient_functional,
     quotient_presentation,
-    top_functional,
 )
 from .gale import FaceStructure, face_structure  # noqa: F401 (tracer)
 from .gf2 import format_poly, parse_poly
@@ -78,22 +81,21 @@ def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient]) -> dict:
     return {**record, "matches": matches, "ok": matches}
 
 
-def _check_profiles(structures: dict[str, FaceStructure],
-                    labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict]:
+def _check_profiles(labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict]:
     """Published codim/ord cells that differ from their blocks' profiles."""
     tables = fixtures.profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
     table_names = ("codim_A", "ord_A", "codim_B", "ord_B")
     quotients = {**labelled["A"], **labelled["B"]}
-    blocks = {**fixtures.label_blocks("A"), **fixtures.label_blocks("B")}
     # the codim and ord tables of a family share their rows: one profile each
     labels = {label for table_name in table_names for label in tables[table_name]}
     profiles = {}
     for label in sorted(labels):
-        fs = structures[label[0]]
-        phi = top_functional(fs, blocks[label], quotients[label].hilbert)
-        profiles[label] = invariant_profile(phi, fs.n)
+        q = quotients[label]
+        phi = quotient_functional(q)
+        check_inverse_system(phi, q.n, q.hilbert)
+        profiles[label] = invariant_profile(phi, q.n)
     discrepancies = []
     for table_name in table_names:
         kind = table_name.split("_")[0]  # "codim" or "ord", a profile field
@@ -133,10 +135,9 @@ def run_verification(iso_found: int, matrices: dict) -> dict:
     """
     (fs_a, blocks_a), (fs_b, blocks_b) = matrices[WEIGHTS_A], matrices[WEIGHTS_B]
     comparisons = {"A": _compare_matrices("A", blocks_a), "B": _compare_matrices("B", blocks_b)}
-    structures = {"A": fs_a, "B": fs_b}
-    labelled = {family: _quotients_by_label(family, fs) for family, fs in structures.items()}
+    labelled = {"A": _quotients_by_label("A", fs_a), "B": _quotients_by_label("B", fs_b)}
     ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
-    discrepancies = _check_profiles(structures, labelled)
+    discrepancies = _check_profiles(labelled)
     return {
         "matrices": comparisons,
         "ideal_rows": ideal_rows,

@@ -16,7 +16,9 @@ per matrix), the isomorphism key by a scan of all 168 substitutions (the
 package fills one orbit per key class along a fixed word tree in two
 generators), the socle functional of a saturated quotient with its duality
 checked degree by degree (the package reads phi off the top degree of the
-ideal alone and checks ranks against the h-vector), the inverse system of
+ideal alone and checks ranks against the h-vector), phi read off the
+reduced echelon rows of the top degree (the package reads it off the
+forward pass of elimination), the inverse system of
 a socle functional, the key kernels the package replaced with table
 lookups (elimination scanning every pivot, orbit closure from a frontier,
 catalecticant rows bit by bit), the codim/ord profile by products with
@@ -512,6 +514,38 @@ def socle_functional(q) -> int:
                 or any(image(row, pairing) for row in q.ideal.rows(d))):
             raise ValueError(f"ideal is not the inverse system of its top degree "
                              f"(Poincare duality fails in degree {d})")
+    return phi
+
+
+def top_functional_by_echelon(fs, forms) -> int:
+    """phi on S_n read off the reduced echelon rows of I_n, the route of
+    cohomology.top_functional before it read phi off the forward pass: the
+    product of the forms over each minimal non-face times every monomial of
+    the complementary degree, reduced by pivot scans, then phi(c0) = 1 at
+    the one column c0 without a pivot and phi(p) the bit c0 of the row with
+    pivot p, since a reduced row has no other bit outside its pivot.
+
+    Raises ValueError unless the products span a hyperplane of S_n.
+    """
+    n = fs.n
+    full = tuple(forms) + (0b001, 0b010, 0b100)
+    products = []
+    for nonface in fs.minimal_nonfaces:
+        vec = 1
+        for degree, i in enumerate(nonface):
+            vec = times_form(vec, degree, full[i])
+        columns = product_columns(n, len(nonface))
+        products += [sum(1 << columns[i][j] for i in range(vec.bit_length()) if (vec >> i) & 1)
+                     for j in range(monomial_count(3, n - len(nonface)))]
+    pivots, rows = echelon_by_scan(products)
+    free = set(range(monomial_count(3, n))).difference(pivots)
+    if len(free) != 1:
+        raise ValueError(f"the ideal in degree {n} has corank {len(free)}, not 1")
+    (c0,) = free
+    phi = 1 << c0
+    for p, row in zip(pivots, rows):
+        if (row >> c0) & 1:
+            phi |= 1 << p
     return phi
 
 

@@ -186,8 +186,8 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     need 24 top functionals, each checked, and one orbit closure per key
     class of each member: 9 + 5.  Keys build no quotient: the 42 of
     --verify are the published blocks, all built by verify, which reads
-    the 22 profiled rows' functionals with top_functional too, the call
-    the profile command makes."""
+    the 22 profiled rows' functionals off those quotients' own top degrees
+    and eliminates no I_n again."""
     import galerig.cli
     import galerig.cohomology
     import galerig.verify
@@ -205,11 +205,11 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     count(galerig.cli, "top_functional")
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
-    count(galerig.verify, "top_functional")
+    count(galerig.verify, "quotient_functional")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
     assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14,
-                     "verify.quotient_presentation": 42, "verify.top_functional": 22}
+                     "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
     calls.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
     assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14}
@@ -219,6 +219,27 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
     assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
+
+
+def test_parser_is_built_once_and_leaks_no_flag(capsys):
+    """main reuses one parser per process; each call still prints what a
+    fresh process prints, with an exit-2 call between any two, so no flag
+    value (--matrix, --json) reaches a later call."""
+    from galerig.cli import build_parser
+
+    assert build_parser() is build_parser()
+    calls = [["profile", "3,1,2,1,1", "--matrix", "2"], ["profile", "3,1,2,1,1"],
+             ["report", "2,2,2,1,1", "--json"], ["report", "2,2,2,1,1"]]
+    outputs = []
+    for argv in calls:
+        assert main(["charmats", "15,1,1,1,1"]) == 2
+        assert "MAX_FACETS" in capsys.readouterr().err
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert run_cli(*argv) == (0, outputs[-1], ""), argv
+    # one row per table for --matrix 2, then all 21 rows in each
+    assert [len(out.splitlines()) for out in outputs[:2]] == [2 + 1 + 2 + 1, 2 + 21 + 2 + 21]
+    assert outputs[2].startswith("{") and outputs[3].startswith("input weights:")
 
 
 def test_report_verify_profiles_each_row_once(monkeypatch):

@@ -21,11 +21,13 @@ from galerig.cohomology import (
     order,
     quotient_presentation,
     substitution_maps_ideal,
+    quotient_functional,
     top_functional,
     _GENERATORS,
     _catalecticants,
     _compose,
     _contraction_tables,
+    _hyperplane_functional,
     _orbit,
     _subst_matrix,
     _word_tree,
@@ -35,6 +37,7 @@ from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
+    _forward,
     image,
     monomial_count,
     monomials,
@@ -342,6 +345,29 @@ def test_top_functional_is_the_socle_functional(key_quotients):
         assert all(q.hilbert == h for q in quotients), w
         assert ([top_functional(fs, b, h) for b in enumerate_charmats(fs)]
                 == [socle_functional(q) for q in quotients]), w
+
+
+def test_forward_pass_functional_equals_the_reduced_echelon_reader(key_quotients):
+    """phi read off the forward pass of elimination, without
+    back-substitution, is the functional the reduced echelon rows give, on
+    every orbit representative of every key_range diagram; a saturated
+    quotient's reduced rows feed the same reader."""
+    for w, quotients in key_quotients.items():
+        diagram = GaleDiagram(w)
+        fs, h = face_structure(diagram), h_vector(diagram)
+        blocks = enumerate_charmats(fs)
+        for r in sorted(set(orbits(fs, blocks))):
+            assert (top_functional(fs, blocks[r], h)
+                    == oracles.top_functional_by_echelon(fs, blocks[r])
+                    == quotient_functional(quotients[r])), (w, r)
+
+
+def test_hyperplane_functional_refuses_other_coranks():
+    for n in (1, 4):
+        width = monomial_count(3, n)
+        for rows in ([1 << c for c in range(width)], [1 << c for c in range(2, width)]):
+            with pytest.raises(ValueError, match="corank"):
+                _hyperplane_functional(n, _forward(rows))
 
 
 def test_top_functional_refuses_a_wrong_h_vector():

@@ -1,13 +1,16 @@
 """Gale diagrams, the arc criterion, and face structures."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galerig.betti import h_vector
 from galerig.gale import (
     FaceStructure,
     GaleDiagram,
+    _hull_triples,
     canonical_weights,
     face_structure,
     facet_labels,
@@ -98,6 +101,23 @@ def test_arc_criterion_matches_exact_hull_oracle(k):
         for subset in combinations(vertices, size):
             assert origin_in_hull(subset, k) == oracles.origin_in_hull_exact(subset, k), \
                 f"arc test disagrees with exact geometry on {subset}, k={k}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_hull_table_is_the_exact_hull_triples(k):
+    """The per-k table that face_structure looks facet triples up in holds
+    label triples only, never one entry per label subset."""
+    table = _hull_triples(k)
+    assert table == {t for t in combinations(range(1, 2 * k + 2), 3)
+                     if oracles.origin_in_hull_exact(t, k)}
+    assert len(table) <= comb(2 * k + 1, 3)
+
+
+def test_hull_table_serves_a_large_polygon():
+    # k = 15: 31 labels, whose 2^31 label subsets no table could hold; one
+    # vertex per unit of the h-vector
+    diagram = GaleDiagram((1,) * 31)
+    assert len(face_structure(diagram).vertex_complements) == sum(h_vector(diagram))
 
 
 def test_origin_in_hull_examples():
