@@ -1,0 +1,63 @@
+"""Wide check of how report keys a whole Tor class.  For every multi-member
+pentagon Tor class of total <= 12 (26 classes, 5,167 matrices), the pair
+counts that `galerig report W --json` prints, where the members share one
+{phi: key} map and the last member fills no GL(3, GF(2)) orbit, equal the
+counts from each member's own galerig.cli._matrix_keys with no shared map,
+and the report counts exactly the orbit fills of its members but the last.
+Too many diagrams for tier-1, so this sits outside tier-1's testpaths.
+
+Runtime: about 2.3 s on a 2-core x86 VM under Python 3.11, pytest's
+start-up included.
+
+Run from the repository root:  python3 -m pytest checks/test_class_keys_wide.py
+"""
+
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import oracles  # noqa: E402
+import galerig.cohomology  # noqa: E402
+from galerig.cli import _matrices, _matrix_keys, main  # noqa: E402
+from galerig.gale import GaleDiagram  # noqa: E402
+from galerig.petersen import tor_class  # noqa: E402
+
+CLASSES = sorted(members for members in {tuple(sorted(tor_class(w)))
+                                         for w in oracles.canonical_diagrams(5, 12)}
+                 if len(members) > 1)
+
+
+def test_range():
+    assert len(CLASSES) == 26
+    assert sum(len(_matrices(GaleDiagram(w))[1]) for members in CLASSES for w in members) == 5167
+
+
+@pytest.mark.parametrize("members", CLASSES, ids=lambda c: " ".join(",".join(map(str, w))
+                                                                     for w in c))
+def test_shared_class_keys_give_the_unshared_pair_counts(members, capsys, monkeypatch):
+    keys, fills = [], []
+    for w in members:
+        diagram = GaleDiagram(w)
+        fs, blocks = _matrices(diagram)
+        keys.append(Counter(_matrix_keys(diagram, fs, blocks)))
+        fills.append(len(keys[-1]))  # the member's key classes
+    expected = [sum(count * keys[j][key] for key, count in keys[i].items())
+                for i in range(len(members)) for j in range(i + 1, len(members))]
+
+    orbit = galerig.cohomology._orbit
+    calls = []
+    monkeypatch.setattr(galerig.cohomology, "_orbit", lambda *a: calls.append(a) or orbit(*a))
+    assert main(["report", ",".join(map(str, members[0])), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tor_class"] == [list(w) for w in members]
+    assert [p["isomorphisms_found"] for p in report["pairs"]] == expected
+    # no cross isomorphism through total 12, so no earlier member's class is
+    # found again and each member but the last fills each of its classes
+    assert sum(expected) == 0
+    assert len(calls) == sum(fills[:-1])

@@ -39,12 +39,6 @@ def forms_from_rows(rows: Sequence[str]) -> tuple[int, ...]:
     return tuple(sum(int(ch) << j for j, ch in enumerate(r)) for r in rows)
 
 
-def _column_key(forms: Sequence[int]) -> tuple[int, ...]:
-    """The block's columns as ints with facet i's row at bit i: the order
-    in which the reference lists and every report print matrices."""
-    return tuple(sum(((f >> j) & 1) << i for i, f in enumerate(forms)) for j in range(3))
-
-
 def is_characteristic(forms: Sequence[int], fs: FaceStructure) -> bool:
     """Whether the forms off every vertex of the polytope are a basis."""
     if len(forms) != fs.n:
@@ -89,18 +83,22 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
     Backtracks over the 7 nonzero forms per leading facet; each
     vertex-complement triple is tested as soon as its last facet is set, by
     intersecting the forms that complete each closed pair to a basis.
-    Output is in column order (see _column_key).
+    Output is in the order of the reference lists and every report: by
+    (column 0 << 2n) | (column 1 << n) | column 2, a block column as the
+    int with facet i's row at bit i, summed from per-facet tables.
     """
     n = fs.n
     if (n, n + 1, n + 2) not in fs.vertex_complements:
         raise ValueError("facet order is not normalized: leading facets must form a vertex")
     plan = _search_plan(fs)
+    columns = [[sum(((f >> j) & 1) << (i + (2 - j) * n) for j in range(3)) for f in range(8)]
+               for i in range(n)]
     forms = [0] * n + list(VARIABLES)
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[int, tuple[int, ...]]] = []
 
-    def assign(step: int):
+    def assign(step: int, key: int):
         if step == n:
-            found.append(tuple(forms[:n]))
+            found.append((key, tuple(forms[:n])))
             return
         facet, pairs = plan[step]
         allowed = 0b11111110
@@ -109,10 +107,10 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
         for f in range(1, 8):
             if (allowed >> f) & 1:
                 forms[facet] = f
-                assign(step + 1)
+                assign(step + 1, key + columns[facet][f])
 
-    assign(0)
-    return sorted(found, key=_column_key)
+    assign(0, 0)
+    return [matrix for _, matrix in sorted(found)]  # keys are distinct: no tuple is compared
 
 
 def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:

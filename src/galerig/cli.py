@@ -4,18 +4,17 @@ plain data (Betti tables, profiles, quotients); every printed shape, text
 or JSON, is written here.
 
 Every command that needs characteristic matrices gets them from _matrices,
-which always enumerates; report --cache then writes each member's list
-(in cmd_report) and never reads a file back, so a cache file can never
-shrink or replace the enumeration.  iso and report compare one isomorphism
-key per matrix (_matrix_keys): one socle functional is read off the top
-degree of the ideal, and keyed, per orbit of matrices under the
-permutations of same-label facets (charmat.orbits), whose members all have
-one key, and every matrix takes its orbit's key, so each printed count
-stays exact.
-Neither command builds a quotient, and profile reads each selected
-matrix's codim/ord table off its top functional; only cohomology, which
-prints each quotient's generators (and its ideal under --json), and
-report --verify build quotients.
+which always enumerates; report --cache only writes each member's list, so
+a cache file can never shrink or replace the enumeration.  iso and report
+compare one isomorphism key per matrix (_matrix_keys): one socle functional
+per orbit of matrices under the permutations of same-label facets
+(charmat.orbits), all of a diagram's read off their top degrees in one
+batch (cohomology.top_functionals), and every matrix takes its orbit's key.
+report keys a Tor class in one pass, its members in sorted order sharing
+one {phi: key} map: each member but the last fills the GL(3, GF(2)) orbit
+of each of its key classes not yet in the map, and the last fills none,
+since a phi missing there matches no earlier member and no pair count
+reads its key.  Only cohomology and report --verify build quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
@@ -41,7 +40,7 @@ from .cohomology import (
     invariant_profile,
     iso_keys,
     quotient_presentation,
-    top_functional,
+    top_functionals,
 )
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly, to_lists
@@ -49,20 +48,11 @@ from .petersen import tor_class
 
 
 # Largest facet count accepted by the commands that enumerate characteristic
-# matrices.  Their number grows exponentially in m ((a,1,1,1,1) has
-# 2^(a+1)+1).  `iso` and a multi-member `report` compute one top functional
-# per facet-symmetry orbit and build no quotient; `profile` computes one top
-# functional per matrix, and `cohomology` builds one quotient per matrix.
-# Measured as one set on a 2-core x86 VM under Python 3.11, (10,1,1,1,1) at
-# m = 14 enumerates its 2049 matrices in 0.02 s, groups them into 23 orbits
-# in 0.02 s and keys those 23 in 0.01 s (medians of 7 in-process runs), and a
-# fresh `iso 10,1,1,1,1 10,1,1,1,1` takes about 0.21 s, of which interpreter
-# start-up and this package's import take 0.10 s; a fresh `profile` takes
-# about 2.0 s, and `cohomology`, which builds all 2049 quotients, about 3.5 s
-# for text and 17 s under --json, which also prints every ideal's rows
-# (medians of alternating fresh runs, 6 text and 3 --json).  No pentagon at
-# m = 14 has more than 34 orbits.  At m = 15, (11,1,1,1,1) has 4097 matrices
-# in 25 orbits.  Larger diagrams are refused with exit 2.
+# matrices, whose number grows exponentially in m ((a,1,1,1,1) has
+# 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 23 orbits (no
+# pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
+# 0.21 s, `profile` 2.0 s and `cohomology` 3.5 s, 17 s under --json (README,
+# "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -150,16 +140,17 @@ def _selected_matrices(diagram, index: int | None):
     return fs, [(index, blocks[index - 1])]
 
 
-def _matrix_keys(diagram: GaleDiagram, fs, blocks) -> list[tuple]:
+def _matrix_keys(diagram: GaleDiagram, fs, blocks, known=None, fill=True) -> list[tuple]:
     """The isomorphism key of each matrix, in list order.  One socle
     functional is computed, from the top degree alone and checked against
     the diagram's h-vector, per orbit (charmat.orbits), for its
-    representative, whose key every member takes; no quotient is built."""
+    representative, whose key every member takes (known and fill go to
+    iso_keys); no quotient is built."""
     representatives = orbits(fs, blocks)
     h = h_vector(diagram)
     distinct = list(dict.fromkeys(representatives))
-    functionals = [top_functional(fs, blocks[r], h) for r in distinct]
-    key = dict(zip(distinct, iso_keys(fs.n, h, functionals)))
+    functionals = top_functionals(fs, [blocks[r] for r in distinct], h)
+    key = dict(zip(distinct, iso_keys(fs.n, h, functionals, known, fill)))
     return [key[r] for r in representatives]
 
 
@@ -185,8 +176,8 @@ def cmd_profile(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
     h = h_vector(diagram)
-    profiles = [(i, invariant_profile(top_functional(fs, block, h), fs.n))
-                for i, block in selected]
+    functionals = top_functionals(fs, [block for _, block in selected], h)
+    profiles = [(i, invariant_profile(phi, fs.n)) for (i, _), phi in zip(selected, functionals)]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []
@@ -251,8 +242,6 @@ def cmd_report(args) -> int:
     _enumerable(diagram)  # every class member has the same facet count
     matrices = {w: _matrices(GaleDiagram(w)) for w in members}
     if args.cache:
-        # each member's list, as enumerated, replaces whatever its file held;
-        # the file is never read
         import json
 
         os.makedirs(args.cache, exist_ok=True)
@@ -265,9 +254,11 @@ def cmd_report(args) -> int:
 
     # A singleton class is B-rigid by its matrix count alone, so matrices are
     # keyed only when there is a pair to compare: per member, how many
-    # matrices have each key.
-    keys = ([Counter(_matrix_keys(GaleDiagram(w), *matrices[w])) for w in members]
-            if len(members) > 1 else [])
+    # matrices have each key, the last member filling no orbit (module
+    # docstring).
+    known: dict = {}
+    keys = ([Counter(_matrix_keys(GaleDiagram(w), *matrices[w], known, w != members[-1]))
+             for w in members] if len(members) > 1 else [])
 
     pairs = []
     total_found = 0

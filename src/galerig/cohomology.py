@@ -20,38 +20,26 @@ substitution g therefore maps one ideal onto another iff phi_b o g =
 phi_a, and both algebras are generated in degree one, so every graded
 isomorphism is such a g in GL(3, GF(2)).  The key of a quotient is (n, h,
 least element of the orbit {phi o g : g in GL(3, GF(2))}), h its Hilbert
-function, equal for two quotients iff they are isomorphic.  The key needs
-no quotient: top_functional reads phi off I_n alone, which the products
-of each generator with the monomials of the complementary degree span,
-and checks the duality by ranks, the catalecticant of phi against the
-h-vector of the Betti table (galerig.betti.h_vector); keys and profiles
-get phi from it, and report --verify, which builds the published
-quotients anyway, reads phi off each one's own I_n (quotient_functional)
-under the same rank check (check_inverse_system); both read phi off an
-echelon basis without back-substitution.  The dual side has one
-operation, the contraction psi -> (f -> psi(l * f)) of a functional by a
-linear form l, the transpose of multiplication by l, through cached byte
-tables (galerig.gf2.byte_tables): each row of a catalecticant is the
-contraction of a row of the degree below by one variable.  iso_keys fills the orbit
-along a fixed word tree in s = (x+y, y, z) and t = (y, z, x): a
-breadth-first spanning tree of GL(3, GF(2)) from the identity, built
-once, in which each of the other 167 elements is its parent followed by
-one generator, so each orbit element is one table image of its parent's
-under the byte tables of that generator's degree-n pullback.  These two generate GL(3, GF(2)): s and its
-conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x, their
-commutators are the other three, and the six elementary transvections
-generate the group.  So the tree reaches all 168 substitutions and the key
-is the least phi o g over them, the same value as a scan over gl3(), found
-once per key class of the list rather than once per quotient.  Two
-quotients are compared by their keys, and find_graded_iso, which reads
-phi_a and phi_b off the top degrees of two saturated quotients, certifies
-the witness it finds against the full ideals.
-Nor need every matrix be keyed: permuting facets that carry one Gale
-label fixes every minimal non-face, so the matrices of one orbit under
-those permutations (galerig.charmat.orbits) have one ideal up to a
-degree-one substitution, hence one key, and the iso and report commands
-compute one top functional per orbit, build no quotient, and give every
-member the orbit's key.
+function, equal for two quotients iff they are isomorphic.
+The key needs no quotient: top_functionals reads phi off I_n alone and
+checks the duality by the ranks of phi's catalecticants against the
+h-vector of the Betti table (check_inverse_system), and report --verify
+reads phi off each published quotient's own I_n (quotient_functional)
+under the same check.  The dual side has one operation, the contraction
+psi -> (f -> psi(l * f)) of a functional by a linear form l, the
+transpose of multiplication by l, through cached byte tables.
+iso_keys fills an orbit along a breadth-first word tree of GL(3, GF(2))
+in s = (x+y, y, z) and t = (y, z, x), one table image per element: s and
+its conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x,
+their commutators are the other three, and these six generate the group,
+so the least element filled is the least phi o g over gl3().  An orbit is
+filled once and remembered phi by phi, in a map that the members of a
+Tor class share (galerig.cli), whose last member only looks up.
+find_graded_iso certifies its witness against two saturated quotients'
+full ideals.
+Nor need every matrix be keyed: the matrices of one orbit under the
+permutations of same-label facets (galerig.charmat.orbits) have one ideal
+up to a degree-one substitution, hence one key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.  invariant_profile reads them off phi too, since I_d is
@@ -145,7 +133,9 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         raise ValueError("matrix is not characteristic over this face structure")
 
     n = fs.n
-    generators = _generators(fs, forms)
+    full = tuple(forms) + VARIABLES
+    generators = [(len(nonface), _product(full[i] for i in nonface))
+                  for nonface in fs.minimal_nonfaces]
     ideal = _saturated_ideal(generators, n + 1)
     hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
     quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
@@ -154,17 +144,12 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     return quotient
 
 
-def _generators(fs: FaceStructure, forms: Sequence[int]) -> list[tuple[int, int]]:
-    """The (degree, vec) product of the facet forms over each minimal
-    non-face, in the order of fs.minimal_nonfaces."""
-    full = tuple(forms) + VARIABLES
-    generators = []
-    for nonface in fs.minimal_nonfaces:
-        prod = 1
-        for degree, i in enumerate(nonface):
-            prod = times_form(prod, degree, full[i])
-        generators.append((len(nonface), prod))
-    return generators
+def _product(forms: Iterable[int]) -> int:
+    """The product of linear forms, as a vector of their degree."""
+    vec = 1
+    for degree, form in enumerate(forms):
+        vec = times_form(vec, degree, form)
+    return vec
 
 
 def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedSubspace:
@@ -397,39 +382,56 @@ def check_inverse_system(phi: int, n: int, h: Sequence[int]):
                              f"rank {r} against h_{d} = {h_d} in degree {d}")
 
 
-def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
-    """The socle functional of a characteristic matrix's quotient, whose
-    kernel is I_n, from that component alone.
+def top_functionals(fs: FaceStructure, matrices: Sequence[Sequence[int]],
+                    h: Sequence[int]) -> list[int]:
+    """The socle functional phi of each characteristic matrix's quotient,
+    whose kernel is I_n, from that component alone, in order.
 
     Args:
         fs: face structure in normalized facet order.
-        forms: the matrix as the linear forms of facets 0..n-1.
+        matrices: matrices as the linear forms of facets 0..n-1.
         h: the h-vector h_0..h_n of the polytope (galerig.betti.h_vector).
 
-    I_n is spanned by each generator of degree e times the monomials of
-    degree n - e, each product one table_image through cached byte tables
-    (_spread_tables).  phi is read off the forward pass of elimination over
-    those products (gf2._forward), the one non-pivot column first and then
-    each pivot from the highest down (_hyperplane_functional), so no
-    back-substitution runs and no lower degree is saturated.
+    I_n is spanned by the generators of degree e (the products of the
+    forms over the minimal non-faces) times the monomials of degree n - e,
+    through cached byte tables (_spread_tables); those rows depend only on
+    the non-face's forms as a multiset, so each is built once per batch.
+    phi is read off the forward pass of elimination over a matrix's rows
+    (gf2._forward, _hyperplane_functional), with no back-substitution.
 
-    Raises ValueError unless I_n has corank 1 and, in every degree d, phi's
-    catalecticant has rank h_d (check_inverse_system).  I_d lies in
+    Raises ValueError unless every matrix is characteristic, h has n + 1
+    entries, and each I_n has corank 1 and a phi whose catalecticant has
+    rank h_d in every degree d (check_inverse_system).  I_d lies in
     Ann(phi)_d, whose codimension is that rank, and dim (S/I)_d = h_d
     because a characteristic matrix is a linear system of parameters
     (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
     duality that makes iso_keys complete.
     """
-    if not is_characteristic(forms, fs):
+    if not all(is_characteristic(forms, fs) for forms in matrices):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
     if len(h) != n + 1:
         raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
-    products = [table_image(vec, tables) for degree, vec in _generators(fs, forms)
-                for tables in _spread_tables(n, degree)]
-    phi = _hyperplane_functional(n, _forward(products))
-    check_inverse_system(phi, n, h)
-    return phi
+    spans: dict[tuple[int, ...], list[int]] = {}  # sorted forms of a non-face: its rows
+    functionals = []
+    for forms in matrices:
+        full = tuple(forms) + VARIABLES
+        products = []
+        for nonface in fs.minimal_nonfaces:
+            factors = tuple(sorted(full[i] for i in nonface))
+            if factors not in spans:
+                vec, spread = _product(factors), _spread_tables(n, len(factors))
+                spans[factors] = [table_image(vec, tables) for tables in spread]
+            products += spans[factors]
+        phi = _hyperplane_functional(n, _forward(products))
+        check_inverse_system(phi, n, h)
+        functionals.append(phi)
+    return functionals
+
+
+def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
+    """top_functionals of the one matrix."""
+    return top_functionals(fs, [forms], h)[0]
 
 
 @lru_cache(maxsize=None)
@@ -487,17 +489,20 @@ def _orbit(phi: int, n: int) -> set[int]:
     return set(orbit)
 
 
-def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int]) -> list[tuple]:
+def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],
+             known: dict[int, tuple] | None = None, fill: bool = True) -> list[tuple | None]:
     """(n, h, least phi o g over GL(3, GF(2))) per socle functional phi on
     S_n, in order: equal iff the quotients are isomorphic (module
-    docstring), given one h-vector h for the list.  The orbit is filled
-    along the fixed word tree in s and t (_word_tree) once per key class of
-    the list, and each of its elements is remembered with the key."""
-    known: dict[int, tuple] = {}
+    docstring), given one h-vector h for the list.  known, which lists of
+    one n and h may share, maps each phi of every orbit filled so far to
+    its key; any other phi has its orbit filled along the word tree
+    (_word_tree) and added to known, or, with fill=False, gets None, which
+    equals no key."""
+    known = {} if known is None else known
     keys = []
     for phi in functionals:
         key = known.get(phi)
-        if key is None:
+        if key is None and fill:
             orbit = _orbit(phi, n)
             key = (n, h, min(orbit))
             known.update(dict.fromkeys(orbit, key))

@@ -146,19 +146,8 @@ def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, 
 
 def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
     """Polygon label of each facet in a deterministic order whose first n
-    facets form a vertex.
-
-    The two fixture polytopes use their published orders.  Any other diagram
-    is ordered by polygon label, then the lexicographically least vertex is
-    moved to the front (label-sorted rotations alone need not start with a
-    vertex, e.g. for [1,1,1,1,1]).
-    """
-    if diagram.weights in _PINNED_ORDERS:
-        return _PINNED_ORDERS[diagram.weights]
-    labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
-    vertex, off = min((tuple(i for i in range(diagram.m) if i not in t), t)
-                      for t in _vertex_complements(labels, diagram.k))
-    return tuple(labels[i] for i in vertex + off)
+    facets form a vertex: the order of face_structure."""
+    return face_structure(diagram).labels
 
 
 class FaceStructure(NamedTuple):
@@ -180,13 +169,30 @@ class FaceStructure(NamedTuple):
 
 
 def face_structure(diagram: GaleDiagram) -> FaceStructure:
-    """The face structure in the facet_labels order.  The 2k+1 minimal
-    non-faces are the facets labelled in an arc of k consecutive polygon
-    vertices: entry i holds the sorted facets with labels i+1, ..., i+k
-    (mod 2k+1), so its size is the weight window sum a_(i+1) + ... + a_(i+k)."""
-    labels = facet_labels(diagram)
+    """The face structure in the facet_labels order.
+
+    The two fixture polytopes use their published orders.  Any other diagram
+    is ordered by polygon label, then the lexicographically least vertex is
+    moved to the front (label-sorted rotations alone need not start with a
+    vertex, e.g. for [1,1,1,1,1]); the vertex complements found on the
+    label order, which choose that vertex, are mapped to their positions in
+    the final order, so the facet triples are scanned once.  The 2k+1
+    minimal non-faces are the facets labelled in an arc of k consecutive
+    polygon vertices: entry i holds the sorted facets with labels i+1, ...,
+    i+k (mod 2k+1), so its size is the weight window sum a_(i+1) + ... +
+    a_(i+k)."""
     k, nv = diagram.k, 2 * diagram.k + 1
+    labels = _PINNED_ORDERS.get(diagram.weights)
+    if labels is not None:
+        complements = _vertex_complements(labels, k)
+    else:
+        labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
+        triples = _vertex_complements(labels, k)
+        vertex, off = min((tuple(i for i in range(diagram.m) if i not in t), t) for t in triples)
+        position = {facet: p for p, facet in enumerate(vertex + off)}
+        labels = tuple(labels[i] for i in vertex + off)
+        complements = tuple(sorted(tuple(sorted(position[f] for f in t)) for t in triples))
     arcs = [{(i + t) % nv + 1 for t in range(k)} for i in range(nv)]
     nonfaces = tuple(tuple(f for f, label in enumerate(labels) if label in arc)
                      for arc in arcs)
-    return FaceStructure(labels, nonfaces, _vertex_complements(labels, k))
+    return FaceStructure(labels, nonfaces, complements)

@@ -183,42 +183,44 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
     """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
-    need 24 top functionals, each checked, and one orbit closure per key
-    class of each member: 9 + 5.  Keys build no quotient: the 42 of
-    --verify are the published blocks, all built by verify, which reads
-    the 22 profiled rows' functionals off those quotients' own top degrees
-    and eliminates no I_n again."""
+    need 24 top functionals, each checked, read in one batch per member,
+    and one orbit closure per key class of the first member: 5, since the
+    last member only looks its functionals up.  Keys build no quotient: the
+    42 of --verify are the published blocks, all built by verify, which
+    reads the 22 profiled rows' functionals off those quotients' own top
+    degrees and eliminates no I_n again."""
     import galerig.cli
     import galerig.cohomology
     import galerig.verify
 
     calls = Counter()
 
-    def count(module, name):
+    def count(module, name, weight=lambda *args: 1):
         fn = getattr(module, name)
 
         def wrapper(*args):
-            calls[f"{module.__name__.split('.')[-1]}.{name}"] += 1
+            calls[f"{module.__name__.split('.')[-1]}.{name}"] += weight(*args)
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    count(galerig.cli, "top_functional")
+    # a batch counts the matrices passed to it
+    count(galerig.cli, "top_functionals", lambda fs, matrices, h: len(matrices))
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
     count(galerig.verify, "quotient_functional")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14,
+    assert calls == {"cli.top_functionals": 24, "cohomology._orbit": 5,
                      "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
     calls.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
-    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 14}
+    assert calls == {"cli.top_functionals": 24, "cohomology._orbit": 5}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
-    assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
+    assert calls == {"cli.top_functionals": 11, "cohomology._orbit": 2}
 
 
 def test_parser_is_built_once_and_leaks_no_flag(capsys):

@@ -1,10 +1,12 @@
 """Cohomology quotients, codim/ord invariants, and the isomorphism keys."""
 
 import random
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
 
+import galerig.cohomology
 from galerig import fixtures
 from galerig.cohomology import (
     LINEAR_FORMS,
@@ -23,6 +25,7 @@ from galerig.cohomology import (
     substitution_maps_ideal,
     quotient_functional,
     top_functional,
+    top_functionals,
     _GENERATORS,
     _catalecticants,
     _compose,
@@ -370,6 +373,21 @@ def test_hyperplane_functional_refuses_other_coranks():
                 _hyperplane_functional(n, _forward(rows))
 
 
+def test_batched_functionals_equal_one_matrix_functionals(key_quotients):
+    """top_functionals, which builds I_n's rows once per multiset of
+    non-face forms in the batch, gives top_functional's phi on every orbit
+    representative of every key_range diagram, in either batch order."""
+    for w in key_quotients:
+        diagram = GaleDiagram(w)
+        fs, h = face_structure(diagram), h_vector(diagram)
+        blocks = enumerate_charmats(fs)
+        batch = [blocks[r] for r in sorted(set(orbits(fs, blocks)))]
+        phis = [top_functional(fs, forms, h) for forms in batch]
+        assert top_functionals(fs, batch, h) == phis, w
+        assert top_functionals(fs, batch[::-1], h) == phis[::-1], w
+    assert top_functionals(FS_P, [], QA1.hilbert) == []
+
+
 def test_top_functional_refuses_a_wrong_h_vector():
     # the catalecticant ranks of A1 are its Hilbert function, so a change in
     # any one degree, on either side of n/2, is refused and named
@@ -386,6 +404,20 @@ def test_top_functional_refuses_a_wrong_h_vector():
 def test_top_functional_refuses_a_non_characteristic_matrix():
     with pytest.raises(ValueError, match="not characteristic"):
         top_functional(FS_P, (0b101, 0b101, 0b101, 0b010, 0b010), QA1.hilbert)
+
+
+def test_top_functionals_refuse_what_top_functional_refuses():
+    """A batch raises top_functional's ValueErrors: on a non-characteristic
+    matrix after a good one, and on a wrong h-vector in any degree."""
+    batch = [BLOCKS_A["A1"], BLOCKS_A["A2"]]
+    with pytest.raises(ValueError, match="not characteristic"):
+        top_functionals(FS_P, batch + [(0b101, 0b101, 0b101, 0b010, 0b010)], QA1.hilbert)
+    h = list(QA1.hilbert)
+    for d in range(QA1.n + 1):
+        with pytest.raises(ValueError, match=f"in degree {d}$"):
+            top_functionals(FS_P, batch, h[:d] + [h[d] + 1] + h[d + 1:])
+    with pytest.raises(ValueError, match="entries"):
+        top_functionals(FS_P, batch, h[:-1])
 
 
 def test_two_generators_close_to_gl3():
@@ -467,6 +499,45 @@ def test_iso_keys_one_key_per_entry_in_order():
     a1, b1, a2 = oracles.scan_iso_key(QA1), oracles.scan_iso_key(QB1), oracles.scan_iso_key(qa2)
     assert a2 == oracles.scan_iso_key(qa5) != a1 != b1
     assert keys == [a1, b1, a1, a2, b1, a2, a1]
+
+
+def test_shared_key_map_counts_the_pairs_of_unshared_keys(monkeypatch):
+    """report's lookup-hit path, which no pentagon class through total 18
+    reaches (none has a cross isomorphism), on a synthetic two-member class:
+    the orbit representatives' functionals of (2,2,2,1,1), then each of them
+    composed with an element of GL(3,2) together with those of (3,1,2,1,1),
+    which match none.  Keyed as report keys a class, through one shared map
+    that the last member only looks up in, every pair count equals the one
+    from unshared iso_keys per member, and the last member fills no orbit."""
+    h = h_vector(Q)
+    assert h_vector(P) == h
+
+    def representatives_functionals(fs):
+        blocks = enumerate_charmats(fs)
+        return top_functionals(fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h)
+
+    first = representatives_functionals(FS_Q)
+    elements = gl3()
+    composed = [_compose(phi, elements[(37 * i + 5) % 168], Q.n) for i, phi in enumerate(first)]
+    assert composed != first
+    members = [first, composed + representatives_functionals(FS_P)]
+
+    def pair_count(keys):
+        left, right = (Counter(k) for k in keys)
+        return sum(count * right[key] for key, count in left.items())
+
+    unshared = [iso_keys(Q.n, h, phis) for phis in members]
+    known = {}
+    shared = [iso_keys(Q.n, h, members[0], known)]
+    orbit_calls = []
+    monkeypatch.setattr(galerig.cohomology, "_orbit",
+                        lambda *args: orbit_calls.append(args) or _orbit(*args))
+    shared.append(iso_keys(Q.n, h, members[1], known, fill=False))
+    assert orbit_calls == []
+    # every composed functional is found, every one of (3,1,2,1,1) is not
+    assert shared[1] == unshared[1][:len(first)] + [None] * (len(members[1]) - len(first))
+    assert shared[0] == unshared[0]
+    assert pair_count(shared) == pair_count(unshared) >= len(first)
 
 
 def test_socle_functional_inverse_system_is_the_ideal(key_range):
