@@ -132,7 +132,10 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
     facets are off a vertex, so their labels differ and a transposition
     moves at most one of them: swapping trailing facet n+j with a leading
     facet of form f puts f in variable j's place, and the transvection
-    v -> v + v_j (f + e_j), its own inverse, renormalises every form.
+    v -> v + v_j (f + e_j), its own inverse, renormalises every form.  A
+    transposition that fixes the matrix, of two leading facets with one
+    form or of a trailing facet with a leading facet already of its
+    variable's form, would link a matrix to itself and is skipped.
     """
     n = fs.n
     by_label: dict[int, list[int]] = {}
@@ -151,11 +154,15 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
     for i, forms in enumerate(blocks):
         for a, b in swaps:  # a < b, and only b can be a trailing facet
             if b < n:
+                if forms[a] == forms[b]:
+                    continue  # the swap fixes the matrix
                 moved = list(forms)
                 moved[a], moved[b] = forms[b], forms[a]
             else:
                 e, f = VARIABLES[b - n], forms[a]
                 shift = e ^ f
+                if not shift:
+                    continue  # form a is already variable j: no shift
                 moved = [v ^ shift if v & e else v for v in forms]
                 moved[a] = f
             j = index.get(tuple(moved))

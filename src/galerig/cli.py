@@ -51,7 +51,7 @@ from .petersen import tor_class
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 23 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.21 s, `profile` 2.0 s and `cohomology` 3.5 s, 17 s under --json (README,
+# 0.21 s, `profile` 1.4 s and `cohomology` 3.5 s, 17 s under --json (README,
 # "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 

@@ -25,9 +25,14 @@ The key needs no quotient: top_functionals reads phi off I_n alone and
 checks the duality by the ranks of phi's catalecticants against the
 h-vector of the Betti table (check_inverse_system), and report --verify
 reads phi off each published quotient's own I_n (quotient_functional)
-under the same check.  The dual side has one operation, the contraction
-psi -> (f -> psi(l * f)) of a functional by a linear form l, the
-transpose of multiplication by l, through cached byte tables.
+under the same check.  Their tables outlive a call and are keyed by n
+alone or by n and a multiset of forms, never by a diagram or a phi: the
+I_n rows of a minimal non-face per (n, its forms' multiset)
+(_nonface_rows), and per (n, d) the byte tables that map phi to the whole
+of Cat_d in one lookup per byte (_catalecticant_tables).  The dual side
+has one more operation, the contraction psi -> (f -> psi(l * f)) of a
+functional by a linear form l, the transpose of multiplication by l,
+through cached byte tables.
 iso_keys fills an orbit along a breadth-first word tree of GL(3, GF(2))
 in s = (x+y, y, z) and t = (y, z, x), one table image per element: s and
 its conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x,
@@ -351,21 +356,37 @@ def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
                         for mono in monomials(3, degree)])
 
 
+@lru_cache(maxsize=None)
+def _catalecticant_tables(n: int, degree: int):
+    """(tables, shifts, mask) of Cat_d, d = degree, for phi on S_n:
+    table_image(phi, tables) is Cat_d with its rows stacked, row i at bit
+    shifts[i] = i * w, w the number of monomials of degree n - d, and mask
+    holds w bits.  Column c of the byte tables has bit i * w + j set iff
+    monomial i of degree d times monomial j of degree n - d is monomial c
+    of degree n."""
+    top, width = _monomial_index(3, n), monomial_count(3, n - degree)
+    columns = [0] * len(top)
+    for i, low in enumerate(monomials(3, degree)):
+        for j, high in enumerate(monomials(3, n - degree)):
+            columns[top[tuple(a + b for a, b in zip(low, high))]] |= 1 << (i * width + j)
+    shifts = tuple(range(0, monomial_count(3, degree) * width, width))
+    return byte_tables(columns), shifts, (1 << width) - 1
+
+
 def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
     """The pairings Cat_0..Cat_top of phi: row i of Cat_d has bit j =
     phi(monomial i of degree d * monomial j of degree n - d), so f pairs to
     zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel is
     Ann(phi)_d.
 
-    Cat_0 = [phi], and the row of x_k * m is the x_k-contraction of the row
-    of m in Cat_(d-1), one table lookup per byte.
+    Each Cat_d is one table_image of phi over the stacked tables cached per
+    (n, d) (_catalecticant_tables), its rows sliced off the result.
     """
-    pairings = [[phi]]
-    for d in range(1, top + 1):
-        lower = pairings[-1]
-        tables = [_contraction_tables(n - d + 1, v) for v in VARIABLES]
-        pairings.append([table_image(lower[parent], tables[k])
-                         for parent, k in _first_variable(d)])
+    pairings = []
+    for d in range(top + 1):
+        tables, shifts, mask = _catalecticant_tables(n, d)
+        stacked = table_image(phi, tables)
+        pairings.append([(stacked >> shift) & mask for shift in shifts])
     return pairings
 
 
@@ -373,13 +394,36 @@ def check_inverse_system(phi: int, n: int, h: Sequence[int]):
     """Raise ValueError unless phi's catalecticant has rank h_d in every
     degree d = 0..n, i.e. unless an ideal with Hilbert function h inside
     Ann(phi) is Ann(phi) itself.  The rank in degree n - d is the rank in
-    degree d (the transpose), so ranks are computed for d <= n/2 only."""
+    degree d (the transpose), so ranks are computed for d <= n/2 only,
+    each Cat_d sliced off one lookup of phi in the stacked tables of
+    (n, d) (_catalecticants)."""
     ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
     ranks += ranks[:(n + 1) // 2][::-1]
     for d, (r, h_d) in enumerate(zip(ranks, h)):
         if r != h_d:
             raise ValueError(f"ideal is not the inverse system of its top degree: "
                              f"rank {r} against h_{d} = {h_d} in degree {d}")
+
+
+@lru_cache(maxsize=None)
+def _form_counts(n: int) -> tuple[int, ...]:
+    """Per form f, the unit of f's count in the key of a multiset of the
+    forms of the n + 3 facets: the key is the sum of the units of its
+    forms, the same in any order.  Each count gets the bits of n + 3 (5
+    bits up to n = 28), so different multisets have different keys."""
+    bits = (n + 3).bit_length()
+    return tuple(1 << (bits * f) for f in range(8))
+
+
+@lru_cache(maxsize=None)
+def _nonface_rows(n: int, key: int) -> tuple[int, ...]:
+    """The I_n spanning rows of a minimal non-face whose forms have the
+    multiset key (_form_counts): their product times each monomial of the
+    complementary degree, through _spread_tables."""
+    bits = (n + 3).bit_length()
+    factors = [f for f in range(1, 8) for _ in range((key >> (bits * f)) & ((1 << bits) - 1))]
+    vec, spread = _product(factors), _spread_tables(n, len(factors))
+    return tuple(table_image(vec, tables) for tables in spread)
 
 
 def top_functionals(fs: FaceStructure, matrices: Sequence[Sequence[int]],
@@ -394,8 +438,14 @@ def top_functionals(fs: FaceStructure, matrices: Sequence[Sequence[int]],
 
     I_n is spanned by the generators of degree e (the products of the
     forms over the minimal non-faces) times the monomials of degree n - e,
-    through cached byte tables (_spread_tables); those rows depend only on
-    the non-face's forms as a multiset, so each is built once per batch.
+    through cached byte tables (_spread_tables).  Those rows depend only on
+    n and the non-face's forms as a multiset, so they are read from a
+    per-process row table (_nonface_rows) keyed by n and a sum of per-form
+    counts (_form_counts), built once per key and shared by every matrix,
+    diagram and call of one n.  A key is a multiset of at most n + 1 of
+    the seven forms (a simple n-polytope has n facets at a vertex), which
+    bounds the table of one n; far fewer keys are met: 1,502 over every
+    multi-member pentagon Tor class of total 13 or 14.
     phi is read off the forward pass of elimination over a matrix's rows
     (gf2._forward, _hyperplane_functional), with no back-substitution.
 
@@ -405,24 +455,21 @@ def top_functionals(fs: FaceStructure, matrices: Sequence[Sequence[int]],
     Ann(phi)_d, whose codimension is that rank, and dim (S/I)_d = h_d
     because a characteristic matrix is a linear system of parameters
     (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
-    duality that makes iso_keys complete.
+    duality that makes iso_keys complete.  Nothing per matrix outlives the
+    call: every phi gets every check.
     """
     if not all(is_characteristic(forms, fs) for forms in matrices):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
     if len(h) != n + 1:
         raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
-    spans: dict[tuple[int, ...], list[int]] = {}  # sorted forms of a non-face: its rows
+    unit = _form_counts(n)
     functionals = []
     for forms in matrices:
         full = tuple(forms) + VARIABLES
         products = []
         for nonface in fs.minimal_nonfaces:
-            factors = tuple(sorted(full[i] for i in nonface))
-            if factors not in spans:
-                vec, spread = _product(factors), _spread_tables(n, len(factors))
-                spans[factors] = [table_image(vec, tables) for tables in spread]
-            products += spans[factors]
+            products += _nonface_rows(n, sum([unit[full[i]] for i in nonface]))
         phi = _hyperplane_functional(n, _forward(products))
         check_inverse_system(phi, n, h)
         functionals.append(phi)

@@ -27,6 +27,7 @@ from galerig.cohomology import (
     top_functional,
     top_functionals,
     _GENERATORS,
+    _catalecticant_tables,
     _catalecticants,
     _compose,
     _contraction_tables,
@@ -388,6 +389,37 @@ def test_batched_functionals_equal_one_matrix_functionals(key_quotients):
     assert top_functionals(FS_P, [], QA1.hilbert) == []
 
 
+def test_top_functionals_do_not_depend_on_the_row_table(key_quotients):
+    """top_functionals reads I_n's rows from a per-process table keyed by n
+    and a non-face's form multiset.  On the orbit representatives of every
+    key_range diagram its phis are the reduced echelon reader's with the
+    table cleared, after a diagram of another n filled it, and after
+    another diagram of the same n did, whose rows most diagrams then read."""
+    table = galerig.cohomology._nonface_rows
+    batches = {}
+    for w in sorted(key_quotients):
+        diagram = GaleDiagram(w)
+        fs = face_structure(diagram)
+        blocks = enumerate_charmats(fs)
+        batches[w] = (fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h_vector(diagram))
+    reused = 0
+    for w, (fs, batch, h) in batches.items():
+        expected = [oracles.top_functional_by_echelon(fs, forms) for forms in batch]
+        other = next(v for v in batches if batches[v][0].n != fs.n)
+        same = [v for v in batches if v != w and batches[v][0].n == fs.n]
+        built = []  # the entries w's call adds after each filler
+        for filler in [None, other] + same[:1]:
+            table.cache_clear()
+            if filler is not None:
+                top_functionals(*batches[filler])
+            before = table.cache_info().misses
+            assert top_functionals(fs, batch, h) == expected, (w, filler)
+            built.append(table.cache_info().misses - before)
+        reused += built[-1] < built[0]
+    table.cache_clear()
+    assert reused >= len(batches) // 2
+
+
 def test_top_functional_refuses_a_wrong_h_vector():
     # the catalecticant ranks of A1 are its Hilbert function, so a change in
     # any one degree, on either side of n/2, is refused and named
@@ -465,6 +497,27 @@ def test_catalecticants_are_the_bitwise_pairings():
                                                   for d in range(n + 1)], (n, phi)
     phi = socle_functional(QA1)
     assert _catalecticants(phi, QA1.n, 2) == _catalecticants(phi, QA1.n, QA1.n)[:3]
+
+
+def test_stacked_catalecticant_tables_hold_each_pairing_in_place():
+    """One table_image of phi over the stacked tables of (n, d) is Cat_d
+    with row i at bits i * w..: for random phi with n = 2..11, the rows
+    sliced off in every degree are the bitwise pairing, no bit lies past
+    the last row, and a lower top gives the leading pairings."""
+    rng = random.Random(2)
+    for n in range(2, 12):
+        width = monomial_count(3, n)
+        for phi in [1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(6)]:
+            pairings = _catalecticants(phi, n, n)
+            for d in range(n + 1):
+                rows = oracles.catalecticant_by_bits(phi, n, d)
+                tables, shifts, mask = _catalecticant_tables(n, d)
+                assert len(shifts) == len(rows) and mask == (1 << monomial_count(3, n - d)) - 1
+                assert table_image(phi, tables) >> (len(rows) * mask.bit_length()) == 0, (n, d)
+                assert pairings[d] == rows, (n, phi, d)
+                assert _catalecticants(phi, n, d) == pairings[:d + 1], (n, phi, d)
+    with pytest.raises(IndexError):
+        _catalecticants(1 << monomial_count(3, 4), 4, 0)
 
 
 def test_contraction_is_the_transpose_of_multiplication():
