@@ -2,13 +2,14 @@
 facet-symmetry orbit representative of each member of a multi-member
 pentagon Tor class of total <= 13 and of each canonical heptagon of total
 <= 12 (95 + 72 diagrams, 2,270 representatives), the forward pass of
-elimination over the top-degree products inside cohomology.top_functional
-keeps one row per lowest bit and spans what the pivot-scanning elimination
-of tests/oracles.py spans on the same rows, phi read off that pass equals
-phi read off the oracle's reduced echelon rows, the catalecticants of
-phi built by contraction tables equal the bit-by-bit ones in every degree
-0..n, and the orbit filled along the word tree equals the closure from a
-frontier under the two generators.  Too many diagrams
+elimination over the top-degree products that cohomology.top_functional
+hands to gf2.hyperplane_functional keeps one row per lowest bit and spans
+what the pivot-scanning elimination of tests/oracles.py spans on the same
+rows, phi read off that pass equals phi read off the oracle's reduced
+echelon rows, the catalecticants of phi sliced off the stacked
+catalecticant tables equal the bit-by-bit ones in every degree 0..n, and
+the orbit filled along the word tree equals the closure from a frontier
+under the two generators.  Too many diagrams
 for tier-1, so this sits outside tier-1's testpaths.
 
 Runtime: about 11 s on a 2-core x86 VM under Python 3.11; no diagram takes
@@ -27,6 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
 import galerig.cohomology  # noqa: E402
+import galerig.gf2  # noqa: E402
 from galerig.betti import h_vector  # noqa: E402
 from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
 from galerig.cohomology import _catalecticants, _orbit, top_functional  # noqa: E402
@@ -45,7 +47,7 @@ def test_range():
 @pytest.mark.parametrize("weights", DIAGRAMS, ids=lambda w: ",".join(map(str, w)))
 def test_key_kernels_agree_with_oracles(weights, monkeypatch):
     eliminations = []
-    forward = galerig.cohomology._forward
+    reader, forward = galerig.cohomology.hyperplane_functional, galerig.gf2._forward
 
     def checked_forward(rows):
         rows = list(rows)
@@ -55,7 +57,13 @@ def test_key_kernels_agree_with_oracles(weights, monkeypatch):
         eliminations.append(len(rows))
         return basis
 
-    monkeypatch.setattr(galerig.cohomology, "_forward", checked_forward)
+    def checked_reader(rows, width):
+        # the forward pass the reader runs is the checked one, and only there
+        with monkeypatch.context() as patch:
+            patch.setattr(galerig.gf2, "_forward", checked_forward)
+            return reader(rows, width)
+
+    monkeypatch.setattr(galerig.cohomology, "hyperplane_functional", checked_reader)
     diagram = GaleDiagram(weights)
     fs, h = face_structure(diagram), h_vector(diagram)
     blocks = enumerate_charmats(fs)

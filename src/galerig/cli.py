@@ -8,8 +8,8 @@ which always enumerates; report --cache only writes each member's list, so
 a cache file can never shrink or replace the enumeration.  iso and report
 compare one isomorphism key per matrix (_matrix_keys): one socle functional
 per orbit of matrices under the permutations of same-label facets
-(charmat.orbits), all of a diagram's read off their top degrees in one
-batch (cohomology.top_functionals), and every matrix takes its orbit's key.
+(charmat.orbits), each read off its representative's top degree
+(cohomology.top_functional), and every matrix takes its orbit's key.
 report keys a Tor class in one pass, its members in sorted order sharing
 one {phi: key} map: each member but the last fills the GL(3, GF(2)) orbit
 of each of its key classes not yet in the map, and the last fills none,
@@ -40,7 +40,7 @@ from .cohomology import (
     invariant_profile,
     iso_keys,
     quotient_presentation,
-    top_functionals,
+    top_functional,
 )
 from .gale import GaleDiagram, canonical_weights, face_structure
 from .gf2 import format_poly, to_lists
@@ -149,7 +149,7 @@ def _matrix_keys(diagram: GaleDiagram, fs, blocks, known=None, fill=True) -> lis
     representatives = orbits(fs, blocks)
     h = h_vector(diagram)
     distinct = list(dict.fromkeys(representatives))
-    functionals = top_functionals(fs, [blocks[r] for r in distinct], h)
+    functionals = [top_functional(fs, blocks[r], h) for r in distinct]
     key = dict(zip(distinct, iso_keys(fs.n, h, functionals, known, fill)))
     return [key[r] for r in representatives]
 
@@ -176,8 +176,8 @@ def cmd_profile(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
     h = h_vector(diagram)
-    functionals = top_functionals(fs, [block for _, block in selected], h)
-    profiles = [(i, invariant_profile(phi, fs.n)) for (i, _), phi in zip(selected, functionals)]
+    profiles = [(i, invariant_profile(top_functional(fs, block, h), fs.n))
+                for i, block in selected]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []

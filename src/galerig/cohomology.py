@@ -21,18 +21,21 @@ phi_a, and both algebras are generated in degree one, so every graded
 isomorphism is such a g in GL(3, GF(2)).  The key of a quotient is (n, h,
 least element of the orbit {phi o g : g in GL(3, GF(2))}), h its Hilbert
 function, equal for two quotients iff they are isomorphic.
-The key needs no quotient: top_functionals reads phi off I_n alone and
+The key needs no quotient: top_functional reads phi off I_n alone and
 checks the duality by the ranks of phi's catalecticants against the
 h-vector of the Betti table (check_inverse_system), and report --verify
 reads phi off each published quotient's own I_n (quotient_functional)
-under the same check.  Their tables outlive a call and are keyed by n
-alone or by n and a multiset of forms, never by a diagram or a phi: the
-I_n rows of a minimal non-face per (n, its forms' multiset)
-(_nonface_rows), and per (n, d) the byte tables that map phi to the whole
-of Cat_d in one lookup per byte (_catalecticant_tables).  The dual side
-has one more operation, the contraction psi -> (f -> psi(l * f)) of a
-functional by a linear form l, the transpose of multiplication by l,
-through cached byte tables.
+under the same check, both through gf2.hyperplane_functional.  Their
+tables outlive a call and are keyed by n alone or by n and a multiset of
+forms, never by a diagram or a phi: the I_n rows of a minimal non-face
+per (n, its forms' multiset) (_nonface_rows), and per (n, d) the byte
+tables that map phi to the whole of Cat_d in one lookup per byte
+(_catalecticant_tables).  The dual side has one more operation, the
+contraction psi -> (f -> psi(l * f)) of a functional by a linear form l,
+the transpose of multiplication by l, through cached byte tables.  Every
+table is read off gf2's one monomial product, product_index, and its
+transposes (gf2.transpose); this module holds no monomial arithmetic of
+its own.
 iso_keys fills an orbit along a breadth-first word tree of GL(3, GF(2))
 in s = (x+y, y, z) and t = (y, z, x), one table image per element: s and
 its conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x,
@@ -63,16 +66,16 @@ from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
-    _forward,
-    _monomial_index,
     byte_tables,
     echelon,
+    hyperplane_functional,
     image,
     monomial_count,
-    monomials,
+    product_index,
     rank,
     table_image,
     times_form,
+    transpose,
 )
 
 X, Y, Z = VARIABLES
@@ -252,42 +255,27 @@ def invariant_profile(phi: int, n: int) -> dict:
 @lru_cache(maxsize=None)
 def gl3() -> tuple[tuple[int, int, int], ...]:
     """All 168 invertible 3x3 GF(2) matrices as row triples (bit j = variable
-    j), in ascending integer order."""
-    out = []
-    for r0 in range(1, 8):
-        for r1 in range(1, 8):
-            if r1 == r0:
-                continue
-            spanned = {r0, r1, r0 ^ r1}
-            for r2 in range(1, 8):
-                if r2 not in spanned:
-                    out.append((r0, r1, r2))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _first_variable(degree: int) -> tuple[tuple[int, int], ...]:
-    """(index in degree d - 1 of m / x_k, k) per monomial m of degree d,
-    x_k the first variable of m."""
-    index = _monomial_index(3, degree - 1)
-    out = []
-    for mono in monomials(3, degree):
-        k = next(k for k, e in enumerate(mono) if e)
-        out.append((index[tuple(e - (i == k) for i, e in enumerate(mono))], k))
-    return tuple(out)
+    j), in ascending integer order: the elements of the word tree
+    (_word_tree)."""
+    elements = [(X, Y, Z)]
+    for parent, k in _word_tree():
+        elements.append(tuple(image(form, elements[parent]) for form in _GENERATORS[k]))
+    return tuple(sorted(elements))
 
 
 @lru_cache(maxsize=None)
 def _subst_matrix(rows: tuple[int, int, int], degree: int) -> tuple[int, ...]:
     """Image vector of each degree-d basis monomial under the substitution
-    of the forms rows[j] for the variables: a monomial's image is the image
-    of the monomial with its first variable lowered, times that variable's
-    form."""
+    of the forms rows[j] for the variables: a substitution is a ring map,
+    so the image of monomial c = m * x_k, for any such factorisation in
+    product_index(d - 1, 1), is the image of m times the form rows[k]."""
     if degree == 0:
         return (1,)
     lower = _subst_matrix(rows, degree - 1)
-    return tuple(times_form(lower[parent], degree - 1, rows[k])
-                 for parent, k in _first_variable(degree))
+    factors = {c: (m, k) for m, row in enumerate(product_index(degree - 1, 1))
+               for k, c in enumerate(row)}
+    return tuple(times_form(lower[m], degree - 1, rows[k])
+                 for _, (m, k) in sorted(factors.items()))
 
 
 def substitution_maps_ideal(rows: tuple[int, int, int],
@@ -305,55 +293,18 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
     return True
 
 
-@lru_cache(maxsize=None)
-def _spread_tables(n: int, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """_spread_tables(n, d)[j]: the byte tables of multiplication by monomial
-    j of degree n - d, from S_d to S_n, so that table_image(vec, tables) is
-    a degree-d polynomial times monomial j.  Column i is the degree-n bit of
-    monomial i of degree d times monomial j."""
-    top = _monomial_index(3, n)
-    return tuple(byte_tables([1 << top[tuple(a + b for a, b in zip(low, high))]
-                              for low in monomials(3, degree)])
-                 for high in monomials(3, n - degree))
-
-
-def _hyperplane_functional(n: int, basis: dict[int, int]) -> int:
-    """The functional phi on S_n, as a bit vector over monomials(3, n),
-    whose kernel is spanned by an echelon basis {lowest bit: row} such as
-    gf2._forward returns.
-
-    The rows leave one column c0 without a pivot, and phi(c0) = 1.  Then
-    each pivot p, from the highest down, gets the parity of phi on its row:
-    the row has no bit below p, and every bit above p is c0 or a pivot
-    already read, so phi(row) = 0 fixes phi(p).  No back-substitution runs.
-    The reduced echelon rows of a GradedSubspace component are such a basis
-    too.  Raises ValueError unless the rows span a hyperplane.
-    """
-    width = monomial_count(3, n)
-    if width - len(basis) != 1:
-        raise ValueError(f"the ideal in degree {n} has corank {width - len(basis)}, not 1")
-    phi = ((1 << width) - 1) ^ sum(basis)  # the lowest bits are distinct powers of two
-    for low in sorted(basis, reverse=True):
-        if (phi & basis[low]).bit_count() & 1:
-            phi |= low
-    return phi
-
-
 def quotient_functional(q: GradedQuotient) -> int:
     """The socle functional read off a saturated quotient's own I_n."""
-    pivots, rows = q.ideal.components[q.n]
-    return _hyperplane_functional(q.n, {1 << p: row for p, row in zip(pivots, rows)})
+    return hyperplane_functional(q.ideal.rows(q.n), monomial_count(3, q.n))
 
 
 @lru_cache(maxsize=None)
 def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
     """Byte tables of the contraction S_e* -> S_(e-1)* by a linear form, for
-    e = degree, psi -> (f -> psi(form * f)): the transpose of
-    gf2._times_columns(e - 1)[form]."""
-    index = _monomial_index(3, degree - 1)
-    return byte_tables([sum(1 << index[tuple(e - (i == k) for i, e in enumerate(mono))]
-                            for k in range(3) if (form >> k) & 1 and mono[k])
-                        for mono in monomials(3, degree)])
+    e = degree, psi -> (f -> psi(form * f)): the transpose of multiplication
+    by the form on S_(e-1)."""
+    products = [times_form(1 << c, degree - 1, form) for c in range(monomial_count(3, degree - 1))]
+    return byte_tables(transpose(products, monomial_count(3, degree)))
 
 
 @lru_cache(maxsize=None)
@@ -363,12 +314,12 @@ def _catalecticant_tables(n: int, degree: int):
     shifts[i] = i * w, w the number of monomials of degree n - d, and mask
     holds w bits.  Column c of the byte tables has bit i * w + j set iff
     monomial i of degree d times monomial j of degree n - d is monomial c
-    of degree n."""
-    top, width = _monomial_index(3, n), monomial_count(3, n - degree)
-    columns = [0] * len(top)
-    for i, low in enumerate(monomials(3, degree)):
-        for j, high in enumerate(monomials(3, n - degree)):
-            columns[top[tuple(a + b for a, b in zip(low, high))]] |= 1 << (i * width + j)
+    of degree n (product_index)."""
+    width = monomial_count(3, n - degree)
+    columns = [0] * monomial_count(3, n)
+    for i, row in enumerate(product_index(degree, n - degree)):
+        for j, c in enumerate(row):
+            columns[c] |= 1 << (i * width + j)
     shifts = tuple(range(0, monomial_count(3, degree) * width, width))
     return byte_tables(columns), shifts, (1 << width) - 1
 
@@ -418,67 +369,58 @@ def _form_counts(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _nonface_rows(n: int, key: int) -> tuple[int, ...]:
     """The I_n spanning rows of a minimal non-face whose forms have the
-    multiset key (_form_counts): their product times each monomial of the
-    complementary degree, through _spread_tables."""
+    multiset key (_form_counts): their product, of degree e, times each
+    monomial of degree n - e, one bit per monomial of the product
+    (product_index)."""
     bits = (n + 3).bit_length()
     factors = [f for f in range(1, 8) for _ in range((key >> (bits * f)) & ((1 << bits) - 1))]
-    vec, spread = _product(factors), _spread_tables(n, len(factors))
-    return tuple(table_image(vec, tables) for tables in spread)
+    vec, products = _product(factors), product_index(len(factors), n - len(factors))
+    terms = [products[c] for c in range(vec.bit_length()) if (vec >> c) & 1]
+    return tuple(sum(1 << row[j] for row in terms) for j in range(len(products[0])))
 
 
-def top_functionals(fs: FaceStructure, matrices: Sequence[Sequence[int]],
-                    h: Sequence[int]) -> list[int]:
-    """The socle functional phi of each characteristic matrix's quotient,
-    whose kernel is I_n, from that component alone, in order.
+def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
+    """The socle functional phi of a characteristic matrix's quotient, whose
+    kernel is I_n, from that component alone.
 
     Args:
         fs: face structure in normalized facet order.
-        matrices: matrices as the linear forms of facets 0..n-1.
+        forms: the matrix as the linear forms of facets 0..n-1.
         h: the h-vector h_0..h_n of the polytope (galerig.betti.h_vector).
 
     I_n is spanned by the generators of degree e (the products of the
-    forms over the minimal non-faces) times the monomials of degree n - e,
-    through cached byte tables (_spread_tables).  Those rows depend only on
-    n and the non-face's forms as a multiset, so they are read from a
-    per-process row table (_nonface_rows) keyed by n and a sum of per-form
-    counts (_form_counts), built once per key and shared by every matrix,
-    diagram and call of one n.  A key is a multiset of at most n + 1 of
-    the seven forms (a simple n-polytope has n facets at a vertex), which
-    bounds the table of one n; far fewer keys are met: 1,502 over every
-    multi-member pentagon Tor class of total 13 or 14.
-    phi is read off the forward pass of elimination over a matrix's rows
-    (gf2._forward, _hyperplane_functional), with no back-substitution.
+    forms over the minimal non-faces) times the monomials of degree n - e.
+    Those rows depend only on n and the non-face's forms as a multiset, so
+    they are read from a per-process row table (_nonface_rows) keyed by n
+    and a sum of per-form counts (_form_counts), built once per key and
+    shared by every matrix, diagram and call of one n.  A key is a
+    multiset of at most n + 1 of the seven forms (a simple n-polytope has n
+    facets at a vertex), which bounds the table of one n; far fewer keys
+    are met: 1,502 over every multi-member pentagon Tor class of total 13
+    or 14.  phi is read off the forward pass of elimination over the rows
+    (gf2.hyperplane_functional), with no back-substitution.
 
-    Raises ValueError unless every matrix is characteristic, h has n + 1
-    entries, and each I_n has corank 1 and a phi whose catalecticant has
-    rank h_d in every degree d (check_inverse_system).  I_d lies in
-    Ann(phi)_d, whose codimension is that rank, and dim (S/I)_d = h_d
-    because a characteristic matrix is a linear system of parameters
+    Raises ValueError unless the matrix is characteristic, h has n + 1
+    entries, and I_n has corank 1 and a phi whose catalecticant has rank
+    h_d in every degree d (check_inverse_system).  I_d lies in Ann(phi)_d,
+    whose codimension is that rank, and dim (S/I)_d = h_d because a
+    characteristic matrix is a linear system of parameters
     (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
     duality that makes iso_keys complete.  Nothing per matrix outlives the
     call: every phi gets every check.
     """
-    if not all(is_characteristic(forms, fs) for forms in matrices):
+    if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
     if len(h) != n + 1:
         raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
-    unit = _form_counts(n)
-    functionals = []
-    for forms in matrices:
-        full = tuple(forms) + VARIABLES
-        products = []
-        for nonface in fs.minimal_nonfaces:
-            products += _nonface_rows(n, sum([unit[full[i]] for i in nonface]))
-        phi = _hyperplane_functional(n, _forward(products))
-        check_inverse_system(phi, n, h)
-        functionals.append(phi)
-    return functionals
-
-
-def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
-    """top_functionals of the one matrix."""
-    return top_functionals(fs, [forms], h)[0]
+    unit, full = _form_counts(n), tuple(forms) + VARIABLES
+    products = []
+    for nonface in fs.minimal_nonfaces:
+        products += _nonface_rows(n, sum([unit[full[i]] for i in nonface]))
+    phi = hyperplane_functional(products, monomial_count(3, n))
+    check_inverse_system(phi, n, h)
+    return phi
 
 
 @lru_cache(maxsize=None)
@@ -486,8 +428,7 @@ def _pullback(rows: tuple[int, int, int], n: int) -> tuple[int, ...]:
     """The transpose of the degree-n substitution table of g = rows, so that
     phi o g = image(phi, _pullback(rows, n)) for a functional phi on S_n:
     bit c of phi o g is phi of the image of monomial c."""
-    return tuple(sum(((col >> r) & 1) << c for c, col in enumerate(_subst_matrix(rows, n)))
-                 for r in range(monomial_count(3, n)))
+    return transpose(_subst_matrix(rows, n), monomial_count(3, n))
 
 
 def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:

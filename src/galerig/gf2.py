@@ -17,13 +17,18 @@ Two kernels carry the hot loops.  ``echelon``, the package's one
 elimination routine, keeps each row under its lowest set bit: a forward
 pass reduces every incoming row by the row stored under its lowest bit
 until that bit is new or the row is zero, and a back-substitution clears
-the pivot columns through a mask (``rank``, and the socle functional of
-``cohomology.top_functional``, use the forward pass alone).  A
-linear map applied many times is turned into ``byte_tables``, one
-256-entry table of the images of every byte per 8 columns, after the
-"Four Russians" tables of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,
-2010), and ``table_image`` applies it with one lookup per byte of the
-vector instead of one XOR per set bit.
+the pivot columns through a mask (``rank``, and ``hyperplane_functional``,
+which reads the functional vanishing on a hyperplane, use the forward
+pass alone).  A linear map applied many times is turned into
+``byte_tables``, one 256-entry table of the images of every byte per 8
+columns, after the "Four Russians" tables of M4RI (Albrecht, Bard and
+Hart, ACM TOMS 37, 2010), and ``table_image`` applies it with one lookup
+per byte of the vector instead of one XOR per set bit.
+
+Monomials are multiplied in one place, ``product_index``, the cached
+table of the column of each product of two monomials; multiplication by a
+linear form (``times_form``) and every table of ``galerig.cohomology`` are
+built on it, and a dual map is the ``transpose`` of a product map.
 """
 
 from __future__ import annotations
@@ -91,6 +96,27 @@ def rank(rows: Iterable[int]) -> int:
     return len(_forward(rows))
 
 
+def hyperplane_functional(rows: Iterable[int], width: int) -> int:
+    """The functional phi on width columns, as a bit vector, whose kernel
+    the rows span, read off the forward pass of echelon.
+
+    The forward basis leaves one column c0 without a pivot, and phi(c0) =
+    1.  Then each pivot p, from the highest down, gets the parity of phi on
+    its row: the row has no bit below p, and every bit above p is c0 or a
+    pivot already read, so phi(row) = 0 fixes phi(p).  No back-substitution
+    runs; reduced echelon rows are their own forward basis.  Raises
+    ValueError unless the rows span a hyperplane.
+    """
+    basis = _forward(rows)
+    if width - len(basis) != 1:
+        raise ValueError(f"the rows span corank {width - len(basis)} in {width} columns, not 1")
+    phi = ((1 << width) - 1) ^ sum(basis)  # the lowest bits are distinct powers of two
+    for low in sorted(basis, reverse=True):
+        if (phi & basis[low]).bit_count() & 1:
+            phi |= low
+    return phi
+
+
 def reduce_vector(vec: int, pivots: Iterable[int], rows: Iterable[int]) -> int:
     """Reduce a bit vector against an echelon basis (pivots ascending)."""
     for p, r in zip(pivots, rows):
@@ -127,6 +153,15 @@ def monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
 @lru_cache(maxsize=None)
 def _monomial_index(nvars: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
+
+
+@lru_cache(maxsize=None)
+def product_index(a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """product_index(a, b)[i][j]: the column in degree a + b of monomial i
+    of degree a times monomial j of degree b."""
+    index = _monomial_index(3, a + b)
+    return tuple(tuple(index[tuple(e + f for e, f in zip(low, high))] for high in monomials(3, b))
+                 for low in monomials(3, a))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +204,20 @@ def table_image(vec: int, tables) -> int:
     return out
 
 
+def transpose(columns, height: int) -> tuple[int, ...]:
+    """The columns of the transpose of the linear map whose column c is
+    columns[c], a vector of height bits: bit c of entry r is bit r of
+    columns[c]."""
+    return tuple(sum(((column >> r) & 1) << c for c, column in enumerate(columns))
+                 for r in range(height))
+
+
 @lru_cache(maxsize=None)
 def _times_columns(degree: int) -> tuple[tuple[int, ...], ...]:
     """_times_columns(d)[form][c]: the vector of form * (monomial c of degree d)
-    over the degree-(d+1) monomials."""
-    index = _monomial_index(3, degree + 1)
-    shifted = [[1 << index[tuple(e + (i == j) for i, e in enumerate(mono))] for j in range(3)]
-               for mono in monomials(3, degree)]
-    return tuple(tuple(sum(bits[j] for j in range(3) if (form >> j) & 1) for bits in shifted)
+    over the degree-(d+1) monomials; variable j is monomial j of degree 1."""
+    return tuple(tuple(sum(1 << row[j] for j in range(3) if (form >> j) & 1)
+                       for row in product_index(degree, 1))
                  for form in range(8))
 
 

@@ -183,7 +183,7 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
     """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
-    need 24 top functionals, each checked, read in one batch per member,
+    need 24 top functionals, each checked, read one call per representative,
     and one orbit closure per key class of the first member: 5, since the
     last member only looks its functionals up.  Keys build no quotient: the
     42 of --verify are the published blocks, all built by verify, which
@@ -203,24 +203,23 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    # a batch counts the matrices passed to it
-    count(galerig.cli, "top_functionals", lambda fs, matrices, h: len(matrices))
+    count(galerig.cli, "top_functional")
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
     count(galerig.verify, "quotient_functional")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"cli.top_functionals": 24, "cohomology._orbit": 5,
+    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 5,
                      "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
     calls.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
-    assert calls == {"cli.top_functionals": 24, "cohomology._orbit": 5}
+    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 5}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
-    assert calls == {"cli.top_functionals": 11, "cohomology._orbit": 2}
+    assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
 
 
 def test_parser_is_built_once_and_leaks_no_flag(capsys):

@@ -25,13 +25,11 @@ from galerig.cohomology import (
     substitution_maps_ideal,
     quotient_functional,
     top_functional,
-    top_functionals,
     _GENERATORS,
     _catalecticant_tables,
     _catalecticants,
     _compose,
     _contraction_tables,
-    _hyperplane_functional,
     _orbit,
     _subst_matrix,
     _word_tree,
@@ -41,11 +39,11 @@ from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
-    _forward,
     image,
     monomial_count,
     monomials,
     parse_poly,
+    rank,
     table_image,
     times_form,
 )
@@ -216,6 +214,9 @@ def test_profile_bounds():
 def test_gl3_has_168_elements():
     assert len(gl3()) == 168
     assert (1, 2, 4) in gl3()  # identity
+    # distinct, ascending, and every element invertible by elimination
+    assert list(gl3()) == sorted(set(gl3()))
+    assert all(rank(rows) == 3 for rows in gl3())
 
 
 def test_iso_between_matrices_sharing_a_row():
@@ -366,31 +367,27 @@ def test_forward_pass_functional_equals_the_reduced_echelon_reader(key_quotients
                     == quotient_functional(quotients[r])), (w, r)
 
 
-def test_hyperplane_functional_refuses_other_coranks():
-    for n in (1, 4):
-        width = monomial_count(3, n)
-        for rows in ([1 << c for c in range(width)], [1 << c for c in range(2, width)]):
-            with pytest.raises(ValueError, match="corank"):
-                _hyperplane_functional(n, _forward(rows))
-
-
-def test_batched_functionals_equal_one_matrix_functionals(key_quotients):
-    """top_functionals, which builds I_n's rows once per multiset of
-    non-face forms in the batch, gives top_functional's phi on every orbit
-    representative of every key_range diagram, in either batch order."""
-    for w in key_quotients:
+def test_functionals_do_not_depend_on_the_matrix_order(key_quotients):
+    """top_functional, which reads I_n's rows from a table that earlier
+    calls filled, gives the same phi on every orbit representative of every
+    key_range diagram whether the representatives are taken in order or
+    in reverse, and each phi is the saturated quotient's."""
+    for w, quotients in key_quotients.items():
         diagram = GaleDiagram(w)
         fs, h = face_structure(diagram), h_vector(diagram)
         blocks = enumerate_charmats(fs)
-        batch = [blocks[r] for r in sorted(set(orbits(fs, blocks)))]
-        phis = [top_functional(fs, forms, h) for forms in batch]
-        assert top_functionals(fs, batch, h) == phis, w
-        assert top_functionals(fs, batch[::-1], h) == phis[::-1], w
-    assert top_functionals(FS_P, [], QA1.hilbert) == []
+        distinct = sorted(set(orbits(fs, blocks)))
+        phis = [top_functional(fs, blocks[r], h) for r in distinct]
+        assert phis == [quotient_functional(quotients[r]) for r in distinct], w
+        assert [top_functional(fs, blocks[r], h) for r in distinct[::-1]] == phis[::-1], w
+
+
+def _top_functionals(fs, batch, h):
+    return [top_functional(fs, forms, h) for forms in batch]
 
 
 def test_top_functionals_do_not_depend_on_the_row_table(key_quotients):
-    """top_functionals reads I_n's rows from a per-process table keyed by n
+    """top_functional reads I_n's rows from a per-process table keyed by n
     and a non-face's form multiset.  On the orbit representatives of every
     key_range diagram its phis are the reduced echelon reader's with the
     table cleared, after a diagram of another n filled it, and after
@@ -411,9 +408,9 @@ def test_top_functionals_do_not_depend_on_the_row_table(key_quotients):
         for filler in [None, other] + same[:1]:
             table.cache_clear()
             if filler is not None:
-                top_functionals(*batches[filler])
+                _top_functionals(*batches[filler])
             before = table.cache_info().misses
-            assert top_functionals(fs, batch, h) == expected, (w, filler)
+            assert _top_functionals(fs, batch, h) == expected, (w, filler)
             built.append(table.cache_info().misses - before)
         reused += built[-1] < built[0]
     table.cache_clear()
@@ -439,17 +436,18 @@ def test_top_functional_refuses_a_non_characteristic_matrix():
 
 
 def test_top_functionals_refuse_what_top_functional_refuses():
-    """A batch raises top_functional's ValueErrors: on a non-characteristic
-    matrix after a good one, and on a wrong h-vector in any degree."""
+    """A loop of top_functional calls, as cli keys a diagram, raises its
+    ValueErrors: on a non-characteristic matrix after good ones, whose
+    rows filled the row table, and on a wrong h-vector in any degree."""
     batch = [BLOCKS_A["A1"], BLOCKS_A["A2"]]
     with pytest.raises(ValueError, match="not characteristic"):
-        top_functionals(FS_P, batch + [(0b101, 0b101, 0b101, 0b010, 0b010)], QA1.hilbert)
+        _top_functionals(FS_P, batch + [(0b101, 0b101, 0b101, 0b010, 0b010)], QA1.hilbert)
     h = list(QA1.hilbert)
     for d in range(QA1.n + 1):
         with pytest.raises(ValueError, match=f"in degree {d}$"):
-            top_functionals(FS_P, batch, h[:d] + [h[d] + 1] + h[d + 1:])
+            _top_functionals(FS_P, batch, h[:d] + [h[d] + 1] + h[d + 1:])
     with pytest.raises(ValueError, match="entries"):
-        top_functionals(FS_P, batch, h[:-1])
+        _top_functionals(FS_P, batch, h[:-1])
 
 
 def test_two_generators_close_to_gl3():
@@ -567,7 +565,7 @@ def test_shared_key_map_counts_the_pairs_of_unshared_keys(monkeypatch):
 
     def representatives_functionals(fs):
         blocks = enumerate_charmats(fs)
-        return top_functionals(fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h)
+        return _top_functionals(fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h)
 
     first = representatives_functionals(FS_Q)
     elements = gl3()

@@ -11,17 +11,27 @@ from galerig.gf2 import (
     echelon,
     format_poly,
     from_lists,
+    hyperplane_functional,
     image,
     monomial_count,
     monomials,
     parse_poly,
+    product_index,
     rank,
     table_image,
     times_form,
     to_lists,
+    transpose,
 )
 
-from oracles import echelon_by_scan, form_poly, poly_multiply, poly_to_vec, substitute_linear
+from oracles import (
+    echelon_by_scan,
+    form_poly,
+    poly_multiply,
+    poly_to_vec,
+    product_columns,
+    substitute_linear,
+)
 
 X, Y, Z = 0b001, 0b010, 0b100  # linear forms; also their degree-1 vecs
 
@@ -100,6 +110,50 @@ def test_table_image_is_the_image():
             table_image(1 << width, tables)
 
 
+def test_transpose_swaps_rows_and_columns():
+    rng = random.Random(3)
+    for height in range(1, 40):
+        columns = [rng.getrandbits(height) for _ in range(rng.randint(1, 40))]
+        rows = transpose(columns, height)
+        assert len(rows) == height
+        assert all(((rows[r] >> c) & 1) == ((column >> r) & 1)
+                   for r in range(height) for c, column in enumerate(columns))
+        assert transpose(rows, len(columns)) == tuple(columns)
+
+
+def _kernel_rows(phi: int, width: int, rng) -> list[int]:
+    """A shuffled spanning set of the kernel of the nonzero functional phi,
+    with dependent rows: e_c for c outside phi, e_c0 + e_c for c0 its lowest
+    bit and c another bit of it, then sums of two of those."""
+    c0 = phi & -phi
+    rows = [1 << c if not (phi >> c) & 1 else c0 | 1 << c
+            for c in range(width) if 1 << c != c0]
+    rows += [rng.choice(rows) ^ rng.choice(rows) for _ in range(width // 2)] if rows else []
+    rng.shuffle(rows)
+    return rows
+
+
+def test_hyperplane_functional_is_the_annihilator():
+    # the forward basis of any spanning set of a hyperplane, dependent
+    # rows included, gives back the one functional that vanishes on it
+    rng = random.Random(4)
+    for width in range(1, 92, 7):
+        for phi in [1, (1 << width) - 1] + [rng.getrandbits(width) | 1 << rng.randrange(width)
+                                             for _ in range(8)]:
+            rows = _kernel_rows(phi, width, rng)
+            assert hyperplane_functional(rows, width) == phi, (width, phi)
+            # reduced echelon rows are their own forward basis
+            assert hyperplane_functional(echelon(rows)[1], width) == phi, (width, phi)
+
+
+def test_hyperplane_functional_refuses_other_coranks():
+    for n in (1, 4):
+        width = monomial_count(3, n)
+        for rows in ([1 << c for c in range(width)], [1 << c for c in range(2, width)]):
+            with pytest.raises(ValueError, match="corank"):
+                hyperplane_functional(rows, width)
+
+
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -114,6 +168,14 @@ def test_monomials_graded_lex_descending():
     degree2 = monomials(3, 2)
     assert degree2 == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
     assert len(monomials(3, 5)) == monomial_count(3, 5)
+
+
+def test_product_index_is_the_product_of_exponents():
+    # the one monomial product of the package against the oracle's
+    # exponent sums, in every split of every degree n <= 12
+    for n in range(13):
+        for d in range(n + 1):
+            assert product_index(d, n - d) == product_columns(n, d), (n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ predate the plain-dict Betti tables and codim/ord profiles.  The
 ``iso_4-1-1-1-1_4-1-1-1-1`` files were recorded while every isomorphism
 key still came from a saturated quotient per facet-symmetry orbit, to pin
 the keyed verdict path on two more Tor classes and on a grid with 1025
-isomorphisms before the keys were taken from the top degree alone.
+isomorphisms before the keys were taken from the top degree alone.  The
+``report_4-3-3-2-2_json`` (6 members of 147 matrices, 15 pairs) and
+``profile_4-3-3-2-2`` (n = 11) files were recorded before the row,
+catalecticant, contraction and substitution tables were rebuilt on
+``gf2.product_index``, to pin every one of them at the largest accepted
+facet count, m = 14.
 """
 
 from pathlib import Path
