@@ -13,6 +13,7 @@ FaceStructure.vertex_complements lists those triples.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .gale import FaceStructure
@@ -59,6 +60,10 @@ def _search_plan(fs: FaceStructure):
     meets its constraints as soon as possible.  Each facet's pairs come
     from one index of fs.vertex_complements by facet, built once, in which
     triple (a, b, c) files (b, c) under a, (a, c) under b and (a, b) under c.
+    Each facet's count of closed pairs is kept and raised as facets are
+    placed, the three trailing facets first: placing p closes, at each
+    unplaced facet of a triple (p, a, b), the pair with the other facet if
+    that one is placed.
     """
     n = fs.n
     pairs_at: dict[int, list[tuple[int, int]]] = {f: [] for f in range(n + 3)}
@@ -66,15 +71,32 @@ def _search_plan(fs: FaceStructure):
         pairs_at[a].append((b, c))
         pairs_at[b].append((a, c))
         pairs_at[c].append((a, b))
-    placed = set(range(n, n + 3))
+    placed, closed = [False] * (n + 3), [0] * (n + 3)
+
+    def place(facet: int):
+        placed[facet] = True
+        for a, b in pairs_at[facet]:
+            if placed[a] != placed[b]:
+                closed[b if placed[a] else a] += 1
+
+    for facet in range(n, n + 3):
+        place(facet)
     plan = []
-    while len(placed) < n + 3:
-        closing = {f: [(a, b) for a, b in pairs_at[f] if a in placed and b in placed]
-                   for f in range(n) if f not in placed}
-        facet = max(closing, key=lambda f: len(closing[f]))  # first maximum wins
-        plan.append((facet, closing[facet]))
-        placed.add(facet)
+    for _ in range(n):
+        # the first maximum wins
+        facet = max((f for f in range(n) if not placed[f]), key=closed.__getitem__)
+        plan.append((facet, [(a, b) for a, b in pairs_at[facet] if placed[a] and placed[b]]))
+        place(facet)
     return plan
+
+
+@lru_cache(maxsize=None)
+def _column_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    """_column_keys(n)[i][f]: facet i's share of the sort key of a matrix
+    whose facet i has form f, bit j of f at bit i + (2 - j) n."""
+    return tuple(tuple(sum(((f >> j) & 1) << (i + (2 - j) * n) for j in range(3))
+                       for f in range(8))
+                 for i in range(n))
 
 
 def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
@@ -85,14 +107,14 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
     intersecting the forms that complete each closed pair to a basis.
     Output is in the order of the reference lists and every report: by
     (column 0 << 2n) | (column 1 << n) | column 2, a block column as the
-    int with facet i's row at bit i, summed from per-facet tables.
+    int with facet i's row at bit i, summed from per-facet tables cached
+    per n (_column_keys).
     """
     n = fs.n
     if (n, n + 1, n + 2) not in fs.vertex_complements:
         raise ValueError("facet order is not normalized: leading facets must form a vertex")
     plan = _search_plan(fs)
-    columns = [[sum(((f >> j) & 1) << (i + (2 - j) * n) for j in range(3)) for f in range(8)]
-               for i in range(n)]
+    columns = _column_keys(n)
     forms = [0] * n + list(VARIABLES)
     found: list[tuple[int, tuple[int, ...]]] = []
 

@@ -9,7 +9,8 @@ of FaceStructure.minimal_nonfaces in its order.  The quotient vanishes
 above degree n, so ideals are stored degreewise up to degree n+1, where the
 component must be the full monomial space.  Polynomials are (degree, vec)
 pairs and linear forms are the ints 1..7 of galerig.gf2 and galerig.charmat;
-every product is gf2.times_form.
+a product by a linear form is gf2.times_form, and the products by
+monomials are read off gf2.product_index.
 
 Isomorphism is decided by keys.  The quotient is the mod-2 cohomology of a
 closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
@@ -40,7 +41,11 @@ iso_keys fills an orbit along a breadth-first word tree of GL(3, GF(2))
 in s = (x+y, y, z) and t = (y, z, x), one table image per element: s and
 its conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x,
 their commutators are the other three, and these six generate the group,
-so the least element filled is the least phi o g over gl3().  An orbit is
+so the least element filled is the least phi o g over gl3().  Once a
+process has filled w = monomial_count(3, n) orbits of one n this way, it
+builds the stacked table of n, the 168 images of each monomial functional
+side by side (_orbit_table), from w more such fills, and every later
+orbit of n is one lookup per 4 bits of phi.  An orbit is
 filled once and remembered phi by phi, in a map that the members of a
 Tor class share (galerig.cli), whose last member only looks up.
 find_graded_iso certifies its witness against two saturated quotients'
@@ -60,6 +65,7 @@ path that certifies a profile cell disagreeing with a published table.
 from __future__ import annotations
 
 from functools import lru_cache
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .charmat import VARIABLES, is_characteristic
@@ -467,14 +473,76 @@ def _generator_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(byte_tables(_pullback(g, n)) for g in _GENERATORS)
 
 
-def _orbit(phi: int, n: int) -> set[int]:
-    """{phi o g : g in GL(3, GF(2))}, filled along the word tree, one table
-    image per group element."""
+def _chained_orbit(phi: int, n: int) -> list[int]:
+    """phi o g for every g in word-tree order, the identity first, filled
+    along the tree (_word_tree), one table image per group element."""
     tables = _generator_tables(n)
     orbit = [phi]
     for parent, k in _word_tree():
         orbit.append(table_image(orbit[parent], tables[k]))
-    return set(orbit)
+    return orbit
+
+
+@lru_cache(maxsize=None)
+def _orbit_table(n: int):
+    """(tables, read) of the map phi -> (phi o g for every g in word-tree
+    order), the 168 images stacked in one int of 168 slots, image i in slot
+    i: the XOR over k of tables[k][chunk k of phi], 4 bits per chunk, is
+    the stacked int, and read(stacked) gives its 168 images.
+
+    The map is linear, so column c is the chained orbit (_chained_orbit)
+    of the monomial functional 1 << c: building the table costs the w =
+    monomial_count(3, n) chained fills of its columns and their stacking,
+    1.3 to 1.6 times as much as w fills at n = 5..17.  A slot of w <= 64
+    bits is widened to 8, 16, 32 or 64 bits, so read is one struct unpack
+    of the int's bytes; struct has no wider integer, so a wider slot holds
+    w bits and is sliced off by a shift.
+    The ceil(w / 4) tables of 16 entries (gf2.byte_tables) hold 15
+    nonzero ints of 168 slots each, at most 0.08 MB at n = 6, 0.3 MB at
+    n = 9, 0.52 MB at n = 11 and 2.5 MB at n = 17, by sys.getsizeof."""
+    width = monomial_count(3, n)
+    slot = next((bits for bits in (8, 16, 32, 64) if width <= bits), width)
+    columns = [sum(psi << (i * slot) for i, psi in enumerate(_chained_orbit(1 << c, n)))
+               for c in range(width)]
+    if slot > 64:
+        shifts, mask = range(0, 168 * slot, slot), (1 << slot) - 1
+
+        def read(stacked):
+            return [(stacked >> shift) & mask for shift in shifts]
+    else:
+        unpack = Struct(f"<168{'BHIQ'[slot.bit_length() - 4]}").unpack
+
+        def read(stacked):
+            return unpack(stacked.to_bytes(21 * slot, "little"))
+    return byte_tables(columns, 4), read
+
+
+# Chained fills per n so far in this process, which decide when the stacked
+# table of an n is built (_orbit).
+_chained_fills: dict[int, int] = {}
+
+
+def _orbit(phi: int, n: int) -> set[int]:
+    """{phi o g : g in GL(3, GF(2))}.
+
+    The first w = monomial_count(3, n) fills of an n in a process are
+    chained along the word tree (_chained_orbit), one table image per group
+    element.  After them the stacked table of n (_orbit_table) is built
+    once, and every later fill is one lookup per 4 bits of phi and one read
+    of the 168 slots, 5 to 9 times faster at n = 5..9 and 2 to 4 times at
+    n = 11..17.  A build costs about as much as w chained fills, so a
+    process builds a table only once it has spent that much on fills of
+    its n, and a one-shot command that fills fewer orbits builds none."""
+    fills = _chained_fills.get(n, 0)
+    if fills < monomial_count(3, n):
+        _chained_fills[n] = fills + 1
+        return set(_chained_orbit(phi, n))
+    tables, read = _orbit_table(n)
+    stacked = 0
+    for table in tables:
+        stacked ^= table[phi & 15]
+        phi >>= 4
+    return set(read(stacked))
 
 
 def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],

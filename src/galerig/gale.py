@@ -19,7 +19,7 @@ matrix must be non-singular).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -131,17 +131,21 @@ def _hull_triples(k: int) -> frozenset[tuple[int, int, int]]:
 
 def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted 0-based facet triples whose labels contain the origin in their
-    hull, in lexicographic order: each triple is one lookup of its sorted
-    labels in the per-k table _hull_triples.
+    hull, in lexicographic order.  Such a triple has three distinct labels
+    that form an entry of the per-k table _hull_triples, so the triples are
+    read off the label groups: for each entry (a, b, c), every facet
+    labelled a with every facet labelled b and every facet labelled c.
 
     The complement of each such triple is a vertex of the polytope (a maximal
     face of the boundary complex): every face has at most n = m-3 facets, so
     the n-element faces are exactly these complements.
     """
-    hull = _hull_triples(k)
-    return tuple(triple for triple, triple_labels in zip(combinations(range(len(labels)), 3),
-                                                         combinations(labels, 3))
-                 if tuple(sorted(triple_labels)) in hull)
+    groups: dict[int, list[int]] = {}
+    for facet, label in enumerate(labels):
+        groups.setdefault(label, []).append(facet)
+    return tuple(sorted(tuple(sorted(triple)) for a, b, c in _hull_triples(k)
+                        for triple in product(groups.get(a, ()), groups.get(b, ()),
+                                              groups.get(c, ()))))
 
 
 def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
@@ -176,7 +180,9 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
     moved to the front (label-sorted rotations alone need not start with a
     vertex, e.g. for [1,1,1,1,1]); the vertex complements found on the
     label order, which choose that vertex, are mapped to their positions in
-    the final order, so the facet triples are scanned once.  The 2k+1
+    the final order, so they are found once.  Of two facet sets of one
+    size, the lexicographically smaller has the greater complement, so
+    the least vertex is the complement of the greatest triple.  The 2k+1
     minimal non-faces are the facets labelled in an arc of k consecutive
     polygon vertices: entry i holds the sorted facets with labels i+1, ...,
     i+k (mod 2k+1), so its size is the weight window sum a_(i+1) + ... +
@@ -188,7 +194,8 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
     else:
         labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
         triples = _vertex_complements(labels, k)
-        vertex, off = min((tuple(i for i in range(diagram.m) if i not in t), t) for t in triples)
+        off = triples[-1]  # the greatest triple: its complement is the least vertex
+        vertex = tuple(i for i in range(diagram.m) if i not in off)
         position = {facet: p for p, facet in enumerate(vertex + off)}
         labels = tuple(labels[i] for i in vertex + off)
         complements = tuple(sorted(tuple(sorted(position[f] for f in t)) for t in triples))

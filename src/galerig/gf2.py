@@ -11,7 +11,8 @@ Conventions:
       iff monomial c of that degree has coefficient 1.
     * A linear form is the int 1..7 with bit j standing for variable j of
       (x, y, z); it is also its own degree-1 vec.  ``times_form`` multiplies
-      a polynomial by one and is the package's one polynomial product.
+      a polynomial by one; the products by monomials are read off
+      ``product_index`` (below).
 
 Two kernels carry the hot loops.  ``echelon``, the package's one
 elimination routine, keeps each row under its lowest set bit: a forward
@@ -23,7 +24,9 @@ pass alone).  A linear map applied many times is turned into
 ``byte_tables``, one 256-entry table of the images of every byte per 8
 columns, after the "Four Russians" tables of M4RI (Albrecht, Bard and
 Hart, ACM TOMS 37, 2010), and ``table_image`` applies it with one lookup
-per byte of the vector instead of one XOR per set bit.
+per byte of the vector instead of one XOR per set bit.  A map with very
+wide images takes 16-entry tables per 4 columns instead, to bound their
+memory (``galerig.cohomology``'s stacked orbit tables).
 
 Monomials are multiplied in one place, ``product_index``, the cached
 table of the column of each product of two monomials; multiplication by a
@@ -178,15 +181,15 @@ def image(vec: int, columns) -> int:
     return out
 
 
-def byte_tables(columns) -> tuple[tuple[int, ...], ...]:
+def byte_tables(columns, bits: int = 8) -> tuple[tuple[int, ...], ...]:
     """Lookup tables of the linear map whose column c is columns[c], one per
-    8 columns: table k, entry b is image(b << 8k, columns).  Each entry is
-    one XOR off an earlier one: the entries with top bit j are the entries
-    below 2^j plus column 8k + j."""
+    bits columns (a byte by default): table k, entry b is image(b << bits *
+    k, columns).  Each entry is one XOR off an earlier one: the entries
+    with top bit j are the entries below 2^j plus column bits * k + j."""
     tables = []
-    for start in range(0, len(columns), 8):
+    for start in range(0, len(columns), bits):
         table = [0]
-        for column in columns[start:start + 8]:
+        for column in columns[start:start + bits]:
             table += [entry ^ column for entry in table]
         tables.append(tuple(table))
     return tuple(tables)

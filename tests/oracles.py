@@ -2,7 +2,11 @@
 
 Each oracle decides its question by a different route than the production
 code: exact rational plane geometry for the origin-in-hull test, exhaustive
-subset scans for minimal non-faces and f/h-vectors, a vectorized full scan
+subset scans for minimal non-faces and f/h-vectors, the vertex complements
+by a test of every facet triple and the least vertex by a scan (the
+package reads them off the label groups and takes the complement of the
+greatest triple), the backtrack's search plan by rescanning every pair at
+each step (the package counts closed pairs as it goes), a vectorized full scan
 over every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), their orbits
@@ -51,7 +55,15 @@ from galerig.cohomology import (
     iso_keys,
     substitution_maps_ideal,
 )
-from galerig.gale import GaleDiagram, canonical_weights, facet_labels, origin_in_hull
+from galerig.gale import (
+    _PINNED_ORDERS,
+    FaceStructure,
+    GaleDiagram,
+    _hull_triples,
+    canonical_weights,
+    facet_labels,
+    origin_in_hull,
+)
 from galerig.gf2 import image, monomial_count, monomials, rank, times_form
 from galerig.petersen import five_cycles, petersen_labels
 
@@ -168,6 +180,58 @@ def brute_force_vertex_complements(diagram: GaleDiagram) -> tuple[tuple[int, ...
     everything = set(range(1, diagram.m + 1))
     return tuple(t for t in combinations(range(diagram.m), 3)
                  if is_face(everything - one_based(t), diagram, labels))
+
+
+def vertex_complements_by_scan(labels: Sequence[int], k: int) -> tuple[tuple[int, int, int], ...]:
+    """The facet triples, in lexicographic order, whose sorted labels are
+    in the package's per-k hull table, by testing all C(m, 3) facet
+    triples (the package reads them off the label groups)."""
+    hull = _hull_triples(k)
+    return tuple(triple for triple, triple_labels in zip(combinations(range(len(labels)), 3),
+                                                         combinations(labels, 3))
+                 if tuple(sorted(triple_labels)) in hull)
+
+
+def face_structure_by_scan(diagram: GaleDiagram) -> FaceStructure:
+    """galerig.gale.face_structure with the vertex complements found by
+    vertex_complements_by_scan and the least vertex by a scan over every
+    vertex (the package takes the complement of the greatest triple)."""
+    k, nv = diagram.k, 2 * diagram.k + 1
+    labels = _PINNED_ORDERS.get(diagram.weights)
+    if labels is not None:
+        complements = vertex_complements_by_scan(labels, k)
+    else:
+        labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
+        triples = vertex_complements_by_scan(labels, k)
+        vertex, off = min((tuple(i for i in range(diagram.m) if i not in t), t) for t in triples)
+        position = {facet: p for p, facet in enumerate(vertex + off)}
+        labels = tuple(labels[i] for i in vertex + off)
+        complements = tuple(sorted(tuple(sorted(position[f] for f in t)) for t in triples))
+    arcs = [{(i + t) % nv + 1 for t in range(k)} for i in range(nv)]
+    nonfaces = tuple(tuple(f for f, label in enumerate(labels) if label in arc)
+                     for arc in arcs)
+    return FaceStructure(labels, nonfaces, complements)
+
+
+def search_plan_by_rescan(fs) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The backtrack order of galerig.charmat._search_plan, greedy with
+    every pair of every unplaced facet rescanned at each step (the package
+    keeps a count of closed pairs per facet)."""
+    n = fs.n
+    pairs_at: dict[int, list[tuple[int, int]]] = {f: [] for f in range(n + 3)}
+    for a, b, c in fs.vertex_complements:
+        pairs_at[a].append((b, c))
+        pairs_at[b].append((a, c))
+        pairs_at[c].append((a, b))
+    placed = set(range(n, n + 3))
+    plan = []
+    while len(placed) < n + 3:
+        closing = {f: [(a, b) for a, b in pairs_at[f] if a in placed and b in placed]
+                   for f in range(n) if f not in placed}
+        facet = max(closing, key=lambda f: len(closing[f]))  # first maximum wins
+        plan.append((facet, closing[facet]))
+        placed.add(facet)
+    return plan
 
 
 def face_counts(diagram: GaleDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:

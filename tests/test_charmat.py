@@ -7,6 +7,7 @@ import pytest
 
 from galerig import fixtures
 from galerig.charmat import (
+    _search_plan,
     enumerate_charmats,
     forms_from_rows,
     is_characteristic,
@@ -137,6 +138,17 @@ def test_closure_under_label_preserving_automorphisms():
                 out[dst] = forms[src]
             return tuple(out)
         assert {moved(f) for f in forms_set} == forms_set
+
+
+def test_search_plan_matches_the_greedy_rescan():
+    """The plan kept with a count of closed pairs per facet is the plan that
+    rescans every pair at every step, facet for facet and pair for pair, on
+    every canonical pentagon of total <= 12 and heptagon of total <= 10."""
+    diagrams = oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 10)
+    assert len(diagrams) == 114
+    for w in diagrams:
+        fs = face_structure(GaleDiagram(w))
+        assert _search_plan(fs) == oracles.search_plan_by_rescan(fs), w
 
 
 def _parts(representatives) -> set[frozenset[int]]:

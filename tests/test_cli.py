@@ -222,6 +222,48 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
 
 
+def test_one_shot_commands_build_no_stacked_orbit_table(monkeypatch, capsys):
+    """A fresh report of the flagship class and a fresh iso of (4,1,1,1,1)
+    with itself fill fewer orbits than the w = 21 a stacked table of n = 5
+    costs, so neither builds one."""
+    import galerig.cohomology
+
+    for argv in (["report", "3,1,2,1,1"], ["iso", "4,1,1,1,1", "4,1,1,1,1"]):
+        monkeypatch.setattr(galerig.cohomology, "_chained_fills", {})
+        galerig.cohomology._orbit_table.cache_clear()
+        assert main(argv) == 0
+        assert galerig.cohomology._chained_fills[5] < 21, argv
+        assert galerig.cohomology._orbit_table.cache_info().misses == 0, argv
+    capsys.readouterr()
+
+
+def test_report_verdict_when_a_pair_is_isomorphic(monkeypatch, capsys):
+    """The verdict no Tor class has reached yet, on a synthetic two-member
+    class: [3,1,2,1,1], the last member, is given the face structure and
+    matrices of [2,2,2,1,1], so every pair with equal keys counts, as many
+    as iso of [2,2,2,1,1] with itself finds.  The members stay distinct, so
+    the first fills its orbits and the last looks them up."""
+    import galerig.cli
+    from galerig.gale import GaleDiagram
+
+    assert main(["iso", "2,2,2,1,1", "2,2,2,1,1"]) == 0
+    self_isos = int(capsys.readouterr().out.split()[0])
+    first, last = GaleDiagram((2, 2, 2, 1, 1)), GaleDiagram((3, 1, 2, 1, 1))
+    matrices = galerig.cli._matrices
+    monkeypatch.setattr(galerig.cli, "_matrices",
+                        lambda diagram: matrices(first if diagram == last else diagram))
+    assert main(["report", "3,1,2,1,1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
+    assert report["tor_class"] == [[2, 2, 2, 1, 1], [3, 1, 2, 1, 1]]
+    [pair] = report["pairs"]
+    assert pair["checked"] == 21 * 21
+    assert pair["isomorphisms_found"] == self_isos > 0
+    assert main(["report", "3,1,2,1,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "verdict: NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
+
+
 def test_parser_is_built_once_and_leaks_no_flag(capsys):
     """main reuses one parser per process; each call still prints what a
     fresh process prints, with an exit-2 call between any two, so no flag

@@ -31,6 +31,7 @@ from galerig.cohomology import (
     _compose,
     _contraction_tables,
     _orbit,
+    _orbit_table,
     _subst_matrix,
     _word_tree,
 )
@@ -483,6 +484,25 @@ def test_orbit_is_the_generator_closure():
         width = monomial_count(3, n)
         for phi in [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(6)]:
             assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n), (n, phi)
+
+
+def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
+    """At n = 3, where a table costs w = 10 chained fills, the first 10
+    fills of a fresh process build no table, the 11th builds it, later
+    fills reuse it, and every orbit, chained or stacked, is the generator
+    closure."""
+    monkeypatch.setattr(galerig.cohomology, "_chained_fills", {})
+    _orbit_table.cache_clear()
+    n, width = 3, monomial_count(3, 3)
+    assert width == 10
+    rng = random.Random(2)
+    phis = [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(width + 3)]
+    for i, phi in enumerate(phis):
+        assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n), (i, phi)
+        built = _orbit_table.cache_info()
+        assert built.misses == (i >= width) and built.currsize == (i >= width), i
+    assert _orbit_table.cache_info().hits == len(phis) - width - 1
+    assert galerig.cohomology._chained_fills == {3: width}
 
 
 def test_catalecticants_are_the_bitwise_pairings():

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from galerig.betti import h_vector
 from galerig.gale import (
+    _PINNED_ORDERS,
     FaceStructure,
     GaleDiagram,
     _hull_triples,
+    _vertex_complements,
     canonical_weights,
     face_structure,
     facet_labels,
@@ -238,3 +240,23 @@ def test_general_labeling_leads_with_a_vertex(weights):
     # one facet per weight unit, labels with the right multiplicity
     for v, count in enumerate(diagram.weights, start=1):
         assert fs.labels.count(v) == count
+
+
+def test_face_structure_matches_the_triple_scan():
+    """On every canonical pentagon of total <= 12, every canonical heptagon
+    of total <= 10 and both pinned orders, the vertex complements read off
+    the label groups equal the scan of every facet triple, on the label
+    order and on the final one, and the face structure whose least vertex
+    is the complement of the greatest triple equals the one that scans
+    every vertex for it."""
+    diagrams = (oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 10)
+                + list(_PINNED_ORDERS))
+    assert len(diagrams) == 116
+    for w in diagrams:
+        diagram = GaleDiagram(w)
+        fs = face_structure(diagram)
+        assert fs == oracles.face_structure_by_scan(diagram), w
+        by_label = [v for v, count in enumerate(w, start=1) for _ in range(count)]
+        for labels in (by_label, fs.labels):
+            assert _vertex_complements(labels, diagram.k) == \
+                oracles.vertex_complements_by_scan(labels, diagram.k), (w, labels)
