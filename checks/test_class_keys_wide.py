@@ -24,6 +24,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
 import galerig.cohomology  # noqa: E402
+from galerig.betti import h_vector  # noqa: E402
 from galerig.cli import _matrices, _matrix_keys, main  # noqa: E402
 from galerig.gale import GaleDiagram  # noqa: E402
 from galerig.petersen import tor_class  # noqa: E402
@@ -45,7 +46,7 @@ def test_shared_class_keys_give_the_unshared_pair_counts(members, capsys, monkey
     for w in members:
         diagram = GaleDiagram(w)
         fs, blocks = _matrices(diagram)
-        keys.append(Counter(_matrix_keys(diagram, fs, blocks)))
+        keys.append(Counter(_matrix_keys(fs, blocks, h_vector(diagram))))
         fills.append(len(keys[-1]))  # the member's key classes
     expected = [sum(count * keys[j][key] for key, count in keys[i].items())
                 for i in range(len(members)) for j in range(i + 1, len(members))]

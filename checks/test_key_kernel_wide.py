@@ -1,7 +1,8 @@
 """Wide check of the three table-driven kernels behind every key.  For every
-facet-symmetry orbit representative of each member of a multi-member
-pentagon Tor class of total <= 13 and of each canonical heptagon of total
-<= 12 (95 + 72 diagrams, 2,270 representatives), the forward pass of
+orbit representative (galerig.charmat.orbits) of each member of a
+multi-member pentagon Tor class of total <= 13 and of each canonical
+heptagon of total <= 12 (95 + 72 diagrams, 1,978 representatives, 2,270
+under the same-label permutations alone), the forward pass of
 elimination over the top-degree products that cohomology.top_functional
 hands to gf2.hyperplane_functional keeps one row per lowest bit and spans
 what the pivot-scanning elimination of tests/oracles.py spans on the same

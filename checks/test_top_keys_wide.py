@@ -1,10 +1,11 @@
 """Wide check of the keys that report and iso compare against saturated
 quotients.  For every member of a multi-member pentagon Tor class of total
 <= 13 and every canonical heptagon of total <= 12 (95 + 72 diagrams),
-galerig.cli._matrix_keys, which reads one socle functional per
-facet-symmetry orbit off the top degree of the ideal alone and checks it
-against the h-vector of the Betti table, gives every matrix the key of its
-orbit representative's saturated quotient (galerig.cohomology's
+galerig.cli._matrix_keys, which reads one socle functional per orbit
+under the polytope's automorphisms (galerig.charmat.orbits) off the top
+degree of the ideal alone and checks it against the h-vector of the
+Betti table, gives every matrix the key of its orbit representative's
+saturated quotient (galerig.cohomology's
 quotient_presentation, keyed on oracles.socle_functional by
 tests/oracles.quotient_keys).  Saturating every representative is too slow
 for tier-1, so this sits outside tier-1's testpaths.
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
+from galerig.betti import h_vector  # noqa: E402
 from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
 from galerig.cli import _matrix_keys  # noqa: E402
 from galerig.cohomology import quotient_presentation  # noqa: E402
@@ -48,4 +50,4 @@ def test_top_keys_are_the_saturated_keys(weights):
     distinct = sorted(set(representatives))
     saturated = oracles.quotient_keys([quotient_presentation(fs, blocks[r]) for r in distinct])
     key = dict(zip(distinct, saturated))
-    assert _matrix_keys(diagram, fs, blocks) == [key[r] for r in representatives]
+    assert _matrix_keys(fs, blocks, h_vector(diagram)) == [key[r] for r in representatives]

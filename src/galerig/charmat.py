@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .gale import FaceStructure
+from .gale import FaceStructure, weight_symmetries
 from .gf2 import rank
 
 VARIABLES = (0b001, 0b010, 0b100)  # forms of facets n, n+1, n+2
@@ -135,35 +135,86 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
     return [matrix for _, matrix in sorted(found)]  # keys are distinct: no tuple is compared
 
 
+@lru_cache(maxsize=None)
+def _renormaliser(basis: tuple[int, int, int]) -> tuple[int, ...]:
+    """The map g with g(u_j) = e_j, the form of variable j, for a basis
+    (u_0, u_1, u_2) of GF(2)^3, as its 8 values: the form v = sum of
+    c_j u_j has g(v) = c.  Cached per basis, built on first use."""
+    span = [0]  # span[c] = sum of c_j u_j
+    for u in basis:
+        span += [v ^ u for v in span]
+    if len(set(span)) != 8:
+        raise ValueError(f"forms {basis} are not a basis of GF(2)^3")
+    g = [0] * 8
+    for c, v in enumerate(span):
+        g[v] = c
+    return tuple(g)
+
+
+@lru_cache(maxsize=None)
+def _facet_maps(labels: tuple[int, ...]):
+    """(swaps, symmetries) of a facet labelling: the adjacent pairs a < b of
+    facets of each label, and per weight-preserving polygon symmetry p
+    other than the identity (gale.weight_symmetries), the facet map that
+    sends the i-th facet of label l to the i-th facet of label p(l), as
+    (lead, trail): the source facet of the form that facets 0..n-1 and
+    n..n+2 carry after the map."""
+    by_label: dict[int, list[int]] = {}
+    for facet, label in enumerate(labels):
+        by_label.setdefault(label, []).append(facet)
+    swaps = tuple(pair for facets in by_label.values() for pair in zip(facets, facets[1:]))
+    groups = [by_label[label] for label in sorted(by_label)]
+    symmetries = []
+    for p in weight_symmetries(tuple(map(len, groups))):
+        source = [0] * len(labels)
+        for label, facets in enumerate(groups):
+            for facet, target in zip(facets, groups[p[label]]):
+                source[target] = facet
+        symmetries.append((tuple(source[:-3]), tuple(source[-3:])))
+    return swaps, tuple(symmetries)
+
+
 def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
-    """Orbit representative of each matrix under the permutations of facets
-    that carry the same polygon label: entry i is the index in blocks of the
+    """Orbit representative of each matrix under the combinatorial
+    automorphisms of the polytope: entry i is the index in blocks of the
     first member, in list order, of the orbit of blocks[i].
 
-    Such a permutation pi fixes every minimal non-face (the facets labelled
-    in an arc) and maps vertices to vertices, so the forms of lambda o pi
-    have the ideal of lambda, and renormalising them so that facets n..n+2
-    carry x, y, z is a degree-one substitution: every member of an orbit
-    has the same quotient up to isomorphism.
+    The automorphisms are the permutations of facets that carry the same
+    polygon label, and the rotations and reflections of the polygon that
+    fix the weights, each mapping the facets of label l in order onto
+    those of its image (_facet_maps).  Such a map pi sends minimal
+    non-faces (the facets labelled in an arc) to minimal non-faces and
+    vertices to vertices, so the forms of lambda o pi have the ideal of
+    lambda with its generators reordered, and renormalising them so that
+    facets n..n+2 carry x, y, z is a degree-one substitution: every member
+    of an orbit has the same quotient up to isomorphism.
 
     A union-find over blocks links each matrix to its image under the
-    adjacent transpositions of each label class, which generate the class's
-    symmetric group.  An image missing from blocks links nothing, so each
+    adjacent transpositions of each label class, which generate the
+    same-label group.  An image missing from blocks links nothing, so each
     part lies inside one orbit whatever the list; on the enumeration, which
-    the group maps onto itself, the parts are the orbits.  The trailing
-    facets are off a vertex, so their labels differ and a transposition
-    moves at most one of them: swapping trailing facet n+j with a leading
-    facet of form f puts f in variable j's place, and the transvection
-    v -> v + v_j (f + e_j), its own inverse, renormalises every form.  A
-    transposition that fixes the matrix, of two leading facets with one
-    form or of a trailing facet with a leading facet already of its
-    variable's form, would link a matrix to itself and is skipped.
+    the automorphisms map onto itself, the parts are then the same-label
+    orbits.  The trailing facets are off a vertex, so their labels differ
+    and a transposition moves at most one of them: swapping trailing facet
+    n+j with a leading facet of form f puts f in variable j's place, and
+    the transvection v -> v + v_j (f + e_j), its own inverse, renormalises
+    every form.  A transposition that fixes the matrix, of two leading
+    facets with one form or of a trailing facet with a leading facet
+    already of its variable's form, would link a matrix to itself and is
+    skipped.
+
+    The polygon symmetries normalise the same-label group, so they are
+    applied once per part, to its root, in list order: each links the
+    part to its image's part, the moved trailing forms u_0, u_1, u_2 are
+    a basis, and the g with g(u_j) = e_j renormalises every form, read off
+    a table cached per basis and built on first use (_renormaliser).  The symmetries listed
+    are all of their group but the identity, so once a root has been
+    moved by each, every part it reached holds only images of parts
+    already linked, and a part already linked to an earlier root is
+    skipped.
     """
     n = fs.n
-    by_label: dict[int, list[int]] = {}
-    for facet, label in enumerate(fs.labels):
-        by_label.setdefault(label, []).append(facet)
-    swaps = [pair for facets in by_label.values() for pair in zip(facets, facets[1:])]
+    swaps, symmetries = _facet_maps(fs.labels)
     index = {forms: i for i, forms in enumerate(blocks)}
     parent = list(range(len(blocks)))
 
@@ -172,6 +223,12 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
+
+    def link(i: int, moved):
+        j = index.get(tuple(moved))
+        if j is not None:
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)
 
     for i, forms in enumerate(blocks):
         for a, b in swaps:  # a < b, and only b can be a trailing facet
@@ -187,8 +244,14 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
                     continue  # form a is already variable j: no shift
                 moved = [v ^ shift if v & e else v for v in forms]
                 moved[a] = f
-            j = index.get(tuple(moved))
-            if j is not None:
-                ri, rj = root(i), root(j)
-                parent[max(ri, rj)] = min(ri, rj)
+            link(i, moved)
+
+    if symmetries:
+        for i, forms in enumerate(blocks):
+            if parent[i] != i:
+                continue  # not a root, or its part is linked to an earlier one
+            full = forms + VARIABLES
+            for lead, (a, b, c) in symmetries:
+                g = _renormaliser((full[a], full[b], full[c]))
+                link(i, [g[full[f]] for f in lead])
     return [root(i) for i in range(len(blocks))]

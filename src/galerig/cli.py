@@ -7,14 +7,16 @@ Every command that needs characteristic matrices gets them from _matrices,
 which always enumerates; report --cache only writes each member's list, so
 a cache file can never shrink or replace the enumeration.  iso and report
 compare one isomorphism key per matrix (_matrix_keys): one socle functional
-per orbit of matrices under the permutations of same-label facets
-(charmat.orbits), each read off its representative's top degree
+per orbit of matrices under the automorphisms of the polytope, the
+same-label facet permutations and the weight-preserving symmetries of the
+polygon (charmat.orbits), each read off its representative's top degree
 (cohomology.top_functional), and every matrix takes its orbit's key.
 report keys a Tor class in one pass, its members in sorted order sharing
-one {phi: key} map: each member but the last fills the GL(3, GF(2)) orbit
-of each of its key classes not yet in the map, and the last fills none,
-since a phi missing there matches no earlier member and no pair count
-reads its key.  Only cohomology and report --verify build quotients.
+one h-vector, since they share one Betti table, and one {phi: key} map:
+each member but the last fills the GL(3, GF(2)) orbit of each of its key
+classes not yet in the map, and the last fills none, since a phi missing
+there matches no earlier member and no pair count reads its key.  Only
+cohomology and report --verify build quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
@@ -49,9 +51,9 @@ from .petersen import tor_class
 
 # Largest facet count accepted by the commands that enumerate characteristic
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
-# 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 23 orbits (no
+# 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.21 s, `profile` 1.4 s and `cohomology` 3.5 s, 17 s under --json (README,
+# 0.21 s, `profile` 1.2 s and `cohomology` 3.5 s, 17 s under --json (README,
 # "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
@@ -140,14 +142,13 @@ def _selected_matrices(diagram, index: int | None):
     return fs, [(index, blocks[index - 1])]
 
 
-def _matrix_keys(diagram: GaleDiagram, fs, blocks, known=None, fill=True) -> list[tuple]:
-    """The isomorphism key of each matrix, in list order.  One socle
-    functional is computed, from the top degree alone and checked against
-    the diagram's h-vector, per orbit (charmat.orbits), for its
+def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
+    """The isomorphism key of each matrix, in list order, given the
+    polytope's h-vector h.  One socle functional is computed, from the top
+    degree alone and checked against h, per orbit (charmat.orbits), for its
     representative, whose key every member takes (known and fill go to
     iso_keys); no quotient is built."""
     representatives = orbits(fs, blocks)
-    h = h_vector(diagram)
     distinct = list(dict.fromkeys(representatives))
     functionals = [top_functional(fs, blocks[r], h) for r in distinct]
     key = dict(zip(distinct, iso_keys(fs.n, h, functionals, known, fill)))
@@ -194,7 +195,7 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    keys = {d: _matrix_keys(d, *_matrices(d)) for d in dict.fromkeys((d1, d2))}
+    keys = {d: _matrix_keys(*_matrices(d), h_vector(d)) for d in dict.fromkeys((d1, d2))}
     keys_1, keys_2 = keys[d1], keys[d2]
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
@@ -255,10 +256,13 @@ def cmd_report(args) -> int:
     # A singleton class is B-rigid by its matrix count alone, so matrices are
     # keyed only when there is a pair to compare: per member, how many
     # matrices have each key, the last member filling no orbit (module
-    # docstring).
+    # docstring).  The members share one Betti table, hence one h-vector.
     known: dict = {}
-    keys = ([Counter(_matrix_keys(GaleDiagram(w), *matrices[w], known, w != members[-1]))
-             for w in members] if len(members) > 1 else [])
+    keys = []
+    if len(members) > 1:
+        h = h_vector(diagram)
+        keys = [Counter(_matrix_keys(*matrices[w], h, known, w != members[-1]))
+                for w in members]
 
     pairs = []
     total_found = 0

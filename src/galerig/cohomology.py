@@ -29,11 +29,12 @@ reads phi off each published quotient's own I_n (quotient_functional)
 under the same check, both through gf2.hyperplane_functional.  Their
 tables outlive a call and are keyed by n alone or by n and a multiset of
 forms, never by a diagram or a phi: the I_n rows of a minimal non-face
-per (n, its forms' multiset) (_nonface_rows), and per (n, d) the byte
-tables that map phi to the whole of Cat_d in one lookup per byte
-(_catalecticant_tables).  The dual side has one more operation, the
-contraction psi -> (f -> psi(l * f)) of a functional by a linear form l,
-the transpose of multiplication by l, through cached byte tables.  Every
+per (n, its forms' multiset) (_nonface_rows), and per n the byte tables
+that map phi to all of Cat_0..Cat_(n//2), stacked, in one lookup per
+byte, and to the degrees above in one more (_catalecticant_tables).
+The dual side has one more operation, the contraction psi -> (f ->
+psi(l * f)) of a functional by a linear form l, the transpose of
+multiplication by l, through cached byte tables.  Every
 table is read off gf2's one monomial product, product_index, and its
 transposes (gf2.transpose); this module holds no monomial arithmetic of
 its own.
@@ -51,8 +52,8 @@ Tor class share (galerig.cli), whose last member only looks up.
 find_graded_iso certifies its witness against two saturated quotients'
 full ideals.
 Nor need every matrix be keyed: the matrices of one orbit under the
-permutations of same-label facets (galerig.charmat.orbits) have one ideal
-up to a degree-one substitution, hence one key.
+automorphisms of the polytope (galerig.charmat.orbits) have one ideal up
+to a degree-one substitution, hence one key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.  invariant_profile reads them off phi too, since I_d is
@@ -314,20 +315,33 @@ def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _catalecticant_tables(n: int, degree: int):
-    """(tables, shifts, mask) of Cat_d, d = degree, for phi on S_n:
-    table_image(phi, tables) is Cat_d with its rows stacked, row i at bit
-    shifts[i] = i * w, w the number of monomials of degree n - d, and mask
-    holds w bits.  Column c of the byte tables has bit i * w + j set iff
-    monomial i of degree d times monomial j of degree n - d is monomial c
-    of degree n (product_index)."""
-    width = monomial_count(3, n - degree)
+def _catalecticant_tables(n: int, upper: bool):
+    """(tables, slices) of the catalecticants of phi on S_n in the lower
+    degrees d = 0..n // 2, or with upper in the degrees n // 2 + 1..n,
+    stacked in one int: table_image(phi, tables) holds Cat_d's rows from
+    bit o_d on, row i at bit o_d + i * w_d, w_d the number of monomials of
+    degree n - d and o_d the bits of the half's degrees below d, and
+    slices lists per degree (shifts, mask), the rows' offsets and a mask
+    of w_d bits.  Column c of the byte tables has bit o_d + i * w_d + j
+    set iff monomial i of degree d times monomial j of degree n - d is
+    monomial c of degree n (product_index).
+
+    The key check reads the lower half and the profile both, so a
+    process that does both builds each degree once.  Each half takes
+    ceil(C(n + 2, 2) / 8) tables of 256 entries, by sys.getsizeof at most
+    0.06 MB at n = 6, 0.75 MB at n = 11 and 9.4 MB at n = 17 for the
+    lower half, and 0.05, 0.76 and 9.6 MB for the upper."""
     columns = [0] * monomial_count(3, n)
-    for i, row in enumerate(product_index(degree, n - degree)):
-        for j, c in enumerate(row):
-            columns[c] |= 1 << (i * width + j)
-    shifts = tuple(range(0, monomial_count(3, degree) * width, width))
-    return byte_tables(columns), shifts, (1 << width) - 1
+    slices, offset = [], 0
+    for d in range(n // 2 + 1, n + 1) if upper else range(n // 2 + 1):
+        width = monomial_count(3, n - d)
+        for i, row in enumerate(product_index(d, n - d)):
+            for j, c in enumerate(row):
+                columns[c] |= 1 << (offset + i * width + j)
+        end = offset + monomial_count(3, d) * width
+        slices.append((range(offset, end, width), (1 << width) - 1))
+        offset = end
+    return byte_tables(columns), tuple(slices)
 
 
 def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
@@ -336,24 +350,27 @@ def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
     zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel is
     Ann(phi)_d.
 
-    Each Cat_d is one table_image of phi over the stacked tables cached per
-    (n, d) (_catalecticant_tables), its rows sliced off the result.
+    Up to d = n // 2 they are one table_image of phi over the stacked
+    tables of the lower half cached per n (_catalecticant_tables), each
+    row sliced off the result, and above it one more over the upper half.
     """
     pairings = []
-    for d in range(top + 1):
-        tables, shifts, mask = _catalecticant_tables(n, d)
+    halves = (False, True) if top > n // 2 else (False,)
+    for upper in halves:
+        tables, slices = _catalecticant_tables(n, upper)
         stacked = table_image(phi, tables)
-        pairings.append([(stacked >> shift) & mask for shift in shifts])
-    return pairings
+        pairings += [[(stacked >> shift) & mask for shift in shifts] for shifts, mask in slices]
+    return pairings[:top + 1]
 
 
 def check_inverse_system(phi: int, n: int, h: Sequence[int]):
     """Raise ValueError unless phi's catalecticant has rank h_d in every
     degree d = 0..n, i.e. unless an ideal with Hilbert function h inside
     Ann(phi) is Ann(phi) itself.  The rank in degree n - d is the rank in
-    degree d (the transpose), so ranks are computed for d <= n/2 only,
-    each Cat_d sliced off one lookup of phi in the stacked tables of
-    (n, d) (_catalecticants)."""
+    degree d (the transpose), so ranks are computed for d <= n/2 only, and
+    every h_d is compared with its rank.  Cat_0..Cat_(n//2) are sliced off
+    one lookup of phi in the stacked table of the lower half of n
+    (_catalecticants)."""
     ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
     ranks += ranks[:(n + 1) // 2][::-1]
     for d, (r, h_d) in enumerate(zip(ranks, h)):

@@ -45,6 +45,19 @@ def canonical_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return max(candidates)
 
 
+@lru_cache(maxsize=None)
+def weight_symmetries(weights: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rotations and reflections of the weighted polygon, other than
+    the identity, that fix the weights, as maps p of its 0-based vertices,
+    vertex i to p[i] with a_(p[i]) = a_i: the maps i -> s + i and i -> s - i
+    (mod 2k+1) whose word, a_(p[i]) in place i, is among the images that
+    canonical_weights compares and equals the weights themselves."""
+    nv = len(weights)
+    maps = (tuple((s + sign * i) % nv for i in range(nv)) for sign in (1, -1) for s in range(nv))
+    return tuple(p for p in maps if p != tuple(range(nv)) and
+                 all(weights[p[i]] == a for i, a in enumerate(weights)))
+
+
 class GaleDiagram:
     """Weighted odd polygon defining a simple n-polytope with n+3 facets.
     Immutable, hashable and equal by weights."""

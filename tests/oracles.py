@@ -11,7 +11,11 @@ over every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), their orbits
 under same-label facet permutations closed breadth-first under every
-transposition (the package runs a union-find over adjacent ones), monomial-wise
+transposition (the package runs a union-find over adjacent ones), and
+under the automorphisms of the polytope with the label permutations found
+by a scan of all of them and renormalised by a search of GL(3, GF(2)) (the
+package lists the weight-preserving polygon symmetries and reads each
+renormalisation off a table), monomial-wise
 linear substitution, the Poincare pairing, codim and order on coset
 coordinates of the saturated quotient (the package reads them off the
 socle functional), the pair-by-pair GL(3, GF(2))
@@ -375,10 +379,66 @@ def same_label_images(fs, forms) -> list[tuple[int, ...]]:
     return images
 
 
-def facet_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
-    """Orbits, as sets of list indices, of the matrices under the group of
-    same-label facet permutations: each closed breadth-first under every
-    transposition (same_label_images)."""
+@lru_cache(maxsize=None)
+def _label_automorphisms(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every permutation tau of the polygon labels, found by a scan of all
+    (2k+1)! of them, that keeps each label's facet count and maps the label
+    triples holding the origin in their hull (origin_in_hull_exact) onto
+    themselves, as the tuple of tau(l) for l = 1..2k+1."""
+    nv = max(labels)
+    counts = Counter(labels)
+    hull = {frozenset(t) for t in combinations(range(1, nv + 1), 3)
+            if origin_in_hull_exact(t, (nv - 1) // 2)}
+    return tuple(tau for tau in permutations(range(1, nv + 1))
+                 if all(counts[tau[l - 1]] == counts[l] for l in range(1, nv + 1)) and
+                 {frozenset(tau[l - 1] for l in t) for t in hull} == hull)
+
+
+def _renormaliser_by_search(basis: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The substitution of gl3() sending the forms basis[j] to variable j."""
+    return next(rows for rows in gl3()
+                if all(image(u, rows) == 1 << j for j, u in enumerate(basis)))
+
+
+def polytope_symmetry_images(fs, forms) -> list[tuple[int, ...]]:
+    """The matrix forms moved by every same-label transposition and by every
+    label automorphism (_label_automorphisms), which sends the i-th facet of
+    label l to the i-th facet of label tau(l), each renormalised so that
+    facets n..n+2 carry x, y, z again by the substitution found by a search
+    of gl3().  Each facet map is checked to map the vertex complements and
+    minimal non-faces of the face structure onto themselves."""
+    n, m, labels = fs.n, fs.m, fs.labels
+    maps = []
+    for a, b in combinations(range(m), 2):
+        if labels[a] == labels[b]:
+            perm = list(range(m))
+            perm[a], perm[b] = b, a
+            maps.append(perm)
+    groups = {label: [f for f in range(m) if labels[f] == label] for label in set(labels)}
+    for tau in _label_automorphisms(labels):
+        perm = [0] * m
+        for label, facets in groups.items():
+            for facet, target in zip(facets, groups[tau[label - 1]]):
+                perm[facet] = target
+        maps.append(perm)
+    complements = set(fs.vertex_complements)
+    nonfaces = set(fs.minimal_nonfaces)
+    images = []
+    for perm in maps:
+        assert {tuple(sorted(perm[f] for f in t)) for t in complements} == complements
+        assert {tuple(sorted(perm[f] for f in t)) for t in nonfaces} == nonfaces
+        full = list(forms) + [1, 2, 4]
+        moved = [0] * m
+        for f in range(m):
+            moved[perm[f]] = full[f]
+        rows = _renormaliser_by_search(tuple(moved[n:]))
+        images.append(tuple(image(v, rows) for v in moved[:n]))
+    return images
+
+
+def _closed_orbits(forms_list, images) -> set[frozenset[int]]:
+    """Orbits, as sets of list indices, of the matrices, each closed
+    breadth-first under the images that images(forms) lists."""
     index = {forms: i for i, forms in enumerate(forms_list)}
     seen: set[int] = set()
     out = set()
@@ -387,14 +447,29 @@ def facet_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
             continue
         orbit, frontier = {start}, [start]
         while frontier:
-            for image in same_label_images(fs, forms_list[frontier.pop()]):
-                j = index[image]
+            for moved in images(forms_list[frontier.pop()]):
+                j = index[moved]
                 if j not in orbit:
                     orbit.add(j)
                     frontier.append(j)
         seen |= orbit
         out.add(frozenset(orbit))
     return out
+
+
+def facet_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
+    """Orbits of the matrices under the group of same-label facet
+    permutations: each closed under every transposition
+    (same_label_images)."""
+    return _closed_orbits(forms_list, lambda forms: same_label_images(fs, forms))
+
+
+def polytope_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
+    """Orbits of the matrices under the combinatorial automorphisms of the
+    polytope that permute the label groups: each closed under every
+    same-label transposition and label automorphism
+    (polytope_symmetry_images)."""
+    return _closed_orbits(forms_list, lambda forms: polytope_symmetry_images(fs, forms))
 
 
 # ---------------------------------------------------------------------------

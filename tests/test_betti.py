@@ -8,6 +8,7 @@ from galerig.betti import beta_first_row, betti_table, h_vector, supports_quasit
 from galerig.charmat import enumerate_charmats
 from galerig.cohomology import quotient_presentation
 from galerig.gale import GaleDiagram, face_structure
+from galerig.petersen import tor_class
 
 import oracles
 from oracles import adjacent_sum_multiset, sphere_product_decomposition, tor_equivalent
@@ -78,6 +79,19 @@ def test_h_vector_is_the_hilbert_function_of_every_quotient():
         assert len(h) == diagram.n + 1 and h[0] == h[-1] == 1 and h == h[::-1], weights
         assert h == oracles.face_counts(diagram)[1], weights
         assert all(quotient_presentation(fs, b).hilbert == h for b in enumerate_charmats(fs))
+
+
+def test_tor_class_members_share_one_h_vector():
+    """report keys every member of a Tor class against one h-vector: the
+    members share one Betti table, hence one h, which is the h-vector of
+    the exhaustive face count, on every multi-member pentagon class of
+    total <= 12."""
+    classes = sorted(c for c in {tor_class(w) for w in oracles.canonical_diagrams(5, 12)}
+                     if len(c) > 1)
+    assert len(classes) == 26
+    for members in classes:
+        h = {h_vector(GaleDiagram(w)) for w in members}
+        assert h == {oracles.face_counts(GaleDiagram(members[0]))[1]}, members
 
 
 def test_h_vector_refuses_an_inexact_division(monkeypatch):

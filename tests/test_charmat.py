@@ -7,6 +7,7 @@ import pytest
 
 from galerig import fixtures
 from galerig.charmat import (
+    _renormaliser,
     _search_plan,
     enumerate_charmats,
     forms_from_rows,
@@ -160,9 +161,9 @@ def _parts(representatives) -> set[frozenset[int]]:
 
 def test_orbits_match_the_transposition_closure_up_to_total_10():
     """On every canonical pentagon and heptagon of total <= 10, the orbits
-    are those closed under every same-label transposition: their sizes sum
-    to the matrix count, every transposition maps each orbit into itself,
-    and each representative is its orbit's first member in column order."""
+    are closed under every same-label transposition: their sizes sum to
+    the matrix count, every transposition maps each orbit into itself, and
+    each representative is its orbit's first member in column order."""
     diagrams = oracles.canonical_diagrams(5, 10) + oracles.canonical_diagrams(7, 10)
     assert len(diagrams) == 50
     for w in diagrams:
@@ -177,13 +178,36 @@ def test_orbits_match_the_transposition_closure_up_to_total_10():
                 assert representatives[index[image]] == representatives[i], (w, i)
         parts = _parts(representatives)
         assert all(representatives[i] == min(p) for p in parts for i in p), w
-        assert parts == oracles.facet_symmetry_orbits(fs, blocks), w
+
+
+def test_orbits_match_the_polytope_symmetry_closure_up_to_total_10():
+    """On every canonical pentagon and heptagon of total <= 10, the
+    enumeration is closed under every automorphism the oracle finds by a
+    scan of the label permutations, the orbits are the oracle's, each
+    same-label orbit lies inside one of them, and each representative is
+    its orbit's least index."""
+    diagrams = oracles.canonical_diagrams(5, 10) + oracles.canonical_diagrams(7, 10)
+    merged = 0
+    for w in diagrams:
+        fs = face_structure(GaleDiagram(w))
+        blocks = enumerate_charmats(fs)
+        listed = set(blocks)
+        assert all(image in listed for forms in blocks
+                   for image in oracles.polytope_symmetry_images(fs, forms)), w
+        representatives = orbits(fs, blocks)
+        parts = _parts(representatives)
+        assert parts == oracles.polytope_symmetry_orbits(fs, blocks), w
+        assert all(representatives[i] == min(p) for p in parts for i in p), w
+        same_label = oracles.facet_symmetry_orbits(fs, blocks)
+        assert all(any(orbit <= p for p in parts) for orbit in same_label), w
+        merged += len(same_label) - len(parts)
+    assert merged > 0  # the polygon symmetries join same-label orbits
 
 
 @pytest.mark.parametrize("weights, count, orbit_count", [
-    ((3, 1, 2, 1, 1), 21, 11), ((2, 2, 2, 1, 1), 21, 13), ((2, 2, 2, 2, 1), 27, 16),
-    ((3, 1, 2, 2, 1), 27, 14), ((3, 2, 1, 1, 2), 37, 15), ((4, 1, 2, 1, 1), 37, 13),
-    ((4, 1, 1, 1, 1), 33, 11), ((10, 1, 1, 1, 1), 2049, 23),
+    ((3, 1, 2, 1, 1), 21, 11), ((2, 2, 2, 1, 1), 21, 7), ((2, 2, 2, 2, 1), 27, 9),
+    ((3, 1, 2, 2, 1), 27, 8), ((3, 2, 1, 1, 2), 37, 8), ((4, 1, 2, 1, 1), 37, 13),
+    ((4, 1, 1, 1, 1), 33, 6), ((10, 1, 1, 1, 1), 2049, 12),
 ])
 def test_orbit_counts(weights, count, orbit_count):
     fs = face_structure(GaleDiagram(weights))
@@ -193,18 +217,34 @@ def test_orbit_counts(weights, count, orbit_count):
 
 
 def test_orbits_of_a_partial_list_stay_inside_true_orbits():
-    """A list the group does not map onto itself, cut or reordered, is still
-    split into parts that each lie inside one orbit, each represented by its
-    first member in list order."""
+    """A list the automorphisms do not map onto itself, cut or reordered,
+    is still split into parts that each lie inside one orbit, each
+    represented by its first member in list order."""
     blocks = enumerate_charmats(FS_Q)
-    true_orbits = oracles.facet_symmetry_orbits(FS_Q, blocks)
+    true_orbits = oracles.polytope_symmetry_orbits(FS_Q, blocks)
     for listed in (blocks[::-1], blocks[:9], blocks[::2]):
         representatives = orbits(FS_Q, listed)
         for part in _parts(representatives):
             assert representatives[min(part)] == min(part)
             members = {blocks.index(listed[i]) for i in part}
             assert any(members <= orbit for orbit in true_orbits)
-    assert len(set(orbits(FS_Q, blocks[::-1]))) == 13
+    assert len(set(orbits(FS_Q, blocks[::-1]))) == 7
+
+
+def test_renormaliser_sends_each_basis_to_the_variables():
+    """For each of the 168 bases of GF(2)^3 the renormaliser is the
+    substitution of gl3() that sends basis form j to variable j, read at
+    every form; a dependent triple is refused."""
+    from galerig.cohomology import gl3
+    from galerig.gf2 import image, rank
+
+    bases = [b for b in permutations(range(1, 8), 3) if rank(b) == 3]
+    assert len(bases) == 168
+    for basis in bases:
+        rows = next(g for g in gl3() if all(image(u, g) == 1 << j for j, u in enumerate(basis)))
+        assert _renormaliser(basis) == tuple(image(v, rows) for v in range(8)), basis
+    with pytest.raises(ValueError):
+        _renormaliser((1, 2, 3))
 
 
 def test_matrix_json_round_trip():

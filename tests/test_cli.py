@@ -182,10 +182,11 @@ def test_report_verify_rejected_off_fixture(capsys):
 
 
 def test_report_verify_keys_each_quotient_once(monkeypatch):
-    """The 11 + 13 facet-symmetry orbit representatives of 21 + 21 matrices
-    need 24 top functionals, each checked, read one call per representative,
-    and one orbit closure per key class of the first member: 5, since the
-    last member only looks its functionals up.  Keys build no quotient: the
+    """The 11 + 7 orbit representatives of 21 + 21 matrices under the
+    automorphisms of the two polytopes need 18 top functionals, each
+    checked, read one call per representative, and one orbit closure per
+    key class of the first member: 5, since the last member only looks its
+    functionals up.  Keys build no quotient: the
     42 of --verify are the published blocks, all built by verify, which
     reads the 22 profiled rows' functionals off those quotients' own top
     degrees and eliminates no I_n again."""
@@ -209,17 +210,17 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     count(galerig.verify, "quotient_functional")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 5,
+    assert calls == {"cli.top_functional": 18, "cohomology._orbit": 5,
                      "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
     calls.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
-    assert calls == {"cli.top_functional": 24, "cohomology._orbit": 5}
+    assert calls == {"cli.top_functional": 18, "cohomology._orbit": 5}
     calls.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
     assert calls == {}  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
-    assert calls == {"cli.top_functional": 11, "cohomology._orbit": 2}
+    assert calls == {"cli.top_functional": 6, "cohomology._orbit": 2}
 
 
 def test_one_shot_commands_build_no_stacked_orbit_table(monkeypatch, capsys):
@@ -445,7 +446,7 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     """A report builds each member's face structure and matrix list once,
-    and groups it into facet-symmetry orbits once, a warm cache too, whose
+    and groups it into automorphism orbits once, a warm cache too, whose
     files it rewrites with the same bytes; its keys need no quotient, so
     only --verify builds any: the 42 published blocks.  A singleton class
     is B-rigid by its matrix count and needs no orbit pass; a diagram

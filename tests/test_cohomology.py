@@ -328,7 +328,7 @@ def test_iso_keys_equal_the_168_substitution_scan(key_range):
 
 def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
     """The keys iso and report compare, one top functional per
-    facet-symmetry orbit (cli._matrix_keys), are the keys of every matrix's
+    automorphism orbit (cli._matrix_keys), are the keys of every matrix's
     own saturated quotient on every key_range list, so every orbit lies in
     one key class and each key is counted with its orbit's size."""
     for w, quotients in key_quotients.items():
@@ -337,7 +337,7 @@ def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
         representatives = orbits(fs, blocks)
         keys = oracles.quotient_keys(quotients)
         assert all(keys[i] == keys[r] for i, r in enumerate(representatives)), w
-        assert _matrix_keys(GaleDiagram(w), fs, blocks) == keys, w
+        assert _matrix_keys(fs, blocks, h_vector(GaleDiagram(w))) == keys, w
 
 
 def test_top_functional_is_the_socle_functional(key_quotients):
@@ -518,22 +518,30 @@ def test_catalecticants_are_the_bitwise_pairings():
 
 
 def test_stacked_catalecticant_tables_hold_each_pairing_in_place():
-    """One table_image of phi over the stacked tables of (n, d) is Cat_d
-    with row i at bits i * w..: for random phi with n = 2..11, the rows
-    sliced off in every degree are the bitwise pairing, no bit lies past
-    the last row, and a lower top gives the leading pairings."""
+    """One table_image of phi over the stacked tables of a half of the
+    degrees of n is its catalecticants, degree after degree, with row i of
+    Cat_d at bits o_d + i * w_d..: for random phi with n = 2..11, the
+    lower half holds d = 0..n // 2 and the upper half the rest, the rows
+    sliced off in every degree are the bitwise pairing, each degree starts
+    where the one below ends, no bit lies past the last row, and every top
+    gives the leading pairings."""
     rng = random.Random(2)
     for n in range(2, 12):
         width = monomial_count(3, n)
         for phi in [1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(6)]:
-            pairings = _catalecticants(phi, n, n)
-            for d in range(n + 1):
-                rows = oracles.catalecticant_by_bits(phi, n, d)
-                tables, shifts, mask = _catalecticant_tables(n, d)
-                assert len(shifts) == len(rows) and mask == (1 << monomial_count(3, n - d)) - 1
-                assert table_image(phi, tables) >> (len(rows) * mask.bit_length()) == 0, (n, d)
-                assert pairings[d] == rows, (n, phi, d)
-                assert _catalecticants(phi, n, d) == pairings[:d + 1], (n, phi, d)
+            rows = [oracles.catalecticant_by_bits(phi, n, d) for d in range(n + 1)]
+            for upper, degrees in ((False, range(n // 2 + 1)), (True, range(n // 2 + 1, n + 1))):
+                tables, slices = _catalecticant_tables(n, upper)
+                assert len(slices) == len(degrees)
+                end = 0
+                for d, (shifts, mask) in zip(degrees, slices):
+                    assert mask == (1 << monomial_count(3, n - d)) - 1
+                    assert list(shifts) == [end + i * mask.bit_length()
+                                            for i in range(len(rows[d]))], (n, upper, d)
+                    end += len(rows[d]) * mask.bit_length()
+                assert table_image(phi, tables) >> end == 0, (n, upper)
+            for top in range(n + 1):
+                assert _catalecticants(phi, n, top) == rows[:top + 1], (n, phi, top)
     with pytest.raises(IndexError):
         _catalecticants(1 << monomial_count(3, 4), 4, 0)
 

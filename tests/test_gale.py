@@ -17,6 +17,7 @@ from galerig.gale import (
     face_structure,
     facet_labels,
     origin_in_hull,
+    weight_symmetries,
 )
 
 import oracles
@@ -26,6 +27,25 @@ Q = GaleDiagram((2, 2, 2, 1, 1))
 PENTAGON = GaleDiagram((1, 1, 1, 1, 1))
 
 weight_vectors = st.lists(st.integers(1, 6), min_size=5, max_size=5).map(tuple)
+
+
+def test_weight_symmetries_are_the_images_that_keep_the_word():
+    """weight_symmetries lists distinct vertex maps, none the identity,
+    each keeping every weight, one for each rotation or reflection image of
+    the word, as canonical_weights slices them, that is the word itself
+    (counted once more for the identity), on every canonical pentagon and
+    heptagon of total <= 10."""
+    assert weight_symmetries((2, 2, 2, 1, 1)) == ((2, 1, 0, 4, 3),)
+    assert weight_symmetries((3, 1, 2, 1, 1)) == ()
+    assert len(weight_symmetries((1, 1, 1, 1, 1))) == 9
+    for w in oracles.canonical_diagrams(5, 10) + oracles.canonical_diagrams(7, 10):
+        maps = weight_symmetries(w)
+        nv = len(w)
+        assert len(set(maps)) == len(maps) and tuple(range(nv)) not in maps, w
+        assert all(sorted(p) == list(range(nv)) for p in maps), w
+        assert all(w[p[i]] == w[i] for p in maps for i in range(nv)), w
+        images = [word[s:] + word[:s] for word in (w, w[::-1]) for s in range(nv)]
+        assert images.count(w) == len(maps) + 1, w
 
 
 # ---------------------------------------------------------------------------

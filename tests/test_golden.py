@@ -17,7 +17,10 @@ isomorphisms before the keys were taken from the top degree alone.  The
 ``profile_4-3-3-2-2`` (n = 11) files were recorded before the row,
 catalecticant, contraction and substitution tables were rebuilt on
 ``gf2.product_index``, to pin every one of them at the largest accepted
-facet count, m = 14.
+facet count, m = 14.  The ``iso_2-2-2-2-2_2-2-2-2-2`` file (35 matrices
+in 20 same-label orbits) was recorded while the keys were still taken
+once per same-label orbit, to pin the rotations and reflections of the
+polygon that now join those orbits into 3.
 
 The keys of one long-lived process come from stacked orbit tables once it
 has filled enough orbits (galerig.cohomology._orbit), so the report and

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from galerig import fixtures
+from galerig.betti import h_vector
 from galerig.charmat import enumerate_charmats, row_strings
 from galerig.cli import _matrix_keys
 from galerig.gale import GaleDiagram, face_structure
@@ -24,7 +25,7 @@ def matrices():
 
 @pytest.fixture(scope="module")
 def report(matrices):
-    keys_a, keys_b = (_matrix_keys(GaleDiagram(w), fs, blocks)
+    keys_a, keys_b = (_matrix_keys(fs, blocks, h_vector(GaleDiagram(w)))
                       for w, (fs, blocks) in matrices.items())
     found = sum(key == other for key in keys_a for other in keys_b)
     return run_verification(found, matrices)
