@@ -14,8 +14,8 @@ under same-label facet permutations closed breadth-first under every
 transposition (the package runs a union-find over adjacent ones), and
 under the automorphisms of the polytope with the label permutations found
 by a scan of all of them and renormalised by a search of GL(3, GF(2)) (the
-package lists the weight-preserving polygon symmetries and reads each
-renormalisation off a table), monomial-wise
+package lists the weight-preserving polygon symmetries and builds each
+renormalisation from the basis), monomial-wise
 linear substitution, the Poincare pairing, codim and order on coset
 coordinates of the saturated quotient (the package reads them off the
 socle functional), the pair-by-pair GL(3, GF(2))
