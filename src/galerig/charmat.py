@@ -17,13 +17,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from .gale import FaceStructure, weight_symmetries
-from .gf2 import rank
 
 VARIABLES = (0b001, 0b010, 0b100)  # forms of facets n, n+1, n+2
 
-# _COMPLETIONS[a][b] has bit c set iff the forms a, b, c are a basis.
+# _COMPLETIONS[a][b] has bit c set iff the forms a, b, c are a basis:
+# nonzero a != b span {0, a, b, a ^ b}, and any other nonzero c completes them.
 _COMPLETIONS = tuple(
-    tuple(sum(1 << c for c in range(1, 8) if rank((a, b, c)) == 3) for b in range(8))
+    tuple(0xFE & ~(1 << a | 1 << b | 1 << (a ^ b)) if a and b and a != b else 0
+          for b in range(8))
     for a in range(8)
 )
 

@@ -15,12 +15,19 @@ report keys a Tor class in one pass, its members in sorted order sharing
 one h-vector, since they share one Betti table, and one {phi: key} map:
 each member but the last fills the GL(3, GF(2)) orbit of each of its key
 classes not yet in the map, and the last fills none, since a phi missing
-there matches no earlier member and no pair count reads its key.  Only
-cohomology and report --verify build quotients.
+there matches no earlier member and no pair count reads its key.  iso
+shares one map the same way when its two diagrams have one h-vector, the
+second filling none.  Only cohomology and report --verify build quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
---cache.
+--cache.  galerig.cohomology and galerig.gf2 are imported by the commands
+that read socle functionals or build quotients (iso, cohomology, profile,
+and report on a class of two or more members), and galerig.petersen by
+torclass and by report on a pentagon; betti, torclass, charmats and
+report on a singleton class or a heptagon import neither cohomology nor
+gf2.  Their names are bound into this module on first use (_bind), so
+with no bytecode cache a command compiles only the modules it runs.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -37,16 +44,39 @@ from functools import lru_cache
 from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
-from .cohomology import (
-    LINEAR_FORM_NAMES,
-    invariant_profile,
-    iso_keys,
-    quotient_presentation,
-    top_functional,
-)
 from .gale import GaleDiagram, canonical_weights, face_structure
-from .gf2 import format_poly, to_lists
-from .petersen import tor_class
+
+# Names from modules that only some commands run, bound into this module's
+# globals on first use (_bind) or on first access from outside
+# (__getattr__).  Calls still look each name up here, so a wrapper that
+# replaced one stays in place: _bind never overwrites a bound name.
+_DEFERRED = {
+    "cohomology": ("LINEAR_FORM_NAMES", "invariant_profile", "iso_keys",
+                   "quotient_presentation", "top_functional"),
+    "gf2": ("format_poly", "to_lists"),
+    "petersen": ("tor_class",),
+}
+
+
+def _bind(*modules: str) -> None:
+    names = globals()
+    for module in modules:
+        # __import__, not importlib.import_module, so that -X importtime,
+        # which times only the interpreter's own import path, lists it
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)
+        source = sys.modules[qualified]
+        for name in _DEFERRED[module]:
+            if name not in names:
+                names[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Largest facet count accepted by the commands that enumerate characteristic
@@ -112,6 +142,7 @@ def cmd_torclass(args) -> int:
     diagram = _parse_weights(args.weights)
     if diagram.k != 2:
         raise ValueError("Tor-class search requires a pentagon diagram (k = 2)")
+    _bind("petersen")
     members = tor_class(diagram.weights)
     _emit([list(w) for w in members], args.json,
           "\n".join(str(list(w)) for w in members))
@@ -148,6 +179,7 @@ def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
     degree alone and checked against h, per orbit (charmat.orbits), for its
     representative, whose key every member takes (known and fill go to
     iso_keys); no quotient is built."""
+    _bind("cohomology")
     representatives = orbits(fs, blocks)
     distinct = list(dict.fromkeys(representatives))
     functionals = [top_functional(fs, blocks[r], h) for r in distinct]
@@ -158,6 +190,7 @@ def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
 def cmd_cohomology(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
+    _bind("cohomology", "gf2")
     records = []
     for _, block in selected:
         q = quotient_presentation(fs, block)
@@ -177,6 +210,7 @@ def cmd_profile(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
     h = h_vector(diagram)
+    _bind("cohomology")
     profiles = [(i, invariant_profile(top_functional(fs, block, h), fs.n))
                 for i, block in selected]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
@@ -195,8 +229,17 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    keys = {d: _matrix_keys(*_matrices(d), h_vector(d)) for d in dict.fromkeys((d1, d2))}
-    keys_1, keys_2 = keys[d1], keys[d2]
+    h1, h2 = h_vector(d1), h_vector(d2)
+    known: dict = {}
+    keys_1 = _matrix_keys(*_matrices(d1), h1, known)
+    if d2 == d1:  # a diagram compared with itself is keyed once
+        keys_2 = keys_1
+    elif h2 == h1:
+        # h_0..h_n fixes n, so the lists share one {phi: key} map and the
+        # second fills no orbit, as report's last member does
+        keys_2 = _matrix_keys(*_matrices(d2), h2, known, fill=False)
+    else:  # keys carry (n, h): one map per list, and no key matches across
+        keys_2 = _matrix_keys(*_matrices(d2), h2)
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
     matrix = [rows[key] for key in keys_1]
@@ -215,7 +258,10 @@ def cmd_report(args) -> int:
         print(f"refusing: a (2k+1)-gon diagram with k = {diagram.k} supports no "
               "quasitoric manifold (supported iff k <= 3)", file=sys.stderr)
         return 2
-    members = sorted(tor_class(diagram.weights)) if diagram.k == 2 else []
+    members = []
+    if diagram.k == 2:
+        _bind("petersen")
+        members = sorted(tor_class(diagram.weights))
     if args.verify:
         # loaded only here, with its bundled tables: no other command pays
         # for the import

@@ -7,6 +7,7 @@ import pytest
 
 from galerig import fixtures
 from galerig.charmat import (
+    _COMPLETIONS,
     _renormaliser,
     _search_plan,
     enumerate_charmats,
@@ -16,6 +17,7 @@ from galerig.charmat import (
     row_strings,
 )
 from galerig.gale import GaleDiagram, face_structure
+from galerig.gf2 import rank
 
 import oracles
 
@@ -36,6 +38,14 @@ def _oracle_rows(fs, blocks):
 def test_first_listed_block_is_characteristic():
     forms = fixtures.label_blocks("A")["A1"]
     assert is_characteristic(forms, FS_P)
+
+
+def test_completion_table_matches_rank():
+    """Bit c of _COMPLETIONS[a][b], read off a != b and c outside the span
+    {0, a, b, a ^ b}, is set iff the forms a, b, c have rank 3."""
+    assert _COMPLETIONS == tuple(
+        tuple(sum(1 << c for c in range(1, 8) if rank((a, b, c)) == 3) for b in range(8))
+        for a in range(8))
 
 
 def test_equal_columns_on_a_shared_vertex_fail():

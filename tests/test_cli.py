@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, caching, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from galerig.cli import main
 
@@ -221,6 +224,27 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
     assert calls == {"cli.top_functional": 6, "cohomology._orbit": 2}
+
+
+def test_cross_iso_shares_one_key_map_when_n_and_h_agree(monkeypatch, capsys):
+    """iso of two diagrams with one n and one h-vector keys both lists with
+    one {phi: key} map, and the second fills no orbit, as report's last
+    member: 9 fills for the 9 key classes of [3,1,2,1,1], 5 for the 5 of
+    [2,2,2,1,1], not 9 + 5.  Lists of different h keep one map each: the
+    pentagon's 9 and the heptagon's 1."""
+    import galerig.cohomology
+
+    fills = []
+    orbit = galerig.cohomology._orbit
+    monkeypatch.setattr(galerig.cohomology, "_orbit",
+                        lambda *args: fills.append(args) or orbit(*args))
+    for argv, count in ((["iso", "3,1,2,1,1", "2,2,2,1,1"], 9),
+                        (["iso", "2,2,2,1,1", "3,1,2,1,1"], 5),
+                        (["iso", "3,1,2,1,1", "2,2,1,1,1,1,1"], 10)):
+        fills.clear()
+        assert main(argv) == 0
+        assert len(fills) == count, argv
+        assert capsys.readouterr().out.startswith("0 graded isomorphisms"), argv
 
 
 def test_one_shot_commands_build_no_stacked_orbit_table(monkeypatch, capsys):
@@ -553,12 +577,64 @@ def _fresh_modules(code, *argv):
 
 def test_fresh_import_is_lean():
     """A fresh process pays only for what every command uses: the record
-    classes need no dataclasses (which pulls in inspect), and verify, its
-    fixtures and json are imported by the commands that use them."""
+    classes need no dataclasses (which pulls in inspect); verify, its
+    fixtures and json are imported by the commands that use them; and
+    importing the package or galerig.cli runs no cohomology, gf2 or
+    petersen, whose names are resolved on first use."""
     added = set(_fresh_modules("import sys; before = set(sys.modules); import galerig.cli; "
                                "print(*sorted(set(sys.modules) - before))"))
     assert "galerig.cli" in added
-    assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures"}
+    assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures",
+                        "galerig.cohomology", "galerig.gf2", "galerig.petersen"}
+    added = _fresh_modules("import sys; import galerig; "
+                           "print(*sorted(m for m in sys.modules if m.startswith('galerig')))")
+    assert added == ["galerig"]
+
+
+def test_package_and_cli_names_resolve_on_first_access():
+    """Every name in galerig.__all__ is its defining module's object and is
+    listed by dir(galerig), and each name galerig.cli binds on first use
+    resolves from outside to its defining module's object."""
+    import galerig
+    import galerig.cli
+
+    for name in galerig.__all__:
+        obj = getattr(galerig, name)
+        assert obj.__module__.startswith("galerig."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(galerig.__all__) <= set(dir(galerig))
+    for module, names in galerig.cli._DEFERRED.items():
+        source = importlib.import_module(f"galerig.{module}")
+        for name in names:
+            assert getattr(galerig.cli, name) is getattr(source, name), name
+    for package in (galerig, galerig.cli):
+        with pytest.raises(AttributeError):
+            package.no_such_name
+
+
+_WATCHED = ("galerig.cohomology", "galerig.gf2", "galerig.verify", "galerig.fixtures", "json")
+_KEYED = {"galerig.cohomology", "galerig.gf2"}
+
+
+def _loaded_by(*argv):
+    """Which modules of _WATCHED a fresh interpreter has loaded once it has
+    run the command argv."""
+    code = ("import sys; from galerig.cli import main; main(sys.argv[1:]); "
+            f"print('loaded:', *(m for m in {_WATCHED!r} if m in sys.modules))")
+    return set(_fresh_modules(code, *argv)[1:])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["betti", "3,1,2,1,1"], set()),
+    (["betti", "3,1,2,1,1", "--json"], {"json"}),
+    (["torclass", "3,1,2,1,1"], set()),
+    (["charmats", "3,1,2,1,1"], set()),
+    (["iso", "3,1,2,1,1", "2,2,2,1,1"], _KEYED),
+    (["cohomology", "3,1,2,1,1", "--matrix", "1"], _KEYED),
+    (["profile", "3,1,2,1,1", "--matrix", "1"], _KEYED),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    assert _loaded_by(*argv) == loaded
 
 
 def test_fresh_import_without_site_skips_pathlib(tmp_path):
@@ -577,8 +653,10 @@ def test_fresh_import_without_site_skips_pathlib(tmp_path):
 
 
 def test_report_imports_verify_only_under_verify():
-    code = ("import sys; from galerig.cli import main; main(sys.argv[1:]); "
-            "print(*(m in sys.modules for m in ('galerig.verify', 'json')))")
-    assert _fresh_modules(code, "report", "3,1,2,1,1") == ["False", "False"]
-    assert _fresh_modules(code, "report", "3,1,2,1,1", "--verify") == ["True", "True"]
-    assert _fresh_modules(code, "report", "3,1,2,1,1", "--json") == ["False", "True"]
+    """report keys matrices, with cohomology and gf2, only for a class of
+    two or more members: a singleton class or a heptagon loads neither."""
+    assert _loaded_by("report", "3,1,2,1,1") == _KEYED
+    assert _loaded_by("report", "3,1,2,1,1", "--verify") == set(_WATCHED)
+    assert _loaded_by("report", "3,1,2,1,1", "--json") == _KEYED | {"json"}
+    assert _loaded_by("report", "4,4,1,1,1") == set()
+    assert _loaded_by("report", "2,2,1,1,1,1,1") == set()
