@@ -4,7 +4,7 @@ multi-member pentagon Tor class of total <= 13 and of each canonical
 heptagon of total <= 12 (95 + 72 diagrams, 1,978 representatives, 2,270
 under the same-label permutations alone), the forward pass of
 elimination over the top-degree products that cohomology.top_functional
-hands to gf2.hyperplane_functional keeps one row per lowest bit and spans
+hands to gf2.hyperplane_functional keeps one row per highest bit and spans
 what the pivot-scanning elimination of tests/oracles.py spans on the same
 rows, phi read off that pass equals phi read off the oracle's reduced
 echelon rows, the catalecticants of phi sliced off the stacked
@@ -50,11 +50,14 @@ def test_key_kernels_agree_with_oracles(weights, monkeypatch):
     eliminations = []
     reader, forward = galerig.cohomology.hyperplane_functional, galerig.gf2._forward
 
-    def checked_forward(rows):
+    def checked_forward(rows, width):
         rows = list(rows)
-        basis = forward(rows)
-        assert all(row & -row == low for low, row in basis.items())
-        assert oracles.echelon_by_scan(basis.values()) == oracles.echelon_by_scan(rows)
+        basis = forward(rows, width)
+        # entry b holds the one row whose highest bit is column b - 1, or 0
+        assert len(basis) == width + 1 and not basis[0]
+        assert all(row.bit_length() == top for top, row in enumerate(basis) if row)
+        assert (oracles.echelon_by_scan([row for row in basis if row])
+                == oracles.echelon_by_scan(rows))
         eliminations.append(len(rows))
         return basis
 

@@ -29,9 +29,13 @@ _COMPLETIONS = tuple(
 )
 
 
+# _ROW_STRINGS[f]: the form f spelled as its x, y, z bits.
+_ROW_STRINGS = ("000", "100", "010", "110", "001", "101", "011", "111")
+
+
 def row_strings(forms: Sequence[int]) -> list[str]:
     """Rows of the completion block, i.e. the forms spelled as x, y, z bits."""
-    return ["".join(str((f >> j) & 1) for j in range(3)) for f in forms]
+    return [_ROW_STRINGS[f] for f in forms]
 
 
 def forms_from_rows(rows: Sequence[str]) -> tuple[int, ...]:
@@ -45,11 +49,14 @@ def is_characteristic(forms: Sequence[int], fs: FaceStructure) -> bool:
     """Whether the forms off every vertex of the polytope are a basis."""
     if len(forms) != fs.n:
         raise ValueError("matrix shape does not match the face structure")
-    if any(not isinstance(f, int) or not 1 <= f <= 7 for f in forms):
-        raise ValueError("forms must be nonzero vectors in GF(2)^3")
+    for f in forms:
+        if not isinstance(f, int) or not 1 <= f <= 7:
+            raise ValueError("forms must be nonzero vectors in GF(2)^3")
     full = tuple(forms) + VARIABLES
-    return all((_COMPLETIONS[full[a]][full[b]] >> full[c]) & 1
-               for a, b, c in fs.vertex_complements)
+    for a, b, c in fs.vertex_complements:
+        if not (_COMPLETIONS[full[a]][full[b]] >> full[c]) & 1:
+            return False
+    return True
 
 
 def _search_plan(fs: FaceStructure):

@@ -205,7 +205,7 @@ def codim(form: int, q: GradedQuotient) -> int:
     for d in range(1, q.n):
         rows = [q.ideal.reduce(d + 1, times_form(1 << c, d, form))
                 for c in range(monomial_count(3, d))]
-        if len(rows) - rank(rows) > q.ideal.dimension(d):
+        if len(rows) - rank(rows, monomial_count(3, d + 1)) > q.ideal.dimension(d):
             return d
     # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
@@ -237,12 +237,13 @@ def invariant_profile(phi: int, n: int) -> dict:
     the degree-d monomials in Cat_(d+1)), have rank below h_d.
     """
     pairings = _catalecticants(phi, n, n - 1)
-    h = [rank(pairing) for pairing in pairings]
+    h = [rank(pairing, monomial_count(3, n - d)) for d, pairing in enumerate(pairings)]
     codims, ords = [], []
     for form in LINEAR_FORMS:
         for d in range(1, n):
             tables = _contraction_tables(n - d, form)
-            if rank([table_image(row, tables) for row in pairings[d]]) < h[d]:
+            contracted = [table_image(row, tables) for row in pairings[d]]
+            if rank(contracted, monomial_count(3, n - d - 1)) < h[d]:
                 codims.append(d)
                 break
         else:
@@ -371,7 +372,8 @@ def check_inverse_system(phi: int, n: int, h: Sequence[int]):
     every h_d is compared with its rank.  Cat_0..Cat_(n//2) are sliced off
     one lookup of phi in the stacked table of the lower half of n
     (_catalecticants)."""
-    ranks = [rank(pairing) for pairing in _catalecticants(phi, n, n // 2)]
+    ranks = [rank(pairing, monomial_count(3, n - d))
+             for d, pairing in enumerate(_catalecticants(phi, n, n // 2))]
     ranks += ranks[:(n + 1) // 2][::-1]
     for d, (r, h_d) in enumerate(zip(ranks, h)):
         if r != h_d:

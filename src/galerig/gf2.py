@@ -15,18 +15,28 @@ Conventions:
       ``product_index`` (below).
 
 Two kernels carry the hot loops.  ``echelon``, the package's one
-elimination routine, keeps each row under its lowest set bit: a forward
-pass reduces every incoming row by the row stored under its lowest bit
-until that bit is new or the row is zero, and a back-substitution clears
-the pivot columns through a mask (``rank``, and ``hyperplane_functional``,
-which reads the functional vanishing on a hyperplane, use the forward
-pass alone).  A linear map applied many times is turned into
-``byte_tables``, one 256-entry table of the images of every byte per 8
-columns, after the "Four Russians" tables of M4RI (Albrecht, Bard and
-Hart, ACM TOMS 37, 2010), and ``table_image`` applies it with one lookup
-per byte of the vector instead of one XOR per set bit.  A map with very
-wide images takes 16-entry tables per 4 columns instead, to bound their
-memory (``galerig.cohomology``'s stacked orbit tables).
+reduced-echelon routine, keeps each row under its lowest set bit: a
+forward pass reduces every incoming row by the row stored under its lowest
+bit until that bit is new or the row is zero, and a back-substitution
+clears the pivot columns through a mask.  ``rank``, and
+``hyperplane_functional``, which reads the functional vanishing on a
+hyperplane, run a forward pass of their own (``_forward``) that keeps each
+row under its highest set bit instead, in a list indexed by the row's
+``bit_length`` and sized from the row width.  The two pivot orders differ
+because only echelon's rows are seen: its reduced rows, pivots ascending,
+are the unique form that ``GradedSubspace`` compares and that ``galerig
+cohomology --json`` prints (the goldens pin them), and reduced rows under
+highest-bit pivots are another basis.  Rank and the functional show no
+rows, so they take the cheaper pass: ``bit_length`` is one call that gives
+a list index, where the lowest bit costs a negation and an AND, each a new
+int as wide as the row, and a dict lookup; the functional then reads
+upward from the one column without a pivot.  A linear map applied many
+times is turned into ``byte_tables``, one 256-entry table of the images
+of every byte per 8 columns, after the "Four Russians" tables of M4RI
+(Albrecht, Bard and Hart, ACM TOMS 37, 2010), and ``table_image`` applies
+it with one lookup per byte of the vector instead of one XOR per set bit.
+A map with very wide images takes 16-entry tables per 4 columns instead,
+to bound their memory (``galerig.cohomology``'s stacked orbit tables).
 
 Monomials are multiplied in one place, ``product_index``, the cached
 table of the column of each product of two monomials; multiplication by a
@@ -48,10 +58,45 @@ Monomial = tuple[int, ...]
 # bit-packed row reduction
 
 
-def _forward(rows: Iterable[int]) -> dict[int, int]:
-    """Forward pass of echelon: {lowest bit: row}, each row reduced by the
-    row stored under its lowest set bit until that bit is new or the row is
-    zero, so the stored rows have distinct lowest bits (the pivots)."""
+def _forward(rows: Iterable[int], width: int) -> list[int]:
+    """Forward pass of rank and hyperplane_functional: entry b is the stored
+    row whose highest set bit is column b - 1 (its bit_length is b), or 0,
+    for b = 0..width.  Each incoming row is reduced by the row stored under
+    its highest bit until that bit is new or the row is zero, so the stored
+    rows have distinct highest bits (the pivots).  Raises ValueError for a
+    row with a bit at or above width, whose index the list does not hold."""
+    basis = [0] * (width + 1)
+    try:
+        for row in rows:
+            while row:
+                top = row.bit_length()
+                pivot_row = basis[top]
+                if not pivot_row:
+                    basis[top] = row
+                    break
+                row ^= pivot_row
+    except IndexError:
+        raise ValueError(f"a row has a bit at or above column {width}") from None
+    return basis
+
+
+def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows: the one reduced-echelon
+    routine of the package.
+
+    Returns (pivots, reduced_rows) with pivot columns strictly increasing and
+    zero rows dropped.  Each row's pivot is its lowest set bit, and every
+    pivot column is cleared in all other rows, so a vector is reduced by one
+    pass over the pivots, in any order; this form of a row space is unique.
+
+    The forward pass reduces every incoming row by the row stored under its
+    lowest set bit until that bit is new or the row is zero.  Then
+    back-substitution runs from the highest pivot down: a row can only hold
+    pivot bits above its own, each such bit is cleared by the already
+    reduced row of that pivot, and a reduced row brings in no other pivot
+    bit, so the bits to clear are read off once through the mask of the
+    pivots above.
+    """
     basis: dict[int, int] = {}
     for row in rows:
         while row:
@@ -61,25 +106,6 @@ def _forward(rows: Iterable[int]) -> dict[int, int]:
                 basis[low] = row
                 break
             row ^= pivot_row
-    return basis
-
-
-def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows: the one GF(2)
-    elimination routine of the package.
-
-    Returns (pivots, reduced_rows) with pivot columns strictly increasing and
-    zero rows dropped.  Each row's pivot is its lowest set bit, and every
-    pivot column is cleared in all other rows, so a vector is reduced by one
-    pass over the pivots, in any order; this form of a row space is unique.
-
-    After the forward pass, back-substitution runs from the highest pivot
-    down: a row can only hold pivot bits above its own, each such bit is
-    cleared by the already reduced row of that pivot, and a reduced row
-    brings in no other pivot bit, so the bits to clear are read off once
-    through the mask of the pivots above.
-    """
-    basis = _forward(rows)
     lows = sorted(basis)
     mask = 0
     for low in reversed(lows):
@@ -94,29 +120,34 @@ def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [low.bit_length() - 1 for low in lows], [basis[low] for low in lows]
 
 
-def rank(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows: the forward pass of echelon alone."""
-    return len(_forward(rows))
+def rank(rows: Iterable[int], width: int) -> int:
+    """Rank of bit-packed rows on width columns: the count of pivots of the
+    highest-bit forward pass (_forward).  Raises ValueError for a row with
+    a bit at or above width."""
+    return width + 1 - _forward(rows, width).count(0)
 
 
 def hyperplane_functional(rows: Iterable[int], width: int) -> int:
     """The functional phi on width columns, as a bit vector, whose kernel
-    the rows span, read off the forward pass of echelon.
+    the rows span, read off the highest-bit forward pass (_forward).
 
     The forward basis leaves one column c0 without a pivot, and phi(c0) =
-    1.  Then each pivot p, from the highest down, gets the parity of phi on
-    its row: the row has no bit below p, and every bit above p is c0 or a
-    pivot already read, so phi(row) = 0 fixes phi(p).  No back-substitution
-    runs; reduced echelon rows are their own forward basis.  Raises
-    ValueError unless the rows span a hyperplane.
+    1.  A pivot p below c0 has a row whose bits are p and pivots below p, so
+    phi(p) = 0 from the lowest up.  Then each pivot p above c0, from c0
+    upward, gets the parity of phi on its row: the row has no bit above p,
+    and every bit below p is c0 or a pivot already read, so phi(row) = 0
+    fixes phi(p).  No back-substitution runs.  Raises ValueError unless the
+    rows span a hyperplane and have no bit at or above width.
     """
-    basis = _forward(rows)
-    if width - len(basis) != 1:
-        raise ValueError(f"the rows span corank {width - len(basis)} in {width} columns, not 1")
-    phi = ((1 << width) - 1) ^ sum(basis)  # the lowest bits are distinct powers of two
-    for low in sorted(basis, reverse=True):
-        if (phi & basis[low]).bit_count() & 1:
-            phi |= low
+    basis = _forward(rows, width)
+    corank = basis.count(0) - 1  # entry 0 holds no row
+    if corank != 1:
+        raise ValueError(f"the rows span corank {corank} in {width} columns, not 1")
+    free = basis.index(0, 1)
+    phi = 1 << (free - 1)
+    for top in range(free + 1, width + 1):
+        if (phi & basis[top]).bit_count() & 1:
+            phi |= 1 << (top - 1)
     return phi
 
 

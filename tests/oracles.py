@@ -571,7 +571,7 @@ def poincare_nondegenerate(q) -> bool:
                 if (reduced >> top_column) & 1:
                     row |= 1 << pos
             rows.append(row)
-        if rank(rows) < len(rows):
+        if rank(rows, len(right)) < len(rows):
             return False
     return True
 
@@ -594,7 +594,7 @@ def codim_on_cosets(form: int, q) -> int:
     between the coset bases of degrees d and d+1, has a nonzero kernel."""
     for d in range(1, q.n):
         rows = _mult_matrix(q, form, d)
-        if rank(rows) < len(rows):
+        if rank(rows, q.hilbert[d + 1]) < len(rows):
             return d
     raise RuntimeError("no annihilated degree found; quotient is malformed")
 
@@ -786,13 +786,13 @@ def profile_by_products(phi: int, n: int) -> dict:
     at which the pairings of form times the degree-d monomials have rank
     below h_d, the rank of Cat_d."""
     pairings = [catalecticant_by_bits(phi, n, d) for d in range(n + 1)]
-    h = [rank(pairing) for pairing in pairings]
+    h = [rank(pairing, monomial_count(3, n - d)) for d, pairing in enumerate(pairings)]
     codims, ords = [], []
     for form in LINEAR_FORMS:
         for d in range(1, n):
             images = [image(times_form(1 << c, d, form), pairings[d + 1])
                       for c in range(monomial_count(3, d))]
-            if rank(images) < h[d]:
+            if rank(images, monomial_count(3, n - d - 1)) < h[d]:
                 codims.append(d)
                 break
         else:

@@ -44,7 +44,7 @@ def test_completion_table_matches_rank():
     """Bit c of _COMPLETIONS[a][b], read off a != b and c outside the span
     {0, a, b, a ^ b}, is set iff the forms a, b, c have rank 3."""
     assert _COMPLETIONS == tuple(
-        tuple(sum(1 << c for c in range(1, 8) if rank((a, b, c)) == 3) for b in range(8))
+        tuple(sum(1 << c for c in range(1, 8) if rank((a, b, c), 3) == 3) for b in range(8))
         for a in range(8))
 
 
@@ -248,7 +248,7 @@ def test_renormaliser_sends_each_basis_to_the_variables():
     from galerig.cohomology import gl3
     from galerig.gf2 import image, rank
 
-    bases = [b for b in permutations(range(1, 8), 3) if rank(b) == 3]
+    bases = [b for b in permutations(range(1, 8), 3) if rank(b, 3) == 3]
     assert len(bases) == 168
     for basis in bases:
         rows = next(g for g in gl3() if all(image(u, g) == 1 << j for j, u in enumerate(basis)))
@@ -269,3 +269,8 @@ def test_matrix_json_round_trip():
 def test_block_row_strings_match_fixture_encoding():
     rows = fixtures.matrix_lists()["A"][0]
     assert row_strings(forms_from_rows(rows)) == rows
+
+
+def test_row_string_table_spells_each_form_bit_by_bit():
+    forms = tuple(range(1, 8))
+    assert row_strings(forms) == ["".join(str((f >> j) & 1) for j in range(3)) for f in forms]

@@ -217,7 +217,7 @@ def test_gl3_has_168_elements():
     assert (1, 2, 4) in gl3()  # identity
     # distinct, ascending, and every element invertible by elimination
     assert list(gl3()) == sorted(set(gl3()))
-    assert all(rank(rows) == 3 for rows in gl3())
+    assert all(rank(rows, 3) == 3 for rows in gl3())
 
 
 def test_iso_between_matrices_sharing_a_row():

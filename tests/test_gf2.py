@@ -47,17 +47,17 @@ def _packed(dense):
 def test_rref_identity():
     pivots, reduced = echelon(_packed([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert pivots == [0, 1, 2] and reduced == [1, 2, 4]
-    assert rank([1, 2, 4]) == 3
+    assert rank([1, 2, 4], 3) == 3
 
 
 def test_rref_zero():
     assert echelon([0, 0]) == ([], [])
-    assert rank([0, 0]) == 0
+    assert rank([0, 0], 1) == 0
 
 
 def test_rref_rank_one():
     assert echelon(_packed([[1, 1], [1, 1]])) == ([0], [0b11])
-    assert rank(_packed([[1, 1], [1, 1]])) == 1
+    assert rank(_packed([[1, 1], [1, 1]]), 2) == 1
 
 
 def test_rref_involutive_on_reduced():
@@ -71,7 +71,7 @@ def test_rref_involutive_on_reduced():
 def test_rank_invariant_under_row_permutation(dense, rng):
     shuffled = list(dense)
     rng.shuffle(shuffled)
-    assert rank(_packed(dense)) == rank(_packed(shuffled))
+    assert rank(_packed(dense), 4) == rank(_packed(shuffled), 4)
     # a reduced basis: every pivot column is cleared in every other row
     pivots, reduced = echelon(_packed(dense))
     assert all(((row >> p) & 1) == (i == j)
@@ -80,20 +80,29 @@ def test_rank_invariant_under_row_permutation(dense, rng):
 
 @st.composite
 def row_lists(draw):
-    """Up to 40 rows over at most 90 columns, then up to 10 sums of two of
-    them, so that some rows reduce to zero."""
-    width = draw(st.integers(1, 90))
+    """(rows, width): up to 40 rows over at most 190 columns, C(20, 2), the
+    top degree at n = 18, then up to 10 sums of two of them, so that some
+    rows reduce to zero."""
+    width = draw(st.integers(1, 190))
     rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
     sums = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=10))
-    return rows + [rows[i] ^ rows[j] for i, j in sums if i < len(rows) and j < len(rows)]
+    return rows + [rows[i] ^ rows[j] for i, j in sums if i < len(rows) and j < len(rows)], width
 
 
 @given(row_lists())
 @settings(max_examples=300)
-def test_echelon_and_rank_equal_the_pivot_scan(rows):
+def test_echelon_and_rank_equal_the_pivot_scan(rows_and_width):
+    rows, width = rows_and_width
     expected = echelon_by_scan(rows)
     assert echelon(rows) == expected
-    assert rank(rows) == len(expected[1])
+    assert rank(rows, width) == len(expected[1])
+
+
+def test_rank_refuses_rows_wider_than_its_width():
+    assert rank([0b111], 3) == 1
+    for rows in ([1 << 3], [1, 2, 1 << 10]):
+        with pytest.raises(ValueError, match="at or above column 3"):
+            rank(rows, 3)
 
 
 def test_table_image_is_the_image():
@@ -135,14 +144,15 @@ def _kernel_rows(phi: int, width: int, rng) -> list[int]:
 
 def test_hyperplane_functional_is_the_annihilator():
     # the forward basis of any spanning set of a hyperplane, dependent
-    # rows included, gives back the one functional that vanishes on it
+    # rows included, gives back the one functional that vanishes on it, on
+    # up to 190 columns, the top degree at n = 18
     rng = random.Random(4)
-    for width in range(1, 92, 7):
+    for width in range(1, 191, 7):
         for phi in [1, (1 << width) - 1] + [rng.getrandbits(width) | 1 << rng.randrange(width)
                                              for _ in range(8)]:
             rows = _kernel_rows(phi, width, rng)
             assert hyperplane_functional(rows, width) == phi, (width, phi)
-            # reduced echelon rows are their own forward basis
+            # echelon's lowest-bit reduced rows, as quotient_functional hands them
             assert hyperplane_functional(echelon(rows)[1], width) == phi, (width, phi)
 
 
@@ -152,6 +162,14 @@ def test_hyperplane_functional_refuses_other_coranks():
         for rows in ([1 << c for c in range(width)], [1 << c for c in range(2, width)]):
             with pytest.raises(ValueError, match="corank"):
                 hyperplane_functional(rows, width)
+
+
+def test_hyperplane_functional_refuses_rows_wider_than_its_width():
+    # the kernel of x on 3 columns, then one row with bit 3 set
+    assert hyperplane_functional([0b010, 0b100], 3) == 0b001
+    for rows in ([0b010, 0b100, 1 << 3], [1 << 3, 0b010]):
+        with pytest.raises(ValueError, match="at or above column 3"):
+            hyperplane_functional(rows, 3)
 
 
 # ---------------------------------------------------------------------------
