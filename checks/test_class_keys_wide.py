@@ -4,9 +4,12 @@ counts that `galerig report W --json` prints, where the members share one
 {phi: key} map and the last member fills no GL(3, GF(2)) orbit, equal the
 counts from each member's own galerig.cli._matrix_keys with no shared map,
 and the report counts exactly the orbit fills of its members but the last.
+Both report and iso key through galerig.cli._class_keys, so for every pair
+the count line of `galerig iso LEFT RIGHT` equals the report's
+isomorphisms_found, and its rows x columns equal the report's checked.
 Too many diagrams for tier-1, so this sits outside tier-1's testpaths.
 
-Runtime: about 2.3 s on a 2-core x86 VM under Python 3.11, pytest's
+Runtime: about 1.6 s on a 2-core x86 VM under Python 3.11, pytest's
 start-up included.
 
 Run from the repository root:  python3 -m pytest checks/test_class_keys_wide.py
@@ -62,3 +65,11 @@ def test_shared_class_keys_give_the_unshared_pair_counts(members, capsys, monkey
     # found again and each member but the last fills each of its classes
     assert sum(expected) == 0
     assert len(calls) == sum(fills[:-1])
+    # iso of each pair, keyed through the same _class_keys, prints the
+    # report's count over the report's checked pairs
+    for pair in report["pairs"]:
+        assert main(["iso", *(",".join(map(str, pair[side])) for side in ("left", "right"))]) == 0
+        count, _, _, _, grid, _ = capsys.readouterr().out.splitlines()[0].split()
+        rows, columns = map(int, grid.split("x"))
+        assert int(count) == pair["isomorphisms_found"]
+        assert pair["checked"] == rows * columns

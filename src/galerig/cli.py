@@ -11,13 +11,11 @@ per orbit of matrices under the automorphisms of the polytope, the
 same-label facet permutations and the weight-preserving symmetries of the
 polygon (charmat.orbits), each read off its representative's top degree
 (cohomology.top_functional), and every matrix takes its orbit's key.
-report keys a Tor class in one pass, its members in sorted order sharing
-one h-vector, since they share one Betti table, and one {phi: key} map:
-each member but the last fills the GL(3, GF(2)) orbit of each of its key
-classes not yet in the map, and the last fills none, since a phi missing
-there matches no earlier member and no pair count reads its key.  iso
-shares one map the same way when its two diagrams have one h-vector, the
-second filling none.  Only cohomology and report --verify build quotients.
+_class_keys keys the members of a Tor class (report, through classify)
+or iso's one or two diagrams in one pass and owns the rule for sharing
+the {phi: key} map; classify turns the keys into the record report
+prints, with the verdict.  Only cohomology and report --verify build
+quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
@@ -40,6 +38,7 @@ import os
 import sys
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 from .betti import betti_table, h_vector, supports_quasitoric
 from .charmat import enumerate_charmats, orbits, row_strings
@@ -187,6 +186,61 @@ def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
     return [key[r] for r in representatives]
 
 
+def _class_keys(matrices) -> dict:
+    """The isomorphism key of each matrix, in list order, per member of
+    matrices (weights -> (face structure, matrices)), each member keyed
+    against its own h-vector.  Members of one h-vector share one {phi: key}
+    map, and each fills the GL(3, GF(2)) orbit of each of its key classes
+    not yet in it, but the last member fills none when an earlier one has
+    its h-vector: a phi missing from the map then matches no other member's
+    key, and its key is None, which equals no key.  So only the last member
+    can have None keys, and a member alone in its h-vector fills its own
+    map."""
+    h = {w: h_vector(GaleDiagram(w)) for w in matrices}
+    *_, last = matrices
+    shared = list(h.values()).count(h[last]) > 1
+    maps = {hw: {} for hw in h.values()}
+    return {w: _matrix_keys(fs, blocks, h[w], maps[h[w]], w != last or not shared)
+            for w, (fs, blocks) in matrices.items()}
+
+
+def classify(matrices) -> dict:
+    """The rigidity record of a Tor class, given each member's weights ->
+    (face structure, characteristic matrices) in the class's order: per
+    member its matrix count, per pair of members the matrix pairs checked
+    and the graded isomorphisms found (pairs with equal keys), and the
+    verdict.  A singleton class is B-rigid, hence C-rigid, by its matrix
+    count alone, so matrices are keyed (_class_keys) only for two or more
+    members.
+
+    What the verdict means.  The integral cohomology of a quasitoric
+    manifold is torsion-free, so an isomorphism of the integral cohomology
+    rings of quasitoric manifolds over two members reduces mod 2 to one of
+    their quotients: zero mod-2 cross isomorphisms imply zero integral
+    ones, NOT-B-RIGID; C-RIGID-WITHIN-CLASS.  A mod-2 isomorphism found gives no
+    integral one, so NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND decides
+    nothing about C-rigidity.  The quotient of a mod-2 characteristic matrix
+    is H*(small cover; Z/2) of the small cover it defines
+    (Davis-Januszkiewicz, Duke Math. J. 62 (1991)), so for the small covers
+    over a class the keys decide Z/2-cohomology isomorphism both ways."""
+    members = list(matrices)
+    counts = [len(blocks) for _, blocks in matrices.values()]
+    keys = [Counter(k) for k in _class_keys(matrices).values()] if len(members) > 1 else []
+    pairs = [{"left": list(members[i]), "right": list(members[j]),
+              "checked": counts[i] * counts[j],
+              "isomorphisms_found": sum(c * keys[j][key] for key, c in keys[i].items())}
+             for i, j in combinations(range(len(members)), 2)]
+    if len(members) == 1:
+        verdict = "B-RIGID-WITHIN-FAMILY"
+    elif any(p["isomorphisms_found"] for p in pairs):
+        verdict = "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
+    else:
+        verdict = "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+    return {"members": [{"weights": list(w), "charmat_count": c}
+                        for w, c in zip(members, counts)],
+            "pairs": pairs, "verdict": verdict}
+
+
 def cmd_cohomology(args) -> int:
     diagram = _enumerable(_parse_weights(args.weights))
     fs, selected = _selected_matrices(diagram, args.matrix)
@@ -229,17 +283,9 @@ def cmd_profile(args) -> int:
 def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
-    h1, h2 = h_vector(d1), h_vector(d2)
-    known: dict = {}
-    keys_1 = _matrix_keys(*_matrices(d1), h1, known)
-    if d2 == d1:  # a diagram compared with itself is keyed once
-        keys_2 = keys_1
-    elif h2 == h1:
-        # h_0..h_n fixes n, so the lists share one {phi: key} map and the
-        # second fills no orbit, as report's last member does
-        keys_2 = _matrix_keys(*_matrices(d2), h2, known, fill=False)
-    else:  # keys carry (n, h): one map per list, and no key matches across
-        keys_2 = _matrix_keys(*_matrices(d2), h2)
+    # a diagram compared with itself is enumerated and keyed once
+    keys = _class_keys({d.weights: _matrices(d) for d in dict.fromkeys((d1, d2))})
+    keys_1, keys_2 = keys[d1.weights], keys[d2.weights]
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
     matrix = [rows[key] for key in keys_1]
@@ -297,45 +343,13 @@ def cmd_report(args) -> int:
             path = os.path.join(args.cache, f"{'-'.join(map(str, w))}.charmats.json")
             with open(path, "w") as f:
                 f.write(json.dumps(record, indent=2, sort_keys=True))
-    member_info = [{"weights": list(w), "charmat_count": len(matrices[w][1])} for w in members]
-
-    # A singleton class is B-rigid by its matrix count alone, so matrices are
-    # keyed only when there is a pair to compare: per member, how many
-    # matrices have each key, the last member filling no orbit (module
-    # docstring).  The members share one Betti table, hence one h-vector.
-    known: dict = {}
-    keys = []
-    if len(members) > 1:
-        h = h_vector(diagram)
-        keys = [Counter(_matrix_keys(*matrices[w], h, known, w != members[-1]))
-                for w in members]
-
-    pairs = []
-    total_found = 0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            found = sum(count * keys[j][key] for key, count in keys[i].items())
-            total_found += found
-            pairs.append({
-                "left": list(members[i]),
-                "right": list(members[j]),
-                "checked": member_info[i]["charmat_count"] * member_info[j]["charmat_count"],
-                "isomorphisms_found": found,
-            })
-
-    if len(members) == 1:
-        verdict = "B-RIGID-WITHIN-FAMILY"
-    elif total_found == 0:
-        verdict = "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
-    else:
-        verdict = "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
-
-    report.update(tor_class=[list(w) for w in members], members=member_info,
-                  pairs=pairs, verdict=verdict)
+    report.update(tor_class=[list(w) for w in members], **classify(matrices))
+    pairs = report["pairs"]
 
     exit_code = 0
     if args.verify:
-        report["verification"] = verify.run_verification(total_found, matrices)
+        found = sum(p["isomorphisms_found"] for p in pairs)
+        report["verification"] = verify.run_verification(found, matrices)
         if not report["verification"]["passed"]:
             exit_code = 1
 
@@ -346,7 +360,7 @@ def cmd_report(args) -> int:
         "supports quasitoric manifolds",
         f"Tor-class members: {len(members)}",
     ]
-    for info in member_info:
+    for info in report["members"]:
         text.append(f"  {info['weights']}: {info['charmat_count']} characteristic matrices")
     if pairs:
         text.append("cross comparisons:")
@@ -365,7 +379,7 @@ def cmd_report(args) -> int:
         for d in v["profile_discrepancies"]:
             text.append(f"  table {d['table']} row {d['row']} column {d['column']}: "
                         f"published {d['paper_value']}, computed {d['computed_value']}")
-    text.append(f"verdict: {verdict}")
+    text.append(f"verdict: {report['verdict']}")
     _emit(report, args.json, "\n".join(text))
     return exit_code
 

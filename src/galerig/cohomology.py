@@ -47,8 +47,9 @@ process has filled w = monomial_count(3, n) orbits of one n this way, it
 builds the stacked table of n, the 168 images of each monomial functional
 side by side (_orbit_table), from w more such fills, and every later
 orbit of n is one lookup per 4 bits of phi.  An orbit is
-filled once and remembered phi by phi, in a map that the members of a
-Tor class share (galerig.cli), whose last member only looks up.
+filled once and remembered phi by phi, in a map that the members of one
+h-vector share; galerig.cli._class_keys owns that rule, under which the
+last of them only looks up.
 find_graded_iso certifies its witness against two saturated quotients'
 full ideals.
 Nor need every matrix be keyed: the matrices of one orbit under the
@@ -569,10 +570,10 @@ def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],
     """(n, h, least phi o g over GL(3, GF(2))) per socle functional phi on
     S_n, in order: equal iff the quotients are isomorphic (module
     docstring), given one h-vector h for the list.  known, which lists of
-    one n and h may share, maps each phi of every orbit filled so far to
-    its key; any other phi has its orbit filled along the word tree
-    (_word_tree) and added to known, or, with fill=False, gets None, which
-    equals no key."""
+    one n and h may share (galerig.cli._class_keys decides which do), maps
+    each phi of every orbit filled so far to its key; any other phi has its
+    orbit filled along the word tree (_word_tree) and added to known, or,
+    with fill=False, gets None, which equals no key."""
     known = {} if known is None else known
     keys = []
     for phi in functionals:

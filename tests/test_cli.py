@@ -289,6 +289,44 @@ def test_report_verdict_when_a_pair_is_isomorphic(monkeypatch, capsys):
         "verdict: NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
 
 
+def test_classify_gives_each_verdict(monkeypatch, capsys):
+    """classify, called on the matrices directly: a singleton class is
+    settled by its matrix count with no functional read and no orbit
+    filled; the flagship class finds none of its 441 pairs isomorphic; and
+    a synthetic class, the matrices of [2,2,2,1,1] under two weights,
+    finds as many as iso of [2,2,2,1,1] with itself."""
+    import galerig.cli
+    import galerig.cohomology
+    from galerig.cli import _matrices, classify
+    from galerig.gale import GaleDiagram
+
+    calls = Counter()
+    for module, name in ((galerig.cli, "top_functional"), (galerig.cohomology, "_orbit")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+
+    record = classify({(4, 4, 1, 1, 1): _matrices(GaleDiagram((4, 4, 1, 1, 1)))})
+    assert record == {"members": [{"weights": [4, 4, 1, 1, 1], "charmat_count": 159}],
+                      "pairs": [], "verdict": "B-RIGID-WITHIN-FAMILY"}
+    assert calls == {}
+
+    flagship = [(2, 2, 2, 1, 1), (3, 1, 2, 1, 1)]
+    record = classify({w: _matrices(GaleDiagram(w)) for w in flagship})
+    assert record["pairs"] == [{"left": [2, 2, 2, 1, 1], "right": [3, 1, 2, 1, 1],
+                                "checked": 441, "isomorphisms_found": 0}]
+    assert record["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+
+    assert main(["iso", "2,2,2,1,1", "2,2,2,1,1"]) == 0
+    self_isos = int(capsys.readouterr().out.split()[0])
+    same = _matrices(GaleDiagram(flagship[0]))
+    record = classify(dict.fromkeys(flagship, same))
+    [pair] = record["pairs"]
+    assert (pair["checked"], pair["isomorphisms_found"]) == (441, self_isos)
+    assert self_isos > 0
+    assert record["verdict"] == "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
+
+
 def test_parser_is_built_once_and_leaks_no_flag(capsys):
     """main reuses one parser per process; each call still prints what a
     fresh process prints, with an exit-2 call between any two, so no flag

@@ -585,9 +585,10 @@ def test_shared_key_map_counts_the_pairs_of_unshared_keys(monkeypatch):
     reaches (none has a cross isomorphism), on a synthetic two-member class:
     the orbit representatives' functionals of (2,2,2,1,1), then each of them
     composed with an element of GL(3,2) together with those of (3,1,2,1,1),
-    which match none.  Keyed as report keys a class, through one shared map
-    that the last member only looks up in, every pair count equals the one
-    from unshared iso_keys per member, and the last member fills no orbit."""
+    which match none.  Keyed as galerig.cli._class_keys keys a class,
+    through one shared map that the last member only looks up in, every
+    pair count equals the one from unshared iso_keys per member, and the
+    last member fills no orbit."""
     h = h_vector(Q)
     assert h_vector(P) == h
 
