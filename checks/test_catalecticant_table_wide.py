@@ -43,7 +43,7 @@ def _table_bytes(n: int, upper: bool) -> int:
 
 @pytest.mark.parametrize("n", range(2, 18))
 def test_stacked_catalecticants_are_the_bitwise_pairings(n):
-    width = monomial_count(3, n)
+    width = monomial_count(n)
     rng = random.Random(n)
     try:
         for phi in [1, 1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width)

@@ -42,7 +42,7 @@ def _table_bytes(n: int) -> int:
 
 @pytest.mark.parametrize("n", range(2, 18))
 def test_stacked_orbit_is_the_generator_closure(n, monkeypatch):
-    width = monomial_count(3, n)
+    width = monomial_count(n)
     monkeypatch.setattr(galerig.cohomology, "_chained_fills", {n: width})
     rng = random.Random(n)
     for phi in [1, 1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width)

@@ -12,7 +12,7 @@ import sys
 # defining module of each exported name
 _EXPORTS = {
     "gale": ("GaleDiagram", "FaceStructure", "canonical_weights", "face_structure",
-             "facet_labels", "origin_in_hull"),
+             "origin_in_hull"),
     "betti": ("beta_first_row", "betti_table", "h_vector", "supports_quasitoric",
               "window_sums"),
     "petersen": ("five_cycles", "petersen_labels", "tor_class"),

@@ -1,13 +1,14 @@
 """Mod-2 characteristic matrices over a face structure, on the Gale dual.
 
-Facets are the 0-based positions of galerig.gale.facet_labels.  A
-characteristic matrix is [I_n | B] with n x 3 block B; its kernel is
-spanned by the rows of [B; I_3], so the matrix is the same thing as one
-nonzero linear form in x, y, z per facet: row i of B for a leading facet
-i < n, and x, y, z for facets n, n+1, n+2.  A matrix is held as the
-n-tuple of leading forms, entry i being facet i's form with bit j standing
-for variable j of (x, y, z).  It is characteristic iff, for every vertex,
-the forms of the three facets off that vertex form a basis of GF(2)^3;
+Facets are the 0-based positions of the facet order of
+galerig.gale.face_structure (FaceStructure.labels).  A characteristic
+matrix is [I_n | B] with n x 3 block B; its kernel is spanned by the rows
+of [B; I_3], so the matrix is the same thing as one nonzero linear form in
+x, y, z per facet: row i of B for a leading facet i < n, and x, y, z for
+facets n, n+1, n+2.  A matrix is held as the n-tuple of leading forms,
+entry i being facet i's form with bit j standing for variable j of (x, y,
+z).  It is characteristic iff, for every vertex, the forms of the three
+facets off that vertex form a basis of GF(2)^3;
 FaceStructure.vertex_complements lists those triples.
 """
 

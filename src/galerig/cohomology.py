@@ -42,16 +42,17 @@ iso_keys fills an orbit along a breadth-first word tree of GL(3, GF(2))
 in s = (x+y, y, z) and t = (y, z, x), one table image per element: s and
 its conjugates by t are the transvections x -> x+y, y -> y+z, z -> z+x,
 their commutators are the other three, and these six generate the group,
-so the least element filled is the least phi o g over gl3().  Once a
-process has filled w = monomial_count(3, n) orbits of one n this way, it
+so the least element filled is the least phi o g over the group.  Once a
+process has filled w = monomial_count(n) orbits of one n this way, it
 builds the stacked table of n, the 168 images of each monomial functional
 side by side (_orbit_table), from w more such fills, and every later
 orbit of n is one lookup per 4 bits of phi.  An orbit is
 filled once and remembered phi by phi, in a map that the members of one
 h-vector share; galerig.cli._class_keys owns that rule, under which the
 last of them only looks up.
-find_graded_iso certifies its witness against two saturated quotients'
-full ideals.
+find_graded_iso reads its witness off the chained orbit of phi_b, the
+least g, as a row triple, with phi_b o g = phi_a, and certifies it
+against two saturated quotients' full ideals.
 Nor need every matrix be keyed: the matrices of one orbit under the
 automorphisms of the polytope (galerig.charmat.orbits) have one ideal up
 to a degree-one substitution, hence one key.
@@ -124,7 +125,7 @@ class GradedQuotient:
 
 def _validate_quotient(q: GradedQuotient):
     top = q.n + 1
-    if q.ideal.dimension(top) != monomial_count(3, top):
+    if q.ideal.dimension(top) != monomial_count(top):
         raise ValueError(f"ideal is not full in degree {top}")
     # Dehn-Sommerville: the h-vector is palindromic with h_n = 1, as the
     # socle functional that find_graded_iso reads off I_n needs.
@@ -153,7 +154,7 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     generators = [(len(nonface), _product(full[i] for i in nonface))
                   for nonface in fs.minimal_nonfaces]
     ideal = _saturated_ideal(generators, n + 1)
-    hilbert = tuple(monomial_count(3, d) - ideal.dimension(d) for d in range(n + 1))
+    hilbert = tuple(monomial_count(d) - ideal.dimension(d) for d in range(n + 1))
     quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
                               generators=tuple(generators))
     _validate_quotient(quotient)
@@ -205,8 +206,8 @@ def codim(form: int, q: GradedQuotient) -> int:
     _check_form(form)
     for d in range(1, q.n):
         rows = [q.ideal.reduce(d + 1, times_form(1 << c, d, form))
-                for c in range(monomial_count(3, d))]
-        if len(rows) - rank(rows, monomial_count(3, d + 1)) > q.ideal.dimension(d):
+                for c in range(monomial_count(d))]
+        if len(rows) - rank(rows, monomial_count(d + 1)) > q.ideal.dimension(d):
             return d
     # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
@@ -238,13 +239,13 @@ def invariant_profile(phi: int, n: int) -> dict:
     the degree-d monomials in Cat_(d+1)), have rank below h_d.
     """
     pairings = _catalecticants(phi, n, n - 1)
-    h = [rank(pairing, monomial_count(3, n - d)) for d, pairing in enumerate(pairings)]
+    h = [rank(pairing, monomial_count(n - d)) for d, pairing in enumerate(pairings)]
     codims, ords = [], []
     for form in LINEAR_FORMS:
         for d in range(1, n):
             tables = _contraction_tables(n - d, form)
             contracted = [table_image(row, tables) for row in pairings[d]]
-            if rank(contracted, monomial_count(3, n - d - 1)) < h[d]:
+            if rank(contracted, monomial_count(n - d - 1)) < h[d]:
                 codims.append(d)
                 break
         else:
@@ -259,17 +260,6 @@ def invariant_profile(phi: int, n: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # degree-one substitutions and isomorphism keys
-
-
-@lru_cache(maxsize=None)
-def gl3() -> tuple[tuple[int, int, int], ...]:
-    """All 168 invertible 3x3 GF(2) matrices as row triples (bit j = variable
-    j), in ascending integer order: the elements of the word tree
-    (_word_tree)."""
-    elements = [(X, Y, Z)]
-    for parent, k in _word_tree():
-        elements.append(tuple(image(form, elements[parent]) for form in _GENERATORS[k]))
-    return tuple(sorted(elements))
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +294,7 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
 
 def quotient_functional(q: GradedQuotient) -> int:
     """The socle functional read off a saturated quotient's own I_n."""
-    return hyperplane_functional(q.ideal.rows(q.n), monomial_count(3, q.n))
+    return hyperplane_functional(q.ideal.rows(q.n), monomial_count(q.n))
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +302,8 @@ def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
     """Byte tables of the contraction S_e* -> S_(e-1)* by a linear form, for
     e = degree, psi -> (f -> psi(form * f)): the transpose of multiplication
     by the form on S_(e-1)."""
-    products = [times_form(1 << c, degree - 1, form) for c in range(monomial_count(3, degree - 1))]
-    return byte_tables(transpose(products, monomial_count(3, degree)))
+    products = [times_form(1 << c, degree - 1, form) for c in range(monomial_count(degree - 1))]
+    return byte_tables(transpose(products, monomial_count(degree)))
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +323,14 @@ def _catalecticant_tables(n: int, upper: bool):
     ceil(C(n + 2, 2) / 8) tables of 256 entries, by sys.getsizeof at most
     0.06 MB at n = 6, 0.75 MB at n = 11 and 9.4 MB at n = 17 for the
     lower half, and 0.05, 0.76 and 9.6 MB for the upper."""
-    columns = [0] * monomial_count(3, n)
+    columns = [0] * monomial_count(n)
     slices, offset = [], 0
     for d in range(n // 2 + 1, n + 1) if upper else range(n // 2 + 1):
-        width = monomial_count(3, n - d)
+        width = monomial_count(n - d)
         for i, row in enumerate(product_index(d, n - d)):
             for j, c in enumerate(row):
                 columns[c] |= 1 << (offset + i * width + j)
-        end = offset + monomial_count(3, d) * width
+        end = offset + monomial_count(d) * width
         slices.append((range(offset, end, width), (1 << width) - 1))
         offset = end
     return byte_tables(columns), tuple(slices)
@@ -372,8 +362,10 @@ def check_inverse_system(phi: int, n: int, h: Sequence[int]):
     degree d (the transpose), so ranks are computed for d <= n/2 only, and
     every h_d is compared with its rank.  Cat_0..Cat_(n//2) are sliced off
     one lookup of phi in the stacked table of the lower half of n
-    (_catalecticants)."""
-    ranks = [rank(pairing, monomial_count(3, n - d))
+    (_catalecticants).  An h with other than n + 1 entries is refused."""
+    if len(h) != n + 1:
+        raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
+    ranks = [rank(pairing, monomial_count(n - d))
              for d, pairing in enumerate(_catalecticants(phi, n, n // 2))]
     ranks += ranks[:(n + 1) // 2][::-1]
     for d, (r, h_d) in enumerate(zip(ranks, h)):
@@ -426,9 +418,9 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
     or 14.  phi is read off the forward pass of elimination over the rows
     (gf2.hyperplane_functional), with no back-substitution.
 
-    Raises ValueError unless the matrix is characteristic, h has n + 1
-    entries, and I_n has corank 1 and a phi whose catalecticant has rank
-    h_d in every degree d (check_inverse_system).  I_d lies in Ann(phi)_d,
+    Raises ValueError unless the matrix is characteristic, I_n has corank
+    1, and h has n + 1 entries and phi's catalecticant has rank h_d in
+    every degree d (check_inverse_system).  I_d lies in Ann(phi)_d,
     whose codimension is that rank, and dim (S/I)_d = h_d because a
     characteristic matrix is a linear system of parameters
     (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
@@ -438,28 +430,13 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
-    if len(h) != n + 1:
-        raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
     unit, full = _form_counts(n), tuple(forms) + VARIABLES
     products = []
     for nonface in fs.minimal_nonfaces:
         products += _nonface_rows(n, sum([unit[full[i]] for i in nonface]))
-    phi = hyperplane_functional(products, monomial_count(3, n))
+    phi = hyperplane_functional(products, monomial_count(n))
     check_inverse_system(phi, n, h)
     return phi
-
-
-@lru_cache(maxsize=None)
-def _pullback(rows: tuple[int, int, int], n: int) -> tuple[int, ...]:
-    """The transpose of the degree-n substitution table of g = rows, so that
-    phi o g = image(phi, _pullback(rows, n)) for a functional phi on S_n:
-    bit c of phi o g is phi of the image of monomial c."""
-    return transpose(_subst_matrix(rows, n), monomial_count(3, n))
-
-
-def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
-    """phi o g for the substitution g = rows on degree n."""
-    return image(phi, _pullback(rows, n))
 
 
 # s = (x+y, y, z) and t = (y, z, x) generate GL(3, GF(2)).
@@ -467,12 +444,14 @@ _GENERATORS = ((0b011, 0b010, 0b100), (0b010, 0b100, 0b001))
 
 
 @lru_cache(maxsize=None)
-def _word_tree() -> tuple[tuple[int, int], ...]:
-    """A breadth-first spanning tree of GL(3, GF(2)) from the identity under
-    the generators: entry i - 1 is (parent, k) for element i = g o h, where
-    g is element parent and h = _GENERATORS[k], so that phi o (element i) =
-    (phi o g) o h is one pullback of phi o g.  As a substitution, g o h
-    sends variable j to h's form j with g substituted in it."""
+def _word_tree() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """(tree, elements): a breadth-first spanning tree of GL(3, GF(2)) from
+    the identity under the generators, and its 168 elements in tree order,
+    the identity first.  Entry i - 1 of tree is (parent, k) for element i
+    = g o h, where g is element parent and h = _GENERATORS[k], so that phi
+    o (element i) = (phi o g) o h is one pullback of phi o g.  As a
+    substitution, g o h sends variable j to h's form j with g substituted
+    in it."""
     elements = [(0b001, 0b010, 0b100)]
     seen = set(elements)
     tree = []
@@ -484,13 +463,16 @@ def _word_tree() -> tuple[tuple[int, int], ...]:
                 elements.append(gh)
                 tree.append((parent, k))
     assert len(elements) == 168, "s and t do not generate GL(3, GF(2))"
-    return tuple(tree)
+    return tuple(tree), tuple(elements)
 
 
 @lru_cache(maxsize=None)
 def _generator_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Byte tables of the degree-n pullbacks of the generators."""
-    return tuple(byte_tables(_pullback(g, n)) for g in _GENERATORS)
+    """Byte tables of the degree-n pullbacks of the generators, phi -> phi
+    o h: the transpose of h's degree-n substitution table, since bit c of
+    phi o h is phi of the image of monomial c."""
+    return tuple(byte_tables(transpose(_subst_matrix(h, n), monomial_count(n)))
+                 for h in _GENERATORS)
 
 
 def _chained_orbit(phi: int, n: int) -> list[int]:
@@ -498,7 +480,7 @@ def _chained_orbit(phi: int, n: int) -> list[int]:
     along the tree (_word_tree), one table image per group element."""
     tables = _generator_tables(n)
     orbit = [phi]
-    for parent, k in _word_tree():
+    for parent, k in _word_tree()[0]:
         orbit.append(table_image(orbit[parent], tables[k]))
     return orbit
 
@@ -512,7 +494,7 @@ def _orbit_table(n: int):
 
     The map is linear, so column c is the chained orbit (_chained_orbit)
     of the monomial functional 1 << c: building the table costs the w =
-    monomial_count(3, n) chained fills of its columns and their stacking,
+    monomial_count(n) chained fills of its columns and their stacking,
     1.3 to 1.6 times as much as w fills at n = 5..17.  A slot of w <= 64
     bits is widened to 8, 16, 32 or 64 bits, so read is one struct unpack
     of the int's bytes; struct has no wider integer, so a wider slot holds
@@ -520,7 +502,7 @@ def _orbit_table(n: int):
     The ceil(w / 4) tables of 16 entries (gf2.byte_tables) hold 15
     nonzero ints of 168 slots each, at most 0.08 MB at n = 6, 0.3 MB at
     n = 9, 0.52 MB at n = 11 and 2.5 MB at n = 17, by sys.getsizeof."""
-    width = monomial_count(3, n)
+    width = monomial_count(n)
     slot = next((bits for bits in (8, 16, 32, 64) if width <= bits), width)
     columns = [sum(psi << (i * slot) for i, psi in enumerate(_chained_orbit(1 << c, n)))
                for c in range(width)]
@@ -545,7 +527,7 @@ _chained_fills: dict[int, int] = {}
 def _orbit(phi: int, n: int) -> set[int]:
     """{phi o g : g in GL(3, GF(2))}.
 
-    The first w = monomial_count(3, n) fills of an n in a process are
+    The first w = monomial_count(n) fills of an n in a process are
     chained along the word tree (_chained_orbit), one table image per group
     element.  After them the stacked table of n (_orbit_table) is built
     once, and every later fill is one lookup per 4 bits of phi and one read
@@ -554,7 +536,7 @@ def _orbit(phi: int, n: int) -> set[int]:
     process builds a table only once it has spent that much on fills of
     its n, and a one-shot command that fills fewer orbits builds none."""
     fills = _chained_fills.get(n, 0)
-    if fills < monomial_count(3, n):
+    if fills < monomial_count(n):
         _chained_fills[n] = fills + 1
         return set(_chained_orbit(phi, n))
     tables, read = _orbit_table(n)
@@ -587,21 +569,22 @@ def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],
 
 
 def find_graded_iso(qa: GradedQuotient, qb: GradedQuotient):
-    """First substitution in gl3() order mapping the first ideal onto the
+    """Least substitution, as a row triple, mapping the first ideal onto the
     second, or None.
 
-    The witness is the first g with phi_b o g = phi_a, phi read off I_n,
-    which by Gorenstein duality is the first g mapping I_a into I_b in
-    every degree; it is certified against the full ideals with
-    substitution_maps_ideal, and a disagreement, such as a quotient that
-    breaks the duality, raises RuntimeError.
+    The witness is the least g with phi_b o g = phi_a, phi read off I_n,
+    which by Gorenstein duality is the least g mapping I_a into I_b in
+    every degree; it is read off the chained orbit of phi_b, whose slot i
+    is phi_b o (element i of the word tree).  It is certified against the
+    full ideals with substitution_maps_ideal, and a disagreement, such as a
+    quotient that breaks the duality, raises RuntimeError.
     """
     if qa.n != qb.n or qa.hilbert != qb.hilbert:
         return None
     phi_a, phi_b = quotient_functional(qa), quotient_functional(qb)
-    rows = next((g for g in gl3() if _compose(phi_b, g, qb.n) == phi_a), None)
+    orbit = _chained_orbit(phi_b, qb.n)
+    rows = min((g for g, psi in zip(_word_tree()[1], orbit) if psi == phi_a), default=None)
     if rows is not None and not substitution_maps_ideal(rows, qa, qb):
         raise RuntimeError(f"substitution {rows} matches the socle functionals "
                            "but does not map one ideal onto the other")
     return rows
-

@@ -7,13 +7,13 @@ m = sum(a_i) facets and dimension n = m - 3.  A facet subset is a face of the
 boundary complex iff the origin lies in the convex hull of the polygon
 vertices labelling the complementary facets.
 
-Facets are the positions 0..m-1 of the facet_labels order, whose facets
-0..n-1 form a vertex, so facets n, n+1, n+2 are the three off it; polygon
-vertices keep their labels 1..2k+1.  FaceStructure holds, in those
-positions, the three facts that the later stages read: the label of each
-facet, the minimal non-faces (whose products generate the Stanley-Reisner
-ideal), and the three facets off each vertex (where a characteristic
-matrix must be non-singular).
+Facets are the positions 0..m-1 of the facet order of face_structure,
+whose facets 0..n-1 form a vertex, so facets n, n+1, n+2 are the three off
+it; polygon vertices keep their labels 1..2k+1.  FaceStructure holds, in
+those positions, the three facts that the later stages read: the label of
+each facet, the minimal non-faces (whose products generate the
+Stanley-Reisner ideal), and the three facets off each vertex (where a
+characteristic matrix must be non-singular).
 """
 
 from __future__ import annotations
@@ -161,15 +161,9 @@ def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, 
                                               groups.get(c, ()))))
 
 
-def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
-    """Polygon label of each facet in a deterministic order whose first n
-    facets form a vertex: the order of face_structure."""
-    return face_structure(diagram).labels
-
-
 class FaceStructure(NamedTuple):
     """What every later stage reads of the polytope, in 0-based positions
-    of the facet_labels order: the label of each facet, the minimal
+    of the face_structure order: the label of each facet, the minimal
     non-faces, and the three facets off each vertex."""
 
     labels: tuple[int, ...]
@@ -186,7 +180,8 @@ class FaceStructure(NamedTuple):
 
 
 def face_structure(diagram: GaleDiagram) -> FaceStructure:
-    """The face structure in the facet_labels order.
+    """The face structure, in a deterministic facet order whose first n
+    facets form a vertex.
 
     The two fixture polytopes use their published orders.  Any other diagram
     is ordered by polygon label, then the lexicographically least vertex is

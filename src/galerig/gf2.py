@@ -6,7 +6,7 @@ Conventions:
       bit ``c`` is column ``c``.
     * Monomials of a fixed degree are ordered lexicographically with the
       first variable largest (x > y > z); the column index of a monomial is
-      its position in that ordering (``monomials(3, d)``).
+      its position in that ordering (``monomials(d)``).
     * A homogeneous polynomial is the pair (degree, vec): vec has bit c set
       iff monomial c of that degree has coefficient 1.
     * A linear form is the int 1..7 with bit j standing for variable j of
@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import comb
 from typing import Iterable, NamedTuple
 
-Monomial = tuple[int, ...]
+Monomial = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +162,34 @@ def reduce_vector(vec: int, pivots: Iterable[int], rows: Iterable[int]) -> int:
 # graded monomial bookkeeping
 
 
-def monomial_count(nvars: int, degree: int) -> int:
-    """Number of degree-d monomials in v variables: C(d+v-1, v-1)."""
-    if nvars < 1 or degree < 0:
-        raise ValueError("need nvars >= 1 and degree >= 0")
-    return comb(degree + nvars - 1, nvars - 1)
+def monomial_count(degree: int) -> int:
+    """Number of degree-d monomials in x, y, z: (d + 1)(d + 2) / 2."""
+    if degree < 0:
+        raise ValueError("need degree >= 0")
+    return (degree + 1) * (degree + 2) // 2
 
 
 @lru_cache(maxsize=None)
-def monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """All degree-d exponent tuples in graded-lex order, first variable largest."""
-    if nvars < 1 or degree < 0:
-        raise ValueError("need nvars >= 1 and degree >= 0")
-    if nvars == 1:
-        return ((degree,),)
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in monomials(nvars - 1, degree - e):
-            out.append((e,) + rest)
-    return tuple(out)
+def monomials(degree: int) -> tuple[Monomial, ...]:
+    """All degree-d exponent triples in graded-lex order, x largest."""
+    if degree < 0:
+        raise ValueError("need degree >= 0")
+    return tuple((a, b, degree - a - b)
+                 for a in range(degree, -1, -1) for b in range(degree - a, -1, -1))
 
 
 @lru_cache(maxsize=None)
-def _monomial_index(nvars: int, degree: int) -> dict:
-    return {m: i for i, m in enumerate(monomials(nvars, degree))}
+def _monomial_index(degree: int) -> dict:
+    return {m: i for i, m in enumerate(monomials(degree))}
 
 
 @lru_cache(maxsize=None)
 def product_index(a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """product_index(a, b)[i][j]: the column in degree a + b of monomial i
     of degree a times monomial j of degree b."""
-    index = _monomial_index(3, a + b)
-    return tuple(tuple(index[tuple(e + f for e, f in zip(low, high))] for high in monomials(3, b))
-                 for low in monomials(3, a))
+    index = _monomial_index(a + b)
+    return tuple(tuple(index[tuple(e + f for e, f in zip(low, high))] for high in monomials(b))
+                 for low in monomials(a))
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +257,13 @@ def times_form(vec: int, degree: int, form: int) -> int:
 
 def to_lists(degree: int, vec: int) -> list[list[int]]:
     """Exponent vectors of the monomials of a polynomial, lex descending."""
-    basis = monomials(3, degree)
+    basis = monomials(degree)
     return [list(basis[c]) for c in range(vec.bit_length()) if (vec >> c) & 1]
 
 
 def from_lists(degree: int, rows: Iterable[Iterable[int]]) -> int:
     """Inverse of to_lists; repeated monomials cancel."""
-    index = _monomial_index(3, degree)
+    index = _monomial_index(degree)
     vec = 0
     for row in rows:
         mono = tuple(int(e) for e in row)

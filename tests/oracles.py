@@ -18,12 +18,14 @@ package lists the weight-preserving polygon symmetries and builds each
 renormalisation from the basis), monomial-wise
 linear substitution, the Poincare pairing, codim and order on coset
 coordinates of the saturated quotient (the package reads them off the
-socle functional), the pair-by-pair GL(3, GF(2))
-substitution search for graded isomorphism (the package compares one key
-per matrix), the isomorphism key by a scan of all 168 substitutions (the
-package fills one orbit per key class along a fixed word tree in two
-generators), the socle functional of a saturated quotient with its duality
-checked degree by degree (the package reads phi off the top degree of the
+socle functional), GL(3, GF(2)) as the independent triples of a scan of
+all 343 triples of nonzero forms (the package walks a word tree in two
+generators), the pair-by-pair GL(3, GF(2)) substitution search for
+graded isomorphism (the package compares one key per matrix), the
+isomorphism key by a scan of all 168 substitutions (the package fills one
+orbit per key class along a fixed word tree in two generators), the socle
+functional of a saturated quotient with its duality checked degree by
+degree (the package reads phi off the top degree of the
 ideal alone and checks ranks against the h-vector), phi read off the
 reduced echelon rows of the top degree (the package reads it off the
 forward pass of elimination), the inverse system of
@@ -53,9 +55,7 @@ from galerig.cohomology import (
     LINEAR_FORM_NAMES,
     LINEAR_FORMS,
     _GENERATORS,
-    _compose,
-    _pullback,
-    gl3,
+    _subst_matrix,
     iso_keys,
     substitution_maps_ideal,
 )
@@ -65,10 +65,10 @@ from galerig.gale import (
     GaleDiagram,
     _hull_triples,
     canonical_weights,
-    facet_labels,
+    face_structure,
     origin_in_hull,
 )
-from galerig.gf2 import image, monomial_count, monomials, rank, times_form
+from galerig.gf2 import image, monomial_count, monomials, rank, times_form, transpose
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -136,7 +136,13 @@ def origin_in_hull_exact(labels, k: int) -> bool:
 
 
 # Faces here are sets of 1-based facets: facet i is position i-1 of the
-# package's 0-based facet_labels order.
+# package's 0-based facet order (facet_labels).
+
+
+def facet_labels(diagram: GaleDiagram) -> tuple[int, ...]:
+    """Polygon label of each facet in the package's facet order, whose
+    first n facets form a vertex: the labels of face_structure."""
+    return face_structure(diagram).labels
 
 
 def is_face(indices: Iterable[int], diagram: GaleDiagram,
@@ -487,8 +493,8 @@ def poly_multiply(p, q):
 
 
 def poly_to_vec(p, degree: int) -> int:
-    """Bit vector of a homogeneous polynomial over monomials(3, degree)."""
-    basis = monomials(3, degree)
+    """Bit vector of a homogeneous polynomial over monomials(degree)."""
+    basis = monomials(degree)
     return sum(1 << basis.index(m) for m in p)
 
 
@@ -547,7 +553,7 @@ def coset_columns(q, degree: int) -> list[int]:
     """Monomial columns representing a basis of the quotient in one degree:
     the non-pivot columns of the ideal's echelon basis."""
     pivots = set(q.ideal.components[degree][0])
-    return [c for c in range(monomial_count(3, degree)) if c not in pivots]
+    return [c for c in range(monomial_count(degree)) if c not in pivots]
 
 
 def poincare_nondegenerate(q) -> bool:
@@ -566,7 +572,7 @@ def poincare_nondegenerate(q) -> bool:
             row = 0
             for pos, cr in enumerate(right):
                 product = tuple(a + b for a, b in
-                                zip(monomials(3, d)[cl], monomials(3, n - d)[cr]))
+                                zip(monomials(d)[cl], monomials(n - d)[cr]))
                 reduced = q.ideal.reduce(n, poly_to_vec({product}, n))
                 if (reduced >> top_column) & 1:
                     row |= 1 << pos
@@ -616,6 +622,28 @@ def order_via_quotient_maps(form: int, q) -> int:
 # graded isomorphism pair by pair, and the inverse system
 
 
+@lru_cache(maxsize=None)
+def gl3() -> tuple[tuple[int, int, int], ...]:
+    """All 168 invertible 3x3 GF(2) matrices as row triples (bit j =
+    variable j), in ascending order: the triples of nonzero forms, all 343
+    of them, that are linearly independent (_independent)."""
+    return tuple((a, b, c) for a in range(1, 8) for b in range(1, 8) for c in range(1, 8)
+                 if _independent((a, b, c)))
+
+
+@lru_cache(maxsize=None)
+def _pullback_columns(rows: tuple[int, int, int], n: int) -> tuple[int, ...]:
+    """The transpose of the degree-n substitution table of g = rows: column
+    c of it is bit c of phi o g for each phi, phi of the image of monomial
+    c."""
+    return transpose(_subst_matrix(rows, n), monomial_count(n))
+
+
+def _compose(phi: int, rows: tuple[int, int, int], n: int) -> int:
+    """phi o g for the substitution g = rows on degree n."""
+    return image(phi, _pullback_columns(rows, n))
+
+
 def search_graded_iso(qa, qb):
     """First substitution in gl3() order that maps the first ideal onto the
     second in every stored degree, or None: all 168 tried on the full
@@ -630,7 +658,7 @@ def search_iso_witnesses(quotients_a, quotients_b):
 
 def socle_functional(q) -> int:
     """The linear functional phi on S_n whose kernel is I_n, as a bit vector
-    over monomials(3, n): the kernel of the transposed echelon rows of I_n,
+    over monomials(n): the kernel of the transposed echelon rows of I_n,
     found with an identity block as in annihilator.
 
     Raises ValueError unless I_n is a hyperplane and every I_d (d < n) is
@@ -641,7 +669,7 @@ def socle_functional(q) -> int:
     rows = q.ideal.rows(n)
     width = len(rows)
     transposed = [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) | 1 << (width + c)
-                  for c in range(monomial_count(3, n))]
+                  for c in range(monomial_count(n))]
     kernel = [row >> width for row in echelon_by_scan(transposed)[1]
               if not row & ((1 << width) - 1)]
     if len(kernel) != 1:
@@ -675,9 +703,9 @@ def top_functional_by_echelon(fs, forms) -> int:
             vec = times_form(vec, degree, full[i])
         columns = product_columns(n, len(nonface))
         products += [sum(1 << columns[i][j] for i in range(vec.bit_length()) if (vec >> i) & 1)
-                     for j in range(monomial_count(3, n - len(nonface)))]
+                     for j in range(monomial_count(n - len(nonface)))]
     pivots, rows = echelon_by_scan(products)
-    free = set(range(monomial_count(3, n))).difference(pivots)
+    free = set(range(monomial_count(n))).difference(pivots)
     if len(free) != 1:
         raise ValueError(f"the ideal in degree {n} has corank {len(free)}, not 1")
     (c0,) = free
@@ -703,14 +731,14 @@ def quotient_keys(quotients):
 
 def annihilator(phi: int, n: int, degree: int) -> list[int]:
     """Reduced echelon basis of {f in S_d : phi(f * S_(n-d)) = 0} for a
-    functional phi on S_n given as a bit vector over monomials(3, n).
+    functional phi on S_n given as a bit vector over monomials(n).
 
     Row c of the pairing matrix holds phi(monomial c * monomial j) in bit j
     (exponents added), with an identity block above it; the rows left with
     an empty pairing part after elimination span the kernel.
     """
-    top = {mono: c for c, mono in enumerate(monomials(3, n))}
-    low, high = monomials(3, degree), monomials(3, n - degree)
+    top = {mono: c for c, mono in enumerate(monomials(n))}
+    low, high = monomials(degree), monomials(n - degree)
     width = len(high)
     rows = []
     for c, a in enumerate(low):
@@ -750,7 +778,7 @@ def echelon_by_scan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
 def orbit_by_closure(phi: int, n: int) -> set[int]:
     """{phi o g : g in GL(3, GF(2))}, closed from phi under the two
     generators with a frontier."""
-    tables = [_pullback(g, n) for g in _GENERATORS]
+    tables = [_pullback_columns(g, n) for g in _GENERATORS]
     orbit, frontier = {phi}, [phi]
     while frontier:
         psi = frontier.pop()
@@ -766,10 +794,10 @@ def orbit_by_closure(phi: int, n: int) -> set[int]:
 def product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """product_columns(n, d)[i][j]: the degree-n column of monomial i of
     degree d times monomial j of degree n - d."""
-    top = {mono: c for c, mono in enumerate(monomials(3, n))}
+    top = {mono: c for c, mono in enumerate(monomials(n))}
     return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
-                       for high in monomials(3, n - degree))
-                 for low in monomials(3, degree))
+                       for high in monomials(n - degree))
+                 for low in monomials(degree))
 
 
 def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:
@@ -786,13 +814,13 @@ def profile_by_products(phi: int, n: int) -> dict:
     at which the pairings of form times the degree-d monomials have rank
     below h_d, the rank of Cat_d."""
     pairings = [catalecticant_by_bits(phi, n, d) for d in range(n + 1)]
-    h = [rank(pairing, monomial_count(3, n - d)) for d, pairing in enumerate(pairings)]
+    h = [rank(pairing, monomial_count(n - d)) for d, pairing in enumerate(pairings)]
     codims, ords = [], []
     for form in LINEAR_FORMS:
         for d in range(1, n):
             images = [image(times_form(1 << c, d, form), pairings[d + 1])
-                      for c in range(monomial_count(3, d))]
-            if rank(images, monomial_count(3, n - d - 1)) < h[d]:
+                      for c in range(monomial_count(d))]
+            if rank(images, monomial_count(n - d - 1)) < h[d]:
                 codims.append(d)
                 break
         else:

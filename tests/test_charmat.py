@@ -245,8 +245,8 @@ def test_renormaliser_sends_each_basis_to_the_variables():
     """For each of the 168 bases of GF(2)^3 the renormaliser is the
     substitution of gl3() that sends basis form j to variable j, read at
     every form; a dependent triple is refused."""
-    from galerig.cohomology import gl3
     from galerig.gf2 import image, rank
+    from oracles import gl3
 
     bases = [b for b in permutations(range(1, 8), 3) if rank(b, 3) == 3]
     assert len(bases) == 168

@@ -15,12 +15,12 @@ from galerig.gale import (
     _vertex_complements,
     canonical_weights,
     face_structure,
-    facet_labels,
     origin_in_hull,
     weight_symmetries,
 )
 
 import oracles
+from oracles import facet_labels
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))

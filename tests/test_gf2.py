@@ -1,6 +1,7 @@
 """GF(2) linear algebra and (degree, vec) polynomials."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from galerig.gf2 import (
 from oracles import (
     echelon_by_scan,
     form_poly,
+    gl3,
     poly_multiply,
     poly_to_vec,
     product_columns,
@@ -158,7 +160,7 @@ def test_hyperplane_functional_is_the_annihilator():
 
 def test_hyperplane_functional_refuses_other_coranks():
     for n in (1, 4):
-        width = monomial_count(3, n)
+        width = monomial_count(n)
         for rows in ([1 << c for c in range(width)], [1 << c for c in range(2, width)]):
             with pytest.raises(ValueError, match="corank"):
                 hyperplane_functional(rows, width)
@@ -177,15 +179,29 @@ def test_hyperplane_functional_refuses_rows_wider_than_its_width():
 
 
 def test_monomial_count_examples():
-    assert monomial_count(3, 2) == 6
-    assert monomial_count(3, 5) == 21
-    assert monomial_count(7, 0) == 1
+    assert monomial_count(2) == 6
+    assert monomial_count(5) == 21
+
+
+def test_monomials_are_the_exponent_triples_of_each_degree():
+    """The ring is GF(2)[x, y, z]: monomials(d) lists every exponent triple
+    of sum d in reverse lexicographic order, an enumeration of all triples
+    of entries 0..d, and monomial_count(d) counts them, for d = 0..24; a
+    negative degree is refused."""
+    for d in range(25):
+        triples = sorted((e for e in product(range(d + 1), repeat=3) if sum(e) == d),
+                         reverse=True)
+        assert monomials(d) == tuple(triples), d
+        assert monomial_count(d) == len(monomials(d)), d
+    for count in (monomial_count, monomials):
+        with pytest.raises(ValueError):
+            count(-1)
 
 
 def test_monomials_graded_lex_descending():
-    degree2 = monomials(3, 2)
+    degree2 = monomials(2)
     assert degree2 == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    assert len(monomials(3, 5)) == monomial_count(3, 5)
+    assert len(monomials(5)) == monomial_count(5)
 
 
 def test_product_index_is_the_product_of_exponents():
@@ -232,7 +248,7 @@ forms = st.integers(1, 7)
 @st.composite
 def polys(draw, max_degree=4):
     degree = draw(st.integers(0, max_degree))
-    return degree, draw(st.integers(0, (1 << monomial_count(3, degree)) - 1))
+    return degree, draw(st.integers(0, (1 << monomial_count(degree)) - 1))
 
 
 @given(polys(), forms, forms)
@@ -253,7 +269,7 @@ def test_multiply_associative(p, factors, rng):
 @settings(max_examples=50)
 def test_multiply_distributive(p, bits, f, g):
     degree, vec = p
-    other = bits % (1 << monomial_count(3, degree))
+    other = bits % (1 << monomial_count(degree))
     assert times_form(vec ^ other, degree, f) == \
         times_form(vec, degree, f) ^ times_form(other, degree, f)
     assert times_form(vec, degree, f ^ g) == \
@@ -264,7 +280,7 @@ def test_multiply_distributive(p, bits, f, g):
 @settings(max_examples=300)
 def test_times_form_matches_oracle_product(p, form):
     degree, vec = p
-    monos = frozenset(m for c, m in enumerate(monomials(3, degree)) if (vec >> c) & 1)
+    monos = frozenset(m for c, m in enumerate(monomials(degree)) if (vec >> c) & 1)
     product = poly_multiply(monos, form_poly(form))
     assert times_form(vec, degree, form) == poly_to_vec(product, degree + 1)
 
@@ -306,23 +322,11 @@ def test_substitute_swap_symmetric_monomial():
     assert substitute_linear(_poly((1, 1, 0)), (Y_P, X_P, Z_P)) == _poly((1, 1, 0))
 
 
-def _gl3_elements():
-    out = []
-    for r0 in range(1, 8):
-        for r1 in range(1, 8):
-            if r1 == r0:
-                continue
-            for r2 in range(1, 8):
-                if r2 not in (r0, r1, r0 ^ r1):
-                    out.append((r0, r1, r2))
-    return out
-
-
 def _images_from_rows(rows):
     return tuple(form_poly(r) for r in rows)
 
 
-@given(st.sampled_from(_gl3_elements()), st.sampled_from(_gl3_elements()), small_polys)
+@given(st.sampled_from(gl3()), st.sampled_from(gl3()), small_polys)
 @settings(max_examples=60)
 def test_substitution_composes(g, h, p):
     """Applying g then h equals applying the composite substitution."""
@@ -424,7 +428,7 @@ def test_vec_round_trip():
     """Every vector of a degree survives to_lists/from_lists and
     format_poly/parse_poly."""
     for degree in range(3):
-        for vec in range(1, 1 << monomial_count(3, degree)):
+        for vec in range(1, 1 << monomial_count(degree)):
             assert from_lists(degree, to_lists(degree, vec)) == vec
             if degree:
                 assert parse_poly(format_poly((degree, vec))) == (degree, vec)
