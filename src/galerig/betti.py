@@ -10,7 +10,7 @@ plain dict {(i, 2j): beta} of its nonzero entries, in sorted key order.
 The table also gives the h-vector: sum (-1)^i beta^{-i,2j} t^j is the
 numerator of the Hilbert series of the Stanley-Reisner ring over
 (1 - t)^m, and that series is h(t) / (1 - t)^n, so the numerator is
-h(t) (1 - t)^3 (h_vector).
+h(t) (1 - t)^3 (h_vector, which reads it off the window sums).
 """
 
 from __future__ import annotations
@@ -49,19 +49,24 @@ def betti_table(diagram: GaleDiagram) -> dict[tuple[int, int], int]:
 
 def h_vector(diagram: GaleDiagram) -> tuple[int, ...]:
     """h_0..h_n of the polytope, from h(t) = sum (-1)^i beta^{-i,2j} t^j /
-    (1 - t)^3.  The division is three running sums of the numerator's
-    coefficients up to degree m; it is exact iff those above degree n are
-    zero (a remainder would leave a nonzero quadratic in the degree there),
-    and a ValueError is raised otherwise."""
-    coeffs = [0] * (diagram.m + 1)
-    for (i, twoj), b in betti_table(diagram).items():
-        coeffs[twoj // 2] += (-1) ** i * b
+    (1 - t)^3.  The table's entries, one per window sum w of the weights
+    at beta^{-1,2w} and at beta^{-2,2(m-w)}, and the corners, make the
+    numerator 1 - sum_w t^w + sum_w t^(m-w) - t^m, read off the window
+    sums without building the table.  The division is three running sums
+    of its coefficients up to degree m; it is exact iff those above degree
+    n are zero (a remainder would leave a nonzero quadratic in the degree
+    there), and a ValueError is raised otherwise."""
+    m, n = diagram.m, diagram.n
+    coeffs = [1] + [0] * (m - 1) + [-1]
+    for w in window_sums(diagram.weights):
+        coeffs[w] -= 1
+        coeffs[m - w] += 1
     for _ in range(3):
         coeffs = list(accumulate(coeffs))
-    if any(coeffs[diagram.n + 1:]):
+    if any(coeffs[n + 1:]):
         raise ValueError(f"the Betti numerator is not divisible by (1 - t)^3: "
-                         f"coefficients {coeffs[diagram.n + 1:]} above degree {diagram.n}")
-    return tuple(coeffs[:diagram.n + 1])
+                         f"coefficients {coeffs[n + 1:]} above degree {n}")
+    return tuple(coeffs[:n + 1])
 
 
 def supports_quasitoric(k: int) -> bool:

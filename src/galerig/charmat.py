@@ -10,11 +10,21 @@ entry i being facet i's form with bit j standing for variable j of (x, y,
 z).  It is characteristic iff, for every vertex, the forms of the three
 facets off that vertex form a basis of GF(2)^3;
 FaceStructure.vertex_complements lists those triples.
+
+enumerate_charmats lists every matrix, sorted as the reference lists are.
+canonical_charmats lists them up to the permutations of each label's
+leading facets, one canonical tuple (forms sorted along the label's
+facets) with its multiplicity each, by the same backtrack with one more
+bound: the symmetry breaking of orderly generation (McKay, J. Algorithms
+26 (1998)).  One union-find over canonical tuples groups the matrices
+into orbits under the automorphisms of the polytope: orbit_sizes gives
+each orbit a representative and a size without the list, and orbits
+reads a listed matrix's orbit off its canonical tuple.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .gale import FaceStructure, weight_symmetries
@@ -108,21 +118,39 @@ def _column_keys(n: int) -> tuple[tuple[int, ...], ...]:
                  for i in range(n))
 
 
-def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
-    """All characteristic matrices over the face structure, as form tuples.
+# _AT_LEAST[f] and _AT_MOST[f]: the forms g >= f and g <= f, as bit g.
+_AT_LEAST = tuple(0xFF & -(1 << f) for f in range(8))
+_AT_MOST = tuple((2 << f) - 1 for f in range(8))
+# _FORMS_OF[mask]: the forms whose bits mask sets, in order; the masks
+# of bits 0..f are those of bits 0..f-1, then each with f added.  A mask
+# of allowed forms never sets bit 0, the zero form.
+_FORMS_OF = reduce(lambda table, f: table + [forms + (f,) for forms in table], range(8), [()])
 
-    Backtracks over the 7 nonzero forms per leading facet; each
-    vertex-complement triple is tested as soon as its last facet is set, by
-    intersecting the forms that complete each closed pair to a basis.
-    Output is in the order of the reference lists and every report: by
-    (column 0 << 2n) | (column 1 << n) | column 2, a block column as the
-    int with facet i's row at bit i, summed from per-facet tables cached
-    per n (_column_keys).
+
+def _backtrack(fs: FaceStructure, runs=()) -> list[tuple[int, tuple[int, ...]]]:
+    """(sort key, forms) of each characteristic matrix whose forms are
+    non-decreasing in facet order along each run (start, stop) of leading
+    facets, every matrix for no runs.
+
+    Backtracks over the 7 nonzero forms per leading facet in the order of
+    _search_plan; each vertex-complement triple is tested as soon as its
+    last facet is set, by intersecting the forms that complete each closed
+    pair to a basis, and each two adjacent facets of a run as soon as the
+    later of the two is set.  The sort key is (column 0 << 2n) | (column 1
+    << n) | column 2, a block column as the int with facet i's row at bit
+    i, summed from per-facet tables cached per n (_column_keys).
     """
     n = fs.n
     if (n, n + 1, n + 2) not in fs.vertex_complements:
         raise ValueError("facet order is not normalized: leading facets must form a vertex")
-    plan = _search_plan(fs)
+    run_of = {facet: run for run in runs for facet in range(*run)}
+    plan, placed = [], set()
+    for facet, pairs in _search_plan(fs):
+        start, stop = run_of.get(facet, (facet, facet + 1))
+        plan.append((facet, pairs, [(table, other) for table, other in
+                                    ((_AT_LEAST, facet - 1), (_AT_MOST, facet + 1))
+                                    if start <= other < stop and other in placed]))
+        placed.add(facet)
     columns = _column_keys(n)
     forms = [0] * n + list(VARIABLES)
     found: list[tuple[int, tuple[int, ...]]] = []
@@ -131,17 +159,60 @@ def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
         if step == n:
             found.append((key, tuple(forms[:n])))
             return
-        facet, pairs = plan[step]
+        facet, pairs, bounds = plan[step]
         allowed = 0b11111110
         for a, b in pairs:
             allowed &= _COMPLETIONS[forms[a]][forms[b]]
-        for f in range(1, 8):
-            if (allowed >> f) & 1:
-                forms[facet] = f
-                assign(step + 1, key + columns[facet][f])
+        for table, other in bounds:
+            allowed &= table[forms[other]]
+        for f in _FORMS_OF[allowed]:
+            forms[facet] = f
+            assign(step + 1, key + columns[facet][f])
 
     assign(0, 0)
-    return [matrix for _, matrix in sorted(found)]  # keys are distinct: no tuple is compared
+    return found
+
+
+def enumerate_charmats(fs: FaceStructure) -> list[tuple[int, ...]]:
+    """All characteristic matrices over the face structure, as form tuples,
+    in the order of the reference lists and every report: by the sort key
+    of _backtrack."""
+    return [matrix for _, matrix in sorted(_backtrack(fs))]  # keys are distinct
+
+
+@lru_cache(maxsize=None)
+def _arrangements(forms: tuple[int, ...]) -> int:
+    """The number of distinct orderings of a sorted run of forms: the
+    multinomial of its form counts."""
+    count, repeat = 1, 0
+    for i in range(1, len(forms)):
+        repeat = repeat + 1 if forms[i] == forms[i - 1] else 0
+        count = count * (i + 1) // (repeat + 1)
+    return count
+
+
+def canonical_charmats(fs: FaceStructure) -> dict[tuple[int, ...], int]:
+    """The characteristic matrices up to the permutations of leading facets
+    of one label: {canonical tuple: multiplicity}, the canonical tuple of a
+    matrix being its forms sorted along each label's leading facets, and
+    its multiplicity the number of matrices with that canonical tuple, the
+    product over labels of the multinomial of its form counts there.
+
+    The permutations are automorphisms of the face structure that keep the
+    trailing facets in place, so they map characteristic matrices to
+    characteristic matrices with no renormalisation, and each matrix has
+    one canonical tuple.  The backtrack of enumerate_charmats with the
+    sorting bound (_backtrack) visits only canonical tuples, in search
+    order; the multiplicities sum to len(enumerate_charmats(fs)).
+    """
+    runs = _facet_maps(fs.labels)[0]
+    canonical = {}
+    for _, forms in _backtrack(fs, runs):
+        multiplicity = 1
+        for start, stop in runs:
+            multiplicity *= _arrangements(forms[start:stop])
+        canonical[forms] = multiplicity
+    return canonical
 
 
 @lru_cache(maxsize=None)
@@ -162,16 +233,27 @@ def _renormaliser(basis: tuple[int, int, int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _facet_maps(labels: tuple[int, ...]):
-    """(swaps, symmetries) of a facet labelling: the adjacent pairs a < b of
-    facets of each label, and per weight-preserving polygon symmetry p
-    other than the identity (gale.weight_symmetries), the facet map that
-    sends the i-th facet of label l to the i-th facet of label p(l), as
-    (lead, trail): the source facet of the form that facets 0..n-1 and
-    n..n+2 carry after the map."""
+    """(runs, swaps, symmetries) of a facet labelling.  runs are the
+    (start, stop) of the leading facets of each label held by two or more,
+    which must be consecutive; swaps are, per trailing facet n + j whose
+    label some leading facets carry, (j, start, stop) of those facets; and
+    per weight-preserving polygon symmetry p other than the identity
+    (gale.weight_symmetries), the facet map that sends the i-th facet of
+    label l to the i-th facet of label p(l), as (lead, trail): the source
+    facet of the form that facets 0..n-1 and n..n+2 carry after the map."""
+    n = len(labels) - 3
     by_label: dict[int, list[int]] = {}
     for facet, label in enumerate(labels):
         by_label.setdefault(label, []).append(facet)
-    swaps = tuple(pair for facets in by_label.values() for pair in zip(facets, facets[1:]))
+    spans = {}
+    for label, facets in by_label.items():
+        lead = [f for f in facets if f < n]
+        if lead:
+            if lead[-1] - lead[0] >= len(lead):
+                raise ValueError(f"the leading facets of label {label} are not consecutive")
+            spans[label] = (lead[0], lead[-1] + 1)
+    runs = tuple(span for span in spans.values() if span[1] - span[0] > 1)
+    swaps = tuple((j, *spans[labels[n + j]]) for j in range(3) if labels[n + j] in spans)
     groups = [by_label[label] for label in sorted(by_label)]
     symmetries = []
     for p in weight_symmetries(tuple(map(len, groups))):
@@ -180,7 +262,88 @@ def _facet_maps(labels: tuple[int, ...]):
             for facet, target in zip(facets, groups[p[label]]):
                 source[target] = facet
         symmetries.append((tuple(source[:-3]), tuple(source[-3:])))
-    return swaps, tuple(symmetries)
+    return runs, swaps, tuple(symmetries)
+
+
+def _sorted_runs(forms, runs) -> tuple[int, ...]:
+    """The canonical tuple of a matrix: its forms sorted along each run."""
+    forms = list(forms)
+    for start, stop in runs:
+        forms[start:stop] = sorted(forms[start:stop])
+    return tuple(forms)
+
+
+def _roots(fs: FaceStructure, canonical: list[tuple[int, ...]]) -> list[int]:
+    """Entry i is the least index in canonical of a tuple that the
+    automorphisms of the polytope (orbits) link to canonical[i].
+
+    The same-label group is generated by the permutations of each label's
+    leading facets, which fix every canonical tuple, and one transposition
+    of each trailing facet n + j with a leading facet of its label.  Such a
+    swap puts that facet's form f in variable j's place, and the
+    transvection v -> v + v_j (f + e_j), its own inverse, renormalises
+    every form; facets of one label and form give images with one
+    canonical tuple, so one swap per distinct form other than e_j is made.
+    A union-find links each tuple to the canonical tuple of each such
+    image; an image missing from canonical links nothing.
+
+    The polygon symmetries normalise the same-label group, so they are
+    applied once per part, to its root, in list order: each links the
+    part to its image's part, the moved trailing forms u_0, u_1, u_2 are
+    a basis, and the g with g(u_j) = e_j renormalises every form, read off
+    a table cached per basis and built on first use (_renormaliser).  The
+    symmetries listed are all of their group but the identity, so once a
+    root has been moved by each, every part it reached holds only images
+    of parts already linked, and a part already linked to an earlier root
+    is skipped.
+    """
+    runs, swaps, symmetries = _facet_maps(fs.labels)
+    index = {forms: i for i, forms in enumerate(canonical)}
+    parent = list(range(len(canonical)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def link(i: int, moved):
+        j = index.get(_sorted_runs(moved, runs))
+        if j is not None:
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for i, forms in enumerate(canonical):
+        for j, start, stop in swaps:
+            e = VARIABLES[j]
+            for f in set(forms[start:stop]) - {e}:
+                shift = e ^ f
+                moved = [v ^ shift if v & e else v for v in forms]
+                moved[forms.index(f, start)] = f
+                link(i, moved)
+
+    if symmetries:
+        for i, forms in enumerate(canonical):
+            if parent[i] != i:
+                continue  # not a root, or its part is linked to an earlier one
+            full = forms + VARIABLES
+            for lead, (a, b, c) in symmetries:
+                g = _renormaliser((full[a], full[b], full[c]))
+                link(i, [g[full[f]] for f in lead])
+    return [root(i) for i in range(len(canonical))]
+
+
+def orbit_sizes(fs: FaceStructure, canonical: dict[tuple[int, ...], int]) -> dict:
+    """{representative: size} of each orbit of the characteristic matrices
+    under the automorphisms of the polytope (orbits), given
+    canonical_charmats(fs): the representative is the orbit's first
+    canonical tuple in canonical's order, and the size sums the
+    multiplicities of its canonical tuples."""
+    tuples = list(canonical)
+    sizes: dict[tuple[int, ...], int] = {}
+    for forms, r in zip(tuples, _roots(fs, tuples)):
+        sizes[tuples[r]] = sizes.get(tuples[r], 0) + canonical[forms]
+    return sizes
 
 
 def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
@@ -198,69 +361,19 @@ def orbits(fs: FaceStructure, blocks: Sequence[tuple[int, ...]]) -> list[int]:
     facets n..n+2 carry x, y, z is a degree-one substitution: every member
     of an orbit has the same quotient up to isomorphism.
 
-    A union-find over blocks links each matrix to its image under the
-    adjacent transpositions of each label class, which generate the
-    same-label group.  An image missing from blocks links nothing, so each
-    part lies inside one orbit whatever the list; on the enumeration, which
-    the automorphisms map onto itself, the parts are then the same-label
-    orbits.  The trailing facets are off a vertex, so their labels differ
-    and a transposition moves at most one of them: swapping trailing facet
-    n+j with a leading facet of form f puts f in variable j's place, and
-    the transvection v -> v + v_j (f + e_j), its own inverse, renormalises
-    every form.  A transposition that fixes the matrix, of two leading
-    facets with one form or of a trailing facet with a leading facet
-    already of its variable's form, would link a matrix to itself and is
-    skipped.
-
-    The polygon symmetries normalise the same-label group, so they are
-    applied once per part, to its root, in list order: each links the
-    part to its image's part, the moved trailing forms u_0, u_1, u_2 are
-    a basis, and the g with g(u_j) = e_j renormalises every form, read off
-    a table cached per basis and built on first use (_renormaliser).  The symmetries listed
-    are all of their group but the identity, so once a root has been
-    moved by each, every part it reached holds only images of parts
-    already linked, and a part already linked to an earlier root is
-    skipped.
+    Each matrix is read off its canonical tuple (canonical_charmats), and
+    the distinct canonical tuples, in order of first appearance, are
+    linked as orbit_sizes links them (_roots).  On the enumeration, which
+    the automorphisms map onto itself, the parts are the orbits.  On a
+    partial list, matrices of one canonical tuple share a part and a link
+    is made only where the image's canonical tuple is listed, so each part
+    still lies inside one orbit.
     """
-    n = fs.n
-    swaps, symmetries = _facet_maps(fs.labels)
-    index = {forms: i for i, forms in enumerate(blocks)}
-    parent = list(range(len(blocks)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def link(i: int, moved):
-        j = index.get(tuple(moved))
-        if j is not None:
-            ri, rj = root(i), root(j)
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i, forms in enumerate(blocks):
-        for a, b in swaps:  # a < b, and only b can be a trailing facet
-            if b < n:
-                if forms[a] == forms[b]:
-                    continue  # the swap fixes the matrix
-                moved = list(forms)
-                moved[a], moved[b] = forms[b], forms[a]
-            else:
-                e, f = VARIABLES[b - n], forms[a]
-                shift = e ^ f
-                if not shift:
-                    continue  # form a is already variable j: no shift
-                moved = [v ^ shift if v & e else v for v in forms]
-                moved[a] = f
-            link(i, moved)
-
-    if symmetries:
-        for i, forms in enumerate(blocks):
-            if parent[i] != i:
-                continue  # not a root, or its part is linked to an earlier one
-            full = forms + VARIABLES
-            for lead, (a, b, c) in symmetries:
-                g = _renormaliser((full[a], full[b], full[c]))
-                link(i, [g[full[f]] for f in lead])
-    return [root(i) for i in range(len(blocks))]
+    runs = _facet_maps(fs.labels)[0]
+    canonical = [_sorted_runs(forms, runs) for forms in blocks]
+    first: dict[tuple[int, ...], int] = {}
+    for i, forms in enumerate(canonical):
+        first.setdefault(forms, i)
+    tuples = list(first)
+    representative = {forms: first[tuples[r]] for forms, r in zip(tuples, _roots(fs, tuples))}
+    return [representative[forms] for forms in canonical]

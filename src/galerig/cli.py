@@ -3,19 +3,24 @@ report with optional caching and fixture verification.  The library returns
 plain data (Betti tables, profiles, quotients); every printed shape, text
 or JSON, is written here.
 
-Every command that needs characteristic matrices gets them from _matrices,
-which always enumerates; report --cache only writes each member's list, so
-a cache file can never shrink or replace the enumeration.  iso and report
-compare one isomorphism key per matrix (_matrix_keys): one socle functional
-per orbit of matrices under the automorphisms of the polytope, the
-same-label facet permutations and the weight-preserving symmetries of the
-polygon (charmat.orbits), each read off its representative's top degree
-(cohomology.top_functional), and every matrix takes its orbit's key.
-_class_keys keys the members of a Tor class (report, through classify)
-or iso's one or two diagrams in one pass and owns the rule for sharing
-the {phi: key} map; classify turns the keys into the record report
-prints, with the verdict.  Only cohomology and report --verify build
-quotients.
+Every command that prints or checks a matrix list (charmats, cohomology,
+profile, iso, report --verify and --cache) gets it from _matrices, which
+always enumerates; report --cache only writes each member's list, so a
+cache file can never shrink or replace the enumeration.  iso and report
+compare one socle functional per orbit of matrices under the
+automorphisms of the polytope, the same-label facet permutations and the
+weight-preserving symmetries of the polygon, each read off its
+representative's top degree (cohomology.top_functional) and keyed
+(_orbit_keys).  report counts each key with its orbit's size
+(classify): with no list it reads the orbits off the canonical tuples
+(_classes: charmat.canonical_charmats and charmat.orbit_sizes), so it
+never builds a member's list, and under --verify or --cache off the list
+(_listed_classes: charmat.orbits).  iso gives every matrix of its lists
+its orbit's key (_matrix_keys).  _class_keys keys the members of a Tor
+class (report) or iso's one or two diagrams in one pass and owns the
+rule for sharing the {phi: key} map; classify turns the keys into the
+record report prints, with the verdict.  Only cohomology and report
+--verify build quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
@@ -41,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .betti import betti_table, h_vector, supports_quasitoric
-from .charmat import enumerate_charmats, orbits, row_strings
+from .charmat import canonical_charmats, enumerate_charmats, orbit_sizes, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
 from .gale import GaleDiagram, canonical_weights, face_structure
 
@@ -172,46 +177,72 @@ def _selected_matrices(diagram, index: int | None):
     return fs, [(index, blocks[index - 1])]
 
 
-def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
-    """The isomorphism key of each matrix, in list order, given the
-    polytope's h-vector h.  One socle functional is computed, from the top
-    degree alone and checked against h, per orbit (charmat.orbits), for its
-    representative, whose key every member takes (known and fill go to
-    iso_keys); no quotient is built."""
+def _orbit_keys(fs, representatives, h, known=None, fill=True) -> list[tuple]:
+    """The isomorphism key of each matrix of representatives, one per
+    orbit, given the polytope's h-vector h: its socle functional, computed
+    from the top degree alone and checked against h (known and fill go to
+    iso_keys).  No quotient is built."""
     _bind("cohomology")
+    return iso_keys(fs.n, h, [top_functional(fs, forms, h) for forms in representatives],
+                    known, fill)
+
+
+def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
+    """The isomorphism key of each matrix of a list, in list order: one
+    key per orbit (charmat.orbits), for its representative (_orbit_keys),
+    which every member takes."""
     representatives = orbits(fs, blocks)
     distinct = list(dict.fromkeys(representatives))
-    functionals = [top_functional(fs, blocks[r], h) for r in distinct]
-    key = dict(zip(distinct, iso_keys(fs.n, h, functionals, known, fill)))
+    key = dict(zip(distinct, _orbit_keys(fs, [blocks[r] for r in distinct], h, known, fill)))
     return [key[r] for r in representatives]
 
 
-def _class_keys(matrices) -> dict:
-    """The isomorphism key of each matrix, in list order, per member of
-    matrices (weights -> (face structure, matrices)), each member keyed
-    against its own h-vector.  Members of one h-vector share one {phi: key}
-    map, and each fills the GL(3, GF(2)) orbit of each of its key classes
-    not yet in it, but the last member fills none when an earlier one has
-    its h-vector: a phi missing from the map then matches no other member's
-    key, and its key is None, which equals no key.  So only the last member
-    can have None keys, and a member alone in its h-vector fills its own
-    map."""
+def _class_keys(matrices, keys=_orbit_keys) -> dict:
+    """keys(fs, matrices, h, known, fill) per member of matrices (weights
+    -> (face structure, matrices)), each member keyed against its own
+    h-vector h: report keys one matrix per orbit (_orbit_keys), iso every
+    matrix of a list (_matrix_keys).  Members of one h-vector share one
+    {phi: key} map, and each fills the GL(3, GF(2)) orbit of each of its
+    key classes not yet in it, but the last member fills none when an
+    earlier one has its h-vector: a phi missing from the map then matches
+    no other member's key, and its key is None, which equals no key.  So
+    only the last member can have None keys, and a member alone in its
+    h-vector fills its own map."""
     h = {w: h_vector(GaleDiagram(w)) for w in matrices}
     *_, last = matrices
     shared = list(h.values()).count(h[last]) > 1
     maps = {hw: {} for hw in h.values()}
-    return {w: _matrix_keys(fs, blocks, h[w], maps[h[w]], w != last or not shared)
-            for w, (fs, blocks) in matrices.items()}
+    return {w: keys(fs, forms, h[w], maps[h[w]], w != last or not shared)
+            for w, (fs, forms) in matrices.items()}
 
 
-def classify(matrices) -> dict:
+def _classes(diagram: GaleDiagram, grouped: bool):
+    """Face structure and {matrix: count} of a diagram, never listing its
+    matrices: one entry per orbit (charmat.orbit_sizes) if grouped, else
+    one per canonical tuple (charmat.canonical_charmats)."""
+    fs = face_structure(diagram)
+    canonical = canonical_charmats(fs)
+    return fs, orbit_sizes(fs, canonical) if grouped else canonical
+
+
+def _listed_classes(fs, blocks, grouped: bool) -> dict:
+    """{matrix: count} of a matrix list: one entry per orbit, its first
+    member with the orbit's size (charmat.orbits), if grouped, else one
+    per matrix."""
+    if not grouped:
+        return dict.fromkeys(blocks, 1)
+    return {blocks[r]: size for r, size in Counter(orbits(fs, blocks)).items()}
+
+
+def classify(classes) -> dict:
     """The rigidity record of a Tor class, given each member's weights ->
-    (face structure, characteristic matrices) in the class's order: per
-    member its matrix count, per pair of members the matrix pairs checked
-    and the graded isomorphisms found (pairs with equal keys), and the
-    verdict.  A singleton class is B-rigid, hence C-rigid, by its matrix
-    count alone, so matrices are keyed (_class_keys) only for two or more
-    members.
+    (face structure, {matrix: count}) in the class's order, where each
+    matrix stands for count matrices of its key (_classes,
+    _listed_classes): per member its matrix count, per pair of members the
+    matrix pairs checked and the graded isomorphisms found (pairs with
+    equal keys), and the verdict.  A singleton class is B-rigid, hence
+    C-rigid, by its matrix count alone, so matrices are keyed
+    (_class_keys) only for two or more members.
 
     What the verdict means.  The integral cohomology of a quasitoric
     manifold is torsion-free, so an isomorphism of the integral cohomology
@@ -223,9 +254,16 @@ def classify(matrices) -> dict:
     is H*(small cover; Z/2) of the small cover it defines
     (Davis-Januszkiewicz, Duke Math. J. 62 (1991)), so for the small covers
     over a class the keys decide Z/2-cohomology isomorphism both ways."""
-    members = list(matrices)
-    counts = [len(blocks) for _, blocks in matrices.values()]
-    keys = [Counter(k) for k in _class_keys(matrices).values()] if len(members) > 1 else []
+    members = list(classes)
+    counts = [sum(sizes.values()) for _, sizes in classes.values()]
+    keys = []
+    if len(members) > 1:
+        member_keys = _class_keys({w: (fs, list(sizes)) for w, (fs, sizes) in classes.items()})
+        for (_, sizes), member in zip(classes.values(), member_keys.values()):
+            weighted = Counter()
+            for key, size in zip(member, sizes.values()):
+                weighted[key] += size
+            keys.append(weighted)
     pairs = [{"left": list(members[i]), "right": list(members[j]),
               "checked": counts[i] * counts[j],
               "isomorphisms_found": sum(c * keys[j][key] for key, c in keys[i].items())}
@@ -284,7 +322,7 @@ def cmd_iso(args) -> int:
     d1 = _enumerable(_parse_weights(args.weights))
     d2 = _enumerable(_parse_weights(args.weights2))
     # a diagram compared with itself is enumerated and keyed once
-    keys = _class_keys({d.weights: _matrices(d) for d in dict.fromkeys((d1, d2))})
+    keys = _class_keys({d.weights: _matrices(d) for d in dict.fromkeys((d1, d2))}, _matrix_keys)
     keys_1, keys_2 = keys[d1.weights], keys[d2.weights]
     # a pair is isomorphic iff its keys are equal: one row per distinct key
     rows = {key: [int(key == other) for other in keys_2] for key in dict.fromkeys(keys_1)}
@@ -333,7 +371,13 @@ def cmd_report(args) -> int:
         return 0
 
     _enumerable(diagram)  # every class member has the same facet count
-    matrices = {w: _matrices(GaleDiagram(w)) for w in members}
+    grouped = len(members) > 1
+    if args.cache or args.verify:
+        matrices = {w: _matrices(GaleDiagram(w)) for w in members}
+        classes = {w: (fs, _listed_classes(fs, blocks, grouped))
+                   for w, (fs, blocks) in matrices.items()}
+    else:
+        classes = {w: _classes(GaleDiagram(w), grouped) for w in members}
     if args.cache:
         import json
 
@@ -343,7 +387,7 @@ def cmd_report(args) -> int:
             path = os.path.join(args.cache, f"{'-'.join(map(str, w))}.charmats.json")
             with open(path, "w") as f:
                 f.write(json.dumps(record, indent=2, sort_keys=True))
-    report.update(tor_class=[list(w) for w in members], **classify(matrices))
+    report.update(tor_class=[list(w) for w in members], **classify(classes))
     pairs = report["pairs"]
 
     exit_code = 0

@@ -524,8 +524,9 @@ def _orbit_table(n: int):
 _chained_fills: dict[int, int] = {}
 
 
-def _orbit(phi: int, n: int) -> set[int]:
-    """{phi o g : g in GL(3, GF(2))}.
+def _orbit(phi: int, n: int) -> Sequence[int]:
+    """phi o g for every g in GL(3, GF(2)), in word-tree order, as read:
+    168 images, a phi with a stabiliser repeated.
 
     The first w = monomial_count(n) fills of an n in a process are
     chained along the word tree (_chained_orbit), one table image per group
@@ -538,13 +539,13 @@ def _orbit(phi: int, n: int) -> set[int]:
     fills = _chained_fills.get(n, 0)
     if fills < monomial_count(n):
         _chained_fills[n] = fills + 1
-        return set(_chained_orbit(phi, n))
+        return _chained_orbit(phi, n)
     tables, read = _orbit_table(n)
     stacked = 0
     for table in tables:
         stacked ^= table[phi & 15]
         phi >>= 4
-    return set(read(stacked))
+    return read(stacked)
 
 
 def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],

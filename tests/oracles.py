@@ -9,13 +9,19 @@ greatest triple), the backtrack's search plan by rescanning every pair at
 each step (the package counts closed pairs as it goes), a vectorized full scan
 over every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
-package works with the per-facet forms of the Gale dual), their orbits
+package works with the per-facet forms of the Gale dual), the canonical
+tuples by sorting and counting a full list (the package bounds its
+backtrack and multiplies multinomials), their orbits
 under same-label facet permutations closed breadth-first under every
-transposition (the package runs a union-find over adjacent ones), and
+transposition, and by a union-find over every matrix with adjacent ones
+(the package links one canonical tuple per class of leading
+permutations), and
 under the automorphisms of the polytope with the label permutations found
 by a scan of all of them and renormalised by a search of GL(3, GF(2)) (the
 package lists the weight-preserving polygon symmetries and builds each
-renormalisation from the basis), monomial-wise
+renormalisation from the basis), a Tor class's record from its full
+lists, the h-vector divided out of the whole Betti table (the package
+reads the numerator off the window sums), monomial-wise
 linear substitution, the Poincare pairing, codim and order on coset
 coordinates of the saturated quotient (the package reads them off the
 socle functional), GL(3, GF(2)) as the independent triples of a scan of
@@ -44,13 +50,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, pi, tan
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from galerig.betti import betti_table, window_sums
+from galerig.betti import betti_table, h_vector, window_sums
+from galerig.charmat import _renormaliser
 from galerig.cohomology import (
     LINEAR_FORM_NAMES,
     LINEAR_FORMS,
@@ -58,6 +65,7 @@ from galerig.cohomology import (
     _subst_matrix,
     iso_keys,
     substitution_maps_ideal,
+    top_functional,
 )
 from galerig.gale import (
     _PINNED_ORDERS,
@@ -67,9 +75,28 @@ from galerig.gale import (
     canonical_weights,
     face_structure,
     origin_in_hull,
+    weight_symmetries,
 )
 from galerig.gf2 import image, monomial_count, monomials, rank, times_form, transpose
 from galerig.petersen import five_cycles, petersen_labels
+
+
+# ---------------------------------------------------------------------------
+# the h-vector from the Betti table
+
+
+def h_vector_by_betti_table(diagram: GaleDiagram) -> tuple[int, ...]:
+    """betti.h_vector from the whole Betti table: sum (-1)^i beta^{-i,2j}
+    t^j, divided by (1 - t)^3 as three running sums, the quotient's
+    coefficients above degree n checked to be zero.  (The package reads
+    the numerator off the window sums.)"""
+    coeffs = [0] * (diagram.m + 1)
+    for (i, twoj), b in betti_table(diagram).items():
+        coeffs[twoj // 2] += (-1) ** i * b
+    for _ in range(3):
+        coeffs = list(accumulate(coeffs))
+    assert not any(coeffs[diagram.n + 1:])
+    return tuple(coeffs[:diagram.n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +427,18 @@ def _label_automorphisms(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
                  {frozenset(tau[l - 1] for l in t) for t in hull} == hull)
 
 
+@lru_cache(maxsize=None)
 def _renormaliser_by_search(basis: tuple[int, int, int]) -> tuple[int, int, int]:
     """The substitution of gl3() sending the forms basis[j] to variable j."""
     return next(rows for rows in gl3()
                 if all(image(u, rows) == 1 << j for j, u in enumerate(basis)))
 
 
-def polytope_symmetry_images(fs, forms) -> list[tuple[int, ...]]:
-    """The matrix forms moved by every same-label transposition and by every
-    label automorphism (_label_automorphisms), which sends the i-th facet of
-    label l to the i-th facet of label tau(l), each renormalised so that
-    facets n..n+2 carry x, y, z again by the substitution found by a search
-    of gl3().  Each facet map is checked to map the vertex complements and
-    minimal non-faces of the face structure onto themselves."""
-    n, m, labels = fs.n, fs.m, fs.labels
+@lru_cache(maxsize=None)
+def _polytope_facet_maps(fs) -> tuple[tuple[int, ...], ...]:
+    """The facet maps of polytope_symmetry_images, each checked to map the
+    vertex complements and minimal non-faces onto themselves."""
+    m, labels = fs.m, fs.labels
     maps = []
     for a, b in combinations(range(m), 2):
         if labels[a] == labels[b]:
@@ -429,10 +454,23 @@ def polytope_symmetry_images(fs, forms) -> list[tuple[int, ...]]:
         maps.append(perm)
     complements = set(fs.vertex_complements)
     nonfaces = set(fs.minimal_nonfaces)
-    images = []
     for perm in maps:
         assert {tuple(sorted(perm[f] for f in t)) for t in complements} == complements
         assert {tuple(sorted(perm[f] for f in t)) for t in nonfaces} == nonfaces
+    return tuple(map(tuple, maps))
+
+
+def polytope_symmetry_images(fs, forms) -> list[tuple[int, ...]]:
+    """The matrix forms moved by every same-label transposition and by every
+    label automorphism (_label_automorphisms), which sends the i-th facet of
+    label l to the i-th facet of label tau(l), each renormalised so that
+    facets n..n+2 carry x, y, z again by the substitution found by a search
+    of gl3().  Each facet map is checked to map the vertex complements and
+    minimal non-faces of the face structure onto themselves, once per face
+    structure (_polytope_facet_maps)."""
+    n, m = fs.n, fs.m
+    images = []
+    for perm in _polytope_facet_maps(fs):
         full = list(forms) + [1, 2, 4]
         moved = [0] * m
         for f in range(m):
@@ -476,6 +514,103 @@ def polytope_symmetry_orbits(fs, forms_list) -> set[frozenset[int]]:
     same-label transposition and label automorphism
     (polytope_symmetry_images)."""
     return _closed_orbits(forms_list, lambda forms: polytope_symmetry_images(fs, forms))
+
+
+def canonical_counts(fs, blocks) -> Counter:
+    """charmat.canonical_charmats from a full list: each matrix's forms
+    sorted within the leading facets of each label, counted.  (The package
+    bounds its backtrack to sorted forms and multiplies multinomials.)"""
+    groups = [[f for f in range(fs.n) if fs.labels[f] == label] for label in set(fs.labels)]
+    counts = Counter()
+    for forms in blocks:
+        moved = list(forms)
+        for facets in groups:
+            for facet, form in zip(facets, sorted(forms[f] for f in facets)):
+                moved[facet] = form
+        counts[tuple(moved)] += 1
+    return counts
+
+
+def orbits_by_matrix_union(fs, blocks) -> list[int]:
+    """charmat.orbits by a union-find over the matrices themselves: each
+    matrix is linked to its image under every adjacent transposition of
+    two facets of one label, renormalised by the transvection v -> v +
+    v_j (f + e_j) when trailing facet n + j meets a leading facet of form
+    f, and each part's root in list order to its images under the
+    weight-preserving polygon symmetries (gale.weight_symmetries),
+    renormalised by charmat._renormaliser; an image missing from blocks
+    links nothing.  Entry i is the least index of blocks[i]'s part.  (The
+    package links one canonical tuple per class of same-label leading
+    permutations.)"""
+    n, labels = fs.n, fs.labels
+    groups = [[f for f in range(fs.m) if labels[f] == label] for label in sorted(set(labels))]
+    swaps = [pair for facets in groups for pair in zip(facets, facets[1:])]
+    symmetries = []
+    for p in weight_symmetries(tuple(map(len, groups))):
+        source = [0] * fs.m
+        for label, facets in enumerate(groups):
+            for facet, target in zip(facets, groups[p[label]]):
+                source[target] = facet
+        symmetries.append(source)
+    index = {forms: i for i, forms in enumerate(blocks)}
+    parent = list(range(len(blocks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def link(i: int, moved):
+        j = index.get(tuple(moved))
+        if j is not None:
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for i, forms in enumerate(blocks):
+        for a, b in swaps:  # a < b, and only b can be a trailing facet
+            if b < n:
+                moved = list(forms)
+                moved[a], moved[b] = forms[b], forms[a]
+            else:
+                e, f = 1 << (b - n), forms[a]
+                moved = [v ^ e ^ f if v & e else v for v in forms]
+                moved[a] = f
+            link(i, moved)
+    for i, forms in enumerate(blocks):
+        if parent[i] == i:
+            full = forms + (1, 2, 4)
+            for source in symmetries:
+                g = _renormaliser(tuple(full[f] for f in source[n:]))
+                link(i, [g[full[f]] for f in source[:n]])
+    return [root(i) for i in range(len(blocks))]
+
+
+def class_record_by_lists(matrices) -> dict:
+    """cli.classify's record from each member's full matrix list (weights
+    -> (face structure, list)): one top functional per part of
+    orbits_by_matrix_union, keyed by iso_keys against a map of the
+    member's own, every matrix counted with its part's key."""
+    members = list(matrices)
+    counts = [len(blocks) for _, blocks in matrices.values()]
+    keys = []
+    for w, (fs, blocks) in matrices.items():
+        h = h_vector(GaleDiagram(w))
+        roots = orbits_by_matrix_union(fs, blocks)
+        distinct = sorted(set(roots))
+        key = dict(zip(distinct, iso_keys(fs.n, h, [top_functional(fs, blocks[r], h)
+                                                    for r in distinct])))
+        keys.append(Counter(key[r] for r in roots))
+    pairs = [{"left": list(members[i]), "right": list(members[j]),
+              "checked": counts[i] * counts[j],
+              "isomorphisms_found": sum(c * keys[j][key] for key, c in keys[i].items())}
+             for i, j in combinations(range(len(members)), 2)]
+    found = any(p["isomorphisms_found"] for p in pairs)
+    verdict = ("B-RIGID-WITHIN-FAMILY" if len(members) == 1 else
+               "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND" if found else
+               "NOT-B-RIGID; C-RIGID-WITHIN-CLASS")
+    return {"members": [{"weights": list(w), "charmat_count": c}
+                        for w, c in zip(members, counts)],
+            "pairs": pairs, "verdict": verdict}
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_betti_json_sorted():
 
 
 def test_h_vector_is_the_hilbert_function_of_every_quotient():
-    """h_vector, read off the Betti table, is the Hilbert function of a
+    """h_vector, read off the window sums, is the Hilbert function of a
     saturated quotient and the h-vector of exhaustive face counting, and is
     palindromic with h_0 = h_n = 1, on every canonical pentagon of total
     <= 9 and heptagon of total <= 11, which covers every diagram whose keys
@@ -94,9 +94,20 @@ def test_tor_class_members_share_one_h_vector():
         assert h == {oracles.face_counts(GaleDiagram(members[0]))[1]}, members
 
 
+def test_h_vector_equals_the_betti_table_route():
+    """h_vector, read off the window sums, is the h-vector divided out of
+    the whole Betti table, on every canonical pentagon and heptagon of
+    total <= 12."""
+    diagrams = oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 12)
+    assert len(diagrams) == 100 + 72
+    for weights in diagrams:
+        diagram = GaleDiagram(weights)
+        assert h_vector(diagram) == oracles.h_vector_by_betti_table(diagram), weights
+
+
 def test_h_vector_refuses_an_inexact_division(monkeypatch):
-    table = betti_table(P)
-    monkeypatch.setattr(galerig.betti, "betti_table", lambda d: {**table, (1, 4): 2})
+    sums = galerig.betti.window_sums(P.weights)
+    monkeypatch.setattr(galerig.betti, "window_sums", lambda w: sums + (2,))
     with pytest.raises(ValueError, match="above degree 5"):
         h_vector(P)
 

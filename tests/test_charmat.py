@@ -10,6 +10,7 @@ from galerig.charmat import (
     _COMPLETIONS,
     _renormaliser,
     _search_plan,
+    canonical_charmats,
     enumerate_charmats,
     forms_from_rows,
     is_characteristic,
@@ -239,6 +240,17 @@ def test_orbits_of_a_partial_list_stay_inside_true_orbits():
             members = {blocks.index(listed[i]) for i in part}
             assert any(members <= orbit for orbit in true_orbits)
     assert len(set(orbits(FS_Q, blocks[::-1]))) == 7
+
+
+def test_leading_facets_of_one_label_must_be_consecutive():
+    """The canonical tuples sort forms along consecutive runs, which every
+    face_structure order gives; a labelling that splits a label's leading
+    facets is refused."""
+    split = FS_Q._replace(labels=(1, 2, 1, 3, 3, 5, 2, 4))
+    with pytest.raises(ValueError, match="not consecutive"):
+        canonical_charmats(split)
+    with pytest.raises(ValueError, match="not consecutive"):
+        orbits(split, [])
 
 
 def test_renormaliser_sends_each_basis_to_the_variables():

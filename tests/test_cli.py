@@ -274,9 +274,9 @@ def test_report_verdict_when_a_pair_is_isomorphic(monkeypatch, capsys):
     assert main(["iso", "2,2,2,1,1", "2,2,2,1,1"]) == 0
     self_isos = int(capsys.readouterr().out.split()[0])
     first, last = GaleDiagram((2, 2, 2, 1, 1)), GaleDiagram((3, 1, 2, 1, 1))
-    matrices = galerig.cli._matrices
-    monkeypatch.setattr(galerig.cli, "_matrices",
-                        lambda diagram: matrices(first if diagram == last else diagram))
+    classes = galerig.cli._classes
+    monkeypatch.setattr(galerig.cli, "_classes", lambda diagram, grouped:
+                        classes(first if diagram == last else diagram, grouped))
     assert main(["report", "3,1,2,1,1", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "NOT-B-RIGID; COHOMOLOGY-ISOMORPHISM-FOUND"
@@ -290,14 +290,15 @@ def test_report_verdict_when_a_pair_is_isomorphic(monkeypatch, capsys):
 
 
 def test_classify_gives_each_verdict(monkeypatch, capsys):
-    """classify, called on the matrices directly: a singleton class is
-    settled by its matrix count with no functional read and no orbit
-    filled; the flagship class finds none of its 441 pairs isomorphic; and
-    a synthetic class, the matrices of [2,2,2,1,1] under two weights,
-    finds as many as iso of [2,2,2,1,1] with itself."""
+    """classify, called on each member's matrices up to its automorphisms
+    (cli._classes): a singleton class is settled by its matrix count, read
+    off the canonical tuples, with no functional read and no orbit filled;
+    the flagship class finds none of its 441 pairs isomorphic, as from its
+    full lists; and a synthetic class, the matrices of [2,2,2,1,1] under
+    two weights, finds as many as iso of [2,2,2,1,1] with itself."""
     import galerig.cli
     import galerig.cohomology
-    from galerig.cli import _matrices, classify
+    from galerig.cli import _classes, _listed_classes, _matrices, classify
     from galerig.gale import GaleDiagram
 
     calls = Counter()
@@ -306,20 +307,23 @@ def test_classify_gives_each_verdict(monkeypatch, capsys):
         monkeypatch.setattr(module, name,
                             lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
 
-    record = classify({(4, 4, 1, 1, 1): _matrices(GaleDiagram((4, 4, 1, 1, 1)))})
+    record = classify({(4, 4, 1, 1, 1): _classes(GaleDiagram((4, 4, 1, 1, 1)), False)})
     assert record == {"members": [{"weights": [4, 4, 1, 1, 1], "charmat_count": 159}],
                       "pairs": [], "verdict": "B-RIGID-WITHIN-FAMILY"}
     assert calls == {}
 
     flagship = [(2, 2, 2, 1, 1), (3, 1, 2, 1, 1)]
-    record = classify({w: _matrices(GaleDiagram(w)) for w in flagship})
+    record = classify({w: _classes(GaleDiagram(w), True) for w in flagship})
     assert record["pairs"] == [{"left": [2, 2, 2, 1, 1], "right": [3, 1, 2, 1, 1],
                                 "checked": 441, "isomorphisms_found": 0}]
     assert record["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
+    listed = {w: _matrices(GaleDiagram(w)) for w in flagship}
+    assert classify({w: (fs, _listed_classes(fs, blocks, True))
+                     for w, (fs, blocks) in listed.items()}) == record
 
     assert main(["iso", "2,2,2,1,1", "2,2,2,1,1"]) == 0
     self_isos = int(capsys.readouterr().out.split()[0])
-    same = _matrices(GaleDiagram(flagship[0]))
+    same = _classes(GaleDiagram(flagship[0]), True)
     record = classify(dict.fromkeys(flagship, same))
     [pair] = record["pairs"]
     assert (pair["checked"], pair["isomorphisms_found"]) == (441, self_isos)
@@ -507,16 +511,20 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
-    """A report builds each member's face structure and matrix list once,
-    and groups it into automorphism orbits once, a warm cache too, whose
-    files it rewrites with the same bytes; its keys need no quotient, so
-    only --verify builds any: the 42 published blocks.  A singleton class
-    is B-rigid by its matrix count and needs no orbit pass; a diagram
-    compared with itself is enumerated and grouped once."""
+    """A report builds each member's face structure once and finds its
+    matrices in one pass: the sorted list (enumerate_charmats) under
+    --verify or --cache, a warm cache too, whose files it rewrites with the
+    same bytes, and otherwise the canonical tuples (canonical_charmats).
+    It groups them into automorphism orbits in one pass, read off the list
+    (orbits) or the canonical tuples (orbit_sizes); its keys need no
+    quotient, so only --verify builds any: the 42 published blocks.  A
+    singleton class is B-rigid by its matrix count and needs no orbit
+    pass; a diagram compared with itself is enumerated and grouped once."""
     import galerig.cli
     import galerig.verify
 
-    names = ("face_structure", "enumerate_charmats", "quotient_presentation", "orbits")
+    names = ("face_structure", "enumerate_charmats", "canonical_charmats",
+             "quotient_presentation", "orbits", "orbit_sizes")
     calls = Counter()
 
     def counted(name):
@@ -530,15 +538,17 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     for name in names:
         wrapper = counted(name)
         # verify builds quotients but never groups matrices into orbits
-        for module in (galerig.cli,) if name == "orbits" else (galerig.cli, galerig.verify):
+        shared = name in ("face_structure", "enumerate_charmats", "quotient_presentation")
+        for module in (galerig.cli, galerig.verify) if shared else (galerig.cli,):
             monkeypatch.setattr(module, name, wrapper)
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
     written = {p: p.read_bytes() for p in cache.iterdir()}
-    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 42, 2)),
-                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 0, 2)),
-                           (["report", "7,1,1,1,1"], (1, 1, 0, 0)),
-                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 0, 1))):
+    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 0, 42, 2, 0)),
+                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 0, 0, 2, 0)),
+                           (["report", "3,1,2,1,1"], (2, 0, 2, 0, 0, 2)),
+                           (["report", "7,1,1,1,1"], (1, 0, 1, 0, 0, 0)),
+                           (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 0, 0, 1, 0))):
         calls.clear()
         assert main(argv) == 0
         assert tuple(calls[name] for name in names) == expected, argv

@@ -35,7 +35,7 @@ from galerig.cohomology import (
     _word_tree,
 )
 from galerig.betti import h_vector
-from galerig.cli import _matrix_keys
+from galerig.cli import _classes, _listed_classes, _matrices, _matrix_keys, classify
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
@@ -47,7 +47,7 @@ from galerig.gf2 import (
     table_image,
     times_form,
 )
-from galerig.charmat import enumerate_charmats, orbits
+from galerig.charmat import canonical_charmats, enumerate_charmats, orbit_sizes, orbits
 from galerig.petersen import tor_class
 
 import oracles
@@ -341,6 +341,38 @@ def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
         assert _matrix_keys(fs, blocks, h_vector(GaleDiagram(w))) == keys, w
 
 
+def test_canonical_classes_give_the_list_orbits_and_records(key_comparisons):
+    """The report's path that never lists a member's matrices, on every
+    key_range diagram: the canonical tuples and their multiplicities are
+    the full list's sorted and counted, summing to its length; each orbit
+    representative (charmat.orbit_sizes) lies in its own oracle orbit, of
+    its size; and orbits read off the canonical tuples are the oracle
+    union-find over the whole list.  On each multi-member class compared,
+    classify gives the record built from the full lists, from its
+    canonical classes and from its listed ones alike."""
+    for w in sorted(set(chain(*key_comparisons))):
+        fs = face_structure(GaleDiagram(w))
+        blocks = enumerate_charmats(fs)
+        canonical = canonical_charmats(fs)
+        assert canonical == oracles.canonical_counts(fs, blocks), w
+        assert sum(canonical.values()) == len(blocks), w
+        orbit_of = {blocks[i]: orbit for orbit in oracles.polytope_symmetry_orbits(fs, blocks)
+                    for i in orbit}
+        sizes = orbit_sizes(fs, canonical)
+        assert len({orbit_of[r] for r in sizes}) == len(sizes), w
+        assert all(len(orbit_of[r]) == size for r, size in sizes.items()), w
+        assert sum(sizes.values()) == len(blocks), w
+        assert orbits(fs, blocks) == oracles.orbits_by_matrix_union(fs, blocks), w
+    classes = {pair for pair in key_comparisons if pair[0] != pair[1]}
+    assert len(classes) == 3
+    for members in classes:
+        matrices = {w: _matrices(GaleDiagram(w)) for w in members}
+        record = oracles.class_record_by_lists(matrices)
+        assert classify({w: _classes(GaleDiagram(w), True) for w in members}) == record
+        assert classify({w: (fs, _listed_classes(fs, blocks, True))
+                         for w, (fs, blocks) in matrices.items()}) == record
+
+
 def test_top_functional_is_the_socle_functional(key_quotients):
     """The functional read off I_n alone, checked against the h-vector, is
     the socle functional of the saturated quotient, on every matrix of every
@@ -498,7 +530,8 @@ def test_orbit_is_the_generator_closure():
     for n in range(1, 13):
         width = monomial_count(n)
         for phi in [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(6)]:
-            assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n), (n, phi)
+            orbit = _orbit(phi, n)
+            assert len(orbit) == 168 and set(orbit) == oracles.orbit_by_closure(phi, n), (n, phi)
 
 
 def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
@@ -513,7 +546,8 @@ def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
     rng = random.Random(2)
     phis = [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(width + 3)]
     for i, phi in enumerate(phis):
-        assert _orbit(phi, n) == oracles.orbit_by_closure(phi, n), (i, phi)
+        orbit = _orbit(phi, n)
+        assert len(orbit) == 168 and set(orbit) == oracles.orbit_by_closure(phi, n), (i, phi)
         built = _orbit_table.cache_info()
         assert built.misses == (i >= width) and built.currsize == (i >= width), i
     assert _orbit_table.cache_info().hits == len(phis) - width - 1
