@@ -3,20 +3,21 @@ report with optional caching and fixture verification.  The library returns
 plain data (Betti tables, profiles, quotients); every printed shape, text
 or JSON, is written here.
 
-Every command that prints or checks a matrix list (charmats, cohomology,
-profile, iso, report --verify and --cache) gets it from _matrices, which
-always enumerates; report --cache only writes each member's list, so a
-cache file can never shrink or replace the enumeration.  iso and report
-compare one socle functional per orbit of matrices under the
-automorphisms of the polytope, the same-label facet permutations and the
-weight-preserving symmetries of the polygon, each read off its
+Every command that prints a matrix list (charmats, cohomology, profile,
+iso) gets it from _matrices, which always enumerates.  report never
+lists a member's matrices for its record: under every flag it reads
+them off the canonical tuples (_classes: charmat.canonical_charmats and
+charmat.orbit_sizes).  report --cache only writes each member's
+enumeration, so a cache file can never shrink or replace it, and
+report --verify enumerates the two reference lists itself
+(galerig.verify) and checks the report's counts against them.  iso and
+report compare one socle functional per orbit of matrices under the
+automorphisms of the polytope, the same-label facet permutations and
+the weight-preserving symmetries of the polygon, each read off its
 representative's top degree (cohomology.top_functional) and keyed
 (_orbit_keys).  report counts each key with its orbit's size
-(classify): with no list it reads the orbits off the canonical tuples
-(_classes: charmat.canonical_charmats and charmat.orbit_sizes), so it
-never builds a member's list, and under --verify or --cache off the list
-(_listed_classes: charmat.orbits).  iso gives every matrix of its lists
-its orbit's key (_matrix_keys).  _class_keys keys the members of a Tor
+(classify); iso gives every matrix of its lists its orbit's key
+(_matrix_keys, charmat.orbits).  _class_keys keys the members of a Tor
 class (report) or iso's one or two diagrams in one pass and owns the
 rule for sharing the {phi: key} map; classify turns the keys into the
 record report prints, with the verdict.  Only cohomology and report
@@ -122,7 +123,8 @@ def _emit(data, as_json: bool, text: str):
 
 def _matrices(diagram: GaleDiagram):
     """Face structure and characteristic matrices of a diagram, always
-    enumerated."""
+    enumerated: the list that charmats, cohomology, profile and iso
+    print or key."""
     fs = face_structure(diagram)
     return fs, enumerate_charmats(fs)
 
@@ -225,24 +227,16 @@ def _classes(diagram: GaleDiagram, grouped: bool):
     return fs, orbit_sizes(fs, canonical) if grouped else canonical
 
 
-def _listed_classes(fs, blocks, grouped: bool) -> dict:
-    """{matrix: count} of a matrix list: one entry per orbit, its first
-    member with the orbit's size (charmat.orbits), if grouped, else one
-    per matrix."""
-    if not grouped:
-        return dict.fromkeys(blocks, 1)
-    return {blocks[r]: size for r, size in Counter(orbits(fs, blocks)).items()}
-
-
 def classify(classes) -> dict:
     """The rigidity record of a Tor class, given each member's weights ->
     (face structure, {matrix: count}) in the class's order, where each
-    matrix stands for count matrices of its key (_classes,
-    _listed_classes): per member its matrix count, per pair of members the
-    matrix pairs checked and the graded isomorphisms found (pairs with
-    equal keys), and the verdict.  A singleton class is B-rigid, hence
-    C-rigid, by its matrix count alone, so matrices are keyed
-    (_class_keys) only for two or more members.
+    matrix stands for count matrices of its key (_classes, under every
+    report flag; report --verify checks the same counts): per member its
+    matrix count, per pair of members the matrix pairs checked and the
+    graded isomorphisms found (pairs with equal keys), and the verdict.
+    A singleton class is B-rigid, hence C-rigid, by its matrix count
+    alone, so matrices are keyed (_class_keys) only for two or more
+    members.
 
     What the verdict means.  The integral cohomology of a quasitoric
     manifold is torsion-free, so an isomorphism of the integral cohomology
@@ -371,19 +365,14 @@ def cmd_report(args) -> int:
         return 0
 
     _enumerable(diagram)  # every class member has the same facet count
-    grouped = len(members) > 1
-    if args.cache or args.verify:
-        matrices = {w: _matrices(GaleDiagram(w)) for w in members}
-        classes = {w: (fs, _listed_classes(fs, blocks, grouped))
-                   for w, (fs, blocks) in matrices.items()}
-    else:
-        classes = {w: _classes(GaleDiagram(w), grouped) for w in members}
+    classes = {w: _classes(GaleDiagram(w), len(members) > 1) for w in members}
     if args.cache:
         import json
 
         os.makedirs(args.cache, exist_ok=True)
-        for w, (_, blocks) in matrices.items():
-            record = {"weights": list(w), "blocks": [row_strings(b) for b in blocks]}
+        for w, (fs, _) in classes.items():
+            blocks = [row_strings(b) for b in enumerate_charmats(fs)]
+            record = {"weights": list(w), "blocks": blocks}
             path = os.path.join(args.cache, f"{'-'.join(map(str, w))}.charmats.json")
             with open(path, "w") as f:
                 f.write(json.dumps(record, indent=2, sort_keys=True))
@@ -393,7 +382,7 @@ def cmd_report(args) -> int:
     exit_code = 0
     if args.verify:
         found = sum(p["isomorphisms_found"] for p in pairs)
-        report["verification"] = verify.run_verification(found, matrices)
+        report["verification"] = verify.run_verification(found, classes)
         if not report["verification"]["passed"]:
             exit_code = 1
 

@@ -1,15 +1,18 @@
 """Comparison of the artifacts a report computed against the bundled
-reference tables.  It diffs the report's own matrix lists, re-enumerates
-nothing, builds the quotient of each published block on the report's face
-structures (the report itself keys matrices without quotients), and
-returns its findings as the plain JSON record that report --verify prints.
+reference tables.  The report counts each reference polytope's matrices
+off its canonical tuples and never lists them, so this module enumerates
+each list itself, on the report's face structure, diffs it against the
+published one and checks the report's count against its length; it
+builds the quotient of each published block on the same face structures
+(the report itself keys matrices without quotients), and returns its
+findings as the plain JSON record that report --verify prints.
 
-The verdict policy is deliberately asymmetric: matrix-list or generator-table
-mismatches fail verification, while codim/ord cells may disagree with the
-reference tables provided an independent computation path agrees with the
-report's value (printed tables can carry typos).  The value is the one the
-profile command prints, invariant_profile of the block's socle
-functional; that functional is read off the built quotient's own I_n, not
+The verdict policy is deliberately asymmetric: matrix-list, matrix-count
+or generator-table mismatches fail verification, while codim/ord cells
+may disagree with the reference tables provided an independent
+computation path agrees with the report's value (printed tables can
+carry typos).  The value is the one the profile command prints,
+invariant_profile of the block's socle functional; that functional is read off the built quotient's own I_n, not
 eliminated again, and passes the same rank check against the quotient's
 dimensions as top_functional's (check_inverse_system).  The saturated
 quotient certifies the value: codim from the annihilator dimension, order
@@ -21,10 +24,7 @@ invariant, and never consults these profiles.
 from __future__ import annotations
 
 from . import fixtures
-# Nothing here calls enumerate_charmats or face_structure: the report's lists
-# are diffed.  Both stay importable only because the benchmark tracer wraps
-# galerig.verify.<name> for each.
-from .charmat import enumerate_charmats, row_strings  # noqa: F401 (tracer)
+from .charmat import enumerate_charmats, row_strings
 from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
@@ -37,6 +37,9 @@ from .cohomology import (
     quotient_functional,
     quotient_presentation,
 )
+# face_structure is not called here: the report's face structures are
+# used.  It stays importable only because the benchmark tracer wraps
+# galerig.verify.face_structure.
 from .gale import FaceStructure, face_structure  # noqa: F401 (tracer)
 from .gf2 import format_poly, parse_poly
 
@@ -44,21 +47,24 @@ WEIGHTS_A = (3, 1, 2, 1, 1)
 WEIGHTS_B = (2, 2, 2, 1, 1)
 
 
-def _compare_matrices(family: str, computed: list[tuple[int, ...]]) -> dict:
-    """Diff the report's matrix list of a family against the published one."""
+def _compare_matrices(family: str, fs: FaceStructure, count: int) -> dict:
+    """Diff the matrix list of a family, enumerated on the report's face
+    structure, against the published one; the family is ok only when they
+    agree and the report's matrix count is the list's length."""
+    computed = enumerate_charmats(fs)
     listed = list(fixtures.label_blocks(family).values())
     listed_set, computed_set = set(listed), set(computed)
     missing = [row_strings(f) for f in listed if f not in computed_set]
     extra = [row_strings(f) for f in computed if f not in listed_set]
-    return {"family": family, "matched": len(listed_set & computed_set),
-            "missing": missing, "extra": extra, "ok": not missing and not extra}
+    return {"family": family, "matched": len(listed_set & computed_set), "missing": missing,
+            "extra": extra, "ok": not missing and not extra and count == len(computed)}
 
 
 def _quotients_by_label(family: str, fs: FaceStructure) -> dict[str, GradedQuotient]:
     """The quotient of each published block of a family, labelled, built on
     the report's face structure.  The report keys its matrices without
     building quotients, so every published block is built here, one absent
-    from the report's list too, which already fails the matrix comparison."""
+    from the enumerated list too, which already fails the matrix comparison."""
     return {label: quotient_presentation(fs, block)
             for label, block in fixtures.label_blocks(family).items()}
 
@@ -115,27 +121,32 @@ def _check_profiles(labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict
     return discrepancies
 
 
-def run_verification(iso_found: int, matrices: dict) -> dict:
-    """Diff the report's matrix lists of the two reference polytopes, and
-    the quotients of the published blocks, against the bundled tables, and
-    return the record that a report prints as its "verification" object.
+def run_verification(iso_found: int, classes: dict) -> dict:
+    """Diff the matrix lists of the two reference polytopes, the report's
+    matrix counts, and the quotients of the published blocks against the
+    bundled tables, and return the record that a report prints as its
+    "verification" object.
 
-    matrices[weights] = (fs, blocks) is the face structure and matrix list
-    the report compared; the 21 + 21 published blocks' quotients are built
+    classes[weights] = (fs, {representative: orbit size}) is the face
+    structure and orbits the report classified (cli.classify); each list is
+    enumerated on fs, and the 21 + 21 published blocks' quotients are built
     on those face structures.  iso_found is the number of cross pairs of
     matrices with equal isomorphism keys that the report counted among them.
 
-    The record holds "matrices", the diff of each family's list ("A", "B");
-    "ideal_rows", one entry per published ideal row; "profile_discrepancies",
-    one entry per published codim/ord cell that differs from the computed
-    profile, with whether the independent path certifies the computed value;
-    iso_found, "iso_pairs" (len(blocks_a) * len(blocks_b)); and "passed",
-    true when every list and row is ok, every discrepancy certified and no
-    cross pair isomorphic.
+    The record holds "matrices", the diff of each family's list ("A", "B"),
+    not ok when the report's count (the sum of its orbit sizes) is not the
+    list's length either; "ideal_rows", one entry per published ideal row;
+    "profile_discrepancies", one entry per published codim/ord cell that
+    differs from the computed profile, with whether the independent path
+    certifies the computed value; iso_found, "iso_pairs" (the product of
+    the report's two counts); and "passed", true when every list and row
+    is ok, every discrepancy certified and no cross pair isomorphic.
     """
-    (fs_a, blocks_a), (fs_b, blocks_b) = matrices[WEIGHTS_A], matrices[WEIGHTS_B]
-    comparisons = {"A": _compare_matrices("A", blocks_a), "B": _compare_matrices("B", blocks_b)}
-    labelled = {"A": _quotients_by_label("A", fs_a), "B": _quotients_by_label("B", fs_b)}
+    families = {"A": classes[WEIGHTS_A], "B": classes[WEIGHTS_B]}
+    counts = {family: sum(sizes.values()) for family, (_, sizes) in families.items()}
+    comparisons = {family: _compare_matrices(family, fs, counts[family])
+                   for family, (fs, _) in families.items()}
+    labelled = {family: _quotients_by_label(family, fs) for family, (fs, _) in families.items()}
     ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
     discrepancies = _check_profiles(labelled)
     return {
@@ -143,7 +154,7 @@ def run_verification(iso_found: int, matrices: dict) -> dict:
         "ideal_rows": ideal_rows,
         "profile_discrepancies": discrepancies,
         "iso_found": iso_found,
-        "iso_pairs": len(blocks_a) * len(blocks_b),
+        "iso_pairs": counts["A"] * counts["B"],
         "passed": (all(c["ok"] for c in comparisons.values())
                    and all(r["ok"] for r in ideal_rows)
                    and all(d["certified"] for d in discrepancies)

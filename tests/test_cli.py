@@ -293,12 +293,12 @@ def test_classify_gives_each_verdict(monkeypatch, capsys):
     """classify, called on each member's matrices up to its automorphisms
     (cli._classes): a singleton class is settled by its matrix count, read
     off the canonical tuples, with no functional read and no orbit filled;
-    the flagship class finds none of its 441 pairs isomorphic, as from its
-    full lists; and a synthetic class, the matrices of [2,2,2,1,1] under
+    the flagship class finds none of its 441 pairs isomorphic; and a
+    synthetic class, the matrices of [2,2,2,1,1] under
     two weights, finds as many as iso of [2,2,2,1,1] with itself."""
     import galerig.cli
     import galerig.cohomology
-    from galerig.cli import _classes, _listed_classes, _matrices, classify
+    from galerig.cli import _classes, classify
     from galerig.gale import GaleDiagram
 
     calls = Counter()
@@ -317,9 +317,6 @@ def test_classify_gives_each_verdict(monkeypatch, capsys):
     assert record["pairs"] == [{"left": [2, 2, 2, 1, 1], "right": [3, 1, 2, 1, 1],
                                 "checked": 441, "isomorphisms_found": 0}]
     assert record["verdict"] == "NOT-B-RIGID; C-RIGID-WITHIN-CLASS"
-    listed = {w: _matrices(GaleDiagram(w)) for w in flagship}
-    assert classify({w: (fs, _listed_classes(fs, blocks, True))
-                     for w, (fs, blocks) in listed.items()}) == record
 
     assert main(["iso", "2,2,2,1,1", "2,2,2,1,1"]) == 0
     self_isos = int(capsys.readouterr().out.split()[0])
@@ -431,26 +428,58 @@ def test_report_cache_round_trip(tmp_path, capsys):
 
 
 def test_report_verify_diffs_the_reports_matrices(monkeypatch, capsys):
-    """--verify diffs the matrix list the report compared, so a list cut
-    short fails it, and iso_pairs counts the pairs actually compared."""
-    import galerig.cli
+    """--verify enumerates each reference list on the report's face
+    structure and diffs it, so a list cut short fails it, while iso_pairs
+    still counts the pairs the report compared."""
+    import galerig.verify
     from galerig.gale import GaleDiagram, face_structure
 
-    enumerate_charmats = galerig.cli.enumerate_charmats
+    enumerate_charmats = galerig.verify.enumerate_charmats
     fs_a = face_structure(GaleDiagram((3, 1, 2, 1, 1)))
 
     def cut(fs):
         blocks = enumerate_charmats(fs)
         return blocks[:3] if fs == fs_a else blocks
 
-    monkeypatch.setattr(galerig.cli, "enumerate_charmats", cut)
+    monkeypatch.setattr(galerig.verify, "enumerate_charmats", cut)
     assert main(["report", "3,1,2,1,1", "--verify", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     v = report["verification"]
     assert v["passed"] is False
     assert v["matrices"]["A"]["ok"] is False and len(v["matrices"]["A"]["missing"]) == 18
     assert v["matrices"]["B"]["ok"] is True
-    assert v["iso_pairs"] == 63 == report["pairs"][0]["checked"]
+    assert v["iso_pairs"] == report["pairs"][0]["checked"] == 441
+
+
+def test_report_verify_checks_the_counts_report_prints(monkeypatch, capsys):
+    """--verify checks the matrix counts of the path that plain report
+    runs: a canonical tuple of [3,1,2,1,1] lost there fails family A,
+    though its enumerated list matches the published one."""
+    import galerig.cli
+    from galerig.gale import GaleDiagram, face_structure
+
+    canonical_charmats = galerig.cli.canonical_charmats
+    fs_a = face_structure(GaleDiagram((3, 1, 2, 1, 1)))
+
+    def cut(fs):
+        canonical = canonical_charmats(fs)
+        if fs == fs_a:
+            del canonical[next(reversed(canonical))]
+        return canonical
+
+    assert main(["report", "3,1,2,1,1", "--verify", "--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(galerig.cli, "canonical_charmats", cut)
+    assert main(["report", "3,1,2,1,1", "--verify", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    v = report["verification"]
+    assert v["passed"] is False
+    a = v["matrices"]["A"]
+    assert a["ok"] is False and a["missing"] == [] and a["extra"] == [] and a["matched"] == 21
+    assert v["matrices"]["B"]["ok"] is True
+    counts = {tuple(m["weights"]): m["charmat_count"] for m in report["members"]}
+    assert counts[(3, 1, 2, 1, 1)] < 21 == counts[(2, 2, 2, 1, 1)]
+    assert v["iso_pairs"] == report["pairs"][0]["checked"] == counts[(3, 1, 2, 1, 1)] * 21
 
 
 def _cache_record(weights, capsys):
@@ -511,15 +540,16 @@ def test_report_cache_swap_rejected(tmp_path, capsys):
 
 
 def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
-    """A report builds each member's face structure once and finds its
-    matrices in one pass: the sorted list (enumerate_charmats) under
-    --verify or --cache, a warm cache too, whose files it rewrites with the
-    same bytes, and otherwise the canonical tuples (canonical_charmats).
-    It groups them into automorphism orbits in one pass, read off the list
-    (orbits) or the canonical tuples (orbit_sizes); its keys need no
-    quotient, so only --verify builds any: the 42 published blocks.  A
-    singleton class is B-rigid by its matrix count and needs no orbit
-    pass; a diagram compared with itself is enumerated and grouped once."""
+    """A report builds each member's face structure once and, under every
+    flag, finds its matrices as canonical tuples (canonical_charmats) and
+    groups them into automorphism orbits (orbit_sizes) in one pass each.
+    --cache enumerates each member's list once more (enumerate_charmats)
+    to write it, a warm cache too, whose files it rewrites with the same
+    bytes; --verify enumerates each reference list once to diff it.  The
+    keys need no quotient, so only --verify builds any: the 42 published
+    blocks.  A singleton class is B-rigid by its matrix count and needs no
+    orbit pass; iso lists its matrices (enumerate_charmats, orbits), and a
+    diagram compared with itself is enumerated and grouped once."""
     import galerig.cli
     import galerig.verify
 
@@ -544,8 +574,8 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
     written = {p: p.read_bytes() for p in cache.iterdir()}
-    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 0, 42, 2, 0)),
-                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 0, 0, 2, 0)),
+    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 2, 42, 0, 2)),
+                           (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 2, 0, 0, 2)),
                            (["report", "3,1,2,1,1"], (2, 0, 2, 0, 0, 2)),
                            (["report", "7,1,1,1,1"], (1, 0, 1, 0, 0, 0)),
                            (["iso", "4,1,1,1,1", "4,1,1,1,1"], (1, 1, 0, 0, 1, 0))):

@@ -35,7 +35,7 @@ from galerig.cohomology import (
     _word_tree,
 )
 from galerig.betti import h_vector
-from galerig.cli import _classes, _listed_classes, _matrices, _matrix_keys, classify
+from galerig.cli import _classes, _matrices, _matrix_keys, classify
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
@@ -348,8 +348,8 @@ def test_canonical_classes_give_the_list_orbits_and_records(key_comparisons):
     representative (charmat.orbit_sizes) lies in its own oracle orbit, of
     its size; and orbits read off the canonical tuples are the oracle
     union-find over the whole list.  On each multi-member class compared,
-    classify gives the record built from the full lists, from its
-    canonical classes and from its listed ones alike."""
+    classify gives, from its canonical classes, the record built from the
+    full lists."""
     for w in sorted(set(chain(*key_comparisons))):
         fs = face_structure(GaleDiagram(w))
         blocks = enumerate_charmats(fs)
@@ -369,8 +369,6 @@ def test_canonical_classes_give_the_list_orbits_and_records(key_comparisons):
         matrices = {w: _matrices(GaleDiagram(w)) for w in members}
         record = oracles.class_record_by_lists(matrices)
         assert classify({w: _classes(GaleDiagram(w), True) for w in members}) == record
-        assert classify({w: (fs, _listed_classes(fs, blocks, True))
-                         for w, (fs, blocks) in matrices.items()}) == record
 
 
 def test_top_functional_is_the_socle_functional(key_quotients):

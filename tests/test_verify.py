@@ -5,30 +5,24 @@ import json
 import pytest
 
 from galerig import fixtures
-from galerig.betti import h_vector
-from galerig.charmat import enumerate_charmats, row_strings
-from galerig.cli import _matrix_keys
-from galerig.gale import GaleDiagram, face_structure
+from galerig.charmat import row_strings
+from galerig.cli import _classes, classify
+from galerig.gale import GaleDiagram
 from galerig.verify import WEIGHTS_A, WEIGHTS_B, run_verification
 
 
 @pytest.fixture(scope="module")
-def matrices():
-    """The report's face structure and matrix list of each reference
-    polytope, by weights."""
-    out = {}
-    for weights in (WEIGHTS_A, WEIGHTS_B):
-        fs = face_structure(GaleDiagram(weights))
-        out[weights] = (fs, enumerate_charmats(fs))
-    return out
+def classes():
+    """The report's face structure and {representative: orbit size} of
+    each reference polytope, by weights, as report --verify classifies
+    them."""
+    return {w: _classes(GaleDiagram(w), True) for w in sorted((WEIGHTS_A, WEIGHTS_B))}
 
 
 @pytest.fixture(scope="module")
-def report(matrices):
-    keys_a, keys_b = (_matrix_keys(fs, blocks, h_vector(GaleDiagram(w)))
-                      for w, (fs, blocks) in matrices.items())
-    found = sum(key == other for key in keys_a for other in keys_b)
-    return run_verification(found, matrices)
+def report(classes):
+    [pair] = classify(classes)["pairs"]
+    return run_verification(pair["isomorphisms_found"], classes)
 
 
 def test_matrix_lists_match(report):
@@ -61,14 +55,14 @@ def test_profile_discrepancies_all_certified(report):
     assert all(d["certified"] for d in report["profile_discrepancies"])
 
 
-def test_discrepancy_certified_by_the_independent_path_alone(matrices, report, monkeypatch):
+def test_discrepancy_certified_by_the_independent_path_alone(classes, report, monkeypatch):
     """A published cell that differs from the profile is certified only when
     the second computation path agrees with the profile's value."""
     import galerig.verify
 
     monkeypatch.setattr(galerig.verify, "codim", lambda gamma, q: -1)
     monkeypatch.setattr(galerig.verify, "order", lambda gamma, q: -1)
-    again = run_verification(report["iso_found"], matrices)
+    again = run_verification(report["iso_found"], classes)
     cells = [(d["table"], d["row"], d["column"]) for d in again["profile_discrepancies"]]
     assert cells == [(d["table"], d["row"], d["column"]) for d in report["profile_discrepancies"]]
     assert {table[:3] for table, _, _ in cells} == {"cod", "ord"}
@@ -95,18 +89,41 @@ def test_report_passes_and_serializes(report):
         "codim_A", "ord_A", "codim_B", "ord_B"}
 
 
-def test_published_block_missing_from_the_report_is_built(matrices, report):
-    """A published block absent from the report's matrix list fails the
+def test_published_block_missing_from_the_report_is_built(classes, report, monkeypatch):
+    """A published block absent from the enumerated matrix list fails the
     matrix comparison, and its quotient is still built on the report's face
     structure, so the tables are still diffed in full."""
+    import galerig.verify
+
     first = fixtures.label_blocks("A")["A1"]
-    fs_a, blocks_a = matrices[WEIGHTS_A]
-    cut = {**matrices, WEIGHTS_A: (fs_a, [b for b in blocks_a if b != first])}
-    again = run_verification(report["iso_found"], cut)
+    fs_a = classes[WEIGHTS_A][0]
+    enumerate_charmats = galerig.verify.enumerate_charmats
+
+    def cut(fs):
+        blocks = enumerate_charmats(fs)
+        return [b for b in blocks if b != first] if fs == fs_a else blocks
+
+    monkeypatch.setattr(galerig.verify, "enumerate_charmats", cut)
+    again = run_verification(report["iso_found"], classes)
     assert again["matrices"]["A"]["missing"] == [row_strings(first)]
+    assert again["matrices"]["B"]["ok"] is True
     assert again["passed"] is False
     for field in ("ideal_rows", "profile_discrepancies"):
         assert again[field] == report[field]
+
+
+def test_report_count_off_the_list_fails_its_family(classes, report):
+    """A family whose report count is not its list's length fails, though
+    the list matches the published one, and iso_pairs is the product of
+    the report's counts."""
+    fs_a, sizes_a = classes[WEIGHTS_A]
+    first, *rest = sizes_a.items()
+    fewer = {**classes, WEIGHTS_A: (fs_a, dict(rest))}
+    again = run_verification(report["iso_found"], fewer)
+    a = again["matrices"]["A"]
+    assert (a["ok"], a["matched"], a["missing"], a["extra"]) == (False, 21, [], [])
+    assert again["matrices"]["B"]["ok"] is True and again["passed"] is False
+    assert again["iso_pairs"] == (21 - first[1]) * 21
 
 
 def test_representative_groups_cover_everything():
