@@ -58,7 +58,7 @@ from .gale import GaleDiagram, canonical_weights, face_structure
 _DEFERRED = {
     "cohomology": ("LINEAR_FORM_NAMES", "invariant_profile", "iso_keys",
                    "quotient_presentation", "top_functional"),
-    "gf2": ("format_poly", "to_lists"),
+    "gf2": ("format_poly", "lowest_pivot_rows", "monomial_count", "to_lists"),
     "petersen": ("tor_class",),
 }
 
@@ -88,7 +88,7 @@ def __getattr__(name: str):
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.17 s, `profile` 1.3 s and `cohomology` 3.5 s, 17 s under --json (README,
+# 0.17 s, `profile` 1.3 s and `cohomology` 2.5 s, 14 s under --json (README,
 # "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
@@ -282,8 +282,9 @@ def cmd_cohomology(args) -> int:
         q = quotient_presentation(fs, block)
         record = {"block": row_strings(block), "n": q.n, "hilbert": list(q.hilbert),
                   "generators": [format_poly(g) for g in q.generators]}
-        if args.json:  # the ideal's rows only --json prints
-            record["ideal"] = {str(d): [to_lists(d, row) for row in q.ideal.rows(d)]
+        if args.json:  # the ideal's rows only --json prints, under lowest-bit pivots
+            record["ideal"] = {str(d): [to_lists(d, row) for row in
+                                        lowest_pivot_rows(q.ideal.rows(d), monomial_count(d))]
                                for d in range(q.ideal.max_degree + 1)}
         records.append(record)
     text = [f"{' '.join(r['block'])}\n  hilbert: {r['hilbert']}\n"

@@ -179,15 +179,18 @@ def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedS
             raise ValueError(f"generator degree {degree} above the stored range")
         spans[degree].append(vec)
     for d in range(1, top + 1):
-        spans[d - 1] = echelon(spans[d - 1])[1]
+        spans[d - 1] = echelon(spans[d - 1], monomial_count(d - 1))
         spans[d] += [times_form(row, d - 1, v) for row in spans[d - 1] for v in VARIABLES]
     return GradedSubspace.from_spans(spans)
 
 
 def ideal_equal(generators: Iterable[tuple[int, int]], quotient: GradedQuotient) -> bool:
     """Whether the graded ideal generated by the (degree, vec) polynomials
-    (saturated degreewise up to degree n+1) equals the quotient's ideal."""
-    return _saturated_ideal(generators, quotient.n + 1) == quotient.ideal
+    (saturated degreewise up to degree n+1) equals the quotient's ideal.
+    Equality needs both full in degree n+1, and then a generator above it
+    lies in both, so only those of degree <= n+1 are saturated."""
+    top = quotient.n + 1
+    return _saturated_ideal([g for g in generators if g[0] <= top], top) == quotient.ideal
 
 
 # ---------------------------------------------------------------------------

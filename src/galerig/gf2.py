@@ -14,27 +14,23 @@ Conventions:
       a polynomial by one; the products by monomials are read off
       ``product_index`` (below).
 
-Two kernels carry the hot loops.  ``echelon``, the package's one
-reduced-echelon routine, keeps each row under its lowest set bit: a
-forward pass reduces every incoming row by the row stored under its lowest
-bit until that bit is new or the row is zero, and a back-substitution
-clears the pivot columns through a mask.  ``rank``, and
-``hyperplane_functional``, which reads the functional vanishing on a
-hyperplane, run a forward pass of their own (``_forward``) that keeps each
-row under its highest set bit instead, in a list indexed by the row's
-``bit_length`` and sized from the row width.  The two pivot orders differ
-because only echelon's rows are seen: its reduced rows, pivots ascending,
-are the unique form that ``GradedSubspace`` compares and that ``galerig
-cohomology --json`` prints (the goldens pin them), and reduced rows under
-highest-bit pivots are another basis.  Rank and the functional show no
-rows, so they take the cheaper pass: ``bit_length`` is one call that gives
-a list index, where the lowest bit costs a negation and an AND, each a new
-int as wide as the row, and a dict lookup; the functional then reads
-upward from the one column without a pivot.  A linear map applied many
-times is turned into ``byte_tables``, one 256-entry table of the images
-of every byte per 8 columns, after the "Four Russians" tables of M4RI
-(Albrecht, Bard and Hart, ACM TOMS 37, 2010), and ``table_image`` applies
-it with one lookup per byte of the vector instead of one XOR per set bit.
+Two kernels carry the hot loops.  Row reduction is one forward pass,
+``_forward``: it keeps each row under its highest set bit, in a list
+indexed by the row's ``bit_length`` and sized from the row width, and
+reduces every incoming row by the row stored there until that bit is new
+or the row is zero.  ``rank`` counts its pivots, ``hyperplane_functional``
+reads the functional vanishing on a hyperplane off it upward from the one
+column without a pivot, and ``echelon`` back-substitutes over it into the
+reduced rows under highest-bit pivots, ascending: the unique form that
+``GradedSubspace`` stores and compares.  ``galerig cohomology --json``
+prints the reduced rows under lowest-bit pivots instead (the goldens pin
+them); ``lowest_pivot_rows`` is echelon on the rows with their columns
+reversed, reversed back, so only the printed form pays for the other
+order.  A linear map applied many times is turned into ``byte_tables``,
+one 256-entry table of the images of every byte per 8 columns, after the
+"Four Russians" tables of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,
+2010), and ``table_image`` applies it with one lookup per byte of the
+vector instead of one XOR per set bit.
 A map with very wide images takes 16-entry tables per 4 columns instead,
 to bound their memory (``galerig.cohomology``'s stacked orbit tables).
 
@@ -58,12 +54,13 @@ Monomial = tuple[int, int, int]
 
 
 def _forward(rows: Iterable[int], width: int) -> list[int]:
-    """Forward pass of rank and hyperplane_functional: entry b is the stored
-    row whose highest set bit is column b - 1 (its bit_length is b), or 0,
-    for b = 0..width.  Each incoming row is reduced by the row stored under
-    its highest bit until that bit is new or the row is zero, so the stored
-    rows have distinct highest bits (the pivots).  Raises ValueError for a
-    row with a bit at or above width, whose index the list does not hold."""
+    """The one forward pass, of rank, hyperplane_functional and echelon:
+    entry b is the stored row whose highest set bit is column b - 1 (its
+    bit_length is b), or 0, for b = 0..width.  Each incoming row is reduced
+    by the row stored under its highest bit until that bit is new or the
+    row is zero, so the stored rows have distinct highest bits (the
+    pivots).  Raises ValueError for a row with a bit at or above width,
+    whose index the list does not hold."""
     basis = [0] * (width + 1)
     try:
         for row in rows:
@@ -79,44 +76,56 @@ def _forward(rows: Iterable[int], width: int) -> list[int]:
     return basis
 
 
-def echelon(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows: the one reduced-echelon
-    routine of the package.
+def echelon(rows: Iterable[int], width: int) -> list[int]:
+    """Reduced row echelon form of bit-packed rows on width columns: the
+    forward pass (_forward), then one back-substitution over its rows.
 
-    Returns (pivots, reduced_rows) with pivot columns strictly increasing and
-    zero rows dropped.  Each row's pivot is its lowest set bit, and every
-    pivot column is cleared in all other rows, so a vector is reduced by one
-    pass over the pivots, in any order; this form of a row space is unique.
+    Returns the reduced rows, zero rows dropped, pivots strictly
+    increasing.  Each row's pivot is its highest set bit, and every pivot
+    column is cleared in all other rows, so a vector is reduced by one pass
+    over the rows, in any order; this form of a row space is unique.
 
-    The forward pass reduces every incoming row by the row stored under its
-    lowest set bit until that bit is new or the row is zero.  Then
-    back-substitution runs from the highest pivot down: a row can only hold
-    pivot bits above its own, each such bit is cleared by the already
-    reduced row of that pivot, and a reduced row brings in no other pivot
-    bit, so the bits to clear are read off once through the mask of the
-    pivots above.
+    Back-substitution runs from the lowest pivot up: a stored row can hold
+    only pivot bits below its own, each is cleared by the already reduced
+    row of that pivot, and a reduced row brings in no other pivot bit, so
+    the bits to clear are read off once through the mask of the pivots
+    below.  Raises ValueError for a row with a bit at or above width.
     """
-    basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            pivot_row = basis.get(low)
-            if pivot_row is None:
-                basis[low] = row
-                break
-            row ^= pivot_row
-    lows = sorted(basis)
-    mask = 0
-    for low in reversed(lows):
-        row = basis[low]
-        hits = row & mask
-        while hits:
-            bit = hits & -hits
-            row ^= basis[bit]
-            hits ^= bit
-        basis[low] = row
-        mask |= low
-    return [low.bit_length() - 1 for low in lows], [basis[low] for low in lows]
+    basis = _forward(rows, width)
+    reduced, mask = [], 0
+    for top, row in enumerate(basis):
+        if row:
+            hits = row & mask
+            while hits:
+                bit = hits.bit_length()
+                row ^= basis[bit]
+                hits ^= 1 << (bit - 1)
+            basis[top] = row
+            reduced.append(row)
+            mask |= 1 << (top - 1)
+    return reduced
+
+
+# bit b of entry i is bit 7 - b of i
+_BYTE_REVERSAL = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reversed(row: int, width: int) -> int:
+    """The row with its width columns in reverse order: column c goes to
+    column width - 1 - c, the bytes reversed and each byte read off
+    _BYTE_REVERSAL."""
+    size = -(-width // 8)
+    flipped = row.to_bytes(size, "big").translate(_BYTE_REVERSAL)
+    return int.from_bytes(flipped, "little") >> (8 * size - width)
+
+
+def lowest_pivot_rows(rows: Iterable[int], width: int) -> list[int]:
+    """Reduced row echelon form of bit-packed rows on width columns under
+    lowest-bit pivots, pivots strictly increasing: the form that galerig
+    cohomology --json prints.  It is echelon on the rows with their columns
+    reversed, each result reversed back, in reverse order."""
+    reduced = echelon((_reversed(row, width) for row in rows), width)
+    return [_reversed(row, width) for row in reversed(reduced)]
 
 
 def rank(rows: Iterable[int], width: int) -> int:
@@ -148,14 +157,6 @@ def hyperplane_functional(rows: Iterable[int], width: int) -> int:
         if (phi & basis[top]).bit_count() & 1:
             phi |= 1 << (top - 1)
     return phi
-
-
-def reduce_vector(vec: int, pivots: Iterable[int], rows: Iterable[int]) -> int:
-    """Reduce a bit vector against an echelon basis (pivots ascending)."""
-    for p, r in zip(pivots, rows):
-        if (vec >> p) & 1:
-            vec ^= r
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -333,40 +334,39 @@ def format_poly(p: tuple[int, int]) -> str:
 class GradedSubspace(NamedTuple):
     """Per-degree reduced echelon bases of a graded subspace of GF(2)[x,y,z].
 
-    ``components[d]`` is a pair (pivots, rows) over the degree-d monomial
-    basis; rows are in reduced echelon form, so equal subspaces have equal
-    components.
+    ``components[d]`` is echelon's form of the degree-d component over the
+    degree-d monomial basis: its reduced rows, each under its highest set
+    bit, pivots ascending, so equal subspaces have equal components.
     """
 
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    components: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_spans(cls, spans: Iterable[Iterable[int]]) -> "GradedSubspace":
         """Build from per-degree spanning vectors (index = degree)."""
-        comps = []
-        for vecs in spans:
-            pivots, rows = echelon(vecs)
-            comps.append((tuple(pivots), tuple(rows)))
-        return cls(tuple(comps))
+        return cls(tuple(tuple(echelon(vecs, monomial_count(d)))
+                         for d, vecs in enumerate(spans)))
 
     @property
     def max_degree(self) -> int:
         return len(self.components) - 1
 
-    def _component(self, degree: int):
+    def rows(self, degree: int) -> tuple[int, ...]:
         if degree < 0 or degree > self.max_degree:
             raise ValueError(f"degree {degree} outside the stored range 0..{self.max_degree}")
         return self.components[degree]
 
     def dimension(self, degree: int) -> int:
-        return len(self._component(degree)[1])
-
-    def rows(self, degree: int) -> tuple[int, ...]:
-        return self._component(degree)[1]
+        return len(self.rows(degree))
 
     def reduce(self, degree: int, vec: int) -> int:
-        pivots, rows = self._component(degree)
-        return reduce_vector(vec, pivots, rows)
+        """The representative of vec modulo the degree-d component that
+        holds no pivot: each row whose pivot, read off its bit_length, is
+        set in vec is added to it."""
+        for row in self.rows(degree):
+            if (vec >> (row.bit_length() - 1)) & 1:
+                vec ^= row
+        return vec
 
     def contains(self, degree: int, vec: int) -> bool:
         return self.reduce(degree, vec) == 0

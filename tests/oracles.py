@@ -686,8 +686,9 @@ def substitute_linear(p, images, nvars_out: int | None = None):
 
 def coset_columns(q, degree: int) -> list[int]:
     """Monomial columns representing a basis of the quotient in one degree:
-    the non-pivot columns of the ideal's echelon basis."""
-    pivots = set(q.ideal.components[degree][0])
+    the non-pivot columns of the ideal's echelon basis, whose pivots are
+    the rows' highest bits."""
+    pivots = {row.bit_length() - 1 for row in q.ideal.rows(degree)}
     return [c for c in range(monomial_count(degree)) if c not in pivots]
 
 
@@ -892,9 +893,10 @@ def annihilator(phi: int, n: int, degree: int) -> list[int]:
 
 
 def echelon_by_scan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form with lowest-bit pivots, as gf2.echelon
-    gives it: each row is reduced against every stored pivot, and its own
-    pivot is then cleared from every stored row."""
+    """Reduced row echelon form with lowest-bit pivots, (pivots, rows) with
+    the rows as gf2.lowest_pivot_rows gives them: each row is reduced
+    against every stored pivot, and its own pivot is then cleared from
+    every stored row."""
     basis: dict[int, int] = {}
     for row in rows:
         for p, b in basis.items():

@@ -482,6 +482,30 @@ def test_report_verify_checks_the_counts_report_prints(monkeypatch, capsys):
     assert v["iso_pairs"] == report["pairs"][0]["checked"] == counts[(3, 1, 2, 1, 1)] * 21
 
 
+def test_report_verify_leaves_out_generators_above_degree_n_plus_1(monkeypatch, capsys):
+    """A published generator above degree n + 1 lies in every ideal full in
+    degree n + 1, so --verify compares the others: x^7 added to row A1
+    (n = 5) keeps the row ok, and with one of its generators dropped as
+    well the row fails."""
+    import galerig.fixtures
+
+    tables = galerig.fixtures.ideal_tables()
+    a1 = next(i for i, row in enumerate(tables) if row["labels"] == ["A1"])
+
+    def verify_with(generators):
+        rows = list(tables)
+        rows[a1] = {**tables[a1], "generators": generators}
+        monkeypatch.setattr(galerig.fixtures, "ideal_tables", lambda: tuple(rows))
+        code = main(["report", "3,1,2,1,1", "--verify", "--json"])
+        return code, json.loads(capsys.readouterr().out)["verification"]["ideal_rows"][a1]
+
+    published = tables[a1]["generators"]
+    code, row = verify_with(published + ["x^7"])
+    assert code == 0 and row["labels"] == ["A1"] and row["ok"] is True
+    code, row = verify_with(published[1:] + ["x^7"])
+    assert code == 1 and row["matches"] is False and row["ok"] is False
+
+
 def _cache_record(weights, capsys):
     """The record --cache writes for a diagram: charmats --json's weights
     and blocks."""

@@ -31,6 +31,7 @@ from galerig.cohomology import (
     _contraction_tables,
     _orbit,
     _orbit_table,
+    _saturated_ideal,
     _subst_matrix,
     _word_tree,
 )
@@ -40,6 +41,7 @@ from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
     image,
+    lowest_pivot_rows,
     monomial_count,
     monomials,
     parse_poly,
@@ -125,8 +127,13 @@ def test_ideal_equal_rejects_inhomogeneous():
     # an inhomogeneous generator cannot be written as (degree, vec)
     with pytest.raises(ValueError):
         parse_poly("x+x^2")
-    with pytest.raises(ValueError):
-        ideal_equal([(QA1.n + 2, 1)], QA1)  # above the stored range
+    # x^(n+2), above the stored range, lies in every ideal full in degree
+    # n + 1: ideal_equal leaves it out, and the saturation alone refuses it
+    above = (QA1.n + 2, 1)
+    assert not ideal_equal([above], QA1)
+    assert ideal_equal([above] + list(QA1.generators), QA1)
+    with pytest.raises(ValueError, match="above the stored range"):
+        _saturated_ideal([above], QA1.n + 1)
 
 
 def test_ideal_equal_detects_difference():
@@ -674,7 +681,8 @@ def test_socle_functional_inverse_system_is_the_ideal(key_range):
     for q in quotients.values():
         phi = socle_functional(q)
         for d in range(q.n + 1):
-            assert oracles.annihilator(phi, q.n, d) == list(q.ideal.rows(d))
+            assert oracles.annihilator(phi, q.n, d) == lowest_pivot_rows(q.ideal.rows(d),
+                                                                         monomial_count(d))
 
 
 def test_find_graded_iso_returns_the_search_witness():
@@ -690,7 +698,8 @@ def test_socle_functional_refuses_a_broken_duality():
     # one degree-2 row moved off the ideal: same I_n, dimensions and
     # socle functional, but I_2 is no longer the inverse system of I_n
     spans = [list(QA1.ideal.rows(d)) for d in range(QA1.n + 2)]
-    free = next(c for c in range(6) if c not in QA1.ideal.components[2][0])
+    pivots = {row.bit_length() - 1 for row in QA1.ideal.rows(2)}
+    free = next(c for c in range(6) if c not in pivots)
     spans[2][0] ^= 1 << free
     broken = GradedQuotient(n=QA1.n, ideal=GradedSubspace.from_spans(spans),
                             hilbert=QA1.hilbert, generators=QA1.generators)

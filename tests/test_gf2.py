@@ -14,6 +14,7 @@ from galerig.gf2 import (
     from_lists,
     hyperplane_functional,
     image,
+    lowest_pivot_rows,
     monomial_count,
     monomials,
     parse_poly,
@@ -47,24 +48,30 @@ def _packed(dense):
 
 
 def test_rref_identity():
-    pivots, reduced = echelon(_packed([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert pivots == [0, 1, 2] and reduced == [1, 2, 4]
+    rows = _packed([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert echelon(rows, 3) == lowest_pivot_rows(rows, 3) == [1, 2, 4]
     assert rank([1, 2, 4], 3) == 3
 
 
 def test_rref_zero():
-    assert echelon([0, 0]) == ([], [])
+    assert echelon([0, 0], 1) == lowest_pivot_rows([0, 0], 1) == []
     assert rank([0, 0], 1) == 0
 
 
 def test_rref_rank_one():
-    assert echelon(_packed([[1, 1], [1, 1]])) == ([0], [0b11])
-    assert rank(_packed([[1, 1], [1, 1]]), 2) == 1
+    rows = _packed([[1, 1], [1, 1]])
+    assert echelon(rows, 2) == lowest_pivot_rows(rows, 2) == [0b11]
+    assert rank(rows, 2) == 1
 
 
 def test_rref_involutive_on_reduced():
-    pivots, reduced = echelon(_packed([[1, 0, 1], [0, 1, 1], [1, 1, 0]]))
-    assert echelon(reduced) == (pivots, reduced)
+    rows = _packed([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    # the span of x + z and y + z: pivots y, then z, under highest bits;
+    # x, then y, under lowest bits
+    reduced, lowest = echelon(rows, 3), lowest_pivot_rows(rows, 3)
+    assert reduced == [0b011, 0b101] and lowest == [0b101, 0b110]
+    assert echelon(reduced, 3) == echelon(lowest, 3) == reduced
+    assert lowest_pivot_rows(lowest, 3) == lowest_pivot_rows(reduced, 3) == lowest
 
 
 @given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
@@ -74,10 +81,13 @@ def test_rank_invariant_under_row_permutation(dense, rng):
     shuffled = list(dense)
     rng.shuffle(shuffled)
     assert rank(_packed(dense), 4) == rank(_packed(shuffled), 4)
-    # a reduced basis: every pivot column is cleared in every other row
-    pivots, reduced = echelon(_packed(dense))
+    # a reduced basis: every pivot column, a row's highest bit, is cleared
+    # in every other row, and the order of the rows does not change it
+    reduced = echelon(_packed(dense), 4)
+    pivots = [row.bit_length() - 1 for row in reduced]
     assert all(((row >> p) & 1) == (i == j)
                for i, p in enumerate(pivots) for j, row in enumerate(reduced))
+    assert echelon(_packed(shuffled), 4) == reduced
 
 
 @st.composite
@@ -95,9 +105,16 @@ def row_lists(draw):
 @settings(max_examples=300)
 def test_echelon_and_rank_equal_the_pivot_scan(rows_and_width):
     rows, width = rows_and_width
-    expected = echelon_by_scan(rows)
-    assert echelon(rows) == expected
-    assert rank(rows, width) == len(expected[1])
+    expected = echelon_by_scan(rows)[1]
+    assert lowest_pivot_rows(rows, width) == expected
+    # echelon's rows: highest bits strictly increasing, each row clear of
+    # every other row's highest bit, and the oracle's span
+    reduced = echelon(rows, width)
+    pivots = [row.bit_length() - 1 for row in reduced]
+    assert pivots == sorted(set(pivots))
+    assert all(not (row >> p) & 1 for p in pivots for row in reduced if row.bit_length() - 1 != p)
+    assert echelon_by_scan(reduced)[1] == expected
+    assert rank(rows, width) == len(expected)
 
 
 def test_rank_refuses_rows_wider_than_its_width():
@@ -154,8 +171,8 @@ def test_hyperplane_functional_is_the_annihilator():
                                              for _ in range(8)]:
             rows = _kernel_rows(phi, width, rng)
             assert hyperplane_functional(rows, width) == phi, (width, phi)
-            # echelon's lowest-bit reduced rows, as quotient_functional hands them
-            assert hyperplane_functional(echelon(rows)[1], width) == phi, (width, phi)
+            # echelon's reduced rows, as quotient_functional hands them
+            assert hyperplane_functional(echelon(rows, width), width) == phi, (width, phi)
 
 
 def test_hyperplane_functional_refuses_other_coranks():
