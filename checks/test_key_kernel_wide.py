@@ -8,10 +8,11 @@ hands to gf2.hyperplane_functional keeps one row per highest bit and spans
 what the pivot-scanning elimination of tests/oracles.py spans on the same
 rows, phi read off that pass equals phi read off the oracle's reduced
 echelon rows, the catalecticants of phi sliced off the stacked
-catalecticant tables equal the bit-by-bit ones in every degree 0..n, and
-the orbit filled along the word tree equals the closure from a frontier
-under the two generators.  Too many diagrams
-for tier-1, so this sits outside tier-1's testpaths.
+catalecticant tables equal the bit-by-bit ones in every degree 0..n // 2
+and the ranks mirrored from them (cohomology._ranks) the bitwise ones in
+every degree 0..n, and the orbit filled along the word tree equals the
+closure from a frontier under the two generators.  Too many diagrams for
+tier-1, so this sits outside tier-1's testpaths.
 
 Runtime: about 11 s on a 2-core x86 VM under Python 3.11; no diagram takes
 more than 0.2 s.
@@ -32,7 +33,7 @@ import galerig.cohomology  # noqa: E402
 import galerig.gf2  # noqa: E402
 from galerig.betti import h_vector  # noqa: E402
 from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
-from galerig.cohomology import _catalecticants, _orbit, top_functional  # noqa: E402
+from galerig.cohomology import _catalecticants, _orbit, _ranks, top_functional  # noqa: E402
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
 from galerig.petersen import tor_class  # noqa: E402
 
@@ -76,8 +77,9 @@ def test_key_kernels_agree_with_oracles(weights, monkeypatch):
     for r in distinct:
         phi = top_functional(fs, blocks[r], h)
         assert phi == oracles.top_functional_by_echelon(fs, blocks[r])
-        assert _catalecticants(phi, n, n) == [oracles.catalecticant_by_bits(phi, n, d)
-                                              for d in range(n + 1)]
+        assert _catalecticants(phi, n) == [oracles.catalecticant_by_bits(phi, n, d)
+                                           for d in range(n // 2 + 1)]
+        assert _ranks(phi, n) == oracles.catalecticant_ranks_by_bits(phi, n)
         orbit = _orbit(phi, n)
         assert len(orbit) == 168 and set(orbit) == oracles.orbit_by_closure(phi, n)
     # one elimination per representative, each over the products spanning I_n

@@ -88,7 +88,7 @@ def __getattr__(name: str):
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.17 s, `profile` 1.3 s and `cohomology` 2.5 s, 14 s under --json (README,
+# 0.17 s, `profile` 0.9 s and `cohomology` 2.5 s, 14 s under --json (README,
 # "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 

@@ -31,7 +31,8 @@ tables outlive a call and are keyed by n alone or by n and a multiset of
 forms, never by a diagram or a phi: the I_n rows of a minimal non-face
 per (n, its forms' multiset) (_nonface_rows), and per n the byte tables
 that map phi to all of Cat_0..Cat_(n//2), stacked, in one lookup per
-byte, and to the degrees above in one more (_catalecticant_tables).
+byte (_catalecticant_tables); Cat_(n-d) is the transpose of Cat_d, so
+no degree above n//2 is tabled.
 The dual side has one more operation, the contraction psi -> (f ->
 psi(l * f)) of a functional by a linear form l, the transpose of
 multiplication by l, through cached byte tables.  Every
@@ -59,10 +60,12 @@ to a degree-one substitution, hence one key.
 The codimension and order invariants of the seven nonzero linear forms are
 computed for reporting and cross-checks; the isomorphism verdict never
 depends on them.  invariant_profile reads them off phi too, since I_d is
-the kernel of phi's degree-d catalecticant, by contraction alone, so the
-profile command builds no quotient either.  codim and order compute the
-same invariants on a saturated quotient by multiplication, the second
-path that certifies a profile cell disagreeing with a published table.
+the kernel of phi's degree-d catalecticant, by contraction alone: codim
+off the catalecticant ranks of phi's contraction by each form, ord off
+repeated contractions, so the profile command builds no quotient either.
+codim and order compute the same invariants on a saturated quotient by
+multiplication, the second path that certifies a profile cell disagreeing
+with a published table.
 """
 
 from __future__ import annotations
@@ -235,25 +238,25 @@ def invariant_profile(phi: int, n: int) -> dict:
     x+z, y+z, x+y+z.
 
     I_d is the kernel of phi's degree-d catalecticant Cat_d, whose rank h_d
-    is the quotient's dimension in degree d, so no quotient is built:
-    ord(form) is the least e <= n at which e contractions of phi by the
-    form give 0, or n + 1, and codim(form) the least d in 1..n-1 at which
-    the rows of Cat_d, each contracted by the form (the rows of form times
-    the degree-d monomials in Cat_(d+1)), have rank below h_d.
+    is the quotient's dimension in degree d, so no quotient is built.  Let
+    psi be the contraction of phi by the form, f -> phi(form * f) on
+    S_(n-1).  Cat_d(psi) is the matrix of phi(form * f * g), the rows of
+    Cat_d, each contracted by the form, so codim(form) is the least d in
+    1..n-1 at which psi's rank in degree d (_ranks) is below h_d, and
+    ord(form) the least e <= n at which e contractions of phi by the form
+    give 0, or n + 1.  A phi for which no degree qualifies, such as 0,
+    raises RuntimeError.
     """
-    pairings = _catalecticants(phi, n, n - 1)
-    h = [rank(pairing, monomial_count(n - d)) for d, pairing in enumerate(pairings)]
+    h = _ranks(phi, n)
     codims, ords = [], []
     for form in LINEAR_FORMS:
-        for d in range(1, n):
-            tables = _contraction_tables(n - d, form)
-            contracted = [table_image(row, tables) for row in pairings[d]]
-            if rank(contracted, monomial_count(n - d - 1)) < h[d]:
-                codims.append(d)
-                break
-        else:
+        psi = table_image(phi, _contraction_tables(n, form))
+        ranks = _ranks(psi, n - 1)
+        codim = next((d for d in range(1, n) if ranks[d] < h[d]), None)
+        if codim is None:
             raise RuntimeError("no annihilated degree found; functional is malformed")
-        psi, exponent = phi, 0
+        codims.append(codim)
+        exponent = 1
         while psi and exponent < n:
             psi = table_image(psi, _contraction_tables(n - exponent, form))
             exponent += 1
@@ -310,25 +313,24 @@ def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _catalecticant_tables(n: int, upper: bool):
+def _catalecticant_tables(n: int):
     """(tables, slices) of the catalecticants of phi on S_n in the lower
-    degrees d = 0..n // 2, or with upper in the degrees n // 2 + 1..n,
-    stacked in one int: table_image(phi, tables) holds Cat_d's rows from
-    bit o_d on, row i at bit o_d + i * w_d, w_d the number of monomials of
-    degree n - d and o_d the bits of the half's degrees below d, and
-    slices lists per degree (shifts, mask), the rows' offsets and a mask
-    of w_d bits.  Column c of the byte tables has bit o_d + i * w_d + j
-    set iff monomial i of degree d times monomial j of degree n - d is
-    monomial c of degree n (product_index).
+    degrees d = 0..n // 2, stacked in one int: table_image(phi, tables)
+    holds Cat_d's rows from bit o_d on, row i at bit o_d + i * w_d, w_d the
+    number of monomials of degree n - d and o_d the bits of the degrees
+    below d, and slices lists per degree (shifts, mask), the rows' offsets
+    and a mask of w_d bits.  Column c of the byte tables has bit o_d + i *
+    w_d + j set iff monomial i of degree d times monomial j of degree n - d
+    is monomial c of degree n (product_index).
 
-    The key check reads the lower half and the profile both, so a
-    process that does both builds each degree once.  Each half takes
-    ceil(C(n + 2, 2) / 8) tables of 256 entries, by sys.getsizeof at most
-    0.06 MB at n = 6, 0.75 MB at n = 11 and 9.4 MB at n = 17 for the
-    lower half, and 0.05, 0.76 and 9.6 MB for the upper."""
+    The key check reads the tables of n and the profile those of n and of
+    n - 1 (for the contracted functionals), so a process that does both
+    builds each n once.  They take ceil(C(n + 2, 2) / 8) tables of 256
+    entries, by sys.getsizeof at most 0.06 MB at n = 6, 0.75 MB at n = 11
+    and 9.4 MB at n = 17."""
     columns = [0] * monomial_count(n)
     slices, offset = [], 0
-    for d in range(n // 2 + 1, n + 1) if upper else range(n // 2 + 1):
+    for d in range(n // 2 + 1):
         width = monomial_count(n - d)
         for i, row in enumerate(product_index(d, n - d)):
             for j, c in enumerate(row):
@@ -339,39 +341,35 @@ def _catalecticant_tables(n: int, upper: bool):
     return byte_tables(columns), tuple(slices)
 
 
-def _catalecticants(phi: int, n: int, top: int) -> list[list[int]]:
-    """The pairings Cat_0..Cat_top of phi: row i of Cat_d has bit j =
+def _catalecticants(phi: int, n: int) -> list[list[int]]:
+    """The pairings Cat_0..Cat_(n//2) of phi: row i of Cat_d has bit j =
     phi(monomial i of degree d * monomial j of degree n - d), so f pairs to
     zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel is
-    Ann(phi)_d.
-
-    Up to d = n // 2 they are one table_image of phi over the stacked
-    tables of the lower half cached per n (_catalecticant_tables), each
-    row sliced off the result, and above it one more over the upper half.
+    Ann(phi)_d.  They are one table_image of phi over the stacked tables
+    cached per n (_catalecticant_tables), each row sliced off the result.
     """
-    pairings = []
-    halves = (False, True) if top > n // 2 else (False,)
-    for upper in halves:
-        tables, slices = _catalecticant_tables(n, upper)
-        stacked = table_image(phi, tables)
-        pairings += [[(stacked >> shift) & mask for shift in shifts] for shifts, mask in slices]
-    return pairings[:top + 1]
+    tables, slices = _catalecticant_tables(n)
+    stacked = table_image(phi, tables)
+    return [[(stacked >> shift) & mask for shift in shifts] for shifts, mask in slices]
+
+
+def _ranks(phi: int, n: int) -> list[int]:
+    """The ranks of phi's catalecticants Cat_0..Cat_n.  Cat_(n-d) is the
+    transpose of Cat_d, so only d <= n // 2 are eliminated
+    (_catalecticants) and the rest mirror them."""
+    ranks = [rank(pairing, monomial_count(n - d))
+             for d, pairing in enumerate(_catalecticants(phi, n))]
+    return ranks + ranks[:(n + 1) // 2][::-1]
 
 
 def check_inverse_system(phi: int, n: int, h: Sequence[int]):
     """Raise ValueError unless phi's catalecticant has rank h_d in every
-    degree d = 0..n, i.e. unless an ideal with Hilbert function h inside
-    Ann(phi) is Ann(phi) itself.  The rank in degree n - d is the rank in
-    degree d (the transpose), so ranks are computed for d <= n/2 only, and
-    every h_d is compared with its rank.  Cat_0..Cat_(n//2) are sliced off
-    one lookup of phi in the stacked table of the lower half of n
-    (_catalecticants).  An h with other than n + 1 entries is refused."""
+    degree d = 0..n (_ranks), i.e. unless an ideal with Hilbert function h
+    inside Ann(phi) is Ann(phi) itself.  An h with other than n + 1
+    entries is refused."""
     if len(h) != n + 1:
         raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
-    ranks = [rank(pairing, monomial_count(n - d))
-             for d, pairing in enumerate(_catalecticants(phi, n, n // 2))]
-    ranks += ranks[:(n + 1) // 2][::-1]
-    for d, (r, h_d) in enumerate(zip(ranks, h)):
+    for d, (r, h_d) in enumerate(zip(_ranks(phi, n), h)):
         if r != h_d:
             raise ValueError(f"ideal is not the inverse system of its top degree: "
                              f"rank {r} against h_{d} = {h_d} in degree {d}")

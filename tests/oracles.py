@@ -944,6 +944,12 @@ def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:
             for columns in product_columns(n, degree)]
 
 
+def catalecticant_ranks_by_bits(phi: int, n: int) -> list[int]:
+    """The rank of phi's bitwise pairing in every degree d = 0..n, each
+    eliminated by pivot scans, none mirrored from another degree."""
+    return [len(echelon_by_scan(catalecticant_by_bits(phi, n, d))[1]) for d in range(n + 1)]
+
+
 def profile_by_products(phi: int, n: int) -> dict:
     """invariant_profile's record by multiplication on the bitwise
     catalecticants: ord(form) is the least e <= n with form^e pairing to

@@ -28,6 +28,7 @@ from galerig.cohomology import (
     _GENERATORS,
     _catalecticant_tables,
     _catalecticants,
+    _ranks,
     _contraction_tables,
     _orbit,
     _orbit_table,
@@ -560,44 +561,47 @@ def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
 
 
 def test_catalecticants_are_the_bitwise_pairings():
+    """Cat_0..Cat_(n//2) equal the bitwise pairings, and _ranks, which
+    eliminates those and mirrors them, equals the rank of the bitwise
+    pairing in every degree d = 0..n."""
     rng = random.Random(1)
     for n in range(1, 13):
         width = monomial_count(n)
         for phi in [1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width)
                                                            for _ in range(4)]:
-            assert _catalecticants(phi, n, n) == [oracles.catalecticant_by_bits(phi, n, d)
-                                                  for d in range(n + 1)], (n, phi)
+            assert _catalecticants(phi, n) == [oracles.catalecticant_by_bits(phi, n, d)
+                                               for d in range(n // 2 + 1)], (n, phi)
+            assert _ranks(phi, n) == oracles.catalecticant_ranks_by_bits(phi, n), (n, phi)
     phi = socle_functional(QA1)
-    assert _catalecticants(phi, QA1.n, 2) == _catalecticants(phi, QA1.n, QA1.n)[:3]
+    assert _ranks(phi, QA1.n) == list(QA1.hilbert)
 
 
 def test_stacked_catalecticant_tables_hold_each_pairing_in_place():
-    """One table_image of phi over the stacked tables of a half of the
-    degrees of n is its catalecticants, degree after degree, with row i of
-    Cat_d at bits o_d + i * w_d..: for random phi with n = 2..11, the
-    lower half holds d = 0..n // 2 and the upper half the rest, the rows
-    sliced off in every degree are the bitwise pairing, each degree starts
-    where the one below ends, no bit lies past the last row, and every top
-    gives the leading pairings."""
+    """One table_image of phi over the stacked tables of n is its
+    catalecticants in the degrees d = 0..n // 2, degree after degree, with
+    row i of Cat_d at bits o_d + i * w_d..: for random phi with n =
+    2..11, the rows sliced off in every degree are the bitwise pairing,
+    each degree starts where the one below ends, no bit lies past the last
+    row, and the ranks mirrored from them are the bitwise pairings' ranks
+    in every degree d = 0..n."""
     rng = random.Random(2)
     for n in range(2, 12):
         width = monomial_count(n)
         for phi in [1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(6)]:
-            rows = [oracles.catalecticant_by_bits(phi, n, d) for d in range(n + 1)]
-            for upper, degrees in ((False, range(n // 2 + 1)), (True, range(n // 2 + 1, n + 1))):
-                tables, slices = _catalecticant_tables(n, upper)
-                assert len(slices) == len(degrees)
-                end = 0
-                for d, (shifts, mask) in zip(degrees, slices):
-                    assert mask == (1 << monomial_count(n - d)) - 1
-                    assert list(shifts) == [end + i * mask.bit_length()
-                                            for i in range(len(rows[d]))], (n, upper, d)
-                    end += len(rows[d]) * mask.bit_length()
-                assert table_image(phi, tables) >> end == 0, (n, upper)
-            for top in range(n + 1):
-                assert _catalecticants(phi, n, top) == rows[:top + 1], (n, phi, top)
+            rows = [oracles.catalecticant_by_bits(phi, n, d) for d in range(n // 2 + 1)]
+            tables, slices = _catalecticant_tables(n)
+            assert len(slices) == len(rows)
+            end = 0
+            for d, (shifts, mask) in enumerate(slices):
+                assert mask == (1 << monomial_count(n - d)) - 1
+                assert list(shifts) == [end + i * mask.bit_length()
+                                        for i in range(len(rows[d]))], (n, d)
+                end += len(rows[d]) * mask.bit_length()
+            assert table_image(phi, tables) >> end == 0, n
+            assert _catalecticants(phi, n) == rows, (n, phi)
+            assert _ranks(phi, n) == oracles.catalecticant_ranks_by_bits(phi, n), (n, phi)
     with pytest.raises(IndexError):
-        _catalecticants(1 << monomial_count(4), 4, 0)
+        _catalecticants(1 << monomial_count(4), 4)
 
 
 def test_contraction_is_the_transpose_of_multiplication():
@@ -614,14 +618,47 @@ def test_contraction_is_the_transpose_of_multiplication():
 
 
 def test_profile_by_contraction_equals_profile_by_products(key_quotients):
-    """invariant_profile contracts phi by each form; the oracle multiplies
-    by it on the bitwise catalecticants.  Every functional of every
-    key_range diagram."""
+    """invariant_profile reads codim off the ranks of phi's contraction by
+    each form; the oracle multiplies by it on the bitwise catalecticants.
+    Every functional of every key_range diagram, and seeded random
+    functionals for n = 2..12, on which both give the same record or both
+    refuse with RuntimeError."""
     functionals = {(q.n, socle_functional(q)) for quotients in key_quotients.values()
                    for q in quotients}
     assert len(functionals) == 210
     for n, phi in functionals:
         assert invariant_profile(phi, n) == oracles.profile_by_products(phi, n), (n, phi)
+    rng = random.Random(3)
+    outcomes = Counter()
+    for n in range(2, 13):
+        for _ in range(8):
+            phi = rng.getrandbits(monomial_count(n))
+            try:
+                expected = oracles.profile_by_products(phi, n)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="no annihilated degree found"):
+                    invariant_profile(phi, n)
+                outcomes["refused"] += 1
+            else:
+                assert invariant_profile(phi, n) == expected, (n, phi)
+                outcomes["equal"] += 1
+    assert outcomes["refused"] and outcomes["equal"], outcomes
+
+
+def test_profile_refuses_a_functional_with_no_annihilated_degree():
+    """phi = 0 pairs to zero in every degree.  phi = 1, the functional of
+    x^n, has rank 1 in every degree, and so has its contraction by x, which
+    is the functional of x^(n-1): no degree drops below h_d for x.  Both
+    are refused with RuntimeError, never a bare StopIteration, by the
+    profile and by the oracle."""
+    for n in range(2, 7):
+        assert oracles.catalecticant_ranks_by_bits(1, n) == [1] * (n + 1)
+        assert table_image(1, _contraction_tables(n, X)) == 1
+        for phi in (0, 1):
+            with pytest.raises(RuntimeError, match="no annihilated degree found"):
+                invariant_profile(phi, n)
+            with pytest.raises(RuntimeError, match="no annihilated degree found"):
+                oracles.profile_by_products(phi, n)
 
 
 def test_iso_keys_one_key_per_entry_in_order():
