@@ -29,9 +29,10 @@ reads phi off each published quotient's own I_n (quotient_functional)
 under the same check, both through gf2.hyperplane_functional.  Their
 tables outlive a call and are keyed by n alone or by n and a multiset of
 forms, never by a diagram or a phi: the I_n rows of a minimal non-face
-per (n, its forms' multiset) (_nonface_rows), and per n the byte tables
-that map phi to all of Cat_0..Cat_(n//2), stacked, in one lookup per
-byte (_catalecticant_tables); Cat_(n-d) is the transpose of Cat_d, so
+per n and its forms as a sorted tuple, one tuple per multiset
+(_nonface_rows), and per n the byte tables that map phi to all of
+Cat_0..Cat_(n//2), stacked, in one lookup per byte
+(_catalecticant_tables); Cat_(n-d) is the transpose of Cat_d, so
 no degree above n//2 is tabled.
 The dual side has one more operation, the contraction psi -> (f ->
 psi(l * f)) of a functional by a linear form l, the transpose of
@@ -376,23 +377,10 @@ def check_inverse_system(phi: int, n: int, h: Sequence[int]):
 
 
 @lru_cache(maxsize=None)
-def _form_counts(n: int) -> tuple[int, ...]:
-    """Per form f, the unit of f's count in the key of a multiset of the
-    forms of the n + 3 facets: the key is the sum of the units of its
-    forms, the same in any order.  Each count gets the bits of n + 3 (5
-    bits up to n = 28), so different multisets have different keys."""
-    bits = (n + 3).bit_length()
-    return tuple(1 << (bits * f) for f in range(8))
-
-
-@lru_cache(maxsize=None)
-def _nonface_rows(n: int, key: int) -> tuple[int, ...]:
-    """The I_n spanning rows of a minimal non-face whose forms have the
-    multiset key (_form_counts): their product, of degree e, times each
-    monomial of degree n - e, one bit per monomial of the product
-    (product_index)."""
-    bits = (n + 3).bit_length()
-    factors = [f for f in range(1, 8) for _ in range((key >> (bits * f)) & ((1 << bits) - 1))]
+def _nonface_rows(n: int, factors: tuple[int, ...]) -> tuple[int, ...]:
+    """The I_n spanning rows of a minimal non-face whose forms, sorted, are
+    factors: their product, of degree e, times each monomial of degree
+    n - e, one bit per monomial of the product (product_index)."""
     vec, products = _product(factors), product_index(len(factors), n - len(factors))
     terms = [products[c] for c in range(vec.bit_length()) if (vec >> c) & 1]
     return tuple(sum(1 << row[j] for row in terms) for j in range(len(products[0])))
@@ -411,12 +399,13 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
     forms over the minimal non-faces) times the monomials of degree n - e.
     Those rows depend only on n and the non-face's forms as a multiset, so
     they are read from a per-process row table (_nonface_rows) keyed by n
-    and a sum of per-form counts (_form_counts), built once per key and
-    shared by every matrix, diagram and call of one n.  A key is a
-    multiset of at most n + 1 of the seven forms (a simple n-polytope has n
-    facets at a vertex), which bounds the table of one n; far fewer keys
-    are met: 1,502 over every multi-member pentagon Tor class of total 13
-    or 14.  phi is read off the forward pass of elimination over the rows
+    and the forms sorted, a tuple equal for two non-faces exactly when
+    their multisets are, built once per key and shared by every matrix,
+    diagram and call of one n.  A key holds at most n + 1 of the seven
+    forms (a simple n-polytope has n facets at a vertex), which bounds
+    the table of one n; far fewer keys are met: 1,502 over every
+    multi-member pentagon Tor class of total 13 or 14.  phi is read off
+    the forward pass of elimination over the rows
     (gf2.hyperplane_functional), with no back-substitution.
 
     Raises ValueError unless the matrix is characteristic, I_n has corank
@@ -431,10 +420,10 @@ def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) ->
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
-    unit, full = _form_counts(n), tuple(forms) + VARIABLES
+    full = tuple(forms) + VARIABLES
     products = []
     for nonface in fs.minimal_nonfaces:
-        products += _nonface_rows(n, sum([unit[full[i]] for i in nonface]))
+        products += _nonface_rows(n, tuple(sorted([full[i] for i in nonface])))
     phi = hyperplane_functional(products, monomial_count(n))
     check_inverse_system(phi, n, h)
     return phi

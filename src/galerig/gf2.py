@@ -282,7 +282,8 @@ _FACTOR = re.compile(r"([A-Za-z])(?:\^(\d+|\{\d+\}))?")
 
 def parse_poly(text: str) -> tuple[int, int]:
     """Parse the compact text notation used by the reference tables into
-    (degree, vec).
+    (degree, vec).  The term 1 is the degree-0 monomial, as format_poly
+    writes it.
 
     Raises ValueError on anything that is not a well-formed homogeneous sum of
     monomials, e.g. a non-numeric exponent or terms of different degrees.
@@ -296,7 +297,7 @@ def parse_poly(text: str) -> tuple[int, int]:
         if not term:
             raise ValueError(f"empty term in {text!r}")
         exps = [0, 0, 0]
-        pos = 0
+        pos = 1 if term == "1" else 0
         while pos < len(term):
             m = _FACTOR.match(term, pos)
             if not m:

@@ -50,7 +50,7 @@ from galerig.gf2 import (
     table_image,
     times_form,
 )
-from galerig.charmat import canonical_charmats, enumerate_charmats, orbit_sizes, orbits
+from galerig.charmat import VARIABLES, canonical_charmats, enumerate_charmats, orbit_sizes, orbits
 from galerig.petersen import tor_class
 
 import oracles
@@ -426,20 +426,25 @@ def _top_functionals(fs, batch, h):
     return [top_functional(fs, forms, h) for forms in batch]
 
 
-def test_top_functionals_do_not_depend_on_the_row_table(key_quotients):
+def test_top_functionals_do_not_depend_on_the_row_table(key_quotients, monkeypatch):
     """top_functional reads I_n's rows from a per-process table keyed by n
-    and a non-face's form multiset.  On the orbit representatives of every
-    key_range diagram its phis are the reduced echelon reader's with the
-    table cleared, after a diagram of another n filled it, and after
-    another diagram of the same n did, whose rows most diagrams then read."""
+    and a non-face's forms as a sorted tuple, one entry per form multiset:
+    non-faces whose forms are one multiset in different facet orders share
+    it.  On the orbit representatives of every key_range diagram its phis
+    are the reduced echelon reader's with the table cleared, after a
+    diagram of another n filled it, and after another diagram of the same
+    n did, whose rows most diagrams then read."""
     table = galerig.cohomology._nonface_rows
+    keys = []
+    monkeypatch.setattr(galerig.cohomology, "_nonface_rows",
+                        lambda n, factors: keys.append(factors) or table(n, factors))
     batches = {}
     for w in sorted(key_quotients):
         diagram = GaleDiagram(w)
         fs = face_structure(diagram)
         blocks = enumerate_charmats(fs)
         batches[w] = (fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h_vector(diagram))
-    reused = 0
+    reused = shared = 0
     for w, (fs, batch, h) in batches.items():
         expected = [oracles.top_functional_by_echelon(fs, forms) for forms in batch]
         other = next(v for v in batches if batches[v][0].n != fs.n)
@@ -453,8 +458,17 @@ def test_top_functionals_do_not_depend_on_the_row_table(key_quotients):
             assert _top_functionals(fs, batch, h) == expected, (w, filler)
             built.append(table.cache_info().misses - before)
         reused += built[-1] < built[0]
+        # w's non-faces, each as its forms in facet order
+        ordered = {tuple((tuple(forms) + VARIABLES)[i] for i in nonface)
+                   for forms in batch for nonface in fs.minimal_nonfaces}
+        multisets = {frozenset(Counter(block).items()) for block in ordered}
+        assert built[0] == len(multisets), w
+        shared += len(multisets) < len(ordered)
     table.cache_clear()
     assert reused >= len(batches) // 2
+    assert shared
+    assert keys and all(isinstance(k, tuple) and list(k) == sorted(k) and set(k) <= set(range(1, 8))
+                        for k in keys)
 
 
 def test_top_functional_refuses_a_wrong_h_vector():
@@ -541,23 +555,26 @@ def test_orbit_is_the_generator_closure():
 
 
 def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
-    """At n = 3, where a table costs w = 10 chained fills, the first 10
-    fills of a fresh process build no table, the 11th builds it, later
-    fills reuse it, and every orbit, chained or stacked, is the generator
-    closure."""
-    monkeypatch.setattr(galerig.cohomology, "_chained_fills", {})
+    """Where a table costs w = monomial_count(n) chained fills, the first w
+    fills of a fresh process build no table, the (w + 1)-th builds it,
+    later fills reuse it, and every orbit, chained or stacked, is the
+    generator closure.  At n = 3 a slot of w = 10 bits is widened to 16
+    and unpacked; at n = 10 one of w = 66 bits, wider than struct's
+    widest integer, is sliced off by shifts."""
+    for n, width in [(3, 10), (10, 66)]:
+        monkeypatch.setattr(galerig.cohomology, "_chained_fills", {})
+        _orbit_table.cache_clear()
+        assert monomial_count(n) == width
+        rng = random.Random(2)
+        phis = [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(width + 3)]
+        for i, phi in enumerate(phis):
+            orbit = _orbit(phi, n)
+            assert len(orbit) == 168 and set(orbit) == oracles.orbit_by_closure(phi, n), (n, i, phi)
+            built = _orbit_table.cache_info()
+            assert built.misses == (i >= width) and built.currsize == (i >= width), (n, i)
+        assert _orbit_table.cache_info().hits == len(phis) - width - 1
+        assert galerig.cohomology._chained_fills == {n: width}
     _orbit_table.cache_clear()
-    n, width = 3, monomial_count(3)
-    assert width == 10
-    rng = random.Random(2)
-    phis = [1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(width + 3)]
-    for i, phi in enumerate(phis):
-        orbit = _orbit(phi, n)
-        assert len(orbit) == 168 and set(orbit) == oracles.orbit_by_closure(phi, n), (i, phi)
-        built = _orbit_table.cache_info()
-        assert built.misses == (i >= width) and built.currsize == (i >= width), i
-    assert _orbit_table.cache_info().hits == len(phis) - width - 1
-    assert galerig.cohomology._chained_fills == {3: width}
 
 
 def test_catalecticants_are_the_bitwise_pairings():

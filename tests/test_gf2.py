@@ -403,6 +403,8 @@ def test_from_spans_is_a_classmethod_on_the_class():
 def test_homogeneous_degree_rejects_mixed():
     with pytest.raises(ValueError):
         parse_poly("x+xy")
+    with pytest.raises(ValueError, match="not homogeneous"):
+        parse_poly("x+1")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,9 @@ def test_parse_reference_table_notation():
     assert parse_poly("x^{2}y^{2}+y^{2}z^{2}") == _vec((2, 2, 0), (0, 2, 2))
     assert parse_poly("xz") == _vec((1, 0, 1))
     assert parse_poly("x+x") == (1, 0)
+    assert parse_poly("1") == (0, 1) and parse_poly("1+1") == (0, 0)
+    with pytest.raises(ValueError, match="cannot parse '0'"):
+        parse_poly("0")
 
 
 def test_parse_rejects_bad_exponent():
@@ -447,5 +452,4 @@ def test_vec_round_trip():
     for degree in range(3):
         for vec in range(1, 1 << monomial_count(degree)):
             assert from_lists(degree, to_lists(degree, vec)) == vec
-            if degree:
-                assert parse_poly(format_poly((degree, vec))) == (degree, vec)
+            assert parse_poly(format_poly((degree, vec))) == (degree, vec)

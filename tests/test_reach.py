@@ -57,7 +57,8 @@ NOT_RUN = {
     "galerig.cohomology.substitution_maps_ideal",
     # the slot of more than 64 bits, met at n >= 10 only after
     # monomial_count(n) fills of one n in a process; checked by
-    # checks/test_orbit_table_wide.py
+    # tests/test_cohomology.py::test_stacked_orbit_table_is_built_once_after_w_chained_fills
+    # at n = 10 and by checks/test_orbit_table_wide.py
     "galerig.cohomology._orbit_table.read[mask, shifts]",
     # the Python data model: dir(galerig), ==, repr and the refusals of an
     # immutable diagram
