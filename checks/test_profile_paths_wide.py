@@ -40,7 +40,7 @@ from galerig.cohomology import (  # noqa: E402
     invariant_profile,
     order,
     quotient_presentation,
-    top_functional,
+    top_functionals,
 )
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
 
@@ -63,9 +63,9 @@ def test_range():
 def test_profile_paths_agree(weights):
     diagram = GaleDiagram(weights)
     fs, h = face_structure(diagram), h_vector(diagram)
-    for block in enumerate_charmats(fs):
+    blocks = enumerate_charmats(fs)
+    for block, phi in zip(blocks, top_functionals(fs, blocks, h)):
         q = quotient_presentation(fs, block)
-        phi = top_functional(fs, block, h)
         assert phi == oracles.socle_functional(q), block
         prof = invariant_profile(phi, fs.n)
         assert prof["codim"] == [codim(g, q) for g in LINEAR_FORMS], block
@@ -78,6 +78,6 @@ def test_profile_paths_agree(weights):
 def test_profile_by_contraction_equals_profile_by_products(weights):
     diagram = GaleDiagram(weights)
     fs, h = face_structure(diagram), h_vector(diagram)
-    for block in enumerate_charmats(fs):
-        phi = top_functional(fs, block, h)
+    blocks = enumerate_charmats(fs)
+    for block, phi in zip(blocks, top_functionals(fs, blocks, h)):
         assert invariant_profile(phi, fs.n) == oracles.profile_by_products(phi, fs.n), block

@@ -18,7 +18,7 @@ _EXPORTS = {
     "petersen": ("five_cycles", "petersen_labels", "tor_class"),
     "charmat": ("enumerate_charmats", "is_characteristic"),
     "cohomology": ("GradedQuotient", "codim", "ideal_equal", "invariant_profile", "iso_keys",
-                   "order", "quotient_presentation", "top_functional"),
+                   "order", "quotient_presentation", "top_functionals"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -85,7 +85,7 @@ def _search_plan(fs: FaceStructure):
     that one is placed.
     """
     n = fs.n
-    pairs_at: dict[int, list[tuple[int, int]]] = {f: [] for f in range(n + 3)}
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n + 3)]
     for a, b, c in fs.vertex_complements:
         pairs_at[a].append((b, c))
         pairs_at[b].append((a, c))
@@ -102,8 +102,11 @@ def _search_plan(fs: FaceStructure):
         place(facet)
     plan = []
     for _ in range(n):
-        # the first maximum wins
-        facet = max((f for f in range(n) if not placed[f]), key=closed.__getitem__)
+        # the first maximum wins: only a strictly greater count replaces it
+        facet, most = -1, -1
+        for f in range(n):
+            if not placed[f] and closed[f] > most:
+                facet, most = f, closed[f]
         plan.append((facet, [(a, b) for a, b in pairs_at[facet] if placed[a] and placed[b]]))
         place(facet)
     return plan

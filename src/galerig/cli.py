@@ -14,9 +14,9 @@ report --verify enumerates the two reference lists itself
 report compare one socle functional per orbit of matrices under the
 automorphisms of the polytope, the same-label facet permutations and
 the weight-preserving symmetries of the polygon, each read off its
-representative's top degree (cohomology.top_functional) and keyed
-(_orbit_keys).  report counts each key with its orbit's size
-(classify); iso gives every matrix of its lists its orbit's key
+representative's top degree, one cohomology.top_functionals call per
+diagram, and keyed (_orbit_keys).  report counts each key with its
+orbit's size (classify); iso gives every matrix of its lists its orbit's key
 (_matrix_keys, charmat.orbits).  _class_keys keys the members of a Tor
 class (report) or iso's one or two diagrams in one pass and owns the
 rule for sharing the {phi: key} map; classify turns the keys into the
@@ -57,7 +57,7 @@ from .gale import GaleDiagram, canonical_weights, face_structure
 # replaced one stays in place: _bind never overwrites a bound name.
 _DEFERRED = {
     "cohomology": ("LINEAR_FORM_NAMES", "invariant_profile", "iso_keys",
-                   "quotient_presentation", "top_functional"),
+                   "quotient_presentation", "top_functionals"),
     "gf2": ("format_poly", "lowest_pivot_rows", "monomial_count", "to_lists"),
     "petersen": ("tor_class",),
 }
@@ -88,7 +88,7 @@ def __getattr__(name: str):
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.17 s, `profile` 0.9 s and `cohomology` 2.5 s, 14 s under --json (README,
+# 0.17 s, `profile` 0.6 s and `cohomology` 2.5 s, 14 s under --json (README,
 # "MAX_FACETS").  Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
@@ -185,8 +185,7 @@ def _orbit_keys(fs, representatives, h, known=None, fill=True) -> list[tuple]:
     from the top degree alone and checked against h (known and fill go to
     iso_keys).  No quotient is built."""
     _bind("cohomology")
-    return iso_keys(fs.n, h, [top_functional(fs, forms, h) for forms in representatives],
-                    known, fill)
+    return iso_keys(fs.n, h, top_functionals(fs, representatives, h), known, fill)
 
 
 def _matrix_keys(fs, blocks, h, known=None, fill=True) -> list[tuple]:
@@ -298,8 +297,8 @@ def cmd_profile(args) -> int:
     fs, selected = _selected_matrices(diagram, args.matrix)
     h = h_vector(diagram)
     _bind("cohomology")
-    profiles = [(i, invariant_profile(top_functional(fs, block, h), fs.n))
-                for i, block in selected]
+    phis = top_functionals(fs, [block for _, block in selected], h)
+    profiles = [(i, invariant_profile(phi, fs.n)) for (i, _), phi in zip(selected, phis)]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []

@@ -22,18 +22,21 @@ phi_a, and both algebras are generated in degree one, so every graded
 isomorphism is such a g in GL(3, GF(2)).  The key of a quotient is (n, h,
 least element of the orbit {phi o g : g in GL(3, GF(2))}), h its Hilbert
 function, equal for two quotients iff they are isomorphic.
-The key needs no quotient: top_functional reads phi off I_n alone and
-checks the duality by the ranks of phi's catalecticants against the
-h-vector of the Betti table (check_inverse_system), and report --verify
-reads phi off each published quotient's own I_n (quotient_functional)
-under the same check, both through gf2.hyperplane_functional.  Their
-tables outlive a call and are keyed by n alone or by n and a multiset of
-forms, never by a diagram or a phi: the I_n rows of a minimal non-face
-per n and its forms as a sorted tuple, one tuple per multiset
-(_nonface_rows), and per n the byte tables that map phi to all of
-Cat_0..Cat_(n//2), stacked, in one lookup per byte
-(_catalecticant_tables); Cat_(n-d) is the transpose of Cat_d, so
-no degree above n//2 is tabled.
+The key needs no quotient: top_functionals reads phi off I_n alone for
+each matrix of one diagram, continuing the forward passes that the
+matrices' shared leading blocks of rows leave, and checks the duality by
+the ranks of phi's catalecticants against the h-vector of the Betti table
+(check_inverse_system); report --verify reads phi off each published
+quotient's own I_n (quotient_functional) under the same check, both
+through gf2.hyperplane_functional.  Their tables outlive a call and are
+keyed by n alone or by n and a multiset of forms, never by a diagram or
+a phi: the I_n rows of a minimal non-face per n and its forms as a
+sorted tuple, one tuple per multiset (_nonface_rows), and per n the byte
+tables that map phi to all of Cat_0..Cat_(n//2), stacked, in one lookup
+per byte, with the plan that slices each degree's rows off
+(_catalecticant_tables); Cat_(n-d) is the transpose of Cat_d, so no
+degree above n//2 is tabled.  The forward states of top_functionals
+live for one call.
 The dual side has one more operation, the contraction psi -> (f ->
 psi(l * f)) of a functional by a linear form l, the transpose of
 multiplication by l, through cached byte tables.  Every
@@ -72,6 +75,8 @@ with a published table.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -79,6 +84,7 @@ from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
 from .gf2 import (
     GradedSubspace,
+    _forward,
     byte_tables,
     echelon,
     hyperplane_functional,
@@ -315,14 +321,14 @@ def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _catalecticant_tables(n: int):
-    """(tables, slices) of the catalecticants of phi on S_n in the lower
+    """(tables, plan) of the catalecticants of phi on S_n in the lower
     degrees d = 0..n // 2, stacked in one int: table_image(phi, tables)
     holds Cat_d's rows from bit o_d on, row i at bit o_d + i * w_d, w_d the
     number of monomials of degree n - d and o_d the bits of the degrees
-    below d, and slices lists per degree (shifts, mask), the rows' offsets
-    and a mask of w_d bits.  Column c of the byte tables has bit o_d + i *
-    w_d + j set iff monomial i of degree d times monomial j of degree n - d
-    is monomial c of degree n (product_index).
+    below d, and plan lists per degree (shifts, mask, w_d), the rows'
+    offsets, a mask of w_d bits and the width.  Column c of the byte
+    tables has bit o_d + i * w_d + j set iff monomial i of degree d times
+    monomial j of degree n - d is monomial c of degree n (product_index).
 
     The key check reads the tables of n and the profile those of n and of
     n - 1 (for the contracted functionals), so a process that does both
@@ -330,36 +336,44 @@ def _catalecticant_tables(n: int):
     entries, by sys.getsizeof at most 0.06 MB at n = 6, 0.75 MB at n = 11
     and 9.4 MB at n = 17."""
     columns = [0] * monomial_count(n)
-    slices, offset = [], 0
+    plan, offset = [], 0
     for d in range(n // 2 + 1):
         width = monomial_count(n - d)
         for i, row in enumerate(product_index(d, n - d)):
             for j, c in enumerate(row):
                 columns[c] |= 1 << (offset + i * width + j)
         end = offset + monomial_count(d) * width
-        slices.append((range(offset, end, width), (1 << width) - 1))
+        plan.append((range(offset, end, width), (1 << width) - 1, width))
         offset = end
-    return byte_tables(columns), tuple(slices)
-
-
-def _catalecticants(phi: int, n: int) -> list[list[int]]:
-    """The pairings Cat_0..Cat_(n//2) of phi: row i of Cat_d has bit j =
-    phi(monomial i of degree d * monomial j of degree n - d), so f pairs to
-    zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel is
-    Ann(phi)_d.  They are one table_image of phi over the stacked tables
-    cached per n (_catalecticant_tables), each row sliced off the result.
-    """
-    tables, slices = _catalecticant_tables(n)
-    stacked = table_image(phi, tables)
-    return [[(stacked >> shift) & mask for shift in shifts] for shifts, mask in slices]
+    return byte_tables(columns), tuple(plan)
 
 
 def _ranks(phi: int, n: int) -> list[int]:
-    """The ranks of phi's catalecticants Cat_0..Cat_n.  Cat_(n-d) is the
-    transpose of Cat_d, so only d <= n // 2 are eliminated
-    (_catalecticants) and the rest mirror them."""
-    ranks = [rank(pairing, monomial_count(n - d))
-             for d, pairing in enumerate(_catalecticants(phi, n))]
+    """The ranks of phi's catalecticants Cat_0..Cat_n.  Row i of Cat_d has
+    bit j = phi(monomial i of degree d * monomial j of degree n - d), so f
+    pairs to zero against S_(n-d) iff image(f, Cat_d) == 0, and the kernel
+    is Ann(phi)_d.  The rows of every d <= n // 2 are one table_image of
+    phi over the stacked tables cached per n (_catalecticant_tables), and
+    each row, sliced off it by the plan's shift and mask, goes straight
+    into gf2's forward pass (gf2._forward), run here inline, one pass per
+    degree, counting the rows it stores.  Cat_(n-d) is the transpose of
+    Cat_d, so the degrees above n // 2 mirror those below."""
+    tables, plan = _catalecticant_tables(n)
+    stacked = table_image(phi, tables)
+    ranks = []
+    for shifts, mask, width in plan:
+        basis, stored = [0] * (width + 1), 0
+        for shift in shifts:
+            row = (stacked >> shift) & mask
+            while row:
+                top = row.bit_length()
+                pivot_row = basis[top]
+                if not pivot_row:
+                    basis[top] = row
+                    stored += 1
+                    break
+                row ^= pivot_row
+        ranks.append(stored)
     return ranks + ranks[:(n + 1) // 2][::-1]
 
 
@@ -386,47 +400,70 @@ def _nonface_rows(n: int, factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 << row[j] for row in terms) for j in range(len(products[0])))
 
 
-def top_functional(fs: FaceStructure, forms: Sequence[int], h: Sequence[int]) -> int:
-    """The socle functional phi of a characteristic matrix's quotient, whose
-    kernel is I_n, from that component alone.
+def top_functionals(fs: FaceStructure, representatives: Sequence[Sequence[int]],
+                    h: Sequence[int]) -> list[int]:
+    """The socle functional phi of each characteristic matrix's quotient,
+    whose kernel is I_n, from that component alone, in order.
 
     Args:
         fs: face structure in normalized facet order.
-        forms: the matrix as the linear forms of facets 0..n-1.
+        representatives: matrices, each as the linear forms of facets
+            0..n-1, such as one diagram's orbit representatives.
         h: the h-vector h_0..h_n of the polytope (galerig.betti.h_vector).
 
     I_n is spanned by the generators of degree e (the products of the
-    forms over the minimal non-faces) times the monomials of degree n - e.
-    Those rows depend only on n and the non-face's forms as a multiset, so
-    they are read from a per-process row table (_nonface_rows) keyed by n
-    and the forms sorted, a tuple equal for two non-faces exactly when
-    their multisets are, built once per key and shared by every matrix,
-    diagram and call of one n.  A key holds at most n + 1 of the seven
-    forms (a simple n-polytope has n facets at a vertex), which bounds
-    the table of one n; far fewer keys are met: 1,502 over every
-    multi-member pentagon Tor class of total 13 or 14.  phi is read off
-    the forward pass of elimination over the rows
-    (gf2.hyperplane_functional), with no back-substitution.
+    forms over the minimal non-faces) times the monomials of degree n - e:
+    one block of rows per minimal non-face.  A block depends only on n and
+    the non-face's forms as a multiset, so it is read from a per-process
+    row table (_nonface_rows) keyed by n and the forms sorted, a tuple
+    equal for two non-faces exactly when their multisets are, built once
+    per key and shared by every matrix, diagram and call of one n.  A key
+    holds at most n + 1 of the seven forms (a simple n-polytope has n
+    facets at a vertex), which bounds the table of one n; far fewer keys
+    are met: 1,502 over every multi-member pentagon Tor class of total 13
+    or 14.
 
-    Raises ValueError unless the matrix is characteristic, I_n has corank
-    1, and h has n + 1 entries and phi's catalecticant has rank h_d in
-    every degree d (check_inverse_system).  I_d lies in Ann(phi)_d,
-    whose codimension is that rank, and dim (S/I)_d = h_d because a
-    characteristic matrix is a linear system of parameters
+    The matrices of one call share their leading blocks, more of them
+    when the non-faces whose keys take the fewest distinct values over
+    the call come first, so the blocks are eliminated in that order and
+    the forward pass (gf2._forward) after each prefix of keys is kept,
+    for the call only, in a tree of dicts keyed by block key: a matrix
+    continues the pass from its longest prefix already eliminated, and
+    phi is read off the last block's pass (gf2.hyperplane_functional),
+    with no back-substitution.  phi does not depend on the order of the
+    rows, only on their span.
+
+    Raises ValueError unless every matrix is characteristic (checked
+    before any row is eliminated), and each I_n has corank 1, h has n + 1
+    entries and phi's catalecticant has rank h_d in every degree d
+    (check_inverse_system), matrix by matrix in order.  I_d lies in
+    Ann(phi)_d, whose codimension is that rank, and dim (S/I)_d = h_d
+    because a characteristic matrix is a linear system of parameters
     (Davis-Januszkiewicz), so equal ranks make I = Ann(phi), the Gorenstein
     duality that makes iso_keys complete.  Nothing per matrix outlives the
     call: every phi gets every check.
     """
-    if not is_characteristic(forms, fs):
-        raise ValueError("matrix is not characteristic over this face structure")
+    for forms in representatives:
+        if not is_characteristic(forms, fs):
+            raise ValueError("matrix is not characteristic over this face structure")
     n = fs.n
-    full = tuple(forms) + VARIABLES
-    products = []
-    for nonface in fs.minimal_nonfaces:
-        products += _nonface_rows(n, tuple(sorted([full[i] for i in nonface])))
-    phi = hyperplane_functional(products, monomial_count(n))
-    check_inverse_system(phi, n, h)
-    return phi
+    width = monomial_count(n)
+    fulls = [tuple(forms) + VARIABLES for forms in representatives]
+    blocks = [[tuple(sorted(forms_on(full))) for full in fulls]
+              for forms_on in [itemgetter(*nonface) for nonface in fs.minimal_nonfaces]]
+    blocks.sort(key=lambda keys: len(set(keys)))
+    root = (None, {})  # (forward state, {next key: node}) per prefix
+    phis = []
+    for *leading, last in zip(*blocks):
+        state, children = root
+        for key in leading:
+            if key not in children:
+                children[key] = (_forward(_nonface_rows(n, key), width, state), {})
+            state, children = children[key]
+        phi = hyperplane_functional(_nonface_rows(n, last), width, state)
+        check_inverse_system(phi, n, h)
+        phis.append(phi)
+    return phis
 
 
 # s = (x+y, y, z) and t = (y, z, x) generate GL(3, GF(2)).
@@ -554,7 +591,7 @@ def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],
         if key is None and fill:
             orbit = _orbit(phi, n)
             key = (n, h, min(orbit))
-            known.update(dict.fromkeys(orbit, key))
+            known.update(zip(orbit, repeat(key)))
         keys.append(key)
     return keys
 

@@ -18,7 +18,10 @@ Two kernels carry the hot loops.  Row reduction is one forward pass,
 ``_forward``: it keeps each row under its highest set bit, in a list
 indexed by the row's ``bit_length`` and sized from the row width, and
 reduces every incoming row by the row stored there until that bit is new
-or the row is zero.  ``rank`` counts its pivots, ``hyperplane_functional``
+or the row is zero; it can continue from an earlier pass's list.  Its
+loop is run inline in one other place, ``galerig.cohomology._ranks``,
+which slices the rows of each catalecticant off one int as it counts.
+``rank`` counts its pivots, ``hyperplane_functional``
 reads the functional vanishing on a hyperplane off it upward from the one
 column without a pivot, and ``echelon`` back-substitutes over it into the
 reduced rows under highest-bit pivots, ascending: the unique form that
@@ -53,15 +56,17 @@ Monomial = tuple[int, int, int]
 # bit-packed row reduction
 
 
-def _forward(rows: Iterable[int], width: int) -> list[int]:
+def _forward(rows: Iterable[int], width: int, start: list[int] | None = None) -> list[int]:
     """The one forward pass, of rank, hyperplane_functional and echelon:
     entry b is the stored row whose highest set bit is column b - 1 (its
     bit_length is b), or 0, for b = 0..width.  Each incoming row is reduced
     by the row stored under its highest bit until that bit is new or the
     row is zero, so the stored rows have distinct highest bits (the
-    pivots).  Raises ValueError for a row with a bit at or above width,
-    whose index the list does not hold."""
-    basis = [0] * (width + 1)
+    pivots).  Given start, an earlier pass's list on the same width, the
+    pass continues from a copy of it: the rows of both calls, eliminated
+    as one pass.  Raises ValueError for a row with a bit at or above
+    width, whose index the list does not hold."""
+    basis = [0] * (width + 1) if start is None else start.copy()
     try:
         for row in rows:
             while row:
@@ -135,9 +140,12 @@ def rank(rows: Iterable[int], width: int) -> int:
     return width + 1 - _forward(rows, width).count(0)
 
 
-def hyperplane_functional(rows: Iterable[int], width: int) -> int:
+def hyperplane_functional(rows: Iterable[int], width: int,
+                          start: list[int] | None = None) -> int:
     """The functional phi on width columns, as a bit vector, whose kernel
-    the rows span, read off the highest-bit forward pass (_forward).
+    the rows span, read off the highest-bit forward pass (_forward), which
+    continues from start if given: then the kernel is spanned by the rows
+    and those of start's pass.
 
     The forward basis leaves one column c0 without a pivot, and phi(c0) =
     1.  A pivot p below c0 has a row whose bits are p and pivots below p, so
@@ -147,7 +155,7 @@ def hyperplane_functional(rows: Iterable[int], width: int) -> int:
     fixes phi(p).  No back-substitution runs.  Raises ValueError unless the
     rows span a hyperplane and have no bit at or above width.
     """
-    basis = _forward(rows, width)
+    basis = _forward(rows, width, start)
     corank = basis.count(0) - 1  # entry 0 holds no row
     if corank != 1:
         raise ValueError(f"the rows span corank {corank} in {width} columns, not 1")

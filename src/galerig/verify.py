@@ -14,7 +14,7 @@ computation path agrees with the report's value (printed tables can
 carry typos).  The value is the one the profile command prints,
 invariant_profile of the block's socle functional; that functional is read off the built quotient's own I_n, not
 eliminated again, and passes the same rank check against the quotient's
-dimensions as top_functional's (check_inverse_system).  The saturated
+dimensions as each of top_functionals' (check_inverse_system).  The saturated
 quotient certifies the value: codim from the annihilator dimension, order
 from the least power in the ideal.  The final verdict rests on the isomorphism
 keys of galerig.cohomology, which Gorenstein duality makes a complete

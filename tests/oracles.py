@@ -32,7 +32,11 @@ isomorphism key by a scan of all 168 substitutions (the package fills one
 orbit per key class along a fixed word tree in two generators), the socle
 functional of a saturated quotient with its duality checked degree by
 degree (the package reads phi off the top degree of the
-ideal alone and checks ranks against the h-vector), phi read off the
+ideal alone and checks ranks against the h-vector), the top functional
+one matrix at a time, every block of rows eliminated from nothing and the
+ranks taken bit by bit in every degree (the package continues forward
+passes shared by a diagram's matrices and mirrors ranks sliced off
+stacked tables), phi read off the
 reduced echelon rows of the top degree (the package reads it off the
 forward pass of elimination), the inverse system of
 a socle functional, the key kernels the package replaced with table
@@ -57,15 +61,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from galerig.betti import betti_table, h_vector, window_sums
-from galerig.charmat import _renormaliser
+from galerig.charmat import VARIABLES, _renormaliser, is_characteristic
 from galerig.cohomology import (
     LINEAR_FORM_NAMES,
     LINEAR_FORMS,
     _GENERATORS,
+    _catalecticant_tables,
+    _nonface_rows,
     _subst_matrix,
     iso_keys,
     substitution_maps_ideal,
-    top_functional,
 )
 from galerig.gale import (
     _PINNED_ORDERS,
@@ -77,7 +82,16 @@ from galerig.gale import (
     origin_in_hull,
     weight_symmetries,
 )
-from galerig.gf2 import image, monomial_count, monomials, rank, times_form, transpose
+from galerig.gf2 import (
+    hyperplane_functional,
+    image,
+    monomial_count,
+    monomials,
+    rank,
+    table_image,
+    times_form,
+    transpose,
+)
 from galerig.petersen import five_cycles, petersen_labels
 
 
@@ -820,9 +834,35 @@ def socle_functional(q) -> int:
     return phi
 
 
+def top_functional(fs, forms, h) -> int:
+    """The socle functional of one characteristic matrix's quotient, by
+    the route of galerig.cohomology.top_functionals one matrix at a time:
+    I_n's rows, every minimal non-face's block from the row table in
+    facet order, eliminated from nothing, phi read off that forward pass,
+    and the duality checked by the bitwise catalecticant ranks in every
+    degree, none mirrored.  Raises the kernel's ValueErrors: a matrix
+    that is not characteristic, I_n of corank other than 1, an h-vector
+    of other than n + 1 entries, and a rank other than h_d in degree d."""
+    if not is_characteristic(forms, fs):
+        raise ValueError("matrix is not characteristic over this face structure")
+    n = fs.n
+    full = tuple(forms) + VARIABLES
+    products = []
+    for nonface in fs.minimal_nonfaces:
+        products += _nonface_rows(n, tuple(sorted([full[i] for i in nonface])))
+    phi = hyperplane_functional(products, monomial_count(n))
+    if len(h) != n + 1:
+        raise ValueError(f"an h-vector of a {n}-polytope has {n + 1} entries, got {len(h)}")
+    for d, (r, h_d) in enumerate(zip(catalecticant_ranks_by_bits(phi, n), h)):
+        if r != h_d:
+            raise ValueError(f"ideal is not the inverse system of its top degree: "
+                             f"rank {r} against h_{d} = {h_d} in degree {d}")
+    return phi
+
+
 def top_functional_by_echelon(fs, forms) -> int:
     """phi on S_n read off the reduced echelon rows of I_n, the route of
-    cohomology.top_functional before it read phi off the forward pass: the
+    the package before it read phi off the forward pass: the
     product of the forms over each minimal non-face times every monomial of
     the complementary degree, reduced by pivot scans, then phi(c0) = 1 at
     the one column c0 without a pivot and phi(p) the bit c0 of the row with
@@ -942,6 +982,16 @@ def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:
     bit j = phi(monomial i of degree d * monomial j of degree n - d)."""
     return [sum(((phi >> c) & 1) << j for j, c in enumerate(columns))
             for columns in product_columns(n, degree)]
+
+
+def catalecticants_by_table(phi: int, n: int) -> list[list[int]]:
+    """Cat_0..Cat_(n//2) of phi as row lists, each row sliced off one
+    table_image of phi over galerig.cohomology's stacked tables by the
+    plan's shifts and mask: the rows cohomology._ranks eliminates without
+    listing them."""
+    tables, plan = _catalecticant_tables(n)
+    stacked = table_image(phi, tables)
+    return [[(stacked >> shift) & mask for shift in shifts] for shifts, mask, _ in plan]
 
 
 def catalecticant_ranks_by_bits(phi: int, n: int) -> list[int]:

@@ -187,9 +187,9 @@ def test_report_verify_rejected_off_fixture(capsys):
 def test_report_verify_keys_each_quotient_once(monkeypatch):
     """The 11 + 7 orbit representatives of 21 + 21 matrices under the
     automorphisms of the two polytopes need 18 top functionals, each
-    checked, read one call per representative, and one orbit closure per
-    key class of the first member: 5, since the last member only looks its
-    functionals up.  Keys build no quotient: the
+    checked, read in one top_functionals call per member, and one orbit
+    closure per key class of the first member: 5, since the last member
+    only looks its functionals up.  Keys build no quotient: the
     42 of --verify are the published blocks, all built by verify, which
     reads the 22 profiled rows' functionals off those quotients' own top
     degrees and eliminates no I_n again."""
@@ -207,23 +207,33 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    count(galerig.cli, "top_functional")
+    count(galerig.cli, "top_functionals")
+    # the matrices those calls take
+    batch_sizes = Counter()
+    top_functionals = galerig.cli.top_functionals
+    monkeypatch.setattr(galerig.cli, "top_functionals", lambda fs, batch, h:
+                        batch_sizes.update(matrices=len(batch)) or top_functionals(fs, batch, h))
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
     count(galerig.verify, "quotient_functional")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"cli.top_functional": 18, "cohomology._orbit": 5,
+    assert calls == {"cli.top_functionals": 2, "cohomology._orbit": 5,
                      "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
+    assert batch_sizes == {"matrices": 18}
     calls.clear()
+    batch_sizes.clear()
     assert main(["report", "3,1,2,1,1"]) == 0
-    assert calls == {"cli.top_functional": 18, "cohomology._orbit": 5}
+    assert calls == {"cli.top_functionals": 2, "cohomology._orbit": 5}
+    assert batch_sizes == {"matrices": 18}
     calls.clear()
+    batch_sizes.clear()
     assert main(["report", "1,1,1,1,1"]) == 0
-    assert calls == {}  # a singleton class has no pair to compare
+    assert calls == {} and not batch_sizes  # a singleton class has no pair to compare
     assert main(["iso", "4,1,1,1,1", "4,1,1,1,1"]) == 0
     # a diagram compared with itself is keyed once, one functional per orbit
-    assert calls == {"cli.top_functional": 6, "cohomology._orbit": 2}
+    assert calls == {"cli.top_functionals": 1, "cohomology._orbit": 2}
+    assert batch_sizes == {"matrices": 6}
 
 
 def test_cross_iso_shares_one_key_map_when_n_and_h_agree(monkeypatch, capsys):
@@ -302,7 +312,7 @@ def test_classify_gives_each_verdict(monkeypatch, capsys):
     from galerig.gale import GaleDiagram
 
     calls = Counter()
-    for module, name in ((galerig.cli, "top_functional"), (galerig.cohomology, "_orbit")):
+    for module, name in ((galerig.cli, "top_functionals"), (galerig.cohomology, "_orbit")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))

@@ -24,10 +24,9 @@ from galerig.cohomology import (
     quotient_presentation,
     substitution_maps_ideal,
     quotient_functional,
-    top_functional,
+    top_functionals,
     _GENERATORS,
     _catalecticant_tables,
-    _catalecticants,
     _ranks,
     _contraction_tables,
     _orbit,
@@ -50,7 +49,14 @@ from galerig.gf2 import (
     table_image,
     times_form,
 )
-from galerig.charmat import VARIABLES, canonical_charmats, enumerate_charmats, orbit_sizes, orbits
+from galerig.charmat import (
+    VARIABLES,
+    canonical_charmats,
+    enumerate_charmats,
+    is_characteristic,
+    orbit_sizes,
+    orbits,
+)
 from galerig.petersen import tor_class
 
 import oracles
@@ -388,7 +394,7 @@ def test_top_functional_is_the_socle_functional(key_quotients):
         fs, h = face_structure(diagram), h_vector(diagram)
         assert h == quotients[0].hilbert and h == h[::-1] and h[0] == h[-1] == 1, w
         assert all(q.hilbert == h for q in quotients), w
-        assert ([top_functional(fs, b, h) for b in enumerate_charmats(fs)]
+        assert (top_functionals(fs, enumerate_charmats(fs), h)
                 == [socle_functional(q) for q in quotients]), w
 
 
@@ -401,33 +407,57 @@ def test_forward_pass_functional_equals_the_reduced_echelon_reader(key_quotients
         diagram = GaleDiagram(w)
         fs, h = face_structure(diagram), h_vector(diagram)
         blocks = enumerate_charmats(fs)
-        for r in sorted(set(orbits(fs, blocks))):
-            assert (top_functional(fs, blocks[r], h)
-                    == oracles.top_functional_by_echelon(fs, blocks[r])
+        distinct = sorted(set(orbits(fs, blocks)))
+        phis = top_functionals(fs, [blocks[r] for r in distinct], h)
+        for r, phi in zip(distinct, phis):
+            assert (phi == oracles.top_functional_by_echelon(fs, blocks[r])
                     == quotient_functional(quotients[r])), (w, r)
 
 
 def test_functionals_do_not_depend_on_the_matrix_order(key_quotients):
-    """top_functional, which reads I_n's rows from a table that earlier
-    calls filled, gives the same phi on every orbit representative of every
-    key_range diagram whether the representatives are taken in order or
-    in reverse, and each phi is the saturated quotient's."""
+    """top_functionals, which reads I_n's rows from a table that earlier
+    calls filled and shares forward passes within a call, gives the same
+    phi on every orbit representative of every key_range diagram whether
+    the representatives are taken in order or in reverse, and each phi is
+    the saturated quotient's."""
     for w, quotients in key_quotients.items():
         diagram = GaleDiagram(w)
         fs, h = face_structure(diagram), h_vector(diagram)
         blocks = enumerate_charmats(fs)
         distinct = sorted(set(orbits(fs, blocks)))
-        phis = [top_functional(fs, blocks[r], h) for r in distinct]
+        phis = top_functionals(fs, [blocks[r] for r in distinct], h)
         assert phis == [quotient_functional(quotients[r]) for r in distinct], w
-        assert [top_functional(fs, blocks[r], h) for r in distinct[::-1]] == phis[::-1], w
+        assert top_functionals(fs, [blocks[r] for r in distinct[::-1]], h) == phis[::-1], w
 
 
-def _top_functionals(fs, batch, h):
-    return [top_functional(fs, forms, h) for forms in batch]
+def test_top_functionals_equal_the_one_matrix_oracle(key_quotients):
+    """The kernel, one call per diagram with forward states shared by
+    block prefix, equals the one-matrix oracle (oracles.top_functional:
+    every block eliminated from nothing, the duality checked by bitwise
+    ranks) on the orbit representatives of every key_range diagram, in
+    canonical order, reversed and shuffled, so that no prefix state of
+    one matrix reaches another's phi; and on every phi the ranks the
+    kernel checks (_ranks, sliced off the stacked image and mirrored) are
+    the bitwise ranks in every degree d = 0..n."""
+    rng = random.Random(4)
+    for w in sorted(key_quotients):
+        diagram = GaleDiagram(w)
+        fs, h = face_structure(diagram), h_vector(diagram)
+        blocks = enumerate_charmats(fs)
+        representatives = [blocks[r] for r in sorted(set(orbits(fs, blocks)))]
+        expected = [oracles.top_functional(fs, forms, h) for forms in representatives]
+        canonical = list(range(len(representatives)))
+        shuffled = rng.sample(canonical, len(canonical))
+        for order in (canonical, canonical[::-1], shuffled):
+            assert (top_functionals(fs, [representatives[i] for i in order], h)
+                    == [expected[i] for i in order]), (w, order)
+        for phi in expected:
+            assert _ranks(phi, fs.n) == oracles.catalecticant_ranks_by_bits(phi, fs.n) \
+                == list(h), (w, phi)
 
 
 def test_top_functionals_do_not_depend_on_the_row_table(key_quotients, monkeypatch):
-    """top_functional reads I_n's rows from a per-process table keyed by n
+    """top_functionals reads I_n's rows from a per-process table keyed by n
     and a non-face's forms as a sorted tuple, one entry per form multiset:
     non-faces whose forms are one multiset in different facet orders share
     it.  On the orbit representatives of every key_range diagram its phis
@@ -453,9 +483,9 @@ def test_top_functionals_do_not_depend_on_the_row_table(key_quotients, monkeypat
         for filler in [None, other] + same[:1]:
             table.cache_clear()
             if filler is not None:
-                _top_functionals(*batches[filler])
+                top_functionals(*batches[filler])
             before = table.cache_info().misses
-            assert _top_functionals(fs, batch, h) == expected, (w, filler)
+            assert top_functionals(fs, batch, h) == expected, (w, filler)
             built.append(table.cache_info().misses - before)
         reused += built[-1] < built[0]
         # w's non-faces, each as its forms in facet order
@@ -473,15 +503,16 @@ def test_top_functionals_do_not_depend_on_the_row_table(key_quotients, monkeypat
 
 def test_top_functional_refuses_a_wrong_h_vector():
     # the catalecticant ranks of A1 are its Hilbert function, so a change in
-    # any one degree, on either side of n/2, is refused and named
+    # any one degree, on either side of n/2, is refused and named, in a
+    # batch of one
     h = list(QA1.hilbert)
-    assert top_functional(FS_P, BLOCKS_A["A1"], h) == socle_functional(QA1)
+    assert top_functionals(FS_P, [BLOCKS_A["A1"]], h) == [socle_functional(QA1)]
     for d in range(QA1.n + 1):
         wrong = h[:d] + [h[d] + 1] + h[d + 1:]
         with pytest.raises(ValueError, match=f"in degree {d}$"):
-            top_functional(FS_P, BLOCKS_A["A1"], wrong)
+            top_functionals(FS_P, [BLOCKS_A["A1"]], wrong)
     with pytest.raises(ValueError, match="entries"):
-        top_functional(FS_P, BLOCKS_A["A1"], h[:-1])
+        top_functionals(FS_P, [BLOCKS_A["A1"]], h[:-1])
 
 
 def test_check_inverse_system_refuses_an_h_vector_of_the_wrong_length():
@@ -498,22 +529,45 @@ def test_check_inverse_system_refuses_an_h_vector_of_the_wrong_length():
 
 def test_top_functional_refuses_a_non_characteristic_matrix():
     with pytest.raises(ValueError, match="not characteristic"):
-        top_functional(FS_P, (0b101, 0b101, 0b101, 0b010, 0b010), QA1.hilbert)
+        top_functionals(FS_P, [(0b101, 0b101, 0b101, 0b010, 0b010)], QA1.hilbert)
 
 
-def test_top_functionals_refuse_what_top_functional_refuses():
-    """A loop of top_functional calls, as cli keys a diagram, raises its
-    ValueErrors: on a non-characteristic matrix after good ones, whose
-    rows filled the row table, and on a wrong h-vector in any degree."""
+def _oracle_error(batch, h):
+    """The ValueError message of the one-matrix oracle run matrix by
+    matrix over a batch, in order."""
+    with pytest.raises(ValueError) as refused:
+        for forms in batch:
+            oracles.top_functional(FS_P, forms, h)
+    return str(refused.value)
+
+
+def test_top_functionals_refuse_what_top_functional_refuses(monkeypatch):
+    """top_functionals raises the one-matrix oracle's ValueError: on a
+    non-characteristic matrix after good ones, whose rows filled the row
+    table and the prefix states, on a wrong h-vector in any degree and on
+    a short one.  With the characteristic check switched off in both, a
+    matrix whose I_n has corank 2, and one whose I_n is a hyperplane but
+    whose phi has catalecticant rank 1 in degree 1 (a broken duality),
+    are refused with the oracle's message, after good ones."""
     batch = [BLOCKS_A["A1"], BLOCKS_A["A2"]]
-    with pytest.raises(ValueError, match="not characteristic"):
-        _top_functionals(FS_P, batch + [(0b101, 0b101, 0b101, 0b010, 0b010)], QA1.hilbert)
     h = list(QA1.hilbert)
-    for d in range(QA1.n + 1):
-        with pytest.raises(ValueError, match=f"in degree {d}$"):
-            _top_functionals(FS_P, batch, h[:d] + [h[d] + 1] + h[d + 1:])
-    with pytest.raises(ValueError, match="entries"):
-        _top_functionals(FS_P, batch, h[:-1])
+    cases = [(batch + [(0b101, 0b101, 0b101, 0b010, 0b010)], h), (batch, h[:-1])]
+    cases += [(batch, h[:d] + [h[d] + 1] + h[d + 1:]) for d in range(QA1.n + 1)]
+    for case, h_case in cases:
+        with pytest.raises(ValueError) as refused:
+            top_functionals(FS_P, case, h_case)
+        assert str(refused.value) == _oracle_error(case, h_case), (case, h_case)
+    corank, duality = (1, 1, 1, 2, 2), (2, 2, 2, 5, 5)
+    assert not any(is_characteristic(forms, FS_P) for forms in (corank, duality))
+    monkeypatch.setattr(galerig.cohomology, "is_characteristic", lambda forms, fs: True)
+    monkeypatch.setattr(oracles, "is_characteristic", lambda forms, fs: True)
+    for bad, message in ((corank, "the rows span corank 2 in 21 columns, not 1"),
+                         (duality, "ideal is not the inverse system of its top degree: "
+                                   "rank 1 against h_1 = 3 in degree 1")):
+        assert _oracle_error(batch + [bad], h) == message
+        with pytest.raises(ValueError) as refused:
+            top_functionals(FS_P, batch + [bad], h)
+        assert str(refused.value) == message
 
 
 def test_two_generators_close_to_gl3():
@@ -586,8 +640,9 @@ def test_catalecticants_are_the_bitwise_pairings():
         width = monomial_count(n)
         for phi in [1 << (width - 1), (1 << width) - 1] + [rng.getrandbits(width)
                                                            for _ in range(4)]:
-            assert _catalecticants(phi, n) == [oracles.catalecticant_by_bits(phi, n, d)
-                                               for d in range(n // 2 + 1)], (n, phi)
+            assert (oracles.catalecticants_by_table(phi, n)
+                    == [oracles.catalecticant_by_bits(phi, n, d) for d in range(n // 2 + 1)]), \
+                (n, phi)
             assert _ranks(phi, n) == oracles.catalecticant_ranks_by_bits(phi, n), (n, phi)
     phi = socle_functional(QA1)
     assert _ranks(phi, QA1.n) == list(QA1.hilbert)
@@ -606,19 +661,19 @@ def test_stacked_catalecticant_tables_hold_each_pairing_in_place():
         width = monomial_count(n)
         for phi in [1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(6)]:
             rows = [oracles.catalecticant_by_bits(phi, n, d) for d in range(n // 2 + 1)]
-            tables, slices = _catalecticant_tables(n)
-            assert len(slices) == len(rows)
+            tables, plan = _catalecticant_tables(n)
+            assert len(plan) == len(rows)
             end = 0
-            for d, (shifts, mask) in enumerate(slices):
-                assert mask == (1 << monomial_count(n - d)) - 1
+            for d, (shifts, mask, w_d) in enumerate(plan):
+                assert w_d == monomial_count(n - d) and mask == (1 << w_d) - 1
                 assert list(shifts) == [end + i * mask.bit_length()
                                         for i in range(len(rows[d]))], (n, d)
                 end += len(rows[d]) * mask.bit_length()
             assert table_image(phi, tables) >> end == 0, n
-            assert _catalecticants(phi, n) == rows, (n, phi)
+            assert oracles.catalecticants_by_table(phi, n) == rows, (n, phi)
             assert _ranks(phi, n) == oracles.catalecticant_ranks_by_bits(phi, n), (n, phi)
     with pytest.raises(IndexError):
-        _catalecticants(1 << monomial_count(4), 4)
+        _ranks(1 << monomial_count(4), 4)
 
 
 def test_contraction_is_the_transpose_of_multiplication():
@@ -702,7 +757,7 @@ def test_shared_key_map_counts_the_pairs_of_unshared_keys(monkeypatch):
 
     def representatives_functionals(fs):
         blocks = enumerate_charmats(fs)
-        return _top_functionals(fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h)
+        return top_functionals(fs, [blocks[r] for r in sorted(set(orbits(fs, blocks)))], h)
 
     first = representatives_functionals(FS_Q)
     elements = gl3()
