@@ -26,15 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
+from galerig.betti import betti_group  # noqa: E402
 from galerig.charmat import canonical_charmats, enumerate_charmats, orbit_sizes  # noqa: E402
 from galerig.cli import _classes, _matrices, classify  # noqa: E402
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
-from galerig.petersen import tor_class  # noqa: E402
 
 DIAGRAMS = oracles.canonical_diagrams(5, 14) + oracles.canonical_diagrams(7, 12)
-CLASSES = sorted(members for members in {tuple(sorted(tor_class(w)))
-                                         for w in oracles.canonical_diagrams(5, 14)}
-                 if len(members) > 1)
+CLASSES = sorted({members for members in map(betti_group, oracles.canonical_diagrams(5, 14))
+                  if len(members) > 1})
 
 
 def test_range():

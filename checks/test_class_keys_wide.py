@@ -27,14 +27,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
 import galerig.cohomology  # noqa: E402
-from galerig.betti import h_vector  # noqa: E402
+from galerig.betti import betti_group, h_vector  # noqa: E402
 from galerig.cli import _matrices, _matrix_keys, main  # noqa: E402
 from galerig.gale import GaleDiagram  # noqa: E402
-from galerig.petersen import tor_class  # noqa: E402
 
-CLASSES = sorted(members for members in {tuple(sorted(tor_class(w)))
-                                         for w in oracles.canonical_diagrams(5, 12)}
-                 if len(members) > 1)
+CLASSES = sorted({members for members in map(betti_group, oracles.canonical_diagrams(5, 12))
+                  if len(members) > 1})
 
 
 def test_range():

@@ -35,14 +35,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import oracles  # noqa: E402
 import galerig.cohomology  # noqa: E402
 import galerig.gf2  # noqa: E402
-from galerig.betti import h_vector  # noqa: E402
+from galerig.betti import betti_group, h_vector  # noqa: E402
 from galerig.charmat import enumerate_charmats, orbits  # noqa: E402
 from galerig.charmat import VARIABLES  # noqa: E402
 from galerig.cohomology import _nonface_rows, _orbit, _ranks, top_functionals  # noqa: E402
 from galerig.gale import GaleDiagram, face_structure  # noqa: E402
-from galerig.petersen import tor_class  # noqa: E402
 
-CLASSES = {tuple(sorted(tor_class(w))) for w in oracles.canonical_diagrams(5, 13)}
+CLASSES = {betti_group(w) for w in oracles.canonical_diagrams(5, 13)}
 DIAGRAMS = (sorted(w for members in CLASSES if len(members) > 1 for w in members)
             + oracles.canonical_diagrams(7, 12))
 

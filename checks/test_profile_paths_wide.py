@@ -67,7 +67,7 @@ def test_profile_paths_agree(weights):
     for block, phi in zip(blocks, top_functionals(fs, blocks, h)):
         q = quotient_presentation(fs, block)
         assert phi == oracles.socle_functional(q), block
-        prof = invariant_profile(phi, fs.n)
+        prof = invariant_profile(phi, h)
         assert prof["codim"] == [codim(g, q) for g in LINEAR_FORMS], block
         assert prof["codim"] == [oracles.codim_on_cosets(g, q) for g in LINEAR_FORMS], block
         assert prof["ord"] == [order(g, q) for g in LINEAR_FORMS], block
@@ -80,4 +80,4 @@ def test_profile_by_contraction_equals_profile_by_products(weights):
     fs, h = face_structure(diagram), h_vector(diagram)
     blocks = enumerate_charmats(fs)
     for block, phi in zip(blocks, top_functionals(fs, blocks, h)):
-        assert invariant_profile(phi, fs.n) == oracles.profile_by_products(phi, fs.n), block
+        assert invariant_profile(phi, h) == oracles.profile_by_products(phi, fs.n), block

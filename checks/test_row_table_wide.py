@@ -19,13 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import oracles  # noqa: E402
+from galerig.betti import betti_group  # noqa: E402
 from galerig.cli import main  # noqa: E402
 from galerig.cohomology import _nonface_rows  # noqa: E402
-from galerig.petersen import tor_class  # noqa: E402
 
-CLASSES = sorted(members for members in {tuple(sorted(tor_class(w)))
-                                         for w in oracles.canonical_diagrams(5, 12)}
-                 if len(members) > 1)
+CLASSES = sorted({members for members in map(betti_group, oracles.canonical_diagrams(5, 12))
+                  if len(members) > 1})
 
 
 def _reports(classes, capsys, clear=False) -> dict:

@@ -1,7 +1,8 @@
 """Exact rigidity computations for simple polytopes with n+3 facets given by
-Gale diagrams on odd polygons: bigraded Betti data, pentagon Tor-class
-search, mod-2 characteristic matrix enumeration, and graded-isomorphism
-testing of the resulting GF(2) cohomology quotients.
+Gale diagrams on odd polygons: bigraded Betti data and the diagrams that
+share it (the Tor class of a pentagon), mod-2 characteristic matrix
+enumeration, and graded-isomorphism testing of the resulting GF(2)
+cohomology quotients.
 
 Every name in __all__ is imported from its defining module on first
 access (PEP 562), so importing galerig, or a command module such as
@@ -13,9 +14,8 @@ import sys
 _EXPORTS = {
     "gale": ("GaleDiagram", "FaceStructure", "canonical_weights", "face_structure",
              "origin_in_hull"),
-    "betti": ("beta_first_row", "betti_table", "h_vector", "supports_quasitoric",
-              "window_sums"),
-    "petersen": ("five_cycles", "petersen_labels", "tor_class"),
+    "betti": ("beta_first_row", "betti_group", "betti_table", "h_vector",
+              "supports_quasitoric", "window_sums"),
     "charmat": ("enumerate_charmats", "is_characteristic"),
     "cohomology": ("GradedQuotient", "codim", "ideal_equal", "invariant_profile", "iso_keys",
                    "order", "quotient_presentation", "top_functionals"),

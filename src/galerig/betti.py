@@ -1,5 +1,5 @@
-"""Bigraded Betti numbers of odd-gon Gale diagrams and the quasitoric
-support test.
+"""Bigraded Betti numbers of odd-gon Gale diagrams, the diagrams that
+share them (betti_group) and the quasitoric support test.
 
 For an n-polytope with m = n+3 facets the whole table is determined by its
 first row: beta^{-1,2j} counts length-k windows of the weight vector summing
@@ -16,10 +16,10 @@ h(t) (1 - t)^3 (h_vector, which reads it off the window sums).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import Sequence
 
-from .gale import GaleDiagram, _validated_weights
+from .gale import GaleDiagram, _validated_weights, canonical_weights
 
 
 def window_sums(weights: Sequence[int]) -> tuple[int, ...]:
@@ -28,6 +28,33 @@ def window_sums(weights: Sequence[int]) -> tuple[int, ...]:
     nv = len(w)
     k = (nv - 1) // 2
     return tuple(sum(w[(i + t) % nv] for t in range(k)) for i in range(nv))
+
+
+def betti_group(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Every canonical diagram with the total and the sorted window sums of
+    weights, which fix its Betti table, sorted lexicographically; it
+    contains the canonical input.  For a pentagon this is its Tor class.
+
+    Each arrangement s of the window sums has one solution a (s_i the sum
+    of a_i..a_(i+k-1)): a_(i+k) - a_i = s_(i+1) - s_i walks once round the
+    (2k+1)-gon, as gcd(k, 2k+1) = 1, and the total T = sum(s) / k fixes
+    the one free unknown.  Solved, a_i = T - s_(i+1) - s_(i+k+1), the
+    other 2k weights being two windows; only its positivity is checked.
+    Rotating or reflecting s does the same to a, so s_0 is held at the
+    least sum and one of (s_0, s_1, ..., s_2k), (s_0, s_2k, ..., s_1) is
+    solved."""
+    sums = window_sums(weights)
+    nv, k = len(sums), len(sums) // 2
+    total = sum(sums) // k
+    first, *rest = sorted(sums)
+    found = set()
+    for tail in set(permutations(rest)):
+        if tail <= tail[::-1]:
+            s = (first,) + tail
+            a = tuple([total - s[i - 2 * k] - s[i - k] for i in range(nv)])
+            if min(a) >= 1:
+                found.add(canonical_weights(a))
+    return tuple(sorted(found))
 
 
 def beta_first_row(diagram: GaleDiagram) -> dict[int, int]:

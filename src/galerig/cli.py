@@ -27,11 +27,12 @@ A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
 --cache.  galerig.cohomology and galerig.gf2 are imported by the commands
 that read socle functionals or build quotients (iso, cohomology, profile,
-and report on a class of two or more members), and galerig.petersen by
-torclass and by report on a pentagon; betti, torclass, charmats and
-report on a singleton class or a heptagon import neither cohomology nor
-gf2.  Their names are bound into this module on first use (_bind), so
-with no bytecode cache a command compiles only the modules it runs.
+and report on a class of two or more members); betti, torclass, charmats
+and report on a singleton class or a heptagon import neither.  Their
+names are bound into this module on first use (_bind), so with no
+bytecode cache a command compiles only the modules it runs.  torclass and
+report on a pentagon read the Tor class off betti.betti_group, which this
+module binds as tor_class.
 
 Exit codes: 0 success, 1 fixture mismatch under --verify, 2 invalid input
 or an unusable --cache path, 141 when the reader closed stdout early.
@@ -47,6 +48,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .betti import betti_table, h_vector, supports_quasitoric
+from .betti import betti_group as tor_class  # a pentagon's Betti group is its Tor class
 from .charmat import canonical_charmats, enumerate_charmats, orbit_sizes, orbits, row_strings
 from .charmat import is_characteristic  # noqa: F401 (tracer)
 from .gale import GaleDiagram, canonical_weights, face_structure
@@ -59,7 +61,6 @@ _DEFERRED = {
     "cohomology": ("LINEAR_FORM_NAMES", "invariant_profile", "iso_keys",
                    "quotient_presentation", "top_functionals"),
     "gf2": ("format_poly", "lowest_pivot_rows", "monomial_count", "to_lists"),
-    "petersen": ("tor_class",),
 }
 
 
@@ -88,8 +89,9 @@ def __getattr__(name: str):
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.17 s, `profile` 0.6 s and `cohomology` 2.5 s, 14 s under --json (README,
-# "MAX_FACETS").  Larger diagrams are refused with exit 2.
+# 0.14 s, `profile` 0.6 s and `cohomology` 2.0 s, 15 s under --json (medians
+# of 3 on a 2-core x86 VM, no bytecode; README, "MAX_FACETS").  Larger
+# diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -148,7 +150,6 @@ def cmd_torclass(args) -> int:
     diagram = _parse_weights(args.weights)
     if diagram.k != 2:
         raise ValueError("Tor-class search requires a pentagon diagram (k = 2)")
-    _bind("petersen")
     members = tor_class(diagram.weights)
     _emit([list(w) for w in members], args.json,
           "\n".join(str(list(w)) for w in members))
@@ -298,7 +299,7 @@ def cmd_profile(args) -> int:
     h = h_vector(diagram)
     _bind("cohomology")
     phis = top_functionals(fs, [block for _, block in selected], h)
-    profiles = [(i, invariant_profile(phi, fs.n)) for (i, _), phi in zip(selected, phis)]
+    profiles = [(i, invariant_profile(phi, h)) for (i, _), phi in zip(selected, phis)]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []
@@ -338,8 +339,7 @@ def cmd_report(args) -> int:
         return 2
     members = []
     if diagram.k == 2:
-        _bind("petersen")
-        members = sorted(tor_class(diagram.weights))
+        members = tor_class(diagram.weights)
     if args.verify:
         # loaded only here, with its bundled tables: no other command pays
         # for the import

@@ -238,11 +238,14 @@ def order(form: int, q: GradedQuotient) -> int:
     raise RuntimeError("top-degree component is not full; quotient is malformed")
 
 
-def invariant_profile(phi: int, n: int) -> dict:
+def invariant_profile(phi: int, h: Sequence[int]) -> dict:
     """codim and order of the seven nonzero linear forms in the quotient
     whose socle functional on S_n is phi, as the record {"forms": [...],
     "codim": [...], "ord": [...]} in the fixed column order x, y, z, x+y,
-    x+z, y+z, x+y+z.
+    x+z, y+z, x+y+z.  h, with n = len(h) - 1, must be the ranks of phi's
+    catalecticants (_ranks), which are not computed again: each caller
+    passes the h-vector that check_inverse_system has just checked phi
+    against.
 
     I_d is the kernel of phi's degree-d catalecticant Cat_d, whose rank h_d
     is the quotient's dimension in degree d, so no quotient is built.  Let
@@ -254,7 +257,7 @@ def invariant_profile(phi: int, n: int) -> dict:
     give 0, or n + 1.  A phi for which no degree qualifies, such as 0,
     raises RuntimeError.
     """
-    h = _ranks(phi, n)
+    n = len(h) - 1
     codims, ords = [], []
     for form in LINEAR_FORMS:
         psi = table_image(phi, _contraction_tables(n, form))

@@ -101,7 +101,7 @@ def _check_profiles(labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict
         q = quotients[label]
         phi = quotient_functional(q)
         check_inverse_system(phi, q.n, q.hilbert)
-        profiles[label] = invariant_profile(phi, q.n)
+        profiles[label] = invariant_profile(phi, q.hilbert)
     discrepancies = []
     for table_name in table_names:
         kind = table_name.split("_")[0]  # "codim" or "ord", a profile field

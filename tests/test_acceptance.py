@@ -7,7 +7,7 @@ import random
 import time
 
 from galerig import fixtures
-from galerig.betti import betti_table
+from galerig.betti import betti_group, betti_table
 from galerig.charmat import enumerate_charmats, row_strings
 from galerig.cohomology import (
     LINEAR_FORMS,
@@ -18,7 +18,6 @@ from galerig.cohomology import (
 )
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import monomial_count, parse_poly
-from galerig.petersen import five_cycles, tor_class
 
 import oracles
 
@@ -54,18 +53,18 @@ def _fixture_quotients():
 
 def test_criterion_1_tor_classification():
     def body():
-        assert set(tor_class(WEIGHTS_P)) == {WEIGHTS_P, WEIGHTS_Q}
+        assert set(betti_group(WEIGHTS_P)) == {WEIGHTS_P, WEIGHTS_Q}
 
-    _criterion(1, "tor_class([3,1,2,1,1]) is exactly the two-member class", 1.0, body)
+    _criterion(1, "betti_group([3,1,2,1,1]) is exactly the two-member class", 1.0, body)
 
 
 def test_criterion_2_petersen_structure():
     def body():
-        assert len(five_cycles()) == 12
+        assert len(oracles.five_cycles()) == 12
         for w in oracles.pentagon_diagrams(10):
             assert len(oracles.directed_label_sequences(w)) <= 24
             target = oracles.adjacent_sum_multiset(w)
-            for member in tor_class(w):
+            for member in betti_group(w):
                 assert oracles.adjacent_sum_multiset(member) == target
 
     _criterion(2, "12 five-cycles, <= 24 readings, adjacent sums preserved "
@@ -133,7 +132,7 @@ def test_criterion_6_invariant_tables():
             quotients = qa if table_name.endswith("A") else qb
             for row_label, published in tables[table_name].items():
                 q = quotients[row_label]
-                computed = invariant_profile(oracles.socle_functional(q), q.n)[kind]
+                computed = invariant_profile(oracles.socle_functional(q), q.hilbert)[kind]
                 for col, (pub, got) in enumerate(zip(published, computed)):
                     if pub == got:
                         continue

@@ -1,14 +1,21 @@
-"""Bigraded Betti tables, Tor comparison, sphere-product decomposition."""
+"""Bigraded Betti tables, Betti groups, Tor comparison, sphere-product
+decomposition, quasitoric support."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import galerig.betti
-from galerig.betti import beta_first_row, betti_table, h_vector, supports_quasitoric, window_sums
-from galerig.charmat import enumerate_charmats
+from galerig.betti import (
+    beta_first_row,
+    betti_group,
+    betti_table,
+    h_vector,
+    supports_quasitoric,
+    window_sums,
+)
+from galerig.charmat import canonical_charmats, enumerate_charmats
 from galerig.cohomology import quotient_presentation
-from galerig.gale import GaleDiagram, face_structure
-from galerig.petersen import tor_class
+from galerig.gale import GaleDiagram, canonical_weights, face_structure
 
 import oracles
 from oracles import adjacent_sum_multiset, sphere_product_decomposition, tor_equivalent
@@ -86,12 +93,25 @@ def test_tor_class_members_share_one_h_vector():
     members share one Betti table, hence one h, which is the h-vector of
     the exhaustive face count, on every multi-member pentagon class of
     total <= 12."""
-    classes = sorted(c for c in {tor_class(w) for w in oracles.canonical_diagrams(5, 12)}
+    classes = sorted(c for c in {betti_group(w) for w in oracles.canonical_diagrams(5, 12)}
                      if len(c) > 1)
     assert len(classes) == 26
     for members in classes:
         h = {h_vector(GaleDiagram(w)) for w in members}
         assert h == {oracles.face_counts(GaleDiagram(members[0]))[1]}, members
+
+
+def test_betti_group_of_heptagons_is_the_composition_search():
+    """betti_group solves one arrangement of the window sums per rotation
+    and reflection class; on the 34 canonical heptagons of total <= 11 it
+    is every composition of the total with the same sorted window sums."""
+    diagrams = oracles.canonical_diagrams(7, 11)
+    assert len(diagrams) == 34
+    for weights in diagrams:
+        target = oracles.adjacent_sum_multiset(weights)
+        expected = {canonical_weights(w) for w in oracles.compositions(sum(weights), 7)
+                    if oracles.adjacent_sum_multiset(w) == target}
+        assert betti_group(weights) == tuple(sorted(expected)), weights
 
 
 def test_h_vector_equals_the_betti_table_route():
@@ -182,3 +202,14 @@ def test_supports_quasitoric():
     assert supports_quasitoric(4) is False
     with pytest.raises(ValueError):
         supports_quasitoric(1)
+
+
+def test_no_nonagon_has_a_characteristic_matrix():
+    """supports_quasitoric(4) is False on a range: none of the 133
+    canonical 9-gon diagrams of total <= 14 has a mod-2 characteristic
+    matrix, so no small cover, let alone a quasitoric manifold, lies over
+    them."""
+    diagrams = oracles.canonical_diagrams(9, 14)
+    assert len(diagrams) == 133
+    for weights in diagrams:
+        assert canonical_charmats(face_structure(GaleDiagram(weights))) == {}, weights

@@ -35,7 +35,7 @@ from galerig.cohomology import (
     _subst_matrix,
     _word_tree,
 )
-from galerig.betti import h_vector
+from galerig.betti import betti_group, h_vector
 from galerig.cli import _classes, _matrices, _matrix_keys, classify
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
@@ -57,7 +57,6 @@ from galerig.charmat import (
     orbit_sizes,
     orbits,
 )
-from galerig.petersen import tor_class
 
 import oracles
 from oracles import (
@@ -192,7 +191,7 @@ def test_zero_form_rejected():
 
 
 def _profile(q):
-    return invariant_profile(socle_functional(q), q.n)
+    return invariant_profile(socle_functional(q), q.hilbert)
 
 
 def test_profile_examples():
@@ -305,7 +304,7 @@ def key_comparisons():
     of total <= 9 (3 classes)."""
     comparisons = [(w, w) for w in oracles.canonical_diagrams(5, 8)
                    + oracles.canonical_diagrams(7, 11)]
-    for members in {tuple(sorted(tor_class(w))) for w in oracles.canonical_diagrams(5, 9)}:
+    for members in {betti_group(w) for w in oracles.canonical_diagrams(5, 9)}:
         comparisons += combinations(members, 2)
     return comparisons
 
@@ -693,13 +692,15 @@ def test_profile_by_contraction_equals_profile_by_products(key_quotients):
     """invariant_profile reads codim off the ranks of phi's contraction by
     each form; the oracle multiplies by it on the bitwise catalecticants.
     Every functional of every key_range diagram, and seeded random
-    functionals for n = 2..12, on which both give the same record or both
-    refuse with RuntimeError."""
-    functionals = {(q.n, socle_functional(q)) for quotients in key_quotients.values()
+    functionals for n = 2..12, each profiled against its own catalecticant
+    ranks, on which both give the same record or both refuse with
+    RuntimeError."""
+    functionals = {(q.hilbert, socle_functional(q)) for quotients in key_quotients.values()
                    for q in quotients}
     assert len(functionals) == 210
-    for n, phi in functionals:
-        assert invariant_profile(phi, n) == oracles.profile_by_products(phi, n), (n, phi)
+    for h, phi in functionals:
+        n = len(h) - 1
+        assert invariant_profile(phi, h) == oracles.profile_by_products(phi, n), (n, phi)
     rng = random.Random(3)
     outcomes = Counter()
     for n in range(2, 13):
@@ -709,10 +710,10 @@ def test_profile_by_contraction_equals_profile_by_products(key_quotients):
                 expected = oracles.profile_by_products(phi, n)
             except RuntimeError:
                 with pytest.raises(RuntimeError, match="no annihilated degree found"):
-                    invariant_profile(phi, n)
+                    invariant_profile(phi, _ranks(phi, n))
                 outcomes["refused"] += 1
             else:
-                assert invariant_profile(phi, n) == expected, (n, phi)
+                assert invariant_profile(phi, _ranks(phi, n)) == expected, (n, phi)
                 outcomes["equal"] += 1
     assert outcomes["refused"] and outcomes["equal"], outcomes
 
@@ -728,7 +729,7 @@ def test_profile_refuses_a_functional_with_no_annihilated_degree():
         assert table_image(1, _contraction_tables(n, X)) == 1
         for phi in (0, 1):
             with pytest.raises(RuntimeError, match="no annihilated degree found"):
-                invariant_profile(phi, n)
+                invariant_profile(phi, oracles.catalecticant_ranks_by_bits(phi, n))
             with pytest.raises(RuntimeError, match="no annihilated degree found"):
                 oracles.profile_by_products(phi, n)
 

@@ -20,7 +20,9 @@ catalecticant, contraction and substitution tables were rebuilt on
 facet count, m = 14.  The ``iso_2-2-2-2-2_2-2-2-2-2`` file (35 matrices
 in 20 same-label orbits) was recorded while the keys were still taken
 once per same-label orbit, to pin the rotations and reflections of the
-polygon that now join those orbits into 3.
+polygon that now join those orbits into 3.  The three ``torclass`` files
+were recorded while the Tor class was still read off the Petersen
+graph's 5-cycles, to pin the window-sum solve that replaced it.
 
 The keys of one long-lived process come from stacked orbit tables once it
 has filled enough orbits (galerig.cohomology._orbit), so the report and

@@ -27,9 +27,10 @@ def test_tracer_installs():
     (["report", "3,1,2,1,1"], "petersen.tor_class", 1),
 ])
 def test_traced_call_spans_names_bound_on_first_use(tmp_path, argv, span, calls):
-    """galerig.cli binds its cohomology and petersen names on first use,
-    after the tracer has wrapped them, and keeps the wrappers: a traced
-    call records one span per call of the wrapped name."""
+    """galerig.cli binds its cohomology names on first use, after the
+    tracer has wrapped them, and keeps the wrappers: a traced call records
+    one span per call of the wrapped name.  tor_class, betti.betti_group
+    bound at import, is wrapped in place and spanned once per report."""
     trace = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
