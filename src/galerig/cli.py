@@ -20,13 +20,15 @@ orbit's size (classify); iso gives every matrix of its lists its orbit's key
 (_matrix_keys, charmat.orbits).  _class_keys keys the members of a Tor
 class (report) or iso's one or two diagrams in one pass and owns the
 rule for sharing the {phi: key} map; classify turns the keys into the
-record report prints, with the verdict.  Only cohomology and report
---verify build quotients.
+record report prints, with the verdict.  cohomology and profile read
+each selected matrix's functional from one top_functionals call too
+(_selected_functionals), and cohomology prints the ideal it annihilates.
+Only report --verify builds quotients.
 
 A fresh process imports only what its command uses: galerig.verify, with
 its bundled tables, under report --verify, and json under --json and
 --cache.  galerig.cohomology and galerig.gf2 are imported by the commands
-that read socle functionals or build quotients (iso, cohomology, profile,
+that read socle functionals (iso, cohomology, profile,
 and report on a class of two or more members); betti, torclass, charmats
 and report on a singleton class or a heptagon import neither.  Their
 names are bound into this module on first use (_bind), so with no
@@ -58,9 +60,10 @@ from .gale import GaleDiagram, canonical_weights, face_structure
 # (__getattr__).  Calls still look each name up here, so a wrapper that
 # replaced one stays in place: _bind never overwrites a bound name.
 _DEFERRED = {
-    "cohomology": ("LINEAR_FORM_NAMES", "invariant_profile", "iso_keys",
-                   "quotient_presentation", "top_functionals"),
-    "gf2": ("format_poly", "lowest_pivot_rows", "monomial_count", "to_lists"),
+    "cohomology": ("LINEAR_FORM_NAMES", "annihilator_rows", "generators", "invariant_profile",
+                   "iso_keys", "top_functionals",
+                   "quotient_presentation"),  # (tracer) no command here calls it
+    "gf2": ("format_poly", "to_lists"),
 }
 
 
@@ -89,9 +92,9 @@ def __getattr__(name: str):
 # matrices, whose number grows exponentially in m ((a,1,1,1,1) has
 # 2^(a+1)+1).  At m = 14, (10,1,1,1,1) has 2049 matrices in 12 orbits (no
 # pentagon at m = 14 has more than 34); a fresh `iso` of it takes about
-# 0.14 s, `profile` 0.6 s and `cohomology` 2.0 s, 15 s under --json (medians
-# of 3 on a 2-core x86 VM, no bytecode; README, "MAX_FACETS").  Larger
-# diagrams are refused with exit 2.
+# 0.11 s, `profile` 0.48 s and `cohomology` 0.37 s, 12 s under --json
+# (medians of 3 on a 2-core x86 VM, no bytecode; README, "MAX_FACETS").
+# Larger diagrams are refused with exit 2.
 MAX_FACETS = 14
 
 
@@ -167,17 +170,24 @@ def cmd_charmats(args) -> int:
     return 0
 
 
-def _selected_matrices(diagram, index: int | None):
-    """Face structure and the (1-based index, matrix) pairs that --matrix
-    selects, every matrix by default."""
+def _selected_functionals(args):
+    """(face structure, h-vector, [(1-based index, matrix, socle
+    functional)]) of the matrices that --matrix selects, every matrix by
+    default: the functionals come from one top_functionals call, which
+    checks each matrix and its duality."""
+    diagram = _enumerable(_parse_weights(args.weights))
     fs, blocks = _matrices(diagram)
-    if index is None:
-        return fs, list(enumerate(blocks, start=1))
-    if not blocks:
-        raise ValueError("--matrix selects nothing: the diagram has no characteristic matrices")
-    if not 1 <= index <= len(blocks):
-        raise ValueError(f"--matrix must be in 1..{len(blocks)}")
-    return fs, [(index, blocks[index - 1])]
+    selected = list(enumerate(blocks, start=1))
+    if args.matrix is not None:
+        if not blocks:
+            raise ValueError("--matrix selects nothing: the diagram has no characteristic matrices")
+        if not 1 <= args.matrix <= len(blocks):
+            raise ValueError(f"--matrix must be in 1..{len(blocks)}")
+        selected = [selected[args.matrix - 1]]
+    h = h_vector(diagram)
+    _bind("cohomology")
+    phis = top_functionals(fs, [block for _, block in selected], h)
+    return fs, h, [(i, block, phi) for (i, block), phi in zip(selected, phis)]
 
 
 def _orbit_keys(fs, representatives, h, known=None, fill=True) -> list[tuple]:
@@ -274,18 +284,15 @@ def classify(classes) -> dict:
 
 
 def cmd_cohomology(args) -> int:
-    diagram = _enumerable(_parse_weights(args.weights))
-    fs, selected = _selected_matrices(diagram, args.matrix)
-    _bind("cohomology", "gf2")
+    fs, h, selected = _selected_functionals(args)
+    _bind("gf2")
     records = []
-    for _, block in selected:
-        q = quotient_presentation(fs, block)
-        record = {"block": row_strings(block), "n": q.n, "hilbert": list(q.hilbert),
-                  "generators": [format_poly(g) for g in q.generators]}
-        if args.json:  # the ideal's rows only --json prints, under lowest-bit pivots
-            record["ideal"] = {str(d): [to_lists(d, row) for row in
-                                        lowest_pivot_rows(q.ideal.rows(d), monomial_count(d))]
-                               for d in range(q.ideal.max_degree + 1)}
+    for _, block, phi in selected:
+        record = {"block": row_strings(block), "n": fs.n, "hilbert": list(h),
+                  "generators": [format_poly(g) for g in generators(fs, block)]}
+        if args.json:  # the ideal's rows only --json prints, I = Ann(phi)
+            record["ideal"] = {str(d): [to_lists(d, row) for row in rows]
+                               for d, rows in enumerate(annihilator_rows(phi, fs.n))}
         records.append(record)
     text = [f"{' '.join(r['block'])}\n  hilbert: {r['hilbert']}\n"
             f"  generators: {', '.join(r['generators'])}" for r in records]
@@ -294,12 +301,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    diagram = _enumerable(_parse_weights(args.weights))
-    fs, selected = _selected_matrices(diagram, args.matrix)
-    h = h_vector(diagram)
-    _bind("cohomology")
-    phis = top_functionals(fs, [block for _, block in selected], h)
-    profiles = [(i, invariant_profile(phi, h)) for (i, _), phi in zip(selected, phis)]
+    _, h, selected = _selected_functionals(args)
+    profiles = [(i, invariant_profile(phi, h)) for i, _, phi in selected]
     header = "matrix | " + " ".join(f"{name:>6}" for name in LINEAR_FORM_NAMES)
     lines = ["codim", header]
     payload = []

@@ -67,9 +67,16 @@ depends on them.  invariant_profile reads them off phi too, since I_d is
 the kernel of phi's degree-d catalecticant, by contraction alone: codim
 off the catalecticant ranks of phi's contraction by each form, ord off
 repeated contractions, so the profile command builds no quotient either.
-codim and order compute the same invariants on a saturated quotient by
-multiplication, the second path that certifies a profile cell disagreeing
-with a published table.
+Nor does the cohomology command, from the same functionals: it prints the
+h-vector as the Hilbert function, the products over the minimal
+non-faces as generators (generators), and under --json each I_d read off
+phi (annihilator_rows), the left kernel of Cat_d and, in degree n - d,
+the kernel of Cat_d's rows, through gf2.complement.  Of the commands,
+only report --verify builds the saturated quotient
+(quotient_presentation), as the independent reference for the published
+tables: codim and order compute the profile's invariants on it by
+multiplication, the second path that certifies a profile cell
+disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from struct import Struct
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .charmat import VARIABLES, is_characteristic
 from .gale import FaceStructure
@@ -86,6 +93,7 @@ from .gf2 import (
     GradedSubspace,
     _forward,
     byte_tables,
+    complement,
     echelon,
     hyperplane_functional,
     image,
@@ -103,34 +111,18 @@ LINEAR_FORM_NAMES = ("x", "y", "z", "x+y", "x+z", "y+z", "x+y+z")
 LINEAR_FORMS = (X, Y, Z, X | Y, X | Z, Y | Z, X | Y | Z)
 
 
-class GradedQuotient:
+class GradedQuotient(NamedTuple):
     """Quotient of GF(2)[x,y,z] by a graded ideal stored degreewise.
 
     hilbert[d] is the quotient dimension in degree d (0 <= d <= n) and equals
-    the h-vector of the source polytope; generators are the (degree, vec)
-    products of the facet forms over the minimal non-faces, which generate
-    the ideal.  Equality ignores them: two quotients are equal when n, ideal
-    and hilbert are.  Quotients are not hashable.
+    the h-vector of the source polytope.  Two quotients are equal when n,
+    ideal and hilbert are.  Quotients are not hashable.
     """
 
-    __slots__ = ("n", "ideal", "hilbert", "generators")
+    n: int
+    ideal: GradedSubspace
+    hilbert: tuple[int, ...]
     __hash__ = None
-
-    def __init__(self, n: int, ideal: GradedSubspace, hilbert: tuple[int, ...],
-                 generators: tuple[tuple[int, int], ...]):
-        self.n = n
-        self.ideal = ideal
-        self.hilbert = hilbert
-        self.generators = generators
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.ideal, self.hilbert) == (other.n, other.ideal, other.hilbert)
-
-    def __repr__(self) -> str:
-        return (f"GradedQuotient(n={self.n!r}, ideal={self.ideal!r}, "
-                f"hilbert={self.hilbert!r}, generators={self.generators!r})")
 
 
 def _validate_quotient(q: GradedQuotient):
@@ -152,23 +144,28 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         fs: face structure in normalized facet order.
         forms: the matrix as the linear forms of facets 0..n-1.
 
-    Each generator is the product of the facet forms over a minimal
-    non-face, facets n, n+1, n+2 carrying x, y, z; ideal components are
-    saturated degree by degree.
+    The ideal, generated by the generators (below), is saturated degree
+    by degree.  The commands read every ideal off its socle functional
+    instead (annihilator_rows); this saturated one is report --verify's
+    independent reference.
     """
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
 
     n = fs.n
-    full = tuple(forms) + VARIABLES
-    generators = [(len(nonface), _product(full[i] for i in nonface))
-                  for nonface in fs.minimal_nonfaces]
-    ideal = _saturated_ideal(generators, n + 1)
+    ideal = _saturated_ideal(generators(fs, forms), n + 1)
     hilbert = tuple(monomial_count(d) - ideal.dimension(d) for d in range(n + 1))
-    quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert,
-                              generators=tuple(generators))
+    quotient = GradedQuotient(n=n, ideal=ideal, hilbert=hilbert)
     _validate_quotient(quotient)
     return quotient
+
+
+def generators(fs: FaceStructure, forms: Sequence[int]) -> list[tuple[int, int]]:
+    """The (degree, vec) generators of a matrix's ideal, one per entry of
+    fs.minimal_nonfaces in its order: the product of the facet forms over
+    the non-face, facets n, n+1, n+2 carrying x, y, z."""
+    full = tuple(forms) + VARIABLES
+    return [(len(nonface), _product(full[i] for i in nonface)) for nonface in fs.minimal_nonfaces]
 
 
 def _product(forms: Iterable[int]) -> int:
@@ -378,6 +375,23 @@ def _ranks(phi: int, n: int) -> list[int]:
                 row ^= pivot_row
         ranks.append(stored)
     return ranks + ranks[:(n + 1) // 2][::-1]
+
+
+def annihilator_rows(phi: int, n: int) -> list[list[int]]:
+    """I_0..I_(n+1) of the ideal Ann(phi), each as gf2.complement's rows
+    (the reduced rows under lowest-bit pivots that galerig cohomology
+    --json prints).  For each d <= n // 2, Cat_d's rows are sliced off the
+    stacked tables (_catalecticant_tables) as in _ranks: I_(n-d) is the
+    complement of its rows and I_d that of its columns, the rows of its
+    transpose.  I_(n+1) is all of S_(n+1)."""
+    tables, plan = _catalecticant_tables(n)
+    stacked = table_image(phi, tables)
+    ideal = [None] * (n + 1) + [complement((), monomial_count(n + 1))]
+    for d, (shifts, mask, width) in enumerate(plan):
+        rows = [(stacked >> shift) & mask for shift in shifts]
+        ideal[n - d] = complement(rows, width)
+        ideal[d] = complement(transpose(rows, width), len(rows))
+    return ideal
 
 
 def check_inverse_system(phi: int, n: int, h: Sequence[int]):

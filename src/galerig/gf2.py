@@ -21,19 +21,18 @@ reduces every incoming row by the row stored there until that bit is new
 or the row is zero; it can continue from an earlier pass's list.  Its
 loop is run inline in one other place, ``galerig.cohomology._ranks``,
 which slices the rows of each catalecticant off one int as it counts.
-``rank`` counts its pivots, ``hyperplane_functional``
-reads the functional vanishing on a hyperplane off it upward from the one
-column without a pivot, and ``echelon`` back-substitutes over it into the
-reduced rows under highest-bit pivots, ascending: the unique form that
-``GradedSubspace`` stores and compares.  ``galerig cohomology --json``
-prints the reduced rows under lowest-bit pivots instead (the goldens pin
-them); ``lowest_pivot_rows`` is echelon on the rows with their columns
-reversed, reversed back, so only the printed form pays for the other
-order.  A linear map applied many times is turned into ``byte_tables``,
-one 256-entry table of the images of every byte per 8 columns, after the
-"Four Russians" tables of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,
-2010), and ``table_image`` applies it with one lookup per byte of the
-vector instead of one XOR per set bit.
+``rank`` counts its pivots, ``complement`` reads the functionals
+vanishing on the rows off it, one upward from each column without a
+pivot (``hyperplane_functional`` is its corank-1 case), and ``echelon``
+back-substitutes over it into the reduced rows under highest-bit pivots,
+ascending: the unique form that ``GradedSubspace`` stores and compares.
+``complement``'s vectors come out reduced under lowest-bit pivots,
+ascending, the form in which ``galerig cohomology --json`` prints each
+ideal (the goldens pin it).  A linear map applied many times is turned
+into ``byte_tables``, one 256-entry table of the images of every byte per
+8 columns, after the "Four Russians" tables of M4RI (Albrecht, Bard and
+Hart, ACM TOMS 37, 2010), and ``table_image`` applies it with one lookup
+per byte of the vector instead of one XOR per set bit.
 A map with very wide images takes 16-entry tables per 4 columns instead,
 to bound their memory (``galerig.cohomology``'s stacked orbit tables).
 
@@ -57,7 +56,7 @@ Monomial = tuple[int, int, int]
 
 
 def _forward(rows: Iterable[int], width: int, start: list[int] | None = None) -> list[int]:
-    """The one forward pass, of rank, hyperplane_functional and echelon:
+    """The one forward pass, of rank, complement and echelon:
     entry b is the stored row whose highest set bit is column b - 1 (its
     bit_length is b), or 0, for b = 0..width.  Each incoming row is reduced
     by the row stored under its highest bit until that bit is new or the
@@ -111,28 +110,6 @@ def echelon(rows: Iterable[int], width: int) -> list[int]:
     return reduced
 
 
-# bit b of entry i is bit 7 - b of i
-_BYTE_REVERSAL = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
-def _reversed(row: int, width: int) -> int:
-    """The row with its width columns in reverse order: column c goes to
-    column width - 1 - c, the bytes reversed and each byte read off
-    _BYTE_REVERSAL."""
-    size = -(-width // 8)
-    flipped = row.to_bytes(size, "big").translate(_BYTE_REVERSAL)
-    return int.from_bytes(flipped, "little") >> (8 * size - width)
-
-
-def lowest_pivot_rows(rows: Iterable[int], width: int) -> list[int]:
-    """Reduced row echelon form of bit-packed rows on width columns under
-    lowest-bit pivots, pivots strictly increasing: the form that galerig
-    cohomology --json prints.  It is echelon on the rows with their columns
-    reversed, each result reversed back, in reverse order."""
-    reduced = echelon((_reversed(row, width) for row in rows), width)
-    return [_reversed(row, width) for row in reversed(reduced)]
-
-
 def rank(rows: Iterable[int], width: int) -> int:
     """Rank of bit-packed rows on width columns: the count of pivots of the
     highest-bit forward pass (_forward).  Raises ValueError for a row with
@@ -140,31 +117,45 @@ def rank(rows: Iterable[int], width: int) -> int:
     return width + 1 - _forward(rows, width).count(0)
 
 
+def complement(rows: Iterable[int], width: int, start: list[int] | None = None) -> list[int]:
+    """The functionals on width columns, as bit vectors, that vanish on
+    every row, read off the highest-bit forward pass (_forward), which
+    continues from start if given: then they vanish on start's rows too.
+
+    One vector phi per column c0 without a pivot, ascending: phi(c0) = 1,
+    and phi is 0 on every other column without a pivot.  Each pivot p,
+    from the lowest up, gets the parity of phi on the rest of its row: the
+    row has no bit above p, and every bit below p is a column without a
+    pivot or a pivot already read, so phi(row) = 0 fixes phi(p).  Below c0
+    that parity is 0, so the read starts above c0.  No back-substitution
+    runs.  So each vector's lowest bit is its own c0, where every other
+    vector is 0: the vectors are the reduced row echelon form of the
+    complement under lowest-bit pivots, the form that galerig cohomology
+    --json prints.  Raises ValueError for a row with a bit at or above
+    width.
+    """
+    basis = _forward(rows, width, start)
+    vectors, free = [], 0
+    for _ in range(basis.count(0) - 1):  # entry 0 holds no row
+        free = basis.index(0, free + 1)
+        phi = 1 << (free - 1)
+        for top in range(free + 1, width + 1):
+            if (phi & basis[top]).bit_count() & 1:
+                phi |= 1 << (top - 1)
+        vectors.append(phi)
+    return vectors
+
+
 def hyperplane_functional(rows: Iterable[int], width: int,
                           start: list[int] | None = None) -> int:
     """The functional phi on width columns, as a bit vector, whose kernel
-    the rows span, read off the highest-bit forward pass (_forward), which
-    continues from start if given: then the kernel is spanned by the rows
-    and those of start's pass.
-
-    The forward basis leaves one column c0 without a pivot, and phi(c0) =
-    1.  A pivot p below c0 has a row whose bits are p and pivots below p, so
-    phi(p) = 0 from the lowest up.  Then each pivot p above c0, from c0
-    upward, gets the parity of phi on its row: the row has no bit above p,
-    and every bit below p is c0 or a pivot already read, so phi(row) = 0
-    fixes phi(p).  No back-substitution runs.  Raises ValueError unless the
-    rows span a hyperplane and have no bit at or above width.
-    """
-    basis = _forward(rows, width, start)
-    corank = basis.count(0) - 1  # entry 0 holds no row
-    if corank != 1:
-        raise ValueError(f"the rows span corank {corank} in {width} columns, not 1")
-    free = basis.index(0, 1)
-    phi = 1 << (free - 1)
-    for top in range(free + 1, width + 1):
-        if (phi & basis[top]).bit_count() & 1:
-            phi |= 1 << (top - 1)
-    return phi
+    the rows span (and those of start's pass, if given): the complement
+    of corank 1.  Raises ValueError unless the rows span a hyperplane and
+    have no bit at or above width."""
+    vectors = complement(rows, width, start)
+    if len(vectors) != 1:
+        raise ValueError(f"the rows span corank {len(vectors)} in {width} columns, not 1")
+    return vectors[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .cohomology import (
     LINEAR_FORMS,
     check_inverse_system,
     codim,
+    generators,
     ideal_equal,
     invariant_profile,
     order,
@@ -69,18 +70,18 @@ def _quotients_by_label(family: str, fs: FaceStructure) -> dict[str, GradedQuoti
             for label, block in fixtures.label_blocks(family).items()}
 
 
-def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient]) -> dict:
-    """Compare one published ideal row with the quotients of its labels.  A
-    row that does not parse cannot fail; it records the parse error and the
-    computed generators in its place."""
+def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient], fs: FaceStructure) -> dict:
+    """Compare one published ideal row with the quotients of its labels,
+    built on fs.  A row that does not parse cannot fail; it records the
+    parse error and its first label's generators in its place."""
     record = {"table": row["table"], "labels": list(row["labels"]), "unparseable": False,
               "bad_token": None, "matches": None, "computed_generators": None}
     try:
         gens = [parse_poly(text) for text in row["generators"]]
     except ValueError as err:
-        rep = quotients[row["labels"][0]]
+        block = fixtures.label_blocks(row["table"])[row["labels"][0]]
         return {**record, "unparseable": True, "bad_token": str(err),
-                "computed_generators": [format_poly(g) for g in rep.generators], "ok": True}
+                "computed_generators": [format_poly(g) for g in generators(fs, block)], "ok": True}
     # a row's labels share one ideal: saturate the row once
     first, *rest = (quotients[lab] for lab in row["labels"])
     matches = ideal_equal(gens, first) and all(q.ideal == first.ideal for q in rest)
@@ -147,7 +148,8 @@ def run_verification(iso_found: int, classes: dict) -> dict:
     comparisons = {family: _compare_matrices(family, fs, counts[family])
                    for family, (fs, _) in families.items()}
     labelled = {family: _quotients_by_label(family, fs) for family, (fs, _) in families.items()}
-    ideal_rows = [_check_ideal_row(row, labelled[row["table"]]) for row in fixtures.ideal_tables()]
+    ideal_rows = [_check_ideal_row(row, labelled[row["table"]], families[row["table"]][0])
+                  for row in fixtures.ideal_tables()]
     discrepancies = _check_profiles(labelled)
     return {
         "matrices": comparisons,

@@ -933,10 +933,11 @@ def annihilator(phi: int, n: int, degree: int) -> list[int]:
 
 
 def echelon_by_scan(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form with lowest-bit pivots, (pivots, rows) with
-    the rows as gf2.lowest_pivot_rows gives them: each row is reduced
-    against every stored pivot, and its own pivot is then cleared from
-    every stored row."""
+    """Reduced row echelon form with lowest-bit pivots, (pivots, rows), the
+    form in which galerig cohomology --json prints each ideal
+    (cohomology.annihilator_rows through gf2.complement): each row is
+    reduced against every stored pivot, and its own pivot is then cleared
+    from every stored row."""
     basis: dict[int, int] = {}
     for row in rows:
         for p, b in basis.items():

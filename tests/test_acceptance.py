@@ -101,18 +101,19 @@ def test_criterion_4_charmat_enumeration():
 
 def test_criterion_5_ideal_tables():
     def body():
-        _, _, qa, qb = _fixture_quotients()
-        from galerig.cohomology import ideal_equal
+        fs_p, fs_q, qa, qb = _fixture_quotients()
+        from galerig.cohomology import generators, ideal_equal
 
         unparseable_rows = []
         for row in fixtures.ideal_tables():
-            quotients = qa if row["table"] == "A" else qb
+            fs, quotients = (fs_p, qa) if row["table"] == "A" else (fs_q, qb)
             try:
                 gens = [parse_poly(s) for s in row["generators"]]
             except ValueError:
                 unparseable_rows.append(row["labels"])
-                for lab in row["labels"]:
-                    assert quotients[lab].generators  # computed ideal stands in
+                blocks = fixtures.label_blocks(row["table"])
+                for lab in row["labels"]:  # the computed generators stand in
+                    assert ideal_equal(generators(fs, blocks[lab]), quotients[lab])
                 continue
             for lab in row["labels"]:
                 assert ideal_equal(gens, quotients[lab]), f"row {row['labels']} vs {lab}"

@@ -378,8 +378,9 @@ def test_report_verify_profiles_each_row_once(monkeypatch):
 
 def test_profile_builds_no_quotient(monkeypatch, capsys):
     """profile reads each matrix's codim/ord off its top functional, one per
-    matrix, and builds no quotient; report --verify still builds the 42
-    published blocks."""
+    matrix, and builds no quotient, nor does cohomology, which reads each
+    ideal off the same functionals, all from one top_functionals call;
+    report --verify still builds the 42 published blocks."""
     import galerig.cli
     import galerig.verify
 
@@ -396,11 +397,16 @@ def test_profile_builds_no_quotient(monkeypatch, capsys):
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
     count(galerig.cli, "invariant_profile")
+    count(galerig.cli, "top_functionals")
     assert main(["profile", "3,1,2,1,1"]) == 0
-    assert calls == {"invariant_profile": 21}
+    assert calls == {"invariant_profile": 21, "top_functionals": 1}
+    for argv in (["cohomology", "3,1,2,1,1"], ["cohomology", "3,1,2,1,1", "--json"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == {"top_functionals": 1}, argv
     calls.clear()
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"quotient_presentation": 42}
+    assert calls == {"quotient_presentation": 42, "top_functionals": 2}
 
 
 def test_profile_matrix_labels_its_row(capsys):

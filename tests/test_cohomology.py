@@ -14,9 +14,11 @@ from galerig.cohomology import (
     Y,
     Z,
     GradedQuotient,
+    annihilator_rows,
     check_inverse_system,
     codim,
     find_graded_iso,
+    generators,
     ideal_equal,
     invariant_profile,
     iso_keys,
@@ -41,7 +43,6 @@ from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
     image,
-    lowest_pivot_rows,
     monomial_count,
     monomials,
     parse_poly,
@@ -105,11 +106,10 @@ def test_b1_ideal_matches_published_row():
     assert ideal_equal(gens, QB1)
 
 
-def test_quotient_equality_ignores_the_generators():
-    reordered = GradedQuotient(QA1.n, QA1.ideal, QA1.hilbert, QA1.generators[::-1])
-    assert reordered.generators != QA1.generators
-    assert reordered == QA1
+def test_quotients_are_equal_by_n_ideal_and_hilbert():
+    assert GradedQuotient(QA1.n, QA1.ideal, QA1.hilbert) == QA1
     assert QB1 != QA1
+    assert GradedQuotient(QA1.n + 1, QA1.ideal, QA1.hilbert) != QA1
 
 
 def test_quotient_is_unhashable():
@@ -137,7 +137,7 @@ def test_ideal_equal_rejects_inhomogeneous():
     # n + 1: ideal_equal leaves it out, and the saturation alone refuses it
     above = (QA1.n + 2, 1)
     assert not ideal_equal([above], QA1)
-    assert ideal_equal([above] + list(QA1.generators), QA1)
+    assert ideal_equal([above] + generators(FS_P, BLOCKS_A["A1"]), QA1)
     with pytest.raises(ValueError, match="above the stored range"):
         _saturated_ideal([above], QA1.n + 1)
 
@@ -791,8 +791,23 @@ def test_socle_functional_inverse_system_is_the_ideal(key_range):
     for q in quotients.values():
         phi = socle_functional(q)
         for d in range(q.n + 1):
-            assert oracles.annihilator(phi, q.n, d) == lowest_pivot_rows(q.ideal.rows(d),
-                                                                         monomial_count(d))
+            assert oracles.annihilator(phi, q.n, d) == oracles.echelon_by_scan(q.ideal.rows(d))[1]
+
+
+def test_annihilator_rows_are_the_saturated_ideal(key_range):
+    """annihilator_rows(phi, n), the ideal that galerig cohomology --json
+    prints, is in every degree d <= n the oracle's annihilator of phi and
+    the saturated ideal, both under lowest-bit pivots, and full in degree
+    n + 1, on every quotient of every key_range diagram."""
+    quotients = {id(q): q for left, right in key_range for q in left + right}
+    for q in quotients.values():
+        phi = quotient_functional(q)
+        rows = annihilator_rows(phi, q.n)
+        assert len(rows) == q.n + 2
+        for d in range(q.n + 1):
+            expected = oracles.echelon_by_scan(q.ideal.rows(d))[1]
+            assert rows[d] == oracles.annihilator(phi, q.n, d) == expected, (q.n, d)
+        assert rows[q.n + 1] == [1 << c for c in range(monomial_count(q.n + 1))]
 
 
 def test_find_graded_iso_returns_the_search_witness():
@@ -812,7 +827,7 @@ def test_socle_functional_refuses_a_broken_duality():
     free = next(c for c in range(6) if c not in pivots)
     spans[2][0] ^= 1 << free
     broken = GradedQuotient(n=QA1.n, ideal=GradedSubspace.from_spans(spans),
-                            hilbert=QA1.hilbert, generators=QA1.generators)
+                            hilbert=QA1.hilbert)
     assert broken.ideal.rows(QA1.n) == QA1.ideal.rows(QA1.n)
     with pytest.raises(ValueError, match="degree 2"):
         socle_functional(broken)

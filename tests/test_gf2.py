@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from galerig.gf2 import (
     GradedSubspace,
     byte_tables,
+    complement,
     echelon,
     format_poly,
     from_lists,
     hyperplane_functional,
     image,
-    lowest_pivot_rows,
     monomial_count,
     monomials,
     parse_poly,
@@ -49,18 +49,20 @@ def _packed(dense):
 
 def test_rref_identity():
     rows = _packed([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert echelon(rows, 3) == lowest_pivot_rows(rows, 3) == [1, 2, 4]
+    # the complement of the complement is the row space, under lowest-bit pivots
+    assert echelon(rows, 3) == complement(complement(rows, 3), 3) == [1, 2, 4]
     assert rank([1, 2, 4], 3) == 3
 
 
 def test_rref_zero():
-    assert echelon([0, 0], 1) == lowest_pivot_rows([0, 0], 1) == []
+    assert complement([0, 0], 1) == [1]
+    assert echelon([0, 0], 1) == complement([1], 1) == []
     assert rank([0, 0], 1) == 0
 
 
 def test_rref_rank_one():
     rows = _packed([[1, 1], [1, 1]])
-    assert echelon(rows, 2) == lowest_pivot_rows(rows, 2) == [0b11]
+    assert echelon(rows, 2) == complement(rows, 2) == complement([0b11], 2) == [0b11]
     assert rank(rows, 2) == 1
 
 
@@ -68,10 +70,10 @@ def test_rref_involutive_on_reduced():
     rows = _packed([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     # the span of x + z and y + z: pivots y, then z, under highest bits;
     # x, then y, under lowest bits
-    reduced, lowest = echelon(rows, 3), lowest_pivot_rows(rows, 3)
+    reduced, lowest = echelon(rows, 3), complement(complement(rows, 3), 3)
     assert reduced == [0b011, 0b101] and lowest == [0b101, 0b110]
     assert echelon(reduced, 3) == echelon(lowest, 3) == reduced
-    assert lowest_pivot_rows(lowest, 3) == lowest_pivot_rows(reduced, 3) == lowest
+    assert complement(complement(lowest, 3), 3) == complement(complement(reduced, 3), 3) == lowest
 
 
 @given(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
@@ -106,7 +108,6 @@ def row_lists(draw):
 def test_echelon_and_rank_equal_the_pivot_scan(rows_and_width):
     rows, width = rows_and_width
     expected = echelon_by_scan(rows)[1]
-    assert lowest_pivot_rows(rows, width) == expected
     # echelon's rows: highest bits strictly increasing, each row clear of
     # every other row's highest bit, and the oracle's span
     reduced = echelon(rows, width)
@@ -115,6 +116,21 @@ def test_echelon_and_rank_equal_the_pivot_scan(rows_and_width):
     assert all(not (row >> p) & 1 for p in pivots for row in reduced if row.bit_length() - 1 != p)
     assert echelon_by_scan(reduced)[1] == expected
     assert rank(rows, width) == len(expected)
+
+
+@given(row_lists())
+@settings(max_examples=300)
+def test_complement_is_the_reduced_annihilator(rows_and_width):
+    """complement's vectors vanish on every row, there are width - rank of
+    them, and they are reduced under lowest-bit pivots, ascending: the
+    pivot scan's form of their own span.  Their complement is the row
+    space again, in that form."""
+    rows, width = rows_and_width
+    vectors = complement(rows, width)
+    assert all(not (vec & row).bit_count() & 1 for vec in vectors for row in rows)
+    assert len(vectors) == width - rank(rows, width)
+    assert echelon_by_scan(vectors)[1] == vectors
+    assert complement(vectors, width) == echelon_by_scan(rows)[1]
 
 
 def test_rank_refuses_rows_wider_than_its_width():
@@ -173,6 +189,22 @@ def test_hyperplane_functional_is_the_annihilator():
             assert hyperplane_functional(rows, width) == phi, (width, phi)
             # echelon's reduced rows, as quotient_functional hands them
             assert hyperplane_functional(echelon(rows, width), width) == phi, (width, phi)
+
+
+def test_complement_of_a_hyperplane_is_its_functional():
+    """A hyperplane's complement is its one functional, hyperplane_functional;
+    one row fewer or one more leaves two vectors or none, and
+    hyperplane_functional refuses the span."""
+    rng = random.Random(5)
+    for width in range(2, 191, 11):
+        phi = rng.getrandbits(width) | 1 << rng.randrange(width)
+        rows = _kernel_rows(phi, width, rng)
+        assert complement(rows, width) == [hyperplane_functional(rows, width)] == [phi]
+        lowest = phi & -phi  # phi(lowest) = 1, so lowest is no row of the kernel
+        for other, corank in ((echelon(rows, width)[1:], 2), (rows + [lowest], 0)):
+            assert len(complement(other, width)) == corank
+            with pytest.raises(ValueError, match=f"corank {corank} "):
+                hyperplane_functional(other, width)
 
 
 def test_hyperplane_functional_refuses_other_coranks():
