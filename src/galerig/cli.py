@@ -25,9 +25,16 @@ each selected matrix's functional from one top_functionals call too
 (_selected_functionals), and cohomology prints the ideal it annihilates.
 Only report --verify builds quotients.
 
+The grammar is one table, COMMANDS: each command's handler, help,
+positionals and long options.  main parses a well-formed command line
+straight off it (_direct_parse) and hands every other argv, help and
+errors included, to the argparse parser built from the same table
+(build_parser), so argparse is imported only for those.
+
 A fresh process imports only what its command uses: galerig.verify, with
-its bundled tables, under report --verify, and json under --json and
---cache.  galerig.cohomology and galerig.gf2 are imported by the commands
+its bundled tables, under report --verify, json under --json and
+--cache, and argparse only for help or a command line _direct_parse
+declines.  galerig.cohomology and galerig.gf2 are imported by the commands
 that read socle functionals (iso, cohomology, profile,
 and report on a class of two or more members); betti, torclass, charmats
 and report on a singleton class or a heptagon import neither.  Their
@@ -42,12 +49,12 @@ or an unusable --cache path, 141 when the reader closed stdout early.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 from .betti import betti_table, h_vector, supports_quasitoric
 from .betti import betti_group as tor_class  # a pentagon's Betti group is its Tor class
@@ -284,19 +291,34 @@ def classify(classes) -> dict:
 
 
 def cmd_cohomology(args) -> int:
+    # every selected matrix and its duality are checked here, before the
+    # first byte is printed
     fs, h, selected = _selected_functionals(args)
     _bind("gf2")
-    records = []
-    for _, block, phi in selected:
-        record = {"block": row_strings(block), "n": fs.n, "hilbert": list(h),
-                  "generators": [format_poly(g) for g in generators(fs, block)]}
+
+    def record(block, phi) -> dict:
+        r = {"block": row_strings(block), "n": fs.n, "hilbert": list(h),
+             "generators": [format_poly(g) for g in generators(fs, block)]}
         if args.json:  # the ideal's rows only --json prints, I = Ann(phi)
-            record["ideal"] = {str(d): [to_lists(d, row) for row in rows]
-                               for d, rows in enumerate(annihilator_rows(phi, fs.n))}
-        records.append(record)
-    text = [f"{' '.join(r['block'])}\n  hilbert: {r['hilbert']}\n"
-            f"  generators: {', '.join(r['generators'])}" for r in records]
-    _emit(records, args.json, "\n".join(text))
+            r["ideal"] = {str(d): [to_lists(d, row) for row in rows]
+                          for d, rows in enumerate(annihilator_rows(phi, fs.n))}
+        return r
+
+    records = (record(block, phi) for _, block, phi in selected)
+    if not args.json:
+        print("\n".join(f"{' '.join(r['block'])}\n  hilbert: {r['hilbert']}\n"
+                        f"  generators: {', '.join(r['generators'])}" for r in records))
+        return 0
+    # streamed one record at a time, in the bytes of _emit's
+    # json.dumps(records, indent=2, sort_keys=True): a list's items sit two
+    # spaces in, and no JSON string holds a raw newline
+    import json
+
+    opening = "[\n  "
+    for r in records:
+        sys.stdout.write(opening + json.dumps(r, indent=2, sort_keys=True).replace("\n", "\n  "))
+        opening = ",\n  "
+    print("[]" if opening == "[\n  " else "\n]")
     return 0
 
 
@@ -420,47 +442,102 @@ def cmd_report(args) -> int:
     return exit_code
 
 
+# The grammar, written once: per command its handler, help, positionals
+# (name, help) and long options (flag, kind, default, help), each stored
+# under its flag without the dashes.  A bool option is a store_true flag;
+# an int or str one takes one value, through that type.  build_parser and
+# _direct_parse both read it.
+_WEIGHTS = ("weights", "comma-separated weights, e.g. 3,1,2,1,1")
+_JSON = ("--json", bool, False, "emit JSON")
+_MATRIX = ("--matrix", int, None, "1-based matrix index (default: all)")
+COMMANDS = {
+    "betti": (cmd_betti, "bigraded Betti table of a diagram", (_WEIGHTS,), (_JSON,)),
+    "torclass": (cmd_torclass, "pentagon weight vectors with the same Tor-algebra",
+                 (_WEIGHTS,), (_JSON,)),
+    "charmats": (cmd_charmats, "enumerate mod-2 characteristic matrices", (_WEIGHTS,), (_JSON,)),
+    "cohomology": (cmd_cohomology, "cohomology quotient presentations",
+                   (_WEIGHTS,), (_MATRIX, _JSON)),
+    "profile": (cmd_profile, "codim/ord tables of the linear forms", (_WEIGHTS,), (_MATRIX, _JSON)),
+    "iso": (cmd_iso, "pairwise graded-isomorphism matrix between two diagrams",
+            (_WEIGHTS, ("weights2", "second diagram's weights")), (_JSON,)),
+    "report": (cmd_report, "full rigidity report", (_WEIGHTS,),
+               (("--cache", str, None, "cache directory"),
+                ("--verify", bool, False, "diff all artifacts against the bundled tables"),
+                _JSON)),
+}
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: each parse_args
-    call fills a fresh namespace, so a caller that runs main many times
-    (a sweep in one interpreter) shares it without one call's flags
-    reaching the next."""
+def build_parser():
+    """The argparse parser of COMMANDS, built once per process: each
+    parse_args call fills a fresh namespace, so a caller that runs main
+    many times (a sweep in one interpreter) shares it without one call's
+    flags reaching the next.  main needs it only for the command lines
+    that _direct_parse declines, so argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="galerig",
         description="Rigidity computations for odd-gon Gale diagrams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, extra=()):
+    for name, (fn, help_text, positionals, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("weights", help="comma-separated weights, e.g. 3,1,2,1,1")
-        for flag, kwargs in extra:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        for dest, help_text in positionals:
+            p.add_argument(dest, help=help_text)
+        for flag, kind, default, help_text in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    add("betti", cmd_betti, "bigraded Betti table of a diagram")
-    add("torclass", cmd_torclass, "pentagon weight vectors with the same Tor-algebra")
-    add("charmats", cmd_charmats, "enumerate mod-2 characteristic matrices")
-    add("cohomology", cmd_cohomology, "cohomology quotient presentations",
-        extra=[("--matrix", {"type": int, "default": None,
-                             "help": "1-based matrix index (default: all)"})])
-    add("profile", cmd_profile, "codim/ord tables of the linear forms",
-        extra=[("--matrix", {"type": int, "default": None,
-                             "help": "1-based matrix index (default: all)"})])
-    p_iso = add("iso", cmd_iso, "pairwise graded-isomorphism matrix between two diagrams")
-    p_iso.add_argument("weights2", help="second diagram's weights")
-    add("report", cmd_report, "full rigidity report",
-        extra=[("--cache", {"default": None, "help": "cache directory"}),
-               ("--verify", {"action": "store_true",
-                             "help": "diff all artifacts against the bundled tables"})])
     return parser
 
 
+def _direct_parse(argv):
+    """The namespace build_parser().parse_args(argv) returns, without
+    argparse, for a well-formed command line: a command name, then exactly
+    its positionals and any of its long options, each spelled in full and
+    given at most once, in any order, where no positional or option value
+    starts with "-".  Any other argv (help, an abbreviated option,
+    --opt=value, --, a repeated, unknown or missing argument, an invalid
+    int) gives None, for argparse to parse or refuse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, positionals, options = COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag[2:]: default for flag, _, default, _ in options}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        kind = kinds.pop(token, None)  # popped: a second use is declined
+        if kind is None:
+            return None
+        if kind is bool:
+            values[token[2:]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[token[2:]] = kind(value)
+        except ValueError:
+            return None
+    if len(words) != len(positionals):
+        return None
+    values.update(zip((dest for dest, _ in positionals), words))
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _direct_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -187,8 +187,9 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
     is ordered by polygon label, then the lexicographically least vertex is
     moved to the front (label-sorted rotations alone need not start with a
     vertex, e.g. for [1,1,1,1,1]); the vertex complements found on the
-    label order, which choose that vertex, are mapped to their positions in
-    the final order, so they are found once.  Of two facet sets of one
+    label order choose that vertex, and those of the final order are read
+    off its labels again, which is cheaper than mapping the first ones to
+    their new positions and sorting them once more.  Of two facet sets of one
     size, the lexicographically smaller has the greater complement, so
     the least vertex is the complement of the greatest triple.  The 2k+1
     minimal non-faces are the facets labelled in an arc of k consecutive
@@ -201,12 +202,10 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
         complements = _vertex_complements(labels, k)
     else:
         labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
-        triples = _vertex_complements(labels, k)
-        off = triples[-1]  # the greatest triple: its complement is the least vertex
+        off = _vertex_complements(labels, k)[-1]  # its complement is the least vertex
         vertex = tuple(i for i in range(diagram.m) if i not in off)
-        position = {facet: p for p, facet in enumerate(vertex + off)}
         labels = tuple(labels[i] for i in vertex + off)
-        complements = tuple(sorted(tuple(sorted(position[f] for f in t)) for t in triples))
+        complements = _vertex_complements(labels, k)
     arcs = [{(i + t) % nv + 1 for t in range(k)} for i in range(nv)]
     nonfaces = tuple(tuple(f for f, label in enumerate(labels) if label in arc)
                      for arc in arcs)

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -339,9 +340,10 @@ def test_classify_gives_each_verdict(monkeypatch, capsys):
 
 
 def test_parser_is_built_once_and_leaks_no_flag(capsys):
-    """main reuses one parser per process; each call still prints what a
-    fresh process prints, with an exit-2 call between any two, so no flag
-    value (--matrix, --json) reaches a later call."""
+    """The argparse parser is built once per process, and main fills a
+    fresh namespace per call: each call still prints what a fresh process
+    prints, with an exit-2 call between any two, so no flag value
+    (--matrix, --json) reaches a later call."""
     from galerig.cli import build_parser
 
     assert build_parser() is build_parser()
@@ -696,7 +698,8 @@ def _fresh_modules(code, *argv):
 def test_fresh_import_is_lean():
     """A fresh process pays only for what every command uses: the record
     classes need no dataclasses (which pulls in inspect); verify, its
-    fixtures and json are imported by the commands that use them; and
+    fixtures and json are imported by the commands that use them, and
+    argparse by help and the command lines main does not parse itself; and
     importing the package or galerig.cli runs no cohomology or gf2, whose
     names are resolved on first use, and no petersen, which no command
     loads."""
@@ -704,7 +707,7 @@ def test_fresh_import_is_lean():
                                "print(*sorted(set(sys.modules) - before))"))
     assert "galerig.cli" in added
     assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures",
-                        "galerig.cohomology", "galerig.gf2", "galerig.petersen"}
+                        "galerig.cohomology", "galerig.gf2", "galerig.petersen", "argparse"}
     added = _fresh_modules("import sys; import galerig; "
                            "print(*sorted(m for m in sys.modules if m.startswith('galerig')))")
     assert added == ["galerig"]
@@ -734,14 +737,15 @@ def test_package_and_cli_names_resolve_on_first_access():
 # galerig.petersen only re-exports betti_group for an older import path:
 # no command loads it
 _WATCHED = ("galerig.cohomology", "galerig.gf2", "galerig.verify", "galerig.fixtures", "json",
-            "galerig.petersen")
+            "galerig.petersen", "argparse")
 _KEYED = {"galerig.cohomology", "galerig.gf2"}
 
 
 def _loaded_by(*argv):
     """Which modules of _WATCHED a fresh interpreter has loaded once it has
     run the command argv."""
-    code = ("import sys; from galerig.cli import main; main(sys.argv[1:]); "
+    code = ("import contextlib, sys; from galerig.cli import main\n"
+            "with contextlib.suppress(SystemExit): main(sys.argv[1:])\n"
             f"print('loaded:', *(m for m in {_WATCHED!r} if m in sys.modules))")
     return set(_fresh_modules(code, *argv)[1:])
 
@@ -754,6 +758,9 @@ def _loaded_by(*argv):
     (["iso", "3,1,2,1,1", "2,2,2,1,1"], _KEYED),
     (["cohomology", "3,1,2,1,1", "--matrix", "1"], _KEYED),
     (["profile", "3,1,2,1,1", "--matrix", "1"], _KEYED),
+    # help and an abbreviated option are argparse's to parse
+    (["--help"], {"argparse"}),
+    (["betti", "3,1,2,1,1", "--js"], {"argparse", "json"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     assert _loaded_by(*argv) == loaded
@@ -783,3 +790,122 @@ def test_report_imports_verify_only_under_verify():
     assert _loaded_by("report", "3,1,2,1,1", "--json") == _KEYED | {"json"}
     assert _loaded_by("report", "4,4,1,1,1") == set()
     assert _loaded_by("report", "2,2,1,1,1,1,1") == set()
+
+
+# ---------------------------------------------------------------------------
+# the command table: main's own parse against argparse's
+
+
+def _well_formed(tmp):
+    """Every command with every subset of its options, in every order, each
+    option before, between or after the positionals, once each."""
+    from galerig.cli import COMMANDS
+
+    values = {"--matrix": "2", "--cache": str(tmp)}
+    found = {}
+    for name, (_, _, positionals, options) in COMMANDS.items():
+        words = ["3,1,2,1,1", "2,2,2,1,1"][:len(positionals)]
+        flags = [flag for flag, _, _, _ in options]
+        for size in range(len(flags) + 1):
+            for chosen in permutations(flags, size):
+                for slots in product(range(len(words) + 1), repeat=size):
+                    argv = list(words)
+                    for flag, slot in sorted(zip(chosen, slots), key=lambda fs: -fs[1]):
+                        argv[slot:slot] = [flag, values[flag]] if flag in values else [flag]
+                    found[(name, *argv)] = None
+    return [list(argv) for argv in found]
+
+
+def test_direct_parse_is_argparse_on_every_well_formed_command_line(tmp_path):
+    from galerig.cli import _direct_parse, build_parser
+
+    argvs = _well_formed(tmp_path)
+    for argv in argvs:
+        direct = _direct_parse(argv)
+        assert direct is not None, argv
+        assert vars(direct) == vars(build_parser().parse_args(argv)), argv
+    # k of a command's options, in order, in the s + 1 slots around its s
+    # positionals: (k + s)! / s! command lines per k-subset.  betti, torclass, charmats: 1 + 2; cohomology,
+    # profile: 1 + 2 * 2 + 6; iso: 1 + 3; report: 1 + 3 * 2 + 3 * 6 + 24
+    assert len(argvs) == 3 * 3 + 2 * 11 + 4 + 49
+
+
+def test_direct_parse_converts_matrix_as_argparse_does():
+    from galerig.cli import _direct_parse, build_parser
+
+    for value in ("7", "+7", " 7", "0", "1_0"):
+        argv = ["profile", "3,1,2,1,1", "--matrix", value]
+        assert vars(_direct_parse(argv)) == vars(build_parser().parse_args(argv))
+    assert _direct_parse(["profile", "3,1,2,1,1", "--matrix", "1_0"]).matrix == 10
+
+
+# (argv, exit code, start of stderr): help, abbreviations, --opt=value, --,
+# repeated options, values and positionals starting with "-", bad ints,
+# unknown options, missing or extra tokens and an empty argv, all
+# argparse's to parse
+_USAGE = "usage: galerig"
+DECLINED = [
+    (["--help"], 0, ""),
+    (["report", "-h"], 0, ""),
+    (["report", "3,1,2,1,1", "--ver"], 0, ""),
+    (["betti", "3,1,2,1,1", "--js"], 0, ""),
+    (["profile", "3,1,2,1,1", "--matrix=2"], 0, ""),
+    (["profile", "3,1,2,1,1", "--matrix", "x"], 2, _USAGE),
+    # argparse takes -1 for a negative number, and main refuses the index
+    (["profile", "3,1,2,1,1", "--matrix", "-1"], 2, "error: --matrix must be in 1..21"),
+    (["betti", "3,1,2,1,1", "--json", "--json"], 0, ""),
+    (["betti", "--", "3,1,2,1,1"], 0, ""),
+    (["betti", "-3,1,1,1,1"], 2, _USAGE),
+    (["report", "3,1,2,1,1", "--nope"], 2, _USAGE),
+    (["betti", "3,1,2,1,1", "--matrix", "2"], 2, _USAGE),
+    (["iso", "3,1,2,1,1"], 2, _USAGE),
+    (["betti", "3,1,2,1,1", "2,2,2,1,1"], 2, _USAGE),
+    (["report", "3,1,2,1,1", "--cache"], 2, _USAGE),
+    (["spam", "3,1,2,1,1"], 2, _USAGE),
+    ([], 2, _USAGE),
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, err", DECLINED,
+                         ids=[" ".join(argv) or "empty" for argv, _, _ in DECLINED])
+def test_declined_command_lines_go_to_argparse(argv, code, err, capsys, monkeypatch):
+    """main declines to parse these itself and prints what argparse alone
+    prints: help, usage and errors, with their exit codes."""
+    import galerig.cli
+
+    assert galerig.cli._direct_parse(argv) is None
+    outcome = _outcome(argv, capsys)
+    assert outcome[0] == code
+    assert outcome[2].startswith(err) and bool(outcome[2]) == bool(err)
+    monkeypatch.setattr(galerig.cli, "_direct_parse", lambda argv: None)
+    assert _outcome(argv, capsys) == outcome
+
+
+def test_well_formed_command_lines_run_as_under_argparse(capsys, monkeypatch):
+    import galerig.cli
+
+    argvs = [["report", "3,1,2,1,1", "--json"], ["iso", "3,1,2,1,1", "--json", "2,2,2,1,1"],
+             ["profile", "--matrix", "3", "2,2,2,1,1"], ["charmats", "15,1,1,1,1"]]
+    direct = [_outcome(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(galerig.cli, "_direct_parse", lambda argv: None)
+    assert [_outcome(argv, capsys) for argv in argvs] == direct
+    assert [code for code, _, _ in direct] == [0, 0, 0, 2]
+
+
+def test_cohomology_json_streams_the_bytes_of_one_dump(capsys):
+    """--json writes one record at a time, in the bytes json.dumps gives
+    the whole list; a diagram without matrices prints []."""
+    for argv in (["cohomology", "2,2,2,1,1", "--json"], ["cohomology", "1,1,1,1,1,1,1,1,1", "--json"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert out == "[]\n"

@@ -21,11 +21,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "galerig"
 
 # (argv, exit code): every subcommand in text and JSON, --matrix, report
-# --verify and --cache, a heptagon, a cross iso and three refusals, all in
-# one process.  CACHE stands for a fresh directory.
+# --verify and --cache, a heptagon, a cross iso, a command line for argparse
+# and three refusals, all in one process.  CACHE stands for a fresh directory.
 COMMANDS = [
     (["betti", "3,1,2,1,1"], 0),
     (["betti", "3,1,2,1,1", "--json"], 0),
+    # an abbreviated option, which main leaves to the argparse parser
+    (["betti", "3,1,2,1,1", "--js"], 0),
     (["torclass", "3,1,2,1,1"], 0),
     (["torclass", "3,1,2,1,1", "--json"], 0),
     (["charmats", "2,2,2,1,1"], 0),
