@@ -73,10 +73,10 @@ non-faces as generators (generators), and under --json each I_d read off
 phi (annihilator_rows), the left kernel of Cat_d and, in degree n - d,
 the kernel of Cat_d's rows, through gf2.complement.  Of the commands,
 only report --verify builds the saturated quotient
-(quotient_presentation), as the independent reference for the published
-tables: codim and order compute the profile's invariants on it by
-multiplication, the second path that certifies a profile cell
-disagreeing with a published table.
+(quotient_presentation, one elimination per degree), as the independent
+reference for the published tables (galerig.verify): codim and order
+compute the profile's invariants on it by multiplication, the second
+path that certifies a profile cell disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
         forms: the matrix as the linear forms of facets 0..n-1.
 
     The ideal, generated by the generators (below), is saturated degree
-    by degree.  The commands read every ideal off its socle functional
-    instead (annihilator_rows); this saturated one is report --verify's
+    by degree, with one elimination per degree (_saturated_ideal).  The
+    commands read every ideal off its socle functional instead
+    (annihilator_rows); this saturated one is report --verify's
     independent reference.
     """
     if not is_characteristic(forms, fs):
@@ -179,16 +180,19 @@ def _product(forms: Iterable[int]) -> int:
 def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedSubspace:
     """Graded ideal generated by (degree, vec) polynomials, degreewise up to
     top: I_d is spanned by the degree-d generators and x, y, z times the
-    reduced rows of I_(d-1)."""
-    spans: list[list[int]] = [[] for _ in range(top + 1)]
+    reduced rows of I_(d-1).  Each degree is eliminated once (echelon), and
+    its reduced rows are both the stored component and the ones multiplied
+    up."""
+    spans: list = [[] for _ in range(top + 1)]
     for degree, vec in generators:
         if degree > top:
             raise ValueError(f"generator degree {degree} above the stored range")
         spans[degree].append(vec)
-    for d in range(1, top + 1):
-        spans[d - 1] = echelon(spans[d - 1], monomial_count(d - 1))
-        spans[d] += [times_form(row, d - 1, v) for row in spans[d - 1] for v in VARIABLES]
-    return GradedSubspace.from_spans(spans)
+    for d, span in enumerate(spans):
+        spans[d] = rows = tuple(echelon(span, monomial_count(d)))
+        if d < top:
+            spans[d + 1] += [times_form(row, d, v) for row in rows for v in VARIABLES]
+    return GradedSubspace(tuple(spans))
 
 
 def ideal_equal(generators: Iterable[tuple[int, int]], quotient: GradedQuotient) -> bool:
@@ -541,8 +545,10 @@ def _orbit_table(n: int):
     monomial_count(n) chained fills of its columns and their stacking,
     1.3 to 1.6 times as much as w fills at n = 5..17.  A slot of w <= 64
     bits is widened to 8, 16, 32 or 64 bits, so read is one struct unpack
-    of the int's bytes; struct has no wider integer, so a wider slot holds
-    w bits and is sliced off by a shift.
+    of the int's bytes.  struct has no wider integer, so a wider slot holds
+    w bits, unpadded, and read converts the int to bytes once and each slot
+    from its own byte window, in time linear in the int's size, where a
+    shift of the whole int per slot would be quadratic.
     The ceil(w / 4) tables of 16 entries (gf2.byte_tables) hold 15
     nonzero ints of 168 slots each, at most 0.08 MB at n = 6, 0.3 MB at
     n = 9, 0.52 MB at n = 11 and 2.5 MB at n = 17, by sys.getsizeof."""
@@ -551,10 +557,14 @@ def _orbit_table(n: int):
     columns = [sum(psi << (i * slot) for i, psi in enumerate(_chained_orbit(1 << c, n)))
                for c in range(width)]
     if slot > 64:
-        shifts, mask = range(0, 168 * slot, slot), (1 << slot) - 1
+        # slot i's bits start at bit low of the first byte of its window
+        windows = [(slice(i * slot >> 3, ((i + 1) * slot + 7) >> 3), i * slot & 7)
+                   for i in range(168)]
+        mask, from_bytes = (1 << slot) - 1, int.from_bytes
 
         def read(stacked):
-            return [(stacked >> shift) & mask for shift in shifts]
+            data = stacked.to_bytes(21 * slot, "little")
+            return [(from_bytes(data[window], "little") >> low) & mask for window, low in windows]
     else:
         unpack = Struct(f"<168{'BHIQ'[slot.bit_length() - 4]}").unpack
 

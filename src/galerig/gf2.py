@@ -343,7 +343,12 @@ class GradedSubspace(NamedTuple):
 
     @classmethod
     def from_spans(cls, spans: Iterable[Iterable[int]]) -> "GradedSubspace":
-        """Build from per-degree spanning vectors (index = degree)."""
+        """Build from per-degree spanning vectors (index = degree), each
+        degree reduced by echelon.  No command calls it:
+        galerig.cohomology._saturated_ideal builds the class straight from
+        the rows it has already reduced.  It stays for the tests, which
+        build subspaces from spans, and for the benchmark tracer, which
+        wraps it."""
         return cls(tuple(tuple(echelon(vecs, monomial_count(d)))
                          for d, vecs in enumerate(spans)))
 

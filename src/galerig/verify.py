@@ -7,6 +7,12 @@ builds the quotient of each published block on the same face structures
 (the report itself keys matrices without quotients), and returns its
 findings as the plain JSON record that report --verify prints.
 
+The module also loads the tables from galerig.data: the two 21-block
+matrix lists, the ideal generator tables and the codim/ord tables they
+induce.  Each JSON file is read once per process, and each family's
+blocks are converted to forms once (label_blocks), however many checks
+read them.
+
 The verdict policy is deliberately asymmetric: matrix-list, matrix-count
 or generator-table mismatches fail verification, while codim/ord cells
 may disagree with the reference tables provided an independent
@@ -23,8 +29,11 @@ invariant, and never consults these profiles.
 
 from __future__ import annotations
 
-from . import fixtures
-from .charmat import enumerate_charmats, row_strings
+import json
+from functools import lru_cache
+from importlib import resources
+
+from .charmat import enumerate_charmats, forms_from_rows, row_strings
 from .cohomology import (
     GradedQuotient,
     LINEAR_FORM_NAMES,
@@ -48,12 +57,43 @@ WEIGHTS_A = (3, 1, 2, 1, 1)
 WEIGHTS_B = (2, 2, 2, 1, 1)
 
 
+@lru_cache(maxsize=None)
+def _load(name: str):
+    """A bundled JSON table, read once per process."""
+    return json.loads(resources.files("galerig.data").joinpath(name).read_text())
+
+
+def matrix_lists() -> dict:
+    """{"A": [...], "B": [...]}: 21 completion blocks each, as row strings."""
+    return _load("paper_matrices.json")
+
+
+def ideal_tables() -> tuple:
+    """Rows of the two generator tables; each row carries the matrix labels
+    that share the ideal and the generator strings verbatim."""
+    return tuple(_load("paper_ideals.json"))
+
+
+def profile_tables() -> dict:
+    """The four codim/ord tables keyed by representative row label, plus the
+    fixed column order of linear forms."""
+    return _load("paper_profiles.json")
+
+
+@lru_cache(maxsize=None)
+def label_blocks(family: str) -> dict[str, tuple[int, ...]]:
+    """Map "A1".."A21" (or B) to the matrix as its tuple of leading-facet
+    forms (see galerig.charmat), converted once per process: every caller
+    shares the one dict, and none mutates it."""
+    return {f"{family}{i + 1}": forms_from_rows(r) for i, r in enumerate(matrix_lists()[family])}
+
+
 def _compare_matrices(family: str, fs: FaceStructure, count: int) -> dict:
     """Diff the matrix list of a family, enumerated on the report's face
     structure, against the published one; the family is ok only when they
     agree and the report's matrix count is the list's length."""
     computed = enumerate_charmats(fs)
-    listed = list(fixtures.label_blocks(family).values())
+    listed = list(label_blocks(family).values())
     listed_set, computed_set = set(listed), set(computed)
     missing = [row_strings(f) for f in listed if f not in computed_set]
     extra = [row_strings(f) for f in computed if f not in listed_set]
@@ -67,7 +107,7 @@ def _quotients_by_label(family: str, fs: FaceStructure) -> dict[str, GradedQuoti
     building quotients, so every published block is built here, one absent
     from the enumerated list too, which already fails the matrix comparison."""
     return {label: quotient_presentation(fs, block)
-            for label, block in fixtures.label_blocks(family).items()}
+            for label, block in label_blocks(family).items()}
 
 
 def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient], fs: FaceStructure) -> dict:
@@ -79,7 +119,7 @@ def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient], fs: FaceSt
     try:
         gens = [parse_poly(text) for text in row["generators"]]
     except ValueError as err:
-        block = fixtures.label_blocks(row["table"])[row["labels"][0]]
+        block = label_blocks(row["table"])[row["labels"][0]]
         return {**record, "unparseable": True, "bad_token": str(err),
                 "computed_generators": [format_poly(g) for g in generators(fs, block)], "ok": True}
     # a row's labels share one ideal: saturate the row once
@@ -90,7 +130,7 @@ def _check_ideal_row(row: dict, quotients: dict[str, GradedQuotient], fs: FaceSt
 
 def _check_profiles(labelled: dict[str, dict[str, GradedQuotient]]) -> list[dict]:
     """Published codim/ord cells that differ from their blocks' profiles."""
-    tables = fixtures.profile_tables()
+    tables = profile_tables()
     forms = tables["forms"]
     assert tuple(forms) == LINEAR_FORM_NAMES
     table_names = ("codim_A", "ord_A", "codim_B", "ord_B")
@@ -149,7 +189,7 @@ def run_verification(iso_found: int, classes: dict) -> dict:
                    for family, (fs, _) in families.items()}
     labelled = {family: _quotients_by_label(family, fs) for family, (fs, _) in families.items()}
     ideal_rows = [_check_ideal_row(row, labelled[row["table"]], families[row["table"]][0])
-                  for row in fixtures.ideal_tables()]
+                  for row in ideal_tables()]
     discrepancies = _check_profiles(labelled)
     return {
         "matrices": comparisons,

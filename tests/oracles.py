@@ -28,6 +28,8 @@ socle functional), GL(3, GF(2)) as the independent triples of a scan of
 all 343 triples of nonzero forms (the package walks a word tree in two
 generators), the pair-by-pair GL(3, GF(2)) substitution search for
 graded isomorphism (the package compares one key per matrix), the
+saturated ideal reduced a second time in every degree (the package
+stores the rows it reduced once), the
 isomorphism key by a scan of all 168 substitutions (the package fills one
 orbit per key class along a fixed word tree in two generators), the socle
 functional of a saturated quotient with its duality checked degree by
@@ -84,6 +86,8 @@ from galerig.gale import (
     weight_symmetries,
 )
 from galerig.gf2 import (
+    GradedSubspace,
+    echelon,
     hyperplane_functional,
     image,
     monomial_count,
@@ -804,6 +808,21 @@ def search_graded_iso(qa, qb):
 def search_iso_witnesses(quotients_a, quotients_b):
     """search_graded_iso for every pair, rows following quotients_a."""
     return [[search_graded_iso(qa, qb) for qb in quotients_b] for qa in quotients_a]
+
+
+def saturated_ideal_by_two_passes(generators, top: int) -> GradedSubspace:
+    """The graded ideal generated by (degree, vec) polynomials, degreewise up
+    to top, in two passes: upward, each degree's span is reduced (echelon)
+    and its rows times x, y, z join the next degree's span; then
+    GradedSubspace.from_spans reduces every span again (the package stores
+    the rows it reduced on the way up)."""
+    spans = [[] for _ in range(top + 1)]
+    for degree, vec in generators:
+        spans[degree].append(vec)
+    for d in range(1, top + 1):
+        spans[d - 1] = echelon(spans[d - 1], monomial_count(d - 1))
+        spans[d] += [times_form(row, d - 1, v) for row in spans[d - 1] for v in VARIABLES]
+    return GradedSubspace.from_spans(spans)
 
 
 def socle_functional(q) -> int:

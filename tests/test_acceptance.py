@@ -6,7 +6,6 @@ exact matches.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import random
 import time
 
-from galerig import fixtures
 from galerig.betti import betti_group, betti_table
 from galerig.charmat import enumerate_charmats, row_strings
 from galerig.cohomology import (
@@ -18,6 +17,7 @@ from galerig.cohomology import (
 )
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import monomial_count, parse_poly
+from galerig.verify import ideal_tables, label_blocks, profile_tables
 
 import oracles
 
@@ -45,9 +45,9 @@ def _fixture_quotients():
     fs_p = face_structure(GaleDiagram(WEIGHTS_P))
     fs_q = face_structure(GaleDiagram(WEIGHTS_Q))
     qa = {lab: quotient_presentation(fs_p, blk)
-          for lab, blk in fixtures.label_blocks("A").items()}
+          for lab, blk in label_blocks("A").items()}
     qb = {lab: quotient_presentation(fs_q, blk)
-          for lab, blk in fixtures.label_blocks("B").items()}
+          for lab, blk in label_blocks("B").items()}
     return fs_p, fs_q, qa, qb
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_charmat_enumeration():
     def body():
         for family, weights in (("A", WEIGHTS_P), ("B", WEIGHTS_Q)):
             fs = face_structure(GaleDiagram(weights))
-            listed = set(fixtures.label_blocks(family).values())
+            listed = set(label_blocks(family).values())
             computed = set(enumerate_charmats(fs))
             assert len(computed) == 21
             assert computed == listed, f"computed {family} matrices differ from the list"
@@ -105,13 +105,13 @@ def test_criterion_5_ideal_tables():
         from galerig.cohomology import generators, ideal_equal
 
         unparseable_rows = []
-        for row in fixtures.ideal_tables():
+        for row in ideal_tables():
             fs, quotients = (fs_p, qa) if row["table"] == "A" else (fs_q, qb)
             try:
                 gens = [parse_poly(s) for s in row["generators"]]
             except ValueError:
                 unparseable_rows.append(row["labels"])
-                blocks = fixtures.label_blocks(row["table"])
+                blocks = label_blocks(row["table"])
                 for lab in row["labels"]:  # the computed generators stand in
                     assert ideal_equal(generators(fs, blocks[lab]), quotients[lab])
                 continue
@@ -126,7 +126,7 @@ def test_criterion_5_ideal_tables():
 def test_criterion_6_invariant_tables():
     def body():
         _, _, qa, qb = _fixture_quotients()
-        tables = fixtures.profile_tables()
+        tables = profile_tables()
         discrepancies = set()
         for table_name in ("codim_A", "ord_A", "codim_B", "ord_B"):
             kind = table_name.split("_")[0]

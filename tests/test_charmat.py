@@ -5,7 +5,6 @@ from itertools import permutations
 
 import pytest
 
-from galerig import fixtures
 from galerig.charmat import (
     _COMPLETIONS,
     _renormaliser,
@@ -19,6 +18,7 @@ from galerig.charmat import (
 )
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import rank
+from galerig.verify import label_blocks, matrix_lists
 
 import oracles
 
@@ -37,7 +37,7 @@ def _oracle_rows(fs, blocks):
 
 
 def test_first_listed_block_is_characteristic():
-    forms = fixtures.label_blocks("A")["A1"]
+    forms = label_blocks("A")["A1"]
     assert is_characteristic(forms, FS_P)
 
 
@@ -73,8 +73,8 @@ def test_shape_mismatch_rejected():
 
 
 def test_enumeration_matches_published_lists():
-    listed_a = set(fixtures.label_blocks("A").values())
-    listed_b = set(fixtures.label_blocks("B").values())
+    listed_a = set(label_blocks("A").values())
+    listed_b = set(label_blocks("B").values())
     assert set(enumerate_charmats(FS_P)) == listed_a
     assert set(enumerate_charmats(FS_Q)) == listed_b
     assert len(listed_a) == len(listed_b) == 21
@@ -270,7 +270,7 @@ def test_renormaliser_sends_each_basis_to_the_variables():
 
 
 def test_matrix_json_round_trip():
-    forms = fixtures.label_blocks("A")["A1"]
+    forms = label_blocks("A")["A1"]
     rows = row_strings(forms)
     assert rows[0] == "101"  # row 1 of A1 is 10000101
     assert forms_from_rows(rows) == forms
@@ -279,7 +279,7 @@ def test_matrix_json_round_trip():
 
 
 def test_block_row_strings_match_fixture_encoding():
-    rows = fixtures.matrix_lists()["A"][0]
+    rows = matrix_lists()["A"][0]
     assert row_strings(forms_from_rows(rows)) == rows
 
 

@@ -505,15 +505,15 @@ def test_report_verify_leaves_out_generators_above_degree_n_plus_1(monkeypatch, 
     degree n + 1, so --verify compares the others: x^7 added to row A1
     (n = 5) keeps the row ok, and with one of its generators dropped as
     well the row fails."""
-    import galerig.fixtures
+    import galerig.verify
 
-    tables = galerig.fixtures.ideal_tables()
+    tables = galerig.verify.ideal_tables()
     a1 = next(i for i, row in enumerate(tables) if row["labels"] == ["A1"])
 
     def verify_with(generators):
         rows = list(tables)
         rows[a1] = {**tables[a1], "generators": generators}
-        monkeypatch.setattr(galerig.fixtures, "ideal_tables", lambda: tuple(rows))
+        monkeypatch.setattr(galerig.verify, "ideal_tables", lambda: tuple(rows))
         code = main(["report", "3,1,2,1,1", "--verify", "--json"])
         return code, json.loads(capsys.readouterr().out)["verification"]["ideal_rows"][a1]
 
@@ -697,8 +697,8 @@ def _fresh_modules(code, *argv):
 
 def test_fresh_import_is_lean():
     """A fresh process pays only for what every command uses: the record
-    classes need no dataclasses (which pulls in inspect); verify, its
-    fixtures and json are imported by the commands that use them, and
+    classes need no dataclasses (which pulls in inspect); verify, with its
+    bundled tables, and json are imported by the commands that use them, and
     argparse by help and the command lines main does not parse itself; and
     importing the package or galerig.cli runs no cohomology or gf2, whose
     names are resolved on first use, and no petersen, which no command
@@ -706,8 +706,8 @@ def test_fresh_import_is_lean():
     added = set(_fresh_modules("import sys; before = set(sys.modules); import galerig.cli; "
                                "print(*sorted(set(sys.modules) - before))"))
     assert "galerig.cli" in added
-    assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.fixtures",
-                        "galerig.cohomology", "galerig.gf2", "galerig.petersen", "argparse"}
+    assert not added & {"dataclasses", "inspect", "json", "galerig.verify", "galerig.cohomology",
+                        "galerig.gf2", "galerig.petersen", "argparse"}
     added = _fresh_modules("import sys; import galerig; "
                            "print(*sorted(m for m in sys.modules if m.startswith('galerig')))")
     assert added == ["galerig"]
@@ -736,8 +736,8 @@ def test_package_and_cli_names_resolve_on_first_access():
 
 # galerig.petersen only re-exports betti_group for an older import path:
 # no command loads it
-_WATCHED = ("galerig.cohomology", "galerig.gf2", "galerig.verify", "galerig.fixtures", "json",
-            "galerig.petersen", "argparse")
+_WATCHED = ("galerig.cohomology", "galerig.gf2", "galerig.verify", "json", "galerig.petersen",
+            "argparse")
 _KEYED = {"galerig.cohomology", "galerig.gf2"}
 
 
@@ -786,7 +786,7 @@ def test_report_imports_verify_only_under_verify():
     two or more members: a singleton class or a heptagon loads neither."""
     assert _loaded_by("report", "3,1,2,1,1") == _KEYED
     assert _loaded_by("report", "3,1,2,1,1", "--verify") == \
-        _KEYED | {"galerig.verify", "galerig.fixtures", "json"}
+        _KEYED | {"galerig.verify", "json"}
     assert _loaded_by("report", "3,1,2,1,1", "--json") == _KEYED | {"json"}
     assert _loaded_by("report", "4,4,1,1,1") == set()
     assert _loaded_by("report", "2,2,1,1,1,1,1") == set()

@@ -7,7 +7,6 @@ from itertools import chain, combinations
 import pytest
 
 import galerig.cohomology
-from galerig import fixtures
 from galerig.cohomology import (
     LINEAR_FORMS,
     X,
@@ -58,6 +57,7 @@ from galerig.charmat import (
     orbit_sizes,
     orbits,
 )
+from galerig.verify import label_blocks
 
 import oracles
 from oracles import (
@@ -76,8 +76,8 @@ Q = GaleDiagram((2, 2, 2, 1, 1))
 FS_P = face_structure(P)
 FS_Q = face_structure(Q)
 
-BLOCKS_A = fixtures.label_blocks("A")
-BLOCKS_B = fixtures.label_blocks("B")
+BLOCKS_A = label_blocks("A")
+BLOCKS_B = label_blocks("B")
 
 
 def _quotient(label):
@@ -354,6 +354,18 @@ def test_orbit_weighted_keys_equal_per_matrix_keys(key_quotients):
         assert _matrix_keys(fs, blocks, h_vector(GaleDiagram(w))) == keys, w
 
 
+def test_saturated_ideal_equals_the_two_pass_build(key_quotients):
+    """_saturated_ideal reduces each degree once and stores those rows: on
+    every key_range quotient its ideal is the two-pass build, which
+    reduces every degree again with GradedSubspace.from_spans."""
+    for w, quotients in key_quotients.items():
+        fs = face_structure(GaleDiagram(w))
+        for block, q in zip(enumerate_charmats(fs), quotients, strict=True):
+            gens = generators(fs, block)
+            assert q.ideal == _saturated_ideal(gens, fs.n + 1) \
+                == oracles.saturated_ideal_by_two_passes(gens, fs.n + 1), (w, block)
+
+
 def test_canonical_classes_give_the_list_orbits_and_records(key_comparisons):
     """The report's path that never lists a member's matrices, on every
     key_range diagram: the canonical tuples and their multiplicities are
@@ -613,7 +625,7 @@ def test_stacked_orbit_table_is_built_once_after_w_chained_fills(monkeypatch):
     later fills reuse it, and every orbit, chained or stacked, is the
     generator closure.  At n = 3 a slot of w = 10 bits is widened to 16
     and unpacked; at n = 10 one of w = 66 bits, wider than struct's
-    widest integer, is sliced off by shifts."""
+    widest integer, is read off its byte window."""
     for n, width in [(3, 10), (10, 66)]:
         monkeypatch.setattr(galerig.cohomology, "_chained_fills", {})
         _orbit_table.cache_clear()

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from galerig import fixtures
 from galerig.charmat import row_strings
 from galerig.cli import _classes, classify
 from galerig.gale import GaleDiagram
-from galerig.verify import WEIGHTS_A, WEIGHTS_B, run_verification
+from galerig.verify import (WEIGHTS_A, WEIGHTS_B, ideal_tables, label_blocks, profile_tables,
+                            run_verification)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_published_block_missing_from_the_report_is_built(classes, report, monke
     structure, so the tables are still diffed in full."""
     import galerig.verify
 
-    first = fixtures.label_blocks("A")["A1"]
+    first = label_blocks("A")["A1"]
     fs_a = classes[WEIGHTS_A][0]
     enumerate_charmats = galerig.verify.enumerate_charmats
 
@@ -128,9 +128,9 @@ def test_report_count_off_the_list_fails_its_family(classes, report):
 
 def test_representative_groups_cover_everything():
     # each profile-table row label and the matrix labels sharing its ideal
-    groups = {row["labels"][0]: list(row["labels"]) for row in fixtures.ideal_tables()}
-    assert set(groups) == set(fixtures.profile_tables()["codim_A"]) | set(
-        fixtures.profile_tables()["codim_B"])
+    groups = {row["labels"][0]: list(row["labels"]) for row in ideal_tables()}
+    assert set(groups) == set(profile_tables()["codim_A"]) | set(
+        profile_tables()["codim_B"])
     labels = [lab for members in groups.values() for lab in members]
     assert sorted(labels) == sorted(
         [f"A{i}" for i in range(1, 22)] + [f"B{i}" for i in range(1, 22)])
