@@ -101,7 +101,7 @@ def sweep_row(total: int) -> dict:
     matrices = orbits = found = 0
     start = time.perf_counter()
     for members in classes:
-        grouped = {w: cli._classes(GaleDiagram(w), True) for w in members}
+        grouped = {w: cli._classes(GaleDiagram(w)) for w in members}
         record = cli.classify(grouped)
         orbits += sum(len(sizes) for _, sizes in grouped.values())
         matrices += sum(m["charmat_count"] for m in record["members"])

@@ -57,5 +57,5 @@ def test_canonical_multiplicities_and_orbit_sizes(weights):
                                                                     for w in c))
 def test_classify_equals_the_record_from_full_lists(members):
     matrices = {w: _matrices(GaleDiagram(w)) for w in members}
-    assert classify({w: _classes(GaleDiagram(w), True) for w in members}) == \
+    assert classify({w: _classes(GaleDiagram(w)) for w in members}) == \
         oracles.class_record_by_lists(matrices)

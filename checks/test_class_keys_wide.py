@@ -7,6 +7,10 @@ and the report counts exactly the orbit fills of its members but the last.
 Both report and iso key through galerig.cli._class_keys, so for every pair
 the count line of `galerig iso LEFT RIGHT` equals the report's
 isomorphisms_found, and its rows x columns equal the report's checked.
+The last diagram fills no orbit whatever its h-vector: iso of each
+class's first member with the heptagon [1,1,1,1,1,1,1], another n and h,
+in either order, fills exactly the first diagram's key classes and finds
+no isomorphism.
 Too many diagrams for tier-1, so this sits outside tier-1's testpaths.
 
 Runtime: about 1.6 s on a 2-core x86 VM under Python 3.11, pytest's
@@ -71,3 +75,21 @@ def test_shared_class_keys_give_the_unshared_pair_counts(members, capsys, monkey
         rows, columns = map(int, grid.split("x"))
         assert int(count) == pair["isomorphisms_found"]
         assert pair["checked"] == rows * columns
+
+
+HEPTAGON = (1, 1, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("members", CLASSES, ids=lambda c: ",".join(map(str, c[0])))
+def test_a_last_diagram_of_another_h_vector_only_looks_up(members, capsys, monkeypatch):
+    orbit = galerig.cohomology._orbit
+    calls = []
+    monkeypatch.setattr(galerig.cohomology, "_orbit", lambda *a: calls.append(a) or orbit(*a))
+    for first, last in ((members[0], HEPTAGON), (HEPTAGON, members[0])):
+        assert h_vector(GaleDiagram(first)) != h_vector(GaleDiagram(last))
+        fs, blocks = _matrices(GaleDiagram(first))
+        classes = len(set(_matrix_keys(fs, blocks, h_vector(GaleDiagram(first)))))
+        calls.clear()
+        assert main(["iso", ",".join(map(str, first)), ",".join(map(str, last))]) == 0
+        assert capsys.readouterr().out.startswith("0 graded isomorphisms over ")
+        assert len(calls) == classes, (first, last)

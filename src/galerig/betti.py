@@ -98,7 +98,18 @@ def h_vector(diagram: GaleDiagram) -> tuple[int, ...]:
 
 def supports_quasitoric(k: int) -> bool:
     """Whether a polytope from a (2k+1)-gon diagram supports a quasitoric
-    manifold: exactly when k <= 3."""
+    manifold: exactly when k <= 3.
+
+    Any two labels lie in a label triple whose hull holds the origin (a
+    label in the arc opposite the two completes it), so the forms of a
+    mod-2 matrix off that vertex are a basis, and facets with different
+    labels carry different forms.  For k >= 4 the 2k + 1 >= 9 labels would
+    need 9 distinct nonzero forms of GF(2)^3, which has 7: no mod-2 matrix,
+    hence no integral one.  For k <= 3 the weights (1, ..., 1) have
+    matrices (5 for the pentagon, 2 for the heptagon), and giving every
+    facet its label's form extends one to any weights, since a facet
+    triple holds the origin exactly when its labels do.  Each such mod-2
+    matrix lifts to an integral one by its 0/1 entries (galerig.cli.classify)."""
     if k < 2:
         raise ValueError("odd-gon diagrams need k >= 2")
     return k <= 3

@@ -6,11 +6,12 @@ or JSON, is written here.
 Every command that prints a matrix list (charmats, cohomology, profile,
 iso) gets it from _matrices, which always enumerates.  report never
 lists a member's matrices for its record: under every flag it reads
-them off the canonical tuples (_classes: charmat.canonical_charmats and
-charmat.orbit_sizes).  report --cache only writes each member's
-enumeration, so a cache file can never shrink or replace it, and
-report --verify enumerates the two reference lists itself
-(galerig.verify) and checks the report's counts against them.  iso and
+them off the canonical tuples, one entry per orbit, for a singleton class
+too (_classes: charmat.canonical_charmats and charmat.orbit_sizes).
+report --cache only writes each member's enumeration, so a cache file
+can never shrink or replace it, and report --verify enumerates the two
+reference lists itself (galerig.verify) and checks the report's counts
+against them.  iso and
 report compare one socle functional per orbit of matrices under the
 automorphisms of the polytope, the same-label facet permutations and
 the weight-preserving symmetries of the polygon, each read off its
@@ -18,11 +19,12 @@ representative's top degree, one cohomology.top_functionals call per
 diagram, and keyed (_orbit_keys).  report counts each key with its
 orbit's size (classify); iso gives every matrix of its lists its orbit's key
 (_matrix_keys, charmat.orbits).  _class_keys keys the members of a Tor
-class (report) or iso's one or two diagrams in one pass and owns the
-rule for sharing the {phi: key} map; classify turns the keys into the
-record report prints, with the verdict.  cohomology and profile read
-each selected matrix's functional from one top_functionals call too
-(_selected_functionals), and cohomology prints the ideal it annihilates.
+class (report) or iso's one or two diagrams in one pass, one {phi: key}
+map per h-vector, where the last of two or more members only looks its
+keys up; classify turns the keys into the record report prints, with the
+verdict.  cohomology and profile read each selected matrix's functional
+from one top_functionals call too (_selected_functionals), and
+cohomology prints the ideal it annihilates.
 Only report --verify builds quotients.
 
 The grammar is one table, COMMANDS: each command's handler, help,
@@ -221,27 +223,25 @@ def _class_keys(matrices, keys=_orbit_keys) -> dict:
     -> (face structure, matrices)), each member keyed against its own
     h-vector h: report keys one matrix per orbit (_orbit_keys), iso every
     matrix of a list (_matrix_keys).  Members of one h-vector share one
-    {phi: key} map, and each fills the GL(3, GF(2)) orbit of each of its
-    key classes not yet in it, but the last member fills none when an
-    earlier one has its h-vector: a phi missing from the map then matches
-    no other member's key, and its key is None, which equals no key.  So
-    only the last member can have None keys, and a member alone in its
-    h-vector fills its own map."""
+    {phi: key} map, and each but the last of two or more members fills
+    the GL(3, GF(2)) orbit of each of its key classes not yet in it.  The
+    last only looks up: a phi missing from its map matches no earlier
+    member's key, and its key is None, which equals no key.  Keys carry
+    h, so a last member alone in its h-vector, whose keys are all None,
+    equals no earlier key either way."""
     h = {w: h_vector(GaleDiagram(w)) for w in matrices}
     *_, last = matrices
-    shared = list(h.values()).count(h[last]) > 1
     maps = {hw: {} for hw in h.values()}
-    return {w: keys(fs, forms, h[w], maps[h[w]], w != last or not shared)
+    return {w: keys(fs, forms, h[w], maps[h[w]], w != last or len(matrices) == 1)
             for w, (fs, forms) in matrices.items()}
 
 
-def _classes(diagram: GaleDiagram, grouped: bool):
+def _classes(diagram: GaleDiagram):
     """Face structure and {matrix: count} of a diagram, never listing its
-    matrices: one entry per orbit (charmat.orbit_sizes) if grouped, else
-    one per canonical tuple (charmat.canonical_charmats)."""
+    matrices: one entry per orbit (charmat.orbit_sizes) of its canonical
+    tuples (charmat.canonical_charmats)."""
     fs = face_structure(diagram)
-    canonical = canonical_charmats(fs)
-    return fs, orbit_sizes(fs, canonical) if grouped else canonical
+    return fs, orbit_sizes(fs, canonical_charmats(fs))
 
 
 def classify(classes) -> dict:
@@ -264,7 +264,17 @@ def classify(classes) -> dict:
     nothing about C-rigidity.  The quotient of a mod-2 characteristic matrix
     is H*(small cover; Z/2) of the small cover it defines
     (Davis-Januszkiewicz, Duke Math. J. 62 (1991)), so for the small covers
-    over a class the keys decide Z/2-cohomology isomorphism both ways."""
+    over a class the keys decide Z/2-cohomology isomorphism both ways.
+
+    Every counted matrix [I_n | B] lifts by its 0/1 entries, so the verdict
+    speaks of manifolds that exist: a vertex minor is, up to sign, the
+    complementary 3 x 3 minor of the Gale dual [B; I_3], a (0,1)-matrix
+    with |det| <= 2, and it is odd, its rows being a basis mod 2, so it is
+    +-1.  Such matrices exist exactly for pentagons and heptagons
+    (betti.supports_quasitoric).  On a heptagon the 7 labels take the 7
+    nonzero forms, one each: there are exactly 2 matrices, whatever the
+    weights, since GL(3, GF(2)) acts simply transitively on ordered bases
+    and the trailing facets are fixed to x, y, z."""
     members = list(classes)
     counts = [sum(sizes.values()) for _, sizes in classes.values()]
     keys = []
@@ -390,7 +400,7 @@ def cmd_report(args) -> int:
         return 0
 
     _enumerable(diagram)  # every class member has the same facet count
-    classes = {w: _classes(GaleDiagram(w), len(members) > 1) for w in members}
+    classes = {w: _classes(GaleDiagram(w)) for w in members}
     if args.cache:
         import json
 

@@ -52,9 +52,9 @@ process has filled w = monomial_count(n) orbits of one n this way, it
 builds the stacked table of n, the 168 images of each monomial functional
 side by side (_orbit_table), from w more such fills, and every later
 orbit of n is one lookup per 4 bits of phi.  An orbit is
-filled once and remembered phi by phi, in a map that the members of one
-h-vector share; galerig.cli._class_keys owns that rule, under which the
-last of them only looks up.
+filled once and remembered phi by phi, in one map per h-vector
+(galerig.cli._class_keys), which the last of two or more lists keyed
+together only reads.
 find_graded_iso reads its witness off the chained orbit of phi_b, the
 least g, as a row triple, with phi_b o g = phi_a, and certifies it
 against two saturated quotients' full ideals.
@@ -607,7 +607,7 @@ def iso_keys(n: int, h: tuple[int, ...], functionals: Iterable[int],
     """(n, h, least phi o g over GL(3, GF(2))) per socle functional phi on
     S_n, in order: equal iff the quotients are isomorphic (module
     docstring), given one h-vector h for the list.  known, which lists of
-    one n and h may share (galerig.cli._class_keys decides which do), maps
+    one n and h may share (galerig.cli._class_keys shares one per h), maps
     each phi of every orbit filled so far to its key; any other phi has its
     orbit filled along the word tree (_word_tree) and added to known, or,
     with fill=False, gets None, which equals no key."""

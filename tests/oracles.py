@@ -49,7 +49,10 @@ multisets, the paper's Petersen 5-cycles and the 120-permutation linear
 systems for the pentagon Tor class (the package solves one arrangement of
 the window sums per rotation and reflection class), and the sphere-product
 decomposition of the moment-angle manifold, checked against the Betti
-table's additive ranks.
+table's additive ranks, and the vertex minors of a matrix's 0/1 integral
+lift by fraction-free integer elimination, on the vertices a scan of
+every facet triple finds by origin_in_hull_exact (the package tests one
+mod-2 basis off each vertex).
 """
 
 from __future__ import annotations
@@ -1249,3 +1252,55 @@ def sphere_product_decomposition(diagram: GaleDiagram) -> tuple[tuple[int, int],
             f"{dict(expected)} vs {dict(actual)}"
         )
     return tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the integral lift of a mod-2 characteristic matrix
+
+
+def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: each division is exact, so every entry stays an integer."""
+    a = [list(row) for row in rows]
+    n, sign, previous = len(a), 1, 1
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // previous
+        previous = a[i][i]
+    return sign * previous
+
+
+def zero_one_lift(forms: Sequence[int]) -> list[list[int]]:
+    """The integer n x (n+3) matrix [I_n | B] whose entries are the 0/1 bits
+    of the mod-2 matrix with leading forms forms: row i of B is facet i's
+    form, bit j in column n + j."""
+    n = len(forms)
+    return [[int(c == i) for c in range(n)] + [(form >> j) & 1 for j in range(3)]
+            for i, form in enumerate(forms)]
+
+
+def vertex_minors(diagram: GaleDiagram, forms: Sequence[int]) -> list[int]:
+    """The n x n minor of zero_one_lift(forms) on the facets of each vertex
+    of the polytope: the complement of each facet triple whose labels hold
+    the origin by origin_in_hull_exact, scanned over all C(m, 3) triples."""
+    labels, m = facet_labels(diagram), diagram.m
+    lift = zero_one_lift(forms)
+    minors = []
+    for triple in combinations(range(m), 3):
+        if origin_in_hull_exact({labels[f] for f in triple}, diagram.k):
+            columns = [c for c in range(m) if c not in triple]
+            minors.append(integer_determinant([[row[c] for c in columns] for row in lift]))
+    return minors
+
+
+def facet_forms(forms: Sequence[int]) -> tuple[int, ...]:
+    """The form of every facet, in facet order: the leading forms, then x,
+    y, z on the three trailing facets."""
+    return tuple(forms) + VARIABLES

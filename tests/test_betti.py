@@ -1,6 +1,8 @@
 """Bigraded Betti tables, Betti groups, Tor comparison, sphere-product
 decomposition, quasitoric support."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,3 +215,59 @@ def test_no_nonagon_has_a_characteristic_matrix():
     assert len(diagrams) == 133
     for weights in diagrams:
         assert canonical_charmats(face_structure(GaleDiagram(weights))) == {}, weights
+
+
+def test_every_mod2_matrix_lifts_by_its_zero_one_entries():
+    """The 0/1 lift of every enumerated mod-2 matrix is an integral
+    characteristic matrix: each vertex minor, an integer determinant on
+    the vertices that origin_in_hull_exact finds, is +-1.  On the
+    diagrams of test_cohomology's key_range (canonical pentagons of total
+    <= 8, heptagons of total <= 11, and the members of every multi-member
+    Tor class of total <= 9) and the flagship pair, as written; the
+    flagship pair, (4,1,1,1,1) and (2,2,1,1,1,1,1) alone give 1,272
+    minors."""
+    def minors(diagrams):
+        found = []
+        for weights in diagrams:
+            diagram = GaleDiagram(weights)
+            for forms in enumerate_charmats(face_structure(diagram)):
+                found += oracles.vertex_minors(diagram, forms)
+        return found
+
+    assert len(minors([P.weights, Q.weights, (4, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1, 1)])) == 1272
+    diagrams = set(oracles.canonical_diagrams(5, 8) + oracles.canonical_diagrams(7, 11))
+    for weights in oracles.canonical_diagrams(5, 9):
+        members = betti_group(weights)
+        if len(members) > 1:
+            diagrams.update(members)
+    diagrams.update((P.weights, Q.weights))
+    found = minors(sorted(diagrams))
+    assert found and set(map(abs, found)) == {1}
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_every_label_pair_lies_in_a_hull_triple(k):
+    """Any two labels of the (2k+1)-gon lie in a label triple whose hull
+    holds the origin, so facets with different labels share a vertex
+    complement and carry different forms: for k >= 4 the 2k + 1 >= 9
+    labels would need 9 distinct nonzero forms of GF(2)^3, which has 7."""
+    labels = range(1, 2 * k + 2)
+    for a, b in combinations(labels, 2):
+        assert any(oracles.origin_in_hull_exact({a, b, c}, k)
+                   for c in labels if c not in (a, b)), (a, b)
+
+
+def test_every_heptagon_has_two_matrices_constant_on_labels():
+    """Each of the 281 canonical heptagons of total <= 14 has exactly 2
+    mod-2 matrices, and in both the 7 labels take the 7 nonzero forms, one
+    form per label on every facet of it."""
+    heptagons = oracles.canonical_diagrams(7, 14)
+    assert len(heptagons) == 281
+    for weights in heptagons:
+        fs = face_structure(GaleDiagram(weights))
+        matrices = enumerate_charmats(fs)
+        assert len(matrices) == 2, weights
+        for forms in matrices:
+            pairs = set(zip(fs.labels, oracles.facet_forms(forms)))
+            assert len(pairs) == 7, weights  # every label is on some facet
+            assert {form for _, form in pairs} == set(range(1, 8)), weights

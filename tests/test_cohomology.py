@@ -393,7 +393,7 @@ def test_canonical_classes_give_the_list_orbits_and_records(key_comparisons):
     for members in classes:
         matrices = {w: _matrices(GaleDiagram(w)) for w in members}
         record = oracles.class_record_by_lists(matrices)
-        assert classify({w: _classes(GaleDiagram(w), True) for w in members}) == record
+        assert classify({w: _classes(GaleDiagram(w)) for w in members}) == record
 
 
 def test_top_functional_is_the_socle_functional(key_quotients):

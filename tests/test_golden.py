@@ -22,7 +22,11 @@ in 20 same-label orbits) was recorded while the keys were still taken
 once per same-label orbit, to pin the rotations and reflections of the
 polygon that now join those orbits into 3.  The three ``torclass`` files
 were recorded while the Tor class was still read off the Petersen
-graph's 5-cycles, to pin the window-sum solve that replaced it.
+graph's 5-cycles, to pin the window-sum solve that replaced it.  The
+``iso_3-1-2-1-1_2-2-1-1-1-1-1`` file (a pentagon of n = 5 against a
+heptagon of n = 6) was recorded while the second of two diagrams of
+different h-vectors still filled its own orbits, to pin the lookup-only
+path that keys it now.
 
 The keys of one long-lived process come from stacked orbit tables once it
 has filled enough orbits (galerig.cohomology._orbit), so the report and
@@ -67,7 +71,7 @@ def test_report_and_iso_goldens_hold_across_the_stacked_orbit_tables(monkeypatch
     names = [name for name in sorted(p.name for p in GOLDEN.glob("*.txt"))
              if name.startswith(("report_", "iso_")) and
              sum(map(int, name.removesuffix(".txt").split("_")[1].split("-"))) in (8, 9)]
-    assert len(names) == 11
+    assert len(names) == 12
     for passes in range(10):
         stacked = built().currsize == 2
         for name in names:

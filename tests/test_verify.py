@@ -16,7 +16,7 @@ def classes():
     """The report's face structure and {representative: orbit size} of
     each reference polytope, by weights, as report --verify classifies
     them."""
-    return {w: _classes(GaleDiagram(w), True) for w in sorted((WEIGHTS_A, WEIGHTS_B))}
+    return {w: _classes(GaleDiagram(w)) for w in sorted((WEIGHTS_A, WEIGHTS_B))}
 
 
 @pytest.fixture(scope="module")
