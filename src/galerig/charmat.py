@@ -40,8 +40,9 @@ _COMPLETIONS = tuple(
 )
 
 
-# _ROW_STRINGS[f]: the form f spelled as its x, y, z bits.
+# _ROW_STRINGS[f]: the form f spelled as its x, y, z bits; _FORMS inverts it.
 _ROW_STRINGS = ("000", "100", "010", "110", "001", "101", "011", "111")
+_FORMS = {row: form for form, row in enumerate(_ROW_STRINGS)}
 
 
 def row_strings(forms: Sequence[int]) -> list[str]:
@@ -50,10 +51,11 @@ def row_strings(forms: Sequence[int]) -> list[str]:
 
 
 def forms_from_rows(rows: Sequence[str]) -> tuple[int, ...]:
-    """Inverse of row_strings."""
-    if any(len(r) != 3 or set(r) - {"0", "1"} for r in rows):
-        raise ValueError(f"block rows must be three binary digits, got {list(rows)}")
-    return tuple(sum(int(ch) << j for j, ch in enumerate(r)) for r in rows)
+    """Inverse of row_strings, on rows given as strings."""
+    try:
+        return tuple(_FORMS[r] for r in rows)
+    except KeyError:
+        raise ValueError(f"block rows must be three binary digits, got {list(rows)}") from None
 
 
 def is_characteristic(forms: Sequence[int], fs: FaceStructure) -> bool:

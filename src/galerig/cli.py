@@ -25,7 +25,8 @@ keys up; classify turns the keys into the record report prints, with the
 verdict.  cohomology and profile read each selected matrix's functional
 from one top_functionals call too (_selected_functionals), and
 cohomology prints the ideal it annihilates.
-Only report --verify builds quotients.
+No command builds a matrix's quotient: report --verify reads the
+published blocks off their top functionals too (galerig.verify).
 
 The grammar is one table, COMMANDS: each command's handler, help,
 positionals and long options.  main parses a well-formed command line

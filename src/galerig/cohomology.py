@@ -9,8 +9,9 @@ of FaceStructure.minimal_nonfaces in its order.  The quotient vanishes
 above degree n, so ideals are stored degreewise up to degree n+1, where the
 component must be the full monomial space.  Polynomials are (degree, vec)
 pairs and linear forms are the ints 1..7 of galerig.gf2 and galerig.charmat;
-a product by a linear form is gf2.times_form, and the products by
-monomials are read off gf2.product_index.
+a product by a linear form is gf2.times_form (by x, y and z at once,
+gf2.times_variables), and the products by monomials are read off
+gf2.product_index.
 
 Isomorphism is decided by keys.  The quotient is the mod-2 cohomology of a
 closed 2n-manifold, so Poincare duality makes it Gorenstein with socle
@@ -26,9 +27,9 @@ The key needs no quotient: top_functionals reads phi off I_n alone for
 each matrix of one diagram, continuing the forward passes that the
 matrices' shared leading blocks of rows leave, and checks the duality by
 the ranks of phi's catalecticants against the h-vector of the Betti table
-(check_inverse_system); report --verify reads phi off each published
-quotient's own I_n (quotient_functional) under the same check, both
-through gf2.hyperplane_functional.  Their tables outlive a call and are
+(check_inverse_system), through gf2.hyperplane_functional; report
+--verify reads each published block's phi the same way, one call per
+family (galerig.verify).  Its tables outlive a call and are
 keyed by n alone or by n and a multiset of forms, never by a diagram or
 a phi: the I_n rows of a minimal non-face per n and its forms as a
 sorted tuple, one tuple per multiset (_nonface_rows), and per n the byte
@@ -71,12 +72,14 @@ Nor does the cohomology command, from the same functionals: it prints the
 h-vector as the Hilbert function, the products over the minimal
 non-faces as generators (generators), and under --json each I_d read off
 phi (annihilator_rows), the left kernel of Cat_d and, in degree n - d,
-the kernel of Cat_d's rows, through gf2.complement.  Of the commands,
-only report --verify builds the saturated quotient
-(quotient_presentation, one elimination per degree), as the independent
-reference for the published tables (galerig.verify): codim and order
-compute the profile's invariants on it by multiplication, the second
-path that certifies a profile cell disagreeing with a published table.
+the kernel of Cat_d's rows, through gf2.complement.  No command builds
+the saturated quotient of a matrix (quotient_presentation, which the
+tests' oracles and the benchmark's tracer still reach).  report --verify
+saturates the ideal of each published generator row (_saturated_ideal,
+one elimination per degree) to match it against phi (galerig.verify),
+and codim and order compute the profile's invariants on that ideal by
+multiplication, the second path that certifies a profile cell
+disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ from .gf2 import (
     rank,
     table_image,
     times_form,
+    times_variables,
     transpose,
 )
 
@@ -147,8 +151,8 @@ def quotient_presentation(fs: FaceStructure, forms: Sequence[int]) -> GradedQuot
     The ideal, generated by the generators (below), is saturated degree
     by degree, with one elimination per degree (_saturated_ideal).  The
     commands read every ideal off its socle functional instead
-    (annihilator_rows); this saturated one is report --verify's
-    independent reference.
+    (annihilator_rows); this saturated one is the tests' independent
+    reference, and the benchmark's tracer wraps it.
     """
     if not is_characteristic(forms, fs):
         raise ValueError("matrix is not characteristic over this face structure")
@@ -180,9 +184,9 @@ def _product(forms: Iterable[int]) -> int:
 def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedSubspace:
     """Graded ideal generated by (degree, vec) polynomials, degreewise up to
     top: I_d is spanned by the degree-d generators and x, y, z times the
-    reduced rows of I_(d-1).  Each degree is eliminated once (echelon), and
-    its reduced rows are both the stored component and the ones multiplied
-    up."""
+    reduced rows of I_(d-1) (gf2.times_variables).  Each degree is
+    eliminated once (echelon), and its reduced rows are both the stored
+    component and the ones multiplied up."""
     spans: list = [[] for _ in range(top + 1)]
     for degree, vec in generators:
         if degree > top:
@@ -191,17 +195,8 @@ def _saturated_ideal(generators: Iterable[tuple[int, int]], top: int) -> GradedS
     for d, span in enumerate(spans):
         spans[d] = rows = tuple(echelon(span, monomial_count(d)))
         if d < top:
-            spans[d + 1] += [times_form(row, d, v) for row in rows for v in VARIABLES]
+            spans[d + 1] += [product for row in rows for product in times_variables(row, d)]
     return GradedSubspace(tuple(spans))
-
-
-def ideal_equal(generators: Iterable[tuple[int, int]], quotient: GradedQuotient) -> bool:
-    """Whether the graded ideal generated by the (degree, vec) polynomials
-    (saturated degreewise up to degree n+1) equals the quotient's ideal.
-    Equality needs both full in degree n+1, and then a generator above it
-    lies in both, so only those of degree <= n+1 are saturated."""
-    top = quotient.n + 1
-    return _saturated_ideal([g for g in generators if g[0] <= top], top) == quotient.ideal
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,8 @@ def substitution_maps_ideal(rows: tuple[int, int, int],
 
 
 def quotient_functional(q: GradedQuotient) -> int:
-    """The socle functional read off a saturated quotient's own I_n."""
+    """The socle functional read off a saturated quotient's own I_n
+    (find_graded_iso's, and the tests')."""
     return hyperplane_functional(q.ideal.rows(q.n), monomial_count(q.n))
 
 

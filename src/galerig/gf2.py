@@ -11,8 +11,8 @@ Conventions:
       iff monomial c of that degree has coefficient 1.
     * A linear form is the int 1..7 with bit j standing for variable j of
       (x, y, z); it is also its own degree-1 vec.  ``times_form`` multiplies
-      a polynomial by one; the products by monomials are read off
-      ``product_index`` (below).
+      a polynomial by one (``times_variables`` by x, y and z at once); the
+      products by monomials are read off ``product_index`` (below).
 
 Two kernels carry the hot loops.  Row reduction is one forward pass,
 ``_forward``: it keeps each row under its highest set bit, in a list
@@ -36,10 +36,16 @@ per byte of the vector instead of one XOR per set bit.
 A map with very wide images takes 16-entry tables per 4 columns instead,
 to bound their memory (``galerig.cohomology``'s stacked orbit tables).
 
-Monomials are multiplied in one place, ``product_index``, the cached
-table of the column of each product of two monomials; multiplication by a
-linear form (``times_form``) and every table of ``galerig.cohomology`` are
-built on it, and a dual map is the ``transpose`` of a product map.
+Monomials are multiplied by index arithmetic on the lex order: the column
+of x^a y^b z^c is t(t+1)/2 + c with t = b + c, whatever its degree
+(``_lex_coordinates``), and (t, c) add under products.  So
+``product_index``, the cached table of the column of each product of two
+monomials, is sums of coordinates, and multiplication by a variable moves
+whole blocks of columns: x keeps every column, and y shifts the block of
+x-degree a in degree d, its t + 1 columns from t(t+1)/2 on, left by
+t + 1 = d + 1 - a, and z by one more (``times_variables``, through one
+(mask, shift) list per degree).  Every table of ``galerig.cohomology`` is
+built on these two, and a dual map is the ``transpose`` of a product map.
 """
 
 from __future__ import annotations
@@ -184,12 +190,22 @@ def _monomial_index(degree: int) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _lex_coordinates(degree: int) -> tuple[tuple[int, int], ...]:
+    """(t, c) = (b + c, c) of each monomial x^a y^b z^c of degree d, in
+    lex order.  The monomials before it are the t(t+1)/2 of x-degree above
+    a, then those of x-degree a with a greater y-exponent, so its column is
+    t(t+1)/2 + c, whatever its degree."""
+    return tuple((t, c) for t in range(degree + 1) for c in range(t + 1))
+
+
+@lru_cache(maxsize=None)
 def product_index(a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """product_index(a, b)[i][j]: the column in degree a + b of monomial i
-    of degree a times monomial j of degree b."""
-    index = _monomial_index(a + b)
-    return tuple(tuple(index[tuple(e + f for e, f in zip(low, high))] for high in monomials(b))
-                 for low in monomials(a))
+    of degree a times monomial j of degree b, by the lex coordinates
+    (_lex_coordinates), which add under products."""
+    high = _lex_coordinates(b)
+    return tuple(tuple((t + u) * (t + u + 1) // 2 + c + e for u, e in high)
+                 for t, c in _lex_coordinates(a))
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +251,45 @@ def table_image(vec: int, tables) -> int:
 def transpose(columns, height: int) -> tuple[int, ...]:
     """The columns of the transpose of the linear map whose column c is
     columns[c], a vector of height bits: bit c of entry r is bit r of
-    columns[c]."""
-    return tuple(sum(((column >> r) & 1) << c for c, column in enumerate(columns))
-                 for r in range(height))
+    columns[c].  One pass over the set bits of the columns; a bit at or
+    above height is dropped."""
+    rows = [0] * height
+    for c, column in enumerate(columns):
+        bit = 1 << c
+        column &= (1 << height) - 1
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= bit
+            column ^= low
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _times_columns(degree: int) -> tuple[tuple[int, ...], ...]:
-    """_times_columns(d)[form][c]: the vector of form * (monomial c of degree d)
-    over the degree-(d+1) monomials; variable j is monomial j of degree 1."""
-    return tuple(tuple(sum(1 << row[j] for j in range(3) if (form >> j) & 1)
-                       for row in product_index(degree, 1))
-                 for form in range(8))
+def _shift_blocks(degree: int) -> tuple[tuple[int, int], ...]:
+    """(mask, shift) per x-degree block of the degree-d columns, a = d - t
+    for t = 0..d: the t + 1 columns t(t+1)/2 .. t(t+1)/2 + t of the
+    monomials x^a y^b z^c, b + c = t, and t + 1, the distance that y moves
+    them to their products in degree d + 1 (_lex_coordinates)."""
+    return tuple((((1 << (t + 1)) - 1) << (t * (t + 1) // 2), t + 1) for t in range(degree + 1))
+
+
+def times_variables(vec: int, degree: int) -> tuple[int, int, int]:
+    """x, y and z times a degree-d polynomial, as degree-(d+1) vectors,
+    read off the lex order (_lex_coordinates): x keeps every column, y
+    shifts each x-degree block a left by d + 1 - a (_shift_blocks), and z
+    by one more, so z * f is y * f shifted by one."""
+    by_y = 0
+    for mask, shift in _shift_blocks(degree):
+        by_y |= (vec & mask) << shift
+    return vec, by_y, by_y << 1
 
 
 def times_form(vec: int, degree: int, form: int) -> int:
     """Product of a degree-d polynomial with a linear form, as a
-    degree-(d+1) vector."""
-    return image(vec, _times_columns(degree)[form])
+    degree-(d+1) vector: the sum of the products by its variables
+    (times_variables)."""
+    by_x, by_y, by_z = times_variables(vec, degree)
+    return (by_x if form & 1 else 0) ^ (by_y if form & 2 else 0) ^ (by_z if form & 4 else 0)
 
 
 def to_lists(degree: int, vec: int) -> list[list[int]]:

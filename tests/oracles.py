@@ -44,7 +44,14 @@ forward pass of elimination), the inverse system of
 a socle functional, the key kernels the package replaced with table
 lookups (elimination scanning every pivot, orbit closure from a frontier,
 catalecticant rows bit by bit), the codim/ord profile by products with
-the linear forms (the package contracts phi by them), adjacent-sum
+the linear forms (the package contracts phi by them), report --verify's
+record by the saturated quotients of the 42 published blocks (the package
+reads each block's phi off top_functionals and matches an ideal row by
+containment in Ann(phi) and its dimensions), multiplication by a linear
+form as the image over exponent-sum columns (the package shifts lex
+blocks), the transpose by one sum of bits per entry (the package walks
+the set bits), block rows by their digits (the package looks each row
+up), adjacent-sum
 multisets, the paper's Petersen 5-cycles and the 120-permutation linear
 systems for the pentagon Tor class (the package solves one arrangement of
 the window sums per rotation and reflection class), and the sphere-product
@@ -66,6 +73,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from galerig import verify
 from galerig.betti import betti_table, h_vector, window_sums
 from galerig.charmat import VARIABLES, _renormaliser, is_characteristic
 from galerig.cohomology import (
@@ -74,8 +82,16 @@ from galerig.cohomology import (
     _GENERATORS,
     _catalecticant_tables,
     _nonface_rows,
+    _saturated_ideal,
     _subst_matrix,
+    check_inverse_system,
+    codim,
+    generators,
+    invariant_profile,
     iso_keys,
+    order,
+    quotient_functional,
+    quotient_presentation,
     substitution_maps_ideal,
 )
 from galerig.gale import (
@@ -91,10 +107,12 @@ from galerig.gale import (
 from galerig.gf2 import (
     GradedSubspace,
     echelon,
+    format_poly,
     hyperplane_functional,
     image,
     monomial_count,
     monomials,
+    parse_poly,
     rank,
     table_image,
     times_form,
@@ -828,6 +846,85 @@ def saturated_ideal_by_two_passes(generators, top: int) -> GradedSubspace:
     return GradedSubspace.from_spans(spans)
 
 
+def ideal_equal(generators, quotient) -> bool:
+    """Whether the graded ideal generated by the (degree, vec) polynomials
+    (saturated degreewise up to degree n+1) equals the quotient's ideal.
+    Equality needs both full in degree n+1, and then a generator above it
+    lies in both, so only those of degree <= n+1 are saturated."""
+    top = quotient.n + 1
+    return _saturated_ideal([g for g in generators if g[0] <= top], top) == quotient.ideal
+
+
+def verification_by_quotients(iso_found: int, classes: dict) -> dict:
+    """galerig.verify.run_verification's record by the saturated quotients
+    (the package reads each published block's phi from top_functionals,
+    matches an ideal row by containment in Ann(phi) and its dimensions,
+    and certifies a cell on the row's own saturation): the quotient of
+    each of the 42 published blocks (quotient_presentation), each parsed
+    ideal row equal to its first label's ideal (ideal_equal) and every
+    label's ideal equal to that one, each profiled block's phi read off
+    its quotient's own I_n (quotient_functional) and checked against its
+    dimensions (check_inverse_system), and each discrepant cell certified
+    by codim and order on the block's quotient.  The matrix lists are
+    diffed as the package does (verify._compare_matrices), and every table
+    is read through galerig.verify, so a test that replaces one replaces
+    it for both."""
+    families = {"A": classes[verify.WEIGHTS_A], "B": classes[verify.WEIGHTS_B]}
+    counts = {family: sum(sizes.values()) for family, (_, sizes) in families.items()}
+    comparisons = {family: verify._compare_matrices(family, fs, counts[family])
+                   for family, (fs, _) in families.items()}
+    quotients = {label: quotient_presentation(fs, block)
+                 for family, (fs, _) in families.items()
+                 for label, block in verify.label_blocks(family).items()}
+    ideal_rows = []
+    for row in verify.ideal_tables():
+        fs = families[row["table"]][0]
+        record = {"table": row["table"], "labels": list(row["labels"]), "unparseable": False,
+                  "bad_token": None, "matches": None, "computed_generators": None}
+        try:
+            gens = [parse_poly(text) for text in row["generators"]]
+        except ValueError as err:
+            block = verify.label_blocks(row["table"])[row["labels"][0]]
+            ideal_rows.append({**record, "unparseable": True, "bad_token": str(err),
+                               "computed_generators": [format_poly(g)
+                                                       for g in generators(fs, block)],
+                               "ok": True})
+            continue
+        first, *rest = (quotients[label] for label in row["labels"])
+        matches = ideal_equal(gens, first) and all(q.ideal == first.ideal for q in rest)
+        ideal_rows.append({**record, "matches": matches, "ok": matches})
+    tables = verify.profile_tables()
+    table_names = ("codim_A", "ord_A", "codim_B", "ord_B")
+    profiles = {}
+    for label in sorted({label for name in table_names for label in tables[name]}):
+        q = quotients[label]
+        phi = quotient_functional(q)
+        check_inverse_system(phi, q.n, q.hilbert)
+        profiles[label] = invariant_profile(phi, q.hilbert)
+    discrepancies = []
+    for name in table_names:
+        kind = name.split("_")[0]
+        for label, paper_values in tables[name].items():
+            for col, (paper_v, got) in enumerate(zip(paper_values, profiles[label][kind])):
+                if paper_v != got:
+                    gamma = LINEAR_FORMS[col]
+                    certified = (order if kind == "ord" else codim)(gamma, quotients[label]) == got
+                    discrepancies.append({
+                        "table": name, "row": label, "column": tables["forms"][col],
+                        "paper_value": paper_v, "computed_value": got, "certified": certified})
+    return {
+        "matrices": comparisons,
+        "ideal_rows": ideal_rows,
+        "profile_discrepancies": discrepancies,
+        "iso_found": iso_found,
+        "iso_pairs": counts["A"] * counts["B"],
+        "passed": (all(c["ok"] for c in comparisons.values())
+                   and all(r["ok"] for r in ideal_rows)
+                   and all(d["certified"] for d in discrepancies)
+                   and iso_found == 0),
+    }
+
+
 def socle_functional(q) -> int:
     """The linear functional phi on S_n whose kernel is I_n, as a bit vector
     over monomials(n): the kernel of the transposed echelon rows of I_n,
@@ -998,6 +1095,31 @@ def product_columns(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(top[tuple(a + b for a, b in zip(low, high))]
                        for high in monomials(n - degree))
                  for low in monomials(degree))
+
+
+@lru_cache(maxsize=None)
+def times_form_columns(degree: int, form: int) -> tuple[int, ...]:
+    """The columns of multiplication by a linear form on degree d: column c
+    is the sum over the variables j of form of the exponent-sum column of
+    monomial c times variable j (product_columns).  The package shifts lex
+    blocks instead (gf2.times_form)."""
+    return tuple(sum(1 << row[j] for j in range(3) if (form >> j) & 1)
+                 for row in product_columns(degree + 1, degree))
+
+
+def transpose_by_sums(columns, height: int) -> tuple[int, ...]:
+    """The transpose of a linear map, each entry the sum of one bit of every
+    column (the package makes one pass over the set bits)."""
+    return tuple(sum(((column >> r) & 1) << c for c, column in enumerate(columns))
+                 for r in range(height))
+
+
+def forms_from_rows_by_digits(rows) -> tuple[int, ...]:
+    """galerig.charmat.forms_from_rows by validating each row's length and
+    digits, then summing the digits' bits (the package looks each row up)."""
+    if any(len(r) != 3 or set(r) - {"0", "1"} for r in rows):
+        raise ValueError(f"block rows must be three binary digits, got {list(rows)}")
+    return tuple(sum(int(ch) << j for j, ch in enumerate(r)) for r in rows)
 
 
 def catalecticant_by_bits(phi: int, n: int, degree: int) -> list[int]:

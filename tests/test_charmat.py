@@ -1,7 +1,7 @@
 """Characteristic-matrix validity and enumeration."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -276,6 +276,24 @@ def test_matrix_json_round_trip():
     assert forms_from_rows(rows) == forms
     with pytest.raises(ValueError):
         forms_from_rows(["102", "000", "000", "000", "000"])
+
+
+def test_forms_from_rows_accepts_and_refuses_as_the_digit_check():
+    """The row lookup returns what validating and summing the digits
+    returns (oracles.forms_from_rows_by_digits), and refuses every row that
+    check refuses with its ValueError: every string of up to four
+    characters over "01 2", alone and after a valid row, and the empty
+    block."""
+    strings = [""] + ["".join(chars) for k in range(1, 5) for chars in product("01 2", repeat=k)]
+    for rows in [[]] + [[r] for r in strings] + [["110", r] for r in strings]:
+        try:
+            expected = oracles.forms_from_rows_by_digits(rows)
+        except ValueError as err:
+            with pytest.raises(ValueError) as refused:
+                forms_from_rows(rows)
+            assert str(refused.value) == str(err), rows
+        else:
+            assert forms_from_rows(rows) == expected, rows
 
 
 def test_block_row_strings_match_fixture_encoding():

@@ -190,13 +190,19 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
     automorphisms of the two polytopes need 18 top functionals, each
     checked, read in one top_functionals call per member, and one orbit
     closure per key class of the first member: 5, since the last member
-    only looks its functionals up.  Keys build no quotient: the
-    42 of --verify are the published blocks, all built by verify, which
-    reads the 22 profiled rows' functionals off those quotients' own top
-    degrees and eliminates no I_n again."""
+    only looks its functionals up.  Neither the keys nor --verify build a
+    quotient: verify reads the 21 + 21 published blocks' functionals in
+    one top_functionals call per family, and saturates each of the 22
+    published ideal rows once, none a block's quotient."""
     import galerig.cli
     import galerig.cohomology
     import galerig.verify
+
+    # nothing in src compares an ideal with a quotient's (tests/oracles.py
+    # does), and verify reads no functional off a quotient
+    assert not hasattr(galerig.verify, "quotient_functional")
+    assert not any(hasattr(module, "ideal_equal")
+                   for module in (galerig.verify, galerig.cohomology))
 
     calls = Counter()
 
@@ -216,11 +222,14 @@ def test_report_verify_keys_each_quotient_once(monkeypatch):
                         batch_sizes.update(matrices=len(batch)) or top_functionals(fs, batch, h))
     count(galerig.cli, "quotient_presentation")
     count(galerig.verify, "quotient_presentation")
-    count(galerig.verify, "quotient_functional")
+    for name in ("quotient_presentation", "quotient_functional"):
+        count(galerig.cohomology, name)
+    count(galerig.verify, "top_functionals")
+    count(galerig.verify, "_saturated_ideal")
     count(galerig.cohomology, "_orbit")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
     assert calls == {"cli.top_functionals": 2, "cohomology._orbit": 5,
-                     "verify.quotient_presentation": 42, "verify.quotient_functional": 22}
+                     "verify.top_functionals": 2, "verify._saturated_ideal": 22}
     assert batch_sizes == {"matrices": 18}
     calls.clear()
     batch_sizes.clear()
@@ -383,8 +392,9 @@ def test_report_verify_profiles_each_row_once(monkeypatch):
 def test_profile_builds_no_quotient(monkeypatch, capsys):
     """profile reads each matrix's codim/ord off its top functional, one per
     matrix, and builds no quotient, nor does cohomology, which reads each
-    ideal off the same functionals, all from one top_functionals call;
-    report --verify still builds the 42 published blocks."""
+    ideal off the same functionals, all from one top_functionals call,
+    nor report --verify, which profiles the 22 published rows' blocks off
+    the functionals of one top_functionals call per family."""
     import galerig.cli
     import galerig.verify
 
@@ -402,6 +412,8 @@ def test_profile_builds_no_quotient(monkeypatch, capsys):
     count(galerig.verify, "quotient_presentation")
     count(galerig.cli, "invariant_profile")
     count(galerig.cli, "top_functionals")
+    count(galerig.verify, "invariant_profile")
+    count(galerig.verify, "top_functionals")
     assert main(["profile", "3,1,2,1,1"]) == 0
     assert calls == {"invariant_profile": 21, "top_functionals": 1}
     for argv in (["cohomology", "3,1,2,1,1"], ["cohomology", "3,1,2,1,1", "--json"]):
@@ -410,7 +422,7 @@ def test_profile_builds_no_quotient(monkeypatch, capsys):
         assert calls == {"top_functionals": 1}, argv
     calls.clear()
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"quotient_presentation": 42, "top_functionals": 2}
+    assert calls == {"invariant_profile": 22, "top_functionals": 4}
 
 
 def test_profile_matrix_labels_its_row(capsys):
@@ -589,12 +601,12 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
     groups them into automorphism orbits (orbit_sizes) in one pass each.
     --cache enumerates each member's list once more (enumerate_charmats)
     to write it, a warm cache too, whose files it rewrites with the same
-    bytes; --verify enumerates each reference list once to diff it.  The
-    keys need no quotient, so only --verify builds any: the 42 published
-    blocks.  A singleton class is B-rigid by its matrix count, read off the
-    same one orbit pass; iso lists its matrices (enumerate_charmats,
-    orbits), and a diagram compared with itself is enumerated and grouped
-    once."""
+    bytes; --verify enumerates each reference list once to diff it.  No
+    report builds a quotient: the keys need none, and --verify reads the
+    published blocks off their top functionals.  A singleton class is
+    B-rigid by its matrix count, read off the same one orbit pass; iso
+    lists its matrices (enumerate_charmats, orbits), and a diagram
+    compared with itself is enumerated and grouped once."""
     import galerig.cli
     import galerig.verify
 
@@ -612,14 +624,14 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
 
     for name in names:
         wrapper = counted(name)
-        # verify builds quotients but never groups matrices into orbits
+        # verify enumerates but never groups matrices into orbits
         shared = name in ("face_structure", "enumerate_charmats", "quotient_presentation")
         for module in (galerig.cli, galerig.verify) if shared else (galerig.cli,):
             monkeypatch.setattr(module, name, wrapper)
     cache = tmp_path / "cache"
     assert main(["report", "3,1,2,1,1", "--cache", str(cache)]) == 0
     written = {p: p.read_bytes() for p in cache.iterdir()}
-    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 2, 42, 0, 2)),
+    for argv, expected in ((["report", "3,1,2,1,1", "--verify"], (2, 2, 2, 0, 0, 2)),
                            (["report", "3,1,2,1,1", "--cache", str(cache)], (2, 2, 2, 0, 0, 2)),
                            (["report", "3,1,2,1,1"], (2, 0, 2, 0, 0, 2)),
                            (["report", "7,1,1,1,1"], (1, 0, 1, 0, 0, 1)),
@@ -632,7 +644,9 @@ def test_quotients_built_only_where_compared(monkeypatch, tmp_path):
 
 def test_report_verify_reads_class_and_ideal_rows_once(monkeypatch):
     """report --verify reads the Tor class once, and saturates each of the
-    21 published ideal rows once: a row's labels share one ideal."""
+    22 published ideal rows once, a row's labels sharing one ideal: the 21
+    that parse off their own generators, the other off its first label's
+    block's."""
     import galerig.cli
     import galerig.verify
 
@@ -647,9 +661,9 @@ def test_report_verify_reads_class_and_ideal_rows_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(galerig.cli, "tor_class")
-    counted(galerig.verify, "ideal_equal")
+    counted(galerig.verify, "_saturated_ideal")
     assert main(["report", "3,1,2,1,1", "--verify"]) == 0
-    assert calls == {"tor_class": 1, "ideal_equal": 21}
+    assert calls == {"tor_class": 1, "_saturated_ideal": 22}
 
 
 def test_max_facets_refused_before_enumerating(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from galerig.cohomology import (
     codim,
     find_graded_iso,
     generators,
-    ideal_equal,
     invariant_profile,
     iso_keys,
     order,
@@ -64,6 +63,7 @@ from oracles import (
     face_counts,
     form_poly,
     gl3,
+    ideal_equal,
     poincare_nondegenerate,
     poly_to_vec,
     socle_functional,

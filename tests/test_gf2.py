@@ -34,6 +34,8 @@ from oracles import (
     poly_to_vec,
     product_columns,
     substitute_linear,
+    times_form_columns,
+    transpose_by_sums,
 )
 
 X, Y, Z = 0b001, 0b010, 0b100  # linear forms; also their degree-1 vecs
@@ -165,6 +167,19 @@ def test_transpose_swaps_rows_and_columns():
         assert transpose(rows, len(columns)) == tuple(columns)
 
 
+def test_transpose_equals_the_sums_of_bits():
+    """One pass over the set bits gives the transpose that one sum of bits
+    per entry gives, on random maps of up to 200 columns of up to 200 bits,
+    empty ones and bits at or above the height, which both drop,
+    included."""
+    rng = random.Random(6)
+    for _ in range(200):
+        height = rng.randint(0, 200)
+        columns = [rng.getrandbits(rng.choice((height, height + 3))) if height else 0
+                   for _ in range(rng.randint(0, 200))]
+        assert transpose(columns, height) == transpose_by_sums(columns, height)
+
+
 def _kernel_rows(phi: int, width: int, rng) -> list[int]:
     """A shuffled spanning set of the kernel of the nonzero functional phi,
     with dependent rows: e_c for c outside phi, e_c0 + e_c for c0 its lowest
@@ -254,9 +269,10 @@ def test_monomials_graded_lex_descending():
 
 
 def test_product_index_is_the_product_of_exponents():
-    # the one monomial product of the package against the oracle's
-    # exponent sums, in every split of every degree n <= 12
-    for n in range(13):
+    # the one monomial product of the package, read off the lex
+    # coordinates, against the oracle's exponent sums, in every split of
+    # every degree n <= 26
+    for n in range(27):
         for d in range(n + 1):
             assert product_index(d, n - d) == product_columns(n, d), (n, d)
 
@@ -323,6 +339,21 @@ def test_multiply_distributive(p, bits, f, g):
         times_form(vec, degree, f) ^ times_form(other, degree, f)
     assert times_form(vec, degree, f ^ g) == \
         times_form(vec, degree, f) ^ times_form(vec, degree, g)
+
+
+def test_times_form_is_the_image_over_the_product_columns():
+    """times_form's block shifts are multiplication by each form 0..7 in
+    every degree d <= 26: every monomial goes to its column over the
+    exponent sums (oracles.times_form_columns), and random polynomials to
+    their images."""
+    rng = random.Random(7)
+    for d in range(27):
+        width = monomial_count(d)
+        for form in range(8):
+            columns = times_form_columns(d, form)
+            assert tuple(times_form(1 << c, d, form) for c in range(width)) == columns, (d, form)
+            for vec in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]:
+                assert times_form(vec, d, form) == image(vec, columns), (d, form)
 
 
 @given(polys(max_degree=7), forms)

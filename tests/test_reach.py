@@ -57,6 +57,15 @@ NOT_RUN = {
     # wrapped by perfbench/tracer.py, which the benchmark pins
     "galerig.cohomology.find_graded_iso",
     "galerig.cohomology.substitution_maps_ideal",
+    # wrapped by perfbench/tracer.py too, where galerig.cli and
+    # galerig.verify bind it, and with its check the tests' saturated path
+    # (oracles.verification_by_quotients); report --verify reads the
+    # published blocks off their top functionals instead
+    "galerig.cohomology.quotient_presentation",
+    "galerig.cohomology._validate_quotient",
+    # find_graded_iso, wrapped by perfbench/tracer.py, reads its socle
+    # functionals through it
+    "galerig.cohomology.quotient_functional",
     # wrapped by perfbench/tracer.py too, and the tests' way to build a
     # GradedSubspace from spanning vectors; _saturated_ideal stores the rows
     # it has already reduced

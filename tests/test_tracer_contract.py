@@ -22,7 +22,7 @@ def test_tracer_installs():
 
 
 @pytest.mark.parametrize("argv, span, calls", [
-    (["report", "3,1,2,1,1", "--verify"], "cohomology.quotient", 42),
+    (["report", "3,1,2,1,1", "--verify"], "cohomology.profile", 22),
     (["profile", "3,1,2,1,1"], "cohomology.profile", 21),
     (["report", "3,1,2,1,1"], "petersen.tor_class", 1),
 ])
@@ -31,8 +31,9 @@ def test_traced_call_spans_names_bound_on_first_use(tmp_path, argv, span, calls)
     tracer has wrapped them, and keeps the wrappers: a traced call records
     one span per call of the wrapped name.  tor_class, betti.betti_group
     bound at import, is wrapped in place and spanned once per report, and
-    the quotients of the 42 published blocks, which galerig.verify builds
-    under report --verify, once each."""
+    the profiles of the 22 published rows, which galerig.verify reads off
+    their socle functionals under report --verify
+    (galerig.verify.invariant_profile), once each."""
     trace = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

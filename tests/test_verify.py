@@ -6,9 +6,13 @@ import pytest
 
 from galerig.charmat import row_strings
 from galerig.cli import _classes, classify
+from galerig.cohomology import quotient_presentation
 from galerig.gale import GaleDiagram
+from galerig.gf2 import format_poly, parse_poly
 from galerig.verify import (WEIGHTS_A, WEIGHTS_B, ideal_tables, label_blocks, profile_tables,
                             run_verification)
+
+from oracles import verification_by_quotients
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +95,8 @@ def test_report_passes_and_serializes(report):
 
 def test_published_block_missing_from_the_report_is_built(classes, report, monkeypatch):
     """A published block absent from the enumerated matrix list fails the
-    matrix comparison, and its quotient is still built on the report's face
-    structure, so the tables are still diffed in full."""
+    matrix comparison, and its socle functional is still read on the
+    report's face structure, so the tables are still diffed in full."""
     import galerig.verify
 
     first = label_blocks("A")["A1"]
@@ -134,3 +138,54 @@ def test_representative_groups_cover_everything():
     labels = [lab for members in groups.values() for lab in members]
     assert sorted(labels) == sorted(
         [f"A{i}" for i in range(1, 22)] + [f"B{i}" for i in range(1, 22)])
+
+
+def test_record_equals_the_quotient_path(classes, report):
+    """The record read off top functionals is the one that the 42 published
+    blocks' saturated quotients give, on the bundled tables."""
+    assert verification_by_quotients(report["iso_found"], classes) == report
+
+
+def _changed_generators(rows, case, classes):
+    """(index, generators) of one published row changed as case says."""
+    if case == "non_member":
+        # xz spans A1's I_2, so xy is no member
+        return 0, ["xy" if text == "xz" else text for text in rows[0]["generators"]]
+    if case == "lower_degree_missed":
+        # A8's row without xz, plus a basis of I_5: every generator lies in
+        # I, but the ideal they generate misses I_2
+        q = quotient_presentation(classes[WEIGHTS_A][0], label_blocks("A")["A8"])
+        gens = [text for text in rows[3]["generators"] if text != "xz"]
+        gens += [format_poly((5, vec)) for vec in q.ideal.rows(5)]
+        assert all(q.ideal.contains(*parse_poly(text)) for text in gens)
+        return 3, gens
+    if case == "other_family":
+        return 8, rows[21]["generators"]  # A15's row takes B21's ideal
+    # the B21 row, whose ord_B cell is discrepant, unparseable too
+    return 21, ["y^{2}z+z^{z}" if text == "y^{2}z+z^{3}" else text
+                for text in rows[21]["generators"]]
+
+
+@pytest.mark.parametrize("case", ["non_member", "lower_degree_missed", "other_family",
+                                  "unparseable"])
+def test_changed_row_agrees_with_the_quotient_path(classes, report, monkeypatch, case):
+    """A published row with a generator outside I, one whose generators all
+    lie in I but generate less of it, one of the other family's ideals, and
+    one more unparseable row: each gets the record that the saturated
+    quotients give.  A row that does not match fails verification, and its
+    discrepant cells are still certified, on its block's own generators."""
+    import galerig.verify
+
+    rows = list(ideal_tables())
+    index, gens = _changed_generators(rows, case, classes)
+    rows[index] = {**rows[index], "generators": gens}
+    monkeypatch.setattr(galerig.verify, "ideal_tables", lambda: tuple(rows))
+    again = run_verification(report["iso_found"], classes)
+    assert again == verification_by_quotients(report["iso_found"], classes)
+    row = again["ideal_rows"][index]
+    assert again["profile_discrepancies"] == report["profile_discrepancies"]
+    if case == "unparseable":
+        assert row["unparseable"] and row["ok"] and again["passed"]
+        assert len(row["computed_generators"]) == 5
+    else:
+        assert (row["matches"], row["ok"], again["passed"]) == (False, False, False)
