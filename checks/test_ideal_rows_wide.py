@@ -82,7 +82,7 @@ def test_row_test_is_ideal_equality(weights):
         q = quotient_presentation(fs, block)
         for name, gens in _variants(generators(fs, block), q, rng):
             expected = oracles.ideal_equal(gens, q)
-            assert _is_annihilator(_row_ideal(gens, fs.n, h), [phi]) == expected, (block, name)
+            assert _is_annihilator(_row_ideal(gens, fs.n), [phi], h) == expected, (block, name)
             outcomes.add((name, expected))
     assert {("own", True), ("member", True), ("outside", False)} <= outcomes
     # a dropped generator leaves a smaller ideal for some matrix

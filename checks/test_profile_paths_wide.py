@@ -68,9 +68,9 @@ def test_profile_paths_agree(weights):
         q = quotient_presentation(fs, block)
         assert phi == oracles.socle_functional(q), block
         prof = invariant_profile(phi, h)
-        assert prof["codim"] == [codim(g, q) for g in LINEAR_FORMS], block
+        assert prof["codim"] == [codim(g, q.ideal) for g in LINEAR_FORMS], block
         assert prof["codim"] == [oracles.codim_on_cosets(g, q) for g in LINEAR_FORMS], block
-        assert prof["ord"] == [order(g, q) for g in LINEAR_FORMS], block
+        assert prof["ord"] == [order(g, q.ideal) for g in LINEAR_FORMS], block
         assert prof["ord"] == [oracles.order_via_quotient_maps(g, q) for g in LINEAR_FORMS], block
 
 

@@ -40,7 +40,8 @@ degree above n//2 is tabled.  The forward states of top_functionals
 live for one call.
 The dual side has one more operation, the contraction psi -> (f ->
 psi(l * f)) of a functional by a linear form l, the transpose of
-multiplication by l, through cached byte tables.  Every
+multiplication by l, which gf2.contract_form reads off the same lex
+blocks as gf2.times_form, with no table.  Every
 table is read off gf2's one monomial product, product_index, and its
 transposes (gf2.transpose); this module holds no monomial arithmetic of
 its own.
@@ -77,9 +78,9 @@ the saturated quotient of a matrix (quotient_presentation, which the
 tests' oracles and the benchmark's tracer still reach).  report --verify
 saturates the ideal of each published generator row (_saturated_ideal,
 one elimination per degree) to match it against phi (galerig.verify),
-and codim and order compute the profile's invariants on that ideal by
-multiplication, the second path that certifies a profile cell
-disagreeing with a published table.
+and codim and order compute the profile's invariants on that ideal
+itself, stored through degree n + 1, by multiplication: the second path
+that certifies a profile cell disagreeing with a published table.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ from .gf2 import (
     _forward,
     byte_tables,
     complement,
+    contract_form,
     echelon,
     hyperplane_functional,
     image,
@@ -208,27 +210,29 @@ def _check_form(form: int):
         raise ValueError(f"a linear form is an int 1..7, got {form!r}")
 
 
-def codim(form: int, q: GradedQuotient) -> int:
+def codim(form: int, ideal: GradedSubspace) -> int:
     """Least degree d >= 1 at which multiplication by the linear form has a
-    nonzero kernel on the quotient: the space {delta of degree d : form*delta
-    in the ideal} exceeds the ideal's own degree-d component."""
+    nonzero kernel on the quotient by a saturated ideal stored through
+    degree n + 1 (n = ideal.max_degree - 1): the space {delta of degree d :
+    form*delta in the ideal} exceeds the ideal's own degree-d component."""
     _check_form(form)
-    for d in range(1, q.n):
-        rows = [q.ideal.reduce(d + 1, times_form(1 << c, d, form))
+    for d in range(1, ideal.max_degree - 1):
+        rows = [ideal.reduce(d + 1, times_form(1 << c, d, form))
                 for c in range(monomial_count(d))]
-        if len(rows) - rank(rows, monomial_count(d + 1)) > q.ideal.dimension(d):
+        if len(rows) - rank(rows, monomial_count(d + 1)) > ideal.dimension(d):
             return d
     # the map from degree n-1 (dim 3) to degree n (dim 1) always has a kernel
     raise RuntimeError("no annihilated degree found; quotient is malformed")
 
 
-def order(form: int, q: GradedQuotient) -> int:
-    """Least power of the linear form lying in the ideal; at most n+1 since
-    every degree-(n+1) polynomial does."""
+def order(form: int, ideal: GradedSubspace) -> int:
+    """Least power of the linear form lying in a saturated ideal stored
+    through degree n + 1; at most n+1 since every degree-(n+1) polynomial
+    does."""
     _check_form(form)
     power = form
-    for exponent in range(1, q.n + 2):
-        if q.ideal.contains(exponent, power):
+    for exponent in range(1, ideal.max_degree + 1):
+        if ideal.contains(exponent, power):
             return exponent
         power = times_form(power, exponent, form)
     raise RuntimeError("top-degree component is not full; quotient is malformed")
@@ -256,7 +260,7 @@ def invariant_profile(phi: int, h: Sequence[int]) -> dict:
     n = len(h) - 1
     codims, ords = [], []
     for form in LINEAR_FORMS:
-        psi = table_image(phi, _contraction_tables(n, form))
+        psi = contract_form(phi, n, form)
         ranks = _ranks(psi, n - 1)
         codim = next((d for d in range(1, n) if ranks[d] < h[d]), None)
         if codim is None:
@@ -264,7 +268,7 @@ def invariant_profile(phi: int, h: Sequence[int]) -> dict:
         codims.append(codim)
         exponent = 1
         while psi and exponent < n:
-            psi = table_image(psi, _contraction_tables(n - exponent, form))
+            psi = contract_form(psi, n - exponent, form)
             exponent += 1
         ords.append(n + 1 if psi else exponent)
     return {"forms": list(LINEAR_FORM_NAMES), "codim": codims, "ord": ords}
@@ -308,15 +312,6 @@ def quotient_functional(q: GradedQuotient) -> int:
     """The socle functional read off a saturated quotient's own I_n
     (find_graded_iso's, and the tests')."""
     return hyperplane_functional(q.ideal.rows(q.n), monomial_count(q.n))
-
-
-@lru_cache(maxsize=None)
-def _contraction_tables(degree: int, form: int) -> tuple[tuple[int, ...], ...]:
-    """Byte tables of the contraction S_e* -> S_(e-1)* by a linear form, for
-    e = degree, psi -> (f -> psi(form * f)): the transpose of multiplication
-    by the form on S_(e-1)."""
-    products = [times_form(1 << c, degree - 1, form) for c in range(monomial_count(degree - 1))]
-    return byte_tables(transpose(products, monomial_count(degree)))
 
 
 @lru_cache(maxsize=None)

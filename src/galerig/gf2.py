@@ -11,7 +11,8 @@ Conventions:
       iff monomial c of that degree has coefficient 1.
     * A linear form is the int 1..7 with bit j standing for variable j of
       (x, y, z); it is also its own degree-1 vec.  ``times_form`` multiplies
-      a polynomial by one (``times_variables`` by x, y and z at once); the
+      a polynomial by one (``times_variables`` by x, y and z at once), and
+      ``contract_form`` contracts a functional by one, the transpose; the
       products by monomials are read off ``product_index`` (below).
 
 Two kernels carry the hot loops.  Row reduction is one forward pass,
@@ -44,8 +45,12 @@ monomials, is sums of coordinates, and multiplication by a variable moves
 whole blocks of columns: x keeps every column, and y shifts the block of
 x-degree a in degree d, its t + 1 columns from t(t+1)/2 on, left by
 t + 1 = d + 1 - a, and z by one more (``times_variables``, through one
-(mask, shift) list per degree).  Every table of ``galerig.cohomology`` is
-built on these two, and a dual map is the ``transpose`` of a product map.
+(mask, shift) list per degree).  Contraction by a variable, the
+transpose, moves the same blocks back: x keeps the low columns, y and z
+shift each block of the lower degree right by as much
+(``contract_form``, on the same list, with no table).  Every table of
+``galerig.cohomology`` is built on these two, and a dual map is the
+``transpose`` of a product map.
 """
 
 from __future__ import annotations
@@ -185,11 +190,6 @@ def monomials(degree: int) -> tuple[Monomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _monomial_index(degree: int) -> dict:
-    return {m: i for i, m in enumerate(monomials(degree))}
-
-
-@lru_cache(maxsize=None)
 def _lex_coordinates(degree: int) -> tuple[tuple[int, int], ...]:
     """(t, c) = (b + c, c) of each monomial x^a y^b z^c of degree d, in
     lex order.  The monomials before it are the t(t+1)/2 of x-degree above
@@ -292,6 +292,23 @@ def times_form(vec: int, degree: int, form: int) -> int:
     return (by_x if form & 1 else 0) ^ (by_y if form & 2 else 0) ^ (by_z if form & 4 else 0)
 
 
+def contract_form(psi: int, degree: int, form: int) -> int:
+    """The contraction of a functional psi on S_e, e = degree, by a linear
+    form, f -> psi(form * f) on S_(e-1): the transpose of times_form, on
+    the same blocks.  By x it is psi's low monomial_count(e - 1) bits; by y,
+    each x-degree block of S_(e-1) moved back right by its shift
+    (_shift_blocks); by z, the same of psi >> 1, since z * f is y * f
+    shifted by one; by a form, the sum of its variables' parts.  Raises
+    IndexError for a psi with a bit at or above monomial_count(e)."""
+    if psi >> monomial_count(degree):
+        raise IndexError("functional has bits beyond the monomials of its degree")
+    moved = (psi if form & 2 else 0) ^ (psi >> 1 if form & 4 else 0)
+    out = psi & ((1 << monomial_count(degree - 1)) - 1) if form & 1 else 0
+    for mask, shift in _shift_blocks(degree - 1):
+        out ^= (moved >> shift) & mask
+    return out
+
+
 def to_lists(degree: int, vec: int) -> list[list[int]]:
     """Exponent vectors of the monomials of a polynomial, lex descending."""
     basis = monomials(degree)
@@ -299,14 +316,15 @@ def to_lists(degree: int, vec: int) -> list[list[int]]:
 
 
 def from_lists(degree: int, rows: Iterable[Iterable[int]]) -> int:
-    """Inverse of to_lists; repeated monomials cancel."""
-    index = _monomial_index(degree)
+    """Inverse of to_lists; repeated monomials cancel.  The column of
+    x^a y^b z^c is t(t+1)/2 + c with t = b + c (_lex_coordinates)."""
     vec = 0
     for row in rows:
-        mono = tuple(int(e) for e in row)
-        if mono not in index:
-            raise ValueError(f"{list(mono)} is not a monomial of degree {degree}")
-        vec ^= 1 << index[mono]
+        mono = [int(e) for e in row]
+        if len(mono) != 3 or min(mono) < 0 or sum(mono) != degree:
+            raise ValueError(f"{mono} is not a monomial of degree {degree}")
+        t = mono[1] + mono[2]
+        vec ^= 1 << (t * (t + 1) // 2 + mono[2])
     return vec
 
 

@@ -8,8 +8,10 @@ structures, one cohomology.top_functionals call per family against the
 polytope's h-vector (betti.h_vector), so every block gets the checks that
 the report's own keys get: characteristic, I_n of corank 1 and its
 catalecticant ranks equal to the h-vector, which make its ideal I equal
-to Ann(phi).  It builds no quotient of a block, and returns its findings
-as the plain JSON record that report --verify prints.
+to Ann(phi).  It builds no quotient, of a block or of a row: every check
+below reads a functional or a saturated ideal itself (a
+gf2.GradedSubspace), and its findings are the plain JSON record that
+report --verify prints.
 
 The module also loads the tables from galerig.data: the two 21-block
 matrix lists, the ideal generator tables and the codim/ord tables they
@@ -25,7 +27,9 @@ monomials u of degree n - deg g, so every generator lies in Ann(phi), and
 so does J.  Dimensions: dim (S/J)_d = h_d for d <= n and J is full in
 degree n + 1, as Ann(phi) is.  Containment and equal dimensions give J =
 Ann(phi) = I, the matrix's ideal; the paper's generators are the side
-independent of galerig's own.
+independent of galerig's own.  h is the polytope's h-vector, passed in,
+never read off J, so a row that fails to match is measured against the
+dimensions it should have.
 
 The verdict policy is deliberately asymmetric: matrix-list, matrix-count
 or generator-table mismatches fail verification, while codim/ord cells
@@ -33,7 +37,8 @@ may disagree with the reference tables provided an independent
 computation path agrees with the report's value (printed tables can
 carry typos).  The value is the one the profile command prints,
 invariant_profile of the block's socle functional, by contraction.  The
-row's saturated ideal certifies it by multiplication: codim from the
+row's saturated ideal certifies it by multiplication on the ideal
+itself (cohomology.codim and cohomology.order): codim from the
 annihilator dimension, order from the least power in the ideal.  That
 ideal is the published generators' when they match, and otherwise, an
 unparseable row included, the one the block's own generators (the
@@ -52,7 +57,6 @@ from typing import Sequence
 from .betti import h_vector
 from .charmat import enumerate_charmats, forms_from_rows, row_strings
 from .cohomology import (
-    GradedQuotient,
     LINEAR_FORM_NAMES,
     LINEAR_FORMS,
     _saturated_ideal,
@@ -63,7 +67,7 @@ from .cohomology import (
     top_functionals,
 )
 from .gale import FaceStructure, GaleDiagram
-from .gf2 import format_poly, monomial_count, parse_poly
+from .gf2 import GradedSubspace, format_poly, monomial_count, parse_poly
 
 # Neither is called here: no block's quotient is built, and the report's
 # face structures are used.  They stay importable only because the
@@ -130,30 +134,29 @@ def _functionals_by_label(family: str, fs: FaceStructure, h: tuple[int, ...]) ->
     return dict(zip(blocks, top_functionals(fs, list(blocks.values()), h)))
 
 
-def _row_ideal(gens: Sequence[tuple[int, int]], n: int, h: tuple[int, ...]) -> GradedQuotient:
-    """S/J with J the ideal of the (degree, vec) generators saturated up to
-    degree n + 1, the quotient dimensions taken as h: the generators above
-    n + 1 lie in every ideal full in degree n + 1, as J must be."""
-    return GradedQuotient(n=n, ideal=_saturated_ideal([g for g in gens if g[0] <= n + 1], n + 1),
-                          hilbert=h)
+def _row_ideal(gens: Sequence[tuple[int, int]], n: int) -> GradedSubspace:
+    """The ideal J of the (degree, vec) generators saturated up to degree
+    n + 1: the generators above n + 1 lie in every ideal full in degree
+    n + 1, as J must be."""
+    return _saturated_ideal([g for g in gens if g[0] <= n + 1], n + 1)
 
 
-def _is_annihilator(q: GradedQuotient, phis: Sequence[int]) -> bool:
-    """Whether q's ideal J is Ann(phi) for every phi: phi vanishes on J_n
-    (containment, module docstring), dim (S/J)_d = h_d for d <= n and J is
-    full in degree n + 1."""
-    ideal, top = q.ideal, q.n + 1
-    contained = not any((phi & row).bit_count() & 1 for phi in phis for row in ideal.rows(q.n))
-    return (contained and ideal.dimension(top) == monomial_count(top)
-            and all(monomial_count(d) - ideal.dimension(d) == h_d
-                    for d, h_d in enumerate(q.hilbert)))
+def _is_annihilator(ideal: GradedSubspace, phis: Sequence[int], h: tuple[int, ...]) -> bool:
+    """Whether the ideal J, stored through degree n + 1 with n = len(h) - 1,
+    is Ann(phi) for every phi: phi vanishes on J_n (containment, module
+    docstring), dim (S/J)_d = h_d for d <= n and J is full in degree
+    n + 1."""
+    n = len(h) - 1
+    contained = not any((phi & row).bit_count() & 1 for phi in phis for row in ideal.rows(n))
+    return (contained and ideal.dimension(n + 1) == monomial_count(n + 1)
+            and all(monomial_count(d) - ideal.dimension(d) == h_d for d, h_d in enumerate(h)))
 
 
 def _check_ideal_row(row: dict, phis: dict[str, int], fs: FaceStructure,
-                     h: tuple[int, ...]) -> tuple[dict, GradedQuotient]:
+                     h: tuple[int, ...]) -> tuple[dict, GradedSubspace]:
     """Compare one published ideal row with the functionals of its labels,
-    read on fs, and return its record with the quotient that certifies its
-    profile cells: the row's own saturated ideal when it matches, else the
+    read on fs, and return its record with the saturated ideal that
+    certifies its profile cells: the row's own when it matches, else the
     one its first label's generators give.  A row that does not parse
     cannot fail; it records the parse error and those generators in its
     place."""
@@ -166,16 +169,16 @@ def _check_ideal_row(row: dict, phis: dict[str, int], fs: FaceStructure,
         own = generators(fs, block)
         return ({**record, "unparseable": True, "bad_token": str(err),
                  "computed_generators": [format_poly(g) for g in own], "ok": True},
-                _row_ideal(own, fs.n, h))
+                _row_ideal(own, fs.n))
     # a row's labels share one ideal: saturate the row once
-    q = _row_ideal(gens, fs.n, h)
-    if _is_annihilator(q, [phis[label] for label in row["labels"]]):
-        return {**record, "matches": True, "ok": True}, q
-    return {**record, "matches": False, "ok": False}, _row_ideal(generators(fs, block), fs.n, h)
+    ideal = _row_ideal(gens, fs.n)
+    if _is_annihilator(ideal, [phis[label] for label in row["labels"]], h):
+        return {**record, "matches": True, "ok": True}, ideal
+    return {**record, "matches": False, "ok": False}, _row_ideal(generators(fs, block), fs.n)
 
 
 def _check_profiles(socle: dict[str, tuple[int, tuple[int, ...]]],
-                    quotients: dict[str, GradedQuotient]) -> list[dict]:
+                    ideals: dict[str, GradedSubspace]) -> list[dict]:
     """Published codim/ord cells that differ from their blocks' profiles,
     each profile read off the block's (phi, h) in socle."""
     tables = profile_tables()
@@ -195,7 +198,7 @@ def _check_profiles(socle: dict[str, tuple[int, tuple[int, ...]]],
                 # got is read off the top functional; the row's saturated
                 # ideal certifies it independently
                 gamma = LINEAR_FORMS[col]
-                certified = (order if kind == "ord" else codim)(gamma, quotients[row_label]) == got
+                certified = (order if kind == "ord" else codim)(gamma, ideals[row_label]) == got
                 discrepancies.append({
                     "table": table_name, "row": row_label, "column": forms[col],
                     "paper_value": paper_v, "computed_value": got, "certified": certified,
@@ -233,14 +236,14 @@ def run_verification(iso_found: int, classes: dict) -> dict:
     h = {family: h_vector(GaleDiagram(w)) for family, w in weights.items()}
     phis = {family: _functionals_by_label(family, fs, h[family])
             for family, (fs, _) in families.items()}
-    ideal_rows, quotients = [], {}
+    ideal_rows, ideals = [], {}
     for row in ideal_tables():
         family = row["table"]
-        record, q = _check_ideal_row(row, phis[family], families[family][0], h[family])
+        record, ideal = _check_ideal_row(row, phis[family], families[family][0], h[family])
         ideal_rows.append(record)
-        quotients.update(dict.fromkeys(row["labels"], q))
+        ideals.update(dict.fromkeys(row["labels"], ideal))
     socle = {label: (phi, h[family]) for family in phis for label, phi in phis[family].items()}
-    discrepancies = _check_profiles(socle, quotients)
+    discrepancies = _check_profiles(socle, ideals)
     return {
         "matrices": comparisons,
         "ideal_rows": ideal_rows,

@@ -908,7 +908,8 @@ def verification_by_quotients(iso_found: int, classes: dict) -> dict:
             for col, (paper_v, got) in enumerate(zip(paper_values, profiles[label][kind])):
                 if paper_v != got:
                     gamma = LINEAR_FORMS[col]
-                    certified = (order if kind == "ord" else codim)(gamma, quotients[label]) == got
+                    ideal = quotients[label].ideal
+                    certified = (order if kind == "ord" else codim)(gamma, ideal) == got
                     discrepancies.append({
                         "table": name, "row": label, "column": tables["forms"][col],
                         "paper_value": paper_v, "computed_value": got, "certified": certified})

@@ -28,7 +28,6 @@ from galerig.cohomology import (
     _GENERATORS,
     _catalecticant_tables,
     _ranks,
-    _contraction_tables,
     _orbit,
     _orbit_table,
     _saturated_ideal,
@@ -40,6 +39,7 @@ from galerig.cli import _classes, _matrices, _matrix_keys, classify
 from galerig.gale import GaleDiagram, face_structure
 from galerig.gf2 import (
     GradedSubspace,
+    contract_form,
     image,
     monomial_count,
     monomials,
@@ -169,25 +169,25 @@ def test_pentagon_quotients_have_dimension_five():
 
 
 def test_codim_examples():
-    assert codim(X, QA1) == 1  # witness z: xz lies in the ideal
-    assert codim(Y, QA1) == 2  # witness y^2 + z^2
-    assert codim(Y, QB1) == 3
+    assert codim(X, QA1.ideal) == 1  # witness z: xz lies in the ideal
+    assert codim(Y, QA1.ideal) == 2  # witness y^2 + z^2
+    assert codim(Y, QB1.ideal) == 3
 
 
 def test_order_examples():
-    assert order(Y | Z, QA1) == 3  # (y+z)^3 = (y^3+yz^2) + (y^2z+z^3)
-    assert order(Z, QA1) == 6
+    assert order(Y | Z, QA1.ideal) == 3  # (y+z)^3 = (y^3+yz^2) + (y^2z+z^3)
+    assert order(Z, QA1.ideal) == 6
     # the published table prints 3 here; the definition gives 4 (x^3 is not
     # reachable from the degree-3 component, x^4 is a generator)
-    assert order(X, QA1) == 4
+    assert order(X, QA1.ideal) == 4
 
 
 def test_zero_form_rejected():
     for form in (0, 8):
         with pytest.raises(ValueError):
-            codim(form, QA1)
+            codim(form, QA1.ideal)
         with pytest.raises(ValueError):
-            order(form, QA1)
+            order(form, QA1.ideal)
 
 
 def _profile(q):
@@ -212,8 +212,8 @@ def test_dual_path_oracles_agree_everywhere():
         prof = _profile(q)
         assert prof["forms"] == ["x", "y", "z", "x+y", "x+z", "y+z", "x+y+z"]
         for gamma, c, o in zip(LINEAR_FORMS, prof["codim"], prof["ord"]):
-            assert c == codim(gamma, q) == oracles.codim_on_cosets(gamma, q), label
-            assert o == order(gamma, q) == oracles.order_via_quotient_maps(gamma, q), label
+            assert c == codim(gamma, q.ideal) == oracles.codim_on_cosets(gamma, q), label
+            assert o == order(gamma, q.ideal) == oracles.order_via_quotient_maps(gamma, q), label
 
 
 def test_profile_bounds():
@@ -278,8 +278,8 @@ def test_found_substitution_transports_profiles():
     images = tuple(form_poly(r) for r in rows)
     for gamma in LINEAR_FORMS:
         image = poly_to_vec(substitute_linear(form_poly(gamma), images), 1)
-        assert codim(gamma, qa2) == codim(image, qa5)
-        assert order(gamma, qa2) == order(image, qa5)
+        assert codim(gamma, qa2.ideal) == codim(image, qa5.ideal)
+        assert order(gamma, qa2.ideal) == order(image, qa5.ideal)
 
 
 def test_subst_matrix_matches_oracle_substitution():
@@ -689,15 +689,25 @@ def test_stacked_catalecticant_tables_hold_each_pairing_in_place():
 
 def test_contraction_is_the_transpose_of_multiplication():
     # bit i of the contraction of the dual basis vector j is bit j of the
-    # product of form with monomial i of degree e - 1
-    for e in range(1, 13):
+    # product of form with monomial i of degree e - 1, for every form 0..7
+    # and e <= 26; random functionals pair as psi(form * f) on random f
+    rng = random.Random(5)
+    for e in range(1, 27):
+        width = monomial_count(e)
         for form in range(8):
-            tables = _contraction_tables(e, form)
             products = [times_form(1 << i, e - 1, form) for i in range(monomial_count(e - 1))]
-            for j in range(monomial_count(e)):
-                contracted = table_image(1 << j, tables)
-                assert all(((contracted >> i) & 1) == ((product >> j) & 1)
-                           for i, product in enumerate(products)), (e, form, j)
+            rows = [0] * width
+            for i, product in enumerate(products):
+                while product:
+                    j = product.bit_length() - 1
+                    rows[j] |= 1 << i
+                    product ^= 1 << j
+            assert [contract_form(1 << j, e, form) for j in range(width)] == rows, (e, form)
+            psi, f = rng.getrandbits(width), rng.getrandbits(len(products))
+            assert ((contract_form(psi, e, form) & f).bit_count() & 1
+                    == (psi & times_form(f, e - 1, form)).bit_count() & 1), (e, form)
+            with pytest.raises(IndexError):
+                contract_form(psi | 1 << width, e, form)
 
 
 def test_profile_by_contraction_equals_profile_by_products(key_quotients):
@@ -738,12 +748,24 @@ def test_profile_refuses_a_functional_with_no_annihilated_degree():
     profile and by the oracle."""
     for n in range(2, 7):
         assert oracles.catalecticant_ranks_by_bits(1, n) == [1] * (n + 1)
-        assert table_image(1, _contraction_tables(n, X)) == 1
+        assert contract_form(1, n, X) == 1
         for phi in (0, 1):
             with pytest.raises(RuntimeError, match="no annihilated degree found"):
                 invariant_profile(phi, oracles.catalecticant_ranks_by_bits(phi, n))
             with pytest.raises(RuntimeError, match="no annihilated degree found"):
                 oracles.profile_by_products(phi, n)
+
+
+def test_profile_refuses_a_functional_beyond_its_degree():
+    """A phi with a bit at or above monomial_count(n), outside S_n, is
+    refused with IndexError by the range check of its first contraction,
+    whatever its bits inside S_n."""
+    for n in range(2, 9):
+        h = [1] * (n + 1)
+        for bit in (monomial_count(n), monomial_count(n) + 7, 8 * monomial_count(n)):
+            for low in (0, 1, (1 << monomial_count(n)) - 1):
+                with pytest.raises(IndexError):
+                    invariant_profile(low | 1 << bit, h)
 
 
 def test_iso_keys_one_key_per_entry_in_order():

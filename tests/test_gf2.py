@@ -498,8 +498,10 @@ def test_serialization_order():
     degree, vec = _vec((0, 1, 3), (3, 1, 0))
     assert to_lists(degree, vec) == [[3, 1, 0], [0, 1, 3]]
     assert from_lists(degree, to_lists(degree, vec)) == vec
-    with pytest.raises(ValueError):
-        from_lists(degree, [[1, 1, 0]])  # a monomial of another degree
+    # a monomial of another degree, a wrong length, a negative exponent
+    for bad in ([1, 1, 0], [4, 0], [2, 1, 1, 0], [5, -1, 0]):
+        with pytest.raises(ValueError, match=f"is not a monomial of degree {degree}"):
+            from_lists(degree, [[3, 1, 0], bad])
 
 
 def test_format_round_trip():
