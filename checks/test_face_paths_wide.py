@@ -2,7 +2,7 @@
 they replaced (tests/oracles.py).  For all 5,306 weight vectors of 5, 7 or
 9 weights in 1..4 with total <= 14, rotations and reflections included,
 the face structure whose vertex complements are read off the label groups
-and whose least vertex is the complement of the greatest triple equals
+and whose trailing facets are the last labelled k, 2k and 2k+1 equals
 the one that tests every facet triple and scans every vertex, and the
 search plan kept with a count of closed pairs per facet equals the plan
 that rescans every pair at every step.  Tier-1 checks the canonical

@@ -7,6 +7,11 @@ m = sum(a_i) facets and dimension n = m - 3.  A facet subset is a face of the
 boundary complex iff the origin lies in the convex hull of the polygon
 vertices labelling the complementary facets.
 
+Two results of that criterion have closed forms: three labels hold the
+origin iff each of their three cyclic gaps is at most k (_hull_triples),
+and the greatest such triple is (k, 2k, 2k+1), whose last-labelled
+facets are the three off the least vertex (face_structure).
+
 Facets are the positions 0..m-1 of the facet order of face_structure,
 whose facets 0..n-1 form a vertex, so facets n, n+1, n+2 are the three off
 it; polygon vertices keep their labels 1..2k+1.  FaceStructure holds, in
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 def _validated_weights(weights: Sequence[int]) -> tuple[int, ...]:
@@ -58,31 +63,19 @@ def weight_symmetries(weights: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  all(weights[p[i]] == a for i, a in enumerate(weights)))
 
 
-class GaleDiagram:
+class _Weights(NamedTuple):
+    weights: tuple[int, ...]
+
+
+class GaleDiagram(_Weights):
     """Weighted odd polygon defining a simple n-polytope with n+3 facets.
-    Immutable, hashable and equal by weights."""
+    Immutable, hashable and equal by weights, as the one-field NamedTuple
+    (weights,) whose __new__ validates them."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights: Sequence[int]):
-        object.__setattr__(self, "weights", _validated_weights(weights))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GaleDiagram is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GaleDiagram is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash((self.weights,))
-
-    def __repr__(self) -> str:
-        return f"GaleDiagram(weights={self.weights!r})"
+    def __new__(cls, weights: Sequence[int]):
+        return super().__new__(cls, _validated_weights(weights))
 
     @property
     def k(self) -> int:
@@ -95,29 +88,6 @@ class GaleDiagram:
     @property
     def n(self) -> int:
         return self.m - 3
-
-
-def origin_in_hull(labels: Iterable[int], k: int) -> bool:
-    """Whether the origin lies in the convex hull of the named vertices of a
-    regular (2k+1)-gon.
-
-    A nonempty vertex subset misses the origin iff it fits inside an arc of
-    k+1 consecutive vertices: such an arc spans an angle k*2pi/(2k+1) < pi and
-    hence sits in an open half-plane, while any wider spread does not.
-    """
-    nv = 2 * k + 1
-    chosen = set()
-    for lab in labels:
-        if not 1 <= lab <= nv:
-            raise ValueError(f"label {lab} outside 1..{nv}")
-        chosen.add(lab)
-    if not chosen:
-        return False
-    for start in range(nv):
-        arc = {(start + t) % nv + 1 for t in range(k + 1)}
-        if chosen <= arc:
-            return False
-    return True
 
 
 # Facet orders for the two polytopes whose characteristic-matrix and ideal
@@ -135,11 +105,18 @@ _PINNED_ORDERS = {
 @lru_cache(maxsize=None)
 def _hull_triples(k: int) -> frozenset[tuple[int, int, int]]:
     """The ascending label triples a < b < c of the (2k+1)-gon whose hull
-    holds the origin: C(2k+1, 3) candidates, each tested once by
-    origin_in_hull.  One or two distinct labels never hold it (an odd
-    polygon has no antipodal pair), so a facet triple holds the origin iff
-    its sorted labels are in this table."""
-    return frozenset(t for t in combinations(range(1, 2 * k + 2), 3) if origin_in_hull(t, k))
+    holds the origin: those whose three cyclic gaps b - a, c - b and
+    2k+1 - c + a are each at most k.  A vertex set misses the origin iff it
+    fits inside an arc of k+1 consecutive vertices (such an arc spans an
+    angle k*2pi/(2k+1) < pi, so it sits in an open half-plane, while any
+    wider spread does not), and three labels fit in such an arc iff the
+    gap across the arc's outside, one of their cyclic gaps, is at least
+    k+1.  One or two distinct labels never hold the origin (an odd polygon
+    has no antipodal pair), so a facet triple holds it iff its sorted
+    labels are in this table."""
+    nv = 2 * k + 1
+    return frozenset((a, b, c) for a, b, c in combinations(range(1, nv + 1), 3)
+                     if b - a <= k and c - b <= k and nv - c + a <= k)
 
 
 def _vertex_complements(labels: Sequence[int], k: int) -> tuple[tuple[int, int, int], ...]:
@@ -183,30 +160,36 @@ def face_structure(diagram: GaleDiagram) -> FaceStructure:
     """The face structure, in a deterministic facet order whose first n
     facets form a vertex.
 
-    The two fixture polytopes use their published orders.  Any other diagram
-    is ordered by polygon label, then the lexicographically least vertex is
-    moved to the front (label-sorted rotations alone need not start with a
-    vertex, e.g. for [1,1,1,1,1]); the vertex complements found on the
-    label order choose that vertex, and those of the final order are read
-    off its labels again, which is cheaper than mapping the first ones to
-    their new positions and sorting them once more.  Of two facet sets of one
-    size, the lexicographically smaller has the greater complement, so
-    the least vertex is the complement of the greatest triple.  The 2k+1
-    minimal non-faces are the facets labelled in an arc of k consecutive
-    polygon vertices: entry i holds the sorted facets with labels i+1, ...,
-    i+k (mod 2k+1), so its size is the weight window sum a_(i+1) + ... +
-    a_(i+k)."""
+    The two fixture polytopes use their published orders.  Any other
+    diagram is ordered by polygon label, with the lexicographically least
+    vertex moved to the front (label-sorted orders alone need not start
+    with a vertex, e.g. for [1,1,1,1,1]).  Of two facet sets of one size,
+    the lexicographically smaller has the greater complement, so the least
+    vertex is the complement of the greatest facet triple whose labels
+    hold the origin, and that triple carries the labels (k, 2k, 2k+1):
+
+    - a hull triple's least label is at most k, since labels above k lie in
+      the arc k+1..2k+1 of k+1 vertices (_hull_triples);
+    - with least label k, the gap 2k+1 - c + k <= k forces c = 2k+1, and
+      then b <= 2k, so (k, 2k, 2k+1) is the greatest hull triple;
+    - facets ascend with their labels, so the last facets labelled k, 2k
+      and 2k+1 form the greatest facet triple.
+
+    The final order is therefore the label order with one facet of each of
+    those labels moved, in that order, to the end, and its vertex
+    complements are read off its labels once.  The 2k+1 minimal non-faces
+    are the facets labelled in an arc of k consecutive polygon vertices:
+    entry i holds the sorted facets with labels i+1, ..., i+k (mod 2k+1),
+    so its size is the weight window sum a_(i+1) + ... + a_(i+k)."""
     k, nv = diagram.k, 2 * diagram.k + 1
     labels = _PINNED_ORDERS.get(diagram.weights)
-    if labels is not None:
-        complements = _vertex_complements(labels, k)
-    else:
-        labels = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
-        off = _vertex_complements(labels, k)[-1]  # its complement is the least vertex
-        vertex = tuple(i for i in range(diagram.m) if i not in off)
-        labels = tuple(labels[i] for i in vertex + off)
-        complements = _vertex_complements(labels, k)
+    if labels is None:
+        trail = (k, 2 * k, nv)
+        lead = [v for v, count in enumerate(diagram.weights, start=1) for _ in range(count)]
+        for label in trail:
+            lead.remove(label)
+        labels = tuple(lead) + trail
     arcs = [{(i + t) % nv + 1 for t in range(k)} for i in range(nv)]
     nonfaces = tuple(tuple(f for f, label in enumerate(labels) if label in arc)
                      for arc in arcs)
-    return FaceStructure(labels, nonfaces, complements)
+    return FaceStructure(labels, nonfaces, _vertex_complements(labels, k))

@@ -1,13 +1,15 @@
 """Independent oracles used by the tests.
 
 Each oracle decides its question by a different route than the production
-code: exact rational plane geometry for the origin-in-hull test, exhaustive
-subset scans for minimal non-faces and f/h-vectors, the vertex complements
-by a test of every facet triple and the least vertex by a scan (the
-package reads them off the label groups and takes the complement of the
-greatest triple), the backtrack's search plan by rescanning every pair at
-each step (the package counts closed pairs as it goes), a vectorized full scan
-over every completion block and the column-by-column backtracker for
+code: exact rational plane geometry and the arc test (origin_in_hull)
+for the origin-in-hull test (the package reads its label triples off
+their cyclic gaps), exhaustive subset scans for minimal non-faces and
+f/h-vectors, the vertex complements by a test of every facet triple and
+the least vertex by a scan (the package reads them off the label groups
+and moves the last facets labelled k, 2k and 2k+1 to the end), the
+backtrack's search plan by rescanning every pair at each step (the
+package counts closed pairs as it goes), a vectorized full scan over
+every completion block and the column-by-column backtracker for
 characteristic matrices (both on the primal [I_n | B] columns, where the
 package works with the per-facet forms of the Gale dual), the canonical
 tuples by sorting and counting a full list (the package bounds its
@@ -101,7 +103,6 @@ from galerig.gale import (
     _hull_triples,
     canonical_weights,
     face_structure,
-    origin_in_hull,
     weight_symmetries,
 )
 from galerig.gf2 import (
@@ -136,6 +137,33 @@ def h_vector_by_betti_table(diagram: GaleDiagram) -> tuple[int, ...]:
         coeffs = list(accumulate(coeffs))
     assert not any(coeffs[diagram.n + 1:])
     return tuple(coeffs[:diagram.n + 1])
+
+
+# ---------------------------------------------------------------------------
+# the arc test of origin-in-hull
+
+
+def origin_in_hull(labels: Iterable[int], k: int) -> bool:
+    """Whether the origin lies in the convex hull of the named vertices of a
+    regular (2k+1)-gon.
+
+    A nonempty vertex subset misses the origin iff it fits inside an arc of
+    k+1 consecutive vertices: such an arc spans an angle k*2pi/(2k+1) < pi and
+    hence sits in an open half-plane, while any wider spread does not.
+    """
+    nv = 2 * k + 1
+    chosen = set()
+    for lab in labels:
+        if not 1 <= lab <= nv:
+            raise ValueError(f"label {lab} outside 1..{nv}")
+        chosen.add(lab)
+    if not chosen:
+        return False
+    for start in range(nv):
+        arc = {(start + t) % nv + 1 for t in range(k + 1)}
+        if chosen <= arc:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +299,9 @@ def vertex_complements_by_scan(labels: Sequence[int], k: int) -> tuple[tuple[int
 def face_structure_by_scan(diagram: GaleDiagram) -> FaceStructure:
     """galerig.gale.face_structure with the vertex complements found by
     vertex_complements_by_scan and the least vertex by a scan over every
-    vertex (the package takes the complement of the greatest triple)."""
+    vertex (the package moves the last facets labelled k, 2k and 2k+1,
+    which its docstring proves are the three off the least vertex, to the
+    end)."""
     k, nv = diagram.k, 2 * diagram.k + 1
     labels = _PINNED_ORDERS.get(diagram.weights)
     if labels is not None:

@@ -15,12 +15,11 @@ from galerig.gale import (
     _vertex_complements,
     canonical_weights,
     face_structure,
-    origin_in_hull,
     weight_symmetries,
 )
 
 import oracles
-from oracles import facet_labels
+from oracles import facet_labels, origin_in_hull
 
 P = GaleDiagram((3, 1, 2, 1, 1))
 Q = GaleDiagram((2, 2, 2, 1, 1))
@@ -125,7 +124,7 @@ def test_arc_criterion_matches_exact_hull_oracle(k):
                 f"arc test disagrees with exact geometry on {subset}, k={k}"
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", range(2, 13))
 def test_hull_table_is_the_exact_hull_triples(k):
     """The per-k table that face_structure looks facet triples up in holds
     label triples only, never one entry per label subset."""
@@ -133,6 +132,13 @@ def test_hull_table_is_the_exact_hull_triples(k):
     assert table == {t for t in combinations(range(1, 2 * k + 2), 3)
                      if oracles.origin_in_hull_exact(t, k)}
     assert len(table) <= comb(2 * k + 1, 3)
+
+
+def test_greatest_hull_triple_is_k_2k_2k_plus_1():
+    """The closed form that face_structure moves to the end of the label
+    order: the greatest label triple holding the origin is (k, 2k, 2k+1)."""
+    for k in range(2, 13):
+        assert max(_hull_triples(k)) == (k, 2 * k, 2 * k + 1), k
 
 
 def test_hull_table_serves_a_large_polygon():
@@ -266,9 +272,9 @@ def test_face_structure_matches_the_triple_scan():
     """On every canonical pentagon of total <= 12, every canonical heptagon
     of total <= 10 and both pinned orders, the vertex complements read off
     the label groups equal the scan of every facet triple, on the label
-    order and on the final one, and the face structure whose least vertex
-    is the complement of the greatest triple equals the one that scans
-    every vertex for it."""
+    order and on the final one, and the face structure whose trailing
+    facets are the last labelled k, 2k and 2k+1 equals the one that scans
+    every vertex for the least."""
     diagrams = (oracles.canonical_diagrams(5, 12) + oracles.canonical_diagrams(7, 10)
                 + list(_PINNED_ORDERS))
     assert len(diagrams) == 116
